@@ -1,17 +1,10 @@
 """modelsentry: static security scanner for serialized ML model files."""
 
-from .absvm import AbstractResult, SecurityEvent, evaluate, summarize_call_chain
-from .disasm import (
-    Instruction,
-    ParseError,
-    ParseLimits,
-    PickleProgram,
-    disassemble,
-    disassemble_concatenated,
-)
+from .absvm import AbstractResult, SecurityEvent, evaluate
+from .disasm import Instruction, ParseError, ParseLimits, PickleProgram, disassemble
 from .opcodes import OpcodeSpec, opcode_table
 from .policy import Finding, Policy, Severity, classify_global, default_policy
-from .scanner import FileReport, ScanReport, scan_file, scan_paths, scan_tree, sniff
+from .scanner import FileReport, ScanReport, scan_file, scan_paths, sniff
 
 __version__ = "0.1.0"
 
@@ -31,13 +24,10 @@ __all__ = [
     "classify_global",
     "default_policy",
     "disassemble",
-    "disassemble_concatenated",
     "evaluate",
     "opcode_table",
     "scan_file",
     "scan_paths",
-    "scan_tree",
     "sniff",
-    "summarize_call_chain",
     "__version__",
 ]

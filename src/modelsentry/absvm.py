@@ -319,80 +319,43 @@ def _literal_length(value: AbstractValue, seen: frozenset[int], memo) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Call-chain summarization
+# Memo references and call chains
 
 
-def summarize_call_chain(
-    value: AbstractValue, memo: dict[int, AbstractValue] | None = None
-) -> list[tuple[str, str]]:
-    """List the (module, name) pairs at the roots of all call chains in ``value``.
+def _deref(
+    value: AbstractValue, memo: dict[int, AbstractValue], seen: set[int] | None = None
+) -> AbstractValue:
+    """Follow MemoRef links through ``memo`` until a non-reference or a cycle.
 
-    The root of a chain is found by following callee edges through nested
-    CallResults; a DynamicGlobalRef root contributes the sentinel pair
-    ("<dynamic>", "<dynamic>").  Order is a deterministic pre-order walk.
+    Indices followed are added to ``seen`` when one is given, so a caller
+    can carry cycle detection across several hops.  A value that is not a
+    MemoRef is returned as is, without allocating.
     """
-    roots: list[tuple[str, str]] = []
-
-    def deref(v: AbstractValue, seen: frozenset[int]) -> tuple[AbstractValue, frozenset[int]]:
-        while isinstance(v, MemoRef) and memo is not None and v.index in memo and v.index not in seen:
-            seen = seen | {v.index}
-            v = memo[v.index]
-        return v, seen
-
-    def chain_root(v: AbstractValue, seen: frozenset[int]) -> tuple[str, str] | None:
-        v, seen = deref(v, seen)
-        while isinstance(v, CallResult):
-            v, seen = deref(v.callee, seen)
-        if isinstance(v, GlobalRef):
-            return (v.module, v.name)
-        if isinstance(v, DynamicGlobalRef):
-            return ("<dynamic>", "<dynamic>")
-        return None
-
-    def walk(v: AbstractValue, depth: int, seen: frozenset[int]) -> None:
-        if depth > 64:
-            return
-        v, seen = deref(v, seen)
-        if isinstance(v, CallResult):
-            root = chain_root(v.callee, seen)
-            if root is not None:
-                roots.append(root)
-            # Walk the argument graphs of every call along the callee chain.
-            node: AbstractValue = v
-            node_seen = seen
-            while isinstance(node, CallResult):
-                for arg in node.args:
-                    walk(arg, depth + 1, node_seen)
-                if node.state is not None:
-                    walk(node.state, depth + 1, node_seen)
-                node, node_seen = deref(node.callee, node_seen)
-        elif isinstance(v, Container):
-            for item in v.elements:
-                if v.kind == "dict":
-                    walk(item[0], depth + 1, seen)
-                    walk(item[1], depth + 1, seen)
-                else:
-                    walk(item, depth + 1, seen)
-
-    walk(value, 0, frozenset())
-    return roots
+    if not isinstance(value, MemoRef):
+        return value
+    if seen is None:
+        seen = set()
+    while isinstance(value, MemoRef) and value.index in memo and value.index not in seen:
+        seen.add(value.index)
+        value = memo[value.index]
+    return value
 
 
 def call_roots(
     callee: AbstractValue, memo: dict[int, AbstractValue] | None = None
 ) -> list[tuple[str, str]]:
-    """Root (module, name) of the callee chain behind one CallMade event."""
+    """Root (module, name) of the callee chain behind one CallMade event.
 
-    def deref(v: AbstractValue, seen: frozenset[int]) -> tuple[AbstractValue, frozenset[int]]:
-        while isinstance(v, MemoRef) and memo is not None and v.index in memo and v.index not in seen:
-            seen = seen | {v.index}
-            v = memo[v.index]
-        return v, seen
-
-    value, seen = deref(callee, frozenset())
+    The root is found by following callee edges through nested CallResults;
+    a DynamicGlobalRef root yields the sentinel pair ("<dynamic>", "<dynamic>").
+    """
+    if memo is None:
+        memo = {}
+    seen: set[int] = set()
+    value = _deref(callee, memo, seen)
     hops = 0
     while isinstance(value, CallResult) and hops < 64:
-        value, seen = deref(value.callee, seen)
+        value = _deref(value.callee, memo, seen)
         hops += 1
     if isinstance(value, GlobalRef):
         return [(value.module, value.name)]
@@ -445,13 +408,6 @@ class _Machine:
         if len(self.memo) >= self.limits.max_memo_entries:
             raise LimitExceeded(self.offset, "max_memo_entries")
         self.memo[index] = self.peek()
-
-    def deref(self, value: AbstractValue) -> AbstractValue:
-        seen: set[int] = set()
-        while isinstance(value, MemoRef) and value.index in self.memo and value.index not in seen:
-            seen.add(value.index)
-            value = self.memo[value.index]
-        return value
 
     def emit(self, event: SecurityEvent) -> None:
         self.events.append(event)
@@ -530,32 +486,32 @@ class _Machine:
 
     def op_append(self, arg) -> None:
         value = self.pop()
-        target = self.deref(self.peek())
+        target = _deref(self.peek(), self.memo)
         if isinstance(target, Container) and target.kind in ("list", "set"):
             target.elements.append(value)
 
     def op_appends(self, arg) -> None:
         items = self.pop_mark()
-        target = self.deref(self.peek())
+        target = _deref(self.peek(), self.memo)
         if isinstance(target, Container) and target.kind in ("list", "set"):
             target.elements.extend(items)
 
     def op_additems(self, arg) -> None:
         items = self.pop_mark()
-        target = self.deref(self.peek())
+        target = _deref(self.peek(), self.memo)
         if isinstance(target, Container) and target.kind == "set":
             target.elements.extend(items)
 
     def op_setitem(self, arg) -> None:
         value = self.pop()
         key = self.pop()
-        target = self.deref(self.peek())
+        target = _deref(self.peek(), self.memo)
         if isinstance(target, Container) and target.kind == "dict":
             target.elements.append((key, value))
 
     def op_setitems(self, arg) -> None:
         items = self.pop_mark()
-        target = self.deref(self.peek())
+        target = _deref(self.peek(), self.memo)
         if isinstance(target, Container) and target.kind == "dict":
             for i in range(0, len(items) - 1, 2):
                 target.elements.append((items[i], items[i + 1]))
@@ -599,8 +555,8 @@ class _Machine:
         self.push(GlobalRef(module, name))
 
     def op_stack_global(self, arg) -> None:
-        name_v = self.deref(self.pop())
-        module_v = self.deref(self.pop())
+        name_v = _deref(self.pop(), self.memo)
+        module_v = _deref(self.pop(), self.memo)
         if (
             isinstance(name_v, Primitive)
             and isinstance(name_v.value, str)
@@ -616,7 +572,7 @@ class _Machine:
     def op_reduce(self, arg) -> None:
         args_v = self.pop()
         callee = self.pop()
-        resolved = self.deref(args_v)
+        resolved = _deref(args_v, self.memo)
         if isinstance(resolved, Container) and resolved.kind == "tuple":
             args = tuple(resolved.elements)
         else:
@@ -630,7 +586,7 @@ class _Machine:
     def op_newobj(self, arg) -> None:
         args_v = self.pop()
         cls = self.pop()
-        resolved = self.deref(args_v)
+        resolved = _deref(args_v, self.memo)
         if isinstance(resolved, Container) and resolved.kind == "tuple":
             args = tuple(resolved.elements)
         else:
@@ -664,7 +620,7 @@ class _Machine:
 
     def op_build(self, arg) -> None:
         state = self.pop()
-        target = self.deref(self.peek())
+        target = _deref(self.peek(), self.memo)
         self.emit(StateBuilt(self.offset))
         if isinstance(target, CallResult):
             target.state = state

@@ -30,7 +30,8 @@ HDF5_SIGNATURE = b"\x89HDF\r\n\x1a\n"
 
 EOCD_SEARCH_WINDOW = 66 * 1024
 DEFAULT_ENTRY_CAP = 256 * 1024 * 1024
-H5_CONFIG_CAP = 64 * 1024 * 1024
+# Cap on a model-config JSON read, from an HDF5 attribute or a config.json member.
+CONFIG_CAP = 64 * 1024 * 1024
 _H5_GAP_CAP = 64 * 1024
 _CD_SIZE_CAP = 512 * 1024 * 1024
 _CHUNK = 4 * 1024 * 1024
@@ -420,8 +421,8 @@ def extract_h5_model_config(handle: BinaryIO) -> ExtractedConfig:
             raise UnbalancedJson(brace_at, "end of file inside JSON object")
         for byte in chunk:
             collected.append(byte)
-            if len(collected) > H5_CONFIG_CAP:
-                raise CapExceeded(len(collected), H5_CONFIG_CAP)
+            if len(collected) > CONFIG_CAP:
+                raise CapExceeded(len(collected), CONFIG_CAP)
             if in_string:
                 if escaped:
                     escaped = False

@@ -321,7 +321,8 @@ def iter_programs(stream: bytes, limits: ParseLimits = DEFAULT_PARSE_LIMITS):
     segment = 0
     last: PickleProgram | None = None
     while pos < len(stream):
-        if last is not None and not stream[pos:].strip(b"\x00"):
+        # 0x00 is no opcode, so only a segment starting with it can be padding.
+        if last is not None and stream[pos] == 0 and stream.count(0, pos) == len(stream) - pos:
             last.trailing_bytes = len(stream) - pos
             return
         try:
@@ -339,13 +340,6 @@ def iter_programs(stream: bytes, limits: ParseLimits = DEFAULT_PARSE_LIMITS):
         yield last
         pos = end
         segment += 1
-
-
-def disassemble_concatenated(
-    stream: bytes, limits: ParseLimits = DEFAULT_PARSE_LIMITS
-) -> list[PickleProgram]:
-    """Split ``stream`` at each STOP and parse every segment as a program."""
-    return list(iter_programs(stream, limits))
 
 
 def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:

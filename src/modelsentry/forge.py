@@ -10,7 +10,9 @@ is an inert marker; nothing references a network location or a real binary.
 Pickle attack streams are assembled opcode by opcode so the fixture side
 stays independent of the interpreter's own pickler; benign plain-value
 fixtures use the real pickler, which is exactly the producer their
-real-world counterparts come from.
+real-world counterparts come from.  The benign array fixture is assembled
+by hand in the shape the array library's own reducer writes, so generating
+fixtures needs no third-party package.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import struct
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .containers import HDF5_SIGNATURE
 
@@ -145,8 +145,11 @@ class _PickleWriter:
 
     def put_bytes(self, value: bytes) -> None:
         if self.protocol < 3:
-            raise UnsupportedValue("bytes need protocol >= 3")
-        if len(value) < 256:
+            # No bytes opcodes yet: the real pickler writes _codecs.encode(text, "latin1").
+            self.put_global("_codecs", "encode")
+            self.put_value((value.decode("latin-1"), "latin1"))
+            self.raw(b"R")
+        elif len(value) < 256:
             self.raw(b"C" + bytes([len(value)]) + value)
         else:
             self.raw(b"B" + struct.pack("<I", len(value)) + value)
@@ -341,6 +344,28 @@ def lambda_payload_bytes(marker: str = DEFAULT_MARKER) -> bytes:
     return b"FIXTURE-MARSHALLED-LAMBDA\x00" + marker.encode("utf-8")
 
 
+def _sequential_config(*middle: dict) -> str:
+    """Config JSON for Sequential([Dense(10), *middle, Dense(1)])."""
+    first = {
+        "class_name": "Dense",
+        "config": {
+            "name": "dense",
+            "units": 10,
+            "activation": "relu",
+            "batch_input_shape": [None, 20],
+        },
+    }
+    last = {
+        "class_name": "Dense",
+        "config": {"name": "dense_1", "units": 1, "activation": "sigmoid"},
+    }
+    config = {
+        "class_name": "Sequential",
+        "config": {"name": "sequential", "layers": [first, *middle, last]},
+    }
+    return json.dumps(config)
+
+
 def emit_keras_lambda_config(
     with_payload: bool, marker: str = DEFAULT_MARKER
 ) -> str:
@@ -355,68 +380,23 @@ def emit_keras_lambda_config(
     else:
         function = "fixture_passthrough"
         function_type = "function"
-    config = {
-        "class_name": "Sequential",
-        "config": {
-            "name": "sequential",
-            "layers": [
-                {
-                    "class_name": "Dense",
-                    "config": {
-                        "name": "dense",
-                        "units": 10,
-                        "activation": "relu",
-                        "batch_input_shape": [None, 20],
-                    },
-                },
-                {
-                    "class_name": "Lambda",
-                    "config": {
-                        "name": "lambda",
-                        "function": function,
-                        "function_type": function_type,
-                        "output_shape": None,
-                        "arguments": {},
-                    },
-                },
-                {
-                    "class_name": "Dense",
-                    "config": {
-                        "name": "dense_1",
-                        "units": 1,
-                        "activation": "sigmoid",
-                    },
-                },
-            ],
-        },
-    }
-    return json.dumps(config)
+    return _sequential_config(
+        {
+            "class_name": "Lambda",
+            "config": {
+                "name": "lambda",
+                "function": function,
+                "function_type": function_type,
+                "output_shape": None,
+                "arguments": {},
+            },
+        }
+    )
 
 
 def emit_dense_only_config() -> str:
     """A clean two-layer config with no custom computation."""
-    config = {
-        "class_name": "Sequential",
-        "config": {
-            "name": "sequential",
-            "layers": [
-                {
-                    "class_name": "Dense",
-                    "config": {
-                        "name": "dense",
-                        "units": 10,
-                        "activation": "relu",
-                        "batch_input_shape": [None, 20],
-                    },
-                },
-                {
-                    "class_name": "Dense",
-                    "config": {"name": "dense_1", "units": 1, "activation": "sigmoid"},
-                },
-            ],
-        },
-    }
-    return json.dumps(config)
+    return _sequential_config()
 
 
 def emit_keras_h5(config_json: str) -> bytes:
@@ -464,9 +444,31 @@ _BENIGN_VALUES: list[object] = [
 ]
 
 
-def _benign_numpy_value() -> object:
-    array = np.arange(12, dtype=np.float32).reshape(3, 4)
-    return {"weight": array, "shape": array.shape}
+def benign_array_pickle(protocol: int) -> bytes:
+    """``{"weight": arange(12, dtype=float32).reshape(3, 4), "shape": (3, 4)}``
+    with the array in the reduce/build shape its library's pickler writes."""
+    writer = _PickleWriter(protocol)
+    writer.raw(b"}(")  # EMPTY_DICT MARK
+    writer.put_str("weight")
+    writer.put_global("numpy._core.multiarray", "_reconstruct")
+    writer.put_global("numpy", "ndarray")
+    writer.put_value((0,))
+    writer.put_bytes(b"b")
+    writer.raw(b"\x87R(")  # TUPLE3 REDUCE MARK: the empty array, then its state
+    writer.put_value(1)
+    writer.put_value((3, 4))
+    writer.put_global("numpy", "dtype")
+    writer.put_value(("f4", False, True))
+    writer.raw(b"R")
+    writer.put_value((3, "<", None, None, None, -1, -1, 0))
+    writer.raw(b"b")  # BUILD the dtype
+    writer.put_bool(False)
+    writer.put_bytes(struct.pack("<12f", *range(12)))
+    writer.raw(b"tb")  # TUPLE BUILD the array
+    writer.put_str("shape")
+    writer.put_value((3, 4))
+    writer.raw(b"u")  # SETITEMS
+    return writer.finish()
 
 
 def _expected_to_json(expected: list[ExpectedFinding]) -> list[dict]:
@@ -619,7 +621,7 @@ def emit_corpus(
         add(
             f"ben_numpy_p{proto}",
             f"ben_numpy_p{proto}.pkl",
-            pickle.dumps(_benign_numpy_value(), proto),
+            benign_array_pickle(proto),
             "benign_pickle",
             proto,
             [],

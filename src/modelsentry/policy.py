@@ -248,24 +248,28 @@ def _specificity(module_pattern: str, name_pattern: str) -> tuple[int, int]:
     return (exact, length)
 
 
+def _best_match(
+    entries: Iterable[DenyEntry | AllowEntry], module: str, name: str
+) -> tuple[tuple[int, int], DenyEntry | AllowEntry] | None:
+    """The most specific entry matching (module, name), with its specificity;
+    the first listed wins a tie.  None when nothing matches."""
+    best: tuple[tuple[int, int], DenyEntry | AllowEntry] | None = None
+    for entry in entries:
+        if _pattern_matches(entry.module, module) and _pattern_matches(entry.name, name):
+            spec = _specificity(entry.module, entry.name)
+            if best is None or spec > best[0]:
+                best = (spec, entry)
+    return best
+
+
 def classify_global(
     module: str, name: str, policy: Policy
 ) -> tuple[Disposition, str | None]:
     """Deterministic precedence: exact deny > exact allow > prefix deny >
     prefix allow > Unknown; within a tier, longer patterns win; deny wins
     exact ties."""
-    best_deny: tuple[tuple[int, int], DenyEntry] | None = None
-    for entry in policy.deny:
-        if _pattern_matches(entry.module, module) and _pattern_matches(entry.name, name):
-            spec = _specificity(entry.module, entry.name)
-            if best_deny is None or spec > best_deny[0]:
-                best_deny = (spec, entry)
-    best_allow: tuple[tuple[int, int], AllowEntry] | None = None
-    for entry in policy.allow:
-        if _pattern_matches(entry.module, module) and _pattern_matches(entry.name, name):
-            spec = _specificity(entry.module, entry.name)
-            if best_allow is None or spec > best_allow[0]:
-                best_allow = (spec, entry)
+    best_deny = _best_match(policy.deny, module, name)
+    best_allow = _best_match(policy.allow, module, name)
     if best_deny is not None and (best_allow is None or best_deny[0] >= best_allow[0]):
         entry = best_deny[1]
         return (

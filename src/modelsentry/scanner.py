@@ -9,6 +9,7 @@ the only output is the returned report structure.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +32,8 @@ TOOL_VERSION = "0.1.0"
 
 _SNIFF_BYTES = 512
 
+_log = logging.getLogger("modelsentry")
+
 
 @dataclass(frozen=True)
 class FileKind:
@@ -43,7 +46,6 @@ class ScanLimits:
     parse: disasm.ParseLimits = disasm.DEFAULT_PARSE_LIMITS
     vm: absvm.VmLimits = absvm.DEFAULT_VM_LIMITS
     entry_cap: int = containers.DEFAULT_ENTRY_CAP
-    config_cap: int = 64 * 1024 * 1024
 
 
 DEFAULT_SCAN_LIMITS = ScanLimits()
@@ -105,6 +107,33 @@ def sniff(first_bytes: bytes, length: int) -> FileKind:
     return FileKind("unknown", "heuristic")
 
 
+def _parse_error(
+    findings: list[Finding],
+    errors: list[ScanError],
+    ctx: FileContext,
+    kind: str,
+    what: str,
+    message: str,
+    offset: int | None = None,
+) -> None:
+    """Record one unparseable part of a file as a FORMAT_PARSE_ERROR finding
+    plus the matching error entry, both at the same locus."""
+    parts = [ctx.entry] if ctx.entry else []
+    if offset is not None:
+        parts.append(f"offset {offset}")
+    errors.append(ScanError(kind, ":".join(parts), message))
+    findings.append(
+        Finding(
+            rule_id="FORMAT_PARSE_ERROR",
+            severity=Severity.LOW,
+            file=ctx.path,
+            message=f"{what}: {message}",
+            entry=ctx.entry,
+            offset=offset,
+        )
+    )
+
+
 def _scan_pickle_bytes(
     data: bytes,
     ctx: FileContext,
@@ -119,37 +148,17 @@ def _scan_pickle_bytes(
         for program in disasm.iter_programs(data, limits.parse):
             programs.append(program)
     except disasm.ParseError as exc:
-        locus = ctx.entry or ""
-        errors.append(
-            ScanError(exc.kind, f"{locus}:offset {exc.offset}".lstrip(":"), exc.message)
-        )
-        findings.append(
-            Finding(
-                rule_id="FORMAT_PARSE_ERROR",
-                severity=Severity.LOW,
-                file=ctx.path,
-                message=f"pickle segment could not be parsed: {exc.message}",
-                entry=ctx.entry,
-                offset=exc.offset,
-            )
+        _parse_error(
+            findings, errors, ctx, exc.kind, "pickle segment could not be parsed",
+            exc.message, exc.offset,
         )
     for program in programs:
         try:
             result = absvm.evaluate(program, limits.vm)
         except absvm.VmError as exc:
-            locus = ctx.entry or ""
-            errors.append(
-                ScanError(exc.kind, f"{locus}:offset {exc.offset}".lstrip(":"), exc.message)
-            )
-            findings.append(
-                Finding(
-                    rule_id="FORMAT_PARSE_ERROR",
-                    severity=Severity.LOW,
-                    file=ctx.path,
-                    message=f"pickle stream is not loadable: {exc.message}",
-                    entry=ctx.entry,
-                    offset=exc.offset,
-                )
+            _parse_error(
+                findings, errors, ctx, exc.kind, "pickle stream is not loadable",
+                exc.message, exc.offset,
             )
             continue
         roots = [
@@ -171,15 +180,8 @@ def _scan_keras_config(
     try:
         config = json.loads(config_text)
     except json.JSONDecodeError as exc:
-        errors.append(ScanError("ConfigParseError", ctx.entry or "", str(exc)))
-        findings.append(
-            Finding(
-                rule_id="FORMAT_PARSE_ERROR",
-                severity=Severity.LOW,
-                file=ctx.path,
-                message=f"model config is not valid JSON: {exc}",
-                entry=ctx.entry,
-            )
+        _parse_error(
+            findings, errors, ctx, "ConfigParseError", "model config is not valid JSON", str(exc)
         )
         return
     anomalies: list[ConfigAnomaly] = []
@@ -199,14 +201,8 @@ def _scan_zip(
     try:
         entries = containers.list_entries(handle)
     except containers.FormatError as exc:
-        errors.append(ScanError(exc.kind, "", exc.message))
-        findings.append(
-            Finding(
-                rule_id="FORMAT_PARSE_ERROR",
-                severity=Severity.LOW,
-                file=path,
-                message=f"archive could not be read: {exc.message}",
-            )
+        _parse_error(
+            findings, errors, FileContext(path), exc.kind, "archive could not be read", exc.message
         )
         return
     for entry in entries:
@@ -237,14 +233,9 @@ def _scan_zip(
         entries, handle, cap=limits.entry_cap, errors=payload_errors
     )
     for exc in payload_errors:
-        errors.append(ScanError(exc.kind, "", exc.message))
-        findings.append(
-            Finding(
-                rule_id="FORMAT_PARSE_ERROR",
-                severity=Severity.LOW,
-                file=path,
-                message=f"archive member could not be read: {exc.message}",
-            )
+        _parse_error(
+            findings, errors, FileContext(path), exc.kind, "archive member could not be read",
+            exc.message,
         )
     for entry, data in payloads:
         ctx = FileContext(path=path, entry=entry.path)
@@ -254,7 +245,7 @@ def _scan_zip(
             continue
         ctx = FileContext(path=path, entry=entry.path)
         try:
-            config_bytes = containers.read_entry(handle, entry, limits.config_cap)
+            config_bytes = containers.read_entry(handle, entry, containers.CONFIG_CAP)
         except containers.FormatError as exc:
             errors.append(ScanError(exc.kind, entry.path, exc.message))
             continue
@@ -271,19 +262,15 @@ def _scan_hdf5(
     findings: list[Finding],
     errors: list[ScanError],
 ) -> None:
+    ctx = FileContext(path)
     try:
         extracted = containers.extract_h5_model_config(handle)
     except containers.ConfigNotFound:
         return  # weights-only or non-model HDF5: nothing to inspect
     except containers.FormatError as exc:
-        errors.append(ScanError(exc.kind, "", exc.message))
-        findings.append(
-            Finding(
-                rule_id="FORMAT_PARSE_ERROR",
-                severity=Severity.LOW,
-                file=path,
-                message=f"embedded model config could not be extracted: {exc.message}",
-            )
+        _parse_error(
+            findings, errors, ctx, exc.kind, "embedded model config could not be extracted",
+            exc.message,
         )
         return
     findings.append(
@@ -298,7 +285,7 @@ def _scan_hdf5(
             offset=extracted.byte_range[0],
         )
     )
-    _scan_keras_config(extracted.json_text, FileContext(path=path), policy, findings, errors)
+    _scan_keras_config(extracted.json_text, ctx, policy, findings, errors)
 
 
 def scan_file(
@@ -306,7 +293,7 @@ def scan_file(
     policy: Policy,
     limits: ScanLimits = DEFAULT_SCAN_LIMITS,
 ) -> FileReport:
-    """Scan one file; IO failures become an error entry, never an exception."""
+    """Scan one file; every failure becomes an error entry, never an exception."""
     started = time.perf_counter()
     findings: list[Finding] = []
     errors: list[ScanError] = []
@@ -342,6 +329,10 @@ def scan_file(
     except OSError as exc:
         errors.append(ScanError("IOError", "", str(exc)))
         findings = []
+    except Exception as exc:
+        # A defect in a parser must cost only this file, not the whole scan.
+        _log.debug("internal error scanning %s", path, exc_info=True)
+        errors.append(ScanError("InternalError", "", f"{type(exc).__name__}: {exc}"))
     findings.sort(key=lambda finding: finding.sort_key())
     return FileReport(
         path=path,
@@ -410,25 +401,6 @@ def scan_paths(
         policy_digest=policy.digest(),
         files=reports,
         exit_severity_threshold=threshold,
-    )
-
-
-def scan_tree(
-    root_path: str,
-    policy: Policy,
-    limits: ScanLimits = DEFAULT_SCAN_LIMITS,
-    parallelism: int = 1,
-    follow_symlinks: bool = False,
-    threshold: Severity = Severity.HIGH,
-) -> ScanReport:
-    """Recursive scan of one directory (symlinks skipped by default)."""
-    return scan_paths(
-        [root_path],
-        policy,
-        limits,
-        jobs=parallelism,
-        follow_symlinks=follow_symlinks,
-        threshold=threshold,
     )
 
 

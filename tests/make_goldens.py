@@ -23,7 +23,7 @@ from conftest import reference_transcript, transcript_stream_set  # noqa: E402
 from modelsentry.forge import emit_corpus  # noqa: E402
 from modelsentry.policy import default_policy  # noqa: E402
 from modelsentry.report import render  # noqa: E402
-from modelsentry.scanner import scan_tree  # noqa: E402
+from modelsentry.scanner import scan_paths  # noqa: E402
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -46,7 +46,7 @@ def write_report() -> None:
         os.chdir(tmp)
         try:
             emit_corpus("corpus", seed=0)
-            report = scan_tree("corpus", policy)
+            report = scan_paths(["corpus"], policy)
             payload = json.loads(render(report, "json"))
         finally:
             os.chdir(cwd)

@@ -32,7 +32,6 @@ from modelsentry.absvm import (
     call_roots,
     evaluate,
     render_value,
-    summarize_call_chain,
 )
 from modelsentry.disasm import disassemble
 from modelsentry.forge import emit_injected_pickle, emit_reduce_payload_pickle
@@ -123,27 +122,26 @@ def test_determinism():
     assert first.memo_size == second.memo_size
 
 
-# -- call-chain summaries ----------------------------------------------------
+# -- call-chain roots ----------------------------------------------------------
 
 
 def test_summarize_direct_call():
     value = CallResult(GlobalRef("os", "system"), (Primitive("x"),), "REDUCE")
-    assert summarize_call_chain(value) == [("os", "system")]
+    assert call_roots(value.callee) == [("os", "system")]
 
 
 def test_summarize_primitive_is_empty():
-    assert summarize_call_chain(Primitive(7)) == []
+    assert call_roots(Primitive(7)) == []
 
 
 def test_summarize_nested_call_reports_innermost_root():
     inner = CallResult(GlobalRef("builtins", "getattr"), (), "REDUCE")
     outer = CallResult(inner, (Primitive(1),), "REDUCE")
-    assert summarize_call_chain(outer) == [("builtins", "getattr")]
+    assert call_roots(outer.callee) == [("builtins", "getattr")]
 
 
 def test_summarize_dynamic_contributes_sentinel():
-    value = CallResult(absvm.DynamicGlobalRef(), (), "REDUCE")
-    assert summarize_call_chain(value) == [("<dynamic>", "<dynamic>")]
+    assert call_roots(absvm.DynamicGlobalRef()) == [("<dynamic>", "<dynamic>")]
 
 
 def test_call_roots_resolves_through_memo():
@@ -152,11 +150,21 @@ def test_call_roots_resolves_through_memo():
     assert call_roots(MemoRef(9), memo) == []
 
 
+def test_call_roots_stops_on_memo_cycle_through_callee_chain():
+    memo = {1: CallResult(callee=MemoRef(1), args=(), via="REDUCE")}
+    assert call_roots(MemoRef(1), memo) == []
+
+
 def test_summarize_walks_containers():
-    value = Container(
-        "list", [Primitive(1), CallResult(GlobalRef("a", "b"), (), "REDUCE")]
-    )
-    assert summarize_call_chain(value) == [("a", "b")]
+    # A call nested in a container has its own CallMade event, so the scan
+    # path finds its root without walking the container.
+    result = run(b"](K\x01ca\nb\n)Re.")  # [1, a.b()]
+    roots = [
+        call_roots(event.callee, result.memo)
+        for event in result.events
+        if isinstance(event, CallMade)
+    ]
+    assert roots == [[("a", "b")]]
 
 
 # -- individual opcode families ----------------------------------------------

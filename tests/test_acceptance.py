@@ -38,7 +38,7 @@ from modelsentry.forge import (
 )
 from modelsentry.policy import IntegrityManifest, Severity, file_digest, verify_integrity
 from modelsentry.report import render
-from modelsentry.scanner import scan_file, scan_tree
+from modelsentry.scanner import scan_file, scan_paths
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -53,7 +53,7 @@ def _findings_by_path(report) -> dict[str, list]:
 
 def test_c01_detection_matrix(corpus_dir, corpus_manifest, policy):
     started = time.perf_counter()
-    report = scan_tree(str(corpus_dir), policy)
+    report = scan_paths([str(corpus_dir)], policy)
     elapsed = time.perf_counter() - started
     by_path = _findings_by_path(report)
     malicious = benign = 0
@@ -214,9 +214,9 @@ def test_c06_parser_totality_under_fuzz(corpus_dir):
 
 
 def test_c07_report_determinism(corpus_dir, policy):
-    first = render(scan_tree(str(corpus_dir), policy, parallelism=1), "json")
-    second = render(scan_tree(str(corpus_dir), policy, parallelism=1), "json")
-    parallel = render(scan_tree(str(corpus_dir), policy, parallelism=8), "json")
+    first = render(scan_paths([str(corpus_dir)], policy, jobs=1), "json")
+    second = render(scan_paths([str(corpus_dir)], policy, jobs=1), "json")
+    parallel = render(scan_paths([str(corpus_dir)], policy, jobs=8), "json")
     assert first == second
     assert first == parallel
     _ok("C7", "repeat scan and 1-vs-8 worker scans produce byte-identical JSON reports")
@@ -244,7 +244,7 @@ def test_c08_no_execution_sentinel(tmp_path, policy, monkeypatch):
     monkeypatch.setattr(os, "execv", recorder("os.execv"))
     monkeypatch.setattr(subprocess, "Popen", recorder("subprocess.Popen"))
 
-    report = scan_tree(str(corpus), policy)
+    report = scan_paths([str(corpus)], policy)
     assert any(fr.findings for fr in report.files)
     assert spawned == [], f"scan spawned: {spawned}"
     assert not sentinel.exists(), "marker action occurred: payload was executed"

@@ -251,7 +251,7 @@ def test_unbalanced_json_is_structured():
 def test_config_cap_is_enforced(monkeypatch):
     import modelsentry.containers as containers_module
 
-    monkeypatch.setattr(containers_module, "H5_CONFIG_CAP", 64)
+    monkeypatch.setattr(containers_module, "CONFIG_CAP", 64)
     big = json.dumps({"k": "v" * 200})
     with pytest.raises(CapExceeded):
         extract_h5_model_config(io.BytesIO(emit_keras_h5(big)))

@@ -26,7 +26,7 @@ from modelsentry.disasm import (
     TruncatedArgument,
     UnknownOpcode,
     disassemble,
-    disassemble_concatenated,
+    iter_programs,
     plausible_pickle_prefix,
 )
 from modelsentry.forge import emit_injected_pickle, emit_reduce_payload_pickle
@@ -158,7 +158,7 @@ def test_rare_opcodes_match_reference(name, stream):
 
 
 def test_concatenated_minimal():
-    programs = disassemble_concatenated(b"N.N.")
+    programs = list(iter_programs(b"N.N."))
     assert len(programs) == 2
     assert [p.start_offset for p in programs] == [0, 2]
     assert all([i.mnemonic for i in p.instructions] == ["NONE", "STOP"] for p in programs)
@@ -166,25 +166,25 @@ def test_concatenated_minimal():
 
 def test_concatenated_single_payload_stream():
     stream = emit_injected_pickle([1, 2, 3], "true # FIXTURE-MARKER", 2)
-    programs = disassemble_concatenated(stream)
+    programs = list(iter_programs(stream))
     assert len(programs) == 1
 
 
 def test_concatenated_garbage_second_segment():
     with pytest.raises(UnknownOpcode) as excinfo:
-        disassemble_concatenated(b"N." + b"\xff")
+        list(iter_programs(b"N." + b"\xff"))
     assert excinfo.value.segment == 1
 
 
 def test_concatenated_zero_padding_tolerated():
-    programs = disassemble_concatenated(b"N.N." + b"\x00" * 5)
+    programs = list(iter_programs(b"N.N." + b"\x00" * 5))
     assert len(programs) == 2
     assert programs[-1].trailing_bytes == 5
 
 
 def test_real_multi_pickle_file():
     stream = pickle.dumps({"a": 1}, 2) + pickle.dumps([1, 2], 2)
-    programs = disassemble_concatenated(stream)
+    programs = list(iter_programs(stream))
     assert len(programs) == 2
     assert programs[1].start_offset == len(pickle.dumps({"a": 1}, 2))
 

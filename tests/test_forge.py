@@ -3,18 +3,24 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import pickle
 import pickletools
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import INERT_ATTACK_COMMAND, SEVERITY_ORDER, stub_load
+import modelsentry
 from modelsentry import absvm
 from modelsentry.disasm import disassemble
 from modelsentry.forge import (
     DEFAULT_MARKER,
     UnsupportedProtocol,
     UnsupportedValue,
+    benign_array_pickle,
     emit_corpus,
     emit_dynamic_global_pickle,
     emit_injected_pickle,
@@ -206,3 +212,44 @@ def test_custom_marker_is_threaded_through(tmp_path):
     emit_corpus(tmp_path / "c", seed=0, payload_marker=marker)
     data = (tmp_path / "c" / "mal_reduce_p2.pkl").read_bytes()
     assert marker.encode() in data
+
+
+# -- no third-party packages at runtime -------------------------------------------
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(modelsentry.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys, modelsentry.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
+
+
+def test_corpus_is_emitted_with_numpy_blocked(tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy now fails
+    manifest = emit_corpus(tmp_path, seed=0)
+    assert {"ben_numpy_p2", "ben_numpy_p4"} <= {fixture["id"] for fixture in manifest.fixtures}
+
+
+def _resolved_globals(stream: bytes) -> set[tuple[str, str]]:
+    events = absvm.evaluate(disassemble(stream)).events
+    return {(e.module, e.name) for e in events if isinstance(e, absvm.GlobalResolved)}
+
+
+@pytest.mark.parametrize("protocol", [2, 4])
+def test_hand_built_array_matches_numpys_own_pickle(protocol):
+    np = pytest.importorskip("numpy")
+    array = np.arange(12, dtype=np.float32).reshape(3, 4)
+    stream = benign_array_pickle(protocol)
+    loaded = pickle.loads(stream)  # bytes this test suite wrote itself
+    assert loaded["shape"] == (3, 4)
+    assert loaded["weight"].dtype == array.dtype
+    assert np.array_equal(loaded["weight"], array)
+    reference = pickle.dumps({"weight": array, "shape": array.shape}, protocol)
+    assert _resolved_globals(stream) == _resolved_globals(reference)

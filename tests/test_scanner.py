@@ -18,7 +18,7 @@ from modelsentry.forge import (
 )
 from modelsentry.policy import Severity
 from modelsentry.report import exit_code, render, report_to_dict
-from modelsentry.scanner import scan_file, scan_paths, scan_tree, sniff
+from modelsentry.scanner import scan_file, scan_paths, sniff
 
 MARKER = "true # FIXTURE-MARKER"
 
@@ -133,6 +133,52 @@ def test_scan_multi_segment_pickle_with_bad_tail(tmp_path, policy):
     assert report.errors
 
 
+def test_parse_error_locus_keeps_member_name_as_written(tmp_path, policy):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr(":data.pkl", emit_reduce_payload_pickle(MARKER, 2)[:-3])
+    target = tmp_path / "colon.zip"
+    target.write_bytes(buffer.getvalue())
+    report = scan_file(str(target), policy)
+    finding = next(f for f in report.findings if f.rule_id == "FORMAT_PARSE_ERROR")
+    assert [error.locus for error in report.errors] == [finding.locus]
+    assert finding.locus.startswith(":data.pkl:offset ")
+
+
+def test_scan_file_survives_deep_nesting(tmp_path, policy):
+    # 1,000 nested lists passed to a call: deeper than the interpreter's
+    # default recursion limit.
+    target = tmp_path / "nesting.pkl"
+    target.write_bytes(b"\x80\x02cos\nsystem\n" + b"]" * 1000 + b"a" * 999 + b"\x85R.")
+    report = scan_paths([str(target)], policy)
+    assert exit_code(report) in (2, 3)
+
+
+def test_internal_error_costs_only_its_own_file(tmp_path, policy, monkeypatch):
+    from modelsentry import absvm
+
+    real_evaluate = absvm.evaluate
+
+    def evaluate(program, limits=absvm.DEFAULT_VM_LIMITS):
+        if any(instr.arg == "defect" for instr in program.instructions):
+            raise ValueError("injected defect")
+        return real_evaluate(program, limits)
+
+    monkeypatch.setattr(absvm, "evaluate", evaluate)
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("../escape.pkl", emit_reduce_payload_pickle("defect", 2))
+    (tmp_path / "bad.zip").write_bytes(buffer.getvalue())
+    (tmp_path / "good.pkl").write_bytes(emit_reduce_payload_pickle(MARKER, 2))
+    bad, good = scan_paths([str(tmp_path)], policy).files
+    assert [(e.kind, e.locus, e.message) for e in bad.errors] == [
+        ("InternalError", "", "ValueError: injected defect")
+    ]
+    # a finding made before the failure is kept
+    assert [f.rule_id for f in bad.findings] == ["ARCHIVE_PATH_TRAVERSAL"]
+    assert "PICKLE_CALL" in [f.rule_id for f in good.findings]
+
+
 # -- report assembly and rendering -----------------------------------------------
 
 
@@ -187,15 +233,15 @@ def test_sarif_empty_report_is_valid_skeleton(policy):
 def test_report_deterministic_across_worker_counts(tmp_path, policy):
     corpus = tmp_path / "corpus"
     emit_corpus(corpus, seed=0)
-    serial = render(scan_tree(str(corpus), policy, parallelism=1), "json")
-    parallel = render(scan_tree(str(corpus), policy, parallelism=8), "json")
+    serial = render(scan_paths([str(corpus)], policy, jobs=1), "json")
+    parallel = render(scan_paths([str(corpus)], policy, jobs=8), "json")
     assert serial == parallel
 
 
 def test_summary_counts_match_findings(tmp_path, policy):
     corpus = tmp_path / "corpus"
     emit_corpus(corpus, seed=0)
-    report = scan_tree(str(corpus), policy)
+    report = scan_paths([str(corpus)], policy)
     data = report_to_dict(report)
     recount = {"critical": 0, "high": 0, "medium": 0, "low": 0, "info": 0}
     for entry in data["files"]:
@@ -210,7 +256,7 @@ def test_golden_corpus_report(tmp_path, policy, monkeypatch):
         golden = json.load(handle)
     monkeypatch.chdir(tmp_path)
     emit_corpus("corpus", seed=0)
-    report = scan_tree("corpus", policy)
+    report = scan_paths(["corpus"], policy)
     produced = json.loads(render(report, "json"))
     assert produced == golden
 
@@ -224,9 +270,9 @@ def test_symlinks_skipped_by_default(tmp_path, policy):
     tree = tmp_path / "tree"
     tree.mkdir()
     (tree / "link.pkl").symlink_to(real)
-    skipped = scan_tree(str(tree), policy)
+    skipped = scan_paths([str(tree)], policy)
     assert skipped.files == []
-    followed = scan_tree(str(tree), policy, follow_symlinks=True)
+    followed = scan_paths([str(tree)], policy, follow_symlinks=True)
     assert len(followed.files) == 1
 
 
