@@ -113,7 +113,6 @@ class CallMade(SecurityEvent):
     callee: AbstractValue
     argc: int | None
     arg_summary: str
-    total_arg_length: int
 
 
 @dataclass(frozen=True)
@@ -261,6 +260,8 @@ def render_value(
             put("(")
             if isinstance(v.args, tuple):
                 for i, a in enumerate(v.args):
+                    if budget[0] <= 0:
+                        break
                     if i:
                         put(", ")
                     walk(a, depth + 1, seen)
@@ -275,6 +276,8 @@ def render_value(
             }[v.kind]
             put(open_close[0])
             for i, item in enumerate(v.elements):
+                if budget[0] <= 0:
+                    break
                 if i:
                     put(", ")
                 if v.kind == "dict":
@@ -294,28 +297,6 @@ def render_value(
 
     walk(value, 0, frozenset())
     return "".join(out)
-
-
-def _literal_length(value: AbstractValue, seen: frozenset[int], memo) -> int:
-    """Total byte/char count of literal text and bytes in a value graph."""
-    if isinstance(value, Primitive) and isinstance(value.value, (str, bytes, bytearray)):
-        return len(value.value)
-    if isinstance(value, Container):
-        total = 0
-        for item in value.elements:
-            if value.kind == "dict":
-                total += _literal_length(item[0], seen, memo)
-                total += _literal_length(item[1], seen, memo)
-            else:
-                total += _literal_length(item, seen, memo)
-        return total
-    if isinstance(value, CallResult):
-        return sum(_literal_length(a, seen, memo) for a in value.args)
-    if isinstance(value, MemoRef) and memo is not None and value.index not in seen:
-        target = memo.get(value.index)
-        if target is not None:
-            return _literal_length(target, seen | {value.index}, memo)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +324,12 @@ def _deref(
 
 def call_roots(
     callee: AbstractValue, memo: dict[int, AbstractValue] | None = None
-) -> list[tuple[str, str]]:
+) -> tuple[str, str] | None:
     """Root (module, name) of the callee chain behind one CallMade event.
 
     The root is found by following callee edges through nested CallResults;
-    a DynamicGlobalRef root yields the sentinel pair ("<dynamic>", "<dynamic>").
+    a DynamicGlobalRef root yields the sentinel pair ("<dynamic>", "<dynamic>")
+    and any other root (a literal, an unresolved memo entry) yields None.
     """
     if memo is None:
         memo = {}
@@ -358,10 +340,10 @@ def call_roots(
         value = _deref(value.callee, memo, seen)
         hops += 1
     if isinstance(value, GlobalRef):
-        return [(value.module, value.name)]
+        return (value.module, value.name)
     if isinstance(value, DynamicGlobalRef):
-        return [("<dynamic>", "<dynamic>")]
-    return []
+        return ("<dynamic>", "<dynamic>")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +561,7 @@ class _Machine:
             args = (args_v,)
         argc = len(args) if isinstance(resolved, Container) and resolved.kind == "tuple" else None
         summary = render_value(args_v, self.memo, ARG_SUMMARY_CAP)
-        total = _literal_length(args_v, frozenset(), self.memo)
-        self.emit(CallMade(self.offset, callee, argc, summary, total))
+        self.emit(CallMade(self.offset, callee, argc, summary))
         self.push(CallResult(callee=callee, args=args, via="REDUCE"))
 
     def op_newobj(self, arg) -> None:
@@ -614,8 +595,7 @@ class _Machine:
     def record_call_with(self, callee: AbstractValue, args: tuple, via: str) -> None:
         args_value = Container("tuple", list(args))
         summary = render_value(args_value, self.memo, ARG_SUMMARY_CAP)
-        total = _literal_length(args_value, frozenset(), self.memo)
-        self.emit(CallMade(self.offset, callee, len(args), summary, total))
+        self.emit(CallMade(self.offset, callee, len(args), summary))
         self.push(CallResult(callee=callee, args=args, via=via))
 
     def op_build(self, arg) -> None:

@@ -381,42 +381,35 @@ def _global_finding(
 
 
 def _call_severity(
-    roots: list[tuple[str, str]], policy: Policy
+    root: tuple[str, str] | None, policy: Policy
 ) -> tuple[Severity | None, str]:
-    """Severity for a CallMade event given its chain roots; None means allowed."""
-    if not roots:
-        return (max(policy.unknown_global_severity, Severity.MEDIUM), "unresolvable callee")
-    worst: Severity | None = None
-    label = ""
-    for module, name in roots:
-        if (module, name) == ("<dynamic>", "<dynamic>"):
-            severity: Severity | None = max(policy.dynamic_global_severity, Severity.MEDIUM)
-            text = "dynamically computed callee"
+    """Severity for a CallMade event given its chain root; None means allowed."""
+    if root is None:
+        severity, label = policy.unknown_global_severity, "unresolvable callee"
+    elif root == ("<dynamic>", "<dynamic>"):
+        severity, label = policy.dynamic_global_severity, "dynamically computed callee"
+    else:
+        module, name = root
+        disposition, _ = classify_global(module, name, policy)
+        if disposition.verdict == "allow":
+            return (None, "")
+        label = f"{module}.{name}"
+        if disposition.verdict == "deny":
+            severity = disposition.severity or Severity.CRITICAL
         else:
-            disposition, _ = classify_global(module, name, policy)
-            if disposition.verdict == "allow":
-                continue
-            if disposition.verdict == "deny":
-                severity = max(disposition.severity or Severity.CRITICAL, Severity.MEDIUM)
-            else:
-                severity = max(policy.unknown_global_severity, Severity.MEDIUM)
-            text = f"{module}.{name}"
-        if worst is None or severity > worst:
-            worst = severity
-            label = text
-    return (worst, label)
+            severity = policy.unknown_global_severity
+    return (max(severity, Severity.MEDIUM), label)
 
 
 def apply_rules(
-    events: list[absvm.SecurityEvent],
-    call_roots: list[list[tuple[str, str]]],
+    result: absvm.AbstractResult,
     policy: Policy,
     file_context: FileContext,
 ) -> list[Finding]:
     """Map one evaluated program's events to findings, in event order."""
     findings: list[Finding] = []
     ctx = file_context
-    for event, roots in zip(events, call_roots):
+    for event in result.events:
         if isinstance(event, absvm.GlobalResolved):
             finding = _global_finding(event.module, event.name, event.at_offset, policy, ctx)
             if finding is not None:
@@ -433,7 +426,8 @@ def apply_rules(
                 )
             )
         elif isinstance(event, absvm.CallMade):
-            severity, label = _call_severity(roots, policy)
+            root = absvm.call_roots(event.callee, result.memo)
+            severity, label = _call_severity(root, policy)
             if severity is not None:
                 argc = "?" if event.argc is None else str(event.argc)
                 findings.append(

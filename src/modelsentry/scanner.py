@@ -161,13 +161,7 @@ def _scan_pickle_bytes(
                 exc.message, exc.offset,
             )
             continue
-        roots = [
-            absvm.call_roots(event.callee, result.memo)
-            if isinstance(event, absvm.CallMade)
-            else []
-            for event in result.events
-        ]
-        findings.extend(apply_rules(result.events, roots, policy, ctx))
+        findings.extend(apply_rules(result, policy, ctx))
 
 
 def _scan_keras_config(
@@ -328,7 +322,6 @@ def scan_file(
         errors.append(ScanError(exc.kind, f"offset {exc.offset}", exc.message))
     except OSError as exc:
         errors.append(ScanError("IOError", "", str(exc)))
-        findings = []
     except Exception as exc:
         # A defect in a parser must cost only this file, not the whole scan.
         _log.debug("internal error scanning %s", path, exc_info=True)

@@ -127,32 +127,32 @@ def test_determinism():
 
 def test_summarize_direct_call():
     value = CallResult(GlobalRef("os", "system"), (Primitive("x"),), "REDUCE")
-    assert call_roots(value.callee) == [("os", "system")]
+    assert call_roots(value.callee) == ("os", "system")
 
 
 def test_summarize_primitive_is_empty():
-    assert call_roots(Primitive(7)) == []
+    assert call_roots(Primitive(7)) is None
 
 
 def test_summarize_nested_call_reports_innermost_root():
     inner = CallResult(GlobalRef("builtins", "getattr"), (), "REDUCE")
     outer = CallResult(inner, (Primitive(1),), "REDUCE")
-    assert call_roots(outer.callee) == [("builtins", "getattr")]
+    assert call_roots(outer.callee) == ("builtins", "getattr")
 
 
 def test_summarize_dynamic_contributes_sentinel():
-    assert call_roots(absvm.DynamicGlobalRef()) == [("<dynamic>", "<dynamic>")]
+    assert call_roots(absvm.DynamicGlobalRef()) == ("<dynamic>", "<dynamic>")
 
 
 def test_call_roots_resolves_through_memo():
     memo = {3: GlobalRef("os", "system")}
-    assert call_roots(MemoRef(3), memo) == [("os", "system")]
-    assert call_roots(MemoRef(9), memo) == []
+    assert call_roots(MemoRef(3), memo) == ("os", "system")
+    assert call_roots(MemoRef(9), memo) is None
 
 
 def test_call_roots_stops_on_memo_cycle_through_callee_chain():
     memo = {1: CallResult(callee=MemoRef(1), args=(), via="REDUCE")}
-    assert call_roots(MemoRef(1), memo) == []
+    assert call_roots(MemoRef(1), memo) is None
 
 
 def test_summarize_walks_containers():
@@ -164,7 +164,7 @@ def test_summarize_walks_containers():
         for event in result.events
         if isinstance(event, CallMade)
     ]
-    assert roots == [[("a", "b")]]
+    assert roots == [("a", "b")]
 
 
 # -- individual opcode families ----------------------------------------------
@@ -269,7 +269,7 @@ def test_inst_emits_call_only():
     kinds = [event.kind for event in result.events]
     assert kinds == ["CallMade"]
     call = result.events[0]
-    assert call_roots(call.callee, result.memo) == [("os", "system")]
+    assert call_roots(call.callee, result.memo) == ("os", "system")
 
 
 def test_frame_mismatch_informational():
@@ -287,12 +287,11 @@ def test_frame_mismatch_informational():
     assert "FrameMismatch" not in [event.kind for event in result.events]
 
 
-def test_arg_summary_is_bounded_with_total_length():
+def test_arg_summary_is_bounded():
     big = "A" * 10_000
     result = run(emit_reduce_payload_pickle(big, 2))
     call = next(event for event in result.events if isinstance(event, CallMade))
     assert len(call.arg_summary) <= absvm.ARG_SUMMARY_CAP + 8
-    assert call.total_arg_length == 10_000
 
 
 def test_persistent_id_events():

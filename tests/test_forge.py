@@ -67,7 +67,6 @@ def test_full_attack_command_survives_as_evidence_text():
     result = absvm.evaluate(disassemble(stream))
     call = next(event for event in result.events if isinstance(event, absvm.CallMade))
     assert INERT_ATTACK_COMMAND in call.arg_summary
-    assert call.total_arg_length == len(INERT_ATTACK_COMMAND)
 
 
 def test_injected_loader_returns_root_scanner_sees_residual():
@@ -159,9 +158,9 @@ def test_benign_corpus_is_silent_under_default_policy(corpus_dir, corpus_manifes
             result = absvm.evaluate(disassemble(path.read_bytes()))
             for event in result.events:
                 if isinstance(event, absvm.CallMade):
-                    for module, name in absvm.call_roots(event.callee, result.memo):
-                        disposition, _ = classify_global(module, name, policy)
-                        assert disposition.verdict == "allow", (fixture["id"], module, name)
+                    module, name = absvm.call_roots(event.callee, result.memo)
+                    disposition, _ = classify_global(module, name, policy)
+                    assert disposition.verdict == "allow", (fixture["id"], module, name)
 
 
 def test_every_pickle_fixture_passes_the_reference_disassembler(corpus_dir, corpus_manifest):

@@ -31,14 +31,7 @@ CTX = FileContext(path="model.pkl")
 
 
 def findings_for(stream: bytes, policy: Policy):
-    result = absvm.evaluate(disassemble(stream))
-    roots = [
-        absvm.call_roots(event.callee, result.memo)
-        if isinstance(event, absvm.CallMade)
-        else []
-        for event in result.events
-    ]
-    return apply_rules(result.events, roots, policy, CTX)
+    return apply_rules(absvm.evaluate(disassemble(stream)), policy, CTX)
 
 
 # -- classification precedence -------------------------------------------------

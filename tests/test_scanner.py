@@ -179,6 +179,25 @@ def test_internal_error_costs_only_its_own_file(tmp_path, policy, monkeypatch):
     assert "PICKLE_CALL" in [f.rule_id for f in good.findings]
 
 
+def test_io_error_keeps_findings_made_before_it(tmp_path, policy, monkeypatch):
+    from modelsentry import containers
+
+    def read_entry(*args, **kwargs):
+        raise OSError("injected read failure")
+
+    monkeypatch.setattr(containers, "read_entry", read_entry)
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("../escape.pkl", emit_reduce_payload_pickle(MARKER, 2))
+    target = tmp_path / "bad.zip"
+    target.write_bytes(buffer.getvalue())
+    report = scan_paths([str(target)], policy)
+    (bad,) = report.files
+    assert [(e.kind, e.message) for e in bad.errors] == [("IOError", "injected read failure")]
+    assert [f.rule_id for f in bad.findings] == ["ARCHIVE_PATH_TRAVERSAL"]
+    assert exit_code(report) == 3
+
+
 # -- report assembly and rendering -----------------------------------------------
 
 
