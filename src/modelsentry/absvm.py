@@ -1,4 +1,4 @@
-"""Abstract stack machine over disassembled pickle programs.
+"""Abstract stack machine over pickle opcodes.
 
 Re-executes every opcode's stack/memo effect symbolically, building a graph
 of placeholder values and emitting security events as it goes.  Nothing is
@@ -9,13 +9,28 @@ The machine mirrors the reference loader's stack discipline (value stack
 plus a metastack of MARK frames, and an integer-keyed memo).  Memo fetches
 push ``MemoRef`` placeholders so the value graph itself stays acyclic; the
 memo table in the result resolves them.
+
+One loop, ``_Machine.run``, steps the machine through ``(code, offset, arg,
+end)`` ops, checks FRAME bounds inline and dispatches through ``_HANDLERS``,
+a table indexed by opcode byte.  ``walk`` feeds it straight from
+``disasm.decode_ops``, one pass per segment with no instruction list; that
+is the scanner's path.  ``evaluate`` feeds it a disassembled program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from .disasm import PickleProgram
+from .disasm import (
+    DEFAULT_PARSE_LIMITS,
+    ParseLimits,
+    PickleProgram,
+    decode_ops,
+    iter_segments,
+    zero_padding,
+)
+from .opcodes import by_mnemonic, opcode_table
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +43,7 @@ class AbstractValue:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlobalRef(AbstractValue):
     """A (module, name) pair as written in the stream, never resolved."""
 
@@ -36,12 +51,12 @@ class GlobalRef(AbstractValue):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DynamicGlobalRef(AbstractValue):
     """STACK_GLOBAL whose operands are not two literal text values."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CallResult(AbstractValue):
     """The value a loader would get by calling ``callee(*args)``."""
 
@@ -51,7 +66,7 @@ class CallResult(AbstractValue):
     state: AbstractValue | None = None  # attached by a later BUILD
 
 
-@dataclass
+@dataclass(slots=True)
 class Container(AbstractValue):
     """list/tuple/set/frozenset hold elements; dict holds (key, value) pairs."""
 
@@ -59,27 +74,27 @@ class Container(AbstractValue):
     elements: list
 
 
-@dataclass
+@dataclass(slots=True)
 class Primitive(AbstractValue):
     value: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PersistentRef(AbstractValue):
     pid_summary: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoRef(AbstractValue):
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtensionRef(AbstractValue):
     code: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Opaque(AbstractValue):
     note: str = ""
 
@@ -353,29 +368,96 @@ def call_roots(
 class _Machine:
     def __init__(self, limits: VmLimits):
         self.limits = limits
+        self.max_stack_depth = limits.max_stack_depth
         self.stack: list[AbstractValue] = []
         self.metastack: list[list[AbstractValue]] = []
         self.memo: dict[int, AbstractValue] = {}
         self.events: list[SecurityEvent] = []
         self.root: AbstractValue | None = None
         self.offset = 0
+        self.error: VmError | None = None
+        # (frame end, FRAME offset, event index at that FRAME, already flagged)
+        self.open_frame: tuple[int, int, int, bool] | None = None
+
+    # -- the machine loop ---------------------------------------------------
+
+    def run(self, ops) -> int:
+        """Step through ``ops``, ``(code, offset, arg, end)`` tuples up to STOP,
+        and return the end of the last one.
+
+        FRAME bounds are checked inline: a FrameMismatch goes before the
+        events of the op it flags.  A VmError ends evaluation and is kept in
+        ``self.error``, but the remaining ops are still drawn, so that a
+        decoder behind ``ops`` reaches STOP (or its ParseError).
+        """
+        handlers = _HANDLERS
+        events = self.events
+        frame_end = _NO_FRAME
+        last_frame = (0, 0, False)
+        end = 0
+        try:
+            for code, offset, arg, end in ops:
+                self.offset = offset
+                if code == _FRAME:
+                    nested = frame_end != _NO_FRAME and offset < frame_end
+                    last_frame = (offset, len(events), nested)
+                    if nested:
+                        events.append(FrameMismatch(offset))
+                    frame_end = end + arg
+                elif end > frame_end:
+                    if offset < frame_end:  # straddles the frame boundary
+                        events.append(FrameMismatch(offset))
+                    frame_end = _NO_FRAME
+                handlers[code](self, arg)
+        except VmError as exc:
+            # Without its traceback the kept error pins no frame of this run.
+            self.error = exc.with_traceback(None)
+            for _code, _offset, _arg, end in ops:
+                pass
+        if frame_end != _NO_FRAME:
+            self.open_frame = (frame_end, *last_frame)
+        return end
+
+    def result(self, stream_end: int, trailing_bytes: int) -> AbstractResult:
+        """The outcome of a run that reached STOP without a VmError.
+
+        ``stream_end`` is where the bytes a final frame may cover end.
+        """
+        if self.root is None:
+            # The disassembler guarantees a STOP; guard anyway.
+            raise UnsupportedOpcode(self.offset, "program did not reach STOP")
+        if self.open_frame is not None:
+            frame_end, frame_offset, index, flagged = self.open_frame
+            if frame_end > stream_end and not flagged:
+                self.events.insert(index, FrameMismatch(frame_offset))
+        if trailing_bytes > 0:
+            self.events.append(TrailingData(self.offset, trailing_bytes))
+        return AbstractResult(
+            root=self.root,
+            events=self.events,
+            memo_size=len(self.memo),
+            memo=self.memo,
+        )
 
     # -- primitives ---------------------------------------------------------
 
     def push(self, value: AbstractValue) -> None:
-        if len(self.stack) >= self.limits.max_stack_depth:
+        stack = self.stack
+        if len(stack) >= self.max_stack_depth:
             raise LimitExceeded(self.offset, "max_stack_depth")
-        self.stack.append(value)
+        stack.append(value)
 
     def pop(self) -> AbstractValue:
-        if not self.stack:
-            raise StackUnderflow(self.offset)
-        return self.stack.pop()
+        try:
+            return self.stack.pop()
+        except IndexError:
+            raise StackUnderflow(self.offset) from None
 
     def peek(self) -> AbstractValue:
-        if not self.stack:
-            raise StackUnderflow(self.offset)
-        return self.stack[-1]
+        try:
+            return self.stack[-1]
+        except IndexError:
+            raise StackUnderflow(self.offset) from None
 
     def pop_mark(self) -> list[AbstractValue]:
         if not self.metastack:
@@ -400,7 +482,7 @@ class _Machine:
         pass
 
     def op_frame(self, arg) -> None:
-        pass  # frame accounting happens in evaluate()
+        pass  # frame accounting happens in run()
 
     def op_stop(self, arg) -> None:
         self.root = self.pop()
@@ -500,7 +582,7 @@ class _Machine:
 
     # stack plumbing
     def op_mark(self, arg) -> None:
-        if len(self.metastack) >= self.limits.max_stack_depth:
+        if len(self.metastack) >= self.max_stack_depth:
             raise LimitExceeded(self.offset, "max_stack_depth (metastack)")
         self.metastack.append(self.stack)
         self.stack = []
@@ -632,7 +714,7 @@ class _Machine:
         self.push(Opaque("read-only buffer view"))
 
 
-_DISPATCH = {
+_BY_MNEMONIC = {
     "PROTO": _Machine.op_proto,
     "FRAME": _Machine.op_frame,
     "STOP": _Machine.op_stop,
@@ -704,27 +786,20 @@ _DISPATCH = {
 }
 
 
-def _frame_mismatches(program: PickleProgram) -> list[int]:
-    """Offsets of FRAME anomalies: nested frames, straddled boundaries,
-    or a final frame claiming bytes the stream does not have."""
-    mismatches: list[int] = []
-    frame_end: int | None = None
-    frame_offset = 0
-    for instr in program.instructions:
-        if frame_end is not None and instr.offset >= frame_end:
-            frame_end = None
-        if instr.mnemonic == "FRAME":
-            if frame_end is not None:
-                mismatches.append(instr.offset)
-            frame_end = instr.offset + instr.size + int(instr.arg)
-            frame_offset = instr.offset
-        elif frame_end is not None and instr.offset + instr.size > frame_end:
-            mismatches.append(instr.offset)
-            frame_end = None
-    stream_end = program.start_offset + program.byte_length + program.trailing_bytes
-    if frame_end is not None and frame_end > stream_end:
-        mismatches.append(frame_offset)
-    return mismatches
+def _handler_table() -> tuple:
+    table: list = [None] * 256
+    for mnemonic, handler in _BY_MNEMONIC.items():
+        table[by_mnemonic(mnemonic).code] = handler
+    if sum(handler is not None for handler in table) != len(opcode_table()):
+        raise AssertionError("an opcode has no handler")
+    return tuple(table)
+
+
+# Indexed by opcode byte: handler(machine, arg); None marks an unassigned byte.
+_HANDLERS: tuple = _handler_table()
+
+_FRAME = by_mnemonic("FRAME").code
+_NO_FRAME = 1 << 65  # past any frame end a u8 length can encode
 
 
 def evaluate(program: PickleProgram, limits: VmLimits = DEFAULT_VM_LIMITS) -> AbstractResult:
@@ -734,25 +809,35 @@ def evaluate(program: PickleProgram, limits: VmLimits = DEFAULT_VM_LIMITS) -> Ab
     and no side effect of any kind is performed.
     """
     machine = _Machine(limits)
-    frame_anomalies = set(_frame_mismatches(program))
-    for instr in program.instructions:
-        machine.offset = instr.offset
-        if instr.offset in frame_anomalies:
-            machine.emit(FrameMismatch(instr.offset))
-            frame_anomalies.discard(instr.offset)
-        handler = _DISPATCH.get(instr.mnemonic)
-        if handler is None:
-            raise UnsupportedOpcode(instr.offset, instr.mnemonic)
-        handler(machine, instr.arg)
-    if machine.root is None:
-        # The disassembler guarantees a STOP; guard anyway.
-        raise UnsupportedOpcode(machine.offset, "program did not reach STOP")
-    if program.trailing_bytes > 0:
-        last_offset = program.instructions[-1].offset
-        machine.emit(TrailingData(last_offset, program.trailing_bytes))
-    return AbstractResult(
-        root=machine.root,
-        events=machine.events,
-        memo_size=len(machine.memo),
-        memo=machine.memo,
+    machine.run(
+        (instr.opcode.code, instr.offset, instr.arg, instr.offset + instr.size)
+        for instr in program.instructions
     )
+    if machine.error is not None:
+        raise machine.error
+    stream_end = program.start_offset + program.byte_length + program.trailing_bytes
+    return machine.result(stream_end, program.trailing_bytes)
+
+
+def _read_segment(stream: bytes, start: int, parse_limits: ParseLimits, vm_limits: VmLimits):
+    machine = _Machine(vm_limits)
+    end = machine.run(decode_ops(stream, start, parse_limits))
+    trailing = zero_padding(stream, end)
+    if machine.error is not None:
+        return machine.error, end + trailing
+    return machine.result(end + trailing, trailing), end + trailing
+
+
+def walk(
+    stream: bytes,
+    parse_limits: ParseLimits = DEFAULT_PARSE_LIMITS,
+    vm_limits: VmLimits = DEFAULT_VM_LIMITS,
+):
+    """Decode and evaluate every STOP-delimited segment of ``stream`` in one pass.
+
+    Yields, per segment, its AbstractResult or the VmError that ended its
+    evaluation; no instruction list is built.  Segment splitting, zero
+    padding and ParseErrors are exactly those of ``disasm.iter_programs``, and
+    each result equals ``evaluate`` of the matching program.
+    """
+    return iter_segments(stream, parse_limits, partial(_read_segment, vm_limits=vm_limits))

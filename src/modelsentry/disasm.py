@@ -5,6 +5,12 @@ Python object from the stream.  Argument decoding mirrors what a conforming
 loader accepts byte for byte, so that the instruction transcript of any
 valid stream matches the reference tooling for the format.
 
+Arguments are read through ``DECODERS``, a 256-entry table of decode
+functions indexed by opcode byte (the way ``Lib/pickle.py`` builds its
+unpickler's dispatch table).  ``decode_ops`` is the one decode loop over it:
+the instruction lists of ``iter_programs``/``disassemble``, the one-pass
+``absvm.walk`` and the format sniff all read a stream through it.
+
 Every input terminates in either a ``PickleProgram`` or a structured
 ``ParseError``; nothing is executed, imported, or resolved.
 """
@@ -14,8 +20,9 @@ from __future__ import annotations
 import codecs
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
-from .opcodes import ArgKind, OpcodeSpec, lookup
+from .opcodes import _TABLE, ArgKind, OpcodeSpec, lookup
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,18 @@ class PickleProgram:
         return iter(self.instructions)
 
 
+Decoder = Callable[[bytes, int, int, ParseLimits], "tuple[object, int]"]
+
+_STOP = ord(".")
+_PROTO = 0x80
+
+
+def _truncated(op_offset: int, what: str, needed: int, stream: bytes, pos: int) -> ParseError:
+    return TruncatedArgument(
+        op_offset, f"{what} needs {needed} bytes", needed=needed, available=len(stream) - pos
+    )
+
+
 def _read_line(stream: bytes, pos: int, op_offset: int, limits: ParseLimits) -> tuple[bytes, int]:
     """Read up to and excluding the next newline; return (payload, next_pos)."""
     end = stream.find(b"\n", pos)
@@ -120,169 +139,242 @@ def _read_line(stream: bytes, pos: int, op_offset: int, limits: ParseLimits) -> 
     return stream[pos:end], end + 1
 
 
-def _read_exact(stream: bytes, pos: int, n: int, op_offset: int, what: str) -> tuple[bytes, int]:
-    data = stream[pos : pos + n]
-    if len(data) != n:
-        raise TruncatedArgument(
-            op_offset, f"{what} needs {n} bytes", needed=n, available=len(data)
-        )
-    return data, pos + n
+def _fixed(fmt: str, what: str) -> Decoder:
+    """A fixed-width number (u1/u2/u4/u8/i4/f8)."""
+    unpack = struct.Struct(fmt).unpack_from
+    width = struct.calcsize(fmt)
+
+    def decode(stream, pos, op_offset, limits):
+        try:
+            return unpack(stream, pos)[0], pos + width
+        except struct.error:
+            raise _truncated(op_offset, what, width, stream, pos) from None
+
+    return decode
 
 
-def _read_counted(
-    stream: bytes,
-    pos: int,
-    count_kind: str,
-    op_offset: int,
-    limits: ParseLimits,
-) -> tuple[bytes, int]:
-    """Read a length prefix (u1/u4/u8/i4) and then that many payload bytes."""
-    widths = {"u1": 1, "u4": 4, "u8": 8, "i4": 4}
-    fmts = {"u1": "<B", "u4": "<I", "u8": "<Q", "i4": "<i"}
-    width = widths[count_kind]
-    raw, pos = _read_exact(stream, pos, width, op_offset, "length prefix")
-    n = struct.unpack(fmts[count_kind], raw)[0]
-    if n < 0:
-        raise TruncatedArgument(op_offset, f"negative byte count {n}")
-    if n > limits.max_arg_bytes:
-        raise LimitExceeded(op_offset, "max_arg_bytes")
-    return _read_exact(stream, pos, n, op_offset, "counted argument")
+def _counted(fmt: str, convert: Callable[[bytes, int], object] | None) -> Decoder:
+    """A length prefix in ``fmt``, then that many payload bytes, passed through
+    ``convert(payload, op_offset)`` unless it is None."""
+    unpack = struct.Struct(fmt).unpack_from
+    width = struct.calcsize(fmt)
+
+    def decode(stream, pos, op_offset, limits):
+        try:
+            n = unpack(stream, pos)[0]
+        except struct.error:
+            raise _truncated(op_offset, "length prefix", width, stream, pos) from None
+        if n < 0:
+            raise TruncatedArgument(op_offset, f"negative byte count {n}")
+        if n > limits.max_arg_bytes:
+            raise LimitExceeded(op_offset, "max_arg_bytes")
+        pos += width
+        end = pos + n
+        if end > len(stream):
+            raise _truncated(op_offset, "counted argument", n, stream, pos)
+        if convert is None:
+            return stream[pos:end], end
+        return convert(stream[pos:end], op_offset), end
+
+    return decode
 
 
-def _decode_decimal_line(mnemonic: str, line: bytes, op_offset: int) -> object:
+def _latin1(data: bytes, op_offset: int) -> str:
+    return data.decode("latin-1")
+
+
+def _utf8(data: bytes, op_offset: int) -> str:
     try:
-        if mnemonic == "FLOAT":
-            return float(line)
-        if mnemonic == "LONG":
-            if line[-1:] == b"L":
-                line = line[:-1]
-            return int(line)
-        # INT / GET / PUT: "00" and "01" are the protocol-0 booleans.
-        if line == b"00":
-            return False
-        if line == b"01":
-            return True
-        return int(line)
+        return data.decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError as exc:
+        raise TruncatedArgument(op_offset, f"undecodable utf-8: {exc}") from None
+
+
+def _long(data: bytes, op_offset: int) -> int:
+    return int.from_bytes(data, "little", signed=True)
+
+
+def _line_arg(parse: Callable[[bytes], object], what: str) -> Decoder:
+    """One newline-terminated line, passed through ``parse``."""
+
+    def decode(stream, pos, op_offset, limits):
+        line, pos = _read_line(stream, pos, op_offset, limits)
+        try:
+            return parse(line), pos
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise TruncatedArgument(op_offset, f"{what}: {exc}") from None
+
+    return decode
+
+
+def _long_line(line: bytes) -> int:
+    return int(line[:-1] if line[-1:] == b"L" else line)
+
+
+def _int_line(line: bytes) -> int | bool:
+    # INT / GET / PUT: "00" and "01" are the protocol-0 booleans.
+    if line == b"00":
+        return False
+    if line == b"01":
+        return True
+    return int(line)
+
+
+def _quoted_line(stream, pos, op_offset, limits):
+    line, pos = _read_line(stream, pos, op_offset, limits)
+    # Loader rule: outermost quotes must match and be present.
+    if not (len(line) >= 2 and line[0] == line[-1] and line[0] in b"\"'"):
+        raise TruncatedArgument(op_offset, "STRING argument must be quoted")
+    try:
+        return codecs.escape_decode(line[1:-1])[0].decode("ascii"), pos
     except ValueError as exc:
-        raise TruncatedArgument(op_offset, f"malformed decimal line: {exc}") from None
-
-
-def _decode_string_line(mnemonic: str, line: bytes, op_offset: int) -> str:
-    try:
-        if mnemonic == "STRING":
-            # Loader rule: outermost quotes must match and be present.
-            if len(line) >= 2 and line[0] == line[-1] and line[0] in b"\"'":
-                body = line[1:-1]
-            else:
-                raise TruncatedArgument(op_offset, "STRING argument must be quoted")
-            return codecs.escape_decode(body)[0].decode("ascii")
-        if mnemonic == "UNICODE":
-            return line.decode("raw-unicode-escape")
-        # PERSID: plain ASCII line, no escapes.
-        return line.decode("ascii")
-    except (ValueError, UnicodeDecodeError) as exc:
         raise TruncatedArgument(op_offset, f"undecodable string line: {exc}") from None
 
 
-def _read_arg(
-    spec: OpcodeSpec, stream: bytes, pos: int, op_offset: int, limits: ParseLimits
-) -> tuple[object, int]:
-    kind = spec.arg_kind
-    if kind is ArgKind.NONE:
-        return None, pos
-    if kind is ArgKind.DECIMAL_NL:
-        line, pos = _read_line(stream, pos, op_offset, limits)
-        return _decode_decimal_line(spec.mnemonic, line, op_offset), pos
-    if kind is ArgKind.STRING_NL:
-        line, pos = _read_line(stream, pos, op_offset, limits)
-        return _decode_string_line(spec.mnemonic, line, op_offset), pos
-    if kind is ArgKind.TWO_NL_LINES:
-        first, pos = _read_line(stream, pos, op_offset, limits)
-        second, pos = _read_line(stream, pos, op_offset, limits)
-        try:
-            return (first.decode("utf-8"), second.decode("utf-8")), pos
-        except UnicodeDecodeError as exc:
-            raise TruncatedArgument(op_offset, f"undecodable name line: {exc}") from None
-    if kind is ArgKind.U1:
-        raw, pos = _read_exact(stream, pos, 1, op_offset, "u1")
-        return raw[0], pos
-    if kind is ArgKind.U2_LE:
-        raw, pos = _read_exact(stream, pos, 2, op_offset, "u2")
-        return struct.unpack("<H", raw)[0], pos
-    if kind is ArgKind.U4_LE:
-        raw, pos = _read_exact(stream, pos, 4, op_offset, "u4")
-        return struct.unpack("<I", raw)[0], pos
-    if kind is ArgKind.U8_LE:
-        raw, pos = _read_exact(stream, pos, 8, op_offset, "u8")
-        return struct.unpack("<Q", raw)[0], pos
-    if kind is ArgKind.I4_LE:
-        raw, pos = _read_exact(stream, pos, 4, op_offset, "i4")
-        return struct.unpack("<i", raw)[0], pos
-    if kind is ArgKind.F8_BE:
-        raw, pos = _read_exact(stream, pos, 8, op_offset, "f8")
-        return struct.unpack(">d", raw)[0], pos
-    if kind is ArgKind.BYTES_U1:
-        data, pos = _read_counted(stream, pos, "u1", op_offset, limits)
-        if spec.mnemonic == "SHORT_BINSTRING":
-            return data.decode("latin-1"), pos
-        return data, pos
-    if kind is ArgKind.BYTES_U4:
-        # BINSTRING historically uses a *signed* 4-byte count.
-        count_kind = "i4" if spec.mnemonic == "BINSTRING" else "u4"
-        data, pos = _read_counted(stream, pos, count_kind, op_offset, limits)
-        if spec.mnemonic == "BINSTRING":
-            return data.decode("latin-1"), pos
-        return data, pos
-    if kind is ArgKind.BYTES_U8:
-        data, pos = _read_counted(stream, pos, "u8", op_offset, limits)
-        return data, pos
-    if kind is ArgKind.UTF8_U1 or kind is ArgKind.UTF8_U4 or kind is ArgKind.UTF8_U8:
-        count_kind = {"length-prefixed-utf8-u1": "u1",
-                      "length-prefixed-utf8-u4": "u4",
-                      "length-prefixed-utf8-u8": "u8"}[kind.value]
-        data, pos = _read_counted(stream, pos, count_kind, op_offset, limits)
-        try:
-            return data.decode("utf-8", "surrogatepass"), pos
-        except UnicodeDecodeError as exc:
-            raise TruncatedArgument(op_offset, f"undecodable utf-8: {exc}") from None
-    if kind is ArgKind.LONG1:
-        data, pos = _read_counted(stream, pos, "u1", op_offset, limits)
-        return int.from_bytes(data, "little", signed=True), pos
-    if kind is ArgKind.LONG4:
-        data, pos = _read_counted(stream, pos, "i4", op_offset, limits)
-        return int.from_bytes(data, "little", signed=True), pos
-    raise AssertionError(f"unhandled arg kind {kind}")
+def _no_arg(stream, pos, op_offset, limits):
+    return None, pos
 
 
-def _parse_one(
-    stream: bytes, start: int, limits: ParseLimits
-) -> tuple[list[Instruction], int, int]:
-    """Parse one program starting at ``start``; returns (instructions, end, protocol)."""
-    instructions: list[Instruction] = []
+def _name_pair(stream, pos, op_offset, limits):
+    first, pos = _read_line(stream, pos, op_offset, limits)
+    second, pos = _read_line(stream, pos, op_offset, limits)
+    try:
+        return (first.decode("utf-8"), second.decode("utf-8")), pos
+    except UnicodeDecodeError as exc:
+        raise TruncatedArgument(op_offset, f"undecodable name line: {exc}") from None
+
+
+_BY_KIND: dict[ArgKind, Decoder] = {
+    ArgKind.NONE: _no_arg,
+    ArgKind.TWO_NL_LINES: _name_pair,
+    ArgKind.U1: _fixed("<B", "u1"),
+    ArgKind.U2_LE: _fixed("<H", "u2"),
+    ArgKind.U4_LE: _fixed("<I", "u4"),
+    ArgKind.U8_LE: _fixed("<Q", "u8"),
+    ArgKind.I4_LE: _fixed("<i", "i4"),
+    ArgKind.F8_BE: _fixed(">d", "f8"),
+    ArgKind.BYTES_U1: _counted("<B", None),
+    ArgKind.BYTES_U4: _counted("<I", None),
+    ArgKind.BYTES_U8: _counted("<Q", None),
+    ArgKind.UTF8_U1: _counted("<B", _utf8),
+    ArgKind.UTF8_U4: _counted("<I", _utf8),
+    ArgKind.UTF8_U8: _counted("<Q", _utf8),
+    ArgKind.LONG1: _counted("<B", _long),
+    ArgKind.LONG4: _counted("<i", _long),
+}
+# Opcodes whose argument shape alone does not say how the loader reads it.
+_BY_MNEMONIC: dict[str, Decoder] = {
+    "FLOAT": _line_arg(float, "malformed decimal line"),
+    "LONG": _line_arg(_long_line, "malformed decimal line"),
+    "INT": _line_arg(_int_line, "malformed decimal line"),
+    "GET": _line_arg(_int_line, "malformed decimal line"),
+    "PUT": _line_arg(_int_line, "malformed decimal line"),
+    "STRING": _quoted_line,
+    "UNICODE": _line_arg(lambda line: line.decode("raw-unicode-escape"), "undecodable string line"),
+    "PERSID": _line_arg(lambda line: line.decode("ascii"), "undecodable string line"),
+    # The two protocol-1 strings carry text; BINSTRING's count is signed.
+    "SHORT_BINSTRING": _counted("<B", _latin1),
+    "BINSTRING": _counted("<i", _latin1),
+}
+
+
+def _decoder_table() -> tuple[Decoder | None, ...]:
+    table: list[Decoder | None] = [None] * 256
+    for spec in _TABLE:
+        table[spec.code] = _BY_MNEMONIC.get(spec.mnemonic) or _BY_KIND[spec.arg_kind]
+    return tuple(table)
+
+
+# Indexed by opcode byte: decode(stream, pos, op_offset, limits) -> (arg, next_pos)
+# reads the argument that starts at ``pos``; None marks an unassigned byte.
+DECODERS: tuple[Decoder | None, ...] = _decoder_table()
+
+
+def decode_ops(stream: bytes, start: int, limits: ParseLimits):
+    """Yield ``(code, offset, arg, end)`` for each op from ``start`` through STOP.
+
+    This is the one decode loop: the instruction list, the abstract machine
+    and the format sniff all read a segment through it.
+    """
+    decoders = DECODERS
+    length = len(stream)
+    max_instructions = limits.max_instructions
     pos = start
+    count = 0
+    while True:
+        if pos >= length:
+            raise MissingStop(pos)
+        if count >= max_instructions:
+            raise LimitExceeded(pos, "max_instructions")
+        code = stream[pos]
+        decode = decoders[code]
+        if decode is None:
+            raise UnknownOpcode(pos, code)
+        arg, end = decode(stream, pos + 1, pos, limits)
+        yield code, pos, arg, end
+        if code == _STOP:
+            return
+        pos = end
+        count += 1
+
+
+def zero_padding(stream: bytes, end: int) -> int:
+    """Length of the run of zero bytes from ``end`` to the end of ``stream``,
+    or 0 if anything else follows.  Legacy multi-pickle files pad this way."""
+    # 0x00 is no opcode, so only a tail starting with it can be padding.
+    if end < len(stream) and stream[end] == 0 and stream.count(0, end) == len(stream) - end:
+        return len(stream) - end
+    return 0
+
+
+def _check_stream(stream: bytes, limits: ParseLimits) -> None:
+    if not stream:
+        raise MissingStop(0)
+    if len(stream) > limits.max_stream_bytes:
+        raise LimitExceeded(0, "max_stream_bytes")
+
+
+def iter_segments(stream: bytes, limits: ParseLimits, read_segment):
+    """Yield one item per STOP-delimited segment of ``stream``.
+
+    ``read_segment(stream, start, limits)`` reads the segment at ``start`` and
+    returns ``(item, next_start)``.  A ParseError it raises carries the index
+    of the failing segment; items already yielded stay valid.
+    """
+    _check_stream(stream, limits)
+    pos = 0
+    segment = 0
+    while pos < len(stream):
+        try:
+            item, pos = read_segment(stream, pos, limits)
+        except ParseError as exc:
+            exc.segment = segment
+            raise
+        yield item
+        segment += 1
+
+
+def _read_program(stream: bytes, start: int, limits: ParseLimits) -> PickleProgram:
+    """Decode one program starting at ``start`` into its instruction list."""
+    instructions: list[Instruction] = []
     declared: int | None = None
     saw_nonzero_min_proto = False
-    while True:
-        if pos >= len(stream):
-            raise MissingStop(pos)
-        if len(instructions) >= limits.max_instructions:
-            raise LimitExceeded(pos, "max_instructions")
-        op_offset = pos
-        byte = stream[pos]
-        spec = lookup(byte)
-        if spec is None:
-            raise UnknownOpcode(op_offset, byte)
-        arg, pos = _read_arg(spec, stream, pos + 1, op_offset, limits)
-        instructions.append(Instruction(op_offset, spec, arg, pos - op_offset))
+    end = start
+    for code, offset, arg, end in decode_ops(stream, start, limits):
+        spec = lookup(code)
+        instructions.append(Instruction(offset, spec, arg, end - offset))
         if spec.min_protocol > 0:
             saw_nonzero_min_proto = True
-        if spec.mnemonic == "PROTO" and declared is None:
-            declared = int(arg)  # recorded as written, even if out of range
-        if spec.mnemonic == "STOP":
-            break
+        if code == _PROTO and declared is None:
+            declared = arg  # recorded as written, even if out of range
     if declared is None:
         declared = 1 if saw_nonzero_min_proto else 0
-    return instructions, pos, declared
+    return PickleProgram(
+        instructions=instructions,
+        declared_protocol=declared,
+        byte_length=end - start,
+        start_offset=start,
+    )
 
 
 def disassemble(stream: bytes, limits: ParseLimits = DEFAULT_PARSE_LIMITS) -> PickleProgram:
@@ -291,18 +383,17 @@ def disassemble(stream: bytes, limits: ParseLimits = DEFAULT_PARSE_LIMITS) -> Pi
     Bytes after the first STOP are reported via ``trailing_bytes``, never
     dropped and never an error at this layer.
     """
-    if not stream:
-        raise MissingStop(0)
-    if len(stream) > limits.max_stream_bytes:
-        raise LimitExceeded(0, "max_stream_bytes")
-    instructions, end, declared = _parse_one(stream, 0, limits)
-    return PickleProgram(
-        instructions=instructions,
-        declared_protocol=declared,
-        byte_length=end,
-        trailing_bytes=len(stream) - end,
-        start_offset=0,
-    )
+    _check_stream(stream, limits)
+    program = _read_program(stream, 0, limits)
+    program.trailing_bytes = len(stream) - program.byte_length
+    return program
+
+
+def _read_padded_program(stream: bytes, start: int, limits: ParseLimits):
+    program = _read_program(stream, start, limits)
+    end = start + program.byte_length
+    program.trailing_bytes = zero_padding(stream, end)
+    return program, end + program.trailing_bytes
 
 
 def iter_programs(stream: bytes, limits: ParseLimits = DEFAULT_PARSE_LIMITS):
@@ -313,33 +404,7 @@ def iter_programs(stream: bytes, limits: ParseLimits = DEFAULT_PARSE_LIMITS):
     zero bytes after the final STOP is tolerated and reported on the last
     program (legacy multi-pickle files pad this way).
     """
-    if not stream:
-        raise MissingStop(0)
-    if len(stream) > limits.max_stream_bytes:
-        raise LimitExceeded(0, "max_stream_bytes")
-    pos = 0
-    segment = 0
-    last: PickleProgram | None = None
-    while pos < len(stream):
-        # 0x00 is no opcode, so only a segment starting with it can be padding.
-        if last is not None and stream[pos] == 0 and stream.count(0, pos) == len(stream) - pos:
-            last.trailing_bytes = len(stream) - pos
-            return
-        try:
-            instructions, end, declared = _parse_one(stream, pos, limits)
-        except ParseError as exc:
-            exc.segment = segment
-            raise
-        last = PickleProgram(
-            instructions=instructions,
-            declared_protocol=declared,
-            byte_length=end - pos,
-            trailing_bytes=0,
-            start_offset=pos,
-        )
-        yield last
-        pos = end
-        segment += 1
+    return iter_segments(stream, limits, _read_padded_program)
 
 
 def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:
@@ -353,31 +418,26 @@ def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:
     """
     if not sample:
         return False
-    if sample[0] == 0x80:
+    if sample[0] == _PROTO:
         return len(sample) >= 2 and sample[1] <= 5
     first = lookup(sample[0])
     if first is None or first.min_protocol > 0:
         return False
-    limits = ParseLimits(max_instructions=64, max_arg_bytes=len(sample))
-    pos = 0
     count = 0
-    while pos < len(sample) and count < 32:
-        spec = lookup(sample[pos])
-        if spec is None:
-            return False
-        op_offset = pos
-        try:
-            _, pos = _read_arg(spec, sample, pos + 1, op_offset, limits)
-        except ParseError:
-            # Ran off the end of the sample mid-argument: fine for a prefix
-            # of a longer stream, disqualifying for complete content.
-            return not complete and count >= 4
-        count += 1
-        if spec.mnemonic == "STOP":
-            return True
-    if pos >= len(sample):
+    try:
+        for _op in decode_ops(sample, 0, ParseLimits(max_instructions=32, max_arg_bytes=len(sample))):
+            count += 1
+    except UnknownOpcode:
+        return False
+    except LimitExceeded as exc:
+        if exc.which == "max_instructions":
+            return True  # 32 instructions decoded cleanly
         return not complete and count >= 4
-    return count >= 32
+    except ParseError:
+        # Ran off the end of the sample: fine for a prefix of a longer
+        # stream, disqualifying for complete content.
+        return not complete and count >= 4
+    return True  # reached STOP
 
 
 def format_instruction(instr: Instruction) -> str:

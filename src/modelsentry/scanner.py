@@ -142,26 +142,28 @@ def _scan_pickle_bytes(
     findings: list[Finding],
     errors: list[ScanError],
 ) -> None:
-    """Disassemble, evaluate, and apply rules to every stream segment."""
-    programs: list[disasm.PickleProgram] = []
+    """Decode, evaluate, and apply rules to every stream segment in one pass.
+
+    A ParseError is listed first, then each earlier segment's VmError in
+    segment order; the failing segment's own VmError is dropped.
+    """
+    vm_errors: list[absvm.VmError] = []
     try:
-        for program in disasm.iter_programs(data, limits.parse):
-            programs.append(program)
+        for outcome in absvm.walk(data, limits.parse, limits.vm):
+            if isinstance(outcome, absvm.VmError):
+                vm_errors.append(outcome)
+            else:
+                findings.extend(apply_rules(outcome, policy, ctx))
     except disasm.ParseError as exc:
         _parse_error(
             findings, errors, ctx, exc.kind, "pickle segment could not be parsed",
             exc.message, exc.offset,
         )
-    for program in programs:
-        try:
-            result = absvm.evaluate(program, limits.vm)
-        except absvm.VmError as exc:
-            _parse_error(
-                findings, errors, ctx, exc.kind, "pickle stream is not loadable",
-                exc.message, exc.offset,
-            )
-            continue
-        findings.extend(apply_rules(result, policy, ctx))
+    for exc in vm_errors:
+        _parse_error(
+            findings, errors, ctx, exc.kind, "pickle stream is not loadable",
+            exc.message, exc.offset,
+        )
 
 
 def _scan_keras_config(

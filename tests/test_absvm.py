@@ -10,6 +10,8 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import benign_streams, structural_match, stub_load
 from modelsentry import absvm
@@ -19,6 +21,7 @@ from modelsentry.absvm import (
     CallResult,
     Container,
     DynamicGlobal,
+    FrameMismatch,
     GlobalRef,
     GlobalResolved,
     MemoMiss,
@@ -33,7 +36,13 @@ from modelsentry.absvm import (
     evaluate,
     render_value,
 )
-from modelsentry.disasm import disassemble
+from modelsentry.disasm import (
+    DEFAULT_PARSE_LIMITS,
+    ParseError,
+    ParseLimits,
+    disassemble,
+    iter_programs,
+)
 from modelsentry.forge import emit_injected_pickle, emit_reduce_payload_pickle
 
 MARKER = "true # FIXTURE-MARKER"
@@ -111,6 +120,70 @@ def test_structure_matches_real_loader_on_benign_corpus():
         assert structural_match(result.root, loaded, result.memo), name
         checked += 1
     assert checked >= 50
+
+
+SMALL_LIMITS = (
+    ParseLimits(max_instructions=40, max_arg_bytes=16),
+    absvm.VmLimits(max_stack_depth=6, max_memo_entries=4),
+)
+
+
+def _via_programs(stream: bytes, parse_limits: ParseLimits, vm_limits: absvm.VmLimits):
+    for program in iter_programs(stream, parse_limits):
+        try:
+            yield evaluate(program, vm_limits)
+        except absvm.VmError as exc:
+            yield exc
+
+
+def _outcomes(segments) -> list[tuple]:
+    """Per-segment results and VmErrors, then the ParseError that ended the stream."""
+    summaries: list[tuple] = []
+    try:
+        for outcome in segments:
+            if isinstance(outcome, absvm.VmError):
+                summaries.append((outcome.kind, outcome.offset, outcome.message))
+            else:
+                summaries.append(
+                    (outcome.events, outcome.memo_size, render_value(outcome.root, outcome.memo))
+                )
+    except ParseError as exc:
+        summaries.append((exc.kind, exc.offset, exc.segment, exc.message))
+    return summaries
+
+
+def assert_walk_matches_programs(
+    stream: bytes, parse_limits=DEFAULT_PARSE_LIMITS, vm_limits=absvm.DEFAULT_VM_LIMITS
+) -> None:
+    walked = _outcomes(absvm.walk(stream, parse_limits, vm_limits))
+    assert walked == _outcomes(_via_programs(stream, parse_limits, vm_limits))
+
+
+def _walk_corpus() -> list[bytes]:
+    from conftest import RARE_OPCODE_STREAMS
+
+    streams = [stream for _, stream, _ in benign_streams(30)]
+    streams += [stream for _, stream in RARE_OPCODE_STREAMS]
+    streams.append(emit_injected_pickle({"a": [1, 2]}, MARKER, 4))
+    streams.append(b"R." + emit_reduce_payload_pickle(MARKER, 2) + b"N1." + b"\x00" * 3)
+    return streams
+
+
+def test_walk_matches_evaluate_over_programs():
+    for stream in _walk_corpus():
+        assert_walk_matches_programs(stream)
+        assert_walk_matches_programs(stream, *SMALL_LIMITS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_walk_matches_evaluate_on_mutated_streams(data):
+    stream = bytearray(data.draw(st.sampled_from(_walk_corpus())))
+    del stream[data.draw(st.integers(0, len(stream))):]
+    for _ in range(data.draw(st.integers(0, 4)) if stream else 0):
+        stream[data.draw(st.integers(0, len(stream) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    limits = data.draw(st.sampled_from([(DEFAULT_PARSE_LIMITS, absvm.DEFAULT_VM_LIMITS), SMALL_LIMITS]))
+    assert_walk_matches_programs(bytes(stream), *limits)
 
 
 def test_determinism():
@@ -285,6 +358,63 @@ def test_frame_mismatch_informational():
     clean = pickle.dumps([1, 2, 3], 4)
     result = run(clean)
     assert "FrameMismatch" not in [event.kind for event in result.events]
+
+
+def _frame(length: int) -> bytes:
+    return b"\x95" + length.to_bytes(8, "little")
+
+
+def frame_mismatches(stream: bytes) -> list[list[int]]:
+    """FrameMismatch offsets per segment; the scanner's one-pass walk and
+    evaluate over iter_programs must agree on them."""
+
+    def offsets(result: absvm.AbstractResult) -> list[int]:
+        return [event.at_offset for event in result.events if isinstance(event, FrameMismatch)]
+
+    via_walk = [offsets(result) for result in absvm.walk(stream)]
+    assert via_walk == [offsets(evaluate(program)) for program in iter_programs(stream)]
+    return via_walk
+
+
+def test_frame_mismatch_nested_frame_at_its_own_offset():
+    # FRAME at 2 opens [11, 23); the FRAME at 11 opens inside it.
+    stream = b"\x80\x04" + _frame(12) + _frame(2) + b"N."
+    assert frame_mismatches(stream) == [[11]]
+
+
+def test_frame_mismatch_at_op_straddling_frame_end():
+    # FRAME at 2 covers [11, 12); K\x07 at 11 ends at 13.  The frame is closed
+    # there, so the BININT1 at 13 and the STOP after it are not flagged.
+    stream = b"\x80\x04" + _frame(1) + b"K\x07K\x08\x86."
+    assert frame_mismatches(stream) == [[11]]
+
+
+def test_frame_mismatch_final_frame_past_stream_end_is_at_the_frame():
+    # The FRAME at 2 claims 99 bytes; its event precedes the GLOBAL's.
+    stream = b"\x80\x04" + _frame(99) + b"cos\nsystem\n."
+    result = run(stream)
+    assert [(event.kind, event.at_offset) for event in result.events] == [
+        ("FrameMismatch", 2),
+        ("GlobalResolved", 11),
+    ]
+    assert frame_mismatches(stream) == [[2]]
+
+
+def test_frame_mismatch_final_frame_covered_by_zero_padding():
+    # Segment "N." ends at 13; zero padding after it widens the stream end.
+    body = b"N."
+    assert frame_mismatches(b"\x80\x04" + _frame(2 + 4) + body) == [[2]]
+    assert frame_mismatches(b"\x80\x04" + _frame(2 + 4) + body + b"\x00" * 4) == [[]]
+    assert frame_mismatches(b"\x80\x04" + _frame(2 + 5) + body + b"\x00" * 4) == [[2]]
+
+
+def test_frame_mismatch_in_segment_zero_of_two():
+    second = b"\x80\x04" + _frame(1) + b"K\x07."  # starts at 13, K\x07 at 24
+    # A frame that ends exactly at segment 0's STOP is fine ...
+    assert frame_mismatches(b"\x80\x04" + _frame(2) + b"N." + second) == [[], [24]]
+    # ... one that runs on into segment 1 is flagged at segment 0's FRAME.
+    spill = b"\x80\x04" + _frame(2 + len(second)) + b"N." + second
+    assert frame_mismatches(spill) == [[2], [24]]
 
 
 def test_arg_summary_is_bounded():

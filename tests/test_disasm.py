@@ -6,7 +6,10 @@ hand: they come from ``pickletools.genops`` over the same bytes.
 
 from __future__ import annotations
 
+import io
 import pickle
+import pickletools
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,8 @@ from conftest import (
     reference_transcript,
 )
 from modelsentry.disasm import (
+    DECODERS,
+    DEFAULT_PARSE_LIMITS,
     LimitExceeded,
     MissingStop,
     ParseError,
@@ -30,6 +35,7 @@ from modelsentry.disasm import (
     plausible_pickle_prefix,
 )
 from modelsentry.forge import emit_injected_pickle, emit_reduce_payload_pickle
+from modelsentry.opcodes import ArgKind, opcode_table
 
 
 def test_minimal_stream():
@@ -216,3 +222,52 @@ def test_frame_argument_decoded_and_recorded():
     frames = [i for i in program.instructions if i.mnemonic == "FRAME"]
     assert len(frames) == 1
     assert frames[0].arg == len(stream) - frames[0].offset - 9
+
+
+# One well-formed argument per shape; the line shapes depend on the opcode.
+_SAMPLE_ARGS = {
+    ArgKind.NONE: b"",
+    ArgKind.TWO_NL_LINES: b"os\nsystem\n",
+    ArgKind.U1: b"\xfe",
+    ArgKind.U2_LE: b"\x01\xfe",
+    ArgKind.U4_LE: b"\x01\x02\x03\xfe",
+    ArgKind.U8_LE: b"\x01\x02\x03\x04\x05\x06\x07\xfe",
+    ArgKind.I4_LE: b"\x01\x02\x03\xfe",
+    ArgKind.F8_BE: struct.pack(">d", -2.5),
+    ArgKind.BYTES_U1: b"\x03a\xe9c",
+    ArgKind.BYTES_U4: b"\x03\x00\x00\x00a\xe9c",
+    ArgKind.BYTES_U8: b"\x03" + b"\x00" * 7 + b"a\xe9c",
+    ArgKind.UTF8_U1: b"\x04a\xc3\xa9c",
+    ArgKind.UTF8_U4: b"\x04\x00\x00\x00a\xc3\xa9c",
+    ArgKind.UTF8_U8: b"\x04" + b"\x00" * 7 + b"a\xc3\xa9c",
+    ArgKind.LONG1: b"\x02\x01\xff",
+    ArgKind.LONG4: b"\x02\x00\x00\x00\x01\xff",
+}
+_SAMPLE_LINES = {
+    "FLOAT": b"-2.5\n",
+    "INT": b"-42\n",
+    "LONG": b"123L\n",
+    "GET": b"7\n",
+    "PUT": b"7\n",
+    "STRING": b"'a\\x41'\n",
+    "UNICODE": b"a\\u00e9\n",
+    "PERSID": b"weights.0\n",
+}
+
+
+def test_decoder_table_agrees_with_opcode_table():
+    specs = {spec.code: spec for spec in opcode_table()}
+    assert len(DECODERS) == 256
+    for byte in range(256):
+        assert (DECODERS[byte] is None) == (byte not in specs), byte
+    reference = {op.code.encode("latin-1")[0]: op for op in pickletools.opcodes}
+    for code, spec in specs.items():
+        raw = _SAMPLE_LINES.get(spec.mnemonic, _SAMPLE_ARGS.get(spec.arg_kind))
+        stream = bytes([code]) + raw + b"."
+        arg, end = DECODERS[code](stream, 1, 0, DEFAULT_PARSE_LIMITS)
+        expected = reference[code].arg.reader(io.BytesIO(raw)) if raw else None
+        if isinstance(expected, bytearray):
+            expected = bytes(expected)
+        if isinstance(arg, tuple):
+            arg = " ".join(arg)  # genops joins the GLOBAL/INST pair with a space
+        assert (arg, end) == (expected, 1 + len(raw)), spec.mnemonic

@@ -133,6 +133,52 @@ def test_scan_multi_segment_pickle_with_bad_tail(tmp_path, policy):
     assert report.errors
 
 
+def _scan_stream(tmp_path, policy, stream: bytes):
+    target = tmp_path / "stream.pkl"
+    target.write_bytes(stream)
+    return scan_file(str(target), policy)
+
+
+def test_vm_error_costs_only_its_own_segment(tmp_path, policy):
+    # Segment 0 underflows at REDUCE; segment 1 is a dangerous call.
+    second = emit_reduce_payload_pickle(MARKER, 2)
+    report = _scan_stream(tmp_path, policy, b"R." + second)
+    assert [(e.kind, e.locus, e.message) for e in report.errors] == [
+        ("StackUnderflow", "offset 0", "stack underflow")
+    ]
+    calls = [f for f in report.findings if f.rule_id == "PICKLE_CALL"]
+    assert len(calls) == 1 and calls[0].offset > 2
+    assert "PICKLE_DANGEROUS_GLOBAL" in [f.rule_id for f in report.findings]
+
+
+def test_parse_error_replaces_vm_error_of_its_segment(tmp_path, policy):
+    # REDUCE underflows at offset 2, then byte 0xff fails to decode at offset 3.
+    report = _scan_stream(tmp_path, policy, b"N.R\xff.")
+    assert [(e.kind, e.locus) for e in report.errors] == [("UnknownOpcode", "offset 3")]
+    assert [f.rule_id for f in report.findings] == ["FORMAT_PARSE_ERROR"]
+
+
+def test_errors_list_parse_error_before_earlier_segments_vm_errors(tmp_path, policy):
+    # Segment 0 underflows, segment 1 pops a missing MARK, segment 2 is garbage.
+    report = _scan_stream(tmp_path, policy, b"R." + b"N1." + b"\xff")
+    assert [(e.kind, e.locus) for e in report.errors] == [
+        ("UnknownOpcode", "offset 5"),
+        ("StackUnderflow", "offset 0"),
+        ("BadMark", "offset 3"),
+    ]
+    text = render(scan_paths([str(tmp_path / "stream.pkl")], policy), "text").decode()
+    kinds = [line.split()[1] for line in text.splitlines() if line.startswith("ERROR")]
+    assert kinds == ["UnknownOpcode", "StackUnderflow", "BadMark"]
+
+
+def test_scan_reports_frame_mismatch_offsets(tmp_path, policy):
+    frame = b"\x95" + (1).to_bytes(8, "little")  # claims one byte
+    # Segment 1 starts at offset 2; its FRAME covers only part of K\x07.
+    report = _scan_stream(tmp_path, policy, b"N." + b"\x80\x04" + frame + b"K\x07.")
+    frames = [f.offset for f in report.findings if f.rule_id == "PICKLE_FRAME_MISMATCH"]
+    assert frames == [13]
+
+
 def test_parse_error_locus_keeps_member_name_as_written(tmp_path, policy):
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as archive:
@@ -157,14 +203,16 @@ def test_scan_file_survives_deep_nesting(tmp_path, policy):
 def test_internal_error_costs_only_its_own_file(tmp_path, policy, monkeypatch):
     from modelsentry import absvm
 
-    real_evaluate = absvm.evaluate
+    real_reduce = absvm._HANDLERS[ord("R")]
 
-    def evaluate(program, limits=absvm.DEFAULT_VM_LIMITS):
-        if any(instr.arg == "defect" for instr in program.instructions):
+    def reduce(machine, arg):
+        if "defect" in absvm.render_value(machine.stack[-1], machine.memo):
             raise ValueError("injected defect")
-        return real_evaluate(program, limits)
+        real_reduce(machine, arg)
 
-    monkeypatch.setattr(absvm, "evaluate", evaluate)
+    handlers = list(absvm._HANDLERS)
+    handlers[ord("R")] = reduce
+    monkeypatch.setattr(absvm, "_HANDLERS", tuple(handlers))
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as archive:
         archive.writestr("../escape.pkl", emit_reduce_payload_pickle("defect", 2))
@@ -363,6 +411,15 @@ def test_cli_disasm_output(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].split() == ["0", "NONE"]
     assert out[1].split() == ["1", "STOP"]
+
+
+def test_cli_disasm_notes_zero_padding(tmp_path, capsys):
+    target = tmp_path / "padded.pkl"
+    target.write_bytes(b"N.N." + b"\x00" * 3)
+    assert cli_main(["disasm", str(target)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in out[:4]] == ["NONE", "STOP", "NONE", "STOP"]
+    assert out[4:] == ["# 3 trailing byte(s)"]
 
 
 def test_cli_forge_and_verify_flow(tmp_path, capsys):
