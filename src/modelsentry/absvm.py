@@ -24,6 +24,7 @@ from functools import partial
 
 from .disasm import (
     DEFAULT_PARSE_LIMITS,
+    ParseError,
     ParseLimits,
     PickleProgram,
     decode_ops,
@@ -181,6 +182,9 @@ ARG_SUMMARY_CAP = 4096
 
 
 class VmError(Exception):
+    # Set by ``walk``: what the failing segment recorded before this error.
+    partial: AbstractResult | None = None
+
     def __init__(self, offset: int, message: str):
         super().__init__(f"offset {offset}: {message}")
         self.offset = offset
@@ -221,9 +225,10 @@ class UnsupportedOpcode(VmError):
 
 @dataclass
 class AbstractResult:
-    """Outcome of evaluating one program."""
+    """Outcome of evaluating one program, or of the part of it evaluated
+    before an error (then ``root`` is None)."""
 
-    root: AbstractValue
+    root: AbstractValue | None
     events: list[SecurityEvent]
     memo_size: int
     memo: dict[int, AbstractValue] = field(default_factory=dict)
@@ -417,6 +422,13 @@ class _Machine:
         if frame_end != _NO_FRAME:
             self.open_frame = (frame_end, *last_frame)
         return end
+
+    def recorded(self) -> AbstractResult:
+        """The events recorded before an error ended the run.  A loader runs
+        every op before the one it fails on, so these still count."""
+        return AbstractResult(
+            root=None, events=self.events, memo_size=len(self.memo), memo=self.memo
+        )
 
     def result(self, stream_end: int, trailing_bytes: int) -> AbstractResult:
         """The outcome of a run that reached STOP without a VmError.
@@ -821,9 +833,14 @@ def evaluate(program: PickleProgram, limits: VmLimits = DEFAULT_VM_LIMITS) -> Ab
 
 def _read_segment(stream: bytes, start: int, parse_limits: ParseLimits, vm_limits: VmLimits):
     machine = _Machine(vm_limits)
-    end = machine.run(decode_ops(stream, start, parse_limits))
+    try:
+        end = machine.run(decode_ops(stream, start, parse_limits))
+    except ParseError as exc:
+        exc.partial = machine.recorded()
+        raise
     trailing = zero_padding(stream, end)
     if machine.error is not None:
+        machine.error.partial = machine.recorded()
         return machine.error, end + trailing
     return machine.result(end + trailing, trailing), end + trailing
 
@@ -838,6 +855,8 @@ def walk(
     Yields, per segment, its AbstractResult or the VmError that ended its
     evaluation; no instruction list is built.  Segment splitting, zero
     padding and ParseErrors are exactly those of ``disasm.iter_programs``, and
-    each result equals ``evaluate`` of the matching program.
+    each result equals ``evaluate`` of the matching program.  A VmError, and
+    a ParseError raised inside a segment, carry in ``partial`` the events
+    that segment recorded before the error.
     """
     return iter_segments(stream, parse_limits, partial(_read_segment, vm_limits=vm_limits))

@@ -32,12 +32,23 @@ EOCD_SEARCH_WINDOW = 66 * 1024
 DEFAULT_ENTRY_CAP = 256 * 1024 * 1024
 # Cap on a model-config JSON read, from an HDF5 attribute or a config.json member.
 CONFIG_CAP = 64 * 1024 * 1024
+_H5_MARKER = b"model_config"
 _H5_GAP_CAP = 64 * 1024
+# First read of an HDF5 config window or marker search; both double from here.
+_FIRST_WINDOW = 4 * 1024
+# A decode error this close to the end of a window may be a token cut short
+# (``-Infinit``, ``\ud800\udc``): read a bigger window before giving up.
+_TRUNCATION_TAIL = 16
 _CD_SIZE_CAP = 512 * 1024 * 1024
 _CHUNK = 4 * 1024 * 1024
+_DECODER = json.JSONDecoder()
 
 
 class FormatError(Exception):
+    # Where reading stopped, for an error inside an HDF5 config candidate:
+    # the next candidate is searched for from there.
+    end_offset: int | None = None
+
     def __init__(self, message: str):
         super().__init__(message)
         self.message = message
@@ -78,10 +89,11 @@ class InflateError(FormatError):
 
 
 class CapExceeded(FormatError):
-    def __init__(self, declared: int, cap: int):
+    def __init__(self, declared: int, cap: int, end_offset: int | None = None):
         super().__init__(f"declared size {declared} exceeds cap {cap}")
         self.declared = declared
         self.cap = cap
+        self.end_offset = end_offset
 
 
 class NotHdf5(FormatError):
@@ -95,9 +107,10 @@ class ConfigNotFound(FormatError):
 
 
 class UnbalancedJson(FormatError):
-    def __init__(self, start_offset: int, detail: str = "unbalanced JSON object"):
+    def __init__(self, start_offset: int, end_offset: int, detail: str):
         super().__init__(f"{detail} starting at offset {start_offset}")
         self.start_offset = start_offset
+        self.end_offset = end_offset
 
 
 @dataclass(frozen=True)
@@ -115,9 +128,10 @@ class ArchiveEntry:
 
 @dataclass(frozen=True)
 class ExtractedConfig:
-    source: str  # "hdf5-attribute-heuristic" or "zip-entry"
+    source: str  # "hdf5-attribute-heuristic"
     json_text: str
     byte_range: tuple[int, int]
+    config: object  # json_text, parsed
 
 
 def is_path_suspicious(path: str) -> bool:
@@ -369,16 +383,20 @@ def find_pickle_payloads(
     return hits
 
 
-def _scan_for(handle: BinaryIO, marker: bytes, start: int, end: int | None = None) -> int:
-    """Chunked search for ``marker`` in [start, end); -1 when absent."""
-    size = _file_size(handle)
-    stop = size if end is None else min(end, size)
+def _scan_for(handle: BinaryIO, marker: bytes, start: int) -> int:
+    """Chunked search for ``marker`` from ``start``; -1 when absent.
+
+    Chunks start at ``_FIRST_WINDOW`` bytes and double up to ``_CHUNK``, so a
+    marker close to ``start`` costs a small read, not a full chunk.
+    """
+    stop = _file_size(handle)
     overlap = len(marker) - 1
     pos = start
     carry = b""
+    chunk_size = _FIRST_WINDOW
     while pos < stop:
         handle.seek(pos)
-        chunk = handle.read(min(_CHUNK, stop - pos))
+        chunk = handle.read(min(chunk_size, stop - pos))
         if not chunk:
             break
         buffer = carry + chunk
@@ -387,66 +405,93 @@ def _scan_for(handle: BinaryIO, marker: bytes, start: int, end: int | None = Non
             return pos - len(carry) + found
         carry = buffer[-overlap:] if overlap else b""
         pos += len(chunk)
+        chunk_size = min(2 * chunk_size, _CHUNK)
     return -1
 
 
-def extract_h5_model_config(handle: BinaryIO) -> ExtractedConfig:
-    """Recover the model-config JSON from an HDF5 file, heuristically.
+def _may_be_truncated(exc: json.JSONDecodeError) -> bool:
+    """Could more bytes after the window turn this decode error into a success?"""
+    return exc.pos + _TRUNCATION_TAIL >= len(exc.doc) or exc.msg.startswith(
+        "Unterminated string"
+    )
 
-    Scans for the attribute name bytes ``model_config`` and extracts the
-    first balanced JSON object that follows (brace counting that respects
-    JSON string escaping), capped at 64 MiB.  This sidesteps a full HDF5
-    object-header parse; files written by the mainstream saver place the
-    config exactly this way.
+
+def extract_h5_model_config(handle: BinaryIO, start: int = 0) -> ExtractedConfig:
+    """Recover the first model-config JSON at or after ``start`` in an HDF5 file.
+
+    Scans for the attribute name bytes ``model_config`` and decodes the JSON
+    object that opens within ``_H5_GAP_CAP`` bytes after it (a marker with
+    no object there is skipped), capped at ``CONFIG_CAP``.  This sidesteps
+    a full HDF5 object-header parse; files written by the mainstream saver
+    place the config exactly this way.  A file may hold several candidates
+    (a decoy before the real attribute): call again from ``byte_range[1]``,
+    or from a failed candidate's ``end_offset``, until ``ConfigNotFound``.
+
+    The object is decoded by ``json.JSONDecoder.raw_decode`` over a window
+    that starts at ``_FIRST_WINDOW`` bytes and doubles only while the decode
+    error could be a truncation, so work and memory stay proportional to
+    the config, not to the file.
     """
     handle.seek(0)
     if handle.read(8) != HDF5_SIGNATURE:
         raise NotHdf5()
-    marker_at = _scan_for(handle, b"model_config", 8)
-    if marker_at < 0:
-        raise ConfigNotFound()
-    search_start = marker_at + len(b"model_config")
-    brace_at = _scan_for(handle, b"{", search_start, search_start + _H5_GAP_CAP)
-    if brace_at < 0:
-        raise ConfigNotFound()
-    handle.seek(brace_at)
-    depth = 0
-    in_string = False
-    escaped = False
-    collected = bytearray()
-    done = False
-    while not done:
-        chunk = handle.read(_CHUNK)
-        if not chunk:
-            raise UnbalancedJson(brace_at, "end of file inside JSON object")
-        for byte in chunk:
-            collected.append(byte)
-            if len(collected) > CONFIG_CAP:
-                raise CapExceeded(len(collected), CONFIG_CAP)
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif byte == 0x5C:  # backslash
-                    escaped = True
-                elif byte == 0x22:  # double quote
-                    in_string = False
-                continue
-            if byte == 0x22:
-                in_string = True
-            elif byte == 0x7B:  # {
-                depth += 1
-            elif byte == 0x7D:  # }
-                depth -= 1
-                if depth == 0:
-                    done = True
-                    break
-    try:
-        json_text = bytes(collected).decode("utf-8")
-        json.loads(json_text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise UnbalancedJson(brace_at, f"extracted text is not valid JSON: {exc}") from None
+    pos = max(start, 8)
+    while True:
+        marker_at = _scan_for(handle, _H5_MARKER, pos)
+        if marker_at < 0:
+            raise ConfigNotFound()
+        search_start = marker_at + len(_H5_MARKER)
+        brace_at = _scan_for(handle, b"{", search_start)
+        if brace_at < 0:
+            raise ConfigNotFound()
+        if brace_at - search_start < _H5_GAP_CAP:
+            break
+        # Too far.  ``brace_at`` is also the first brace after every later
+        # marker that ends before it, so only a marker that ends within the
+        # gap before it can open a candidate: skip the rest in one step.
+        pos = brace_at - len(_H5_MARKER) - _H5_GAP_CAP + 1
+    cap = CONFIG_CAP
+    size = _FIRST_WINDOW
+    while True:
+        want = min(size, cap + 1)
+        handle.seek(brace_at)
+        window = handle.read(want)
+        got = len(window)
+        text = window.decode("utf-8", "surrogateescape")
+        del window  # one copy of the window in memory while it is parsed
+        try:
+            config, end = _DECODER.raw_decode(text)
+            break
+        except RecursionError:
+            raise UnbalancedJson(brace_at, brace_at + got, "JSON object nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            if got < want or not _may_be_truncated(exc):  # no more bytes would help
+                stop = brace_at + len(text[: exc.pos].encode("utf-8", "surrogateescape"))
+                raise UnbalancedJson(
+                    brace_at, stop, f"extracted text is not valid JSON: {exc}"
+                ) from None
+            if got > cap:
+                raise CapExceeded(got, cap, brace_at + got) from None
+            size *= 2
+    json_text = text[:end]
+    del text
+    # Pure ASCII is valid UTF-8 at one byte per character.  Anything else goes
+    # back to its bytes, where a byte that is not UTF-8 fails a strict decode.
+    consumed = None if json_text.isascii() else json_text.encode("utf-8", "surrogateescape")
+    length = end if consumed is None else len(consumed)
+    stop = brace_at + length
+    if length > cap:
+        raise CapExceeded(length, cap, stop)
+    if consumed is not None:
+        try:
+            consumed.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnbalancedJson(
+                brace_at, stop, f"extracted text is not valid JSON: {exc}"
+            ) from None
     return ExtractedConfig(
         source="hdf5-attribute-heuristic",
         json_text=json_text,
-        byte_range=(brace_at, brace_at + len(collected)),
+        byte_range=(brace_at, stop),
+        config=config,
     )

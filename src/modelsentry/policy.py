@@ -17,7 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Callable, Iterable
 
 from . import absvm
 from .kerascfg import ConfigAnomaly, LayerRecord
@@ -357,10 +357,13 @@ def load_policy_file(path: str) -> Policy:
 # Rule application
 
 
+_Classify = Callable[[str, str], tuple[Disposition, str | None]]
+
+
 def _global_finding(
-    module: str, name: str, offset: int, policy: Policy, ctx: FileContext
+    module: str, name: str, offset: int, policy: Policy, ctx: FileContext, classify: _Classify
 ) -> Finding | None:
-    disposition, pattern = classify_global(module, name, policy)
+    disposition, pattern = classify(module, name)
     if disposition.verdict == "allow":
         return None
     if disposition.verdict == "deny":
@@ -381,7 +384,7 @@ def _global_finding(
 
 
 def _call_severity(
-    root: tuple[str, str] | None, policy: Policy
+    root: tuple[str, str] | None, policy: Policy, classify: _Classify
 ) -> tuple[Severity | None, str]:
     """Severity for a CallMade event given its chain root; None means allowed."""
     if root is None:
@@ -390,7 +393,7 @@ def _call_severity(
         severity, label = policy.dynamic_global_severity, "dynamically computed callee"
     else:
         module, name = root
-        disposition, _ = classify_global(module, name, policy)
+        disposition, _ = classify(module, name)
         if disposition.verdict == "allow":
             return (None, "")
         label = f"{module}.{name}"
@@ -409,9 +412,22 @@ def apply_rules(
     """Map one evaluated program's events to findings, in event order."""
     findings: list[Finding] = []
     ctx = file_context
+    # A program names few distinct globals but may resolve or call them
+    # thousands of times; each is matched against the policy once here.
+    # The memo lives for this call only, so hostile names cannot pile up.
+    classified: dict[tuple[str, str], tuple[Disposition, str | None]] = {}
+
+    def classify(module: str, name: str) -> tuple[Disposition, str | None]:
+        key = (module, name)
+        if key not in classified:
+            classified[key] = classify_global(module, name, policy)
+        return classified[key]
+
     for event in result.events:
         if isinstance(event, absvm.GlobalResolved):
-            finding = _global_finding(event.module, event.name, event.at_offset, policy, ctx)
+            finding = _global_finding(
+                event.module, event.name, event.at_offset, policy, ctx, classify
+            )
             if finding is not None:
                 findings.append(finding)
         elif isinstance(event, absvm.DynamicGlobal):
@@ -427,7 +443,7 @@ def apply_rules(
             )
         elif isinstance(event, absvm.CallMade):
             root = absvm.call_roots(event.callee, result.memo)
-            severity, label = _call_severity(root, policy)
+            severity, label = _call_severity(root, policy, classify)
             if severity is not None:
                 argc = "?" if event.argc is None else str(event.argc)
                 findings.append(

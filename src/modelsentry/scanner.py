@@ -144,7 +144,9 @@ def _scan_pickle_bytes(
 ) -> None:
     """Decode, evaluate, and apply rules to every stream segment in one pass.
 
-    A ParseError is listed first, then each earlier segment's VmError in
+    A segment that fails still has the events it recorded before its error
+    put through the rules: a loader runs those ops before it fails.  A
+    ParseError is listed first, then each earlier segment's VmError in
     segment order; the failing segment's own VmError is dropped.
     """
     vm_errors: list[absvm.VmError] = []
@@ -152,9 +154,11 @@ def _scan_pickle_bytes(
         for outcome in absvm.walk(data, limits.parse, limits.vm):
             if isinstance(outcome, absvm.VmError):
                 vm_errors.append(outcome)
-            else:
-                findings.extend(apply_rules(outcome, policy, ctx))
+                outcome = outcome.partial
+            findings.extend(apply_rules(outcome, policy, ctx))
     except disasm.ParseError as exc:
+        if exc.partial is not None:
+            findings.extend(apply_rules(exc.partial, policy, ctx))
         _parse_error(
             findings, errors, ctx, exc.kind, "pickle segment could not be parsed",
             exc.message, exc.offset,
@@ -167,19 +171,11 @@ def _scan_pickle_bytes(
 
 
 def _scan_keras_config(
-    config_text: str,
+    config: object,
     ctx: FileContext,
     policy: Policy,
     findings: list[Finding],
-    errors: list[ScanError],
 ) -> None:
-    try:
-        config = json.loads(config_text)
-    except json.JSONDecodeError as exc:
-        _parse_error(
-            findings, errors, ctx, "ConfigParseError", "model config is not valid JSON", str(exc)
-        )
-        return
     anomalies: list[ConfigAnomaly] = []
     payload_classes = frozenset({"Lambda"}) | frozenset(policy.extra_custom_layer_classes)
     records = walk_layers(config, anomalies, payload_classes)
@@ -245,9 +241,15 @@ def _scan_zip(
         except containers.FormatError as exc:
             errors.append(ScanError(exc.kind, entry.path, exc.message))
             continue
-        _scan_keras_config(
-            config_bytes.decode("utf-8", "replace"), ctx, policy, findings, errors
-        )
+        try:
+            config = json.loads(config_bytes.decode("utf-8", "replace"))
+        except json.JSONDecodeError as exc:
+            _parse_error(
+                findings, errors, ctx, "ConfigParseError", "model config is not valid JSON",
+                str(exc),
+            )
+            continue
+        _scan_keras_config(config, ctx, policy, findings)
 
 
 def _scan_hdf5(
@@ -258,30 +260,38 @@ def _scan_hdf5(
     findings: list[Finding],
     errors: list[ScanError],
 ) -> None:
+    """Check every ``model_config`` candidate: a benign decoy placed before
+    the real attribute must not hide it."""
     ctx = FileContext(path)
-    try:
-        extracted = containers.extract_h5_model_config(handle)
-    except containers.ConfigNotFound:
-        return  # weights-only or non-model HDF5: nothing to inspect
-    except containers.FormatError as exc:
-        _parse_error(
-            findings, errors, ctx, exc.kind, "embedded model config could not be extracted",
-            exc.message,
+    start = 0
+    while True:
+        try:
+            extracted = containers.extract_h5_model_config(handle, start)
+        except containers.ConfigNotFound:
+            return  # no candidate left; none at all means a weights-only file
+        except containers.FormatError as exc:
+            _parse_error(
+                findings, errors, ctx, exc.kind, "embedded model config could not be extracted",
+                exc.message,
+            )
+            if exc.end_offset is None:
+                return
+            start = exc.end_offset
+            continue
+        findings.append(
+            Finding(
+                rule_id="H5_HEURISTIC_USED",
+                severity=Severity.INFO,
+                file=path,
+                message=(
+                    "model config recovered via attribute-scan heuristic "
+                    f"(bytes {extracted.byte_range[0]}..{extracted.byte_range[1]})"
+                ),
+                offset=extracted.byte_range[0],
+            )
         )
-        return
-    findings.append(
-        Finding(
-            rule_id="H5_HEURISTIC_USED",
-            severity=Severity.INFO,
-            file=path,
-            message=(
-                "model config recovered via attribute-scan heuristic "
-                f"(bytes {extracted.byte_range[0]}..{extracted.byte_range[1]})"
-            ),
-            offset=extracted.byte_range[0],
-        )
-    )
-    _scan_keras_config(extracted.json_text, ctx, policy, findings, errors)
+        _scan_keras_config(extracted.config, ctx, policy, findings)
+        start = extracted.byte_range[1]
 
 
 def scan_file(

@@ -6,13 +6,18 @@ reader the entry listings and contents are compared against.
 
 from __future__ import annotations
 
+import base64
 import io
 import json
 import zipfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import modelsentry.containers as containers_module
 from modelsentry.containers import (
+    HDF5_SIGNATURE,
     CapExceeded,
     ConfigNotFound,
     CorruptHeader,
@@ -22,6 +27,7 @@ from modelsentry.containers import (
     UnbalancedJson,
     UnsupportedMethod,
     ArchiveEntry,
+    ExtractedConfig,
     extract_h5_model_config,
     find_pickle_payloads,
     is_path_suspicious,
@@ -249,12 +255,19 @@ def test_unbalanced_json_is_structured():
 
 
 def test_config_cap_is_enforced(monkeypatch):
-    import modelsentry.containers as containers_module
-
     monkeypatch.setattr(containers_module, "CONFIG_CAP", 64)
     big = json.dumps({"k": "v" * 200})
     with pytest.raises(CapExceeded):
         extract_h5_model_config(io.BytesIO(emit_keras_h5(big)))
+
+
+def test_config_cap_is_exact(monkeypatch):
+    config = json.dumps({"k": "v" * 200})
+    monkeypatch.setattr(containers_module, "CONFIG_CAP", len(config))
+    assert extract_h5_model_config(io.BytesIO(emit_keras_h5(config))).json_text == config
+    monkeypatch.setattr(containers_module, "CONFIG_CAP", len(config) - 1)
+    with pytest.raises(CapExceeded):
+        extract_h5_model_config(io.BytesIO(emit_keras_h5(config)))
 
 
 def test_byte_range_points_at_the_json():
@@ -264,3 +277,145 @@ def test_byte_range_points_at_the_json():
     extracted = extract_h5_model_config(handle)
     start, end = extracted.byte_range
     assert blob[start:end].decode("utf-8") == config
+
+
+def _brace_count_extract(blob: bytes, cap: int) -> ExtractedConfig:
+    """The per-byte brace counter the extractor used before ``raw_decode``,
+    kept as its oracle: find the balanced object (respecting JSON string
+    escapes), then check that it is strict UTF-8 and valid JSON."""
+    marker_at = blob.find(b"model_config", 8)
+    if marker_at < 0:
+        raise ConfigNotFound()
+    search_start = marker_at + len(b"model_config")
+    brace_at = blob.find(b"{", search_start, search_start + 64 * 1024)
+    if brace_at < 0:
+        raise ConfigNotFound()
+    depth = 0
+    in_string = False
+    escaped = False
+    end = brace_at
+    while True:
+        if end >= len(blob):
+            raise UnbalancedJson(brace_at, end, "end of file inside JSON object")
+        if end + 1 - brace_at > cap:
+            raise CapExceeded(end + 1 - brace_at, cap)
+        byte = blob[end]
+        end += 1
+        if in_string:
+            if escaped:
+                escaped = False
+            elif byte == 0x5C:  # backslash
+                escaped = True
+            elif byte == 0x22:  # double quote
+                in_string = False
+            continue
+        if byte == 0x22:
+            in_string = True
+        elif byte == 0x7B:  # {
+            depth += 1
+        elif byte == 0x7D:  # }
+            depth -= 1
+            if depth == 0:
+                break
+    try:
+        json_text = blob[brace_at:end].decode("utf-8")
+        config = json.loads(json_text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UnbalancedJson(brace_at, end, f"extracted text is not valid JSON: {exc}") from None
+    return ExtractedConfig("hdf5-attribute-heuristic", json_text, (brace_at, end), config)
+
+
+def _outcome(extract, blob: bytes):
+    try:
+        extracted = extract(blob)
+    except (CapExceeded, UnbalancedJson) as exc:
+        return type(exc)
+    return extracted.json_text, extracted.byte_range, extracted.config
+
+
+# U+E000 in a generated string marks where an invalid UTF-8 byte goes.
+_BAD_BYTE_MARK = "\ue000"
+_TEXT = st.text(
+    alphabet=st.sampled_from(list('ab{}[]"\\:,\u00e9\u4e2d\U0001f600 ') + [_BAD_BYTE_MARK]),
+    max_size=40,
+)
+# Long enough to cross the first read windows of the extractor.
+_LONG = st.integers(0, 9000).map(
+    lambda size: base64.b64encode(bytes(i * 37 % 256 for i in range(size))).decode("ascii")
+)
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(10**12), 10**12), _TEXT, _LONG),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_TEXT, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _h5_blobs(draw):
+    config = json.dumps({"config": draw(_VALUES)}, ensure_ascii=False).encode("utf-8")
+    if draw(st.booleans()):
+        config = config.replace(_BAD_BYTE_MARK.encode("utf-8"), b"\xff")
+    if draw(st.booleans()):
+        config = config[: draw(st.integers(1, len(config)))]  # the file ends inside it
+    else:
+        config += draw(st.binary(max_size=64))
+    gap = draw(st.binary(max_size=16).filter(lambda raw: b"{" not in raw))
+    return HDF5_SIGNATURE + b"\x00" * 8 + b"model_config" + gap + config
+
+
+@settings(max_examples=300, deadline=None)
+@given(_h5_blobs(), st.one_of(st.just(64 * 1024 * 1024), st.integers(2, 40_000)))
+def test_h5_extraction_matches_the_brace_counter(blob, cap):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(containers_module, "CONFIG_CAP", cap)
+        got = _outcome(lambda data: extract_h5_model_config(io.BytesIO(data)), blob)
+    assert got == _outcome(lambda data: _brace_count_extract(data, cap), blob)
+
+
+class _CountingReads(io.BytesIO):
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.sizes: list[int] = []
+
+    def read(self, size: int | None = -1) -> bytes:
+        data = super().read(size)
+        self.sizes.append(len(data))
+        return data
+
+
+def test_h5_extraction_reads_the_config_not_the_file():
+    config = json.dumps({"class_name": "Sequential", "pad": "x" * 2000})
+    handle = _CountingReads(emit_keras_h5(config) + b"\xff" * (8 * 1024 * 1024))
+    assert extract_h5_model_config(handle).json_text == config
+    assert sum(handle.sizes) < 10 * len(config)
+
+
+def test_h5_candidates_resume_after_each_object_and_error():
+    first = json.dumps({"decoy": "model_config{}"})
+    body = (
+        HDF5_SIGNATURE + b"model_config" + first.encode()
+        + b"model_config" + b'{"bad": }'
+        + b"model_config" + b"{}"
+    )
+    handle = io.BytesIO(body)
+    extracted = extract_h5_model_config(handle)
+    assert extracted.json_text == first
+    with pytest.raises(UnbalancedJson) as failed:
+        extract_h5_model_config(handle, extracted.byte_range[1])
+    assert body[failed.value.end_offset : failed.value.end_offset + 1] == b"}"
+    last = extract_h5_model_config(handle, failed.value.end_offset)
+    assert (last.json_text, last.config) == ("{}", {})
+    with pytest.raises(ConfigNotFound):
+        extract_h5_model_config(handle, last.byte_range[1])
+
+
+@pytest.mark.parametrize("between", [b"", b"{"])
+def test_h5_marker_without_an_object_is_skipped(between):
+    config = emit_keras_lambda_config(True)
+    body = (
+        HDF5_SIGNATURE + b"model_config" + b"\x00" * (70 * 1024)
+        + between + b"model_config" + b"\x00" * 10 + config.encode()
+    )
+    assert extract_h5_model_config(io.BytesIO(body)).json_text == config

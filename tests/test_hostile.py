@@ -1,8 +1,9 @@
-"""Adversarial pickle structure: scans must stay fast and keep their findings.
+"""Adversarial input structure: scans must stay fast and keep their findings.
 
 Each recipe hides an ``os.system`` call behind a value graph that is cheap to
 write but expensive to walk naively: memo sharing (a DAG with 2**depth tree
-leaves), deep list nesting, and many calls over one large shared list.  Every
+leaves), deep list nesting, and many calls over one large shared list.  One
+more packs an HDF5 file with config candidates that each fail.  Every
 scan runs under a wall-clock alarm, so a stall fails the test instead of
 hanging the suite.
 """
@@ -23,6 +24,7 @@ from modelsentry.absvm import (
     Primitive,
     render_value,
 )
+from modelsentry.containers import HDF5_SIGNATURE
 from modelsentry.scanner import scan_file
 
 ALARM_SECONDS = 2.0
@@ -90,6 +92,17 @@ def test_deep_nesting_1000(tmp_path, policy):
 
 def test_shared_list_calls_10000_by_1000(tmp_path, policy):
     _assert_reports_call(tmp_path / "shared.pkl", shared_list_calls(10_000, 1000), policy)
+
+
+def test_many_hdf5_config_candidates(tmp_path, policy):
+    """Every ``model_config`` candidate is tried, each from where the last
+    one's parse stopped, so 20,000 failing candidates cost linear time."""
+    path = tmp_path / "candidates.h5"
+    path.write_bytes(HDF5_SIGNATURE + b'model_config{"a":' * 20_000)
+    with _alarm(ALARM_SECONDS):
+        report = scan_file(str(path), policy)
+    assert len(report.errors) == 20_000
+    assert {error.kind for error in report.errors} == {"UnbalancedJson"}
 
 
 class _CountingTuple(tuple):

@@ -310,3 +310,22 @@ def test_manifest_rejects_malformed_digests():
         IntegrityManifest.from_dict({"a": "sha256:XYZ"})
     with pytest.raises(ValueError):
         IntegrityManifest.from_dict({"a": "sha256:" + "a" * 10})
+
+
+def test_each_global_is_classified_once_per_program(monkeypatch):
+    import modelsentry.policy as policy_module
+
+    seen: list[tuple[str, str]] = []
+    original = policy_module.classify_global
+
+    def counting(module, name, policy):
+        seen.append((module, name))
+        return original(module, name, policy)
+
+    # os.system memoized once, then called 50 times: 1 global and 50 calls.
+    stream = b"\x80\x02cos\nsystem\nq\x000" + b"h\x00X\x02\x00\x00\x00ls\x85R0" * 50 + b"N."
+    expected = findings_for(stream, default_policy())
+    monkeypatch.setattr(policy_module, "classify_global", counting)
+    assert findings_for(stream, default_policy()) == expected
+    assert seen == [("os", "system")]
+    assert [f.rule_id for f in expected] == ["PICKLE_DANGEROUS_GLOBAL"] + ["PICKLE_CALL"] * 50

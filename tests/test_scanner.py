@@ -8,6 +8,7 @@ import os
 import zipfile
 
 from modelsentry.cli import main as cli_main
+from modelsentry.containers import HDF5_SIGNATURE
 from modelsentry.forge import (
     emit_corpus,
     emit_keras_h5,
@@ -102,6 +103,29 @@ def test_scan_keras_h5_adds_heuristic_notice(tmp_path, policy):
     rules = [f.rule_id for f in report.findings]
     assert "H5_HEURISTIC_USED" in rules
     assert "KERAS_LAMBDA_CODE" in rules
+
+
+def test_scan_h5_decoy_config_does_not_hide_the_lambda(tmp_path, policy):
+    decoy = json.dumps({"class_name": "Sequential", "config": {"layers": []}})
+    target = tmp_path / "decoy.h5"
+    target.write_bytes(emit_keras_h5(decoy) + emit_keras_h5(emit_keras_lambda_config(True)))
+    report = scan_file(str(target), policy)
+    rules = [f.rule_id for f in report.findings]
+    assert rules.count("H5_HEURISTIC_USED") == 2
+    assert "KERAS_LAMBDA_CODE" in rules
+    assert report.errors == []
+
+
+def test_scan_h5_too_deep_decoy_does_not_hide_the_lambda(tmp_path, policy):
+    decoy = b'{"a":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    target = tmp_path / "deep.h5"
+    target.write_bytes(
+        HDF5_SIGNATURE + b"model_config" + decoy
+        + emit_keras_h5(emit_keras_lambda_config(True))
+    )
+    report = scan_file(str(target), policy)
+    assert "KERAS_LAMBDA_CODE" in {f.rule_id for f in report.findings}
+    assert [error.kind for error in report.errors] == ["UnbalancedJson"]
 
 
 def test_scan_weights_only_h5_is_clean(tmp_path, policy):
@@ -458,3 +482,21 @@ def test_exit_code_contract_unit(policy):
     from modelsentry.scanner import ScanError
 
     assert exit_code(one(Severity.MEDIUM, errors=[ScanError("X", "", "boom")])) == 2
+
+
+def test_events_before_a_segment_error_are_kept(tmp_path, policy):
+    call = b"\x80\x02cos\nsystem\nX\x02\x00\x00\x00ls\x85R"
+    # A loader runs os.system before it reaches the bad op, so the call counts.
+    for name, data, error in [
+        ("badmark.pkl", call + b"00.", ("BadMark", "offset 23")),
+        ("unknown.pkl", call + b"\xff" * 10, ("UnknownOpcode", "offset 22")),
+    ]:
+        target = tmp_path / name
+        target.write_bytes(data)
+        report = scan_paths([str(target)], policy)
+        findings = report.files[0].findings
+        critical = {f.rule_id for f in findings if f.severity is Severity.CRITICAL}
+        assert critical == {"PICKLE_DANGEROUS_GLOBAL", "PICKLE_CALL"}
+        assert [f.rule_id for f in findings if f.severity is Severity.LOW] == ["FORMAT_PARSE_ERROR"]
+        assert [(e.kind, e.locus) for e in report.files[0].errors] == [error]
+        assert exit_code(report) == 3
