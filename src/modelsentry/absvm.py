@@ -182,7 +182,8 @@ ARG_SUMMARY_CAP = 4096
 
 
 class VmError(Exception):
-    # Set by ``walk``: what the failing segment recorded before this error.
+    # Set by ``walk``: what the failing segment recorded before this error
+    # (``walk`` sets the same attribute on a ParseError raised in a segment).
     partial: AbstractResult | None = None
 
     def __init__(self, offset: int, message: str):
@@ -225,10 +226,9 @@ class UnsupportedOpcode(VmError):
 
 @dataclass
 class AbstractResult:
-    """Outcome of evaluating one program, or of the part of it evaluated
-    before an error (then ``root`` is None)."""
+    """Outcome of evaluating one program."""
 
-    root: AbstractValue | None
+    root: AbstractValue
     events: list[SecurityEvent]
     memo_size: int
     memo: dict[int, AbstractValue] = field(default_factory=dict)
@@ -427,7 +427,10 @@ class _Machine:
         """The events recorded before an error ended the run.  A loader runs
         every op before the one it fails on, so these still count."""
         return AbstractResult(
-            root=None, events=self.events, memo_size=len(self.memo), memo=self.memo
+            root=Opaque("evaluation stopped before STOP"),
+            events=self.events,
+            memo_size=len(self.memo),
+            memo=self.memo,
         )
 
     def result(self, stream_end: int, trailing_bytes: int) -> AbstractResult:
@@ -856,7 +859,7 @@ def walk(
     evaluation; no instruction list is built.  Segment splitting, zero
     padding and ParseErrors are exactly those of ``disasm.iter_programs``, and
     each result equals ``evaluate`` of the matching program.  A VmError, and
-    a ParseError raised inside a segment, carry in ``partial`` the events
-    that segment recorded before the error.
+    a ParseError raised inside a segment, carry in ``partial`` an
+    AbstractResult of the events that segment recorded before the error.
     """
     return iter_segments(stream, parse_limits, partial(_read_segment, vm_limits=vm_limits))

@@ -463,7 +463,8 @@ def extract_h5_model_config(handle: BinaryIO, start: int = 0) -> ExtractedConfig
             config, end = _DECODER.raw_decode(text)
             break
         except RecursionError:
-            raise UnbalancedJson(brace_at, brace_at + got, "JSON object nested too deeply") from None
+            # Resume just past the brace: a real marker may sit inside the nesting.
+            raise UnbalancedJson(brace_at, brace_at + 1, "JSON object nested too deeply") from None
         except json.JSONDecodeError as exc:
             if got < want or not _may_be_truncated(exc):  # no more bytes would help
                 stop = brace_at + len(text[: exc.pos].encode("utf-8", "surrogateescape"))
@@ -475,20 +476,15 @@ def extract_h5_model_config(handle: BinaryIO, start: int = 0) -> ExtractedConfig
             size *= 2
     json_text = text[:end]
     del text
-    # Pure ASCII is valid UTF-8 at one byte per character.  Anything else goes
-    # back to its bytes, where a byte that is not UTF-8 fails a strict decode.
-    consumed = None if json_text.isascii() else json_text.encode("utf-8", "surrogateescape")
-    length = end if consumed is None else len(consumed)
-    stop = brace_at + length
-    if length > cap:
-        raise CapExceeded(length, cap, stop)
-    if consumed is not None:
-        try:
-            consumed.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise UnbalancedJson(
-                brace_at, stop, f"extracted text is not valid JSON: {exc}"
-            ) from None
+    # Back to the bytes read, where a byte that is not UTF-8 fails a strict decode.
+    consumed = json_text.encode("utf-8", "surrogateescape")
+    stop = brace_at + len(consumed)
+    if len(consumed) > cap:
+        raise CapExceeded(len(consumed), cap, stop)
+    try:
+        consumed.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnbalancedJson(brace_at, stop, f"extracted text is not valid JSON: {exc}") from None
     return ExtractedConfig(
         source="hdf5-attribute-heuristic",
         json_text=json_text,

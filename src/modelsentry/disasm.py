@@ -40,10 +40,6 @@ DEFAULT_PARSE_LIMITS = ParseLimits()
 class ParseError(Exception):
     """Base class for structured disassembly failures."""
 
-    # Set by ``absvm.walk`` when raised inside a segment: the AbstractResult
-    # of the events that segment recorded before the error.
-    partial = None
-
     def __init__(self, offset: int, message: str):
         super().__init__(f"offset {offset}: {message}")
         self.offset = offset

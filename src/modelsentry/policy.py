@@ -17,7 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import BinaryIO, Callable, Iterable
+from typing import BinaryIO, Iterable
 
 from . import absvm
 from .kerascfg import ConfigAnomaly, LayerRecord
@@ -357,13 +357,19 @@ def load_policy_file(path: str) -> Policy:
 # Rule application
 
 
-_Classify = Callable[[str, str], tuple[Disposition, str | None]]
+def _classify(module: str, name: str, policy: Policy, memo: dict) -> tuple[Disposition, str | None]:
+    """``classify_global``, memoized in ``memo``: a dict the caller keeps for
+    one program only, so hostile names cannot pile up across files."""
+    key = (module, name)
+    if key not in memo:
+        memo[key] = classify_global(module, name, policy)
+    return memo[key]
 
 
 def _global_finding(
-    module: str, name: str, offset: int, policy: Policy, ctx: FileContext, classify: _Classify
+    module: str, name: str, offset: int, policy: Policy, ctx: FileContext, memo: dict
 ) -> Finding | None:
-    disposition, pattern = classify(module, name)
+    disposition, pattern = _classify(module, name, policy, memo)
     if disposition.verdict == "allow":
         return None
     if disposition.verdict == "deny":
@@ -384,7 +390,7 @@ def _global_finding(
 
 
 def _call_severity(
-    root: tuple[str, str] | None, policy: Policy, classify: _Classify
+    root: tuple[str, str] | None, policy: Policy, memo: dict
 ) -> tuple[Severity | None, str]:
     """Severity for a CallMade event given its chain root; None means allowed."""
     if root is None:
@@ -393,7 +399,7 @@ def _call_severity(
         severity, label = policy.dynamic_global_severity, "dynamically computed callee"
     else:
         module, name = root
-        disposition, _ = classify(module, name)
+        disposition, _ = _classify(module, name, policy, memo)
         if disposition.verdict == "allow":
             return (None, "")
         label = f"{module}.{name}"
@@ -413,21 +419,11 @@ def apply_rules(
     findings: list[Finding] = []
     ctx = file_context
     # A program names few distinct globals but may resolve or call them
-    # thousands of times; each is matched against the policy once here.
-    # The memo lives for this call only, so hostile names cannot pile up.
-    classified: dict[tuple[str, str], tuple[Disposition, str | None]] = {}
-
-    def classify(module: str, name: str) -> tuple[Disposition, str | None]:
-        key = (module, name)
-        if key not in classified:
-            classified[key] = classify_global(module, name, policy)
-        return classified[key]
-
+    # thousands of times; each is matched against the policy once.
+    memo: dict = {}
     for event in result.events:
         if isinstance(event, absvm.GlobalResolved):
-            finding = _global_finding(
-                event.module, event.name, event.at_offset, policy, ctx, classify
-            )
+            finding = _global_finding(event.module, event.name, event.at_offset, policy, ctx, memo)
             if finding is not None:
                 findings.append(finding)
         elif isinstance(event, absvm.DynamicGlobal):
@@ -443,7 +439,7 @@ def apply_rules(
             )
         elif isinstance(event, absvm.CallMade):
             root = absvm.call_roots(event.callee, result.memo)
-            severity, label = _call_severity(root, policy, classify)
+            severity, label = _call_severity(root, policy, memo)
             if severity is not None:
                 argc = "?" if event.argc is None else str(event.argc)
                 findings.append(

@@ -157,8 +157,9 @@ def _scan_pickle_bytes(
                 outcome = outcome.partial
             findings.extend(apply_rules(outcome, policy, ctx))
     except disasm.ParseError as exc:
-        if exc.partial is not None:
-            findings.extend(apply_rules(exc.partial, policy, ctx))
+        partial = getattr(exc, "partial", None)  # unset when raised before any segment
+        if partial is not None:
+            findings.extend(apply_rules(partial, policy, ctx))
         _parse_error(
             findings, errors, ctx, exc.kind, "pickle segment could not be parsed",
             exc.message, exc.offset,
@@ -261,23 +262,39 @@ def _scan_hdf5(
     errors: list[ScanError],
 ) -> None:
     """Check every ``model_config`` candidate: a benign decoy placed before
-    the real attribute must not hide it."""
+    the real attribute must not hide it.
+
+    The heuristic notice and the extraction error are each recorded once per
+    file, for the first candidate, with a count of the others: a file of
+    many candidates must not grow the report with its size.
+    """
     ctx = FileContext(path)
+    first_range: tuple[int, int] | None = None
+    recovered = 0
+    # Kind and message only: the exception's traceback would pin the window read.
+    first_error: tuple[str, str] | None = None
+    failed = 0
     start = 0
     while True:
         try:
             extracted = containers.extract_h5_model_config(handle, start)
         except containers.ConfigNotFound:
-            return  # no candidate left; none at all means a weights-only file
+            break  # no candidate left; none at all means a weights-only file
         except containers.FormatError as exc:
-            _parse_error(
-                findings, errors, ctx, exc.kind, "embedded model config could not be extracted",
-                exc.message,
-            )
+            if first_error is None:
+                first_error = (exc.kind, exc.message)
+            failed += 1
             if exc.end_offset is None:
-                return
+                break
             start = exc.end_offset
             continue
+        if first_range is None:
+            first_range = extracted.byte_range
+        recovered += 1
+        _scan_keras_config(extracted.config, ctx, policy, findings)
+        start = extracted.byte_range[1]
+    if first_range is not None:
+        others = f"; {recovered - 1} more after it" if recovered > 1 else ""
         findings.append(
             Finding(
                 rule_id="H5_HEURISTIC_USED",
@@ -285,13 +302,18 @@ def _scan_hdf5(
                 file=path,
                 message=(
                     "model config recovered via attribute-scan heuristic "
-                    f"(bytes {extracted.byte_range[0]}..{extracted.byte_range[1]})"
+                    f"(bytes {first_range[0]}..{first_range[1]}{others})"
                 ),
-                offset=extracted.byte_range[0],
+                offset=first_range[0],
             )
         )
-        _scan_keras_config(extracted.config, ctx, policy, findings)
-        start = extracted.byte_range[1]
+    if first_error is not None:
+        kind, message = first_error
+        if failed > 1:
+            message += f" ({failed - 1} more candidate(s) failed)"
+        _parse_error(
+            findings, errors, ctx, kind, "embedded model config could not be extracted", message
+        )
 
 
 def scan_file(

@@ -96,13 +96,25 @@ def test_shared_list_calls_10000_by_1000(tmp_path, policy):
 
 def test_many_hdf5_config_candidates(tmp_path, policy):
     """Every ``model_config`` candidate is tried, each from where the last
-    one's parse stopped, so 20,000 failing candidates cost linear time."""
+    one's parse stopped, so 20,000 failing candidates cost linear time; the
+    report holds one error for all of them, not one per candidate."""
     path = tmp_path / "candidates.h5"
     path.write_bytes(HDF5_SIGNATURE + b'model_config{"a":' * 20_000)
     with _alarm(ALARM_SECONDS):
         report = scan_file(str(path), policy)
-    assert len(report.errors) == 20_000
-    assert {error.kind for error in report.errors} == {"UnbalancedJson"}
+    assert [error.kind for error in report.errors] == ["UnbalancedJson"]
+    assert report.errors[0].message.endswith("(19999 more candidate(s) failed)")
+    assert [f.rule_id for f in report.findings] == ["FORMAT_PARSE_ERROR"]
+
+
+def test_many_hdf5_configs_keep_the_report_small(tmp_path, policy):
+    path = tmp_path / "configs.h5"
+    path.write_bytes(HDF5_SIGNATURE + b"model_config{}" * 20_000)
+    with _alarm(ALARM_SECONDS):
+        report = scan_file(str(path), policy)
+    assert report.errors == []
+    assert [f.rule_id for f in report.findings] == ["H5_HEURISTIC_USED"]
+    assert report.findings[0].message.endswith("; 19999 more after it)")
 
 
 class _CountingTuple(tuple):

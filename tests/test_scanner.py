@@ -111,7 +111,10 @@ def test_scan_h5_decoy_config_does_not_hide_the_lambda(tmp_path, policy):
     target.write_bytes(emit_keras_h5(decoy) + emit_keras_h5(emit_keras_lambda_config(True)))
     report = scan_file(str(target), policy)
     rules = [f.rule_id for f in report.findings]
-    assert rules.count("H5_HEURISTIC_USED") == 2
+    assert rules.count("H5_HEURISTIC_USED") == 1
+    assert [f.message for f in report.findings if f.rule_id == "H5_HEURISTIC_USED"][0].endswith(
+        "; 1 more after it)"
+    )
     assert "KERAS_LAMBDA_CODE" in rules
     assert report.errors == []
 
@@ -126,6 +129,23 @@ def test_scan_h5_too_deep_decoy_does_not_hide_the_lambda(tmp_path, policy):
     report = scan_file(str(target), policy)
     assert "KERAS_LAMBDA_CODE" in {f.rule_id for f in report.findings}
     assert [error.kind for error in report.errors] == ["UnbalancedJson"]
+
+
+def test_scan_h5_decoy_deeper_than_the_decoder_does_not_hide_a_lambda_in_its_window(
+    tmp_path, policy
+):
+    """The decoder gives up at about 1,000 levels; the real attribute right
+    after them still sits inside the first window read."""
+    decoy = b'{"a":' + b"[" * 1_100
+    lambda_h5 = emit_keras_h5(emit_keras_lambda_config(True))
+    body = HDF5_SIGNATURE + b"model_config" + decoy + lambda_h5
+    assert body.index(b"model_config", 20) < 4096 - 1_000
+    target = tmp_path / "deep_window.h5"
+    target.write_bytes(body)
+    report = scan_file(str(target), policy)
+    assert "KERAS_LAMBDA_CODE" in {f.rule_id for f in report.findings}
+    assert [error.kind for error in report.errors] == ["UnbalancedJson"]
+    assert "nested too deeply" in report.errors[0].message
 
 
 def test_scan_weights_only_h5_is_clean(tmp_path, policy):
