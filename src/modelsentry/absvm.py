@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 from .disasm import (
     DEFAULT_PARSE_LIMITS,
@@ -80,9 +81,18 @@ class Primitive(AbstractValue):
     value: object
 
 
+@dataclass(slots=True)
+class LongPrimitive(Primitive):
+    """A literal too big to ``repr`` whole when rendered: text or bytes longer
+    than ARG_SUMMARY_CAP, or an int of more than 4,300 digits."""
+
+
 @dataclass(frozen=True, slots=True)
 class PersistentRef(AbstractValue):
-    pid_summary: str
+    """A persistent id: PERSID's text line, or the value BINPERSID popped.
+    Rendered only as part of evidence, like any other argument."""
+
+    pid: object
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,7 +138,8 @@ class DynamicGlobal(SecurityEvent):
 class CallMade(SecurityEvent):
     callee: AbstractValue
     argc: int | None
-    arg_summary: str
+    arg_summary: str  # "" when the walk's ``keep_call`` dropped the call
+    root: tuple[str, str] | None  # ``call_roots`` of the callee, at the call
 
 
 @dataclass(frozen=True)
@@ -138,7 +149,7 @@ class StateBuilt(SecurityEvent):
 
 @dataclass(frozen=True)
 class PersistentId(SecurityEvent):
-    id_summary: str
+    pass
 
 
 @dataclass(frozen=True)
@@ -179,6 +190,12 @@ class VmLimits:
 DEFAULT_VM_LIMITS = VmLimits()
 
 ARG_SUMMARY_CAP = 4096
+PID_SUMMARY_CAP = 256
+
+# Ints from here on (10**4300: the default of ``sys.int_max_str_digits``)
+# render as a placeholder: their decimal text is quadratic work, and
+# refused by the interpreter's default conversion limit.
+_BIG_INT = 10**4300
 
 
 class VmError(Exception):
@@ -238,6 +255,34 @@ class AbstractResult:
 # Rendering (bounded, for summaries and finding evidence)
 
 
+def _long_text(value: object, budget: int) -> str:
+    """The text of a LongPrimitive.  A text or bytes value no longer than
+    ``budget`` gets its ``repr``.  A longer one gets a text that is longer
+    than ``budget`` too and starts with the same ``budget`` characters as
+    its repr, at work bounded by ``budget``, not by the size of the value."""
+    if isinstance(value, int):
+        return f"<int of {value.bit_length()} bits>"
+    if len(value) <= budget:
+        return repr(value)
+    # Each character or byte takes at least one character of repr, so a head
+    # of ``budget`` of them covers the part shown.  repr quotes with " only
+    # when the value holds ' but no ", so it picks its quote from the whole
+    # value: one character of the kind the head may lack makes the head's
+    # repr pick the same quote.
+    single, double = ("'", '"') if isinstance(value, str) else (b"'", b'"')
+    quote_decider = single if single in value and double not in value else double
+    return repr(value[:budget] + quote_decider)
+
+
+_BRACKETS = {
+    "list": ("[", "]"),
+    "tuple": ("(", ")"),
+    "set": ("{", "}"),
+    "frozenset": ("frozenset({", "})"),
+    "dict": ("{", "}"),
+}
+
+
 def render_value(
     value: AbstractValue,
     memo: dict[int, AbstractValue] | None = None,
@@ -245,27 +290,29 @@ def render_value(
 ) -> str:
     """Render a value graph to bounded, repr-like text."""
     out: list[str] = []
-    budget = [limit]
+    budget = limit
 
-    def put(text: str) -> bool:
-        if budget[0] <= 0:
-            return False
-        if len(text) > budget[0]:
-            out.append(text[: budget[0]] + "…")
-            budget[0] = 0
-            return False
+    def put(text: str) -> None:
+        nonlocal budget
+        if budget <= 0:
+            return
+        if len(text) > budget:
+            out.append(text[:budget] + "…")
+            budget = 0
+            return
         out.append(text)
-        budget[0] -= len(text)
-        return True
+        budget -= len(text)
 
     def walk(v: AbstractValue, depth: int, seen: frozenset[int]) -> None:
-        if budget[0] <= 0:
+        if budget <= 0:
             return
         if depth > 24:
             put("…")
             return
-        if isinstance(v, Primitive):
+        if type(v) is Primitive:  # not a LongPrimitive: its repr is short
             put(repr(v.value))
+        elif isinstance(v, LongPrimitive):
+            put(_long_text(v.value, budget))
         elif isinstance(v, GlobalRef):
             put(f"{v.module}.{v.name}")
         elif isinstance(v, DynamicGlobalRef):
@@ -280,36 +327,40 @@ def render_value(
             put("(")
             if isinstance(v.args, tuple):
                 for i, a in enumerate(v.args):
-                    if budget[0] <= 0:
+                    if budget <= 0:
                         break
                     if i:
                         put(", ")
                     walk(a, depth + 1, seen)
             put(")")
         elif isinstance(v, Container):
-            open_close = {
-                "list": ("[", "]"),
-                "tuple": ("(", ")"),
-                "set": ("{", "}"),
-                "frozenset": ("frozenset({", "})"),
-                "dict": ("{", "}"),
-            }[v.kind]
-            put(open_close[0])
+            opener, closer = _BRACKETS[v.kind]
+            put(opener)
+            pairs = v.kind == "dict"
             for i, item in enumerate(v.elements):
-                if budget[0] <= 0:
+                if budget <= 0:
                     break
                 if i:
                     put(", ")
-                if v.kind == "dict":
+                if pairs:
                     key, val = item
                     walk(key, depth + 1, seen)
                     put(": ")
                     walk(val, depth + 1, seen)
                 else:
                     walk(item, depth + 1, seen)
-            put(open_close[1])
+            put(closer)
         elif isinstance(v, PersistentRef):
-            put(f"<persistent {v.pid_summary}>")
+            # The id is a summary of its own, capped at PID_SUMMARY_CAP: PERSID's
+            # text raw, BINPERSID's value rendered with this memo.  Only the
+            # part the remaining budget can show is rendered, which keeps a
+            # chain of ids nested in ids short.
+            room = max(0, min(PID_SUMMARY_CAP, budget - len("<persistent ")))
+            if isinstance(v.pid, AbstractValue):
+                pid_text = render_value(v.pid, memo, room)
+            else:
+                pid_text = str(v.pid)[:room]
+            put(f"<persistent {pid_text}>")
         elif isinstance(v, ExtensionRef):
             put(f"<extension {v.code}>")
         else:
@@ -370,9 +421,14 @@ def call_roots(
 # The machine
 
 
+# Given a call's root (see ``call_roots``), whether its evidence is needed.
+KeepCall = Callable[[tuple[str, str] | None], bool]
+
+
 class _Machine:
-    def __init__(self, limits: VmLimits):
+    def __init__(self, limits: VmLimits, keep_call: KeepCall | None = None):
         self.limits = limits
+        self.keep_call = keep_call
         self.max_stack_depth = limits.max_stack_depth
         self.stack: list[AbstractValue] = []
         self.metastack: list[list[AbstractValue]] = []
@@ -518,8 +574,16 @@ class _Machine:
     def op_literal(self, arg) -> None:
         self.push(Primitive(arg))
 
+    def op_sized_literal(self, arg) -> None:
+        """A literal whose opcode puts no fixed bound on its argument."""
+        if isinstance(arg, (str, bytes, bytearray)):
+            long = len(arg) > ARG_SUMMARY_CAP
+        else:
+            long = not -_BIG_INT < arg < _BIG_INT
+        self.push(LongPrimitive(arg) if long else Primitive(arg))
+
     def op_bytearray8(self, arg) -> None:
-        self.push(Primitive(bytearray(arg)))
+        self.op_sized_literal(bytearray(arg))
 
     # containers
     def op_empty_list(self, arg) -> None:
@@ -657,8 +721,7 @@ class _Machine:
         else:
             args = (args_v,)
         argc = len(args) if isinstance(resolved, Container) and resolved.kind == "tuple" else None
-        summary = render_value(args_v, self.memo, ARG_SUMMARY_CAP)
-        self.emit(CallMade(self.offset, callee, argc, summary))
+        self.record_call(callee, argc, args_v)
         self.push(CallResult(callee=callee, args=args, via="REDUCE"))
 
     def op_newobj(self, arg) -> None:
@@ -690,10 +753,19 @@ class _Machine:
         self.record_call_with(GlobalRef(module, name), tuple(items), "INST")
 
     def record_call_with(self, callee: AbstractValue, args: tuple, via: str) -> None:
-        args_value = Container("tuple", list(args))
-        summary = render_value(args_value, self.memo, ARG_SUMMARY_CAP)
-        self.emit(CallMade(self.offset, callee, len(args), summary))
+        self.record_call(callee, len(args), Container("tuple", list(args)))
         self.push(CallResult(callee=callee, args=args, via=via))
+
+    def record_call(self, callee: AbstractValue, argc: int | None, args_v: AbstractValue) -> None:
+        """Emit the CallMade event of one call, with its root resolved and its
+        arguments rendered now, against the memo as the loader sees it."""
+        root = call_roots(callee, self.memo)
+        keep_call = self.keep_call
+        if keep_call is None or keep_call(root):
+            summary = render_value(args_v, self.memo, ARG_SUMMARY_CAP)
+        else:
+            summary = ""
+        self.emit(CallMade(self.offset, callee, argc, summary, root))
 
     def op_build(self, arg) -> None:
         state = self.pop()
@@ -704,15 +776,13 @@ class _Machine:
 
     # persistent ids, extensions, buffers
     def op_persid(self, arg) -> None:
-        summary = str(arg)[:256]
-        self.emit(PersistentId(self.offset, summary))
-        self.push(PersistentRef(summary))
+        self.emit(PersistentId(self.offset))
+        self.push(PersistentRef(arg))
 
     def op_binpersid(self, arg) -> None:
         pid = self.pop()
-        summary = render_value(pid, self.memo, 256)
-        self.emit(PersistentId(self.offset, summary))
-        self.push(PersistentRef(summary))
+        self.emit(PersistentId(self.offset))
+        self.push(PersistentRef(pid))
 
     def op_ext(self, arg) -> None:
         code = int(arg)
@@ -736,25 +806,25 @@ _BY_MNEMONIC = {
     "NONE": _Machine.op_none,
     "NEWTRUE": _Machine.op_newtrue,
     "NEWFALSE": _Machine.op_newfalse,
-    "INT": _Machine.op_literal,
+    "INT": _Machine.op_sized_literal,
     "BININT": _Machine.op_literal,
     "BININT1": _Machine.op_literal,
     "BININT2": _Machine.op_literal,
-    "LONG": _Machine.op_literal,
+    "LONG": _Machine.op_sized_literal,
     "LONG1": _Machine.op_literal,
-    "LONG4": _Machine.op_literal,
+    "LONG4": _Machine.op_sized_literal,
     "FLOAT": _Machine.op_literal,
     "BINFLOAT": _Machine.op_literal,
-    "STRING": _Machine.op_literal,
-    "BINSTRING": _Machine.op_literal,
+    "STRING": _Machine.op_sized_literal,
+    "BINSTRING": _Machine.op_sized_literal,
     "SHORT_BINSTRING": _Machine.op_literal,
-    "UNICODE": _Machine.op_literal,
-    "BINUNICODE": _Machine.op_literal,
+    "UNICODE": _Machine.op_sized_literal,
+    "BINUNICODE": _Machine.op_sized_literal,
     "SHORT_BINUNICODE": _Machine.op_literal,
-    "BINUNICODE8": _Machine.op_literal,
-    "BINBYTES": _Machine.op_literal,
+    "BINUNICODE8": _Machine.op_sized_literal,
+    "BINBYTES": _Machine.op_sized_literal,
     "SHORT_BINBYTES": _Machine.op_literal,
-    "BINBYTES8": _Machine.op_literal,
+    "BINBYTES8": _Machine.op_sized_literal,
     "BYTEARRAY8": _Machine.op_bytearray8,
     "EMPTY_LIST": _Machine.op_empty_list,
     "EMPTY_DICT": _Machine.op_empty_dict,
@@ -834,8 +904,14 @@ def evaluate(program: PickleProgram, limits: VmLimits = DEFAULT_VM_LIMITS) -> Ab
     return machine.result(stream_end, program.trailing_bytes)
 
 
-def _read_segment(stream: bytes, start: int, parse_limits: ParseLimits, vm_limits: VmLimits):
-    machine = _Machine(vm_limits)
+def _read_segment(
+    stream: bytes,
+    start: int,
+    parse_limits: ParseLimits,
+    vm_limits: VmLimits,
+    keep_call: KeepCall | None,
+):
+    machine = _Machine(vm_limits, keep_call)
     try:
         end = machine.run(decode_ops(stream, start, parse_limits))
     except ParseError as exc:
@@ -852,6 +928,7 @@ def walk(
     stream: bytes,
     parse_limits: ParseLimits = DEFAULT_PARSE_LIMITS,
     vm_limits: VmLimits = DEFAULT_VM_LIMITS,
+    keep_call: KeepCall | None = None,
 ):
     """Decode and evaluate every STOP-delimited segment of ``stream`` in one pass.
 
@@ -861,5 +938,10 @@ def walk(
     each result equals ``evaluate`` of the matching program.  A VmError, and
     a ParseError raised inside a segment, carry in ``partial`` an
     AbstractResult of the events that segment recorded before the error.
+
+    ``keep_call(root)`` says which calls need evidence: a CallMade whose
+    root it rejects gets an empty ``arg_summary``.  Kept calls get the text
+    ``evaluate`` gives them.  None keeps every call.
     """
-    return iter_segments(stream, parse_limits, partial(_read_segment, vm_limits=vm_limits))
+    segment = partial(_read_segment, vm_limits=vm_limits, keep_call=keep_call)
+    return iter_segments(stream, parse_limits, segment)

@@ -360,16 +360,24 @@ def find_pickle_payloads(
     """Locate every entry a deserializing loader would feed to pickle.
 
     Selection: a ``.pkl`` path suffix, or content that plausibly starts a
-    pickle stream.  Per-entry read failures are appended to ``errors`` (when
+    pickle stream.  In a torch-layout archive, one with a
+    ``<prefix>/data.pkl`` member, the members under ``<prefix>/data/`` are
+    tensor storage that the loader reads as raw bytes, so their content is
+    not sniffed.  Per-entry read failures are appended to ``errors`` (when
     given) without aborting the remaining entries.
     """
+    storage_dirs = tuple(
+        entry.path[: -len("data.pkl")] + "data/"
+        for entry in entries
+        if entry.path == "data.pkl" or entry.path.endswith("/data.pkl")
+    )
     hits: list[tuple[ArchiveEntry, bytes]] = []
     for entry in entries:
         if entry.path.endswith("/"):
             continue
         by_extension = entry.path.endswith(".pkl")
         if not by_extension:
-            if entry.uncompressed_size == 0:
+            if entry.uncompressed_size == 0 or entry.path.startswith(storage_dirs):
                 continue
             head = read_entry_head(handle, entry, 512)
             complete = entry.uncompressed_size <= 512

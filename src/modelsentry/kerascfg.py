@@ -136,13 +136,19 @@ def walk_layers(
     adversarial configs.
     """
     records: list[LayerRecord] = []
-    budget = [MAX_WALK_NODES]
-    capped = [False]
+    budget = MAX_WALK_NODES
+    capped = False
     wants_payload = frozenset(payload_classes) if payload_classes is not None else frozenset({"Lambda"})
 
     def note(kind: str, path: str, message: str) -> None:
         if anomalies is not None:
             anomalies.append(ConfigAnomaly(kind, path, message))
+
+    def exhausted(path: str) -> None:
+        nonlocal capped
+        if not capped:
+            note("MalformedConfig", path, "traversal budget exhausted")
+            capped = True
 
     def record_layer(layer: object, path: str) -> None:
         if not isinstance(layer, dict) or not isinstance(layer.get("class_name"), str):
@@ -161,31 +167,45 @@ def walk_layers(
         )
 
     def visit(node: object, path: str, depth: int) -> None:
-        budget[0] -= 1
-        if budget[0] < 0 or depth > MAX_WALK_DEPTH:
-            if not capped[0]:
-                note("MalformedConfig", path, "traversal budget exhausted")
-                capped[0] = True
+        # Every node costs one unit of the budget.  A scalar child is
+        # charged here in its parent's loop, with no call, and its path is
+        # built only if a cap fires on it.
+        nonlocal budget
+        budget -= 1
+        if budget < 0 or depth > MAX_WALK_DEPTH:
+            exhausted(path)
             return
+        child_depth = depth + 1
+        too_deep = child_depth > MAX_WALK_DEPTH
         if isinstance(node, dict):
             for key, value in node.items():
-                child_path = f"{path}.{key}" if path else str(key)
                 if key == "layers":
+                    child_path = f"{path}.{key}" if path else str(key)
                     if isinstance(value, list):
                         for index, layer in enumerate(value):
                             layer_path = f"{child_path}[{index}]"
                             record_layer(layer, layer_path)
-                            visit(layer, layer_path, depth + 1)
+                            visit(layer, layer_path, child_depth)
                     else:
                         note("MalformedConfig", child_path, "layers node is not an array")
                 elif key == "layer" and isinstance(value, dict) and "class_name" in value:
+                    child_path = f"{path}.{key}" if path else str(key)
                     record_layer(value, child_path)
-                    visit(value, child_path, depth + 1)
+                    visit(value, child_path, child_depth)
+                elif isinstance(value, (dict, list)):
+                    visit(value, f"{path}.{key}" if path else str(key), child_depth)
                 else:
-                    visit(value, child_path, depth + 1)
+                    budget -= 1
+                    if budget < 0 or too_deep:
+                        exhausted(f"{path}.{key}" if path else str(key))
         elif isinstance(node, list):
             for index, item in enumerate(node):
-                visit(item, f"{path}[{index}]", depth + 1)
+                if isinstance(item, (dict, list)):
+                    visit(item, f"{path}[{index}]", child_depth)
+                else:
+                    budget -= 1
+                    if budget < 0 or too_deep:
+                        exhausted(f"{path}[{index}]")
 
     if not isinstance(config, dict):
         note("MalformedConfig", "", "config root is not a JSON object")

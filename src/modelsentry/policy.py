@@ -359,7 +359,7 @@ def load_policy_file(path: str) -> Policy:
 
 def _classify(module: str, name: str, policy: Policy, memo: dict) -> tuple[Disposition, str | None]:
     """``classify_global``, memoized in ``memo``: a dict the caller keeps for
-    one program only, so hostile names cannot pile up across files."""
+    one stream only, so hostile names cannot pile up across files."""
     key = (module, name)
     if key not in memo:
         memo[key] = classify_global(module, name, policy)
@@ -389,10 +389,11 @@ def _global_finding(
     )
 
 
-def _call_severity(
+def call_severity(
     root: tuple[str, str] | None, policy: Policy, memo: dict
 ) -> tuple[Severity | None, str]:
-    """Severity for a CallMade event given its chain root; None means allowed."""
+    """Severity for a CallMade event given its chain root; None means allowed.
+    ``memo`` is a ``classify_global`` memo, as in ``apply_rules``."""
     if root is None:
         severity, label = policy.unknown_global_severity, "unresolvable callee"
     elif root == ("<dynamic>", "<dynamic>"):
@@ -414,13 +415,18 @@ def apply_rules(
     result: absvm.AbstractResult,
     policy: Policy,
     file_context: FileContext,
+    classified: dict | None = None,
 ) -> list[Finding]:
-    """Map one evaluated program's events to findings, in event order."""
+    """Map one evaluated program's events to findings, in event order.
+
+    A program names few distinct globals but may resolve or call them
+    thousands of times; each is matched against the policy once, and kept
+    in ``classified``.  A caller may pass one such dict for all programs of
+    a stream; a fresh one is used otherwise.
+    """
     findings: list[Finding] = []
     ctx = file_context
-    # A program names few distinct globals but may resolve or call them
-    # thousands of times; each is matched against the policy once.
-    memo: dict = {}
+    memo = {} if classified is None else classified
     for event in result.events:
         if isinstance(event, absvm.GlobalResolved):
             finding = _global_finding(event.module, event.name, event.at_offset, policy, ctx, memo)
@@ -438,8 +444,7 @@ def apply_rules(
                 )
             )
         elif isinstance(event, absvm.CallMade):
-            root = absvm.call_roots(event.callee, result.memo)
-            severity, label = _call_severity(root, policy, memo)
+            severity, label = call_severity(event.root, policy, memo)
             if severity is not None:
                 argc = "?" if event.argc is None else str(event.argc)
                 findings.append(

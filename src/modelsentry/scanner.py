@@ -25,6 +25,7 @@ from .policy import (
     Severity,
     apply_keras_rules,
     apply_rules,
+    call_severity,
     verify_integrity,
 )
 
@@ -150,16 +151,23 @@ def _scan_pickle_bytes(
     segment order; the failing segment's own VmError is dropped.
     """
     vm_errors: list[absvm.VmError] = []
+    # One classify memo for the whole stream: the walk renders evidence only
+    # for the calls apply_rules reports, and both look each root up here.
+    classified: dict = {}
+
+    def keep_call(root: tuple[str, str] | None) -> bool:
+        return call_severity(root, policy, classified)[0] is not None
+
     try:
-        for outcome in absvm.walk(data, limits.parse, limits.vm):
+        for outcome in absvm.walk(data, limits.parse, limits.vm, keep_call):
             if isinstance(outcome, absvm.VmError):
                 vm_errors.append(outcome)
                 outcome = outcome.partial
-            findings.extend(apply_rules(outcome, policy, ctx))
+            findings.extend(apply_rules(outcome, policy, ctx, classified))
     except disasm.ParseError as exc:
         partial = getattr(exc, "partial", None)  # unset when raised before any segment
         if partial is not None:
-            findings.extend(apply_rules(partial, policy, ctx))
+            findings.extend(apply_rules(partial, policy, ctx, classified))
         _parse_error(
             findings, errors, ctx, exc.kind, "pickle segment could not be parsed",
             exc.message, exc.offset,
@@ -245,12 +253,16 @@ def _scan_zip(
         try:
             config = json.loads(config_bytes.decode("utf-8", "replace"))
         except json.JSONDecodeError as exc:
-            _parse_error(
-                findings, errors, ctx, "ConfigParseError", "model config is not valid JSON",
-                str(exc),
-            )
+            message = str(exc)
+        except RecursionError:
+            # The decoder recurses per level: a deep member costs only itself.
+            message = "JSON nested too deeply to decode"
+        else:
+            _scan_keras_config(config, ctx, policy, findings)
             continue
-        _scan_keras_config(config, ctx, policy, findings)
+        _parse_error(
+            findings, errors, ctx, "ConfigParseError", "model config is not valid JSON", message
+        )
 
 
 def _scan_hdf5(

@@ -7,7 +7,11 @@ sacrificial loader from conftest.
 
 from __future__ import annotations
 
+import functools
 import pickle
+import struct
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +47,11 @@ from modelsentry.disasm import (
     disassemble,
     iter_programs,
 )
-from modelsentry.forge import emit_injected_pickle, emit_reduce_payload_pickle
+from modelsentry.forge import (
+    benign_state_dict_pickle,
+    emit_injected_pickle,
+    emit_reduce_payload_pickle,
+)
 
 MARKER = "true # FIXTURE-MARKER"
 
@@ -456,3 +464,118 @@ def test_extension_codes_recorded():
     assert [event.kind for event in result.events] == ["ExtensionUsed"]
     assert result.events[0].code == 7
     assert result.root == absvm.ExtensionRef(7)
+
+
+# -- call roots and evidence, at the call ----------------------------------------
+
+
+def test_call_root_is_resolved_at_the_call():
+    # os.system is memoized in slot 0 and called through BINGET; after the
+    # call, slot 0 is PUT again with another global.  A loader called os.system.
+    stream = (
+        b"\x80\x02cos\nsystem\nq\x000h\x00X\x02\x00\x00\x00id\x85R0"
+        b"ccollections\nOrderedDict\nq\x000N."
+    )
+    result = run(stream)
+    call = next(event for event in result.events if isinstance(event, CallMade))
+    assert call.root == ("os", "system")
+    assert call_roots(call.callee, result.memo) == ("collections", "OrderedDict")
+
+
+def _s4(size: int) -> bytes:
+    return struct.pack("<I", size)
+
+
+@pytest.mark.parametrize(
+    "args, evidence",
+    [
+        (b"Pabc\n\x85", "(<persistent abc>)"),
+        (b"P" + b"y" * 300 + b"\n\x85", "(<persistent " + "y" * 256 + ">)"),
+        (b"X\x03\x00\x00\x00key\x85Q\x85", "(<persistent ('key')>)"),
+        (b"X" + _s4(300) + b"z" * 300 + b"Q\x85", "(<persistent '" + "z" * 255 + "…>)"),
+        # Forty ids, each the one-tuple of the one before it.
+        (b"K\x01" + b"\x85Q" * 40 + b"\x85", "(<persistent " + ("(<persistent " * 20)[:256] + "…>)"),
+        # An id after the budget is nearly spent: only its head is shown.
+        (
+            b"(X" + _s4(4070) + b"w" * 4070 + b"X" + _s4(300) + b"v" * 300 + b"QPuvw\nt",
+            "('" + "w" * 4070 + "', <persistent '" + "v" * 8 + "…",
+        ),
+        (b"(]q\x00K\x07aQh\x00t", "(<persistent [7]>, [7])"),
+    ],
+)
+def test_persistent_id_evidence_text(args, evidence):
+    """PERSID's id shows as raw text, BINPERSID's as a rendered value, each
+    capped at 256 characters inside the call's own budget."""
+    result = run(b"\x80\x02cos\nsystem\n" + args + b"R.")
+    call = next(event for event in result.events if isinstance(event, CallMade))
+    assert call.arg_summary == evidence
+
+
+@functools.cache
+def _scanner_keep_call():
+    """The predicate the scanner hands to ``walk``, caught from one scan."""
+    from modelsentry import scanner
+    from modelsentry.policy import FileContext, default_policy
+
+    caught = []
+    real_walk = absvm.walk
+
+    def spy(stream, parse_limits, vm_limits, keep_call=None):
+        caught.append(keep_call)
+        return real_walk(stream, parse_limits, vm_limits, keep_call)
+
+    with mock.patch.object(absvm, "walk", spy):
+        scanner._scan_pickle_bytes(
+            b"N.", FileContext("x.pkl"), default_policy(), scanner.DEFAULT_SCAN_LIMITS, [], []
+        )
+    (keep_call,) = caught
+    return keep_call
+
+
+def _calls(segments) -> list[CallMade]:
+    """Every CallMade of a stream, failed segments' recorded ones included."""
+    calls: list[CallMade] = []
+    results = []
+    try:
+        for outcome in segments:
+            results.append(outcome.partial if isinstance(outcome, absvm.VmError) else outcome)
+    except ParseError as exc:
+        results.append(getattr(exc, "partial", None))
+    for result in results:
+        if result is not None:
+            calls += [event for event in result.events if isinstance(event, CallMade)]
+    return calls
+
+
+def assert_kept_calls_keep_their_evidence(stream: bytes) -> list[bool]:
+    """Walk ``stream`` with and without the scanner's predicate: the calls
+    are the same, and a kept call's evidence is the text ``walk`` renders
+    when it keeps every call.  Returns, per call, whether it was kept."""
+    keep_call = _scanner_keep_call()
+    every = _calls(absvm.walk(stream))
+    kept = [keep_call(call.root) for call in every]
+    expected = [call if keep else replace(call, arg_summary="") for call, keep in zip(every, kept)]
+    assert _calls(absvm.walk(stream, keep_call=keep_call)) == expected
+    return kept
+
+
+def test_kept_calls_keep_their_evidence_over_the_forge_corpus(corpus_dir, corpus_manifest):
+    kept: list[bool] = []
+    for stream in _walk_corpus():
+        kept += assert_kept_calls_keep_their_evidence(stream)
+    for fixture in corpus_manifest:
+        if fixture["path"].endswith(".pkl"):
+            kept += assert_kept_calls_keep_their_evidence((corpus_dir / fixture["path"]).read_bytes())
+    assert True in kept and False in kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kept_calls_keep_their_evidence_on_mutated_streams(data):
+    # The checkpoint-shaped stream makes allowlisted calls, which are dropped.
+    checkpoint = st.just(benign_state_dict_pickle())
+    stream = bytearray(data.draw(checkpoint | st.sampled_from(_walk_corpus())))
+    del stream[data.draw(st.integers(0, len(stream))):]
+    for _ in range(data.draw(st.integers(0, 4)) if stream else 0):
+        stream[data.draw(st.integers(0, len(stream) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    assert_kept_calls_keep_their_evidence(bytes(stream))

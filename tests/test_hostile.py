@@ -6,12 +6,20 @@ leaves), deep list nesting, and many calls over one large shared list.  One
 more packs an HDF5 file with config candidates that each fail.  Every
 scan runs under a wall-clock alarm, so a stall fails the test instead of
 hanging the suite.
+
+Other recipes try to hide a payload or to cost memory: an argument too big
+to render whole, a ``config.json`` nested deeper than the JSON decoder
+recurses, and tensor storage whose bytes look like a pickle.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import signal
+import struct
+import tracemalloc
+import zipfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,11 +29,20 @@ from modelsentry.absvm import (
     CallResult,
     Container,
     GlobalRef,
+    LongPrimitive,
     Primitive,
     render_value,
 )
 from modelsentry.containers import HDF5_SIGNATURE
-from modelsentry.scanner import scan_file
+from modelsentry.forge import (
+    benign_state_dict_pickle,
+    emit_keras_lambda_config,
+    emit_reduce_payload_pickle,
+    emit_torch_like_zip,
+)
+from modelsentry.policy import Severity
+from modelsentry.report import exit_code
+from modelsentry.scanner import scan_file, scan_paths
 
 ALARM_SECONDS = 2.0
 GLOBAL = b"cos\nsystem\n"
@@ -151,3 +168,124 @@ _RECIPES = st.one_of(
 @given(_RECIPES)
 def test_generated_structure_keeps_findings_within_bound(tmp_path_factory, policy, data):
     _assert_reports_call(tmp_path_factory.getbasetemp() / "structure.pkl", data, policy)
+
+
+# -- arguments too big to render whole ------------------------------------------
+
+
+def test_big_int_argument_does_not_hide_an_earlier_call(tmp_path, policy):
+    """A 1,800-byte LONG4 has more digits than the interpreter converts to
+    text by default.  It renders as a placeholder, so its segment keeps the
+    ``os.system`` call made before it."""
+    path = tmp_path / "hide.pkl"
+    path.write_bytes(
+        b"\x80\x02cos\nsystem\nX\x02\x00\x00\x00id\x85R0cevil\nsink\n\x8b"
+        + struct.pack("<i", 1800)
+        + b"\x07" * 1800
+        + b"\x85R."
+    )
+    report = scan_paths([str(path)], policy)
+    assert exit_code(report) == 3
+    (scanned,) = report.files
+    assert scanned.errors == []
+    calls = [(f.severity, f.message, f.evidence) for f in scanned.findings if f.rule_id == "PICKLE_CALL"]
+    assert calls == [
+        (Severity.CRITICAL, "load-time call to os.system with 1 argument(s)", "('id')"),
+        (Severity.MEDIUM, "load-time call to evil.sink with 1 argument(s)", "(<int of 14395 bits>)"),
+    ]
+
+
+def test_big_bytes_argument_is_rendered_from_its_head(tmp_path, policy):
+    size = 16 << 20
+    path = tmp_path / "big.pkl"
+    path.write_bytes(
+        b"\x80\x04\x8c\x02os\x8c\x06system\x93\x8e"
+        + struct.pack("<Q", size)
+        + b"\x00" * size
+        + b"\x85R."
+    )
+    tracemalloc.start()
+    try:
+        report = scan_file(str(path), policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The bytes read and the decoded argument, but no repr of the argument.
+    assert peak < 2 * path.stat().st_size + (1 << 20)
+    call = next(f for f in report.findings if f.rule_id == "PICKLE_CALL")
+    assert call.evidence == ("(" + repr(b"\x00" * ARG_SUMMARY_CAP))[:ARG_SUMMARY_CAP] + "…"
+
+
+_QUOTED_TEXT = st.text(st.sampled_from("ab'\"\\\n\x00\x7f\xe9\u2028\U0001f600"), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        _QUOTED_TEXT,
+        _QUOTED_TEXT.map(lambda text: text.encode("utf-8")),
+        _QUOTED_TEXT.map(lambda text: bytearray(text.encode("utf-8"))),
+    ),
+    st.integers(1, 80),
+)
+def test_render_of_text_is_the_head_of_its_repr(value, limit):
+    text = repr(value)
+    expected = text if len(text) <= limit else text[:limit] + "…"
+    assert render_value(Primitive(value), limit=limit) == expected
+    assert render_value(LongPrimitive(value), limit=limit) == expected
+
+
+# -- a config.json deeper than the JSON decoder recurses ------------------------
+
+
+def test_deep_keras_config_member_does_not_hide_the_next_one(tmp_path, policy):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("a/config.json", '{"a":' + "[" * 100_000 + "]" * 100_000 + "}")
+        archive.writestr("b/config.json", emit_keras_lambda_config(True))
+    path = tmp_path / "deep.keras"
+    path.write_bytes(buffer.getvalue())
+    with _alarm(ALARM_SECONDS):
+        report = scan_file(str(path), policy)
+    assert [(e.kind, e.locus) for e in report.errors] == [("ConfigParseError", "a/config.json")]
+    assert [(f.rule_id, f.entry) for f in report.findings] == [
+        ("FORMAT_PARSE_ERROR", "a/config.json"),
+        ("KERAS_LAMBDA_CODE", "b/config.json"),
+    ]
+
+
+# -- tensor storage that sniffs as a pickle -------------------------------------
+
+# Raw float32 storage can start with a PROTO byte; the loader never unpickles it.
+_STORAGE_LIKE_PICKLE = b"\x80\x02\xff\xff" + b"\x00" * 60
+
+
+def test_storage_member_is_not_sniffed(tmp_path, policy):
+    path = tmp_path / "clean.pt"
+    path.write_bytes(emit_torch_like_zip(benign_state_dict_pickle(), _STORAGE_LIKE_PICKLE))
+    report = scan_paths([str(path)], policy)
+    assert exit_code(report) == 0
+    assert report.files[0].findings == [] and report.files[0].errors == []
+
+
+def test_checkpoint_with_payload_next_to_storage_is_still_critical(tmp_path, policy):
+    path = tmp_path / "evil.pt"
+    payload = emit_reduce_payload_pickle("true # FIXTURE-MARKER", 2)
+    path.write_bytes(emit_torch_like_zip(payload, _STORAGE_LIKE_PICKLE))
+    report = scan_paths([str(path)], policy)
+    assert exit_code(report) == 3
+    assert {(f.rule_id, f.entry) for f in report.files[0].findings if f.severity is Severity.CRITICAL} == {
+        ("PICKLE_DANGEROUS_GLOBAL", "model/data.pkl"),
+        ("PICKLE_CALL", "model/data.pkl"),
+    }
+
+
+def test_pkl_member_under_storage_is_still_scanned(tmp_path, policy):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("model/data.pkl", benign_state_dict_pickle())
+        archive.writestr("model/data/extra.pkl", emit_reduce_payload_pickle("true", 2))
+    path = tmp_path / "extra.pt"
+    path.write_bytes(buffer.getvalue())
+    report = scan_file(str(path), policy)
+    assert {f.entry for f in report.findings if f.rule_id == "PICKLE_CALL"} == {"model/data/extra.pkl"}

@@ -6,6 +6,9 @@ import base64
 import hashlib
 import json
 
+import pytest
+
+from modelsentry import kerascfg
 from modelsentry.forge import emit_keras_lambda_config, lambda_payload_bytes
 from modelsentry.kerascfg import (
     ConfigAnomaly,
@@ -94,6 +97,26 @@ def test_depth_cap_stops_adversarial_nesting():
     records = walk_layers(config, anomalies)
     assert any("budget" in anomaly.message for anomaly in anomalies)
     assert len(records) < 400
+
+
+@pytest.mark.parametrize(
+    "config, nodes, depth, path",
+    [
+        # root, a, b, then b[0] is one node too many
+        ({"a": 1, "b": [2, 3]}, 3, 256, "b[0]"),
+        ({"a": 1, "b": {"c": 2}}, 3, 256, "b.c"),
+        ({"layers": [{"class_name": "Dense", "config": {"units": 4}}]}, 4, 256, "layers[0].config.units"),
+        # a scalar one level deeper than the cap
+        ({"a": {"b": {"c": 1}}}, 1_000_000, 2, "a.b.c"),
+        ({"a": [[5]]}, 1_000_000, 2, "a[0][0]"),
+    ],
+)
+def test_caps_fire_on_a_scalar_leaf_at_its_path(monkeypatch, config, nodes, depth, path):
+    monkeypatch.setattr(kerascfg, "MAX_WALK_NODES", nodes)
+    monkeypatch.setattr(kerascfg, "MAX_WALK_DEPTH", depth)
+    anomalies: list[ConfigAnomaly] = []
+    walk_layers(config, anomalies)
+    assert anomalies == [ConfigAnomaly("MalformedConfig", path, "traversal budget exhausted")]
 
 
 def test_detection_count_equals_planted_count():

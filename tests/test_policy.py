@@ -188,6 +188,21 @@ def test_call_severity_floors_at_medium():
     assert call.severity is Severity.MEDIUM
 
 
+def test_call_is_judged_by_the_root_it_called():
+    # The memo slot the callee was fetched from is PUT again after the call,
+    # with an allowlisted global: the call to os.system is still reported.
+    stream = (
+        b"\x80\x02cos\nsystem\nq\x000h\x00X\x02\x00\x00\x00id\x85R0"
+        b"ccollections\nOrderedDict\nq\x000N."
+    )
+    call = next(f for f in findings_for(stream, default_policy()) if f.rule_id == "PICKLE_CALL")
+    assert (call.severity, call.message, call.evidence) == (
+        Severity.CRITICAL,
+        "load-time call to os.system with 1 argument(s)",
+        "('id')",
+    )
+
+
 def test_trailing_data_is_info():
     findings = findings_for(b"N." + b"\x00" * 3, default_policy())
     assert [(f.rule_id, f.severity) for f in findings] == [

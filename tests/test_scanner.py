@@ -10,6 +10,7 @@ import zipfile
 from modelsentry.cli import main as cli_main
 from modelsentry.containers import HDF5_SIGNATURE
 from modelsentry.forge import (
+    benign_state_dict_pickle,
     emit_corpus,
     emit_keras_h5,
     emit_keras_lambda_config,
@@ -69,6 +70,28 @@ def test_scan_benign_torch_archive_is_clean(tmp_path, policy):
     assert report.kind == "zip_archive"
     assert report.findings == []
     assert report.errors == []
+
+
+def test_benign_checkpoint_renders_no_call_evidence(tmp_path, policy, monkeypatch):
+    from modelsentry import absvm
+
+    limits: list[int] = []
+    real_render = absvm.render_value
+
+    def render_value(value, memo=None, limit=absvm.ARG_SUMMARY_CAP):
+        limits.append(limit)
+        return real_render(value, memo, limit)
+
+    monkeypatch.setattr(absvm, "render_value", render_value)
+    target = tmp_path / "clean.pt"
+    target.write_bytes(emit_torch_like_zip(benign_state_dict_pickle()))
+    report = scan_file(str(target), policy)
+    assert report.findings == [] and report.errors == []
+    # Its tensor rebuilds and persistent ids are allowlisted: none is rendered.
+    assert limits == []
+    target.write_bytes(emit_torch_like_zip(emit_reduce_payload_pickle(MARKER, 2)))
+    scan_file(str(target), policy)
+    assert limits == [absvm.ARG_SUMMARY_CAP]
 
 
 def test_scan_zero_byte_file(tmp_path, policy):
