@@ -1,7 +1,7 @@
 """modelsentry: static security scanner for serialized ML model files."""
 
 from .absvm import AbstractResult, SecurityEvent, evaluate
-from .disasm import Instruction, ParseError, ParseLimits, PickleProgram, disassemble
+from .disasm import Instruction, ParseError, PickleProgram, disassemble
 from .opcodes import OpcodeSpec, opcode_table
 from .policy import Finding, Policy, Severity, classify_global, default_policy
 from .scanner import FileReport, ScanReport, scan_file, scan_paths, sniff
@@ -15,7 +15,6 @@ __all__ = [
     "Instruction",
     "OpcodeSpec",
     "ParseError",
-    "ParseLimits",
     "PickleProgram",
     "Policy",
     "ScanReport",

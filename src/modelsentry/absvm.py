@@ -23,15 +23,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .disasm import (
-    DEFAULT_PARSE_LIMITS,
-    ParseError,
-    ParseLimits,
-    PickleProgram,
-    decode_ops,
-    iter_segments,
-    zero_padding,
-)
+from .disasm import ParseError, PickleProgram, decode_ops, iter_segments, zero_padding
 from .opcodes import by_mnemonic, opcode_table
 
 
@@ -178,16 +170,13 @@ class OutOfBandBuffer(SecurityEvent):
 
 
 # ---------------------------------------------------------------------------
-# Errors and limits
+# Errors and bounds
 
 
-@dataclass(frozen=True)
-class VmLimits:
-    max_stack_depth: int = 1_000_000
-    max_memo_entries: int = 10_000_000
-
-
-DEFAULT_VM_LIMITS = VmLimits()
+# Bounds on one segment's evaluation, read at each check, so a patched value
+# takes effect.
+MAX_STACK_DEPTH = 1_000_000  # stack and metastack, each
+MAX_MEMO_ENTRIES = 10_000_000
 
 ARG_SUMMARY_CAP = 4096
 PID_SUMMARY_CAP = 256
@@ -426,10 +415,8 @@ KeepCall = Callable[[tuple[str, str] | None], bool]
 
 
 class _Machine:
-    def __init__(self, limits: VmLimits, keep_call: KeepCall | None = None):
-        self.limits = limits
+    def __init__(self, keep_call: KeepCall | None = None):
         self.keep_call = keep_call
-        self.max_stack_depth = limits.max_stack_depth
         self.stack: list[AbstractValue] = []
         self.metastack: list[list[AbstractValue]] = []
         self.memo: dict[int, AbstractValue] = {}
@@ -514,7 +501,7 @@ class _Machine:
 
     def push(self, value: AbstractValue) -> None:
         stack = self.stack
-        if len(stack) >= self.max_stack_depth:
+        if len(stack) >= MAX_STACK_DEPTH:
             raise LimitExceeded(self.offset, "max_stack_depth")
         stack.append(value)
 
@@ -540,7 +527,7 @@ class _Machine:
     def memo_put(self, index: int) -> None:
         if index < 0:
             raise MemoMiss(self.offset, index)
-        if len(self.memo) >= self.limits.max_memo_entries:
+        if len(self.memo) >= MAX_MEMO_ENTRIES:
             raise LimitExceeded(self.offset, "max_memo_entries")
         self.memo[index] = self.peek()
 
@@ -661,7 +648,7 @@ class _Machine:
 
     # stack plumbing
     def op_mark(self, arg) -> None:
-        if len(self.metastack) >= self.max_stack_depth:
+        if len(self.metastack) >= MAX_STACK_DEPTH:
             raise LimitExceeded(self.offset, "max_stack_depth (metastack)")
         self.metastack.append(self.stack)
         self.stack = []
@@ -887,13 +874,13 @@ _FRAME = by_mnemonic("FRAME").code
 _NO_FRAME = 1 << 65  # past any frame end a u8 length can encode
 
 
-def evaluate(program: PickleProgram, limits: VmLimits = DEFAULT_VM_LIMITS) -> AbstractResult:
+def evaluate(program: PickleProgram) -> AbstractResult:
     """Symbolically execute ``program`` and collect its security events.
 
     Pure function of its inputs: identical programs yield identical results,
     and no side effect of any kind is performed.
     """
-    machine = _Machine(limits)
+    machine = _Machine()
     machine.run(
         (instr.opcode.code, instr.offset, instr.arg, instr.offset + instr.size)
         for instr in program.instructions
@@ -904,16 +891,10 @@ def evaluate(program: PickleProgram, limits: VmLimits = DEFAULT_VM_LIMITS) -> Ab
     return machine.result(stream_end, program.trailing_bytes)
 
 
-def _read_segment(
-    stream: bytes,
-    start: int,
-    parse_limits: ParseLimits,
-    vm_limits: VmLimits,
-    keep_call: KeepCall | None,
-):
-    machine = _Machine(vm_limits, keep_call)
+def _read_segment(stream: bytes, start: int, keep_call: KeepCall | None):
+    machine = _Machine(keep_call)
     try:
-        end = machine.run(decode_ops(stream, start, parse_limits))
+        end = machine.run(decode_ops(stream, start))
     except ParseError as exc:
         exc.partial = machine.recorded()
         raise
@@ -924,12 +905,7 @@ def _read_segment(
     return machine.result(end + trailing, trailing), end + trailing
 
 
-def walk(
-    stream: bytes,
-    parse_limits: ParseLimits = DEFAULT_PARSE_LIMITS,
-    vm_limits: VmLimits = DEFAULT_VM_LIMITS,
-    keep_call: KeepCall | None = None,
-):
+def walk(stream: bytes, keep_call: KeepCall | None = None):
     """Decode and evaluate every STOP-delimited segment of ``stream`` in one pass.
 
     Yields, per segment, its AbstractResult or the VmError that ended its
@@ -943,5 +919,4 @@ def walk(
     root it rejects gets an empty ``arg_summary``.  Kept calls get the text
     ``evaluate`` gives them.  None keeps every call.
     """
-    segment = partial(_read_segment, vm_limits=vm_limits, keep_call=keep_call)
-    return iter_segments(stream, parse_limits, segment)
+    return iter_segments(stream, partial(_read_segment, keep_call=keep_call))

@@ -6,11 +6,11 @@ import argparse
 import os
 import sys
 
-from . import disasm
+from . import containers, disasm
 from .forge import DEFAULT_MARKER, ForgeError, emit_corpus
 from .policy import IntegrityManifest, Policy, Severity, default_policy, load_policy_file
 from .report import exit_code, render
-from .scanner import DEFAULT_SCAN_LIMITS, ScanLimits, scan_paths, verify_paths
+from .scanner import scan_paths, verify_paths
 
 EXIT_OK = 0
 EXIT_OPERATIONAL = 2
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--max-entry-bytes",
         type=int,
-        default=DEFAULT_SCAN_LIMITS.entry_cap,
+        default=containers.DEFAULT_ENTRY_CAP,
         help="decompression cap per archive entry",
     )
     scan.add_argument("--follow-symlinks", action="store_true")
@@ -85,11 +85,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"modelsentry: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL
-    limits = ScanLimits(entry_cap=args.max_entry_bytes)
     report = scan_paths(
         args.paths,
         policy,
-        limits,
+        args.max_entry_bytes,
         jobs=max(1, args.jobs),
         follow_symlinks=args.follow_symlinks,
         threshold=threshold,

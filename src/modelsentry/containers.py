@@ -19,7 +19,7 @@ import zlib
 from dataclasses import dataclass
 from typing import BinaryIO
 
-from .disasm import plausible_pickle_prefix
+from .disasm import SNIFF_BYTES, plausible_pickle_prefix
 
 ZIP_LOCAL_MAGIC = b"PK\x03\x04"
 ZIP_EOCD_MAGIC = b"PK\x05\x06"
@@ -29,6 +29,8 @@ ZIP64_LOCATOR_MAGIC = b"PK\x06\x07"
 HDF5_SIGNATURE = b"\x89HDF\r\n\x1a\n"
 
 EOCD_SEARCH_WINDOW = 66 * 1024
+# Cap on the central directory's declared entry count.
+MAX_ENTRIES = 1_000_000
 DEFAULT_ENTRY_CAP = 256 * 1024 * 1024
 # Cap on a model-config JSON read, from an HDF5 attribute or a config.json member.
 CONFIG_CAP = 64 * 1024 * 1024
@@ -199,7 +201,7 @@ def _zip64_extra(extra: bytes, needed: list[str], values: dict[str, int]) -> dic
     return values
 
 
-def list_entries(handle: BinaryIO, cap_entries: int = 1_000_000) -> list[ArchiveEntry]:
+def list_entries(handle: BinaryIO) -> list[ArchiveEntry]:
     """Read the central directory; order preserved, nothing decompressed."""
     size = _file_size(handle)
     if size < 22:
@@ -212,7 +214,7 @@ def list_entries(handle: BinaryIO, cap_entries: int = 1_000_000) -> list[Archive
             total_entries, cd_size, cd_offset = zip64
     if cd_size > _CD_SIZE_CAP:
         raise CorruptHeader(cd_offset, f"central directory size {cd_size} too large")
-    if total_entries > cap_entries:
+    if total_entries > MAX_ENTRIES:
         raise CorruptHeader(cd_offset, f"entry count {total_entries} too large")
     handle.seek(cd_offset)
     directory = handle.read(cd_size)
@@ -379,8 +381,8 @@ def find_pickle_payloads(
         if not by_extension:
             if entry.uncompressed_size == 0 or entry.path.startswith(storage_dirs):
                 continue
-            head = read_entry_head(handle, entry, 512)
-            complete = entry.uncompressed_size <= 512
+            head = read_entry_head(handle, entry, SNIFF_BYTES)
+            complete = entry.uncompressed_size <= SNIFF_BYTES
             if not plausible_pickle_prefix(head, complete=complete):
                 continue
         try:

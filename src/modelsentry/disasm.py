@@ -25,16 +25,16 @@ from typing import Callable
 from .opcodes import _TABLE, ArgKind, OpcodeSpec, lookup
 
 
-@dataclass(frozen=True)
-class ParseLimits:
-    """Bounds applied while parsing adversarial input."""
+# Bounds applied while parsing adversarial input.  Each is read when a call
+# runs, so a patched value takes effect.
+MAX_INSTRUCTIONS = 1_000_000  # per STOP-delimited segment
+MAX_ARG_BYTES = 256 * 1024 * 1024  # per argument
+MAX_STREAM_BYTES = 4 * 1024 * 1024 * 1024  # per stream
 
-    max_instructions: int = 1_000_000
-    max_arg_bytes: int = 256 * 1024 * 1024
-    max_stream_bytes: int = 4 * 1024 * 1024 * 1024
-
-
-DEFAULT_PARSE_LIMITS = ParseLimits()
+# How much of a file or archive member the format sniff reads.
+SNIFF_BYTES = 512
+# Ops that must decode cleanly for a sniff without STOP to call it a pickle.
+_SNIFF_OPS = 32
 
 
 class ParseError(Exception):
@@ -113,7 +113,7 @@ class PickleProgram:
         return iter(self.instructions)
 
 
-Decoder = Callable[[bytes, int, int, ParseLimits], "tuple[object, int]"]
+Decoder = Callable[[bytes, int, int], "tuple[object, int]"]
 
 _STOP = ord(".")
 _PROTO = 0x80
@@ -125,7 +125,7 @@ def _truncated(op_offset: int, what: str, needed: int, stream: bytes, pos: int) 
     )
 
 
-def _read_line(stream: bytes, pos: int, op_offset: int, limits: ParseLimits) -> tuple[bytes, int]:
+def _read_line(stream: bytes, pos: int, op_offset: int) -> tuple[bytes, int]:
     """Read up to and excluding the next newline; return (payload, next_pos)."""
     end = stream.find(b"\n", pos)
     if end < 0:
@@ -134,7 +134,7 @@ def _read_line(stream: bytes, pos: int, op_offset: int, limits: ParseLimits) -> 
             "newline-terminated argument runs past end of input",
             available=len(stream) - pos,
         )
-    if end - pos > limits.max_arg_bytes:
+    if end - pos > MAX_ARG_BYTES:
         raise LimitExceeded(op_offset, "max_arg_bytes (newline argument)")
     return stream[pos:end], end + 1
 
@@ -144,7 +144,7 @@ def _fixed(fmt: str, what: str) -> Decoder:
     unpack = struct.Struct(fmt).unpack_from
     width = struct.calcsize(fmt)
 
-    def decode(stream, pos, op_offset, limits):
+    def decode(stream, pos, op_offset):
         try:
             return unpack(stream, pos)[0], pos + width
         except struct.error:
@@ -159,14 +159,14 @@ def _counted(fmt: str, convert: Callable[[bytes, int], object] | None) -> Decode
     unpack = struct.Struct(fmt).unpack_from
     width = struct.calcsize(fmt)
 
-    def decode(stream, pos, op_offset, limits):
+    def decode(stream, pos, op_offset):
         try:
             n = unpack(stream, pos)[0]
         except struct.error:
             raise _truncated(op_offset, "length prefix", width, stream, pos) from None
         if n < 0:
             raise TruncatedArgument(op_offset, f"negative byte count {n}")
-        if n > limits.max_arg_bytes:
+        if n > MAX_ARG_BYTES:
             raise LimitExceeded(op_offset, "max_arg_bytes")
         pos += width
         end = pos + n
@@ -197,8 +197,8 @@ def _long(data: bytes, op_offset: int) -> int:
 def _line_arg(parse: Callable[[bytes], object], what: str) -> Decoder:
     """One newline-terminated line, passed through ``parse``."""
 
-    def decode(stream, pos, op_offset, limits):
-        line, pos = _read_line(stream, pos, op_offset, limits)
+    def decode(stream, pos, op_offset):
+        line, pos = _read_line(stream, pos, op_offset)
         try:
             return parse(line), pos
         except ValueError as exc:  # UnicodeDecodeError included
@@ -220,8 +220,8 @@ def _int_line(line: bytes) -> int | bool:
     return int(line)
 
 
-def _quoted_line(stream, pos, op_offset, limits):
-    line, pos = _read_line(stream, pos, op_offset, limits)
+def _quoted_line(stream, pos, op_offset):
+    line, pos = _read_line(stream, pos, op_offset)
     # Loader rule: outermost quotes must match and be present.
     if not (len(line) >= 2 and line[0] == line[-1] and line[0] in b"\"'"):
         raise TruncatedArgument(op_offset, "STRING argument must be quoted")
@@ -231,13 +231,13 @@ def _quoted_line(stream, pos, op_offset, limits):
         raise TruncatedArgument(op_offset, f"undecodable string line: {exc}") from None
 
 
-def _no_arg(stream, pos, op_offset, limits):
+def _no_arg(stream, pos, op_offset):
     return None, pos
 
 
-def _name_pair(stream, pos, op_offset, limits):
-    first, pos = _read_line(stream, pos, op_offset, limits)
-    second, pos = _read_line(stream, pos, op_offset, limits)
+def _name_pair(stream, pos, op_offset):
+    first, pos = _read_line(stream, pos, op_offset)
+    second, pos = _read_line(stream, pos, op_offset)
     try:
         return (first.decode("utf-8"), second.decode("utf-8")), pos
     except UnicodeDecodeError as exc:
@@ -285,12 +285,13 @@ def _decoder_table() -> tuple[Decoder | None, ...]:
     return tuple(table)
 
 
-# Indexed by opcode byte: decode(stream, pos, op_offset, limits) -> (arg, next_pos)
-# reads the argument that starts at ``pos``; None marks an unassigned byte.
+# Indexed by opcode byte: decode(stream, pos, op_offset) -> (arg, next_pos)
+# reads the argument that starts at ``pos``, raising errors at ``op_offset``
+# and checking MAX_ARG_BYTES; None marks an unassigned byte.
 DECODERS: tuple[Decoder | None, ...] = _decoder_table()
 
 
-def decode_ops(stream: bytes, start: int, limits: ParseLimits):
+def decode_ops(stream: bytes, start: int):
     """Yield ``(code, offset, arg, end)`` for each op from ``start`` through STOP.
 
     This is the one decode loop: the instruction list, the abstract machine
@@ -298,7 +299,7 @@ def decode_ops(stream: bytes, start: int, limits: ParseLimits):
     """
     decoders = DECODERS
     length = len(stream)
-    max_instructions = limits.max_instructions
+    max_instructions = MAX_INSTRUCTIONS
     pos = start
     count = 0
     while True:
@@ -310,7 +311,7 @@ def decode_ops(stream: bytes, start: int, limits: ParseLimits):
         decode = decoders[code]
         if decode is None:
             raise UnknownOpcode(pos, code)
-        arg, end = decode(stream, pos + 1, pos, limits)
+        arg, end = decode(stream, pos + 1, pos)
         yield code, pos, arg, end
         if code == _STOP:
             return
@@ -327,26 +328,26 @@ def zero_padding(stream: bytes, end: int) -> int:
     return 0
 
 
-def _check_stream(stream: bytes, limits: ParseLimits) -> None:
+def _check_stream(stream: bytes) -> None:
     if not stream:
         raise MissingStop(0)
-    if len(stream) > limits.max_stream_bytes:
+    if len(stream) > MAX_STREAM_BYTES:
         raise LimitExceeded(0, "max_stream_bytes")
 
 
-def iter_segments(stream: bytes, limits: ParseLimits, read_segment):
+def iter_segments(stream: bytes, read_segment):
     """Yield one item per STOP-delimited segment of ``stream``.
 
-    ``read_segment(stream, start, limits)`` reads the segment at ``start`` and
+    ``read_segment(stream, start)`` reads the segment at ``start`` and
     returns ``(item, next_start)``.  A ParseError it raises carries the index
     of the failing segment; items already yielded stay valid.
     """
-    _check_stream(stream, limits)
+    _check_stream(stream)
     pos = 0
     segment = 0
     while pos < len(stream):
         try:
-            item, pos = read_segment(stream, pos, limits)
+            item, pos = read_segment(stream, pos)
         except ParseError as exc:
             exc.segment = segment
             raise
@@ -354,13 +355,13 @@ def iter_segments(stream: bytes, limits: ParseLimits, read_segment):
         segment += 1
 
 
-def _read_program(stream: bytes, start: int, limits: ParseLimits) -> PickleProgram:
+def _read_program(stream: bytes, start: int) -> PickleProgram:
     """Decode one program starting at ``start`` into its instruction list."""
     instructions: list[Instruction] = []
     declared: int | None = None
     saw_nonzero_min_proto = False
     end = start
-    for code, offset, arg, end in decode_ops(stream, start, limits):
+    for code, offset, arg, end in decode_ops(stream, start):
         spec = lookup(code)
         instructions.append(Instruction(offset, spec, arg, end - offset))
         if spec.min_protocol > 0:
@@ -377,26 +378,26 @@ def _read_program(stream: bytes, start: int, limits: ParseLimits) -> PickleProgr
     )
 
 
-def disassemble(stream: bytes, limits: ParseLimits = DEFAULT_PARSE_LIMITS) -> PickleProgram:
+def disassemble(stream: bytes) -> PickleProgram:
     """Disassemble a single pickle program from the start of ``stream``.
 
     Bytes after the first STOP are reported via ``trailing_bytes``, never
     dropped and never an error at this layer.
     """
-    _check_stream(stream, limits)
-    program = _read_program(stream, 0, limits)
+    _check_stream(stream)
+    program = _read_program(stream, 0)
     program.trailing_bytes = len(stream) - program.byte_length
     return program
 
 
-def _read_padded_program(stream: bytes, start: int, limits: ParseLimits):
-    program = _read_program(stream, start, limits)
+def _read_padded_program(stream: bytes, start: int):
+    program = _read_program(stream, start)
     end = start + program.byte_length
     program.trailing_bytes = zero_padding(stream, end)
     return program, end + program.trailing_bytes
 
 
-def iter_programs(stream: bytes, limits: ParseLimits = DEFAULT_PARSE_LIMITS):
+def iter_programs(stream: bytes):
     """Yield one PickleProgram per STOP-delimited segment of ``stream``.
 
     Programs already yielded stay valid if a later segment fails; the raised
@@ -404,7 +405,7 @@ def iter_programs(stream: bytes, limits: ParseLimits = DEFAULT_PARSE_LIMITS):
     zero bytes after the final STOP is tolerated and reported on the last
     program (legacy multi-pickle files pad this way).
     """
-    return iter_segments(stream, limits, _read_padded_program)
+    return iter_segments(stream, _read_padded_program)
 
 
 def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:
@@ -412,7 +413,8 @@ def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:
 
     A PROTO byte with protocol <= 5 is taken at face value.  Otherwise the
     sample must open with a protocol-0 opcode and decode coherently: either
-    a STOP is reached, or (when ``complete`` is False, i.e. the sample is a
+    a STOP is reached, ``_SNIFF_OPS`` instructions decode cleanly with more
+    bytes after them, or (when ``complete`` is False, i.e. the sample is a
     prefix of something larger) several instructions decode cleanly before
     the sample runs out.
     """
@@ -425,14 +427,13 @@ def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:
         return False
     count = 0
     try:
-        for _op in decode_ops(sample, 0, ParseLimits(max_instructions=32, max_arg_bytes=len(sample))):
+        for code, _offset, _arg, end in decode_ops(sample, 0):
             count += 1
+            if count == _SNIFF_OPS and code != _STOP:
+                # With no byte left, the sample ends before the next op.
+                return end < len(sample) or not complete
     except UnknownOpcode:
         return False
-    except LimitExceeded as exc:
-        if exc.which == "max_instructions":
-            return True  # 32 instructions decoded cleanly
-        return not complete and count >= 4
     except ParseError:
         # Ran off the end of the sample: fine for a prefix of a longer
         # stream, disqualifying for complete content.

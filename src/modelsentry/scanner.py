@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,8 +30,6 @@ from .policy import (
 
 TOOL_VERSION = "0.1.0"
 
-_SNIFF_BYTES = 512
-
 _log = logging.getLogger("modelsentry")
 
 
@@ -40,16 +37,6 @@ _log = logging.getLogger("modelsentry")
 class FileKind:
     kind: str  # zip_archive | hdf5 | pickle_stream | unknown
     confidence: str  # magic | heuristic
-
-
-@dataclass(frozen=True)
-class ScanLimits:
-    parse: disasm.ParseLimits = disasm.DEFAULT_PARSE_LIMITS
-    vm: absvm.VmLimits = absvm.DEFAULT_VM_LIMITS
-    entry_cap: int = containers.DEFAULT_ENTRY_CAP
-
-
-DEFAULT_SCAN_LIMITS = ScanLimits()
 
 
 @dataclass(frozen=True)
@@ -65,8 +52,6 @@ class FileReport:
     kind: str
     findings: list[Finding] = field(default_factory=list)
     errors: list[ScanError] = field(default_factory=list)
-    bytes_scanned: int = 0
-    duration: float = 0.0
 
 
 @dataclass
@@ -139,7 +124,6 @@ def _scan_pickle_bytes(
     data: bytes,
     ctx: FileContext,
     policy: Policy,
-    limits: ScanLimits,
     findings: list[Finding],
     errors: list[ScanError],
 ) -> None:
@@ -159,7 +143,7 @@ def _scan_pickle_bytes(
         return call_severity(root, policy, classified)[0] is not None
 
     try:
-        for outcome in absvm.walk(data, limits.parse, limits.vm, keep_call):
+        for outcome in absvm.walk(data, keep_call):
             if isinstance(outcome, absvm.VmError):
                 vm_errors.append(outcome)
                 outcome = outcome.partial
@@ -195,7 +179,7 @@ def _scan_zip(
     path: str,
     handle,
     policy: Policy,
-    limits: ScanLimits,
+    entry_cap: int,
     findings: list[Finding],
     errors: list[ScanError],
 ) -> None:
@@ -231,7 +215,7 @@ def _scan_zip(
             )
     payload_errors: list[containers.FormatError] = []
     payloads = containers.find_pickle_payloads(
-        entries, handle, cap=limits.entry_cap, errors=payload_errors
+        entries, handle, cap=entry_cap, errors=payload_errors
     )
     for exc in payload_errors:
         _parse_error(
@@ -240,7 +224,7 @@ def _scan_zip(
         )
     for entry, data in payloads:
         ctx = FileContext(path=path, entry=entry.path)
-        _scan_pickle_bytes(data, ctx, policy, limits, findings, errors)
+        _scan_pickle_bytes(data, ctx, policy, findings, errors)
     for entry in entries:
         if entry.path.rsplit("/", 1)[-1] != "config.json":
             continue
@@ -269,7 +253,6 @@ def _scan_hdf5(
     path: str,
     handle,
     policy: Policy,
-    limits: ScanLimits,
     findings: list[Finding],
     errors: list[ScanError],
 ) -> None:
@@ -331,30 +314,31 @@ def _scan_hdf5(
 def scan_file(
     path: str,
     policy: Policy,
-    limits: ScanLimits = DEFAULT_SCAN_LIMITS,
+    entry_cap: int = containers.DEFAULT_ENTRY_CAP,
 ) -> FileReport:
-    """Scan one file; every failure becomes an error entry, never an exception."""
-    started = time.perf_counter()
+    """Scan one file; every failure becomes an error entry, never an exception.
+
+    ``entry_cap`` bounds each archive member's inflated size.
+    """
     findings: list[Finding] = []
     errors: list[ScanError] = []
     kind = "unknown"
-    size = 0
     try:
         size = os.path.getsize(path)
         with open(path, "rb") as handle:
-            head = handle.read(_SNIFF_BYTES)
+            head = handle.read(disasm.SNIFF_BYTES)
             detected = sniff(head, size)
             kind = detected.kind
             if kind == "pickle_stream":
-                if size > limits.parse.max_stream_bytes:
+                if size > disasm.MAX_STREAM_BYTES:
                     raise disasm.LimitExceeded(0, "max_stream_bytes")
                 handle.seek(0)
                 data = handle.read()
-                _scan_pickle_bytes(data, FileContext(path=path), policy, limits, findings, errors)
+                _scan_pickle_bytes(data, FileContext(path=path), policy, findings, errors)
             elif kind == "zip_archive":
-                _scan_zip(path, handle, policy, limits, findings, errors)
+                _scan_zip(path, handle, policy, entry_cap, findings, errors)
             elif kind == "hdf5":
-                _scan_hdf5(path, handle, policy, limits, findings, errors)
+                _scan_hdf5(path, handle, policy, findings, errors)
             else:
                 findings.append(
                     Finding(
@@ -373,14 +357,7 @@ def scan_file(
         _log.debug("internal error scanning %s", path, exc_info=True)
         errors.append(ScanError("InternalError", "", f"{type(exc).__name__}: {exc}"))
     findings.sort(key=lambda finding: finding.sort_key())
-    return FileReport(
-        path=path,
-        kind=kind,
-        findings=findings,
-        errors=errors,
-        bytes_scanned=size,
-        duration=time.perf_counter() - started,
-    )
+    return FileReport(path=path, kind=kind, findings=findings, errors=errors)
 
 
 def _collect_files(
@@ -405,7 +382,7 @@ def _collect_files(
 def scan_paths(
     paths: list[str],
     policy: Policy,
-    limits: ScanLimits = DEFAULT_SCAN_LIMITS,
+    entry_cap: int = containers.DEFAULT_ENTRY_CAP,
     jobs: int = 1,
     follow_symlinks: bool = False,
     threshold: Severity = Severity.HIGH,
@@ -423,9 +400,9 @@ def scan_paths(
     files = sorted(set(files))
     if jobs > 1 and len(files) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda f: scan_file(f, policy, limits), files))
+            reports = list(pool.map(lambda f: scan_file(f, policy, entry_cap), files))
     else:
-        reports = [scan_file(path, policy, limits) for path in files]
+        reports = [scan_file(path, policy, entry_cap) for path in files]
     for bad_path, message in walk_errors:
         reports.append(
             FileReport(

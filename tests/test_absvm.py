@@ -7,6 +7,7 @@ sacrificial loader from conftest.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import pickle
 import struct
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import benign_streams, structural_match, stub_load
-from modelsentry import absvm
+from modelsentry import absvm, disasm
 from modelsentry.absvm import (
     BadMark,
     CallMade,
@@ -40,13 +41,7 @@ from modelsentry.absvm import (
     evaluate,
     render_value,
 )
-from modelsentry.disasm import (
-    DEFAULT_PARSE_LIMITS,
-    ParseError,
-    ParseLimits,
-    disassemble,
-    iter_programs,
-)
+from modelsentry.disasm import ParseError, disassemble, iter_programs
 from modelsentry.forge import (
     benign_state_dict_pickle,
     emit_injected_pickle,
@@ -130,16 +125,18 @@ def test_structure_matches_real_loader_on_benign_corpus():
     assert checked >= 50
 
 
-SMALL_LIMITS = (
-    ParseLimits(max_instructions=40, max_arg_bytes=16),
-    absvm.VmLimits(max_stack_depth=6, max_memo_entries=4),
-)
+@contextlib.contextmanager
+def small_bounds():
+    """Small bounds, so that walk and evaluate are also compared where a bound fires."""
+    with mock.patch.multiple(disasm, MAX_INSTRUCTIONS=40, MAX_ARG_BYTES=16):
+        with mock.patch.multiple(absvm, MAX_STACK_DEPTH=6, MAX_MEMO_ENTRIES=4):
+            yield
 
 
-def _via_programs(stream: bytes, parse_limits: ParseLimits, vm_limits: absvm.VmLimits):
-    for program in iter_programs(stream, parse_limits):
+def _via_programs(stream: bytes):
+    for program in iter_programs(stream):
         try:
-            yield evaluate(program, vm_limits)
+            yield evaluate(program)
         except absvm.VmError as exc:
             yield exc
 
@@ -160,11 +157,9 @@ def _outcomes(segments) -> list[tuple]:
     return summaries
 
 
-def assert_walk_matches_programs(
-    stream: bytes, parse_limits=DEFAULT_PARSE_LIMITS, vm_limits=absvm.DEFAULT_VM_LIMITS
-) -> None:
-    walked = _outcomes(absvm.walk(stream, parse_limits, vm_limits))
-    assert walked == _outcomes(_via_programs(stream, parse_limits, vm_limits))
+def assert_walk_matches_programs(stream: bytes) -> None:
+    walked = _outcomes(absvm.walk(stream))
+    assert walked == _outcomes(_via_programs(stream))
 
 
 def _walk_corpus() -> list[bytes]:
@@ -180,7 +175,8 @@ def _walk_corpus() -> list[bytes]:
 def test_walk_matches_evaluate_over_programs():
     for stream in _walk_corpus():
         assert_walk_matches_programs(stream)
-        assert_walk_matches_programs(stream, *SMALL_LIMITS)
+        with small_bounds():
+            assert_walk_matches_programs(stream)
 
 
 @settings(max_examples=150, deadline=None)
@@ -190,8 +186,9 @@ def test_walk_matches_evaluate_on_mutated_streams(data):
     del stream[data.draw(st.integers(0, len(stream))):]
     for _ in range(data.draw(st.integers(0, 4)) if stream else 0):
         stream[data.draw(st.integers(0, len(stream) - 1))] ^= 1 << data.draw(st.integers(0, 7))
-    limits = data.draw(st.sampled_from([(DEFAULT_PARSE_LIMITS, absvm.DEFAULT_VM_LIMITS), SMALL_LIMITS]))
-    assert_walk_matches_programs(bytes(stream), *limits)
+    bounds = small_bounds() if data.draw(st.booleans()) else contextlib.nullcontext()
+    with bounds:
+        assert_walk_matches_programs(bytes(stream))
 
 
 def test_determinism():
@@ -520,14 +517,12 @@ def _scanner_keep_call():
     caught = []
     real_walk = absvm.walk
 
-    def spy(stream, parse_limits, vm_limits, keep_call=None):
+    def spy(stream, keep_call=None):
         caught.append(keep_call)
-        return real_walk(stream, parse_limits, vm_limits, keep_call)
+        return real_walk(stream, keep_call)
 
     with mock.patch.object(absvm, "walk", spy):
-        scanner._scan_pickle_bytes(
-            b"N.", FileContext("x.pkl"), default_policy(), scanner.DEFAULT_SCAN_LIMITS, [], []
-        )
+        scanner._scan_pickle_bytes(b"N.", FileContext("x.pkl"), default_policy(), [], [])
     (keep_call,) = caught
     return keep_call
 

@@ -153,20 +153,21 @@ def _alarm(_signum, _frame):
     raise _FuzzTimeout()
 
 
-def test_c06_parser_totality_under_fuzz(corpus_dir):
-    fuzz_parse = disasm.ParseLimits(
-        max_instructions=20_000, max_arg_bytes=1 << 20, max_stream_bytes=1 << 24
-    )
-    fuzz_vm = absvm.VmLimits(max_stack_depth=50_000, max_memo_entries=100_000)
+def test_c06_parser_totality_under_fuzz(corpus_dir, monkeypatch):
+    monkeypatch.setattr(disasm, "MAX_INSTRUCTIONS", 20_000)
+    monkeypatch.setattr(disasm, "MAX_ARG_BYTES", 1 << 20)
+    monkeypatch.setattr(disasm, "MAX_STREAM_BYTES", 1 << 24)
+    monkeypatch.setattr(absvm, "MAX_STACK_DEPTH", 50_000)
+    monkeypatch.setattr(absvm, "MAX_MEMO_ENTRIES", 100_000)
     bases = [path.read_bytes() for path in sorted(corpus_dir.iterdir()) if path.is_file()]
     bases = [b[: 1 << 16] for b in bases]
     rng = random.Random(1234)
 
     def probe(data: bytes) -> None:
         try:
-            for program in disasm.iter_programs(data, fuzz_parse):
+            for program in disasm.iter_programs(data):
                 try:
-                    absvm.evaluate(program, fuzz_vm)
+                    absvm.evaluate(program)
                 except absvm.VmError:
                     pass
         except disasm.ParseError:

@@ -21,13 +21,12 @@ from conftest import (
     own_transcript,
     reference_transcript,
 )
+from modelsentry import disasm
 from modelsentry.disasm import (
     DECODERS,
-    DEFAULT_PARSE_LIMITS,
     LimitExceeded,
     MissingStop,
     ParseError,
-    ParseLimits,
     TruncatedArgument,
     UnknownOpcode,
     disassemble,
@@ -130,16 +129,16 @@ def test_counted_argument_truncation_reports_needed_and_available():
     assert excinfo.value.available == 3
 
 
-def test_instruction_limit():
-    limits = ParseLimits(max_instructions=3)
+def test_instruction_limit(monkeypatch):
+    monkeypatch.setattr(disasm, "MAX_INSTRUCTIONS", 3)
     with pytest.raises(LimitExceeded):
-        disassemble(b"NNNN.", limits)
+        disassemble(b"NNNN.")
 
 
-def test_argument_limit():
-    limits = ParseLimits(max_arg_bytes=8)
+def test_argument_limit(monkeypatch):
+    monkeypatch.setattr(disasm, "MAX_ARG_BYTES", 8)
     with pytest.raises(LimitExceeded):
-        disassemble(b"B\xff\xff\x00\x00" + b"x" * 100, limits)
+        disassemble(b"B\xff\xff\x00\x00" + b"x" * 100)
 
 
 def test_offset_coverage_over_generated_streams():
@@ -264,7 +263,7 @@ def test_decoder_table_agrees_with_opcode_table():
     for code, spec in specs.items():
         raw = _SAMPLE_LINES.get(spec.mnemonic, _SAMPLE_ARGS.get(spec.arg_kind))
         stream = bytes([code]) + raw + b"."
-        arg, end = DECODERS[code](stream, 1, 0, DEFAULT_PARSE_LIMITS)
+        arg, end = DECODERS[code](stream, 1, 0)
         expected = reference[code].arg.reader(io.BytesIO(raw)) if raw else None
         if isinstance(expected, bytearray):
             expected = bytes(expected)

@@ -9,21 +9,25 @@ hanging the suite.
 
 Other recipes try to hide a payload or to cost memory: an argument too big
 to render whole, a ``config.json`` nested deeper than the JSON decoder
-recurses, and tensor storage whose bytes look like a pickle.
+recurses, and tensor storage whose bytes look like a pickle.  Last, each
+scan bound is made small and driven through the scanner.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import signal
 import struct
 import tracemalloc
 import zipfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modelsentry import absvm, containers, disasm
 from modelsentry.absvm import (
     ARG_SUMMARY_CAP,
     CallResult,
@@ -33,6 +37,7 @@ from modelsentry.absvm import (
     Primitive,
     render_value,
 )
+from modelsentry.cli import main as cli_main
 from modelsentry.containers import HDF5_SIGNATURE
 from modelsentry.forge import (
     benign_state_dict_pickle,
@@ -289,3 +294,79 @@ def test_pkl_member_under_storage_is_still_scanned(tmp_path, policy):
     path.write_bytes(buffer.getvalue())
     report = scan_file(str(path), policy)
     assert {f.entry for f in report.findings if f.rule_id == "PICKLE_CALL"} == {"model/data/extra.pkl"}
+
+
+# -- every scan bound, driven through the scanner ---------------------------------
+
+_ARCHIVE = emit_torch_like_zip(benign_state_dict_pickle())  # three members
+_ARCHIVE_DIRECTORY = _ARCHIVE.index(b"PK\x01\x02")
+
+
+@pytest.mark.parametrize(
+    "module, bound, value, data, error, rules",
+    [
+        pytest.param(
+            disasm, "MAX_STREAM_BYTES", 8, b"\x80\x02" + b"N0" * 8 + b"N.",
+            ("LimitExceeded", "offset 0", "limit exceeded: max_stream_bytes"),
+            [],  # checked before the file is read, so no part of it was parsed
+            id="stream-bytes",
+        ),
+        pytest.param(
+            disasm, "MAX_INSTRUCTIONS", 4, b"\x80\x02NNNNN.",
+            ("LimitExceeded", "offset 5", "limit exceeded: max_instructions"),
+            ["FORMAT_PARSE_ERROR"],
+            id="instructions",
+        ),
+        pytest.param(
+            disasm, "MAX_ARG_BYTES", 4, b"\x80\x02X\x05\x00\x00\x00hello.",
+            ("LimitExceeded", "offset 2", "limit exceeded: max_arg_bytes"),
+            ["FORMAT_PARSE_ERROR"],
+            id="arg-bytes",
+        ),
+        pytest.param(
+            absvm, "MAX_STACK_DEPTH", 2, b"\x80\x02NNN.",
+            ("LimitExceeded", "offset 4", "limit exceeded: max_stack_depth"),
+            ["FORMAT_PARSE_ERROR"],
+            id="stack-depth",
+        ),
+        pytest.param(
+            absvm, "MAX_MEMO_ENTRIES", 1, b"\x80\x02Nq\x00q\x01.",
+            ("LimitExceeded", "offset 5", "limit exceeded: max_memo_entries"),
+            ["FORMAT_PARSE_ERROR"],
+            id="memo-entries",
+        ),
+        pytest.param(
+            containers, "MAX_ENTRIES", 2, _ARCHIVE,
+            (
+                "CorruptHeader", "",
+                f"corrupt header at offset {_ARCHIVE_DIRECTORY}: entry count 3 too large",
+            ),
+            ["FORMAT_PARSE_ERROR"],
+            id="archive-entries",
+        ),
+    ],
+)
+def test_each_bound_is_reported_by_the_scanner(
+    tmp_path, policy, monkeypatch, module, bound, value, data, error, rules
+):
+    path = tmp_path / "bounded.bin"
+    path.write_bytes(data)
+    monkeypatch.setattr(module, bound, value)
+    report = scan_paths([str(path)], policy)
+    (scanned,) = report.files
+    assert [(e.kind, e.locus, e.message) for e in scanned.errors] == [error]
+    assert [f.rule_id for f in scanned.findings] == rules
+    assert exit_code(report) == 2
+
+
+def test_cli_max_entry_bytes_caps_each_archive_member(tmp_path, capsys):
+    path = tmp_path / "model.pt"
+    path.write_bytes(_ARCHIVE)
+    size = len(benign_state_dict_pickle())
+    assert cli_main(["scan", "--format", "json", "--max-entry-bytes", str(size - 1), str(path)]) == 2
+    (scanned,) = json.loads(capsys.readouterr().out)["files"]
+    assert [(e["kind"], e["message"]) for e in scanned["errors"]] == [
+        ("CapExceeded", f"declared size {size} exceeds cap {size - 1}")
+    ]
+    assert cli_main(["scan", "--max-entry-bytes", str(size), str(path)]) == 0
+    capsys.readouterr()

@@ -7,6 +7,7 @@ import json
 import os
 import zipfile
 
+from modelsentry import containers
 from modelsentry.cli import main as cli_main
 from modelsentry.containers import HDF5_SIGNATURE
 from modelsentry.forge import (
@@ -154,15 +155,37 @@ def test_scan_h5_too_deep_decoy_does_not_hide_the_lambda(tmp_path, policy):
     assert [error.kind for error in report.errors] == ["UnbalancedJson"]
 
 
+def _json_nesting_limit() -> int:
+    """Levels of ``[`` the C JSON decoder opens, at the caller's stack depth,
+    before it raises RecursionError."""
+    low, high = 1, 1 << 17
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            json.JSONDecoder().raw_decode("[" * mid)
+        except RecursionError:
+            high = mid
+        except json.JSONDecodeError:
+            low = mid + 1  # ran off the end first
+    return low
+
+
 def test_scan_h5_decoy_deeper_than_the_decoder_does_not_hide_a_lambda_in_its_window(
     tmp_path, policy
 ):
-    """The decoder gives up at about 1,000 levels; the real attribute right
-    after them still sits inside the first window read."""
-    decoy = b'{"a":' + b"[" * 1_100
+    """The decoder gives up at a depth that depends on the interpreter (993
+    levels on 3.10 and 3.11, 1,496 on 3.12, 9,997 on 3.13); the decoy goes
+    past it, and the real attribute right after the decoy still sits inside
+    the window the decoder gave up in."""
+    limit = _json_nesting_limit()
+    decoy = b'{"a":' + b"[" * (limit + 100)
+    window = containers._FIRST_WINDOW  # the first window holding ``limit`` levels
+    while window < len(b'{"a":') + limit:
+        window *= 2
     lambda_h5 = emit_keras_h5(emit_keras_lambda_config(True))
     body = HDF5_SIGNATURE + b"model_config" + decoy + lambda_h5
-    assert body.index(b"model_config", 20) < 4096 - 1_000
+    marker_end = body.index(b"model_config", 20) + len(b"model_config")
+    assert marker_end < body.index(b"{") + window
     target = tmp_path / "deep_window.h5"
     target.write_bytes(body)
     report = scan_file(str(target), policy)
