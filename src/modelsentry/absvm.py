@@ -56,7 +56,6 @@ class CallResult(AbstractValue):
 
     callee: AbstractValue
     args: tuple
-    via: str  # REDUCE | NEWOBJ | NEWOBJ_EX | OBJ | INST
     state: AbstractValue | None = None  # attached by a later BUILD
 
 
@@ -709,7 +708,7 @@ class _Machine:
             args = (args_v,)
         argc = len(args) if isinstance(resolved, Container) and resolved.kind == "tuple" else None
         self.record_call(callee, argc, args_v)
-        self.push(CallResult(callee=callee, args=args, via="REDUCE"))
+        self.push(CallResult(callee=callee, args=args))
 
     def op_newobj(self, arg) -> None:
         args_v = self.pop()
@@ -719,29 +718,29 @@ class _Machine:
             args = tuple(resolved.elements)
         else:
             args = (args_v,)
-        self.record_call_with(cls, args, "NEWOBJ")
+        self.record_call_with(cls, args)
 
     def op_newobj_ex(self, arg) -> None:
         kwargs_v = self.pop()
         args_v = self.pop()
         cls = self.pop()
-        self.record_call_with(cls, (args_v, kwargs_v), "NEWOBJ_EX")
+        self.record_call_with(cls, (args_v, kwargs_v))
 
     def op_obj(self, arg) -> None:
         items = self.pop_mark()
         if not items:
             raise StackUnderflow(self.offset)
         cls, args = items[0], tuple(items[1:])
-        self.record_call_with(cls, args, "OBJ")
+        self.record_call_with(cls, args)
 
     def op_inst(self, arg) -> None:
         module, name = arg
         items = self.pop_mark()
-        self.record_call_with(GlobalRef(module, name), tuple(items), "INST")
+        self.record_call_with(GlobalRef(module, name), tuple(items))
 
-    def record_call_with(self, callee: AbstractValue, args: tuple, via: str) -> None:
+    def record_call_with(self, callee: AbstractValue, args: tuple) -> None:
         self.record_call(callee, len(args), Container("tuple", list(args)))
-        self.push(CallResult(callee=callee, args=args, via=via))
+        self.push(CallResult(callee=callee, args=args))
 
     def record_call(self, callee: AbstractValue, argc: int | None, args_v: AbstractValue) -> None:
         """Emit the CallMade event of one call, with its root resolved and its

@@ -3,7 +3,8 @@
 Two formats are recognized: ZIP archives (PyTorch-style checkpoints and
 Keras archive files) read via their central directory, and HDF5 files whose
 embedded model-config JSON is recovered by a bounded byte-level heuristic
-rather than a full B-tree walk.
+rather than a full B-tree walk.  A model config from either goes through
+the one decoder, ``decode_config``.
 
 Nothing here writes, extracts to disk, or resolves member paths against the
 filesystem.  Decompression is capped so that a hostile archive cannot
@@ -44,6 +45,7 @@ _TRUNCATION_TAIL = 16
 _CD_SIZE_CAP = 512 * 1024 * 1024
 _CHUNK = 4 * 1024 * 1024
 _DECODER = json.JSONDecoder()
+_WHITESPACE = json.decoder.WHITESPACE
 
 
 class FormatError(Exception):
@@ -130,7 +132,6 @@ class ArchiveEntry:
 
 @dataclass(frozen=True)
 class ExtractedConfig:
-    source: str  # "hdf5-attribute-heuristic"
     json_text: str
     byte_range: tuple[int, int]
     config: object  # json_text, parsed
@@ -278,6 +279,38 @@ def _entry_data_start(handle: BinaryIO, entry: ArchiveEntry) -> int:
     return entry.offset + 30 + name_len + extra_len
 
 
+def _member_head(handle: BinaryIO, entry: ArchiveEntry, limit: int) -> bytes:
+    """The member's first ``limit`` bytes, stored or inflated; fewer if it
+    is shorter.  This is the one inflate loop: whole reads and sniffs share it."""
+    handle.seek(_entry_data_start(handle, entry))
+    if entry.method == "stored":
+        return handle.read(min(limit, entry.uncompressed_size))
+    decompressor = zlib.decompressobj(-15)
+    remaining = entry.compressed_size
+    chunks: list[bytes] = []
+    produced = 0
+    try:
+        while remaining > 0 and produced < limit:
+            piece = handle.read(min(remaining, 64 * 1024))
+            if not piece:
+                break
+            remaining -= len(piece)
+            # Bounded output per call; the input left over is fed back in.
+            while piece and produced < limit:
+                out = decompressor.decompress(piece, min(limit - produced, 1 << 20))
+                if not out:
+                    break
+                produced += len(out)
+                chunks.append(out)
+                piece = decompressor.unconsumed_tail
+        if produced < limit:
+            # Output zlib still holds once the input is used up: a few bytes.
+            chunks.append(decompressor.flush()[: limit - produced])
+    except zlib.error as exc:
+        raise InflateError(entry.path, str(exc)) from None
+    return b"".join(chunks)
+
+
 def read_entry(handle: BinaryIO, entry: ArchiveEntry, cap: int = DEFAULT_ENTRY_CAP) -> bytes:
     """Return exactly the entry's declared bytes, bounded by ``cap``."""
     if entry.encrypted:
@@ -286,42 +319,9 @@ def read_entry(handle: BinaryIO, entry: ArchiveEntry, cap: int = DEFAULT_ENTRY_C
         raise UnsupportedMethod(entry.path, f"compression {entry.method}")
     if entry.uncompressed_size > cap:
         raise CapExceeded(entry.uncompressed_size, cap)
-    data_start = _entry_data_start(handle, entry)
-    handle.seek(data_start)
-    if entry.method == "stored":
-        data = handle.read(entry.uncompressed_size)
-        if len(data) != entry.uncompressed_size:
-            raise SizeMismatch(entry.path, entry.uncompressed_size, len(data))
-        return data
-    decompressor = zlib.decompressobj(-15)
-    remaining = entry.compressed_size
-    chunks: list[bytes] = []
-    produced = 0
-    try:
-        while remaining > 0:
-            piece = handle.read(min(remaining, 64 * 1024))
-            if not piece:
-                break
-            remaining -= len(piece)
-            pending = piece
-            while pending:
-                out = decompressor.decompress(pending, 1 << 20)
-                if out:
-                    produced += len(out)
-                    if produced > cap:
-                        raise CapExceeded(produced, cap)
-                    chunks.append(out)
-                pending = decompressor.unconsumed_tail
-                if not out and not pending:
-                    break
-        tail = decompressor.flush()
-    except zlib.error as exc:
-        raise InflateError(entry.path, str(exc)) from None
-    produced += len(tail)
-    if produced > cap:
-        raise CapExceeded(produced, cap)
-    chunks.append(tail)
-    data = b"".join(chunks)
+    data = _member_head(handle, entry, cap + 1)
+    if len(data) > cap:
+        raise CapExceeded(len(data), cap)
     if len(data) != entry.uncompressed_size:
         raise SizeMismatch(entry.path, entry.uncompressed_size, len(data))
     return data
@@ -329,35 +329,19 @@ def read_entry(handle: BinaryIO, entry: ArchiveEntry, cap: int = DEFAULT_ENTRY_C
 
 def read_entry_head(handle: BinaryIO, entry: ArchiveEntry, n: int) -> bytes:
     """Best-effort first ``n`` decompressed bytes, for content sniffing."""
+    if entry.encrypted or entry.method not in ("stored", "deflate"):
+        return b""
     try:
-        data_start = _entry_data_start(handle, entry)
+        return _member_head(handle, entry, n)
     except FormatError:
         return b""
-    handle.seek(data_start)
-    if entry.method == "stored":
-        return handle.read(min(n, entry.uncompressed_size))
-    if entry.method != "deflate" or entry.encrypted:
-        return b""
-    decompressor = zlib.decompressobj(-15)
-    remaining = entry.compressed_size
-    out = b""
-    try:
-        while remaining > 0 and len(out) < n:
-            piece = handle.read(min(remaining, 64 * 1024))
-            if not piece:
-                break
-            remaining -= len(piece)
-            out += decompressor.decompress(piece, n - len(out))
-    except zlib.error:
-        return b""
-    return out[:n]
 
 
 def find_pickle_payloads(
     entries: list[ArchiveEntry],
     handle: BinaryIO,
     cap: int = DEFAULT_ENTRY_CAP,
-    errors: list[FormatError] | None = None,
+    errors: list[tuple[ArchiveEntry, FormatError]] | None = None,
 ) -> list[tuple[ArchiveEntry, bytes]]:
     """Locate every entry a deserializing loader would feed to pickle.
 
@@ -366,7 +350,8 @@ def find_pickle_payloads(
     ``<prefix>/data.pkl`` member, the members under ``<prefix>/data/`` are
     tensor storage that the loader reads as raw bytes, so their content is
     not sniffed.  Per-entry read failures are appended to ``errors`` (when
-    given) without aborting the remaining entries.
+    given) as ``(entry, error)`` pairs, without aborting the remaining
+    entries.
     """
     storage_dirs = tuple(
         entry.path[: -len("data.pkl")] + "data/"
@@ -389,7 +374,7 @@ def find_pickle_payloads(
             hits.append((entry, read_entry(handle, entry, cap)))
         except FormatError as exc:
             if errors is not None:
-                errors.append(exc)
+                errors.append((entry, exc))
     return hits
 
 
@@ -419,11 +404,56 @@ def _scan_for(handle: BinaryIO, marker: bytes, start: int) -> int:
     return -1
 
 
-def _may_be_truncated(exc: json.JSONDecodeError) -> bool:
-    """Could more bytes after the window turn this decode error into a success?"""
-    return exc.pos + _TRUNCATION_TAIL >= len(exc.doc) or exc.msg.startswith(
-        "Unterminated string"
-    )
+def decode_config(
+    data: bytes, offset: int = 0, asked: int | None = None
+) -> ExtractedConfig | None:
+    """Decode the model config at the start of ``data``, read from ``offset``.
+
+    This is the one model-config decoder: a ``config.json`` member and an
+    HDF5 attribute go through the same rules.  After any leading JSON
+    whitespace, the config is one JSON value, decoded by
+    ``json.JSONDecoder.raw_decode``; bytes after it are not read.  Its
+    bytes must be strict UTF-8 and at most ``CONFIG_CAP`` long.  Nesting
+    deeper than the decoder recurses is ``UnbalancedJson`` ending just past
+    the first byte, so that a search for the next candidate resumes there.
+
+    ``asked`` is the size of the read when ``data`` is a window of a longer
+    file.  A window that came back full may end inside the value: when
+    more bytes could turn a decode error into a success, the result is
+    None, and the caller reads a bigger window.
+    """
+    cap = CONFIG_CAP
+    text = data.decode("utf-8", "surrogateescape")
+    got = len(data)
+    del data  # one copy of the window in memory while it is parsed
+    begin = _WHITESPACE.match(text).end()  # ASCII: as many bytes as characters
+    start = offset + begin
+    try:
+        config, end = _DECODER.raw_decode(text, begin)
+    except RecursionError:
+        raise UnbalancedJson(start, start + 1, "JSON object nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        cut_short = exc.pos + _TRUNCATION_TAIL >= len(text) or exc.msg.startswith(
+            "Unterminated string"
+        )
+        if asked is None or got < asked or not cut_short:
+            stop = offset + len(text[: exc.pos].encode("utf-8", "surrogateescape"))
+            raise UnbalancedJson(start, stop, f"extracted text is not valid JSON: {exc}") from None
+        if got > cap:
+            raise CapExceeded(got, cap, offset + got) from None
+        return None
+    json_text = text[begin:end]
+    del text
+    # Back to the bytes read, where a byte that is not UTF-8 fails a strict decode.
+    consumed = json_text.encode("utf-8", "surrogateescape")
+    stop = start + len(consumed)
+    if len(consumed) > cap:
+        raise CapExceeded(len(consumed), cap, stop)
+    try:
+        consumed.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UnbalancedJson(start, stop, f"extracted text is not valid JSON: {exc}") from None
+    return ExtractedConfig(json_text=json_text, byte_range=(start, stop), config=config)
 
 
 def extract_h5_model_config(handle: BinaryIO, start: int = 0) -> ExtractedConfig:
@@ -431,16 +461,16 @@ def extract_h5_model_config(handle: BinaryIO, start: int = 0) -> ExtractedConfig
 
     Scans for the attribute name bytes ``model_config`` and decodes the JSON
     object that opens within ``_H5_GAP_CAP`` bytes after it (a marker with
-    no object there is skipped), capped at ``CONFIG_CAP``.  This sidesteps
-    a full HDF5 object-header parse; files written by the mainstream saver
+    no object there is skipped) with ``decode_config``.  This sidesteps a
+    full HDF5 object-header parse; files written by the mainstream saver
     place the config exactly this way.  A file may hold several candidates
     (a decoy before the real attribute): call again from ``byte_range[1]``,
     or from a failed candidate's ``end_offset``, until ``ConfigNotFound``.
 
-    The object is decoded by ``json.JSONDecoder.raw_decode`` over a window
-    that starts at ``_FIRST_WINDOW`` bytes and doubles only while the decode
-    error could be a truncation, so work and memory stay proportional to
-    the config, not to the file.
+    The window read for the decoder starts at ``_FIRST_WINDOW`` bytes and
+    doubles only while the decode error could be a truncation, up to
+    ``CONFIG_CAP`` + 1 bytes, so work and memory stay proportional to the
+    config, not to the file.
     """
     handle.seek(0)
     if handle.read(8) != HDF5_SIGNATURE:
@@ -460,44 +490,12 @@ def extract_h5_model_config(handle: BinaryIO, start: int = 0) -> ExtractedConfig
         # marker that ends before it, so only a marker that ends within the
         # gap before it can open a candidate: skip the rest in one step.
         pos = brace_at - len(_H5_MARKER) - _H5_GAP_CAP + 1
-    cap = CONFIG_CAP
     size = _FIRST_WINDOW
     while True:
-        want = min(size, cap + 1)
+        want = min(size, CONFIG_CAP + 1)
         handle.seek(brace_at)
-        window = handle.read(want)
-        got = len(window)
-        text = window.decode("utf-8", "surrogateescape")
-        del window  # one copy of the window in memory while it is parsed
-        try:
-            config, end = _DECODER.raw_decode(text)
-            break
-        except RecursionError:
-            # Resume just past the brace: a real marker may sit inside the nesting.
-            raise UnbalancedJson(brace_at, brace_at + 1, "JSON object nested too deeply") from None
-        except json.JSONDecodeError as exc:
-            if got < want or not _may_be_truncated(exc):  # no more bytes would help
-                stop = brace_at + len(text[: exc.pos].encode("utf-8", "surrogateescape"))
-                raise UnbalancedJson(
-                    brace_at, stop, f"extracted text is not valid JSON: {exc}"
-                ) from None
-            if got > cap:
-                raise CapExceeded(got, cap, brace_at + got) from None
-            size *= 2
-    json_text = text[:end]
-    del text
-    # Back to the bytes read, where a byte that is not UTF-8 fails a strict decode.
-    consumed = json_text.encode("utf-8", "surrogateescape")
-    stop = brace_at + len(consumed)
-    if len(consumed) > cap:
-        raise CapExceeded(len(consumed), cap, stop)
-    try:
-        consumed.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise UnbalancedJson(brace_at, stop, f"extracted text is not valid JSON: {exc}") from None
-    return ExtractedConfig(
-        source="hdf5-attribute-heuristic",
-        json_text=json_text,
-        byte_range=(brace_at, stop),
-        config=config,
-    )
+        # Passed straight in, so the decoder frees the bytes before it parses (3.11+).
+        extracted = decode_config(handle.read(want), brace_at, want)
+        if extracted is not None:
+            return extracted
+        size *= 2

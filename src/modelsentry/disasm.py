@@ -117,6 +117,7 @@ Decoder = Callable[[bytes, int, int], "tuple[object, int]"]
 
 _STOP = ord(".")
 _PROTO = 0x80
+_IMPORTS = frozenset(b"ci")  # GLOBAL, INST
 
 
 def _truncated(op_offset: int, what: str, needed: int, stream: bytes, pos: int) -> ParseError:
@@ -408,15 +409,20 @@ def iter_programs(stream: bytes):
     return iter_segments(stream, _read_padded_program)
 
 
+def _is_dotted_name(text: str) -> bool:
+    return all(part.isidentifier() for part in text.split("."))
+
+
 def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:
     """Heuristic: do these bytes plausibly start a pickle stream?
 
     A PROTO byte with protocol <= 5 is taken at face value.  Otherwise the
     sample must open with a protocol-0 opcode and decode coherently: either
-    a STOP is reached, ``_SNIFF_OPS`` instructions decode cleanly with more
-    bytes after them, or (when ``complete`` is False, i.e. the sample is a
-    prefix of something larger) several instructions decode cleanly before
-    the sample runs out.
+    a STOP is reached, a GLOBAL or INST names a dotted Python identifier
+    pair (the loader imports there, whatever follows), ``_SNIFF_OPS``
+    instructions decode cleanly with more bytes after them, or (when
+    ``complete`` is False, i.e. the sample is a prefix of something larger)
+    several instructions decode cleanly before the sample runs out.
     """
     if not sample:
         return False
@@ -427,7 +433,9 @@ def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:
         return False
     count = 0
     try:
-        for code, _offset, _arg, end in decode_ops(sample, 0):
+        for code, _offset, arg, end in decode_ops(sample, 0):
+            if code in _IMPORTS and all(_is_dotted_name(part) for part in arg):
+                return True
             count += 1
             if count == _SNIFF_OPS and code != _STOP:
                 # With no byte left, the sample ends before the next op.

@@ -8,7 +8,6 @@ the only output is the returned report structure.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -31,12 +30,6 @@ from .policy import (
 TOOL_VERSION = "0.1.0"
 
 _log = logging.getLogger("modelsentry")
-
-
-@dataclass(frozen=True)
-class FileKind:
-    kind: str  # zip_archive | hdf5 | pickle_stream | unknown
-    confidence: str  # magic | heuristic
 
 
 @dataclass(frozen=True)
@@ -80,17 +73,18 @@ class ScanReport:
         return worst
 
 
-def sniff(first_bytes: bytes, length: int) -> FileKind:
-    """Classify by magic first, content heuristics second."""
+def sniff(first_bytes: bytes, length: int) -> str:
+    """Classify by magic first, content heuristics second: one of
+    ``zip_archive``, ``hdf5``, ``pickle_stream`` or ``unknown``."""
     if first_bytes.startswith(containers.ZIP_LOCAL_MAGIC) or first_bytes.startswith(
         containers.ZIP_EOCD_MAGIC
     ):
-        return FileKind("zip_archive", "magic")
+        return "zip_archive"
     if first_bytes.startswith(containers.HDF5_SIGNATURE):
-        return FileKind("hdf5", "magic")
+        return "hdf5"
     if disasm.plausible_pickle_prefix(first_bytes, complete=length <= len(first_bytes)):
-        return FileKind("pickle_stream", "heuristic")
-    return FileKind("unknown", "heuristic")
+        return "pickle_stream"
+    return "unknown"
 
 
 def _parse_error(
@@ -213,40 +207,34 @@ def _scan_zip(
                     entry=entry.path,
                 )
             )
-    payload_errors: list[containers.FormatError] = []
+
+    def member_error(entry: containers.ArchiveEntry, exc: containers.FormatError) -> None:
+        _parse_error(
+            findings, errors, FileContext(path, entry.path), exc.kind,
+            "archive member could not be read", exc.message,
+        )
+
+    payload_errors: list[tuple[containers.ArchiveEntry, containers.FormatError]] = []
     payloads = containers.find_pickle_payloads(
         entries, handle, cap=entry_cap, errors=payload_errors
     )
-    for exc in payload_errors:
-        _parse_error(
-            findings, errors, FileContext(path), exc.kind, "archive member could not be read",
-            exc.message,
-        )
+    for entry, exc in payload_errors:
+        member_error(entry, exc)
     for entry, data in payloads:
         ctx = FileContext(path=path, entry=entry.path)
         _scan_pickle_bytes(data, ctx, policy, findings, errors)
     for entry in entries:
         if entry.path.rsplit("/", 1)[-1] != "config.json":
             continue
-        ctx = FileContext(path=path, entry=entry.path)
         try:
-            config_bytes = containers.read_entry(handle, entry, containers.CONFIG_CAP)
+            # Passed straight in, so the decoder frees the bytes before it parses (3.11+).
+            extracted = containers.decode_config(
+                containers.read_entry(handle, entry, containers.CONFIG_CAP)
+            )
         except containers.FormatError as exc:
-            errors.append(ScanError(exc.kind, entry.path, exc.message))
+            member_error(entry, exc)
             continue
-        try:
-            config = json.loads(config_bytes.decode("utf-8", "replace"))
-        except json.JSONDecodeError as exc:
-            message = str(exc)
-        except RecursionError:
-            # The decoder recurses per level: a deep member costs only itself.
-            message = "JSON nested too deeply to decode"
-        else:
-            _scan_keras_config(config, ctx, policy, findings)
-            continue
-        _parse_error(
-            findings, errors, ctx, "ConfigParseError", "model config is not valid JSON", message
-        )
+        _scan_keras_config(extracted.config, FileContext(path, entry.path), policy, findings)
 
 
 def _scan_hdf5(
@@ -327,8 +315,7 @@ def scan_file(
         size = os.path.getsize(path)
         with open(path, "rb") as handle:
             head = handle.read(disasm.SNIFF_BYTES)
-            detected = sniff(head, size)
-            kind = detected.kind
+            kind = sniff(head, size)
             if kind == "pickle_stream":
                 if size > disasm.MAX_STREAM_BYTES:
                     raise disasm.LimitExceeded(0, "max_stream_bytes")

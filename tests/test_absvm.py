@@ -229,7 +229,7 @@ def test_call_roots_resolves_through_memo():
 
 
 def test_call_roots_stops_on_memo_cycle_through_callee_chain():
-    memo = {1: CallResult(callee=MemoRef(1), args=(), via="REDUCE")}
+    memo = {1: CallResult(callee=MemoRef(1), args=())}
     assert call_roots(MemoRef(1), memo) is None
 
 

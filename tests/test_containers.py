@@ -9,6 +9,7 @@ from __future__ import annotations
 import base64
 import io
 import json
+import struct
 import zipfile
 
 import pytest
@@ -21,6 +22,7 @@ from modelsentry.containers import (
     CapExceeded,
     ConfigNotFound,
     CorruptHeader,
+    InflateError,
     NoCentralDirectory,
     NotHdf5,
     SizeMismatch,
@@ -33,6 +35,7 @@ from modelsentry.containers import (
     is_path_suspicious,
     list_entries,
     read_entry,
+    read_entry_head,
 )
 from modelsentry.forge import (
     emit_keras_h5,
@@ -72,6 +75,29 @@ def test_read_entry_matches_zipfile_read(compress):
     with zipfile.ZipFile(handle) as reference:
         for entry in entries:
             assert read_entry(handle, entry) == reference.read(entry.path)
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_head_read_is_a_prefix_of_the_full_read(compress):
+    data = bytes(range(256)) * 300 + b"\x00" * 200_000
+    handle = make_zip({"m.bin": data}, compress=compress)
+    (entry,) = list_entries(handle)
+    full = read_entry(handle, entry)
+    assert full == data
+    for n in (0, 1, len(data) - 1, len(data), len(data) + 1):
+        assert read_entry_head(handle, entry, n) == full[:n]
+
+
+def test_corrupt_deflate_stream_is_empty_head_and_inflate_error():
+    handle = make_zip({"m.bin": b"payload " * 1000}, compress=True)
+    (entry,) = list_entries(handle)
+    blob = bytearray(handle.getvalue())
+    name_len, extra_len = struct.unpack("<HH", blob[entry.offset + 26 : entry.offset + 30])
+    blob[entry.offset + 30 + name_len + extra_len] = 0xFF  # a reserved block type
+    corrupt = io.BytesIO(bytes(blob))
+    assert read_entry_head(corrupt, entry, 512) == b""
+    with pytest.raises(InflateError):
+        read_entry(corrupt, entry)
 
 
 def test_stored_five_bytes():
@@ -219,7 +245,6 @@ def test_h5_round_trip_three_layer_config():
     config = emit_keras_lambda_config(True)
     handle = io.BytesIO(emit_keras_h5(config))
     extracted = extract_h5_model_config(handle)
-    assert extracted.source == "hdf5-attribute-heuristic"
     assert extracted.json_text == config
     parsed = json.loads(extracted.json_text)
     layers = parsed["config"]["layers"]
@@ -322,7 +347,7 @@ def _brace_count_extract(blob: bytes, cap: int) -> ExtractedConfig:
         config = json.loads(json_text)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UnbalancedJson(brace_at, end, f"extracted text is not valid JSON: {exc}") from None
-    return ExtractedConfig("hdf5-attribute-heuristic", json_text, (brace_at, end), config)
+    return ExtractedConfig(json_text, (brace_at, end), config)
 
 
 def _outcome(extract, blob: bytes):

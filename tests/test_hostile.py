@@ -9,8 +9,9 @@ hanging the suite.
 
 Other recipes try to hide a payload or to cost memory: an argument too big
 to render whole, a ``config.json`` nested deeper than the JSON decoder
-recurses, and tensor storage whose bytes look like a pickle.  Last, each
-scan bound is made small and driven through the scanner.
+recurses, tensor storage whose bytes look like a pickle, and a payload
+followed by bytes that are no opcode.  Last, each scan bound is made small
+and driven through the scanner.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ def test_deep_keras_config_member_does_not_hide_the_next_one(tmp_path, policy):
     path.write_bytes(buffer.getvalue())
     with _alarm(ALARM_SECONDS):
         report = scan_file(str(path), policy)
-    assert [(e.kind, e.locus) for e in report.errors] == [("ConfigParseError", "a/config.json")]
+    assert [(e.kind, e.locus) for e in report.errors] == [("UnbalancedJson", "a/config.json")]
     assert [(f.rule_id, f.entry) for f in report.findings] == [
         ("FORMAT_PARSE_ERROR", "a/config.json"),
         ("KERAS_LAMBDA_CODE", "b/config.json"),
@@ -294,6 +295,43 @@ def test_pkl_member_under_storage_is_still_scanned(tmp_path, policy):
     path.write_bytes(buffer.getvalue())
     report = scan_file(str(path), policy)
     assert {f.entry for f in report.findings if f.rule_id == "PICKLE_CALL"} == {"model/data/extra.pkl"}
+
+
+# -- a payload followed by junk ---------------------------------------------------
+
+# ``pickle.loads`` runs os.system('ls') at REDUCE, before it reaches the junk.
+_JUNK_TAILED = GLOBAL + b"(Vls\ntR"
+
+
+@pytest.mark.parametrize("tail", [b"\xff" * 600, b"\xff" * 10], ids=["long-tail", "short-tail"])
+def test_payload_before_junk_is_a_pickle(tmp_path, policy, tail):
+    path = tmp_path / "junk.bin"
+    path.write_bytes(_JUNK_TAILED + tail)
+    report = scan_paths([str(path)], policy)
+    assert report.files[0].kind == "pickle_stream"
+    assert exit_code(report) == 3
+    assert max(f.severity for f in report.files[0].findings) is Severity.CRITICAL
+
+
+def test_payload_before_junk_in_an_archive_member_is_a_pickle(tmp_path, policy):
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("weights.bin", _JUNK_TAILED + b"\xff" * 600)
+    path = tmp_path / "junk.zip"
+    path.write_bytes(buffer.getvalue())
+    report = scan_paths([str(path)], policy)
+    assert exit_code(report) == 3
+    assert {f.entry for f in report.files[0].findings if f.severity is Severity.CRITICAL} == {
+        "weights.bin"
+    }
+
+
+def test_csv_that_opens_with_a_global_opcode_is_not_a_pickle(tmp_path, policy):
+    path = tmp_path / "scores.csv"
+    path.write_bytes(b"class,score\ncat,0.91\ndog,0.09\nbird,0.5\n")
+    report = scan_paths([str(path)], policy)
+    assert [f.rule_id for f in report.files[0].findings] == ["UNRECOGNIZED_FORMAT"]
+    assert exit_code(report) == 0
 
 
 # -- every scan bound, driven through the scanner ---------------------------------
@@ -365,8 +403,8 @@ def test_cli_max_entry_bytes_caps_each_archive_member(tmp_path, capsys):
     size = len(benign_state_dict_pickle())
     assert cli_main(["scan", "--format", "json", "--max-entry-bytes", str(size - 1), str(path)]) == 2
     (scanned,) = json.loads(capsys.readouterr().out)["files"]
-    assert [(e["kind"], e["message"]) for e in scanned["errors"]] == [
-        ("CapExceeded", f"declared size {size} exceeds cap {size - 1}")
+    assert [(e["kind"], e["locus"], e["message"]) for e in scanned["errors"]] == [
+        ("CapExceeded", "model/data.pkl", f"declared size {size} exceeds cap {size - 1}")
     ]
     assert cli_main(["scan", "--max-entry-bytes", str(size), str(path)]) == 0
     capsys.readouterr()

@@ -7,12 +7,15 @@ import json
 import os
 import zipfile
 
+import pytest
+
 from modelsentry import containers
 from modelsentry.cli import main as cli_main
 from modelsentry.containers import HDF5_SIGNATURE
 from modelsentry.forge import (
     benign_state_dict_pickle,
     emit_corpus,
+    emit_dense_only_config,
     emit_keras_h5,
     emit_keras_lambda_config,
     emit_keras_zip,
@@ -30,23 +33,20 @@ MARKER = "true # FIXTURE-MARKER"
 
 
 def test_sniff_zip_magic():
-    kind = sniff(b"PK\x03\x04" + b"\x00" * 20, 1000)
-    assert (kind.kind, kind.confidence) == ("zip_archive", "magic")
+    assert sniff(b"PK\x03\x04" + b"\x00" * 20, 1000) == "zip_archive"
 
 
 def test_sniff_hdf5_magic():
-    kind = sniff(b"\x89HDF\r\n\x1a\n" + b"\x00" * 8, 1000)
-    assert (kind.kind, kind.confidence) == ("hdf5", "magic")
+    assert sniff(b"\x89HDF\r\n\x1a\n" + b"\x00" * 8, 1000) == "hdf5"
 
 
 def test_sniff_protocol_4_header():
-    kind = sniff(b"\x80\x04\x95", 1000)
-    assert (kind.kind, kind.confidence) == ("pickle_stream", "heuristic")
+    assert sniff(b"\x80\x04\x95", 1000) == "pickle_stream"
 
 
 def test_sniff_unknown():
-    assert sniff(b"", 0).kind == "unknown"
-    assert sniff(b"plain text, nothing else", 24).kind == "unknown"
+    assert sniff(b"", 0) == "unknown"
+    assert sniff(b"plain text, nothing else", 24) == "unknown"
 
 
 # -- scan_file ------------------------------------------------------------------
@@ -127,6 +127,67 @@ def test_scan_keras_h5_adds_heuristic_notice(tmp_path, policy):
     rules = [f.rule_id for f in report.findings]
     assert "H5_HEURISTIC_USED" in rules
     assert "KERAS_LAMBDA_CODE" in rules
+
+
+_LAMBDA_CONFIG = emit_keras_lambda_config(True).encode()
+
+
+def _outcome(report) -> tuple[list, list]:
+    """Rule ids and severities (bar the HDF5-only notice) and error kinds."""
+    return (
+        sorted((f.rule_id, f.severity) for f in report.findings if f.rule_id != "H5_HEURISTIC_USED"),
+        [error.kind for error in report.errors],
+    )
+
+
+_PARSE_ERROR = [("FORMAT_PARSE_ERROR", Severity.LOW)]
+
+
+@pytest.mark.parametrize(
+    "config, cap, outcome",
+    [
+        pytest.param(emit_dense_only_config().encode(), None, ([], []), id="clean"),
+        pytest.param(
+            _LAMBDA_CONFIG, None, ([("KERAS_LAMBDA_CODE", Severity.HIGH)], []), id="lambda"
+        ),
+        pytest.param(
+            _LAMBDA_CONFIG.replace(b'"Lambda"', b'"Lamb\xffda"'), None,
+            (_PARSE_ERROR, ["UnbalancedJson"]), id="invalid-utf8",
+        ),
+        pytest.param(
+            b'{"a":' + b"[" * 100_000 + b"]" * 100_000 + b"}", None,
+            (_PARSE_ERROR, ["UnbalancedJson"]), id="too-deep",
+        ),
+        pytest.param(
+            _LAMBDA_CONFIG, len(_LAMBDA_CONFIG) - 1, (_PARSE_ERROR, ["CapExceeded"]),
+            id="over-cap",
+        ),
+        pytest.param(
+            _LAMBDA_CONFIG + b" garbage", None,
+            ([("KERAS_LAMBDA_CODE", Severity.HIGH)], []), id="trailing-bytes",
+        ),
+        pytest.param(
+            b"\n  " + _LAMBDA_CONFIG, None,
+            ([("KERAS_LAMBDA_CODE", Severity.HIGH)], []), id="leading-whitespace",
+        ),
+    ],
+)
+def test_keras_and_h5_configs_get_the_same_verdict(
+    tmp_path, policy, monkeypatch, config, cap, outcome
+):
+    """One decoder, one rule set: the same config bytes as a ``.keras``
+    member and as an HDF5 attribute get the same findings and errors."""
+    if cap is not None:
+        monkeypatch.setattr(containers, "CONFIG_CAP", cap)
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("config.json", config)
+    keras = tmp_path / "model.keras"
+    keras.write_bytes(buffer.getvalue())
+    h5 = tmp_path / "model.h5"
+    h5.write_bytes(HDF5_SIGNATURE + b"\x00" * 56 + b"model_config" + b"\x00" * 4 + config)
+    assert _outcome(scan_file(str(keras), policy)) == outcome
+    assert _outcome(scan_file(str(h5), policy)) == outcome
 
 
 def test_scan_h5_decoy_config_does_not_hide_the_lambda(tmp_path, policy):
