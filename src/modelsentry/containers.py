@@ -42,6 +42,10 @@ _FIRST_WINDOW = 4 * 1024
 # A decode error this close to the end of a window may be a token cut short
 # (``-Infinit``, ``\ud800\udc``): read a bigger window before giving up.
 _TRUNCATION_TAIL = 16
+# After a window cut short, the NUL that ends an HDF5 config is searched for
+# up to this many times the window's size past the brace.
+_NUL_LOOKAHEAD = 16
+_UTF8_BOM = b"\xef\xbb\xbf"
 _CD_SIZE_CAP = 512 * 1024 * 1024
 _CHUNK = 4 * 1024 * 1024
 _DECODER = json.JSONDecoder()
@@ -93,9 +97,9 @@ class InflateError(FormatError):
 
 
 class CapExceeded(FormatError):
-    def __init__(self, declared: int, cap: int, end_offset: int | None = None):
-        super().__init__(f"declared size {declared} exceeds cap {cap}")
-        self.declared = declared
+    def __init__(self, measured: str, cap: int, end_offset: int | None = None):
+        # ``measured`` names what went over the cap, with its size.
+        super().__init__(f"{measured} exceeds cap {cap}")
         self.cap = cap
         self.end_offset = end_offset
 
@@ -318,10 +322,13 @@ def read_entry(handle: BinaryIO, entry: ArchiveEntry, cap: int = DEFAULT_ENTRY_C
     if entry.method not in ("stored", "deflate"):
         raise UnsupportedMethod(entry.path, f"compression {entry.method}")
     if entry.uncompressed_size > cap:
-        raise CapExceeded(entry.uncompressed_size, cap)
+        raise CapExceeded(f"declared size {entry.uncompressed_size}", cap)
     data = _member_head(handle, entry, cap + 1)
     if len(data) > cap:
-        raise CapExceeded(len(data), cap)
+        # Inflating stopped one byte past the cap.
+        raise CapExceeded(
+            f"inflated size of at least {len(data)} (declared {entry.uncompressed_size})", cap
+        )
     if len(data) != entry.uncompressed_size:
         raise SizeMismatch(entry.path, entry.uncompressed_size, len(data))
     return data
@@ -378,20 +385,21 @@ def find_pickle_payloads(
     return hits
 
 
-def _scan_for(handle: BinaryIO, marker: bytes, start: int) -> int:
-    """Chunked search for ``marker`` from ``start``; -1 when absent.
+def _scan_for(handle: BinaryIO, marker: bytes, start: int, stop: int | None = None) -> int:
+    """Chunked search for ``marker`` within ``[start, stop)``, by default up
+    to the end of the file; -1 when absent.
 
-    Chunks start at ``_FIRST_WINDOW`` bytes and double up to ``_CHUNK``, so a
-    marker close to ``start`` costs a small read, not a full chunk.
+    Without ``stop``, chunks start at ``_FIRST_WINDOW`` bytes and double up
+    to ``_CHUNK``, so a marker close to ``start`` costs a small read, not a
+    full chunk.  A bounded range is read in chunks of up to ``_CHUNK``.
     """
-    stop = _file_size(handle)
     overlap = len(marker) - 1
     pos = start
     carry = b""
-    chunk_size = _FIRST_WINDOW
-    while pos < stop:
-        handle.seek(pos)
-        chunk = handle.read(min(chunk_size, stop - pos))
+    chunk_size = _FIRST_WINDOW if stop is None else _CHUNK
+    handle.seek(start)
+    while stop is None or pos < stop:
+        chunk = handle.read(chunk_size if stop is None else min(chunk_size, stop - pos))
         if not chunk:
             break
         buffer = carry + chunk
@@ -410,7 +418,8 @@ def decode_config(
     """Decode the model config at the start of ``data``, read from ``offset``.
 
     This is the one model-config decoder: a ``config.json`` member and an
-    HDF5 attribute go through the same rules.  After any leading JSON
+    HDF5 attribute go through the same rules.  After one UTF-8 byte-order
+    mark, which ``json.loads`` of the same bytes strips, and any leading JSON
     whitespace, the config is one JSON value, decoded by
     ``json.JSONDecoder.raw_decode``; bytes after it are not read.  Its
     bytes must be strict UTF-8 and at most ``CONFIG_CAP`` long.  Nesting
@@ -423,6 +432,9 @@ def decode_config(
     None, and the caller reads a bigger window.
     """
     cap = CONFIG_CAP
+    if data.startswith(_UTF8_BOM):
+        data = data[len(_UTF8_BOM) :]
+        offset += len(_UTF8_BOM)
     text = data.decode("utf-8", "surrogateescape")
     got = len(data)
     del data  # one copy of the window in memory while it is parsed
@@ -440,7 +452,7 @@ def decode_config(
             stop = offset + len(text[: exc.pos].encode("utf-8", "surrogateescape"))
             raise UnbalancedJson(start, stop, f"extracted text is not valid JSON: {exc}") from None
         if got > cap:
-            raise CapExceeded(got, cap, offset + got) from None
+            raise CapExceeded(f"config still open after {got} bytes", cap, offset + got) from None
         return None
     json_text = text[begin:end]
     del text
@@ -448,7 +460,7 @@ def decode_config(
     consumed = json_text.encode("utf-8", "surrogateescape")
     stop = start + len(consumed)
     if len(consumed) > cap:
-        raise CapExceeded(len(consumed), cap, stop)
+        raise CapExceeded(f"config size {len(consumed)}", cap, stop)
     try:
         consumed.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -467,10 +479,17 @@ def extract_h5_model_config(handle: BinaryIO, start: int = 0) -> ExtractedConfig
     (a decoy before the real attribute): call again from ``byte_range[1]``,
     or from a failed candidate's ``end_offset``, until ``ConfigNotFound``.
 
-    The window read for the decoder starts at ``_FIRST_WINDOW`` bytes and
-    doubles only while the decode error could be a truncation, up to
-    ``CONFIG_CAP`` + 1 bytes, so work and memory stay proportional to the
-    config, not to the file.
+    The first window read for the decoder is ``_FIRST_WINDOW`` bytes.  Each
+    time a window's decode error could be a truncation, a NUL byte is
+    searched for after it, up to ``_NUL_LOOKAHEAD`` times the window's size
+    from the brace.  If there is one, the next window ends just past it and
+    is the last one decoded: JSON text holds no raw NUL, so the value ends
+    before that NUL, and bytes after it cannot change the decode.  Savers
+    NUL-pad the fixed-length string attribute, so a config is decoded
+    about once.  Without such a NUL the window doubles, up to
+    ``CONFIG_CAP`` + 1 bytes.  Either way the outcome is the one doubling
+    alone gives, and work and memory stay proportional to the config, not
+    to the file.
     """
     handle.seek(0)
     if handle.read(8) != HDF5_SIGNATURE:
@@ -490,6 +509,12 @@ def extract_h5_model_config(handle: BinaryIO, start: int = 0) -> ExtractedConfig
         # marker that ends before it, so only a marker that ends within the
         # gap before it can open a candidate: skip the rest in one step.
         pos = brace_at - len(_H5_MARKER) - _H5_GAP_CAP + 1
+    # A NUL this close to the cap is left to the doubling: there the
+    # ``CONFIG_CAP`` + 1 window could still end within ``_TRUNCATION_TAIL``
+    # characters (of up to 4 bytes each) of the decode error, which doubling
+    # reports as ``CapExceeded``.
+    nul_stop = brace_at + CONFIG_CAP + 1 - 4 * _TRUNCATION_TAIL
+    searched = brace_at
     size = _FIRST_WINDOW
     while True:
         want = min(size, CONFIG_CAP + 1)
@@ -498,4 +523,12 @@ def extract_h5_model_config(handle: BinaryIO, start: int = 0) -> ExtractedConfig
         extracted = decode_config(handle.read(want), brace_at, want)
         if extracted is not None:
             return extracted
+        # Cut short: look ahead a fixed multiple of the bytes the value fills.
+        stop = min(brace_at + _NUL_LOOKAHEAD * want, nul_stop)
+        nul_at = _scan_for(handle, b"\x00", max(searched, brace_at + want), stop)
+        if nul_at >= 0:
+            # A complete window: bytes past the NUL cannot change the decode.
+            handle.seek(brace_at)
+            return decode_config(handle.read(nul_at + 1 - brace_at), brace_at)
+        searched = stop
         size *= 2

@@ -128,7 +128,8 @@ def test_c04_transcript_equivalence_with_reference_disassembler():
         produced_lines.append(f"== {name}")
         produced_lines.extend(ours)
     assert mismatches == 0
-    golden = open(os.path.join(DATA_DIR, "golden_transcripts.txt"), encoding="utf-8").read()
+    with open(os.path.join(DATA_DIR, "golden_transcripts.txt"), encoding="utf-8") as handle:
+        golden = handle.read()
     assert "\n".join(produced_lines) + "\n" == golden
     _ok("C4", f"{len(streams)} streams, transcripts equal the reference disassembler and the golden file")
 

@@ -30,6 +30,8 @@ from modelsentry.containers import (
     UnsupportedMethod,
     ArchiveEntry,
     ExtractedConfig,
+    FormatError,
+    decode_config,
     extract_h5_model_config,
     find_pickle_payloads,
     is_path_suspicious,
@@ -122,8 +124,9 @@ def test_random_bytes_is_no_central_directory():
 def test_declared_size_over_cap():
     handle = make_zip({"big": b"z" * 4096})
     (entry,) = list_entries(handle)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as raised:
         read_entry(handle, entry, cap=1024)
+    assert raised.value.message == "declared size 4096 exceeds cap 1024"
 
 
 def test_decompression_bomb_hits_cap_even_when_size_lies():
@@ -138,8 +141,12 @@ def test_decompression_bomb_hits_cap_even_when_size_lies():
         method=entry.method,
         offset=entry.offset,
     )
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as raised:
         read_entry(honest, liar, cap=1 << 20)
+    # Inflating stops one byte past the cap: the message says so, not "declared".
+    assert raised.value.message == (
+        f"inflated size of at least {(1 << 20) + 1} (declared 100) exceeds cap {1 << 20}"
+    )
 
 
 def test_truncated_stored_entry_is_size_mismatch():
@@ -282,8 +289,9 @@ def test_unbalanced_json_is_structured():
 def test_config_cap_is_enforced(monkeypatch):
     monkeypatch.setattr(containers_module, "CONFIG_CAP", 64)
     big = json.dumps({"k": "v" * 200})
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as raised:
         extract_h5_model_config(io.BytesIO(emit_keras_h5(big)))
+    assert raised.value.message == "config still open after 65 bytes exceeds cap 64"
 
 
 def test_config_cap_is_exact(monkeypatch):
@@ -291,8 +299,9 @@ def test_config_cap_is_exact(monkeypatch):
     monkeypatch.setattr(containers_module, "CONFIG_CAP", len(config))
     assert extract_h5_model_config(io.BytesIO(emit_keras_h5(config))).json_text == config
     monkeypatch.setattr(containers_module, "CONFIG_CAP", len(config) - 1)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as raised:
         extract_h5_model_config(io.BytesIO(emit_keras_h5(config)))
+    assert raised.value.message == f"config size {len(config)} exceeds cap {len(config) - 1}"
 
 
 def test_byte_range_points_at_the_json():
@@ -302,6 +311,15 @@ def test_byte_range_points_at_the_json():
     extracted = extract_h5_model_config(handle)
     start, end = extracted.byte_range
     assert blob[start:end].decode("utf-8") == config
+
+
+def test_decode_config_skips_one_byte_order_mark():
+    """``json.loads`` of bytes strips one UTF-8 BOM, and so does the decoder;
+    the byte range starts after it."""
+    extracted = decode_config(b"\xef\xbb\xbf \n{}", 10)
+    assert (extracted.json_text, extracted.byte_range, extracted.config) == ("{}", (15, 17), {})
+    with pytest.raises(UnbalancedJson):
+        decode_config(b"\xef\xbb\xbf" * 2 + b"{}")
 
 
 def _brace_count_extract(blob: bytes, cap: int) -> ExtractedConfig:
@@ -415,6 +433,103 @@ def test_h5_extraction_reads_the_config_not_the_file():
     handle = _CountingReads(emit_keras_h5(config) + b"\xff" * (8 * 1024 * 1024))
     assert extract_h5_model_config(handle).json_text == config
     assert sum(handle.sizes) < 10 * len(config)
+
+
+def _doubling_extract(blob: bytes) -> ExtractedConfig:
+    """The window loop the extractor ran before it looked for the NUL that
+    ends a config, kept as its oracle: decode a window from the brace that
+    doubles while the decode error could be a truncation."""
+    marker_at = blob.find(b"model_config", 8)
+    if marker_at < 0:
+        raise ConfigNotFound()
+    search_start = marker_at + len(b"model_config")
+    brace_at = blob.find(b"{", search_start, search_start + 64 * 1024)
+    if brace_at < 0:
+        raise ConfigNotFound()
+    handle = io.BytesIO(blob)
+    size = containers_module._FIRST_WINDOW
+    while True:
+        want = min(size, containers_module.CONFIG_CAP + 1)
+        handle.seek(brace_at)
+        extracted = decode_config(handle.read(want), brace_at, want)
+        if extracted is not None:
+            return extracted
+        size *= 2
+
+
+def _full_outcome(extract, blob: bytes):
+    try:
+        extracted = extract(blob)
+    except FormatError as exc:
+        return type(exc), exc.message, exc.end_offset
+    return extracted.json_text, extracted.byte_range, extracted.config
+
+
+# A JSON ending in ``"pad": ""}``: padding goes between the quotes.
+_PADDED = st.builds(lambda value: {"config": value, "pad": ""}, _VALUES)
+
+
+@st.composite
+def _window_edge_blobs(draw):
+    """A config that ends within 20 bytes of a read-window edge, with or
+    without a NUL inside it or after it, and a cap that may sit just past
+    the first NUL."""
+    window = containers_module._FIRST_WINDOW
+    base = json.dumps(draw(_PADDED), ensure_ascii=False).encode("utf-8")
+    target = (window << draw(st.integers(0, 5))) + draw(st.integers(-20, 20))
+    pad = max(0, target - len(base))
+    config = base[:-2] + b"x" * pad + base[-2:]
+    mark = draw(st.sampled_from([None, b"\xff", b"\x00"]))
+    if mark is not None:
+        config = config.replace(_BAD_BYTE_MARK.encode("utf-8"), mark)
+    if pad and draw(st.booleans()):  # a NUL inside the padding string
+        at = len(base) - 2 + draw(st.integers(0, pad - 1))
+        config = config[:at] + b"\x00" + config[at + 1 :]
+    config = config[: len(config) - draw(st.integers(0, min(20, len(config) - 1)))]
+    tail = draw(
+        st.one_of(
+            st.just(b""),  # the file ends here
+            st.integers(1, 64).map(lambda n: b"\x00" * n),  # NUL padding
+            st.builds(  # a NUL-free run, maybe past the lookahead, then maybe NULs
+                lambda byte, n, nuls: byte * n + b"\x00" * nuls,
+                st.sampled_from([b"a", b" ", b"\xff", b"}", b'"']),
+                st.integers(1, 140_000),
+                st.sampled_from([0, 1, 8]),
+            ),
+        )
+    )
+    blob = HDF5_SIGNATURE + b"\x00" * 8 + b"model_config" + b"\x00" * 4 + config + tail
+    brace_at = blob.index(b"{")
+    caps = [st.just(64 * 1024 * 1024), st.integers(2, 140_000)]
+    nul_at = blob.find(b"\x00", brace_at)
+    if nul_at >= 0:
+        caps.append(st.integers(0, 20).map(lambda before: nul_at - brace_at + before))
+    return blob, draw(st.one_of(caps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_edge_blobs())
+def test_h5_extraction_matches_the_doubling_windows(blob_and_cap):
+    """Ending the window at a NUL changes no outcome: the config, its text
+    and byte range, or the error's kind, message and end offset."""
+    blob, cap = blob_and_cap
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(containers_module, "CONFIG_CAP", cap)
+        got = _full_outcome(lambda data: extract_h5_model_config(io.BytesIO(data)), blob)
+        assert got == _full_outcome(_doubling_extract, blob)
+
+
+def test_h5_nul_padded_config_is_decoded_about_once(monkeypatch):
+    config = json.dumps({"class_name": "Sequential", "pad": "x" * 2_000_000})
+    decoded: list[int] = []
+
+    def spy(data, *args):
+        decoded.append(len(data))
+        return decode_config(data, *args)
+
+    monkeypatch.setattr(containers_module, "decode_config", spy)
+    assert extract_h5_model_config(io.BytesIO(emit_keras_h5(config))).json_text == config
+    assert sum(decoded) <= 1.25 * len(config) + 64 * 1024
 
 
 def test_h5_candidates_resume_after_each_object_and_error():

@@ -140,6 +140,41 @@ def test_many_hdf5_configs_keep_the_report_small(tmp_path, policy):
     assert report.findings[0].message.endswith("; 19999 more after it)")
 
 
+def test_many_hdf5_configs_before_one_nul(tmp_path, policy):
+    path = tmp_path / "configs_nul.h5"
+    path.write_bytes(HDF5_SIGNATURE + b"model_config{}" * 20_000 + b"\x00")
+    with _alarm(ALARM_SECONDS):
+        report = scan_file(str(path), policy)
+    assert report.errors == []
+    assert report.findings[0].message.endswith("; 19999 more after it)")
+
+
+def test_hdf5_config_before_a_long_tail_without_nul(tmp_path, policy):
+    """The search for the NUL that ends a config looks a fixed multiple of
+    the window ahead, not to the end of the file."""
+    config = json.dumps({"class_name": "Sequential", "pad": "x" * 1_000_000}).encode()
+    path = tmp_path / "tail.h5"
+    path.write_bytes(HDF5_SIGNATURE + b"model_config" + config + b"\xff" * (20 << 20))
+    with _alarm(ALARM_SECONDS):
+        report = scan_file(str(path), policy)
+    assert report.errors == []
+    assert [f.rule_id for f in report.findings] == ["H5_HEURISTIC_USED"]
+
+
+def test_hdf5_candidates_cut_short_at_the_first_window(tmp_path, policy):
+    """Each candidate's decode fails within the truncation tail of the first
+    window, so each one searches ahead for a NUL that is not there: the
+    search is bounded by the window, and the total stays linear."""
+    head = b'{"a":' + b" " * (containers._FIRST_WINDOW - 8)
+    candidate = b"model_config" + head + b"tru" + b" " * 100
+    path = tmp_path / "cut_short.h5"
+    path.write_bytes(HDF5_SIGNATURE + candidate * 5_000)
+    with _alarm(ALARM_SECONDS):
+        report = scan_file(str(path), policy)
+    assert [error.kind for error in report.errors] == ["UnbalancedJson"]
+    assert report.errors[0].message.endswith("(4999 more candidate(s) failed)")
+
+
 class _CountingTuple(tuple):
     """A tuple that counts how many of its items an iteration takes."""
 

@@ -170,6 +170,10 @@ _PARSE_ERROR = [("FORMAT_PARSE_ERROR", Severity.LOW)]
             b"\n  " + _LAMBDA_CONFIG, None,
             ([("KERAS_LAMBDA_CODE", Severity.HIGH)], []), id="leading-whitespace",
         ),
+        pytest.param(
+            b"\xef\xbb\xbf" + _LAMBDA_CONFIG, None,
+            ([("KERAS_LAMBDA_CODE", Severity.HIGH)], []), id="bom",
+        ),
     ],
 )
 def test_keras_and_h5_configs_get_the_same_verdict(
