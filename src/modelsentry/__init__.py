@@ -2,7 +2,6 @@
 
 from .absvm import AbstractResult, SecurityEvent, evaluate
 from .disasm import Instruction, ParseError, PickleProgram, disassemble
-from .opcodes import OpcodeSpec, opcode_table
 from .policy import Finding, Policy, Severity, classify_global, default_policy
 from .scanner import FileReport, ScanReport, scan_file, scan_paths, sniff
 
@@ -13,7 +12,6 @@ __all__ = [
     "FileReport",
     "Finding",
     "Instruction",
-    "OpcodeSpec",
     "ParseError",
     "PickleProgram",
     "Policy",
@@ -24,7 +22,6 @@ __all__ = [
     "default_policy",
     "disassemble",
     "evaluate",
-    "opcode_table",
     "scan_file",
     "scan_paths",
     "sniff",

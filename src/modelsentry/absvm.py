@@ -12,7 +12,9 @@ memo table in the result resolves them.
 
 One loop, ``_Machine.run``, steps the machine through ``(code, offset, arg,
 end)`` ops, checks FRAME bounds inline and dispatches through ``_HANDLERS``,
-a table indexed by opcode byte.  ``walk`` feeds it straight from
+a table indexed by opcode byte, built from ``disasm.OPCODES`` (the stdlib's
+``pickletools.opcodes``) and the handlers keyed by opcode name; every
+opcode there has one.  ``walk`` feeds it straight from
 ``disasm.decode_ops``, one pass per segment with no instruction list; that
 is the scanner's path.  ``evaluate`` feeds it a disassembled program.
 """
@@ -23,8 +25,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .disasm import ParseError, PickleProgram, decode_ops, iter_segments, zero_padding
-from .opcodes import by_mnemonic, opcode_table
+from .disasm import OPCODES, ParseError, PickleProgram, decode_ops, iter_segments, zero_padding
 
 
 # ---------------------------------------------------------------------------
@@ -857,19 +858,11 @@ _BY_MNEMONIC = {
 }
 
 
-def _handler_table() -> tuple:
-    table: list = [None] * 256
-    for mnemonic, handler in _BY_MNEMONIC.items():
-        table[by_mnemonic(mnemonic).code] = handler
-    if sum(handler is not None for handler in table) != len(opcode_table()):
-        raise AssertionError("an opcode has no handler")
-    return tuple(table)
-
-
 # Indexed by opcode byte: handler(machine, arg); None marks an unassigned byte.
-_HANDLERS: tuple = _handler_table()
+# An opcode of ``disasm.OPCODES`` with no handler fails the import (KeyError).
+_HANDLERS: tuple = tuple(op and _BY_MNEMONIC[op.name] for op in OPCODES)
 
-_FRAME = by_mnemonic("FRAME").code
+_FRAME = 0x95
 _NO_FRAME = 1 << 65  # past any frame end a u8 length can encode
 
 
@@ -881,7 +874,7 @@ def evaluate(program: PickleProgram) -> AbstractResult:
     """
     machine = _Machine()
     machine.run(
-        (instr.opcode.code, instr.offset, instr.arg, instr.offset + instr.size)
+        (ord(instr.opcode.code), instr.offset, instr.arg, instr.offset + instr.size)
         for instr in program.instructions
     )
     if machine.error is not None:

@@ -10,7 +10,7 @@ from . import containers, disasm
 from .forge import DEFAULT_MARKER, ForgeError, emit_corpus
 from .policy import IntegrityManifest, Policy, Severity, default_policy, load_policy_file
 from .report import exit_code, render
-from .scanner import scan_paths, verify_paths
+from .scanner import ScanReport, scan_paths, verify_paths
 
 EXIT_OK = 0
 EXIT_OPERATIONAL = 2
@@ -69,13 +69,21 @@ def _load_policy(policy_arg: str | None) -> Policy:
     return default_policy()
 
 
-def _emit(data: bytes, out: str | None) -> None:
-    if out:
-        with open(out, "wb") as handle:
-            handle.write(data)
-    else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+def _emit(report: ScanReport, args: argparse.Namespace) -> int:
+    """Write the report in ``args.format`` to ``args.out`` or stdout; return
+    the exit code, which is operational if the report cannot be written."""
+    data = render(report, args.format)
+    try:
+        if args.out:
+            with open(args.out, "wb") as handle:
+                handle.write(data)
+        else:
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+    except OSError as exc:
+        print(f"modelsentry: {exc}", file=sys.stderr)
+        return EXIT_OPERATIONAL
+    return exit_code(report)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -93,8 +101,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         follow_symlinks=args.follow_symlinks,
         threshold=threshold,
     )
-    _emit(render(report, args.format), args.out)
-    return exit_code(report)
+    return _emit(report, args)
 
 
 def _cmd_disasm(args: argparse.Namespace) -> int:
@@ -136,8 +143,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"modelsentry: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL
     report = verify_paths(args.paths, manifest, policy, threshold=threshold)
-    _emit(render(report, args.format), args.out)
-    return exit_code(report)
+    return _emit(report, args)
 
 
 def main(argv: list[str] | None = None) -> int:

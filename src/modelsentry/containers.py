@@ -413,7 +413,7 @@ def _scan_for(handle: BinaryIO, marker: bytes, start: int, stop: int | None = No
 
 
 def decode_config(
-    data: bytes, offset: int = 0, asked: int | None = None
+    data: bytes, offset: int = 0, asked: int | None = None, whole: bool = False
 ) -> ExtractedConfig | None:
     """Decode the model config at the start of ``data``, read from ``offset``.
 
@@ -426,6 +426,12 @@ def decode_config(
     deeper than the decoder recurses is ``UnbalancedJson`` ending just past
     the first byte, so that a search for the next candidate resumes there.
 
+    ``whole`` says that ``data`` is a whole ``config.json`` member, which
+    Keras reads with ``json.loads(bytes)``: a member that codec detection
+    (``json.detect_encoding``) takes for UTF-16 or UTF-32 is decoded
+    strictly in that codec and re-encoded as UTF-8 first, so its byte range
+    and cap count UTF-8 bytes.  An HDF5 window is always UTF-8.
+
     ``asked`` is the size of the read when ``data`` is a window of a longer
     file.  A window that came back full may end inside the value: when
     more bytes could turn a decode error into a success, the result is
@@ -435,6 +441,12 @@ def decode_config(
     if data.startswith(_UTF8_BOM):
         data = data[len(_UTF8_BOM) :]
         offset += len(_UTF8_BOM)
+    elif whole and (encoding := json.detect_encoding(data)) != "utf-8":
+        try:
+            data = data.decode(encoding).encode("utf-8")
+        except UnicodeDecodeError as exc:
+            stop = offset + exc.end
+            raise UnbalancedJson(offset, stop, f"config is not {encoding}: {exc}") from None
     text = data.decode("utf-8", "surrogateescape")
     got = len(data)
     del data  # one copy of the window in memory while it is parsed

@@ -5,11 +5,14 @@ Python object from the stream.  Argument decoding mirrors what a conforming
 loader accepts byte for byte, so that the instruction transcript of any
 valid stream matches the reference tooling for the format.
 
-Arguments are read through ``DECODERS``, a 256-entry table of decode
-functions indexed by opcode byte (the way ``Lib/pickle.py`` builds its
-unpickler's dispatch table).  ``decode_ops`` is the one decode loop over it:
-the instruction lists of ``iter_programs``/``disassemble``, the one-pass
-``absvm.walk`` and the format sniff all read a stream through it.
+The opcode table is the stdlib's own: ``OPCODES`` indexes
+``pickletools.opcodes`` by opcode byte.  Arguments are read through
+``DECODERS``, a 256-entry table of decode functions indexed the same way
+(as ``Lib/pickle.py`` builds its unpickler's dispatch table), one decoder
+per ``pickletools`` argument descriptor.  ``decode_ops`` is the one decode
+loop over it: the instruction lists of ``iter_programs``/``disassemble``,
+the one-pass ``absvm.walk`` and the format sniff all read a stream through
+it.
 
 Every input terminates in either a ``PickleProgram`` or a structured
 ``ParseError``; nothing is executed, imported, or resolved.
@@ -18,11 +21,10 @@ Every input terminates in either a ``PickleProgram`` or a structured
 from __future__ import annotations
 
 import codecs
+import pickletools
 import struct
 from dataclasses import dataclass
 from typing import Callable
-
-from .opcodes import _TABLE, ArgKind, OpcodeSpec, lookup
 
 
 # Bounds applied while parsing adversarial input.  Each is read when a call
@@ -90,13 +92,13 @@ class Instruction:
     """
 
     offset: int
-    opcode: OpcodeSpec
+    opcode: pickletools.OpcodeInfo
     arg: object
     size: int
 
     @property
     def mnemonic(self) -> str:
-        return self.opcode.mnemonic
+        return self.opcode.name
 
 
 @dataclass
@@ -114,6 +116,11 @@ class PickleProgram:
 
 
 Decoder = Callable[[bytes, int, int], "tuple[object, int]"]
+
+_BY_BYTE = {ord(op.code): op for op in pickletools.opcodes}
+# Indexed by opcode byte: the stdlib's OpcodeInfo (name, argument descriptor,
+# protocol that introduced it), or None for an unassigned byte.
+OPCODES: tuple[pickletools.OpcodeInfo | None, ...] = tuple(map(_BY_BYTE.get, range(256)))
 
 _STOP = ord(".")
 _PROTO = 0x80
@@ -245,51 +252,45 @@ def _name_pair(stream, pos, op_offset):
         raise TruncatedArgument(op_offset, f"undecodable name line: {exc}") from None
 
 
-_BY_KIND: dict[ArgKind, Decoder] = {
-    ArgKind.NONE: _no_arg,
-    ArgKind.TWO_NL_LINES: _name_pair,
-    ArgKind.U1: _fixed("<B", "u1"),
-    ArgKind.U2_LE: _fixed("<H", "u2"),
-    ArgKind.U4_LE: _fixed("<I", "u4"),
-    ArgKind.U8_LE: _fixed("<Q", "u8"),
-    ArgKind.I4_LE: _fixed("<i", "i4"),
-    ArgKind.F8_BE: _fixed(">d", "f8"),
-    ArgKind.BYTES_U1: _counted("<B", None),
-    ArgKind.BYTES_U4: _counted("<I", None),
-    ArgKind.BYTES_U8: _counted("<Q", None),
-    ArgKind.UTF8_U1: _counted("<B", _utf8),
-    ArgKind.UTF8_U4: _counted("<I", _utf8),
-    ArgKind.UTF8_U8: _counted("<Q", _utf8),
-    ArgKind.LONG1: _counted("<B", _long),
-    ArgKind.LONG4: _counted("<i", _long),
-}
-# Opcodes whose argument shape alone does not say how the loader reads it.
-_BY_MNEMONIC: dict[str, Decoder] = {
-    "FLOAT": _line_arg(float, "malformed decimal line"),
-    "LONG": _line_arg(_long_line, "malformed decimal line"),
-    "INT": _line_arg(_int_line, "malformed decimal line"),
-    "GET": _line_arg(_int_line, "malformed decimal line"),
-    "PUT": _line_arg(_int_line, "malformed decimal line"),
-    "STRING": _quoted_line,
-    "UNICODE": _line_arg(lambda line: line.decode("raw-unicode-escape"), "undecodable string line"),
-    "PERSID": _line_arg(lambda line: line.decode("ascii"), "undecodable string line"),
+_LINE_NUMBER = "malformed decimal line"
+_LINE_TEXT = "undecodable string line"
+# One decoder per pickletools argument descriptor (None: no argument).
+_BY_ARG: dict[str | None, Decoder] = {
+    None: _no_arg,
+    "decimalnl_short": _line_arg(_int_line, _LINE_NUMBER),  # INT, GET, PUT
+    "decimalnl_long": _line_arg(_long_line, _LINE_NUMBER),
+    "floatnl": _line_arg(float, _LINE_NUMBER),
+    "stringnl": _quoted_line,
+    "stringnl_noescape": _line_arg(lambda line: line.decode("ascii"), _LINE_TEXT),
+    "unicodestringnl": _line_arg(lambda line: line.decode("raw-unicode-escape"), _LINE_TEXT),
+    "stringnl_noescape_pair": _name_pair,
+    "uint1": _fixed("<B", "u1"),
+    "uint2": _fixed("<H", "u2"),
+    "uint4": _fixed("<I", "u4"),
+    "uint8": _fixed("<Q", "u8"),
+    "int4": _fixed("<i", "i4"),
+    "float8": _fixed(">d", "f8"),
     # The two protocol-1 strings carry text; BINSTRING's count is signed.
-    "SHORT_BINSTRING": _counted("<B", _latin1),
-    "BINSTRING": _counted("<i", _latin1),
+    "string1": _counted("<B", _latin1),
+    "string4": _counted("<i", _latin1),
+    "bytes1": _counted("<B", None),
+    "bytes4": _counted("<I", None),
+    "bytes8": _counted("<Q", None),
+    "bytearray8": _counted("<Q", None),
+    "unicodestring1": _counted("<B", _utf8),
+    "unicodestring4": _counted("<I", _utf8),
+    "unicodestring8": _counted("<Q", _utf8),
+    "long1": _counted("<B", _long),
+    "long4": _counted("<i", _long),
 }
-
-
-def _decoder_table() -> tuple[Decoder | None, ...]:
-    table: list[Decoder | None] = [None] * 256
-    for spec in _TABLE:
-        table[spec.code] = _BY_MNEMONIC.get(spec.mnemonic) or _BY_KIND[spec.arg_kind]
-    return tuple(table)
 
 
 # Indexed by opcode byte: decode(stream, pos, op_offset) -> (arg, next_pos)
 # reads the argument that starts at ``pos``, raising errors at ``op_offset``
 # and checking MAX_ARG_BYTES; None marks an unassigned byte.
-DECODERS: tuple[Decoder | None, ...] = _decoder_table()
+DECODERS: tuple[Decoder | None, ...] = tuple(
+    op and _BY_ARG[op.arg and op.arg.name] for op in OPCODES
+)
 
 
 def decode_ops(stream: bytes, start: int):
@@ -363,9 +364,9 @@ def _read_program(stream: bytes, start: int) -> PickleProgram:
     saw_nonzero_min_proto = False
     end = start
     for code, offset, arg, end in decode_ops(stream, start):
-        spec = lookup(code)
-        instructions.append(Instruction(offset, spec, arg, end - offset))
-        if spec.min_protocol > 0:
+        op = OPCODES[code]
+        instructions.append(Instruction(offset, op, arg, end - offset))
+        if op.proto > 0:
             saw_nonzero_min_proto = True
         if code == _PROTO and declared is None:
             declared = arg  # recorded as written, even if out of range
@@ -428,8 +429,8 @@ def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:
         return False
     if sample[0] == _PROTO:
         return len(sample) >= 2 and sample[1] <= 5
-    first = lookup(sample[0])
-    if first is None or first.min_protocol > 0:
+    first = OPCODES[sample[0]]
+    if first is None or first.proto > 0:
         return False
     count = 0
     try:

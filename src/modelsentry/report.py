@@ -84,6 +84,7 @@ def _render_sarif(report: ScanReport) -> dict:
         for rule in sorted(RULE_CATALOG.values(), key=lambda rule: rule.rule_id)
     ]
     results = []
+    notifications = []
     for file_report in report.files:
         for finding in file_report.findings:
             location: dict = {
@@ -104,6 +105,17 @@ def _render_sarif(report: ScanReport) -> dict:
                     "locations": [location],
                 }
             )
+        for error in file_report.errors:
+            location = {"physicalLocation": {"artifactLocation": {"uri": file_report.path}}}
+            if error.locus:
+                location["message"] = {"text": error.locus}
+            notifications.append(
+                {
+                    "level": "error",
+                    "message": {"text": f"{error.kind}: {error.message}"},
+                    "locations": [location],
+                }
+            )
     return {
         "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
         "version": "2.1.0",
@@ -116,6 +128,12 @@ def _render_sarif(report: ScanReport) -> dict:
                         "rules": rules,
                     }
                 },
+                "invocations": [
+                    {
+                        "executionSuccessful": not report.has_errors(),
+                        "toolExecutionNotifications": notifications,
+                    }
+                ],
                 "results": results,
             }
         ],

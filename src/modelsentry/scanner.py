@@ -229,7 +229,7 @@ def _scan_zip(
         try:
             # Passed straight in, so the decoder frees the bytes before it parses (3.11+).
             extracted = containers.decode_config(
-                containers.read_entry(handle, entry, containers.CONFIG_CAP)
+                containers.read_entry(handle, entry, containers.CONFIG_CAP), whole=True
             )
         except containers.FormatError as exc:
             member_error(entry, exc)

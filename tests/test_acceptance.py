@@ -245,10 +245,15 @@ def test_c08_no_execution_sentinel(tmp_path, policy, monkeypatch):
     monkeypatch.setattr(os, "fork", recorder("os.fork"))
     monkeypatch.setattr(os, "execv", recorder("os.execv"))
     monkeypatch.setattr(subprocess, "Popen", recorder("subprocess.Popen"))
+    # The disassembler's opcode table comes from pickletools, which imports
+    # pickle: nothing may unpickle through it.
+    monkeypatch.setattr(pickle, "load", recorder("pickle.load"))
+    monkeypatch.setattr(pickle, "loads", recorder("pickle.loads"))
+    monkeypatch.setattr(pickle, "Unpickler", recorder("pickle.Unpickler"))
 
     report = scan_paths([str(corpus)], policy)
     assert any(fr.findings for fr in report.files)
-    assert spawned == [], f"scan spawned: {spawned}"
+    assert spawned == [], f"scan spawned or unpickled: {spawned}"
     assert not sentinel.exists(), "marker action occurred: payload was executed"
     _ok("C8", "full malicious corpus scanned: sentinel file absent, zero process spawns recorded")
 

@@ -21,7 +21,7 @@ from conftest import (
     own_transcript,
     reference_transcript,
 )
-from modelsentry import disasm
+from modelsentry import absvm, disasm
 from modelsentry.disasm import (
     DECODERS,
     LimitExceeded,
@@ -34,7 +34,6 @@ from modelsentry.disasm import (
     plausible_pickle_prefix,
 )
 from modelsentry.forge import emit_injected_pickle, emit_reduce_payload_pickle
-from modelsentry.opcodes import ArgKind, opcode_table
 
 
 def test_minimal_stream():
@@ -223,50 +222,53 @@ def test_frame_argument_decoded_and_recorded():
     assert frames[0].arg == len(stream) - frames[0].offset - 9
 
 
-# One well-formed argument per shape; the line shapes depend on the opcode.
+# One well-formed argument per pickletools argument descriptor.
 _SAMPLE_ARGS = {
-    ArgKind.NONE: b"",
-    ArgKind.TWO_NL_LINES: b"os\nsystem\n",
-    ArgKind.U1: b"\xfe",
-    ArgKind.U2_LE: b"\x01\xfe",
-    ArgKind.U4_LE: b"\x01\x02\x03\xfe",
-    ArgKind.U8_LE: b"\x01\x02\x03\x04\x05\x06\x07\xfe",
-    ArgKind.I4_LE: b"\x01\x02\x03\xfe",
-    ArgKind.F8_BE: struct.pack(">d", -2.5),
-    ArgKind.BYTES_U1: b"\x03a\xe9c",
-    ArgKind.BYTES_U4: b"\x03\x00\x00\x00a\xe9c",
-    ArgKind.BYTES_U8: b"\x03" + b"\x00" * 7 + b"a\xe9c",
-    ArgKind.UTF8_U1: b"\x04a\xc3\xa9c",
-    ArgKind.UTF8_U4: b"\x04\x00\x00\x00a\xc3\xa9c",
-    ArgKind.UTF8_U8: b"\x04" + b"\x00" * 7 + b"a\xc3\xa9c",
-    ArgKind.LONG1: b"\x02\x01\xff",
-    ArgKind.LONG4: b"\x02\x00\x00\x00\x01\xff",
-}
-_SAMPLE_LINES = {
-    "FLOAT": b"-2.5\n",
-    "INT": b"-42\n",
-    "LONG": b"123L\n",
-    "GET": b"7\n",
-    "PUT": b"7\n",
-    "STRING": b"'a\\x41'\n",
-    "UNICODE": b"a\\u00e9\n",
-    "PERSID": b"weights.0\n",
+    None: b"",
+    "decimalnl_short": b"-42\n",
+    "decimalnl_long": b"123L\n",
+    "floatnl": b"-2.5\n",
+    "stringnl": b"'a\\x41'\n",
+    "stringnl_noescape": b"weights.0\n",
+    "unicodestringnl": b"a\\u00e9\n",
+    "stringnl_noescape_pair": b"os\nsystem\n",
+    "uint1": b"\xfe",
+    "uint2": b"\x01\xfe",
+    "uint4": b"\x01\x02\x03\xfe",
+    "uint8": b"\x01\x02\x03\x04\x05\x06\x07\xfe",
+    "int4": b"\x01\x02\x03\xfe",
+    "float8": struct.pack(">d", -2.5),
+    "string1": b"\x03a\xe9c",
+    "string4": b"\x03\x00\x00\x00a\xe9c",
+    "bytes1": b"\x03a\xe9c",
+    "bytes4": b"\x03\x00\x00\x00a\xe9c",
+    "bytes8": b"\x03" + b"\x00" * 7 + b"a\xe9c",
+    "bytearray8": b"\x03" + b"\x00" * 7 + b"a\xe9c",
+    "unicodestring1": b"\x04a\xc3\xa9c",
+    "unicodestring4": b"\x04\x00\x00\x00a\xc3\xa9c",
+    "unicodestring8": b"\x04" + b"\x00" * 7 + b"a\xc3\xa9c",
+    "long1": b"\x02\x01\xff",
+    "long4": b"\x02\x00\x00\x00\x01\xff",
 }
 
 
 def test_decoder_table_agrees_with_opcode_table():
-    specs = {spec.code: spec for spec in opcode_table()}
-    assert len(DECODERS) == 256
+    """Exactly the bytes of ``pickletools.opcodes`` have a decoder and a
+    handler, and each decoder reads its sample as pickletools' own reader."""
+    reference = {ord(op.code): op for op in pickletools.opcodes}
+    assert len(DECODERS) == len(disasm.OPCODES) == len(absvm._HANDLERS) == 256
     for byte in range(256):
-        assert (DECODERS[byte] is None) == (byte not in specs), byte
-    reference = {op.code.encode("latin-1")[0]: op for op in pickletools.opcodes}
-    for code, spec in specs.items():
-        raw = _SAMPLE_LINES.get(spec.mnemonic, _SAMPLE_ARGS.get(spec.arg_kind))
+        assert (DECODERS[byte] is None) == (byte not in reference), byte
+        assert (absvm._HANDLERS[byte] is None) == (byte not in reference), byte
+        assert disasm.OPCODES[byte] is reference.get(byte), byte
+    assert set(_SAMPLE_ARGS) == {op.arg and op.arg.name for op in pickletools.opcodes}
+    for code, op in reference.items():
+        raw = _SAMPLE_ARGS[op.arg and op.arg.name]
         stream = bytes([code]) + raw + b"."
         arg, end = DECODERS[code](stream, 1, 0)
-        expected = reference[code].arg.reader(io.BytesIO(raw)) if raw else None
+        expected = op.arg.reader(io.BytesIO(raw)) if raw else None
         if isinstance(expected, bytearray):
             expected = bytes(expected)
         if isinstance(arg, tuple):
             arg = " ".join(arg)  # genops joins the GLOBAL/INST pair with a space
-        assert (arg, end) == (expected, 1 + len(raw)), spec.mnemonic
+        assert (arg, end) == (expected, 1 + len(raw)), op.name

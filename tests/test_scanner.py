@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import pickle
 import zipfile
 
 import pytest
@@ -63,8 +64,6 @@ def test_scan_reduce_fixture(tmp_path, policy):
 
 
 def test_scan_benign_torch_archive_is_clean(tmp_path, policy):
-    import pickle
-
     target = tmp_path / "clean.pt"
     target.write_bytes(emit_torch_like_zip(pickle.dumps({"acc": 0.9}, 2)))
     report = scan_file(str(target), policy)
@@ -192,6 +191,31 @@ def test_keras_and_h5_configs_get_the_same_verdict(
     h5.write_bytes(HDF5_SIGNATURE + b"\x00" * 56 + b"model_config" + b"\x00" * 4 + config)
     assert _outcome(scan_file(str(keras), policy)) == outcome
     assert _outcome(scan_file(str(h5), policy)) == outcome
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32"])
+def test_keras_config_json_is_decoded_in_the_codec_json_loads_detects(
+    tmp_path, policy, encoding
+):
+    """Keras reads ``config.json`` with ``json.loads(bytes)``, which also
+    takes UTF-16 and UTF-32: a Lambda config in either is found.  An HDF5
+    attribute stays UTF-8, so there the same bytes are a parse error."""
+    config = _LAMBDA_CONFIG.decode().encode(encoding)
+    assert json.loads(config) == json.loads(_LAMBDA_CONFIG)
+    outcomes = []
+    for member in (config, config[:-1]):  # whole, then with its last code unit torn
+        keras = tmp_path / "model.keras"
+        with zipfile.ZipFile(keras, "w") as archive:
+            archive.writestr("config.json", member)
+        outcomes.append(_outcome(scan_file(str(keras), policy)))
+    h5 = tmp_path / "model.h5"
+    h5.write_bytes(HDF5_SIGNATURE + b"\x00" * 56 + b"model_config" + b"\x00" * 4 + config)
+    outcomes.append(_outcome(scan_file(str(h5), policy)))
+    assert outcomes == [
+        ([("KERAS_LAMBDA_CODE", Severity.HIGH)], []),
+        (_PARSE_ERROR, ["UnbalancedJson"]),
+        (_PARSE_ERROR, ["UnbalancedJson"]),
+    ]
 
 
 def test_scan_h5_decoy_config_does_not_hide_the_lambda(tmp_path, policy):
@@ -450,6 +474,31 @@ def test_sarif_empty_report_is_valid_skeleton(policy):
     sarif = json.loads(render(report, "sarif"))
     assert sarif["runs"][0]["results"] == []
     assert sarif["runs"][0]["tool"]["driver"]["name"] == "modelsentry"
+    assert sarif["runs"][0]["invocations"] == [
+        {"executionSuccessful": True, "toolExecutionNotifications": []}
+    ]
+
+
+def test_sarif_lists_scan_errors(tmp_path, policy):
+    target = tmp_path / "cut.pkl"
+    target.write_bytes(pickle.dumps([1, 2, 3], 2)[:-3])
+    report = scan_paths([str(target)], policy)
+    [error] = report.files[0].errors
+    assert error.kind == "TruncatedArgument" and error.locus
+    invocation = json.loads(render(report, "sarif"))["runs"][0]["invocations"][0]
+    assert invocation["executionSuccessful"] is False
+    assert invocation["toolExecutionNotifications"] == [
+        {
+            "level": "error",
+            "message": {"text": f"{error.kind}: {error.message}"},
+            "locations": [
+                {
+                    "physicalLocation": {"artifactLocation": {"uri": str(target)}},
+                    "message": {"text": error.locus},
+                }
+            ],
+        }
+    ]
 
 
 def test_report_deterministic_across_worker_counts(tmp_path, policy):
@@ -505,8 +554,6 @@ def test_cli_scan_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.pkl"
     bad.write_bytes(emit_reduce_payload_pickle(MARKER, 2))
     good = tmp_path / "good.pkl"
-    import pickle
-
     good.write_bytes(pickle.dumps([1, 2, 3], 2))
     assert cli_main(["scan", str(good)]) == 0
     assert cli_main(["scan", str(bad)]) == 3
@@ -533,6 +580,21 @@ def test_cli_scan_writes_report_file(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["files"][0]["findings"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["scan", "verify"])
+def test_cli_unwritable_out_is_operational_error(tmp_path, capsys, command):
+    target = tmp_path / "p.pkl"
+    target.write_bytes(emit_reduce_payload_pickle(MARKER, 2))
+    out = tmp_path / "missing-dir" / "report.json"
+    args = [command, str(target), "--format", "json", "--out", str(out)]
+    if command == "verify":
+        manifest = tmp_path / "integrity.json"
+        manifest.write_text("{}")
+        args[1:1] = ["--manifest", str(manifest)]
+    assert cli_main(args) == 2
+    assert capsys.readouterr().err.startswith("modelsentry: [Errno 2] No such file")
+    assert not out.exists()
 
 
 def test_cli_policy_env_fallback(tmp_path, capsys, monkeypatch):
