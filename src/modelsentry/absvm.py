@@ -8,15 +8,19 @@ records that a call *would* happen.
 The machine mirrors the reference loader's stack discipline (value stack
 plus a metastack of MARK frames, and an integer-keyed memo).  Memo fetches
 push ``MemoRef`` placeholders so the value graph itself stays acyclic; the
-memo table in the result resolves them.
+memo table in the result resolves them.  A literal short enough to render
+whole (None, a bool, an int, a float, or text or bytes of at most
+``ARG_SUMMARY_CAP``) sits in the graph as the plain Python value; a longer
+one is a ``LongPrimitive``.  Every other node is an ``AbstractValue``.
 
-One loop, ``_Machine.run``, steps the machine through ``(code, offset, arg,
-end)`` ops, checks FRAME bounds inline and dispatches through ``_HANDLERS``,
-a table indexed by opcode byte, built from ``disasm.OPCODES`` (the stdlib's
+``_Machine.run`` is the one decode-and-evaluate loop: it reads each opcode
+byte, decodes its argument through ``disasm.DECODERS``, checks the segment
+bounds and FRAME bounds inline and dispatches through ``_HANDLERS``, a
+table indexed by opcode byte, built from ``disasm.OPCODES`` (the stdlib's
 ``pickletools.opcodes``) and the handlers keyed by opcode name; every
-opcode there has one.  ``walk`` feeds it straight from
-``disasm.decode_ops``, one pass per segment with no instruction list; that
-is the scanner's path.  ``evaluate`` feeds it a disassembled program.
+opcode there has one.  ``walk`` runs it once per segment with no
+instruction list; that is the scanner's path.  ``evaluate`` runs it over
+the bytes of a disassembled program.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .disasm import OPCODES, ParseError, PickleProgram, decode_ops, iter_segments, zero_padding
+from . import disasm
+from .disasm import OPCODES, ParseError, PickleProgram, iter_segments, zero_padding
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +60,9 @@ class DynamicGlobalRef(AbstractValue):
 class CallResult(AbstractValue):
     """The value a loader would get by calling ``callee(*args)``."""
 
-    callee: AbstractValue
+    callee: object
     args: tuple
-    state: AbstractValue | None = None  # attached by a later BUILD
+    state: object = None  # attached by a later BUILD
 
 
 @dataclass(slots=True)
@@ -69,22 +74,22 @@ class Container(AbstractValue):
 
 
 @dataclass(slots=True)
-class Primitive(AbstractValue):
-    value: object
-
-
-@dataclass(slots=True)
-class LongPrimitive(Primitive):
+class LongPrimitive(AbstractValue):
     """A literal too big to ``repr`` whole when rendered: text or bytes longer
-    than ARG_SUMMARY_CAP, or an int of more than 4,300 digits."""
+    than ARG_SUMMARY_CAP, or an int of more than 4,300 digits.  Shorter
+    literals are held as plain values."""
+
+    value: object
 
 
 @dataclass(frozen=True, slots=True)
 class PersistentRef(AbstractValue):
-    """A persistent id: PERSID's text line, or the value BINPERSID popped.
-    Rendered only as part of evidence, like any other argument."""
+    """A persistent id: PERSID's text line (``line`` set), or the value
+    BINPERSID popped.  Rendered only as part of evidence, like any other
+    argument."""
 
     pid: object
+    line: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,7 +133,7 @@ class DynamicGlobal(SecurityEvent):
 
 @dataclass(frozen=True)
 class CallMade(SecurityEvent):
-    callee: AbstractValue
+    callee: object
     argc: int | None
     arg_summary: str  # "" when the walk's ``keep_call`` dropped the call
     root: tuple[str, str] | None  # ``call_roots`` of the callee, at the call
@@ -224,20 +229,14 @@ class LimitExceeded(VmError):
         self.which = which
 
 
-class UnsupportedOpcode(VmError):
-    def __init__(self, offset: int, mnemonic: str):
-        super().__init__(offset, f"unsupported opcode {mnemonic}")
-        self.mnemonic = mnemonic
-
-
 @dataclass
 class AbstractResult:
     """Outcome of evaluating one program."""
 
-    root: AbstractValue
+    root: object  # an AbstractValue or a plain literal, as any value below
     events: list[SecurityEvent]
     memo_size: int
-    memo: dict[int, AbstractValue] = field(default_factory=dict)
+    memo: dict[int, object] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +272,8 @@ _BRACKETS = {
 
 
 def render_value(
-    value: AbstractValue,
-    memo: dict[int, AbstractValue] | None = None,
+    value: object,
+    memo: dict[int, object] | None = None,
     limit: int = ARG_SUMMARY_CAP,
 ) -> str:
     """Render a value graph to bounded, repr-like text."""
@@ -292,14 +291,14 @@ def render_value(
         out.append(text)
         budget -= len(text)
 
-    def walk(v: AbstractValue, depth: int, seen: frozenset[int]) -> None:
+    def walk(v: object, depth: int, seen: frozenset[int]) -> None:
         if budget <= 0:
             return
         if depth > 24:
             put("…")
             return
-        if type(v) is Primitive:  # not a LongPrimitive: its repr is short
-            put(repr(v.value))
+        if not isinstance(v, AbstractValue):  # a plain literal: its repr is short
+            put(repr(v))
         elif isinstance(v, LongPrimitive):
             put(_long_text(v.value, budget))
         elif isinstance(v, GlobalRef):
@@ -345,10 +344,10 @@ def render_value(
             # part the remaining budget can show is rendered, which keeps a
             # chain of ids nested in ids short.
             room = max(0, min(PID_SUMMARY_CAP, budget - len("<persistent ")))
-            if isinstance(v.pid, AbstractValue):
-                pid_text = render_value(v.pid, memo, room)
+            if v.line:
+                pid_text = v.pid[:room]
             else:
-                pid_text = str(v.pid)[:room]
+                pid_text = render_value(v.pid, memo, room)
             put(f"<persistent {pid_text}>")
         elif isinstance(v, ExtensionRef):
             put(f"<extension {v.code}>")
@@ -364,8 +363,8 @@ def render_value(
 
 
 def _deref(
-    value: AbstractValue, memo: dict[int, AbstractValue], seen: set[int] | None = None
-) -> AbstractValue:
+    value: object, memo: dict[int, object], seen: set[int] | None = None
+) -> object:
     """Follow MemoRef links through ``memo`` until a non-reference or a cycle.
 
     Indices followed are added to ``seen`` when one is given, so a caller
@@ -383,7 +382,7 @@ def _deref(
 
 
 def call_roots(
-    callee: AbstractValue, memo: dict[int, AbstractValue] | None = None
+    callee: object, memo: dict[int, object] | None = None
 ) -> tuple[str, str] | None:
     """Root (module, name) of the callee chain behind one CallMade event.
 
@@ -414,14 +413,25 @@ def call_roots(
 KeepCall = Callable[[tuple[str, str] | None], bool]
 
 
+def _text(value: object) -> str | None:
+    """The text of a text literal, long or short; None for anything else."""
+    if isinstance(value, LongPrimitive):
+        value = value.value
+    return value if isinstance(value, str) else None
+
+
 class _Machine:
+    __slots__ = (
+        "keep_call", "stack", "metastack", "memo", "events", "root", "offset", "error",
+        "open_frame",
+    )
+
     def __init__(self, keep_call: KeepCall | None = None):
         self.keep_call = keep_call
-        self.stack: list[AbstractValue] = []
-        self.metastack: list[list[AbstractValue]] = []
-        self.memo: dict[int, AbstractValue] = {}
+        self.stack: list = []
+        self.metastack: list[list] = []
+        self.memo: dict[int, object] = {}
         self.events: list[SecurityEvent] = []
-        self.root: AbstractValue | None = None
         self.offset = 0
         self.error: VmError | None = None
         # (frame end, FRAME offset, event index at that FRAME, already flagged)
@@ -429,39 +439,60 @@ class _Machine:
 
     # -- the machine loop ---------------------------------------------------
 
-    def run(self, ops) -> int:
-        """Step through ``ops``, ``(code, offset, arg, end)`` tuples up to STOP,
-        and return the end of the last one.
+    def run(self, stream: bytes, start: int) -> int:
+        """Decode and evaluate the ops of ``stream`` from ``start`` through
+        STOP, and return the end of the STOP op.
 
-        FRAME bounds are checked inline: a FrameMismatch goes before the
-        events of the op it flags.  A VmError ends evaluation and is kept in
-        ``self.error``, but the remaining ops are still drawn, so that a
-        decoder behind ``ops`` reaches STOP (or its ParseError).
+        Each op's argument is read through ``disasm.DECODERS``; a ParseError
+        (MissingStop, UnknownOpcode, a bad argument, or more than
+        ``disasm.MAX_INSTRUCTIONS`` ops) propagates.  FRAME bounds are
+        checked inline: a FrameMismatch goes before the events of the op it
+        flags.  A VmError ends evaluation and is kept in ``self.error``, but
+        the loop goes on decoding, with no dispatch and no frame checks, to
+        STOP or a ParseError, counting ops as before.
         """
+        decoders = disasm.DECODERS
         handlers = _HANDLERS
         events = self.events
+        length = len(stream)
+        max_instructions = disasm.MAX_INSTRUCTIONS
         frame_end = _NO_FRAME
         last_frame = (0, 0, False)
-        end = 0
-        try:
-            for code, offset, arg, end in ops:
-                self.offset = offset
+        live = True
+        pos = start
+        count = 0
+        while True:
+            if pos >= length:
+                raise disasm.MissingStop(pos)
+            if count >= max_instructions:
+                raise disasm.LimitExceeded(pos, "max_instructions")
+            code = stream[pos]
+            decode = decoders[code]
+            if decode is None:
+                raise disasm.UnknownOpcode(pos, code)
+            arg, end = decode(stream, pos + 1, pos)
+            if live:
+                self.offset = pos
                 if code == _FRAME:
-                    nested = frame_end != _NO_FRAME and offset < frame_end
-                    last_frame = (offset, len(events), nested)
+                    nested = frame_end != _NO_FRAME and pos < frame_end
+                    last_frame = (pos, len(events), nested)
                     if nested:
-                        events.append(FrameMismatch(offset))
+                        events.append(FrameMismatch(pos))
                     frame_end = end + arg
                 elif end > frame_end:
-                    if offset < frame_end:  # straddles the frame boundary
-                        events.append(FrameMismatch(offset))
+                    if pos < frame_end:  # straddles the frame boundary
+                        events.append(FrameMismatch(pos))
                     frame_end = _NO_FRAME
-                handlers[code](self, arg)
-        except VmError as exc:
-            # Without its traceback the kept error pins no frame of this run.
-            self.error = exc.with_traceback(None)
-            for _code, _offset, _arg, end in ops:
-                pass
+                try:
+                    handlers[code](self, arg)
+                except VmError as exc:
+                    # Without its traceback the kept error pins no frame of this run.
+                    self.error = exc.with_traceback(None)
+                    live = False
+            if code == _STOP:
+                break
+            pos = end
+            count += 1
         if frame_end != _NO_FRAME:
             self.open_frame = (frame_end, *last_frame)
         return end
@@ -477,13 +508,11 @@ class _Machine:
         )
 
     def result(self, stream_end: int, trailing_bytes: int) -> AbstractResult:
-        """The outcome of a run that reached STOP without a VmError.
+        """The outcome of a run that reached STOP, which set ``self.root``,
+        without a VmError.
 
         ``stream_end`` is where the bytes a final frame may cover end.
         """
-        if self.root is None:
-            # The disassembler guarantees a STOP; guard anyway.
-            raise UnsupportedOpcode(self.offset, "program did not reach STOP")
         if self.open_frame is not None:
             frame_end, frame_offset, index, flagged = self.open_frame
             if frame_end > stream_end and not flagged:
@@ -499,25 +528,25 @@ class _Machine:
 
     # -- primitives ---------------------------------------------------------
 
-    def push(self, value: AbstractValue) -> None:
+    def push(self, value: object) -> None:
         stack = self.stack
         if len(stack) >= MAX_STACK_DEPTH:
             raise LimitExceeded(self.offset, "max_stack_depth")
         stack.append(value)
 
-    def pop(self) -> AbstractValue:
+    def pop(self) -> object:
         try:
             return self.stack.pop()
         except IndexError:
             raise StackUnderflow(self.offset) from None
 
-    def peek(self) -> AbstractValue:
+    def peek(self) -> object:
         try:
             return self.stack[-1]
         except IndexError:
             raise StackUnderflow(self.offset) from None
 
-    def pop_mark(self) -> list[AbstractValue]:
+    def pop_mark(self) -> list:
         if not self.metastack:
             raise BadMark(self.offset)
         items = self.stack
@@ -548,18 +577,22 @@ class _Machine:
         if depth > 0:
             self.emit(ResidualStack(self.offset, depth))
 
-    # constants
+    # constants: the hot ones check the stack depth inline
     def op_none(self, arg) -> None:
-        self.push(Primitive(None))
+        self.push(None)
 
     def op_newtrue(self, arg) -> None:
-        self.push(Primitive(True))
+        self.push(True)
 
     def op_newfalse(self, arg) -> None:
-        self.push(Primitive(False))
+        self.push(False)
 
     def op_literal(self, arg) -> None:
-        self.push(Primitive(arg))
+        """A literal whose opcode bounds it short enough to render whole."""
+        stack = self.stack
+        if len(stack) >= MAX_STACK_DEPTH:
+            raise LimitExceeded(self.offset, "max_stack_depth")
+        stack.append(arg)
 
     def op_sized_literal(self, arg) -> None:
         """A literal whose opcode puts no fixed bound on its argument."""
@@ -567,7 +600,10 @@ class _Machine:
             long = len(arg) > ARG_SUMMARY_CAP
         else:
             long = not -_BIG_INT < arg < _BIG_INT
-        self.push(LongPrimitive(arg) if long else Primitive(arg))
+        stack = self.stack
+        if len(stack) >= MAX_STACK_DEPTH:
+            raise LimitExceeded(self.offset, "max_stack_depth")
+        stack.append(LongPrimitive(arg) if long else arg)
 
     def op_bytearray8(self, arg) -> None:
         self.op_sized_literal(bytearray(arg))
@@ -676,7 +712,12 @@ class _Machine:
         self.memo_put(int(arg))
 
     def op_memoize(self, arg) -> None:
-        self.memo_put(len(self.memo))
+        memo = self.memo
+        if len(memo) >= MAX_MEMO_ENTRIES:
+            raise LimitExceeded(self.offset, "max_memo_entries")
+        if not self.stack:
+            raise StackUnderflow(self.offset)
+        memo[len(memo)] = self.stack[-1]
 
     # globals and calls
     def op_global(self, arg) -> None:
@@ -685,16 +726,11 @@ class _Machine:
         self.push(GlobalRef(module, name))
 
     def op_stack_global(self, arg) -> None:
-        name_v = _deref(self.pop(), self.memo)
-        module_v = _deref(self.pop(), self.memo)
-        if (
-            isinstance(name_v, Primitive)
-            and isinstance(name_v.value, str)
-            and isinstance(module_v, Primitive)
-            and isinstance(module_v.value, str)
-        ):
-            self.emit(GlobalResolved(self.offset, module_v.value, name_v.value))
-            self.push(GlobalRef(module_v.value, name_v.value))
+        name = _text(_deref(self.pop(), self.memo))
+        module = _text(_deref(self.pop(), self.memo))
+        if name is not None and module is not None:
+            self.emit(GlobalResolved(self.offset, module, name))
+            self.push(GlobalRef(module, name))
         else:
             self.emit(DynamicGlobal(self.offset))
             self.push(DynamicGlobalRef())
@@ -736,14 +772,17 @@ class _Machine:
 
     def op_inst(self, arg) -> None:
         module, name = arg
+        # A loader imports before it looks for the MARK (pickle.py's
+        # ``load_inst``), so the import counts even when the MARK is missing.
+        self.emit(GlobalResolved(self.offset, module, name))
         items = self.pop_mark()
         self.record_call_with(GlobalRef(module, name), tuple(items))
 
-    def record_call_with(self, callee: AbstractValue, args: tuple) -> None:
+    def record_call_with(self, callee: object, args: tuple) -> None:
         self.record_call(callee, len(args), Container("tuple", list(args)))
         self.push(CallResult(callee=callee, args=args))
 
-    def record_call(self, callee: AbstractValue, argc: int | None, args_v: AbstractValue) -> None:
+    def record_call(self, callee: object, argc: int | None, args_v: object) -> None:
         """Emit the CallMade event of one call, with its root resolved and its
         arguments rendered now, against the memo as the loader sees it."""
         root = call_roots(callee, self.memo)
@@ -764,7 +803,7 @@ class _Machine:
     # persistent ids, extensions, buffers
     def op_persid(self, arg) -> None:
         self.emit(PersistentId(self.offset))
-        self.push(PersistentRef(arg))
+        self.push(PersistentRef(arg, line=True))
 
     def op_binpersid(self, arg) -> None:
         pid = self.pop()
@@ -863,6 +902,7 @@ _BY_MNEMONIC = {
 _HANDLERS: tuple = tuple(op and _BY_MNEMONIC[op.name] for op in OPCODES)
 
 _FRAME = 0x95
+_STOP = ord(".")
 _NO_FRAME = 1 << 65  # past any frame end a u8 length can encode
 
 
@@ -873,10 +913,7 @@ def evaluate(program: PickleProgram) -> AbstractResult:
     and no side effect of any kind is performed.
     """
     machine = _Machine()
-    machine.run(
-        (ord(instr.opcode.code), instr.offset, instr.arg, instr.offset + instr.size)
-        for instr in program.instructions
-    )
+    machine.run(program.stream, program.start_offset)
     if machine.error is not None:
         raise machine.error
     stream_end = program.start_offset + program.byte_length + program.trailing_bytes
@@ -886,7 +923,7 @@ def evaluate(program: PickleProgram) -> AbstractResult:
 def _read_segment(stream: bytes, start: int, keep_call: KeepCall | None):
     machine = _Machine(keep_call)
     try:
-        end = machine.run(decode_ops(stream, start))
+        end = machine.run(stream, start)
     except ParseError as exc:
         exc.partial = machine.recorded()
         raise

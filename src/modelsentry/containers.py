@@ -422,14 +422,16 @@ def decode_config(
     mark, which ``json.loads`` of the same bytes strips, and any leading JSON
     whitespace, the config is one JSON value, decoded by
     ``json.JSONDecoder.raw_decode``; bytes after it are not read.  Its
-    bytes must be strict UTF-8 and at most ``CONFIG_CAP`` long.  Nesting
+    bytes must be UTF-8 and at most ``CONFIG_CAP`` long; as in
+    ``json.loads(bytes)``, an encoded surrogate code point is accepted
+    (``surrogatepass``) and decodes to that code point.  Nesting
     deeper than the decoder recurses is ``UnbalancedJson`` ending just past
     the first byte, so that a search for the next candidate resumes there.
 
     ``whole`` says that ``data`` is a whole ``config.json`` member, which
     Keras reads with ``json.loads(bytes)``: a member that codec detection
-    (``json.detect_encoding``) takes for UTF-16 or UTF-32 is decoded
-    strictly in that codec and re-encoded as UTF-8 first, so its byte range
+    (``json.detect_encoding``) takes for UTF-16 or UTF-32 is decoded in
+    that codec and re-encoded as UTF-8 first, so its byte range
     and cap count UTF-8 bytes.  An HDF5 window is always UTF-8.
 
     ``asked`` is the size of the read when ``data`` is a window of a longer
@@ -443,7 +445,7 @@ def decode_config(
         offset += len(_UTF8_BOM)
     elif whole and (encoding := json.detect_encoding(data)) != "utf-8":
         try:
-            data = data.decode(encoding).encode("utf-8")
+            data = data.decode(encoding, "surrogatepass").encode("utf-8", "surrogatepass")
         except UnicodeDecodeError as exc:
             stop = offset + exc.end
             raise UnbalancedJson(offset, stop, f"config is not {encoding}: {exc}") from None
@@ -468,15 +470,20 @@ def decode_config(
         return None
     json_text = text[begin:end]
     del text
-    # Back to the bytes read, where a byte that is not UTF-8 fails a strict decode.
+    # Back to the bytes read, where a byte that is not UTF-8 fails the decode.
     consumed = json_text.encode("utf-8", "surrogateescape")
     stop = start + len(consumed)
     if len(consumed) > cap:
         raise CapExceeded(f"config size {len(consumed)}", cap, stop)
     try:
-        consumed.decode("utf-8")
+        loaded_text = consumed.decode("utf-8", "surrogatepass")
     except UnicodeDecodeError as exc:
         raise UnbalancedJson(start, stop, f"extracted text is not valid JSON: {exc}") from None
+    if len(loaded_text) != len(json_text):
+        # An encoded surrogate, which the first decode held as one escape
+        # per byte: decode the text json.loads(bytes) would read.
+        json_text = loaded_text
+        config = _DECODER.decode(json_text)
     return ExtractedConfig(json_text=json_text, byte_range=(start, stop), config=config)
 
 

@@ -9,10 +9,11 @@ The opcode table is the stdlib's own: ``OPCODES`` indexes
 ``pickletools.opcodes`` by opcode byte.  Arguments are read through
 ``DECODERS``, a 256-entry table of decode functions indexed the same way
 (as ``Lib/pickle.py`` builds its unpickler's dispatch table), one decoder
-per ``pickletools`` argument descriptor.  ``decode_ops`` is the one decode
-loop over it: the instruction lists of ``iter_programs``/``disassemble``,
-the one-pass ``absvm.walk`` and the format sniff all read a stream through
-it.
+per ``pickletools`` argument descriptor.  The scanner's loop over it is
+``absvm``'s, which decodes and evaluates each op in one step.
+``decode_ops`` is the loop here, one ``(code, offset, arg, end)`` tuple per
+op: it serves the format sniff and the instruction lists of
+``iter_programs``/``disassemble``.
 
 Every input terminates in either a ``PickleProgram`` or a structured
 ``ParseError``; nothing is executed, imported, or resolved.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import codecs
 import pickletools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 
@@ -103,11 +104,13 @@ class Instruction:
 
 @dataclass
 class PickleProgram:
-    """A parsed stream segment ending in STOP."""
+    """A parsed stream segment ending in STOP, and the stream it starts in
+    at ``start_offset``."""
 
     instructions: list[Instruction]
     declared_protocol: int
     byte_length: int
+    stream: bytes = field(repr=False)
     trailing_bytes: int = 0
     start_offset: int = 0
 
@@ -296,8 +299,9 @@ DECODERS: tuple[Decoder | None, ...] = tuple(
 def decode_ops(stream: bytes, start: int):
     """Yield ``(code, offset, arg, end)`` for each op from ``start`` through STOP.
 
-    This is the one decode loop: the instruction list, the abstract machine
-    and the format sniff all read a segment through it.
+    The instruction list and the format sniff read a segment through this
+    loop; the abstract machine decodes in its own (``absvm._Machine.run``),
+    with the same checks in the same order.
     """
     decoders = DECODERS
     length = len(stream)
@@ -376,6 +380,7 @@ def _read_program(stream: bytes, start: int) -> PickleProgram:
         instructions=instructions,
         declared_protocol=declared,
         byte_length=end - start,
+        stream=stream,
         start_offset=start,
     )
 

@@ -211,6 +211,36 @@ def transcript_stream_set() -> list[tuple[str, bytes]]:
 
 
 # ---------------------------------------------------------------------------
+# Hostile recipes: an ``os.system`` call behind a value graph that is cheap to
+# write but expensive to walk naively
+
+_OS_SYSTEM = b"cos\nsystem\n"
+
+
+def memo_sharing(depth: int) -> bytes:
+    """m[0] = 'x', m[i] = (m[i-1], m[i-1]); then os.system(m[depth])."""
+    out = [b"\x80\x02", _OS_SYSTEM, b"X\x01\x00\x00\x00x", b"q\x00", b"0"]
+    for index in range(1, depth + 1):
+        out += [b"h" + bytes([index - 1]), b"h" + bytes([index - 1]), b"\x86"]
+        out += [b"q" + bytes([index]), b"0"]
+    out += [b"h" + bytes([depth]), b"\x85R."]
+    return b"".join(out)
+
+
+def deep_nesting(depth: int) -> bytes:
+    """``depth`` EMPTY_LISTs folded by APPENDs into one nested list, passed to the call."""
+    return b"\x80\x02" + _OS_SYSTEM + b"]" * depth + b"a" * (depth - 1) + b"\x85R."
+
+
+def shared_list_calls(size: int, calls: int) -> bytes:
+    """One memoized ``size``-element list, passed to the memoized global ``calls`` times."""
+    words = b"".join(b"\x8c\x04" + b"w%03d" % (index % 1000) for index in range(size))
+    out = [b"\x80\x02]q\x00(", words, b"e", _OS_SYSTEM, b"q\x01", b"0"]
+    out += [b"h\x01h\x00\x85R0" * calls, b"."]
+    return b"".join(out)
+
+
+# ---------------------------------------------------------------------------
 # Structural comparison against the real loader
 
 
@@ -223,8 +253,10 @@ def structural_match(node, real, memo, _seen: frozenset = frozenset()) -> bool:
         _seen = _seen | {node.index}
         node = memo[node.index]
         hops += 1
-    if isinstance(node, absvm.Primitive):
-        return type(node.value) is type(real) and node.value == real
+    if isinstance(node, absvm.LongPrimitive):
+        node = node.value
+    if not isinstance(node, absvm.AbstractValue):  # a literal
+        return type(node) is type(real) and node == real
     if isinstance(node, absvm.Container):
         if node.kind == "list":
             return (
@@ -266,8 +298,10 @@ def _resolve_literal(node, memo):
     while isinstance(node, absvm.MemoRef) and node.index in memo and hops < 64:
         node = memo[node.index]
         hops += 1
-    if isinstance(node, absvm.Primitive):
+    if isinstance(node, absvm.LongPrimitive):
         return node.value
+    if not isinstance(node, absvm.AbstractValue):  # a literal
+        return node
     return object()  # never a key in the real dict
 
 

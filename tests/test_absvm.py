@@ -11,14 +11,23 @@ import contextlib
 import functools
 import pickle
 import struct
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import benign_streams, structural_match, stub_load
+from conftest import (
+    benign_streams,
+    deep_nesting,
+    memo_sharing,
+    shared_list_calls,
+    structural_match,
+    stub_load,
+)
 from modelsentry import absvm, disasm
 from modelsentry.absvm import (
     BadMark,
@@ -32,7 +41,6 @@ from modelsentry.absvm import (
     MemoMiss,
     MemoRef,
     OutOfBandBuffer,
-    Primitive,
     ResidualStack,
     StackUnderflow,
     StateBuilt,
@@ -44,6 +52,7 @@ from modelsentry.absvm import (
 from modelsentry.disasm import ParseError, disassemble, iter_programs
 from modelsentry.forge import (
     benign_state_dict_pickle,
+    emit_corpus,
     emit_injected_pickle,
     emit_reduce_payload_pickle,
 )
@@ -56,10 +65,11 @@ def run(stream: bytes) -> absvm.AbstractResult:
 
 
 def test_minimal_stream_has_no_events():
-    result = run(b"N.")
-    assert result.events == []
-    assert isinstance(result.root, Primitive)
-    assert result.root.value is None
+    # None is the root here, held as the plain value.
+    (walked,) = absvm.walk(b"N.")
+    for result in (run(b"N."), walked):
+        assert result.events == []
+        assert result.root is None
 
 
 def test_reduce_payload_events():
@@ -100,7 +110,7 @@ def test_event_completeness_matches_instruction_counts():
         program = disassemble(stream)
         result = evaluate(program)
         globals_in_stream = sum(
-            1 for i in program.instructions if i.mnemonic in ("GLOBAL", "STACK_GLOBAL")
+            1 for i in program.instructions if i.mnemonic in ("GLOBAL", "STACK_GLOBAL", "INST")
         )
         calls_in_stream = sum(
             1
@@ -191,6 +201,121 @@ def test_walk_matches_evaluate_on_mutated_streams(data):
         assert_walk_matches_programs(bytes(stream))
 
 
+# -- the fused decode-and-evaluate loop against the instruction lists -------------
+
+
+def _segments_and_parse_error(segments) -> tuple[int, tuple | None]:
+    """How many segments came out, and the ParseError that ended the stream."""
+    count = 0
+    try:
+        for _ in segments:
+            count += 1
+    except ParseError as exc:
+        return count, (exc.kind, exc.offset, exc.segment)
+    return count, None
+
+
+def assert_walk_decodes_like_iter_programs(stream: bytes) -> None:
+    """``walk`` decodes in its own loop, and keeps decoding after a VmError:
+    it must split and fail exactly where ``iter_programs`` does."""
+    expected = _segments_and_parse_error(iter_programs(stream))
+    assert _segments_and_parse_error(absvm.walk(stream)) == expected
+
+
+@functools.cache
+def _differential_corpus() -> tuple[bytes, ...]:
+    with tempfile.TemporaryDirectory() as directory:
+        emit_corpus(Path(directory), seed=0)
+        forged = [path.read_bytes() for path in sorted(Path(directory).glob("*.pkl"))]
+    recipes = [memo_sharing(6), deep_nesting(40), shared_list_calls(30, 4)]
+    return tuple(forged + recipes + _walk_corpus())
+
+
+# Every assigned opcode byte, for insertion mutants.
+_OPCODE_BYTES = [code for code, op in enumerate(disasm.OPCODES) if op is not None]
+
+
+@st.composite
+def _mutants(draw) -> bytes:
+    stream = bytearray(draw(st.sampled_from(_differential_corpus())))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["flip", "truncate", "insert"]))
+        at = draw(st.integers(0, len(stream)))
+        if kind == "flip" and at < len(stream):
+            stream[at] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "truncate":
+            del stream[at:]
+        else:
+            stream[at:at] = bytes([draw(st.sampled_from(_OPCODE_BYTES))])
+    return bytes(stream)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutants(), st.booleans())
+def test_walk_decodes_like_iter_programs_on_mutants(stream, small):
+    bounds = small_bounds() if small else contextlib.nullcontext()
+    with bounds:
+        assert_walk_decodes_like_iter_programs(stream)
+
+
+def test_walk_decodes_like_iter_programs_on_the_unmutated_corpus():
+    for stream in _differential_corpus():
+        assert_walk_decodes_like_iter_programs(stream)
+        with small_bounds():
+            assert_walk_decodes_like_iter_programs(stream)
+
+
+def test_instruction_limit_counts_the_ops_after_a_vm_error():
+    """The ops decoded after a VmError still count toward MAX_INSTRUCTIONS:
+    the limit fires at the same op as in the instruction list."""
+    stream = b"R" + b"N" * 50 + b"."  # StackUnderflow at op 0
+    with mock.patch.object(disasm, "MAX_INSTRUCTIONS", 40):
+        assert _segments_and_parse_error(iter_programs(stream)) == (
+            0, ("LimitExceeded", 40, 0)
+        )
+        assert_walk_decodes_like_iter_programs(stream)
+        with pytest.raises(disasm.LimitExceeded) as excinfo:
+            list(absvm.walk(stream))
+    assert excinfo.value.partial.events == []
+    # Under the limit the same stream is one segment that failed to evaluate.
+    (outcome,) = absvm.walk(stream)
+    assert isinstance(outcome, StackUnderflow) and outcome.offset == 0
+
+
+# -- short literals are plain values ---------------------------------------------
+
+
+def test_stack_global_with_long_module_text_is_resolved():
+    module = "m" * (absvm.ARG_SUMMARY_CAP + 1)
+    stream = (
+        b"\x80\x04\x8d" + struct.pack("<Q", len(module)) + module.encode()
+        + b"\x8c\x06system\x93."
+    )
+    for result in (run(stream), *absvm.walk(stream)):
+        assert result.events == [GlobalResolved(len(stream) - 2, module, "system")]
+        assert result.root == GlobalRef(module, "system")
+
+
+def test_binpersid_of_short_text_renders_its_repr():
+    result = run(b"\x80\x02cos\nsystem\nX\x03\x00\x00\x00keyQ\x85R.")
+    call = next(event for event in result.events if isinstance(event, CallMade))
+    assert call.arg_summary == "(<persistent 'key'>)"
+    # PERSID's id is its raw text line.
+    result = run(b"\x80\x02cos\nsystem\nPkey\n\x85R.")
+    call = next(event for event in result.events if isinstance(event, CallMade))
+    assert call.arg_summary == "(<persistent key>)"
+
+
+_PLAIN = [None, True, False, 0, -7, 2**64, 1.5, float("inf"), -0.0, "a'b", b"\x00", bytearray(b"z")]
+
+
+@pytest.mark.parametrize("value", _PLAIN)
+def test_render_of_a_plain_literal_is_its_repr(value):
+    assert render_value(value) == repr(value)
+    assert render_value(Container("list", [value, value])) == repr([value, value])
+    assert render_value(value, limit=2) == repr(value)[:2] + ("…" if len(repr(value)) > 2 else "")
+
+
 def test_determinism():
     stream = emit_injected_pickle({"a": [1, 2]}, MARKER, 4)
     first = run(stream)
@@ -204,17 +329,17 @@ def test_determinism():
 
 
 def test_summarize_direct_call():
-    value = CallResult(GlobalRef("os", "system"), (Primitive("x"),), "REDUCE")
+    value = CallResult(GlobalRef("os", "system"), ("x",), "REDUCE")
     assert call_roots(value.callee) == ("os", "system")
 
 
 def test_summarize_primitive_is_empty():
-    assert call_roots(Primitive(7)) is None
+    assert call_roots(7) is None
 
 
 def test_summarize_nested_call_reports_innermost_root():
     inner = CallResult(GlobalRef("builtins", "getattr"), (), "REDUCE")
-    outer = CallResult(inner, (Primitive(1),), "REDUCE")
+    outer = CallResult(inner, (1,), "REDUCE")
     assert call_roots(outer.callee) == ("builtins", "getattr")
 
 
@@ -261,7 +386,7 @@ def test_memoize_and_get():
     result = run(b"\x80\x04\x8c\x02hi\x94h\x00\x86.")
     root = result.root
     assert isinstance(root, Container) and root.kind == "tuple"
-    assert isinstance(root.elements[0], Primitive)
+    assert root.elements[0] == "hi" and type(root.elements[0]) is str
     assert root.elements[1] == MemoRef(0)
 
 
@@ -342,12 +467,20 @@ def test_build_attaches_state_and_emits_event():
     assert isinstance(result.root.state, Container)
 
 
-def test_inst_emits_call_only():
+def test_inst_emits_import_then_call():
     result = run(b"(Vx\nios\nsystem\n.")
     kinds = [event.kind for event in result.events]
-    assert kinds == ["CallMade"]
-    call = result.events[0]
+    assert kinds == ["GlobalResolved", "CallMade"]
+    assert result.events[0] == GlobalResolved(4, "os", "system")
+    call = result.events[1]
     assert call_roots(call.callee, result.memo) == ("os", "system")
+
+
+def test_inst_without_mark_still_imports():
+    # pickle.py's load_inst imports before it looks for the MARK.
+    (outcome,) = absvm.walk(b"\x80\x02ios\nsystem\n.")
+    assert isinstance(outcome, BadMark) and outcome.offset == 2
+    assert outcome.partial.events == [GlobalResolved(2, "os", "system")]
 
 
 def test_frame_mismatch_informational():
@@ -442,7 +575,7 @@ def test_rare_opcodes_evaluate_with_complete_events():
         program = disassemble(stream)
         result = evaluate(program)
         globals_in_stream = sum(
-            1 for i in program.instructions if i.mnemonic in ("GLOBAL", "STACK_GLOBAL")
+            1 for i in program.instructions if i.mnemonic in ("GLOBAL", "STACK_GLOBAL", "INST")
         )
         calls_in_stream = sum(
             1

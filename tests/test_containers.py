@@ -325,7 +325,8 @@ def test_decode_config_skips_one_byte_order_mark():
 def _brace_count_extract(blob: bytes, cap: int) -> ExtractedConfig:
     """The per-byte brace counter the extractor used before ``raw_decode``,
     kept as its oracle: find the balanced object (respecting JSON string
-    escapes), then check that it is strict UTF-8 and valid JSON."""
+    escapes), then check that it is UTF-8 (an encoded surrogate allowed, as
+    ``json.loads`` of bytes allows it) and valid JSON."""
     marker_at = blob.find(b"model_config", 8)
     if marker_at < 0:
         raise ConfigNotFound()
@@ -361,7 +362,7 @@ def _brace_count_extract(blob: bytes, cap: int) -> ExtractedConfig:
             if depth == 0:
                 break
     try:
-        json_text = blob[brace_at:end].decode("utf-8")
+        json_text = blob[brace_at:end].decode("utf-8", "surrogatepass")
         config = json.loads(json_text)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UnbalancedJson(brace_at, end, f"extracted text is not valid JSON: {exc}") from None
@@ -376,10 +377,14 @@ def _outcome(extract, blob: bytes):
     return extracted.json_text, extracted.byte_range, extracted.config
 
 
-# U+E000 in a generated string marks where an invalid UTF-8 byte goes.
+# U+E000 in a generated string marks where an invalid UTF-8 byte goes, and
+# U+E001 where the UTF-8 encoding of a lone surrogate goes.
 _BAD_BYTE_MARK = "\ue000"
+_SURROGATE_MARK = "\ue001"
 _TEXT = st.text(
-    alphabet=st.sampled_from(list('ab{}[]"\\:,\u00e9\u4e2d\U0001f600 ') + [_BAD_BYTE_MARK]),
+    alphabet=st.sampled_from(
+        list('ab{}[]"\\:,\u00e9\u4e2d\U0001f600 ') + [_BAD_BYTE_MARK, _SURROGATE_MARK]
+    ),
     max_size=40,
 )
 # Long enough to cross the first read windows of the extractor.
@@ -400,6 +405,8 @@ def _h5_blobs(draw):
     config = json.dumps({"config": draw(_VALUES)}, ensure_ascii=False).encode("utf-8")
     if draw(st.booleans()):
         config = config.replace(_BAD_BYTE_MARK.encode("utf-8"), b"\xff")
+    if draw(st.booleans()):
+        config = config.replace(_SURROGATE_MARK.encode("utf-8"), b"\xed\xa0\x80")  # U+D800
     if draw(st.booleans()):
         config = config[: draw(st.integers(1, len(config)))]  # the file ends inside it
     else:

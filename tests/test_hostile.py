@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import deep_nesting, memo_sharing, shared_list_calls
 from modelsentry import absvm, containers, disasm
 from modelsentry.absvm import (
     ARG_SUMMARY_CAP,
@@ -35,7 +36,6 @@ from modelsentry.absvm import (
     Container,
     GlobalRef,
     LongPrimitive,
-    Primitive,
     render_value,
 )
 from modelsentry.cli import main as cli_main
@@ -52,29 +52,6 @@ from modelsentry.scanner import scan_file, scan_paths
 
 ALARM_SECONDS = 2.0
 GLOBAL = b"cos\nsystem\n"
-
-
-def memo_sharing(depth: int) -> bytes:
-    """m[0] = 'x', m[i] = (m[i-1], m[i-1]); then os.system(m[depth])."""
-    out = [b"\x80\x02", GLOBAL, b"X\x01\x00\x00\x00x", b"q\x00", b"0"]
-    for index in range(1, depth + 1):
-        out += [b"h" + bytes([index - 1]), b"h" + bytes([index - 1]), b"\x86"]
-        out += [b"q" + bytes([index]), b"0"]
-    out += [b"h" + bytes([depth]), b"\x85R."]
-    return b"".join(out)
-
-
-def deep_nesting(depth: int) -> bytes:
-    """``depth`` EMPTY_LISTs folded by APPENDs into one nested list, passed to the call."""
-    return b"\x80\x02" + GLOBAL + b"]" * depth + b"a" * (depth - 1) + b"\x85R."
-
-
-def shared_list_calls(size: int, calls: int) -> bytes:
-    """One memoized ``size``-element list, passed to the memoized global ``calls`` times."""
-    words = b"".join(b"\x8c\x04" + b"w%03d" % (index % 1000) for index in range(size))
-    out = [b"\x80\x02]q\x00(", words, b"e", GLOBAL, b"q\x01", b"0"]
-    out += [b"h\x01h\x00\x85R0" * calls, b"."]
-    return b"".join(out)
 
 
 class _Stalled(Exception):
@@ -187,11 +164,11 @@ class _CountingTuple(tuple):
 
 
 def test_render_value_stops_at_its_budget():
-    elements = _CountingTuple([Primitive("x")] * 1_000_000)
+    elements = _CountingTuple(["x"] * 1_000_000)
     text = render_value(Container("list", elements))
     assert len(text) <= ARG_SUMMARY_CAP + 1
     assert elements.visited <= ARG_SUMMARY_CAP
-    args = _CountingTuple([Primitive("x")] * 1_000_000)
+    args = _CountingTuple(["x"] * 1_000_000)
     render_value(CallResult(GlobalRef("os", "system"), args, "REDUCE"))
     assert args.visited <= ARG_SUMMARY_CAP
 
@@ -272,7 +249,7 @@ _QUOTED_TEXT = st.text(st.sampled_from("ab'\"\\\n\x00\x7f\xe9\u2028\U0001f600"),
 def test_render_of_text_is_the_head_of_its_repr(value, limit):
     text = repr(value)
     expected = text if len(text) <= limit else text[:limit] + "…"
-    assert render_value(Primitive(value), limit=limit) == expected
+    assert render_value(value, limit=limit) == expected
     assert render_value(LongPrimitive(value), limit=limit) == expected
 
 

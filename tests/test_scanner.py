@@ -63,6 +63,30 @@ def test_scan_reduce_fixture(tmp_path, policy):
     assert ("PICKLE_CALL", Severity.CRITICAL) in rules
 
 
+def test_scan_inst_without_mark_reports_the_import(tmp_path, policy):
+    """pickle.py's ``load_inst`` calls ``find_class`` before it looks for the
+    MARK, so an INST with no MARK still imports (and so runs) its module."""
+    stream = b"\x80\x02ios\nsystem\n."
+    imported = []
+
+    class Recording(pickle._Unpickler):
+        def find_class(self, module, name):
+            imported.append((module, name))
+            return object
+
+    with pytest.raises((IndexError, pickle.UnpicklingError)):  # no MARK to pop
+        Recording(io.BytesIO(stream)).load()
+    assert imported == [("os", "system")]
+    target = tmp_path / "inst.pkl"
+    target.write_bytes(stream)
+    report = scan_paths([str(target)], policy)
+    assert exit_code(report) == 3
+    (scanned,) = report.files
+    dangerous = [f for f in scanned.findings if f.rule_id == "PICKLE_DANGEROUS_GLOBAL"]
+    assert [(f.severity, f.offset) for f in dangerous] == [(Severity.CRITICAL, 2)]
+    assert [error.kind for error in scanned.errors] == ["BadMark"]
+
+
 def test_scan_benign_torch_archive_is_clean(tmp_path, policy):
     target = tmp_path / "clean.pt"
     target.write_bytes(emit_torch_like_zip(pickle.dumps({"acc": 0.9}, 2)))
@@ -173,6 +197,10 @@ _PARSE_ERROR = [("FORMAT_PARSE_ERROR", Severity.LOW)]
             b"\xef\xbb\xbf" + _LAMBDA_CONFIG, None,
             ([("KERAS_LAMBDA_CODE", Severity.HIGH)], []), id="bom",
         ),
+        pytest.param(
+            _LAMBDA_CONFIG.replace(b'"name": "lambda"', b'"name": "x\xed\xa0\x80y"'), None,
+            ([("KERAS_LAMBDA_CODE", Severity.HIGH)], []), id="encoded-surrogate",
+        ),
     ],
 )
 def test_keras_and_h5_configs_get_the_same_verdict(
@@ -216,6 +244,22 @@ def test_keras_config_json_is_decoded_in_the_codec_json_loads_detects(
         (_PARSE_ERROR, ["UnbalancedJson"]),
         (_PARSE_ERROR, ["UnbalancedJson"]),
     ]
+
+
+def test_config_with_an_encoded_surrogate_decodes_as_json_loads_decodes_it(tmp_path, policy):
+    """``json.loads(bytes)`` decodes with ``surrogatepass``: a name holding
+    U+D800, written as the UTF-8 bytes ED A0 80 or as one UTF-16 code
+    unit, is that code point, and the Lambda is still found."""
+    config = _LAMBDA_CONFIG.replace(b'"name": "lambda"', b'"name": "x\xed\xa0\x80y"')
+    assert json.loads(config)["config"]["layers"][1]["config"]["name"] == "x\ud800y"
+    extracted = containers.decode_config(config, whole=True)
+    assert (extracted.config, extracted.byte_range) == (json.loads(config), (0, len(config)))
+    utf16 = config.decode("utf-8", "surrogatepass").encode("utf-16", "surrogatepass")
+    assert containers.decode_config(utf16, whole=True).config == json.loads(utf16)
+    keras = tmp_path / "model.keras"
+    with zipfile.ZipFile(keras, "w") as archive:
+        archive.writestr("config.json", utf16)
+    assert _outcome(scan_file(str(keras), policy)) == ([("KERAS_LAMBDA_CODE", Severity.HIGH)], [])
 
 
 def test_scan_h5_decoy_config_does_not_hide_the_lambda(tmp_path, policy):
