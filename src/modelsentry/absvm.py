@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate, chain, islice, repeat, takewhile
 from typing import Callable
 
 from . import disasm
@@ -271,12 +272,39 @@ _BRACKETS = {
 }
 
 
+def _piece_lengths(chunk: list, pairs: bool):
+    """The lengths of the pieces ``put`` would get for a run of plain
+    elements: each value's repr, ``", "`` between elements and ``": "``
+    inside a dict pair."""
+    for index, item in enumerate(chunk):
+        if index:
+            yield 2
+        if pairs:
+            yield len(repr(item[0]))
+            yield 2
+            yield len(repr(item[1]))
+        else:
+            yield len(repr(item))
+
+
+_FIRST_CHUNK = 8
+_MAX_DEPTH = 24
+
+
 def render_value(
     value: object,
     memo: dict[int, object] | None = None,
     limit: int = ARG_SUMMARY_CAP,
 ) -> str:
-    """Render a value graph to bounded, repr-like text."""
+    """Render a value graph to bounded, repr-like text.
+
+    The text is the first ``limit`` characters of the full render, then
+    "…" unless the cut falls at the end of a piece (a bracket, a separator
+    or one value's text).  Elements are taken in chunks that start at
+    ``_FIRST_CHUNK`` and double, none longer than the budget could show, so
+    work follows the text shown, not the size of a container; a chunk of
+    plain literals is rendered with one join.
+    """
     out: list[str] = []
     budget = limit
 
@@ -291,10 +319,26 @@ def render_value(
         out.append(text)
         budget -= len(text)
 
+    def put_run(chunk: list, pairs: bool) -> None:
+        """``put`` each piece of a run of plain elements, with one join."""
+        nonlocal budget
+        if pairs:
+            text = ", ".join([f"{key!r}: {val!r}" for key, val in chunk])
+        else:
+            text = ", ".join(map(repr, chunk))
+        if len(text) <= budget:
+            out.append(text)
+            budget -= len(text)
+            return
+        ends = accumulate(_piece_lengths(chunk, pairs))
+        at_end = budget in takewhile(budget.__ge__, ends)
+        out.append(text[:budget] if at_end else text[:budget] + "…")
+        budget = 0
+
     def walk(v: object, depth: int, seen: frozenset[int]) -> None:
         if budget <= 0:
             return
-        if depth > 24:
+        if depth > _MAX_DEPTH:
             put("…")
             return
         if not isinstance(v, AbstractValue):  # a plain literal: its repr is short
@@ -312,32 +356,11 @@ def render_value(
                 put(f"<memo {v.index}>")
         elif isinstance(v, CallResult):
             walk(v.callee, depth + 1, seen)
-            put("(")
-            if isinstance(v.args, tuple):
-                for i, a in enumerate(v.args):
-                    if budget <= 0:
-                        break
-                    if i:
-                        put(", ")
-                    walk(a, depth + 1, seen)
-            put(")")
+            args = v.args if isinstance(v.args, tuple) else ()
+            items(args, "(", ")", False, depth, seen)
         elif isinstance(v, Container):
             opener, closer = _BRACKETS[v.kind]
-            put(opener)
-            pairs = v.kind == "dict"
-            for i, item in enumerate(v.elements):
-                if budget <= 0:
-                    break
-                if i:
-                    put(", ")
-                if pairs:
-                    key, val = item
-                    walk(key, depth + 1, seen)
-                    put(": ")
-                    walk(val, depth + 1, seen)
-                else:
-                    walk(item, depth + 1, seen)
-            put(closer)
+            items(v.elements, opener, closer, v.kind == "dict", depth, seen)
         elif isinstance(v, PersistentRef):
             # The id is a summary of its own, capped at PID_SUMMARY_CAP: PERSID's
             # text raw, BINPERSID's value rendered with this memo.  Only the
@@ -353,6 +376,43 @@ def render_value(
             put(f"<extension {v.code}>")
         else:
             put("<opaque>")
+
+    def items(elements, opener: str, closer: str, pairs: bool, depth: int, seen: frozenset[int]) -> None:
+        """The elements of a container or argument tuple, between brackets.
+        An element costs at least 3 characters with its separator, and a
+        dict pair 6, so no chunk holds more than the budget left can show,
+        plus one."""
+        put(opener)
+        remaining = iter(elements)
+        least = 6 if pairs else 3
+        size = _FIRST_CHUNK
+        first = True
+        while budget > 0:
+            chunk = list(islice(remaining, min(size, budget // least + 1)))
+            if not chunk:
+                break
+            size *= 2
+            values = chain.from_iterable(chunk) if pairs else chunk
+            if depth < _MAX_DEPTH and not any(map(isinstance, values, repeat(AbstractValue))):
+                if not first:
+                    put(", ")
+                if budget > 0:
+                    put_run(chunk, pairs)
+            else:
+                for index, item in enumerate(chunk):
+                    if budget <= 0:
+                        break
+                    if index or not first:
+                        put(", ")
+                    if pairs:
+                        key, val = item
+                        walk(key, depth + 1, seen)
+                        put(": ")
+                        walk(val, depth + 1, seen)
+                    else:
+                        walk(item, depth + 1, seen)
+            first = False
+        put(closer)
 
     walk(value, 0, frozenset())
     return "".join(out)
@@ -461,38 +521,52 @@ class _Machine:
         live = True
         pos = start
         count = 0
-        while True:
-            if pos >= length:
-                raise disasm.MissingStop(pos)
-            if count >= max_instructions:
-                raise disasm.LimitExceeded(pos, "max_instructions")
-            code = stream[pos]
-            decode = decoders[code]
-            if decode is None:
-                raise disasm.UnknownOpcode(pos, code)
-            arg, end = decode(stream, pos + 1, pos)
-            if live:
+        try:
+            while True:
+                if pos >= length:
+                    raise disasm.MissingStop(pos)
+                if count >= max_instructions:
+                    raise disasm.LimitExceeded(pos, "max_instructions")
+                code = stream[pos]
+                decode = decoders[code]
+                if decode is None:
+                    raise disasm.UnknownOpcode(pos, code)
+                arg, end = decode(stream, pos + 1, pos)
+                if live:
+                    self.offset = pos
+                    if code == _FRAME:
+                        nested = frame_end != _NO_FRAME and pos < frame_end
+                        last_frame = (pos, len(events), nested)
+                        if nested:
+                            events.append(FrameMismatch(pos))
+                        frame_end = end + arg
+                    elif end > frame_end:
+                        if pos < frame_end:  # straddles the frame boundary
+                            events.append(FrameMismatch(pos))
+                        frame_end = _NO_FRAME
+                    try:
+                        handlers[code](self, arg)
+                    except VmError as exc:
+                        # Without its traceback the kept error pins no frame of this run.
+                        self.error = exc.with_traceback(None)
+                        live = False
+                if code == _STOP:
+                    break
+                pos = end
+                count += 1
+        except disasm.TruncatedArgument as exc:
+            # A GLOBAL or INST whose last line runs to the end of the stream
+            # (see ``disasm._name_pair``): outside a frame, pickle.py's
+            # loader imports that pair, and for INST calls it, before it
+            # fails.  The ParseError is still the segment's error.
+            in_frame = frame_end != _NO_FRAME and exc.names_line < frame_end
+            if live and exc.names is not None and not in_frame:
                 self.offset = pos
-                if code == _FRAME:
-                    nested = frame_end != _NO_FRAME and pos < frame_end
-                    last_frame = (pos, len(events), nested)
-                    if nested:
-                        events.append(FrameMismatch(pos))
-                    frame_end = end + arg
-                elif end > frame_end:
-                    if pos < frame_end:  # straddles the frame boundary
-                        events.append(FrameMismatch(pos))
-                    frame_end = _NO_FRAME
                 try:
-                    handlers[code](self, arg)
-                except VmError as exc:
-                    # Without its traceback the kept error pins no frame of this run.
-                    self.error = exc.with_traceback(None)
-                    live = False
-            if code == _STOP:
-                break
-            pos = end
-            count += 1
+                    handlers[code](self, exc.names)
+                except VmError:
+                    pass
+            raise
         if frame_end != _NO_FRAME:
             self.open_frame = (frame_end, *last_frame)
         return end

@@ -61,6 +61,12 @@ class UnknownOpcode(ParseError):
 
 
 class TruncatedArgument(ParseError):
+    # Set by ``_name_pair`` when the last line of a GLOBAL or INST runs to
+    # the end of the stream: the (module, name) pair pickle.py's loader
+    # reads there, and where that line starts.
+    names: tuple[str, str] | None = None
+    names_line = 0
+
     def __init__(
         self,
         offset: int,
@@ -247,8 +253,22 @@ def _no_arg(stream, pos, op_offset):
 
 
 def _name_pair(stream, pos, op_offset):
-    first, pos = _read_line(stream, pos, op_offset)
-    second, pos = _read_line(stream, pos, op_offset)
+    first = None
+    try:
+        first, pos = _read_line(stream, pos, op_offset)
+        second, pos = _read_line(stream, pos, op_offset)
+    except TruncatedArgument as exc:
+        # pickle.py's loader reads each line with ``readline()[:-1]``: a last
+        # line that runs to the end of the stream loses its final byte, and
+        # a line past the end is empty.  It imports that pair before it
+        # fails, unless a line is not UTF-8.
+        lines = (stream[pos:-1], b"") if first is None else (first, stream[pos:-1])
+        exc.names_line = pos
+        try:
+            exc.names = (lines[0].decode("utf-8"), lines[1].decode("utf-8"))
+        except UnicodeDecodeError:
+            pass
+        raise
     try:
         return (first.decode("utf-8"), second.decode("utf-8")), pos
     except UnicodeDecodeError as exc:
@@ -425,7 +445,8 @@ def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:
     A PROTO byte with protocol <= 5 is taken at face value.  Otherwise the
     sample must open with a protocol-0 opcode and decode coherently: either
     a STOP is reached, a GLOBAL or INST names a dotted Python identifier
-    pair (the loader imports there, whatever follows), ``_SNIFF_OPS``
+    pair (the loader imports there, whatever follows, also when the pair's
+    last line runs to the end of the sample), ``_SNIFF_OPS``
     instructions decode cleanly with more bytes after them, or (when
     ``complete`` is False, i.e. the sample is a prefix of something larger)
     several instructions decode cleanly before the sample runs out.
@@ -448,7 +469,12 @@ def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:
                 return end < len(sample) or not complete
     except UnknownOpcode:
         return False
-    except ParseError:
+    except ParseError as exc:
+        # A GLOBAL or INST whose last line runs to the end of the sample
+        # still names the pair the loader imports.
+        names = getattr(exc, "names", None)
+        if names is not None and all(_is_dotted_name(part) for part in names):
+            return True
         # Ran off the end of the sample: fine for a prefix of a longer
         # stream, disqualifying for complete content.
         return not complete and count >= 4

@@ -12,6 +12,7 @@ import io
 import pickle
 import pickletools
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,99 @@ def own_transcript(stream: bytes) -> list[str]:
             arg = " ".join(arg)  # genops joins the GLOBAL/INST pair with a space
         lines.append(f"{instr.offset} {instr.mnemonic} {arg!r}")
     return lines
+
+
+# ---------------------------------------------------------------------------
+# Reference renderer (the oracle for ``absvm.render_value``)
+
+
+def reference_render(
+    value: object,
+    memo: dict[int, object] | None = None,
+    limit: int = absvm.ARG_SUMMARY_CAP,
+) -> str:
+    """The put-per-piece renderer ``absvm.render_value`` replaced: every
+    piece (a bracket, a separator, one value's text) goes through ``put``,
+    which cuts at the budget and adds "…" unless the cut ends the piece."""
+    out: list[str] = []
+    budget = limit
+
+    def put(text: str) -> None:
+        nonlocal budget
+        if budget <= 0:
+            return
+        if len(text) > budget:
+            out.append(text[:budget] + "…")
+            budget = 0
+            return
+        out.append(text)
+        budget -= len(text)
+
+    def walk(v: object, depth: int, seen: frozenset[int]) -> None:
+        if budget <= 0:
+            return
+        if depth > 24:
+            put("…")
+            return
+        if not isinstance(v, absvm.AbstractValue):  # a plain literal: its repr is short
+            put(repr(v))
+        elif isinstance(v, absvm.LongPrimitive):
+            put(absvm._long_text(v.value, budget))
+        elif isinstance(v, absvm.GlobalRef):
+            put(f"{v.module}.{v.name}")
+        elif isinstance(v, absvm.DynamicGlobalRef):
+            put("<dynamic global>")
+        elif isinstance(v, absvm.MemoRef):
+            if memo is not None and v.index in memo and v.index not in seen:
+                walk(memo[v.index], depth + 1, seen | {v.index})
+            else:
+                put(f"<memo {v.index}>")
+        elif isinstance(v, absvm.CallResult):
+            walk(v.callee, depth + 1, seen)
+            put("(")
+            if isinstance(v.args, tuple):
+                for i, a in enumerate(v.args):
+                    if budget <= 0:
+                        break
+                    if i:
+                        put(", ")
+                    walk(a, depth + 1, seen)
+            put(")")
+        elif isinstance(v, absvm.Container):
+            opener, closer = absvm._BRACKETS[v.kind]
+            put(opener)
+            pairs = v.kind == "dict"
+            for i, item in enumerate(v.elements):
+                if budget <= 0:
+                    break
+                if i:
+                    put(", ")
+                if pairs:
+                    key, val = item
+                    walk(key, depth + 1, seen)
+                    put(": ")
+                    walk(val, depth + 1, seen)
+                else:
+                    walk(item, depth + 1, seen)
+            put(closer)
+        elif isinstance(v, absvm.PersistentRef):
+            # The id is a summary of its own, capped at PID_SUMMARY_CAP: PERSID's
+            # text raw, BINPERSID's value rendered with this memo.  Only the
+            # part the remaining budget can show is rendered, which keeps a
+            # chain of ids nested in ids short.
+            room = max(0, min(absvm.PID_SUMMARY_CAP, budget - len("<persistent ")))
+            if v.line:
+                pid_text = v.pid[:room]
+            else:
+                pid_text = reference_render(v.pid, memo, room)
+            put(f"<persistent {pid_text}>")
+        elif isinstance(v, absvm.ExtensionRef):
+            put(f"<extension {v.code}>")
+        else:
+            put("<opaque>")
+
+    walk(value, 0, frozenset())
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +330,15 @@ def shared_list_calls(size: int, calls: int) -> bytes:
     """One memoized ``size``-element list, passed to the memoized global ``calls`` times."""
     words = b"".join(b"\x8c\x04" + b"w%03d" % (index % 1000) for index in range(size))
     out = [b"\x80\x02]q\x00(", words, b"e", _OS_SYSTEM, b"q\x01", b"0"]
+    out += [b"h\x01h\x00\x85R0" * calls, b"."]
+    return b"".join(out)
+
+
+def shared_dict_calls(size: int, calls: int) -> bytes:
+    """One memoized dict of ``size`` plain pairs (``'k00000': 0`` and on),
+    passed to the memoized global ``calls`` times."""
+    pairs = b"".join(b"\x8c\x06k%05dJ" % index + struct.pack("<i", index) for index in range(size))
+    out = [b"\x80\x02}q\x00(", pairs, b"u", _OS_SYSTEM, b"q\x01", b"0"]
     out += [b"h\x01h\x00\x85R0" * calls, b"."]
     return b"".join(out)
 

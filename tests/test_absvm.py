@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import pickle
 import struct
 import tempfile
@@ -24,23 +25,30 @@ from conftest import (
     benign_streams,
     deep_nesting,
     memo_sharing,
+    reference_render,
     shared_list_calls,
     structural_match,
     stub_load,
 )
 from modelsentry import absvm, disasm
 from modelsentry.absvm import (
+    ARG_SUMMARY_CAP,
     BadMark,
     CallMade,
     CallResult,
     Container,
     DynamicGlobal,
+    DynamicGlobalRef,
+    ExtensionRef,
     FrameMismatch,
     GlobalRef,
     GlobalResolved,
+    LongPrimitive,
     MemoMiss,
     MemoRef,
+    Opaque,
     OutOfBandBuffer,
+    PersistentRef,
     ResidualStack,
     StackUnderflow,
     StateBuilt,
@@ -316,6 +324,98 @@ def test_render_of_a_plain_literal_is_its_repr(value):
     assert render_value(value, limit=2) == repr(value)[:2] + ("…" if len(repr(value)) > 2 else "")
 
 
+# -- the renderer against its put-per-piece reference ------------------------------
+
+_QUOTED = st.text(st.sampled_from("ab'\"\\\n\x00\xe9\U0001f600"), max_size=10)
+_PLAIN_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    _QUOTED,
+    _QUOTED.map(str.encode),
+    _QUOTED.map(lambda text: bytearray(text.encode())),
+)
+_LONG_VALUES = st.one_of(
+    _QUOTED,
+    st.sampled_from(["'" * 5000, "a\"b'" * 1500, b"'\x00" * 3000]),
+    st.integers(14_300, 17_000).map(lambda bits: -(1 << bits)),  # over 4,300 digits
+).map(LongPrimitive)
+_LEAVES = st.one_of(
+    _PLAIN_VALUES,
+    _LONG_VALUES,
+    st.integers(0, 4).map(MemoRef),  # entries 0-3 may be in the memo, 4 never is
+    st.builds(GlobalRef, st.sampled_from(["os", "a.b"]), st.sampled_from(["system", "c"])),
+    st.just(DynamicGlobalRef()),
+    st.integers(1, 300).map(ExtensionRef),
+    st.just(Opaque()),
+    _QUOTED.map(lambda text: PersistentRef(text, line=True)),
+)
+_SEQUENCE_KINDS = st.sampled_from(["list", "tuple", "set", "frozenset"])
+
+
+def _nested(value, depth: int):
+    for level in range(depth):
+        value = Container("list", [value]) if level % 2 else Container("tuple", ["a", value, 0])
+    return value
+
+
+def _repeated(kind: str, items: list, times: int) -> Container:
+    """A long container: a few plain values, or pairs of them, repeated."""
+    if kind == "dict":
+        items = list(zip(items, reversed(items)))
+    return Container(kind, items * times)
+
+
+def _composites(children):
+    elements = st.lists(children, max_size=12)
+    return st.one_of(
+        st.builds(Container, _SEQUENCE_KINDS, elements),
+        st.builds(Container, st.just("dict"), st.lists(st.tuples(children, children), max_size=12)),
+        st.builds(CallResult, children, st.one_of(elements.map(tuple), children)),
+        children.map(PersistentRef),
+        st.builds(_nested, children, st.integers(21, 27)),
+        st.builds(
+            _repeated,
+            st.one_of(_SEQUENCE_KINDS, st.just("dict")),
+            st.lists(_PLAIN_VALUES, min_size=1, max_size=4),
+            st.integers(1, 1500),
+        ),
+    )
+
+
+_GRAPHS = st.recursive(_LEAVES, _composites, max_leaves=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_GRAPHS, st.one_of(st.none(), st.dictionaries(st.integers(0, 3), _GRAPHS, max_size=4)))
+def test_render_value_equals_the_reference_renderer(value, memo):
+    """Every limit from 1 to 64 and the evidence cap; a memo entry may hold
+    a reference to itself or to another entry, so cycles are common."""
+    for limit in (*range(1, 65), ARG_SUMMARY_CAP):
+        assert render_value(value, memo, limit) == reference_render(value, memo, limit), limit
+
+
+@pytest.mark.parametrize("depth", [22, 23, 24, 25])
+@pytest.mark.parametrize("kind", ["list", "dict"])
+def test_render_of_plain_elements_at_the_depth_cap(depth, kind):
+    """Elements deeper than the cap render as "…" each, joined or not."""
+    value = _nested(_repeated(kind, ["x", 1], 20), depth)
+    for limit in (40, 200, ARG_SUMMARY_CAP):
+        assert render_value(value, limit=limit) == reference_render(value, limit=limit)
+
+
+def test_render_cut_at_the_end_of_a_piece_has_no_ellipsis():
+    pair = Container("list", ["ab", "cd"])
+    assert render_value(pair, limit=5) == "['ab'"
+    assert render_value(pair, limit=6) == "['ab',…"
+    assert render_value(pair, limit=7) == "['ab', "
+    pairs = Container("dict", [("a", 1)] * 20)
+    assert render_value(pairs, limit=4) == "{'a'"
+    assert render_value(pairs, limit=5) == "{'a':…"
+    assert render_value(pairs, limit=6) == "{'a': "
+
+
 def test_determinism():
     stream = emit_injected_pickle({"a": [1, 2]}, MARKER, 4)
     first = run(stream)
@@ -481,6 +581,56 @@ def test_inst_without_mark_still_imports():
     (outcome,) = absvm.walk(b"\x80\x02ios\nsystem\n.")
     assert isinstance(outcome, BadMark) and outcome.offset == 2
     assert outcome.partial.events == [GlobalResolved(2, "os", "system")]
+
+
+class _RecordingLoader(pickle._Unpickler):
+    """pickle.py's loader, with a ``find_class`` that records the pair and
+    returns a stub that records its calls."""
+
+    def __init__(self, stream: bytes):
+        super().__init__(io.BytesIO(stream))
+        self.imports: list[tuple[str, str]] = []
+        self.calls = 0
+
+    def find_class(self, module, name):
+        self.imports.append((module, name))
+
+        def stub(*args):
+            self.calls += 1
+
+        return stub
+
+
+_FRAME_OF_4 = b"\x80\x04\x95\x04" + bytes(7)
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        b"cos\nsystemX",
+        b"cos\nsystem",
+        b"cosX",
+        b"cos\n",
+        b"c",
+        b"c\xff\nsystemX",
+        b"(Vls\nios\nsystemX",
+        b"\x80\x02ios\nsystemX",
+        _FRAME_OF_4 + b"cos\nsystemX",  # the name line starts past the frame
+        b"\x80\x04\x95\x05" + bytes(7) + b"cos\nsystemX",  # it starts inside it
+    ],
+)
+def test_unterminated_name_line_imports_what_pickle_py_imports(stream):
+    """pickle.py reads a GLOBAL or INST line with ``readline()[:-1]``, so a
+    last line that runs to the end of the stream loses its final byte, and
+    the loader imports (for INST, calls) before it fails."""
+    loader = _RecordingLoader(stream)
+    with pytest.raises((EOFError, IndexError, pickle.UnpicklingError, ValueError)):
+        loader.load()
+    with pytest.raises(disasm.TruncatedArgument) as raised:
+        list(absvm.walk(stream))
+    events = raised.value.partial.events
+    assert [(e.module, e.name) for e in events if isinstance(e, GlobalResolved)] == loader.imports
+    assert sum(isinstance(e, CallMade) for e in events) == loader.calls
 
 
 def test_frame_mismatch_informational():

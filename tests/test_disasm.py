@@ -212,6 +212,11 @@ def test_plausible_pickle_prefix():
     assert not plausible_pickle_prefix(b"Model fixture text", complete=True)
     assert not plausible_pickle_prefix(b"", complete=True)
     assert not plausible_pickle_prefix(b"{\"json\": 1}", complete=True)
+    # The loader imports os.system from an unterminated last line, but a
+    # text line with no second name is no import of a dotted pair.
+    assert plausible_pickle_prefix(b"cos\nsystemX", complete=True)
+    assert plausible_pickle_prefix(b"(Vls\nios\nsystemX", complete=True)
+    assert not plausible_pickle_prefix(b"cat\n", complete=True)
 
 
 def test_frame_argument_decoded_and_recorded():

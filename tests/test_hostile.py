@@ -2,16 +2,17 @@
 
 Each recipe hides an ``os.system`` call behind a value graph that is cheap to
 write but expensive to walk naively: memo sharing (a DAG with 2**depth tree
-leaves), deep list nesting, and many calls over one large shared list.  One
-more packs an HDF5 file with config candidates that each fail.  Every
-scan runs under a wall-clock alarm, so a stall fails the test instead of
+leaves), deep list nesting, and many calls over one large shared list or
+dict.  One more packs an HDF5 file with config candidates that each fail.
+Every scan runs under a wall-clock alarm, so a stall fails the test instead of
 hanging the suite.
 
 Other recipes try to hide a payload or to cost memory: an argument too big
 to render whole, a ``config.json`` nested deeper than the JSON decoder
-recurses, tensor storage whose bytes look like a pickle, and a payload
-followed by bytes that are no opcode.  Last, each scan bound is made small
-and driven through the scanner.
+recurses, tensor storage whose bytes look like a pickle, a payload
+followed by bytes that are no opcode, and a GLOBAL whose last line has no
+newline.  Last, each scan bound is made small and driven through the
+scanner.
 """
 
 from __future__ import annotations
@@ -28,7 +29,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import deep_nesting, memo_sharing, shared_list_calls
+from conftest import (
+    deep_nesting,
+    memo_sharing,
+    reference_render,
+    shared_dict_calls,
+    shared_list_calls,
+)
 from modelsentry import absvm, containers, disasm
 from modelsentry.absvm import (
     ARG_SUMMARY_CAP,
@@ -36,6 +43,7 @@ from modelsentry.absvm import (
     Container,
     GlobalRef,
     LongPrimitive,
+    MemoRef,
     render_value,
 )
 from modelsentry.cli import main as cli_main
@@ -92,6 +100,19 @@ def test_deep_nesting_1000(tmp_path, policy):
 
 def test_shared_list_calls_10000_by_1000(tmp_path, policy):
     _assert_reports_call(tmp_path / "shared.pkl", shared_list_calls(10_000, 1000), policy)
+
+
+def test_shared_dict_calls_10000_by_1000(tmp_path, policy):
+    path = tmp_path / "shared_dict.pkl"
+    path.write_bytes(shared_dict_calls(10_000, 1000))
+    with _alarm(ALARM_SECONDS):
+        report = scan_file(str(path), policy)
+    assert report.errors == []
+    assert max(f.severity for f in report.findings) is Severity.CRITICAL
+    pairs = Container("dict", [("k%05d" % index, index) for index in range(10_000)])
+    expected = reference_render(Container("tuple", [MemoRef(0)]), {0: pairs})
+    calls = [f for f in report.findings if f.rule_id == "PICKLE_CALL"]
+    assert calls and {f.evidence for f in calls} == {expected}
 
 
 def test_many_hdf5_config_candidates(tmp_path, policy):
@@ -153,7 +174,7 @@ def test_hdf5_candidates_cut_short_at_the_first_window(tmp_path, policy):
 
 
 class _CountingTuple(tuple):
-    """A tuple that counts how many of its items an iteration takes."""
+    """A tuple that counts the items taken from it, by iteration or by index."""
 
     visited = 0
 
@@ -162,15 +183,25 @@ class _CountingTuple(tuple):
             self.visited += 1
             yield item
 
+    def __getitem__(self, index):
+        items = super().__getitem__(index)
+        self.visited += len(items) if isinstance(index, slice) else 1
+        return items
+
 
 def test_render_value_stops_at_its_budget():
-    elements = _CountingTuple(["x"] * 1_000_000)
-    text = render_value(Container("list", elements))
-    assert len(text) <= ARG_SUMMARY_CAP + 1
-    assert elements.visited <= ARG_SUMMARY_CAP
-    args = _CountingTuple(["x"] * 1_000_000)
-    render_value(CallResult(GlobalRef("os", "system"), args, "REDUCE"))
-    assert args.visited <= ARG_SUMMARY_CAP
+    """Elements are taken in doubling chunks, so the elements visited are
+    at most twice the elements shown, plus the first chunk: in a list, in
+    a dict and in a call's arguments."""
+    cases = [("list", "x", "'x'"), ("dict", ("k", "v"), "'k': 'v'"), ("args", "x", "'x'")]
+    for kind, item, item_text in cases:
+        elements = _CountingTuple([item] * 1_000_000)
+        if kind == "args":
+            text = render_value(CallResult(GlobalRef("os", "system"), elements, "REDUCE"))
+        else:
+            text = render_value(Container(kind, elements))
+        assert ARG_SUMMARY_CAP <= len(text) <= ARG_SUMMARY_CAP + 1
+        assert elements.visited <= 2 * text.count(item_text) + absvm._FIRST_CHUNK, kind
 
 
 _RECIPES = st.one_of(
@@ -335,6 +366,42 @@ def test_payload_before_junk_in_an_archive_member_is_a_pickle(tmp_path, policy):
     assert exit_code(report) == 3
     assert {f.entry for f in report.files[0].findings if f.severity is Severity.CRITICAL} == {
         "weights.bin"
+    }
+
+
+# pickle.py's loader reads the last line as "system" (``readline()[:-1]``) and
+# imports os.system before it fails; the C loader stops at the truncation.
+_UNTERMINATED = b"cos\nsystemX"
+
+
+def _torch_layout(pickle_bytes: bytes) -> bytes:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("archive/data.pkl", pickle_bytes)
+        archive.writestr("archive/version", "3\n")
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize(
+    "name, data, entry",
+    [
+        ("unterminated.pkl", _UNTERMINATED, None),
+        ("unterminated.pt", _torch_layout(_UNTERMINATED), "archive/data.pkl"),
+    ],
+    ids=["file", "archive-member"],
+)
+def test_global_whose_last_line_is_unterminated_is_critical(tmp_path, policy, name, data, entry):
+    path = tmp_path / name
+    path.write_bytes(data)
+    report = scan_paths([str(path)], policy)
+    assert exit_code(report) == 3
+    (scanned,) = report.files
+    assert [(e.kind, e.locus) for e in scanned.errors] == [
+        ("TruncatedArgument", ":".join(filter(None, [entry, "offset 0"])))
+    ]
+    assert {(f.rule_id, f.severity, f.entry) for f in scanned.findings} == {
+        ("FORMAT_PARSE_ERROR", Severity.LOW, entry),
+        ("PICKLE_DANGEROUS_GLOBAL", Severity.CRITICAL, entry),
     }
 
 
