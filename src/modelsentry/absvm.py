@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain, islice, repeat, takewhile
+from itertools import accumulate, chain, islice, repeat, takewhile, tee
+from operator import add
 from typing import Callable
 
 from . import disasm
@@ -272,21 +273,6 @@ _BRACKETS = {
 }
 
 
-def _piece_lengths(chunk: list, pairs: bool):
-    """The lengths of the pieces ``put`` would get for a run of plain
-    elements: each value's repr, ``", "`` between elements and ``": "``
-    inside a dict pair."""
-    for index, item in enumerate(chunk):
-        if index:
-            yield 2
-        if pairs:
-            yield len(repr(item[0]))
-            yield 2
-            yield len(repr(item[1]))
-        else:
-            yield len(repr(item))
-
-
 _FIRST_CHUNK = 8
 _MAX_DEPTH = 24
 
@@ -302,8 +288,9 @@ def render_value(
     "…" unless the cut falls at the end of a piece (a bracket, a separator
     or one value's text).  Elements are taken in chunks that start at
     ``_FIRST_CHUNK`` and double, none longer than the budget could show, so
-    work follows the text shown, not the size of a container; a chunk of
-    plain literals is rendered with one join.
+    work follows the text shown, not the size of a container; the part of
+    a chunk of plain literals that the budget shows whole is rendered with
+    one join.
     """
     out: list[str] = []
     budget = limit
@@ -319,21 +306,27 @@ def render_value(
         out.append(text)
         budget -= len(text)
 
-    def put_run(chunk: list, pairs: bool) -> None:
-        """``put`` each piece of a run of plain elements, with one join."""
+    def put_run(chunk: list, pairs: bool, first: bool) -> int:
+        """Put the longest head of a run of plain elements that the budget
+        shows whole, with one join, and return how many elements it holds.
+        Reprs are made lazily and measured up to the first that overruns,
+        so a run costs the text shown plus one element's repr."""
         nonlocal budget
         if pairs:
-            text = ", ".join([f"{key!r}: {val!r}" for key, val in chunk])
+            flat = map(repr, chain.from_iterable(chunk))
+            texts = map(": ".join, zip(flat, flat))
         else:
-            text = ", ".join(map(repr, chunk))
-        if len(text) <= budget:
-            out.append(text)
-            budget -= len(text)
-            return
-        ends = accumulate(_piece_lengths(chunk, pairs))
-        at_end = budget in takewhile(budget.__ge__, ends)
-        out.append(text[:budget] if at_end else text[:budget] + "…")
-        budget = 0
+            texts = map(repr, chunk)
+        measured, shown = tee(texts)
+        # Where each element's text ends, with the ", " before it.
+        ends = accumulate(map(add, map(len, measured), repeat(2)), initial=-2 if first else 0)
+        fits = list(takewhile(budget.__ge__, ends))
+        count = len(fits) - 1
+        if count:
+            text = ", ".join(islice(shown, count))
+            out.append(text if first else ", " + text)
+            budget -= fits[-1]
+        return count
 
     def walk(v: object, depth: int, seen: frozenset[int]) -> None:
         if budget <= 0:
@@ -393,24 +386,21 @@ def render_value(
                 break
             size *= 2
             values = chain.from_iterable(chunk) if pairs else chunk
+            shown = 0
             if depth < _MAX_DEPTH and not any(map(isinstance, values, repeat(AbstractValue))):
-                if not first:
+                shown = put_run(chunk, pairs, first)
+            for index in range(shown, len(chunk)):
+                if budget <= 0:
+                    break
+                if index or not first:
                     put(", ")
-                if budget > 0:
-                    put_run(chunk, pairs)
-            else:
-                for index, item in enumerate(chunk):
-                    if budget <= 0:
-                        break
-                    if index or not first:
-                        put(", ")
-                    if pairs:
-                        key, val = item
-                        walk(key, depth + 1, seen)
-                        put(": ")
-                        walk(val, depth + 1, seen)
-                    else:
-                        walk(item, depth + 1, seen)
+                if pairs:
+                    key, val = chunk[index]
+                    walk(key, depth + 1, seen)
+                    put(": ")
+                    walk(val, depth + 1, seen)
+                else:
+                    walk(chunk[index], depth + 1, seen)
             first = False
         put(closer)
 

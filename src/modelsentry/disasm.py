@@ -261,7 +261,10 @@ def _name_pair(stream, pos, op_offset):
         # pickle.py's loader reads each line with ``readline()[:-1]``: a last
         # line that runs to the end of the stream loses its final byte, and
         # a line past the end is empty.  It imports that pair before it
-        # fails, unless a line is not UTF-8.
+        # fails, unless a line is not UTF-8.  A line longer than
+        # MAX_ARG_BYTES gives no pair, as it does when terminated.
+        if len(stream) - pos > MAX_ARG_BYTES:
+            raise
         lines = (stream[pos:-1], b"") if first is None else (first, stream[pos:-1])
         exc.names_line = pos
         try:

@@ -334,6 +334,16 @@ def shared_list_calls(size: int, calls: int) -> bytes:
     return b"".join(out)
 
 
+def shared_long_bytes_calls(small: int, copies: int, calls: int) -> bytes:
+    """One memoized list of ``small`` zero ints, then ``copies`` DUPs of one
+    4,096-byte BINBYTES of NULs, whose repr is 16,387 characters long,
+    passed to the memoized global ``calls`` times."""
+    nuls = b"B" + struct.pack("<I", 4096) + bytes(4096)
+    out = [b"\x80\x03]q\x00(", b"K\x00" * small, nuls, b"2" * (copies - 1), b"e"]
+    out += [_OS_SYSTEM, b"q\x01", b"0", b"h\x01h\x00\x85R0" * calls, b"."]
+    return b"".join(out)
+
+
 def shared_dict_calls(size: int, calls: int) -> bytes:
     """One memoized dict of ``size`` plain pairs (``'k00000': 0`` and on),
     passed to the memoized global ``calls`` times."""

@@ -633,6 +633,24 @@ def test_unterminated_name_line_imports_what_pickle_py_imports(stream):
     assert sum(isinstance(e, CallMade) for e in events) == loader.calls
 
 
+@pytest.mark.parametrize(
+    "stream, imports",
+    [
+        (b"cos\nsystemX", [("os", "system")]),
+        (b"cos\nsystem" + b"X" * 10, []),  # the name line holds 16 bytes
+        (b"c" + b"o" * 17, []),  # the module line holds 17
+    ],
+)
+def test_unterminated_name_line_longer_than_max_arg_bytes_imports_nothing(stream, imports):
+    """A terminated name line longer than MAX_ARG_BYTES is a LimitExceeded,
+    so an unterminated one gives no pair either."""
+    with mock.patch.object(disasm, "MAX_ARG_BYTES", 15):
+        with pytest.raises(disasm.TruncatedArgument) as raised:
+            list(absvm.walk(stream))
+    events = raised.value.partial.events
+    assert [(e.module, e.name) for e in events if isinstance(e, GlobalResolved)] == imports
+
+
 def test_frame_mismatch_informational():
     # FRAME claims 1 byte but a 2-byte instruction sits inside it
     straddle = b"\x80\x04\x95\x01\x00\x00\x00\x00\x00\x00\x00K\x07."

@@ -35,6 +35,7 @@ from conftest import (
     reference_render,
     shared_dict_calls,
     shared_list_calls,
+    shared_long_bytes_calls,
 )
 from modelsentry import absvm, containers, disasm
 from modelsentry.absvm import (
@@ -111,6 +112,21 @@ def test_shared_dict_calls_10000_by_1000(tmp_path, policy):
     assert max(f.severity for f in report.findings) is Severity.CRITICAL
     pairs = Container("dict", [("k%05d" % index, index) for index in range(10_000)])
     expected = reference_render(Container("tuple", [MemoRef(0)]), {0: pairs})
+    calls = [f for f in report.findings if f.rule_id == "PICKLE_CALL"]
+    assert calls and {f.evidence for f in calls} == {expected}
+
+
+def test_shared_long_bytes_calls_504_and_512_by_1000(tmp_path, policy):
+    """Short ints fill the first chunks of the list; the next chunk holds
+    512 copies of bytes whose repr alone overruns the budget."""
+    path = tmp_path / "long_bytes.pkl"
+    path.write_bytes(shared_long_bytes_calls(504, 512, 1000))
+    with _alarm(ALARM_SECONDS):
+        report = scan_file(str(path), policy)
+    assert report.errors == []
+    assert max(f.severity for f in report.findings) is Severity.CRITICAL
+    elements = Container("list", [0] * 504 + [bytes(4096)] * 512)
+    expected = reference_render(Container("tuple", [MemoRef(0)]), {0: elements})
     calls = [f for f in report.findings if f.rule_id == "PICKLE_CALL"]
     assert calls and {f.evidence for f in calls} == {expected}
 
@@ -202,6 +218,28 @@ def test_render_value_stops_at_its_budget():
             text = render_value(Container(kind, elements))
         assert ARG_SUMMARY_CAP <= len(text) <= ARG_SUMMARY_CAP + 1
         assert elements.visited <= 2 * text.count(item_text) + absvm._FIRST_CHUNK, kind
+
+
+class _CountingBytes(bytes):
+    """Bytes that count how often their repr is made."""
+
+    reprs = 0
+
+    def __repr__(self):
+        self.reprs += 1
+        return super().__repr__()
+
+
+def test_render_value_makes_no_repr_past_the_one_that_overruns():
+    """The reprs of a run of plain literals are made and measured one at a
+    time, so the long elements after the one that overruns the budget cost
+    nothing: the one is measured, then cut."""
+    long = _CountingBytes(bytes(4096))
+    value = Container("list", [0] * 504 + [long] * 512)
+    expected = reference_render(value)
+    long.reprs = 0
+    assert render_value(value) == expected
+    assert long.reprs <= 2
 
 
 _RECIPES = st.one_of(
