@@ -187,6 +187,10 @@ MAX_MEMO_ENTRIES = 10_000_000
 
 ARG_SUMMARY_CAP = 4096
 PID_SUMMARY_CAP = 256
+# Memo expansions a machine keeps for its calls' evidence, each at most
+# ARG_SUMMARY_CAP characters: past this many it starts over, so a stream
+# that varies depth or budget from call to call holds no more than these.
+MAX_SHARED_RENDERS = 128
 
 # Ints from here on (10**4300: the default of ``sys.int_max_str_digits``)
 # render as a placeholder: their decimal text is quadratic work, and
@@ -281,6 +285,7 @@ def render_value(
     value: object,
     memo: dict[int, object] | None = None,
     limit: int = ARG_SUMMARY_CAP,
+    rendered: dict[tuple[int, int, int], tuple[str, int]] | None = None,
 ) -> str:
     """Render a value graph to bounded, repr-like text.
 
@@ -291,6 +296,12 @@ def render_value(
     work follows the text shown, not the size of a container; the part of
     a chunk of plain literals that the budget shows whole is rendered with
     one join.
+
+    ``rendered`` shares work between renders over one memo: it maps an
+    outermost memo expansion's ``(index, depth, budget)`` to its text and
+    the budget left after it.  Its owner clears it whenever the value
+    graph or the memo changes; past ``MAX_SHARED_RENDERS`` entries it is
+    cleared here before the next one is kept.
     """
     out: list[str] = []
     budget = limit
@@ -343,10 +354,12 @@ def render_value(
         elif isinstance(v, DynamicGlobalRef):
             put("<dynamic global>")
         elif isinstance(v, MemoRef):
-            if memo is not None and v.index in memo and v.index not in seen:
+            if memo is None or v.index not in memo or v.index in seen:
+                put(f"<memo {v.index}>")
+            elif seen or rendered is None:
                 walk(memo[v.index], depth + 1, seen | {v.index})
             else:
-                put(f"<memo {v.index}>")
+                shared(v.index, depth)
         elif isinstance(v, CallResult):
             walk(v.callee, depth + 1, seen)
             args = v.args if isinstance(v.args, tuple) else ()
@@ -369,6 +382,23 @@ def render_value(
             put(f"<extension {v.code}>")
         else:
             put("<opaque>")
+
+    def shared(index: int, depth: int) -> None:
+        """An outermost memo expansion: rendered once per depth and budget
+        and kept in ``rendered``.  Only outermost ones are kept, so the
+        texts one render keeps are disjoint pieces of its own text."""
+        nonlocal budget
+        key = (index, depth, budget)
+        hit = rendered.get(key)
+        if hit is None:
+            start = len(out)
+            walk(memo[index], depth + 1, frozenset((index,)))
+            if len(rendered) >= MAX_SHARED_RENDERS:
+                rendered.clear()
+            rendered[key] = ("".join(out[start:]), budget)
+        else:
+            text, budget = hit
+            out.append(text)
 
     def items(elements, opener: str, closer: str, pairs: bool, depth: int, seen: frozenset[int]) -> None:
         """The elements of a container or argument tuple, between brackets.
@@ -405,6 +435,9 @@ def render_value(
         put(closer)
 
     walk(value, 0, frozenset())
+    # The nested functions refer to each other through ``walk``: clearing it
+    # frees them, and the memo they hold, now rather than at a collection.
+    walk = None
     return "".join(out)
 
 
@@ -473,7 +506,7 @@ def _text(value: object) -> str | None:
 class _Machine:
     __slots__ = (
         "keep_call", "stack", "metastack", "memo", "events", "root", "offset", "error",
-        "open_frame",
+        "open_frame", "rendered",
     )
 
     def __init__(self, keep_call: KeepCall | None = None):
@@ -486,6 +519,13 @@ class _Machine:
         self.error: VmError | None = None
         # (frame end, FRAME offset, event index at that FRAME, already flagged)
         self.open_frame: tuple[int, int, int, bool] | None = None
+        # ``render_value``'s shared memo expansions.  Every op that writes
+        # the graph clears it: PUT and MEMOIZE, and APPEND(S), ADDITEMS and
+        # SETITEM(S) into any container, since DUP or GET can make a
+        # container part of any memo entry.  BUILD sets only
+        # ``CallResult.state``, which evidence never renders.  Made at the
+        # first rendered call: most segments make none.
+        self.rendered: dict[tuple[int, int, int], tuple[str, int]] | None = None
 
     # -- the machine loop ---------------------------------------------------
 
@@ -623,6 +663,8 @@ class _Machine:
         if len(self.memo) >= MAX_MEMO_ENTRIES:
             raise LimitExceeded(self.offset, "max_memo_entries")
         self.memo[index] = self.peek()
+        if self.rendered:
+            self.rendered.clear()
 
     def emit(self, event: SecurityEvent) -> None:
         self.events.append(event)
@@ -719,18 +761,24 @@ class _Machine:
         target = _deref(self.peek(), self.memo)
         if isinstance(target, Container) and target.kind in ("list", "set"):
             target.elements.append(value)
+            if self.rendered:
+                self.rendered.clear()
 
     def op_appends(self, arg) -> None:
         items = self.pop_mark()
         target = _deref(self.peek(), self.memo)
         if isinstance(target, Container) and target.kind in ("list", "set"):
             target.elements.extend(items)
+            if self.rendered:
+                self.rendered.clear()
 
     def op_additems(self, arg) -> None:
         items = self.pop_mark()
         target = _deref(self.peek(), self.memo)
         if isinstance(target, Container) and target.kind == "set":
             target.elements.extend(items)
+            if self.rendered:
+                self.rendered.clear()
 
     def op_setitem(self, arg) -> None:
         value = self.pop()
@@ -738,6 +786,8 @@ class _Machine:
         target = _deref(self.peek(), self.memo)
         if isinstance(target, Container) and target.kind == "dict":
             target.elements.append((key, value))
+            if self.rendered:
+                self.rendered.clear()
 
     def op_setitems(self, arg) -> None:
         items = self.pop_mark()
@@ -745,6 +795,8 @@ class _Machine:
         if isinstance(target, Container) and target.kind == "dict":
             for i in range(0, len(items) - 1, 2):
                 target.elements.append((items[i], items[i + 1]))
+            if self.rendered:
+                self.rendered.clear()
 
     # stack plumbing
     def op_mark(self, arg) -> None:
@@ -782,6 +834,8 @@ class _Machine:
         if not self.stack:
             raise StackUnderflow(self.offset)
         memo[len(memo)] = self.stack[-1]
+        if self.rendered:
+            self.rendered.clear()
 
     # globals and calls
     def op_global(self, arg) -> None:
@@ -852,7 +906,9 @@ class _Machine:
         root = call_roots(callee, self.memo)
         keep_call = self.keep_call
         if keep_call is None or keep_call(root):
-            summary = render_value(args_v, self.memo, ARG_SUMMARY_CAP)
+            if self.rendered is None:
+                self.rendered = {}
+            summary = render_value(args_v, self.memo, ARG_SUMMARY_CAP, self.rendered)
         else:
             summary = ""
         self.emit(CallMade(self.offset, callee, argc, summary, root))

@@ -9,8 +9,9 @@ The opcode table is the stdlib's own: ``OPCODES`` indexes
 ``pickletools.opcodes`` by opcode byte.  Arguments are read through
 ``DECODERS``, a 256-entry table of decode functions indexed the same way
 (as ``Lib/pickle.py`` builds its unpickler's dispatch table), one decoder
-per ``pickletools`` argument descriptor.  The scanner's loop over it is
-``absvm``'s, which decodes and evaluates each op in one step.
+per ``pickletools`` argument descriptor, and one more for INST's names.
+The scanner's loop over it is ``absvm``'s, which decodes and evaluates
+each op in one step.
 ``decode_ops`` is the loop here, one ``(code, offset, arg, end)`` tuple per
 op: it serves the format sniff and the instruction lists of
 ``iter_programs``/``disassemble``.
@@ -252,30 +253,38 @@ def _no_arg(stream, pos, op_offset):
     return None, pos
 
 
-def _name_pair(stream, pos, op_offset):
-    first = None
-    try:
-        first, pos = _read_line(stream, pos, op_offset)
-        second, pos = _read_line(stream, pos, op_offset)
-    except TruncatedArgument as exc:
-        # pickle.py's loader reads each line with ``readline()[:-1]``: a last
-        # line that runs to the end of the stream loses its final byte, and
-        # a line past the end is empty.  It imports that pair before it
-        # fails, unless a line is not UTF-8.  A line longer than
-        # MAX_ARG_BYTES gives no pair, as it does when terminated.
-        if len(stream) - pos > MAX_ARG_BYTES:
-            raise
-        lines = (stream[pos:-1], b"") if first is None else (first, stream[pos:-1])
-        exc.names_line = pos
+def _name_pair(encoding: str) -> Decoder:
+    """The (module, name) lines of a GLOBAL or INST, decoded as the loaders
+    decode them: GLOBAL's as UTF-8, INST's as ASCII (pickle.py's
+    ``load_inst`` and ``_pickle`` fail on any other byte before
+    ``find_class``)."""
+
+    def decode(stream, pos, op_offset):
+        first = None
         try:
-            exc.names = (lines[0].decode("utf-8"), lines[1].decode("utf-8"))
-        except UnicodeDecodeError:
-            pass
-        raise
-    try:
-        return (first.decode("utf-8"), second.decode("utf-8")), pos
-    except UnicodeDecodeError as exc:
-        raise TruncatedArgument(op_offset, f"undecodable name line: {exc}") from None
+            first, pos = _read_line(stream, pos, op_offset)
+            second, pos = _read_line(stream, pos, op_offset)
+        except TruncatedArgument as exc:
+            # pickle.py's loader reads each line with ``readline()[:-1]``: a
+            # last line that runs to the end of the stream loses its final
+            # byte, and a line past the end is empty.  It imports that pair
+            # before it fails, unless a line does not decode.  A line longer
+            # than MAX_ARG_BYTES gives no pair, as it does when terminated.
+            if len(stream) - pos > MAX_ARG_BYTES:
+                raise
+            lines = (stream[pos:-1], b"") if first is None else (first, stream[pos:-1])
+            exc.names_line = pos
+            try:
+                exc.names = (lines[0].decode(encoding), lines[1].decode(encoding))
+            except UnicodeDecodeError:
+                pass
+            raise
+        try:
+            return (first.decode(encoding), second.decode(encoding)), pos
+        except UnicodeDecodeError as exc:
+            raise TruncatedArgument(op_offset, f"undecodable name line: {exc}") from None
+
+    return decode
 
 
 _LINE_NUMBER = "malformed decimal line"
@@ -289,7 +298,7 @@ _BY_ARG: dict[str | None, Decoder] = {
     "stringnl": _quoted_line,
     "stringnl_noescape": _line_arg(lambda line: line.decode("ascii"), _LINE_TEXT),
     "unicodestringnl": _line_arg(lambda line: line.decode("raw-unicode-escape"), _LINE_TEXT),
-    "stringnl_noescape_pair": _name_pair,
+    "stringnl_noescape_pair": _name_pair("utf-8"),
     "uint1": _fixed("<B", "u1"),
     "uint2": _fixed("<H", "u2"),
     "uint4": _fixed("<I", "u4"),
@@ -313,20 +322,23 @@ _BY_ARG: dict[str | None, Decoder] = {
 
 # Indexed by opcode byte: decode(stream, pos, op_offset) -> (arg, next_pos)
 # reads the argument that starts at ``pos``, raising errors at ``op_offset``
-# and checking MAX_ARG_BYTES; None marks an unassigned byte.
-DECODERS: tuple[Decoder | None, ...] = tuple(
+# and checking MAX_ARG_BYTES; None marks an unassigned byte.  pickletools
+# gives GLOBAL and INST one descriptor, but the loaders read INST's names as
+# ASCII; ``_AS_WRITTEN`` reads them as UTF-8, as the format sniff does.
+_AS_WRITTEN: tuple[Decoder | None, ...] = tuple(
     op and _BY_ARG[op.arg and op.arg.name] for op in OPCODES
 )
+_INST = ord("i")
+DECODERS = _AS_WRITTEN[:_INST] + (_name_pair("ascii"),) + _AS_WRITTEN[_INST + 1:]
 
 
-def decode_ops(stream: bytes, start: int):
+def decode_ops(stream: bytes, start: int, decoders: tuple = DECODERS):
     """Yield ``(code, offset, arg, end)`` for each op from ``start`` through STOP.
 
     The instruction list and the format sniff read a segment through this
     loop; the abstract machine decodes in its own (``absvm._Machine.run``),
     with the same checks in the same order.
     """
-    decoders = DECODERS
     length = len(stream)
     max_instructions = MAX_INSTRUCTIONS
     pos = start
@@ -449,7 +461,10 @@ def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:
     sample must open with a protocol-0 opcode and decode coherently: either
     a STOP is reached, a GLOBAL or INST names a dotted Python identifier
     pair (the loader imports there, whatever follows, also when the pair's
-    last line runs to the end of the sample), ``_SNIFF_OPS``
+    last line runs to the end of the sample, and then, at the first op,
+    also when the name is empty: the loader imports the module before it
+    looks the name up; INST's names are read as UTF-8, as written),
+    ``_SNIFF_OPS``
     instructions decode cleanly with more bytes after them, or (when
     ``complete`` is False, i.e. the sample is a prefix of something larger)
     several instructions decode cleanly before the sample runs out.
@@ -463,7 +478,7 @@ def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:
         return False
     count = 0
     try:
-        for code, _offset, arg, end in decode_ops(sample, 0):
+        for code, _offset, arg, end in decode_ops(sample, 0, _AS_WRITTEN):
             if code in _IMPORTS and all(_is_dotted_name(part) for part in arg):
                 return True
             count += 1
@@ -474,9 +489,14 @@ def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:
         return False
     except ParseError as exc:
         # A GLOBAL or INST whose last line runs to the end of the sample
-        # still names the pair the loader imports.
+        # still names the pair the loader imports.  An empty name counts
+        # only at the first op: a dotted word after other ops is common
+        # text (torch's ``byteorder`` member, ``little``, reads as LIST,
+        # on which a loader fails, then INST ``ttl``).
         names = getattr(exc, "names", None)
-        if names is not None and all(_is_dotted_name(part) for part in names):
+        if names is not None and _is_dotted_name(names[0]) and (
+            _is_dotted_name(names[1]) or (not names[1] and count == 0)
+        ):
             return True
         # Ran off the end of the sample: fine for a prefix of a longer
         # stream, disqualifying for complete content.

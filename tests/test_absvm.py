@@ -13,6 +13,7 @@ import io
 import pickle
 import struct
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -391,9 +392,16 @@ _GRAPHS = st.recursive(_LEAVES, _composites, max_leaves=40)
 @given(_GRAPHS, st.one_of(st.none(), st.dictionaries(st.integers(0, 3), _GRAPHS, max_size=4)))
 def test_render_value_equals_the_reference_renderer(value, memo):
     """Every limit from 1 to 64 and the evidence cap; a memo entry may hold
-    a reference to itself or to another entry, so cycles are common."""
+    a reference to itself or to another entry, so cycles are common.  The
+    value, the value one list deeper and each memo entry also go through
+    one cache of shared memo expansions, as a machine's calls do between
+    graph writes, so its keys meet at every depth and budget."""
+    rendered: dict = {}
+    shown = [value, Container("list", [value]), *map(MemoRef, memo or ())]
     for limit in (*range(1, 65), ARG_SUMMARY_CAP):
         assert render_value(value, memo, limit) == reference_render(value, memo, limit), limit
+        for item in shown:
+            assert render_value(item, memo, limit, rendered) == reference_render(item, memo, limit)
 
 
 @pytest.mark.parametrize("depth", [22, 23, 24, 25])
@@ -614,6 +622,7 @@ _FRAME_OF_4 = b"\x80\x04\x95\x04" + bytes(7)
         b"c",
         b"c\xff\nsystemX",
         b"(Vls\nios\nsystemX",
+        b"(Vls\nios\nsyst\xc3\xa9mX",  # INST's names are ASCII: no import
         b"\x80\x02ios\nsystemX",
         _FRAME_OF_4 + b"cos\nsystemX",  # the name line starts past the frame
         b"\x80\x04\x95\x05" + bytes(7) + b"cos\nsystemX",  # it starts inside it
@@ -875,3 +884,170 @@ def test_kept_calls_keep_their_evidence_on_mutated_streams(data):
     for _ in range(data.draw(st.integers(0, 4)) if stream else 0):
         stream[data.draw(st.integers(0, len(stream) - 1))] ^= 1 << data.draw(st.integers(0, 7))
     assert_kept_calls_keep_their_evidence(bytes(stream))
+
+
+# -- calls over one memo entry share its render -------------------------------------
+
+# Protocol 4, leaving one unmemoized list X on the stack, which every action
+# below keeps there.  Memo: 0 os.system; 1 a list; 2 a dict; 5 a set; 6 a
+# text; 8 a list; 3 the tuple (X, m1, (m2, m5, m8)); 4 the tuple (m3, m1).
+# With eight entries, MEMOIZE rebinds index 8.
+_SHARED_SETUP = (
+    b"\x80\x04cos\nsystem\nq\x000]q\x010}q\x020\x8fq\x050\x8c\x03sixq\x060]q\x080"
+    b"]2h\x01h\x02h\x05h\x08\x87\x87q\x030h\x03h\x01\x86q\x040"
+)
+# Entries 3 and 4 hold every container, so any write changes their text.
+_SHARED_INDICES = st.sampled_from([1, 2, 3, 3, 3, 4, 4, 4, 5, 6, 8])
+_SHARED_LITERALS = st.sampled_from(
+    [b"K\x05", b"N", b"\x8c\x01a", b"X" + struct.pack("<I", 1500) + b"z" * 1500]
+)
+
+
+def _get(index: int) -> bytes:
+    return b"h" + bytes([index])
+
+
+_SHARED_VALUES = _SHARED_LITERALS | st.just(b"]") | _SHARED_INDICES.map(_get)
+_SHARED_CALLS = st.one_of(
+    # the entry at depth 1, at depth 0, after a text that moves the budget,
+    # beside another entry, and inside a list
+    _SHARED_INDICES.map(lambda i: b"h\x00" + _get(i) + b"\x85R0"),
+    st.just(b"h\x00h\x04R0"),
+    st.tuples(st.integers(0, 200), _SHARED_INDICES).map(
+        lambda p: b"h\x00\x8c" + bytes([p[0]]) + b"p" * p[0] + _get(p[1]) + b"\x86R0"
+    ),
+    st.tuples(_SHARED_INDICES, _SHARED_INDICES).map(
+        lambda p: b"h\x00" + _get(p[0]) + _get(p[1]) + b"\x86R0"
+    ),
+    _SHARED_INDICES.map(lambda i: b"h\x00]" + _get(i) + b"a\x85R0"),
+)
+_SHARED_WRITES = st.one_of(
+    # into a memo entry's container, through the DUP'd X, and rebinding an
+    # index with PUT or MEMOIZE
+    st.tuples(st.sampled_from([1, 8]), _SHARED_VALUES).map(lambda p: _get(p[0]) + p[1] + b"a0"),
+    st.tuples(st.sampled_from([1, 8]), st.lists(_SHARED_VALUES, max_size=3)).map(
+        lambda p: _get(p[0]) + b"(" + b"".join(p[1]) + b"e0"
+    ),
+    st.tuples(_SHARED_LITERALS, _SHARED_VALUES).map(lambda p: b"h\x02" + p[0] + p[1] + b"s0"),
+    st.lists(st.tuples(_SHARED_LITERALS, _SHARED_VALUES), max_size=3).map(
+        lambda pairs: b"h\x02(" + b"".join(k + v for k, v in pairs) + b"u0"
+    ),
+    st.lists(_SHARED_LITERALS, max_size=3).map(lambda items: b"h\x05(" + b"".join(items) + b"\x900"),
+    _SHARED_VALUES.map(lambda value: b"2" + value + b"a0"),
+    st.tuples(_SHARED_VALUES, _SHARED_INDICES).map(lambda p: p[0] + b"q" + bytes([p[1]]) + b"0"),
+    _SHARED_VALUES.map(lambda value: value + b"\x940"),
+)
+# A call, after a write or not.
+_SHARED_ACTIONS = st.tuples(st.just(b"") | _SHARED_WRITES, _SHARED_CALLS).map(b"".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_SHARED_ACTIONS, min_size=2, max_size=30),
+    st.sampled_from([1, 2, absvm.MAX_SHARED_RENDERS]),
+)
+def test_shared_renders_equal_fresh_renders(actions, bound):
+    """Every call's evidence, rendered with the machine's shared memo
+    expansions, equals a render of the same arguments and memo without
+    them, and the reference renderer's, whatever the graph writes between
+    the calls and however few expansions are kept."""
+    renders: list[str] = []
+
+    def checked(value, memo=None, limit=ARG_SUMMARY_CAP, rendered=None):
+        text = render_value(value, memo, limit, rendered)
+        assert text == render_value(value, memo, limit) == reference_render(value, memo, limit)
+        renders.append(text)
+        return text
+
+    with (
+        mock.patch.object(absvm, "render_value", checked),
+        mock.patch.object(absvm, "MAX_SHARED_RENDERS", bound),
+    ):
+        (result,) = absvm.walk(_SHARED_SETUP + b"".join(actions) + b".")
+    assert isinstance(result, absvm.AbstractResult)
+    assert [e.arg_summary for e in result.events if isinstance(e, CallMade)] == renders
+
+
+def test_shared_memo_expansions_are_keyed_by_depth_and_budget():
+    """An entry that reaches the depth cap renders shorter one level deeper,
+    and a smaller budget cuts it sooner: neither reuses the other's text."""
+    memo = {0: _nested("x", 24)}
+    rendered: dict = {}
+    cases = [
+        (MemoRef(0), ARG_SUMMARY_CAP),
+        (Container("list", [MemoRef(0)]), ARG_SUMMARY_CAP + 1),  # the same budget at the entry
+        (MemoRef(0), 50),
+    ]
+    for value, limit in cases:
+        assert render_value(value, memo, limit, rendered) == reference_render(value, memo, limit)
+    assert len(rendered) == 3
+
+
+def test_evidence_shows_a_write_between_two_calls():
+    head = b"\x80\x02cos\nsystem\nq\x000]q\x01K\x01a0"
+    call = b"h\x00h\x01\x85R0"
+    cases = [
+        (b"h\x01K\x02a0", "([1, 2])"),  # APPEND into the shared list
+        (b"\x8c\x03newq\x010", "('new')"),  # PUT rebinds its index
+    ]
+    for write, second in cases:
+        (result,) = absvm.walk(head + call + write + call + b"N.")
+        assert [e.arg_summary for e in result.events if isinstance(e, CallMade)] == ["([1])", second]
+
+
+def _unshared_trees(calls: int, depth: int) -> bytes:
+    """Calls on (text, tree): the tree nests one of 200 small memo entries
+    in tuples ``depth`` deep, by DUP and TUPLE2, so it reaches the entry
+    2**depth times, each at a new budget; the text's length and the entry
+    change from call to call, so no call meets another's keys."""
+    head = b"\x80\x02cos\nsystem\nq\x00" + b"".join(
+        b"K" + bytes([i]) + b"q" + bytes([i]) + b"0" for i in range(1, 201)
+    )
+    body = b"".join(
+        b"h\x00\x8c" + bytes([c % 200]) + b"p" * (c % 200) + _get(1 + c % 200) + b"2\x86" * depth + b"\x86R0"
+        for c in range(calls)
+    )
+    return head + body + b"N."
+
+
+def test_shared_memo_expansions_hold_no_more_than_the_evidence():
+    """A stream that makes thousands of memo expansions, none shared, holds
+    a small multiple of its calls' evidence at peak; without the bound on
+    kept expansions it would hold tens of times as much."""
+
+    def peak_and_evidence(bound: int) -> tuple[int, int]:
+        with mock.patch.object(absvm, "MAX_SHARED_RENDERS", bound):
+            tracemalloc.start()
+            try:
+                (result,) = absvm.walk(_unshared_trees(100, 8))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return peak, sum(len(e.arg_summary) for e in result.events if isinstance(e, CallMade))
+
+    peak, evidence = peak_and_evidence(absvm.MAX_SHARED_RENDERS)
+    assert evidence > 50_000
+    assert peak < 3 * evidence
+    unbounded, _ = peak_and_evidence(10**9)
+    assert unbounded > 10 * evidence
+
+
+def test_calls_over_one_memo_entry_share_one_render():
+    """300 calls over one 10,000-element list make one render's worth of
+    element reprs, plus a constant per call."""
+
+    def reprs(calls: int) -> int:
+        count = 0
+
+        def counting(value):
+            nonlocal count
+            count += 1
+            return repr(value)
+
+        with mock.patch.object(absvm, "repr", counting, create=True):
+            list(absvm.walk(shared_list_calls(10_000, calls)))
+        return count
+
+    one = reprs(1)
+    assert one > ARG_SUMMARY_CAP // 10  # an element shows as 8 characters
+    assert reprs(300) <= one + 2 * 300

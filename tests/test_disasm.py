@@ -212,11 +212,21 @@ def test_plausible_pickle_prefix():
     assert not plausible_pickle_prefix(b"Model fixture text", complete=True)
     assert not plausible_pickle_prefix(b"", complete=True)
     assert not plausible_pickle_prefix(b"{\"json\": 1}", complete=True)
-    # The loader imports os.system from an unterminated last line, but a
-    # text line with no second name is no import of a dotted pair.
+    # The loader imports os.system from an unterminated last line, and the
+    # module alone when the name line is empty or past the end: pickle.py
+    # calls ``find_class("at", "")`` on ``cat\n``.  A text line whose head
+    # is no dotted name is no import.
     assert plausible_pickle_prefix(b"cos\nsystemX", complete=True)
     assert plausible_pickle_prefix(b"(Vls\nios\nsystemX", complete=True)
-    assert not plausible_pickle_prefix(b"cat\n", complete=True)
+    assert plausible_pickle_prefix(b"cat\n", complete=True)
+    assert plausible_pickle_prefix(b"cosX", complete=True)
+    assert not plausible_pickle_prefix(b"cat dog\n", complete=True)
+    # After another op a dotted word is text: LIST, then INST "ttl".
+    assert not plausible_pickle_prefix(b"little", complete=True)
+    assert not plausible_pickle_prefix(b"cos\n two words X", complete=True)
+    # INST's names are read as written for the sniff, though no loader
+    # reads a name that is not ASCII.
+    assert plausible_pickle_prefix(b"(Vls\nios\nsyst\xc3\xa9m\n.", complete=True)
 
 
 def test_frame_argument_decoded_and_recorded():

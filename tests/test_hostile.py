@@ -10,8 +10,8 @@ hanging the suite.
 Other recipes try to hide a payload or to cost memory: an argument too big
 to render whole, a ``config.json`` nested deeper than the JSON decoder
 recurses, tensor storage whose bytes look like a pickle, a payload
-followed by bytes that are no opcode, and a GLOBAL whose last line has no
-newline.  Last, each scan bound is made small and driven through the
+followed by bytes that are no opcode, a GLOBAL whose last line has no
+newline, and an INST whose names are not ASCII.  Last, each scan bound is made small and driven through the
 scanner.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import pickle
 import signal
 import struct
 import tracemalloc
@@ -410,6 +411,10 @@ def test_payload_before_junk_in_an_archive_member_is_a_pickle(tmp_path, policy):
 # pickle.py's loader reads the last line as "system" (``readline()[:-1]``) and
 # imports os.system before it fails; the C loader stops at the truncation.
 _UNTERMINATED = b"cos\nsystemX"
+# With the module line last, or the name line past the end, it calls
+# ``find_class("os", "")``, which imports os before the empty name fails.
+_MODULE_LINE_LAST = b"cosX"
+_NAME_LINE_PAST_END = b"cos\n"
 
 
 def _torch_layout(pickle_bytes: bytes) -> bytes:
@@ -425,8 +430,16 @@ def _torch_layout(pickle_bytes: bytes) -> bytes:
     [
         ("unterminated.pkl", _UNTERMINATED, None),
         ("unterminated.pt", _torch_layout(_UNTERMINATED), "archive/data.pkl"),
+        ("module.pkl", _MODULE_LINE_LAST, None),
+        ("module.pt", _torch_layout(_MODULE_LINE_LAST), "archive/data.pkl"),
+        ("no_name.pkl", _NAME_LINE_PAST_END, None),
+        ("no_name.pt", _torch_layout(_NAME_LINE_PAST_END), "archive/data.pkl"),
     ],
-    ids=["file", "archive-member"],
+    ids=[
+        "file", "archive-member",
+        "module-line-last-file", "module-line-last-archive-member",
+        "name-line-past-end-file", "name-line-past-end-archive-member",
+    ],
 )
 def test_global_whose_last_line_is_unterminated_is_critical(tmp_path, policy, name, data, entry):
     path = tmp_path / name
@@ -441,6 +454,41 @@ def test_global_whose_last_line_is_unterminated_is_critical(tmp_path, policy, na
         ("FORMAT_PARSE_ERROR", Severity.LOW, entry),
         ("PICKLE_DANGEROUS_GLOBAL", Severity.CRITICAL, entry),
     }
+
+
+def test_inst_whose_names_are_not_ascii_imports_nothing(tmp_path, policy):
+    """Both loaders decode INST's lines as ASCII and fail before
+    ``find_class``; GLOBAL's are UTF-8, so the same bytes there import."""
+    inst = b"(Vls\nios\nsyst\xc3\xa9m\n."
+    glob = inst.replace(b"ios", b"cos")
+    imported = []
+
+    class Recording(pickle._Unpickler):
+        def find_class(self, module, name):
+            imported.append((module, name))
+            return print
+
+    for loader in (Recording, pickle.Unpickler):
+        with pytest.raises(UnicodeDecodeError):
+            loader(io.BytesIO(inst)).load()
+    assert imported == []
+    Recording(io.BytesIO(glob)).load()
+    assert imported == [("os", "systém")]
+
+    inst_path, glob_path = tmp_path / "inst.pkl", tmp_path / "glob.pkl"
+    inst_path.write_bytes(inst)
+    glob_path.write_bytes(glob)
+    report = scan_paths([str(inst_path)], policy)
+    assert exit_code(report) == 2
+    (scanned,) = report.files
+    assert [f.rule_id for f in scanned.findings] == ["FORMAT_PARSE_ERROR"]
+    assert [(e.kind, e.locus) for e in scanned.errors] == [("TruncatedArgument", "offset 5")]
+    report = scan_paths([str(glob_path)], policy)
+    assert exit_code(report) == 3
+    dangerous = [f for f in report.files[0].findings if f.rule_id == "PICKLE_DANGEROUS_GLOBAL"]
+    assert [(f.severity, f.message) for f in dangerous] == [
+        (Severity.CRITICAL, "resolves denied global os.systém (policy entry os.*)")
+    ]
 
 
 def test_csv_that_opens_with_a_global_opcode_is_not_a_pickle(tmp_path, policy):

@@ -96,15 +96,30 @@ def test_scan_benign_torch_archive_is_clean(tmp_path, policy):
     assert report.errors == []
 
 
+def test_torch_byteorder_member_is_not_a_pickle(tmp_path, policy):
+    """torch.save writes ``byteorder`` as ``little`` or ``big``, no newline:
+    text, though ``little`` decodes as LIST then an INST of ``ttl``."""
+    for byteorder in (b"little", b"big"):
+        buffer = io.BytesIO()
+        with zipfile.ZipFile(buffer, "w") as archive:
+            archive.writestr("archive/data.pkl", pickle.dumps({"acc": 0.9}, 2))
+            archive.writestr("archive/version", "3\n")
+            archive.writestr("archive/byteorder", byteorder)
+        target = tmp_path / "clean.pt"
+        target.write_bytes(buffer.getvalue())
+        report = scan_file(str(target), policy)
+        assert (report.findings, report.errors) == ([], []), byteorder
+
+
 def test_benign_checkpoint_renders_no_call_evidence(tmp_path, policy, monkeypatch):
     from modelsentry import absvm
 
     limits: list[int] = []
     real_render = absvm.render_value
 
-    def render_value(value, memo=None, limit=absvm.ARG_SUMMARY_CAP):
+    def render_value(value, memo=None, limit=absvm.ARG_SUMMARY_CAP, *args, **kwargs):
         limits.append(limit)
-        return real_render(value, memo, limit)
+        return real_render(value, memo, limit, *args, **kwargs)
 
     monkeypatch.setattr(absvm, "render_value", render_value)
     target = tmp_path / "clean.pt"
