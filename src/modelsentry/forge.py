@@ -56,16 +56,6 @@ class ExpectedFinding:
 
 
 @dataclass
-class FixtureSpec:
-    id: str
-    kind: str
-    protocol: int | None
-    payload_marker: str | None
-    expected_findings: list[ExpectedFinding] = field(default_factory=list)
-    benign_root: object = None
-
-
-@dataclass
 class CorpusManifest:
     fixtures: list[dict] = field(default_factory=list)
 

@@ -179,6 +179,23 @@ class FileContext:
     path: str
     entry: str | None = None
 
+    def finding(
+        self,
+        rule_id: str,
+        message: str,
+        severity: Severity | None = None,
+        evidence: str = "",
+        offset: int | None = None,
+        json_path: str | None = None,
+    ) -> Finding:
+        """A finding in this file and entry.  Its severity is the rule's
+        catalog default unless the policy or the rule sets another."""
+        if severity is None:
+            severity = RULE_CATALOG[rule_id].default_severity
+        return Finding(
+            rule_id, severity, self.path, message, evidence, self.entry, offset, json_path
+        )
+
 
 # ---------------------------------------------------------------------------
 # Policy
@@ -203,6 +220,16 @@ class Disposition:
     severity: Severity | None = None
 
 
+# Each key of a policy file's "severities" object, with the Policy field it sets.
+_SEVERITY_KEYS = (
+    ("unknown_global", "unknown_global_severity"),
+    ("lambda_code", "lambda_severity"),
+    ("lambda_ref", "lambda_ref_severity"),
+    ("residual_stack", "residual_stack_severity"),
+    ("dynamic_global", "dynamic_global_severity"),
+)
+
+
 @dataclass(frozen=True)
 class Policy:
     deny: tuple[DenyEntry, ...] = ()
@@ -221,13 +248,7 @@ class Policy:
                 for d in self.deny
             ],
             "allow": [{"module": a.module, "name": a.name} for a in self.allow],
-            "severities": {
-                "unknown_global": self.unknown_global_severity.name,
-                "lambda_code": self.lambda_severity.name,
-                "lambda_ref": self.lambda_ref_severity.name,
-                "residual_stack": self.residual_stack_severity.name,
-                "dynamic_global": self.dynamic_global_severity.name,
-            },
+            "severities": {key: getattr(self, attr).name for key, attr in _SEVERITY_KEYS},
             "custom_layer_classes": list(self.extra_custom_layer_classes),
         }
 
@@ -285,6 +306,17 @@ def classify_global(
 _DEFAULT_POLICY: Policy | None = None
 
 
+_POLICY_KEYS = ("deny", "allow", "severities", "custom_layer_classes")
+_ENTRY_KEYS = {"deny": ("module", "name", "severity"), "allow": ("module", "name")}
+
+
+def _check_keys(raw: dict, known: Iterable[str], what: str) -> None:
+    """A misspelled key would be ignored and weaken the policy: reject it."""
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
 def _pattern_entry(item: object, kind: str) -> tuple[str, str]:
     if (
         not isinstance(item, dict)
@@ -292,11 +324,13 @@ def _pattern_entry(item: object, kind: str) -> tuple[str, str]:
         or not isinstance(item.get("name"), str)
     ):
         raise ValueError(f"{kind} entries need string 'module' and 'name' fields, got {item!r}")
+    _check_keys(item, _ENTRY_KEYS[kind], f"{kind} entry")
     return item["module"], item["name"]
 
 
 def _policy_from_dict(raw: dict, base: Policy | None = None) -> Policy:
     policy = base if base is not None else Policy()
+    _check_keys(raw, _POLICY_KEYS, "policy")
     for key in ("deny", "allow"):
         if not isinstance(raw.get(key, []), list):
             raise ValueError(f"'{key}' must be a list of entries")
@@ -312,25 +346,32 @@ def _policy_from_dict(raw: dict, base: Policy | None = None) -> Policy:
     severities = raw.get("severities", {})
     if not isinstance(severities, dict):
         raise ValueError("'severities' must be an object")
+    _check_keys(severities, (key for key, _ in _SEVERITY_KEYS), "severities")
     custom_raw = raw.get("custom_layer_classes", [])
     if not isinstance(custom_raw, list) or not all(isinstance(c, str) for c in custom_raw):
         raise ValueError("'custom_layer_classes' must be a list of strings")
-    custom = tuple(policy.extra_custom_layer_classes) + tuple(custom_raw)
-
-    def sev(key: str, fallback: Severity) -> Severity:
-        return Severity.parse(severities[key]) if key in severities else fallback
-
     return replace(
         policy,
         deny=tuple(deny),
         allow=tuple(allow),
-        unknown_global_severity=sev("unknown_global", policy.unknown_global_severity),
-        lambda_severity=sev("lambda_code", policy.lambda_severity),
-        lambda_ref_severity=sev("lambda_ref", policy.lambda_ref_severity),
-        residual_stack_severity=sev("residual_stack", policy.residual_stack_severity),
-        dynamic_global_severity=sev("dynamic_global", policy.dynamic_global_severity),
-        extra_custom_layer_classes=custom,
+        extra_custom_layer_classes=tuple(policy.extra_custom_layer_classes) + tuple(custom_raw),
+        **{
+            attr: Severity.parse(severities[key])
+            for key, attr in _SEVERITY_KEYS
+            if key in severities
+        },
     )
+
+
+def _load_json_object(path: str, what: str) -> dict:
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            raw = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{what} is nested too deeply to parse") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must contain a JSON object")
+    return raw
 
 
 def default_policy() -> Policy:
@@ -346,46 +387,45 @@ def default_policy() -> Policy:
 
 def load_policy_file(path: str) -> Policy:
     """Load a user policy file; its entries extend the shipped defaults."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    if not isinstance(raw, dict):
-        raise ValueError("policy file must contain a JSON object")
-    return _policy_from_dict(raw, base=default_policy())
+    return _policy_from_dict(_load_json_object(path, "policy file"), base=default_policy())
 
 
 # ---------------------------------------------------------------------------
 # Rule application
 
 
-def _classify(module: str, name: str, policy: Policy, memo: dict) -> tuple[Disposition, str | None]:
-    """``classify_global``, memoized in ``memo``: a dict the caller keeps for
-    one stream only, so hostile names cannot pile up across files."""
+def _classify(
+    module: str, name: str, policy: Policy, memo: dict
+) -> tuple[Severity | None, str | None]:
+    """The severity a reference to ``module.name`` earns (None when it is
+    allowed) and the deny pattern that set it (None when unknown).
+
+    Memoized in ``memo``: a dict the caller keeps for one stream only, so
+    hostile names cannot pile up across files."""
     key = (module, name)
     if key not in memo:
-        memo[key] = classify_global(module, name, policy)
+        disposition, pattern = classify_global(module, name, policy)
+        if disposition.verdict == "deny":
+            memo[key] = (disposition.severity, pattern)
+        elif disposition.verdict == "unknown":
+            memo[key] = (policy.unknown_global_severity, None)
+        else:
+            memo[key] = (None, None)
     return memo[key]
 
 
 def _global_finding(
     module: str, name: str, offset: int, policy: Policy, ctx: FileContext, memo: dict
 ) -> Finding | None:
-    disposition, pattern = _classify(module, name, policy, memo)
-    if disposition.verdict == "allow":
+    severity, pattern = _classify(module, name, policy, memo)
+    if severity is None:
         return None
-    if disposition.verdict == "deny":
-        severity = disposition.severity or Severity.CRITICAL
-        message = f"resolves denied global {module}.{name} (policy entry {pattern})"
-    else:
-        severity = policy.unknown_global_severity
+    if pattern is None:
         message = f"resolves global {module}.{name} not present in the allowlist"
-    return Finding(
-        rule_id="PICKLE_DANGEROUS_GLOBAL",
-        severity=severity,
-        file=ctx.path,
-        message=message,
-        evidence=f"{module}.{name}",
-        entry=ctx.entry,
-        offset=offset,
+    else:
+        message = f"resolves denied global {module}.{name} (policy entry {pattern})"
+    return ctx.finding(
+        "PICKLE_DANGEROUS_GLOBAL", message, severity, evidence=f"{module}.{name}", offset=offset
     )
 
 
@@ -393,21 +433,17 @@ def call_severity(
     root: tuple[str, str] | None, policy: Policy, memo: dict
 ) -> tuple[Severity | None, str]:
     """Severity for a CallMade event given its chain root; None means allowed.
-    ``memo`` is a ``classify_global`` memo, as in ``apply_rules``."""
+    ``memo`` is the per-stream ``_classify`` memo, as in ``apply_rules``."""
     if root is None:
         severity, label = policy.unknown_global_severity, "unresolvable callee"
     elif root == ("<dynamic>", "<dynamic>"):
         severity, label = policy.dynamic_global_severity, "dynamically computed callee"
     else:
         module, name = root
-        disposition, _ = _classify(module, name, policy, memo)
-        if disposition.verdict == "allow":
+        severity = _classify(module, name, policy, memo)[0]
+        if severity is None:
             return (None, "")
         label = f"{module}.{name}"
-        if disposition.verdict == "deny":
-            severity = disposition.severity or Severity.CRITICAL
-        else:
-            severity = policy.unknown_global_severity
     return (max(severity, Severity.MEDIUM), label)
 
 
@@ -428,83 +464,41 @@ def apply_rules(
     ctx = file_context
     memo = {} if classified is None else classified
     for event in result.events:
+        offset = event.at_offset
         if isinstance(event, absvm.GlobalResolved):
-            finding = _global_finding(event.module, event.name, event.at_offset, policy, ctx, memo)
+            finding = _global_finding(event.module, event.name, offset, policy, ctx, memo)
             if finding is not None:
                 findings.append(finding)
         elif isinstance(event, absvm.DynamicGlobal):
-            findings.append(
-                Finding(
-                    rule_id="PICKLE_DYNAMIC_GLOBAL",
-                    severity=policy.dynamic_global_severity,
-                    file=ctx.path,
-                    message="import target is computed at load time, not written literally",
-                    entry=ctx.entry,
-                    offset=event.at_offset,
-                )
-            )
+            message = "import target is computed at load time, not written literally"
+            severity = policy.dynamic_global_severity
+            findings.append(ctx.finding("PICKLE_DYNAMIC_GLOBAL", message, severity, offset=offset))
         elif isinstance(event, absvm.CallMade):
             severity, label = call_severity(event.root, policy, memo)
             if severity is not None:
                 argc = "?" if event.argc is None else str(event.argc)
+                message = f"load-time call to {label} with {argc} argument(s)"
                 findings.append(
-                    Finding(
-                        rule_id="PICKLE_CALL",
-                        severity=severity,
-                        file=ctx.path,
-                        message=f"load-time call to {label} with {argc} argument(s)",
-                        evidence=event.arg_summary,
-                        entry=ctx.entry,
-                        offset=event.at_offset,
+                    ctx.finding(
+                        "PICKLE_CALL", message, severity, evidence=event.arg_summary, offset=offset
                     )
                 )
         elif isinstance(event, absvm.ResidualStack):
-            findings.append(
-                Finding(
-                    rule_id="PICKLE_RESIDUAL_STACK",
-                    severity=policy.residual_stack_severity,
-                    file=ctx.path,
-                    message=(
-                        f"{event.depth} value(s) left on the stack after STOP; "
-                        "an injected payload was built before the visible root"
-                    ),
-                    entry=ctx.entry,
-                    offset=event.at_offset,
-                )
+            message = (
+                f"{event.depth} value(s) left on the stack after STOP; "
+                "an injected payload was built before the visible root"
             )
+            severity = policy.residual_stack_severity
+            findings.append(ctx.finding("PICKLE_RESIDUAL_STACK", message, severity, offset=offset))
         elif isinstance(event, absvm.TrailingData):
-            findings.append(
-                Finding(
-                    rule_id="PICKLE_TRAILING_DATA",
-                    severity=Severity.INFO,
-                    file=ctx.path,
-                    message=f"{event.byte_count} byte(s) after the final STOP",
-                    entry=ctx.entry,
-                    offset=event.at_offset,
-                )
-            )
+            message = f"{event.byte_count} byte(s) after the final STOP"
+            findings.append(ctx.finding("PICKLE_TRAILING_DATA", message, offset=offset))
         elif isinstance(event, absvm.OutOfBandBuffer):
-            findings.append(
-                Finding(
-                    rule_id="PICKLE_OOB_BUFFER",
-                    severity=Severity.INFO,
-                    file=ctx.path,
-                    message="stream expects out-of-band buffers",
-                    entry=ctx.entry,
-                    offset=event.at_offset,
-                )
-            )
+            message = "stream expects out-of-band buffers"
+            findings.append(ctx.finding("PICKLE_OOB_BUFFER", message, offset=offset))
         elif isinstance(event, absvm.FrameMismatch):
-            findings.append(
-                Finding(
-                    rule_id="PICKLE_FRAME_MISMATCH",
-                    severity=Severity.INFO,
-                    file=ctx.path,
-                    message="FRAME length does not match instruction boundaries",
-                    entry=ctx.entry,
-                    offset=event.at_offset,
-                )
-            )
+            message = "FRAME length does not match instruction boundaries"
+            findings.append(ctx.finding("PICKLE_FRAME_MISMATCH", message, offset=offset))
         # StateBuilt / PersistentId / ExtensionUsed are context, not findings.
     return findings
 
@@ -525,13 +519,11 @@ def apply_keras_rules(
             payload = record.payload
             if payload is not None and payload.encoding == "reference-by-name":
                 findings.append(
-                    Finding(
-                        rule_id="KERAS_LAMBDA_REF",
-                        severity=policy.lambda_ref_severity,
-                        file=ctx.path,
-                        message=f"Lambda layer {label} references function {payload.preview!r} by name",
+                    ctx.finding(
+                        "KERAS_LAMBDA_REF",
+                        f"Lambda layer {label} references function {payload.preview!r} by name",
+                        policy.lambda_ref_severity,
                         evidence=f"function={payload.preview}",
-                        entry=ctx.entry,
                         json_path=record.json_path,
                     )
                 )
@@ -543,37 +535,25 @@ def apply_keras_rules(
                     detail = f"{payload.decoded_length} bytes of serialized code"
                     evidence = f"sha256={payload.digest} preview={payload.preview}"
                 findings.append(
-                    Finding(
-                        rule_id="KERAS_LAMBDA_CODE",
-                        severity=policy.lambda_severity,
-                        file=ctx.path,
-                        message=f"Lambda layer {label} embeds executable code ({detail})",
+                    ctx.finding(
+                        "KERAS_LAMBDA_CODE",
+                        f"Lambda layer {label} embeds executable code ({detail})",
+                        policy.lambda_severity,
                         evidence=evidence,
-                        entry=ctx.entry,
                         json_path=record.json_path,
                     )
                 )
         elif record.class_name in custom:
+            message = f"custom-computation layer {record.class_name} ({label}) flagged by policy"
             findings.append(
-                Finding(
-                    rule_id="KERAS_CUSTOM_LAYER",
-                    severity=policy.lambda_severity,
-                    file=ctx.path,
-                    message=f"custom-computation layer {record.class_name} ({label}) flagged by policy",
-                    entry=ctx.entry,
-                    json_path=record.json_path,
+                ctx.finding(
+                    "KERAS_CUSTOM_LAYER", message, policy.lambda_severity, json_path=record.json_path
                 )
             )
     for anomaly in anomalies:
+        message = f"{anomaly.kind}: {anomaly.message}"
         findings.append(
-            Finding(
-                rule_id="KERAS_MALFORMED_CONFIG",
-                severity=Severity.LOW,
-                file=ctx.path,
-                message=f"{anomaly.kind}: {anomaly.message}",
-                entry=ctx.entry,
-                json_path=anomaly.json_path or None,
-            )
+            ctx.finding("KERAS_MALFORMED_CONFIG", message, json_path=anomaly.json_path or None)
         )
     return findings
 
@@ -605,11 +585,7 @@ class IntegrityManifest:
 
     @classmethod
     def load(cls, path: str) -> "IntegrityManifest":
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        if not isinstance(raw, dict):
-            raise ValueError("integrity manifest must be a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(_load_json_object(path, "integrity manifest"))
 
 
 @dataclass(frozen=True)

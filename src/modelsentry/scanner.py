@@ -102,16 +102,7 @@ def _parse_error(
     if offset is not None:
         parts.append(f"offset {offset}")
     errors.append(ScanError(kind, ":".join(parts), message))
-    findings.append(
-        Finding(
-            rule_id="FORMAT_PARSE_ERROR",
-            severity=Severity.LOW,
-            file=ctx.path,
-            message=f"{what}: {message}",
-            entry=ctx.entry,
-            offset=offset,
-        )
-    )
+    findings.append(ctx.finding("FORMAT_PARSE_ERROR", f"{what}: {message}", offset=offset))
 
 
 def _scan_pickle_bytes(
@@ -185,28 +176,14 @@ def _scan_zip(
         )
         return
     for entry in entries:
+        member = FileContext(path, entry.path)
         if entry.suspicious_path:
-            findings.append(
-                Finding(
-                    rule_id="ARCHIVE_PATH_TRAVERSAL",
-                    severity=Severity.HIGH,
-                    file=path,
-                    message=f"member path {entry.path!r} escapes the extraction root",
-                    evidence=entry.path,
-                    entry=entry.path,
-                )
-            )
+            message = f"member path {entry.path!r} escapes the extraction root"
+            findings.append(member.finding("ARCHIVE_PATH_TRAVERSAL", message, evidence=entry.path))
         if entry.encrypted or entry.method.startswith("unsupported"):
             detail = "encrypted" if entry.encrypted else entry.method
-            findings.append(
-                Finding(
-                    rule_id="ARCHIVE_UNSUPPORTED_METHOD",
-                    severity=Severity.MEDIUM,
-                    file=path,
-                    message=f"member {entry.path!r} is not inspectable ({detail})",
-                    entry=entry.path,
-                )
-            )
+            message = f"member {entry.path!r} is not inspectable ({detail})"
+            findings.append(member.finding("ARCHIVE_UNSUPPORTED_METHOD", message))
 
     def member_error(entry: containers.ArchiveEntry, exc: containers.FormatError) -> None:
         _parse_error(
@@ -278,18 +255,11 @@ def _scan_hdf5(
         start = extracted.byte_range[1]
     if first_range is not None:
         others = f"; {recovered - 1} more after it" if recovered > 1 else ""
-        findings.append(
-            Finding(
-                rule_id="H5_HEURISTIC_USED",
-                severity=Severity.INFO,
-                file=path,
-                message=(
-                    "model config recovered via attribute-scan heuristic "
-                    f"(bytes {first_range[0]}..{first_range[1]}{others})"
-                ),
-                offset=first_range[0],
-            )
+        message = (
+            "model config recovered via attribute-scan heuristic "
+            f"(bytes {first_range[0]}..{first_range[1]}{others})"
         )
+        findings.append(ctx.finding("H5_HEURISTIC_USED", message, offset=first_range[0]))
     if first_error is not None:
         kind, message = first_error
         if failed > 1:
@@ -327,14 +297,8 @@ def scan_file(
             elif kind == "hdf5":
                 _scan_hdf5(path, handle, policy, findings, errors)
             else:
-                findings.append(
-                    Finding(
-                        rule_id="UNRECOGNIZED_FORMAT",
-                        severity=Severity.INFO,
-                        file=path,
-                        message="unrecognized format; nothing scanned",
-                    )
-                )
+                message = "unrecognized format; nothing scanned"
+                findings.append(FileContext(path).finding("UNRECOGNIZED_FORMAT", message))
     except disasm.ParseError as exc:
         errors.append(ScanError(exc.kind, f"offset {exc.offset}", exc.message))
     except OSError as exc:
@@ -416,32 +380,21 @@ def verify_paths(
     """Digest-check files against an integrity manifest, as a report."""
     reports: list[FileReport] = []
     for path in sorted(set(paths)):
+        ctx = FileContext(path)
         findings: list[Finding] = []
         errors: list[ScanError] = []
         try:
             with open(path, "rb") as handle:
                 outcome = verify_integrity(handle, path, manifest)
             if outcome.status == "mismatch":
-                findings.append(
-                    Finding(
-                        rule_id="INTEGRITY_MISMATCH",
-                        severity=Severity.CRITICAL,
-                        file=path,
-                        message=(
-                            f"digest mismatch: manifest has {outcome.expected}, "
-                            f"file is {outcome.actual}"
-                        ),
-                    )
+                message = (
+                    f"digest mismatch: manifest has {outcome.expected}, "
+                    f"file is {outcome.actual}"
                 )
+                findings.append(ctx.finding("INTEGRITY_MISMATCH", message))
             elif outcome.status == "not-listed":
-                findings.append(
-                    Finding(
-                        rule_id="INTEGRITY_MISMATCH",
-                        severity=Severity.LOW,
-                        file=path,
-                        message="file is not listed in the integrity manifest",
-                    )
-                )
+                message = "file is not listed in the integrity manifest"
+                findings.append(ctx.finding("INTEGRITY_MISMATCH", message, Severity.LOW))
         except OSError as exc:
             errors.append(ScanError("IOError", "", str(exc)))
         reports.append(FileReport(path=path, kind="unknown", findings=findings, errors=errors))

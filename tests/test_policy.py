@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelsentry import absvm
+from modelsentry.cli import main as cli_main
 from modelsentry.disasm import disassemble
-from modelsentry.forge import emit_injected_pickle, emit_reduce_payload_pickle
+from modelsentry.forge import (
+    benign_state_dict_pickle,
+    emit_dynamic_global_pickle,
+    emit_injected_pickle,
+    emit_reduce_payload_pickle,
+)
 from modelsentry.policy import (
     AllowEntry,
     DenyEntry,
@@ -26,8 +33,12 @@ from modelsentry.policy import (
     load_policy_file,
     verify_integrity,
 )
+from modelsentry.scanner import scan_paths
 
 CTX = FileContext(path="model.pkl")
+
+# os.system memoized once, then called 50 times: 1 global and 50 calls.
+MEMOIZED_CALLS = b"\x80\x02cos\nsystem\nq\x000" + b"h\x00X\x02\x00\x00\x00ls\x85R0" * 50 + b"N."
 
 
 def findings_for(stream: bytes, policy: Policy):
@@ -116,16 +127,27 @@ _modules = st.sampled_from(["os", "acme", "torch._utils", "collections", "x.y"])
 _names = st.sampled_from(["system", "mystery", "_rebuild_tensor_v2", "OrderedDict", "fn"])
 
 
+_streams = st.sampled_from(
+    [
+        emit_reduce_payload_pickle("true # FIXTURE-MARKER", 2),
+        emit_injected_pickle([1, 2, 3], "true # FIXTURE-MARKER", 4),
+        MEMOIZED_CALLS,
+        emit_dynamic_global_pickle(),
+        benign_state_dict_pickle(),
+    ]
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
+    stream=_streams,
     module=_modules,
     name=_names,
     extra_deny_module=_modules,
     extra_deny_name=_names,
 )
-def test_monotonicity_of_deny_and_allow(module, name, extra_deny_module, extra_deny_name):
+def test_monotonicity_of_deny_and_allow(stream, module, name, extra_deny_module, extra_deny_name):
     base = default_policy()
-    stream = emit_reduce_payload_pickle("true # FIXTURE-MARKER", 2)
     base_rules = {(f.rule_id, f.offset) for f in findings_for(stream, base)}
     more_deny = Policy(
         deny=base.deny + (DenyEntry(extra_deny_module, extra_deny_name, Severity.CRITICAL),),
@@ -217,10 +239,36 @@ def test_finding_order_is_event_order():
     assert offsets == sorted(offsets)
 
 
-def test_every_emitted_rule_is_in_the_catalog():
+# The rules whose severity a policy sets: by deny entries or a "severities" key.
+POLICY_SET_RULES = {
+    "PICKLE_DANGEROUS_GLOBAL",
+    "PICKLE_CALL",
+    "PICKLE_RESIDUAL_STACK",
+    "PICKLE_DYNAMIC_GLOBAL",
+    "KERAS_LAMBDA_CODE",
+    "KERAS_LAMBDA_REF",
+    "KERAS_CUSTOM_LAYER",
+}
+
+
+def test_every_emitted_rule_is_in_the_catalog(corpus_dir, tmp_path):
     stream = emit_injected_pickle([1], "true # FIXTURE-MARKER", 2)
     for finding in findings_for(stream, default_policy()):
         assert finding.rule_id in RULE_CATALOG
+    # Every severity key set away from its default: the rules no key
+    # governs still carry exactly the severity the catalog publishes.
+    policy_file = tmp_path / "all_info.json"
+    keys = ("unknown_global", "lambda_code", "lambda_ref", "residual_stack", "dynamic_global")
+    policy_file.write_text(json.dumps({"severities": {key: "INFO" for key in keys}}))
+    fixed_rules = set()
+    for policy in (default_policy(), load_policy_file(str(policy_file))):
+        for report in scan_paths([str(corpus_dir)], policy).files:
+            for finding in report.findings:
+                assert finding.rule_id in RULE_CATALOG
+                if finding.rule_id not in POLICY_SET_RULES:
+                    fixed_rules.add(finding.rule_id)
+                    assert finding.severity is RULE_CATALOG[finding.rule_id].default_severity
+    assert fixed_rules  # the corpus does reach rules no policy key governs
 
 
 def test_lambda_plain_source_maps_to_code_rule():
@@ -285,6 +333,39 @@ def test_policy_file_extends_defaults(tmp_path):
     assert "MyDangerLayer" in policy.extra_custom_layer_classes
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"denny": [{"module": "mylib", "name": "*"}]},
+        {"severities": {"unknown_globals": "LOW"}},
+        {"deny": [{"module": "mylib", "name": "*", "sevrity": "LOW"}]},
+    ],
+    ids=["top-level", "severities", "deny-entry"],
+)
+def test_misspelled_policy_key_is_an_operational_error(tmp_path, capsys, raw):
+    # Ignored, the misspelled deny entry would leave mylib.run an unknown
+    # call: MEDIUM, exit 0, where the policy asked for CRITICAL.
+    policy_file = tmp_path / "policy.json"
+    policy_file.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match="unknown"):
+        load_policy_file(str(policy_file))
+    target = tmp_path / "probe.pkl"
+    target.write_bytes(b"cmylib\nrun\n)R.")
+    assert cli_main(["scan", "--policy", str(policy_file), str(target)]) == 2
+    assert "unknown" in capsys.readouterr().err
+
+
+def test_readme_example_policy_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("## Policy files", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    policy_file = tmp_path / "policy.json"
+    policy_file.write_text(example)
+    policy = load_policy_file(str(policy_file))
+    assert policy.unknown_global_severity is Severity.LOW
+    assert classify_global("mylib.plugins", "x", policy)[0].verdict == "deny"
+
+
 def test_policy_digest_changes_with_content():
     base = default_policy()
     extended = Policy(deny=base.deny + (DenyEntry("j", "k"),), allow=base.allow)
@@ -337,10 +418,8 @@ def test_each_global_is_classified_once_per_program(monkeypatch):
         seen.append((module, name))
         return original(module, name, policy)
 
-    # os.system memoized once, then called 50 times: 1 global and 50 calls.
-    stream = b"\x80\x02cos\nsystem\nq\x000" + b"h\x00X\x02\x00\x00\x00ls\x85R0" * 50 + b"N."
-    expected = findings_for(stream, default_policy())
+    expected = findings_for(MEMOIZED_CALLS, default_policy())
     monkeypatch.setattr(policy_module, "classify_global", counting)
-    assert findings_for(stream, default_policy()) == expected
+    assert findings_for(MEMOIZED_CALLS, default_policy()) == expected
     assert seen == [("os", "system")]
     assert [f.rule_id for f in expected] == ["PICKLE_DANGEROUS_GLOBAL"] + ["PICKLE_CALL"] * 50

@@ -680,6 +680,16 @@ def test_cli_bad_policy_is_operational_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command,flag", [("scan", "--policy"), ("verify", "--manifest")])
+def test_cli_deeply_nested_json_is_operational_error(tmp_path, capsys, command, flag):
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"deny":' + "[" * 100_000 + "]" * 100_000 + "}")
+    target = tmp_path / "x.pkl"
+    target.write_bytes(b"N.")
+    assert cli_main([command, flag, str(nested), str(target)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_cli_disasm_output(tmp_path, capsys):
     target = tmp_path / "n.pkl"
     target.write_bytes(b"N.")
