@@ -26,13 +26,12 @@ the bytes of a disassembled program.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate, chain, islice, repeat, takewhile, tee
 from operator import add
 from typing import Callable
 
 from . import disasm
-from .disasm import OPCODES, ParseError, PickleProgram, iter_segments, zero_padding
+from .disasm import OPCODES, ParseError, PickleProgram, zero_padding
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +198,6 @@ _BIG_INT = 10**4300
 
 
 class VmError(Exception):
-    # Set by ``walk``: what the failing segment recorded before this error
-    # (``walk`` sets the same attribute on a ParseError raised in a segment).
-    partial: AbstractResult | None = None
-
     def __init__(self, offset: int, message: str):
         super().__init__(f"offset {offset}: {message}")
         self.offset = offset
@@ -237,12 +232,15 @@ class LimitExceeded(VmError):
 
 @dataclass
 class AbstractResult:
-    """Outcome of evaluating one program."""
+    """Outcome of evaluating one program, or one segment of a ``walk``."""
 
     root: object  # an AbstractValue or a plain literal, as any value below
     events: list[SecurityEvent]
     memo_size: int
     memo: dict[int, object] = field(default_factory=dict)
+    # The fault that ended a walked segment: ``events`` are then those
+    # recorded before it, which a loader runs before it fails.
+    error: VmError | ParseError | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -601,34 +599,22 @@ class _Machine:
             self.open_frame = (frame_end, *last_frame)
         return end
 
-    def recorded(self) -> AbstractResult:
-        """The events recorded before an error ended the run.  A loader runs
-        every op before the one it fails on, so these still count."""
-        return AbstractResult(
-            root=Opaque("evaluation stopped before STOP"),
-            events=self.events,
-            memo_size=len(self.memo),
-            memo=self.memo,
-        )
-
-    def result(self, stream_end: int, trailing_bytes: int) -> AbstractResult:
-        """The outcome of a run that reached STOP, which set ``self.root``,
-        without a VmError.
-
-        ``stream_end`` is where the bytes a final frame may cover end.
-        """
+    def result(
+        self, error: VmError | ParseError | None, stream_end: int = 0, trailing_bytes: int = 0
+    ) -> AbstractResult:
+        """The outcome of the run, which reached STOP and set ``self.root``
+        unless an ``error`` ended it.  ``stream_end`` is where the bytes a
+        final frame may cover end."""
+        if error is not None:
+            root = Opaque("evaluation stopped before STOP")
+            return AbstractResult(root, self.events, len(self.memo), self.memo, error)
         if self.open_frame is not None:
             frame_end, frame_offset, index, flagged = self.open_frame
             if frame_end > stream_end and not flagged:
                 self.events.insert(index, FrameMismatch(frame_offset))
         if trailing_bytes > 0:
             self.events.append(TrailingData(self.offset, trailing_bytes))
-        return AbstractResult(
-            root=self.root,
-            events=self.events,
-            memo_size=len(self.memo),
-            memo=self.memo,
-        )
+        return AbstractResult(self.root, self.events, len(self.memo), self.memo)
 
     # -- primitives ---------------------------------------------------------
 
@@ -1030,42 +1016,46 @@ def evaluate(program: PickleProgram) -> AbstractResult:
     """Symbolically execute ``program`` and collect its security events.
 
     Pure function of its inputs: identical programs yield identical results,
-    and no side effect of any kind is performed.
+    and no side effect of any kind is performed.  A VmError is raised.
     """
     machine = _Machine()
     machine.run(program.stream, program.start_offset)
     if machine.error is not None:
         raise machine.error
     stream_end = program.start_offset + program.byte_length + program.trailing_bytes
-    return machine.result(stream_end, program.trailing_bytes)
-
-
-def _read_segment(stream: bytes, start: int, keep_call: KeepCall | None):
-    machine = _Machine(keep_call)
-    try:
-        end = machine.run(stream, start)
-    except ParseError as exc:
-        exc.partial = machine.recorded()
-        raise
-    trailing = zero_padding(stream, end)
-    if machine.error is not None:
-        machine.error.partial = machine.recorded()
-        return machine.error, end + trailing
-    return machine.result(end + trailing, trailing), end + trailing
+    return machine.result(None, stream_end, program.trailing_bytes)
 
 
 def walk(stream: bytes, keep_call: KeepCall | None = None):
     """Decode and evaluate every STOP-delimited segment of ``stream`` in one pass.
 
-    Yields, per segment, its AbstractResult or the VmError that ended its
-    evaluation; no instruction list is built.  Segment splitting, zero
-    padding and ParseErrors are exactly those of ``disasm.iter_programs``, and
-    each result equals ``evaluate`` of the matching program.  A VmError, and
-    a ParseError raised inside a segment, carry in ``partial`` an
-    AbstractResult of the events that segment recorded before the error.
+    Yields one AbstractResult per segment and never raises; no instruction
+    list is built.  A segment's VmError or ParseError is its result's
+    ``error``, and a ParseError (with its ``segment`` set) ends the walk; a
+    stream refused before its first segment yields one result that holds
+    the refusal and no events.  Segment splitting, zero padding and
+    ParseErrors are exactly those of ``disasm.iter_programs``, and each
+    result without an error equals ``evaluate`` of the matching program.
 
     ``keep_call(root)`` says which calls need evidence: a CallMade whose
     root it rejects gets an empty ``arg_summary``.  Kept calls get the text
     ``evaluate`` gives them.  None keeps every call.
     """
-    return iter_segments(stream, partial(_read_segment, keep_call=keep_call))
+    try:
+        disasm.check_stream(stream)
+    except ParseError as exc:
+        yield _Machine().result(exc)
+        return
+    pos = segment = 0
+    while pos < len(stream):
+        machine = _Machine(keep_call)
+        try:
+            end = machine.run(stream, pos)
+        except ParseError as exc:
+            exc.segment = segment
+            yield machine.result(exc)
+            return
+        trailing = zero_padding(stream, end)
+        pos = end + trailing
+        yield machine.result(machine.error, pos, trailing)
+        segment += 1

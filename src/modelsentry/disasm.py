@@ -369,31 +369,12 @@ def zero_padding(stream: bytes, end: int) -> int:
     return 0
 
 
-def _check_stream(stream: bytes) -> None:
+def check_stream(stream: bytes) -> None:
+    """Refuse a stream before its first segment: empty, or too long."""
     if not stream:
         raise MissingStop(0)
     if len(stream) > MAX_STREAM_BYTES:
         raise LimitExceeded(0, "max_stream_bytes")
-
-
-def iter_segments(stream: bytes, read_segment):
-    """Yield one item per STOP-delimited segment of ``stream``.
-
-    ``read_segment(stream, start)`` reads the segment at ``start`` and
-    returns ``(item, next_start)``.  A ParseError it raises carries the index
-    of the failing segment; items already yielded stay valid.
-    """
-    _check_stream(stream)
-    pos = 0
-    segment = 0
-    while pos < len(stream):
-        try:
-            item, pos = read_segment(stream, pos)
-        except ParseError as exc:
-            exc.segment = segment
-            raise
-        yield item
-        segment += 1
 
 
 def _read_program(stream: bytes, start: int) -> PickleProgram:
@@ -426,28 +407,34 @@ def disassemble(stream: bytes) -> PickleProgram:
     Bytes after the first STOP are reported via ``trailing_bytes``, never
     dropped and never an error at this layer.
     """
-    _check_stream(stream)
+    check_stream(stream)
     program = _read_program(stream, 0)
     program.trailing_bytes = len(stream) - program.byte_length
     return program
-
-
-def _read_padded_program(stream: bytes, start: int):
-    program = _read_program(stream, start)
-    end = start + program.byte_length
-    program.trailing_bytes = zero_padding(stream, end)
-    return program, end + program.trailing_bytes
 
 
 def iter_programs(stream: bytes):
     """Yield one PickleProgram per STOP-delimited segment of ``stream``.
 
     Programs already yielded stay valid if a later segment fails; the raised
-    ParseError carries the index of the failing segment.  A trailing run of
-    zero bytes after the final STOP is tolerated and reported on the last
-    program (legacy multi-pickle files pad this way).
+    ParseError carries the index of the failing segment (None for a stream
+    ``check_stream`` refuses).  A trailing run of zero bytes after the final
+    STOP is tolerated and reported on the last program (legacy multi-pickle
+    files pad this way).
     """
-    return iter_segments(stream, _read_padded_program)
+    check_stream(stream)
+    pos = segment = 0
+    while pos < len(stream):
+        try:
+            program = _read_program(stream, pos)
+        except ParseError as exc:
+            exc.segment = segment
+            raise
+        pos += program.byte_length
+        program.trailing_bytes = zero_padding(stream, pos)
+        pos += program.trailing_bytes
+        yield program
+        segment += 1
 
 
 def _is_dotted_name(text: str) -> bool:

@@ -234,11 +234,11 @@ _SEVERITY_KEYS = (
 class Policy:
     deny: tuple[DenyEntry, ...] = ()
     allow: tuple[AllowEntry, ...] = ()
-    unknown_global_severity: Severity = Severity.MEDIUM
-    lambda_severity: Severity = Severity.HIGH
-    lambda_ref_severity: Severity = Severity.MEDIUM
-    residual_stack_severity: Severity = Severity.HIGH
-    dynamic_global_severity: Severity = Severity.HIGH
+    unknown_global_severity: Severity = Severity.MEDIUM  # unlike the rest, no one rule owns it
+    lambda_severity: Severity = RULE_CATALOG["KERAS_LAMBDA_CODE"].default_severity
+    lambda_ref_severity: Severity = RULE_CATALOG["KERAS_LAMBDA_REF"].default_severity
+    residual_stack_severity: Severity = RULE_CATALOG["PICKLE_RESIDUAL_STACK"].default_severity
+    dynamic_global_severity: Severity = RULE_CATALOG["PICKLE_DYNAMIC_GLOBAL"].default_severity
     extra_custom_layer_classes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:

@@ -53,18 +53,26 @@ def report_to_dict(report: ScanReport) -> dict:
     }
 
 
+def _printable(text: str) -> str:
+    """``text`` with each non-printable character escaped, so that a hostile
+    name (a newline in a member name) cannot forge a report line."""
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode() for c in text)
+
+
 def _render_text(report: ScanReport) -> str:
     lines: list[str] = []
     for file_report in report.files:
+        path = _printable(file_report.path)
         for finding in file_report.findings:
             lines.append(
                 f"{finding.severity.name} {finding.rule_id} "
-                f"{file_report.path}:{finding.locus} {finding.message}"
+                f"{path}:{_printable(finding.locus)} {_printable(finding.message)}"
             )
         for error in file_report.errors:
-            lines.append(
-                f"ERROR {error.kind} {file_report.path}:{error.locus or '-'} {error.message}"
-            )
+            locus = _printable(error.locus or "-")
+            lines.append(f"ERROR {error.kind} {path}:{locus} {_printable(error.message)}")
     summary = report.summary()
     lines.append(
         "summary: "
@@ -92,7 +100,8 @@ def _render_sarif(report: ScanReport) -> dict:
                     "artifactLocation": {"uri": file_report.path},
                 }
             }
-            if finding.offset is not None:
+            # A member's offset is into the member, not the file: the message names it.
+            if finding.offset is not None and finding.entry is None:
                 location["physicalLocation"]["region"] = {"byteOffset": finding.offset}
             message = finding.message
             if finding.locus != "-":

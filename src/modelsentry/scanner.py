@@ -91,18 +91,18 @@ def _parse_error(
     findings: list[Finding],
     errors: list[ScanError],
     ctx: FileContext,
-    kind: str,
+    exc: Exception,
     what: str,
-    message: str,
     offset: int | None = None,
+    message: str | None = None,
 ) -> None:
-    """Record one unparseable part of a file as a FORMAT_PARSE_ERROR finding
-    plus the matching error entry, both at the same locus."""
-    parts = [ctx.entry] if ctx.entry else []
-    if offset is not None:
-        parts.append(f"offset {offset}")
-    errors.append(ScanError(kind, ":".join(parts), message))
-    findings.append(ctx.finding("FORMAT_PARSE_ERROR", f"{what}: {message}", offset=offset))
+    """Record the fault ``exc`` (a ParseError, VmError or FormatError) as a
+    FORMAT_PARSE_ERROR finding plus the matching error entry, both at the
+    finding's locus.  ``message`` replaces the fault's own."""
+    message = exc.message if message is None else message
+    finding = ctx.finding("FORMAT_PARSE_ERROR", f"{what}: {message}", offset=offset)
+    findings.append(finding)
+    errors.append(ScanError(exc.kind, "" if finding.locus == "-" else finding.locus, message))
 
 
 def _scan_pickle_bytes(
@@ -115,11 +115,10 @@ def _scan_pickle_bytes(
     """Decode, evaluate, and apply rules to every stream segment in one pass.
 
     A segment that fails still has the events it recorded before its error
-    put through the rules: a loader runs those ops before it fails.  A
-    ParseError is listed first, then each earlier segment's VmError in
-    segment order; the failing segment's own VmError is dropped.
+    put through the rules: a loader runs those ops before it fails.  The
+    ParseError that ends the walk is listed first, then each earlier
+    segment's VmError in segment order.
     """
-    vm_errors: list[absvm.VmError] = []
     # One classify memo for the whole stream: the walk renders evidence only
     # for the calls apply_rules reports, and both look each root up here.
     classified: dict = {}
@@ -127,25 +126,21 @@ def _scan_pickle_bytes(
     def keep_call(root: tuple[str, str] | None) -> bool:
         return call_severity(root, policy, classified)[0] is not None
 
-    try:
-        for outcome in absvm.walk(data, keep_call):
-            if isinstance(outcome, absvm.VmError):
-                vm_errors.append(outcome)
-                outcome = outcome.partial
-            findings.extend(apply_rules(outcome, policy, ctx, classified))
-    except disasm.ParseError as exc:
-        partial = getattr(exc, "partial", None)  # unset when raised before any segment
-        if partial is not None:
-            findings.extend(apply_rules(partial, policy, ctx, classified))
+    parse_error: disasm.ParseError | None = None
+    vm_errors: list[absvm.VmError] = []
+    for result in absvm.walk(data, keep_call):
+        findings.extend(apply_rules(result, policy, ctx, classified))
+        if isinstance(result.error, disasm.ParseError):
+            parse_error = result.error
+        elif result.error is not None:
+            vm_errors.append(result.error)
+    if parse_error is not None:
         _parse_error(
-            findings, errors, ctx, exc.kind, "pickle segment could not be parsed",
-            exc.message, exc.offset,
+            findings, errors, ctx, parse_error, "pickle segment could not be parsed",
+            parse_error.offset,
         )
     for exc in vm_errors:
-        _parse_error(
-            findings, errors, ctx, exc.kind, "pickle stream is not loadable",
-            exc.message, exc.offset,
-        )
+        _parse_error(findings, errors, ctx, exc, "pickle stream is not loadable", exc.offset)
 
 
 def _scan_keras_config(
@@ -171,9 +166,7 @@ def _scan_zip(
     try:
         entries = containers.list_entries(handle)
     except containers.FormatError as exc:
-        _parse_error(
-            findings, errors, FileContext(path), exc.kind, "archive could not be read", exc.message
-        )
+        _parse_error(findings, errors, FileContext(path), exc, "archive could not be read")
         return
     for entry in entries:
         member = FileContext(path, entry.path)
@@ -184,34 +177,29 @@ def _scan_zip(
             detail = "encrypted" if entry.encrypted else entry.method
             message = f"member {entry.path!r} is not inspectable ({detail})"
             findings.append(member.finding("ARCHIVE_UNSUPPORTED_METHOD", message))
-
-    def member_error(entry: containers.ArchiveEntry, exc: containers.FormatError) -> None:
-        _parse_error(
-            findings, errors, FileContext(path, entry.path), exc.kind,
-            "archive member could not be read", exc.message,
-        )
-
+    unreadable = "archive member could not be read"
     payload_errors: list[tuple[containers.ArchiveEntry, containers.FormatError]] = []
     payloads = containers.find_pickle_payloads(
         entries, handle, cap=entry_cap, errors=payload_errors
     )
     for entry, exc in payload_errors:
-        member_error(entry, exc)
+        _parse_error(findings, errors, FileContext(path, entry.path), exc, unreadable)
     for entry, data in payloads:
         ctx = FileContext(path=path, entry=entry.path)
         _scan_pickle_bytes(data, ctx, policy, findings, errors)
     for entry in entries:
         if entry.path.rsplit("/", 1)[-1] != "config.json":
             continue
+        member = FileContext(path, entry.path)
         try:
             # Passed straight in, so the decoder frees the bytes before it parses (3.11+).
             extracted = containers.decode_config(
                 containers.read_entry(handle, entry, containers.CONFIG_CAP), whole=True
             )
         except containers.FormatError as exc:
-            member_error(entry, exc)
+            _parse_error(findings, errors, member, exc, unreadable)
             continue
-        _scan_keras_config(extracted.config, FileContext(path, entry.path), policy, findings)
+        _scan_keras_config(extracted.config, member, policy, findings)
 
 
 def _scan_hdf5(
@@ -231,8 +219,7 @@ def _scan_hdf5(
     ctx = FileContext(path)
     first_range: tuple[int, int] | None = None
     recovered = 0
-    # Kind and message only: the exception's traceback would pin the window read.
-    first_error: tuple[str, str] | None = None
+    first_error: containers.FormatError | None = None
     failed = 0
     start = 0
     while True:
@@ -242,7 +229,9 @@ def _scan_hdf5(
             break  # no candidate left; none at all means a weights-only file
         except containers.FormatError as exc:
             if first_error is None:
-                first_error = (exc.kind, exc.message)
+                # Without its traceback and context the kept error pins none of the window read.
+                first_error = exc.with_traceback(None)
+                first_error.__context__ = None
             failed += 1
             if exc.end_offset is None:
                 break
@@ -261,12 +250,11 @@ def _scan_hdf5(
         )
         findings.append(ctx.finding("H5_HEURISTIC_USED", message, offset=first_range[0]))
     if first_error is not None:
-        kind, message = first_error
+        message = first_error.message
         if failed > 1:
             message += f" ({failed - 1} more candidate(s) failed)"
-        _parse_error(
-            findings, errors, ctx, kind, "embedded model config could not be extracted", message
-        )
+        what = "embedded model config could not be extracted"
+        _parse_error(findings, errors, ctx, first_error, what, message=message)
 
 
 def scan_file(
@@ -286,12 +274,13 @@ def scan_file(
         with open(path, "rb") as handle:
             head = handle.read(disasm.SNIFF_BYTES)
             kind = sniff(head, size)
-            if kind == "pickle_stream":
-                if size > disasm.MAX_STREAM_BYTES:
-                    raise disasm.LimitExceeded(0, "max_stream_bytes")
+            if kind == "pickle_stream" and size > disasm.MAX_STREAM_BYTES:
+                # Refused before it is read: no part of it was parsed.
+                refused = disasm.LimitExceeded(0, "max_stream_bytes")
+                errors.append(ScanError(refused.kind, "offset 0", refused.message))
+            elif kind == "pickle_stream":
                 handle.seek(0)
-                data = handle.read()
-                _scan_pickle_bytes(data, FileContext(path=path), policy, findings, errors)
+                _scan_pickle_bytes(handle.read(), FileContext(path), policy, findings, errors)
             elif kind == "zip_archive":
                 _scan_zip(path, handle, policy, entry_cap, findings, errors)
             elif kind == "hdf5":
@@ -299,8 +288,6 @@ def scan_file(
             else:
                 message = "unrecognized format; nothing scanned"
                 findings.append(FileContext(path).finding("UNRECOGNIZED_FORMAT", message))
-    except disasm.ParseError as exc:
-        errors.append(ScanError(exc.kind, f"offset {exc.offset}", exc.message))
     except OSError as exc:
         errors.append(ScanError("IOError", "", str(exc)))
     except Exception as exc:

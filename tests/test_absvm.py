@@ -152,33 +152,41 @@ def small_bounds():
             yield
 
 
-def _via_programs(stream: bytes):
-    for program in iter_programs(stream):
-        try:
-            yield evaluate(program)
-        except absvm.VmError as exc:
-            yield exc
+def _fault(exc: Exception) -> tuple:
+    """A segment's fault: its kind, offset and message, and a ParseError's segment."""
+    if isinstance(exc, ParseError):
+        return (exc.kind, exc.offset, exc.segment, exc.message)
+    return (exc.kind, exc.offset, exc.message)
 
 
-def _outcomes(segments) -> list[tuple]:
-    """Per-segment results and VmErrors, then the ParseError that ended the stream."""
-    summaries: list[tuple] = []
+def _evaluated(result: absvm.AbstractResult) -> tuple:
+    return (result.events, result.memo_size, render_value(result.root, result.memo))
+
+
+def _walk_outcomes(stream: bytes) -> list[tuple]:
+    """Per segment of ``walk``: its fault, or what it evaluated to."""
+    return [
+        _evaluated(result) if result.error is None else _fault(result.error)
+        for result in absvm.walk(stream)
+    ]
+
+
+def _program_outcomes(stream: bytes) -> list[tuple]:
+    """The same from ``evaluate`` over ``iter_programs``, which raise their faults."""
+    outcomes: list[tuple] = []
     try:
-        for outcome in segments:
-            if isinstance(outcome, absvm.VmError):
-                summaries.append((outcome.kind, outcome.offset, outcome.message))
-            else:
-                summaries.append(
-                    (outcome.events, outcome.memo_size, render_value(outcome.root, outcome.memo))
-                )
+        for program in iter_programs(stream):
+            try:
+                outcomes.append(_evaluated(evaluate(program)))
+            except absvm.VmError as exc:
+                outcomes.append(_fault(exc))
     except ParseError as exc:
-        summaries.append((exc.kind, exc.offset, exc.segment, exc.message))
-    return summaries
+        outcomes.append(_fault(exc))
+    return outcomes
 
 
 def assert_walk_matches_programs(stream: bytes) -> None:
-    walked = _outcomes(absvm.walk(stream))
-    assert walked == _outcomes(_via_programs(stream))
+    assert _walk_outcomes(stream) == _program_outcomes(stream)
 
 
 def _walk_corpus() -> list[bytes]:
@@ -213,22 +221,30 @@ def test_walk_matches_evaluate_on_mutated_streams(data):
 # -- the fused decode-and-evaluate loop against the instruction lists -------------
 
 
-def _segments_and_parse_error(segments) -> tuple[int, tuple | None]:
-    """How many segments came out, and the ParseError that ended the stream."""
+def _programs_and_parse_error(stream: bytes) -> tuple[int, tuple | None]:
+    """How many programs ``iter_programs`` yields, and the ParseError it raises."""
     count = 0
     try:
-        for _ in segments:
+        for _ in iter_programs(stream):
             count += 1
     except ParseError as exc:
         return count, (exc.kind, exc.offset, exc.segment)
     return count, None
 
 
+def _walked_and_parse_error(stream: bytes) -> tuple[int, tuple | None]:
+    """The same from ``walk``, whose last result holds the ParseError."""
+    results = list(absvm.walk(stream))
+    last = results[-1].error
+    if isinstance(last, ParseError):
+        return len(results) - 1, (last.kind, last.offset, last.segment)
+    return len(results), None
+
+
 def assert_walk_decodes_like_iter_programs(stream: bytes) -> None:
     """``walk`` decodes in its own loop, and keeps decoding after a VmError:
     it must split and fail exactly where ``iter_programs`` does."""
-    expected = _segments_and_parse_error(iter_programs(stream))
-    assert _segments_and_parse_error(absvm.walk(stream)) == expected
+    assert _walked_and_parse_error(stream) == _programs_and_parse_error(stream)
 
 
 @functools.cache
@@ -267,6 +283,26 @@ def test_walk_decodes_like_iter_programs_on_mutants(stream, small):
         assert_walk_decodes_like_iter_programs(stream)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_mutants(), st.booleans())
+def test_walk_never_raises_and_only_its_last_result_holds_a_parse_error(stream, small):
+    with small_bounds() if small else contextlib.nullcontext():
+        results = list(absvm.walk(stream))
+    assert results and all(isinstance(result, absvm.AbstractResult) for result in results)
+    assert not any(isinstance(result.error, ParseError) for result in results[:-1])
+
+
+def test_a_stream_refused_before_its_first_segment_yields_one_result_with_no_events():
+    (empty,) = absvm.walk(b"")
+    with mock.patch.object(disasm, "MAX_STREAM_BYTES", 1):
+        (too_long,) = absvm.walk(b"N.")
+    assert (empty.error.kind, empty.error.offset) == ("MissingStop", 0)
+    assert too_long.error.message == "limit exceeded: max_stream_bytes"
+    for result in (empty, too_long):
+        assert result.events == [] and result.memo_size == 0
+        assert isinstance(result.root, Opaque) and result.error.segment is None
+
+
 def test_walk_decodes_like_iter_programs_on_the_unmutated_corpus():
     for stream in _differential_corpus():
         assert_walk_decodes_like_iter_programs(stream)
@@ -279,16 +315,13 @@ def test_instruction_limit_counts_the_ops_after_a_vm_error():
     the limit fires at the same op as in the instruction list."""
     stream = b"R" + b"N" * 50 + b"."  # StackUnderflow at op 0
     with mock.patch.object(disasm, "MAX_INSTRUCTIONS", 40):
-        assert _segments_and_parse_error(iter_programs(stream)) == (
-            0, ("LimitExceeded", 40, 0)
-        )
+        assert _programs_and_parse_error(stream) == (0, ("LimitExceeded", 40, 0))
         assert_walk_decodes_like_iter_programs(stream)
-        with pytest.raises(disasm.LimitExceeded) as excinfo:
-            list(absvm.walk(stream))
-    assert excinfo.value.partial.events == []
+        (limited,) = absvm.walk(stream)
+    assert isinstance(limited.error, disasm.LimitExceeded) and limited.events == []
     # Under the limit the same stream is one segment that failed to evaluate.
     (outcome,) = absvm.walk(stream)
-    assert isinstance(outcome, StackUnderflow) and outcome.offset == 0
+    assert isinstance(outcome.error, StackUnderflow) and outcome.error.offset == 0
 
 
 # -- short literals are plain values ---------------------------------------------
@@ -587,8 +620,8 @@ def test_inst_emits_import_then_call():
 def test_inst_without_mark_still_imports():
     # pickle.py's load_inst imports before it looks for the MARK.
     (outcome,) = absvm.walk(b"\x80\x02ios\nsystem\n.")
-    assert isinstance(outcome, BadMark) and outcome.offset == 2
-    assert outcome.partial.events == [GlobalResolved(2, "os", "system")]
+    assert isinstance(outcome.error, BadMark) and outcome.error.offset == 2
+    assert outcome.events == [GlobalResolved(2, "os", "system")]
 
 
 class _RecordingLoader(pickle._Unpickler):
@@ -635,9 +668,9 @@ def test_unterminated_name_line_imports_what_pickle_py_imports(stream):
     loader = _RecordingLoader(stream)
     with pytest.raises((EOFError, IndexError, pickle.UnpicklingError, ValueError)):
         loader.load()
-    with pytest.raises(disasm.TruncatedArgument) as raised:
-        list(absvm.walk(stream))
-    events = raised.value.partial.events
+    (result,) = absvm.walk(stream)
+    assert isinstance(result.error, disasm.TruncatedArgument)
+    events = result.events
     assert [(e.module, e.name) for e in events if isinstance(e, GlobalResolved)] == loader.imports
     assert sum(isinstance(e, CallMade) for e in events) == loader.calls
 
@@ -654,9 +687,9 @@ def test_unterminated_name_line_longer_than_max_arg_bytes_imports_nothing(stream
     """A terminated name line longer than MAX_ARG_BYTES is a LimitExceeded,
     so an unterminated one gives no pair either."""
     with mock.patch.object(disasm, "MAX_ARG_BYTES", 15):
-        with pytest.raises(disasm.TruncatedArgument) as raised:
-            list(absvm.walk(stream))
-    events = raised.value.partial.events
+        (result,) = absvm.walk(stream)
+    assert isinstance(result.error, disasm.TruncatedArgument)
+    events = result.events
     assert [(e.module, e.name) for e in events if isinstance(e, GlobalResolved)] == imports
 
 
@@ -837,19 +870,9 @@ def _scanner_keep_call():
     return keep_call
 
 
-def _calls(segments) -> list[CallMade]:
-    """Every CallMade of a stream, failed segments' recorded ones included."""
-    calls: list[CallMade] = []
-    results = []
-    try:
-        for outcome in segments:
-            results.append(outcome.partial if isinstance(outcome, absvm.VmError) else outcome)
-    except ParseError as exc:
-        results.append(getattr(exc, "partial", None))
-    for result in results:
-        if result is not None:
-            calls += [event for event in result.events if isinstance(event, CallMade)]
-    return calls
+def _calls(results) -> list[CallMade]:
+    """Every CallMade of a walk, failed segments' recorded ones included."""
+    return [event for result in results for event in result.events if isinstance(event, CallMade)]
 
 
 def assert_kept_calls_keep_their_evidence(stream: bytes) -> list[bool]:

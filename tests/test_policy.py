@@ -33,6 +33,7 @@ from modelsentry.policy import (
     load_policy_file,
     verify_integrity,
 )
+from modelsentry.report import render
 from modelsentry.scanner import scan_paths
 
 CTX = FileContext(path="model.pkl")
@@ -269,6 +270,25 @@ def test_every_emitted_rule_is_in_the_catalog(corpus_dir, tmp_path):
                     fixed_rules.add(finding.rule_id)
                     assert finding.severity is RULE_CATALOG[finding.rule_id].default_severity
     assert fixed_rules  # the corpus does reach rules no policy key governs
+
+
+def test_policy_set_rules_report_the_sarif_level_their_rule_publishes(corpus_dir):
+    """The severity keys' defaults are their rules' catalog severities, so
+    under the default policy SARIF publishes the level each result has."""
+    keyed = {"KERAS_LAMBDA_CODE", "KERAS_LAMBDA_REF", "PICKLE_RESIDUAL_STACK", "PICKLE_DYNAMIC_GLOBAL"}
+    report = scan_paths([str(corpus_dir)], default_policy())
+    for file_report in report.files:
+        for finding in file_report.findings:
+            if finding.rule_id in keyed:
+                assert finding.severity is RULE_CATALOG[finding.rule_id].default_severity
+    (run,) = json.loads(render(report, "sarif"))["runs"]
+    published = {
+        rule["id"]: rule["defaultConfiguration"]["level"] for rule in run["tool"]["driver"]["rules"]
+    }
+    levels = {(result["ruleId"], result["level"]) for result in run["results"]}
+    assert {level for level in levels if level[0] in keyed} == {
+        (rule_id, published[rule_id]) for rule_id in keyed
+    }
 
 
 def test_lambda_plain_source_maps_to_code_rule():

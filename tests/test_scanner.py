@@ -512,6 +512,44 @@ def test_text_rendering_line_shape(tmp_path, policy):
     assert lines[-1].startswith("summary:")
 
 
+# Text a hostile name carries to forge report lines.
+_FORGED_LINES = (
+    "\nINFO UNRECOGNIZED_FORMAT fake.bin:- nothing here"
+    "\nsummary: critical=0 high=0 medium=0 low=0 info=1 files=1\n"
+)
+
+
+def test_text_report_gives_one_line_per_finding_error_and_summary(tmp_path, policy):
+    config = emit_keras_lambda_config(True)
+    named = config.replace('"name": "lambda"', '"name": ' + json.dumps("lambda" + _FORGED_LINES))
+    assert named != config
+    payload = emit_reduce_payload_pickle("true", 2)
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("model/data.pkl" + _FORGED_LINES + ".pkl", payload)
+        archive.writestr("cut" + _FORGED_LINES + ".pkl", payload[:-3])
+        archive.writestr("model/config.json", named)
+    target = tmp_path / "forged\nsummary: critical=0.zip"
+    target.write_bytes(buffer.getvalue())
+    report = scan_paths([str(target)], policy)
+    (scanned,) = report.files
+    assert scanned.errors and "KERAS_LAMBDA_CODE" in {f.rule_id for f in scanned.findings}
+    text = render(report, "text").decode()
+    lines = text.splitlines()
+    assert len(lines) == len(scanned.findings) + len(scanned.errors) + 1
+    assert [line for line in lines if "summary:" in line.split(" ", 1)[0]] == [lines[-1]]
+    assert "Lambda layer lambda\\nINFO UNRECOGNIZED_FORMAT" in text
+    assert "forged\\nsummary: critical=0.zip:cut\\nINFO" in text
+
+
+def test_text_report_renders_a_path_with_an_undecodable_byte(tmp_path, policy):
+    # The name reaches the report as a lone surrogate, which UTF-8 cannot encode.
+    with open(os.fsencode(tmp_path) + b"/\xff.pkl", "wb") as handle:
+        handle.write(emit_reduce_payload_pickle(MARKER, 2))
+    text = render(scan_paths([str(tmp_path)], policy), "text").decode()
+    assert "/\\udcff.pkl:offset 2 resolves denied global os.system" in text
+
+
 def test_sarif_level_mapping(tmp_path, policy):
     target = tmp_path / "p.pkl"
     target.write_bytes(emit_reduce_payload_pickle(MARKER, 2))
@@ -526,6 +564,17 @@ def test_sarif_level_mapping(tmp_path, policy):
         "byteOffset" in r["locations"][0]["physicalLocation"].get("region", {})
         for r in results
     )
+
+
+def test_sarif_gives_an_archive_member_finding_no_byte_offset(tmp_path, policy):
+    # The offset is into the member, not the file: only the message holds it.
+    target = tmp_path / "mal_torch.pt"
+    target.write_bytes(emit_torch_like_zip(emit_reduce_payload_pickle(MARKER, 2)))
+    results = json.loads(render(scan_paths([str(target)], policy), "sarif"))["runs"][0]["results"]
+    assert {result["ruleId"] for result in results} == {"PICKLE_DANGEROUS_GLOBAL", "PICKLE_CALL"}
+    for result in results:
+        assert "region" not in result["locations"][0]["physicalLocation"]
+        assert "[model/data.pkl:offset " in result["message"]["text"]
 
 
 def test_sarif_empty_report_is_valid_skeleton(policy):
