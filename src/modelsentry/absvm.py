@@ -14,17 +14,19 @@ whole (None, a bool, an int, a float, or text or bytes of at most
 one is a ``LongPrimitive``.  Every other node is an ``AbstractValue``.
 
 ``_Machine.run`` is the one decode-and-evaluate loop: it reads each opcode
-byte, decodes its argument through ``disasm.DECODERS``, checks the segment
-bounds and FRAME bounds inline and dispatches through ``_HANDLERS``, a
-table indexed by opcode byte, built from ``disasm.OPCODES`` (the stdlib's
-``pickletools.opcodes``) and the handlers keyed by opcode name; every
-opcode there has one.  ``walk`` runs it once per segment with no
-instruction list; that is the scanner's path.  ``evaluate`` runs it over
-the bytes of a disassembled program.
+byte, decodes its argument through ``disasm.DECODERS`` (a run of BINFLOAT
+ops in one ``struct`` call), checks the segment bounds and FRAME bounds
+inline and dispatches through ``_HANDLERS``, a table indexed by opcode
+byte, built from ``disasm.OPCODES`` (the stdlib's ``pickletools.opcodes``)
+and the handlers keyed by opcode name; every opcode there has one.
+``walk`` runs it once per segment with no instruction list; that is the
+scanner's path.  ``evaluate`` runs it over the bytes of a disassembled
+program.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat, takewhile, tee
 from operator import add
@@ -538,12 +540,21 @@ class _Machine:
         flags.  A VmError ends evaluation and is kept in ``self.error``, but
         the loop goes on decoding, with no dispatch and no frame checks, to
         STOP or a ParseError, counting ops as before.
+
+        A run of BINFLOAT ops is decoded with one ``_FLOAT_RUNS`` call per
+        at most _MAX_FLOAT_RUN ops and pushed with one ``extend``.  The run
+        is clipped to the whole ops before the end of the stream, to the
+        room left under MAX_INSTRUCTIONS and MAX_STACK_DEPTH and to the
+        open frame; the ops it cuts off, and every float after a VmError,
+        take the per-op path, so every error and FrameMismatch fires at the
+        same op, with the same kind, offset and message.
         """
         decoders = disasm.DECODERS
         handlers = _HANDLERS
         events = self.events
         length = len(stream)
         max_instructions = disasm.MAX_INSTRUCTIONS
+        binfloat = _BINFLOAT
         frame_end = _NO_FRAME
         last_frame = (0, 0, False)
         live = True
@@ -556,6 +567,22 @@ class _Machine:
                 if count >= max_instructions:
                     raise disasm.LimitExceeded(pos, "max_instructions")
                 code = stream[pos]
+                if code == binfloat and live:
+                    # The BINFLOAT run from here, clipped as said above.
+                    heads = stream[pos:pos + _FLOAT_RUN_BYTES:_FLOAT_WIDTH]
+                    n = min(
+                        len(heads) - len(heads.lstrip(b"G")),
+                        (length - pos) // _FLOAT_WIDTH,
+                        max_instructions - count,
+                        MAX_STACK_DEPTH - len(self.stack),
+                        (frame_end - pos) // _FLOAT_WIDTH,
+                    )
+                    if n >= 2:
+                        self.stack.extend(_FLOAT_RUNS[n](stream, pos))
+                        pos += n * _FLOAT_WIDTH
+                        count += n
+                        self.offset = pos - _FLOAT_WIDTH
+                        continue
                 decode = decoders[code]
                 if decode is None:
                     raise disasm.UnknownOpcode(pos, code)
@@ -1010,6 +1037,18 @@ _HANDLERS: tuple = tuple(op and _BY_MNEMONIC[op.name] for op in OPCODES)
 _FRAME = 0x95
 _STOP = ord(".")
 _NO_FRAME = 1 << 65  # past any frame end a u8 length can encode
+
+# A run of BINFLOAT ops (opcode byte, then an 8-byte big-endian double) is
+# decoded by one precompiled ``struct`` call per at most _MAX_FLOAT_RUN ops;
+# ``_FLOAT_RUNS[n]`` reads n of them.  The table is fixed, so hostile run
+# lengths cannot grow it.
+_BINFLOAT = ord("G")
+_FLOAT_WIDTH = 9
+_MAX_FLOAT_RUN = 64
+_FLOAT_RUN_BYTES = _FLOAT_WIDTH * _MAX_FLOAT_RUN
+_FLOAT_RUNS: tuple = (None, None) + tuple(
+    struct.Struct(">" + "xd" * n).unpack_from for n in range(2, _MAX_FLOAT_RUN + 1)
+)
 
 
 def evaluate(program: PickleProgram) -> AbstractResult:

@@ -381,7 +381,10 @@ def find_pickle_payloads(
             hits.append((entry, read_entry(handle, entry, cap)))
         except FormatError as exc:
             if errors is not None:
-                errors.append((entry, exc))
+                # Kept without its traceback, or the zlib error's it replaced,
+                # the error pins no frame of the read and none of its bytes.
+                exc.__context__ = None
+                errors.append((entry, exc.with_traceback(None)))
     return hits
 
 

@@ -337,7 +337,9 @@ def decode_ops(stream: bytes, start: int, decoders: tuple = DECODERS):
 
     The instruction list and the format sniff read a segment through this
     loop; the abstract machine decodes in its own (``absvm._Machine.run``),
-    with the same checks in the same order.
+    with the same checks in the same order, except that it reads a run of
+    BINFLOAT ops in one call, clipped so that each check still fires at
+    the op where it fires here.
     """
     length = len(stream)
     max_instructions = MAX_INSTRUCTIONS

@@ -11,6 +11,8 @@ import contextlib
 import functools
 import io
 import pickle
+import resource
+import signal
 import struct
 import tempfile
 import tracemalloc
@@ -27,7 +29,9 @@ from conftest import (
     deep_nesting,
     memo_sharing,
     reference_render,
+    shared_dict_calls,
     shared_list_calls,
+    shared_long_bytes_calls,
     structural_match,
     stub_load,
 )
@@ -260,10 +264,10 @@ def _differential_corpus() -> tuple[bytes, ...]:
 _OPCODE_BYTES = [code for code, op in enumerate(disasm.OPCODES) if op is not None]
 
 
-@st.composite
-def _mutants(draw) -> bytes:
-    stream = bytearray(draw(st.sampled_from(_differential_corpus())))
-    for _ in range(draw(st.integers(1, 4))):
+def _mutate(draw, stream: bytes, least: int = 1) -> bytes:
+    """``stream`` after ``least`` to 4 byte flips, truncations and opcode insertions."""
+    stream = bytearray(stream)
+    for _ in range(draw(st.integers(least, 4))):
         kind = draw(st.sampled_from(["flip", "truncate", "insert"]))
         at = draw(st.integers(0, len(stream)))
         if kind == "flip" and at < len(stream):
@@ -273,6 +277,26 @@ def _mutants(draw) -> bytes:
         else:
             stream[at:at] = bytes([draw(st.sampled_from(_OPCODE_BYTES))])
     return bytes(stream)
+
+
+@st.composite
+def _mutants(draw) -> bytes:
+    return _mutate(draw, draw(st.sampled_from(_differential_corpus())))
+
+
+@st.composite
+def _float_streams(draw) -> bytes:
+    """Bulk-shaped streams: a pickled list of up to 200 floats, or a dict of
+    8-float lists like a state dict's, at protocols 2-5, and their mutants.
+    A protocol-4 or 5 stream's one FRAME may be cut short to end anywhere."""
+    count = draw(st.integers(0, 200))
+    values = draw(st.lists(st.floats(), min_size=count, max_size=count))
+    if draw(st.booleans()):
+        values = {f"layer.{index}.weight": values[index:index + 8] for index in range(0, len(values), 8)}
+    stream = bytearray(pickle.dumps(values, draw(st.integers(2, 5))))
+    if stream[2:3] == b"\x95" and draw(st.booleans()):
+        stream[3:11] = draw(st.integers(0, len(stream) - 11)).to_bytes(8, "little")
+    return _mutate(draw, bytes(stream), least=0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1074,3 +1098,285 @@ def test_calls_over_one_memo_entry_share_one_render():
     one = reprs(1)
     assert one > ARG_SUMMARY_CAP // 10  # an element shows as 8 characters
     assert reprs(300) <= one + 2 * 300
+
+
+# -- runs of BINFLOAT ops, decoded in one call -----------------------------------
+
+
+def _walked(stream: bytes, runs: bool = True) -> list[tuple]:
+    """Per segment of ``walk``: its events, fault, memo size and rendered root.
+    Events are compared by repr, where a NaN equals itself."""
+    with contextlib.nullcontext() if runs else mock.patch.object(absvm, "_BINFLOAT", -1):
+        return [
+            (
+                repr(result.events),
+                result.error and _fault(result.error),
+                result.memo_size,
+                render_value(result.root, result.memo),
+            )
+            for result in absvm.walk(stream)
+        ]
+
+
+def assert_float_runs_change_nothing(stream: bytes) -> list[tuple]:
+    walked = _walked(stream)
+    assert walked == _walked(stream, runs=False)
+    return walked
+
+
+@contextlib.contextmanager
+def _bounded(bounds):
+    """No patched bounds, ``small_bounds()``, or a drawn instruction limit
+    and stack depth, which small_bounds' depth of 6 would hide."""
+    if bounds is None:
+        yield
+    elif bounds == "small":
+        with small_bounds():
+            yield
+    else:
+        instructions, depth = bounds
+        with mock.patch.object(disasm, "MAX_INSTRUCTIONS", instructions):
+            with mock.patch.object(absvm, "MAX_STACK_DEPTH", depth):
+                yield
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_float_streams(), _mutants()),
+    st.one_of(st.sampled_from([None, "small"]), st.tuples(st.integers(1, 250), st.integers(1, 250))),
+)
+def test_float_runs_walk_like_single_ops(stream, bounds):
+    with _bounded(bounds):
+        assert_float_runs_change_nothing(stream)
+
+
+def _floats(count: int) -> bytes:
+    return b"".join(b"G" + struct.pack(">d", index / 4) for index in range(count))
+
+
+# PROTO 4, then a FRAME at 2 covering the MARK at 11 and what follows it;
+# the floats start at 12.
+def _framed_floats(frame_length: int, count: int) -> bytes:
+    return b"\x80\x04" + _frame(frame_length) + b"(" + _floats(count) + b"l."
+
+
+@pytest.mark.parametrize(
+    "stream, patches, fault, events",
+    [
+        # The frame ends between the 4th and 5th float: nothing to flag.
+        (_framed_floats(1 + 9 * 4, 10), {}, None, []),
+        # It ends inside the 5th float's argument, which straddles it.
+        (_framed_floats(1 + 9 * 4 + 3, 10), {}, None, [FrameMismatch(48)]),
+        # The last float has 2 of its 8 bytes.
+        (
+            b"\x80\x02(" + _floats(10) + b"G\x00\x00",
+            {},
+            ("TruncatedArgument", 93, 0, "f8 needs 8 bytes"),
+            [],
+        ),
+        (pickle.dumps([0.5] * 64, 2), {}, None, []),
+        (pickle.dumps([0.5] * 65, 2), {}, None, []),
+        (pickle.dumps([0.5] * 129, 4), {}, None, []),
+        # The 11th float after the MARK overflows a stack of 10.
+        (
+            b"\x80\x02(" + _floats(20) + b"l.",
+            {(absvm, "MAX_STACK_DEPTH"): 10},
+            ("LimitExceeded", 93, "limit exceeded: max_stack_depth"),
+            [],
+        ),
+        # PROTO and MARK are ops 0 and 1: the 11th float is op 12.
+        (
+            b"\x80\x02(" + _floats(20) + b"l.",
+            {(disasm, "MAX_INSTRUCTIONS"): 12},
+            ("LimitExceeded", 93, 0, "limit exceeded: max_instructions"),
+            [],
+        ),
+        # Floats after a StackUnderflow are decoded, not evaluated ...
+        (b"R" + _floats(20) + b".", {}, ("StackUnderflow", 0, "stack underflow"), []),
+        # ... and still count toward the instruction limit.
+        (
+            b"R" + _floats(20) + b".",
+            {(disasm, "MAX_INSTRUCTIONS"): 12},
+            ("LimitExceeded", 100, 0, "limit exceeded: max_instructions"),
+            [],
+        ),
+        # A run in the second segment, after a first one with floats.
+        (pickle.dumps([1.0] * 3, 2) + pickle.dumps([2.0] * 70, 4), {}, None, []),
+    ],
+    ids=[
+        "frame-ends-between-floats",
+        "frame-ends-inside-a-float",
+        "truncated-last-float",
+        "run-of-64",
+        "run-of-65",
+        "run-of-129",
+        "stack-depth-mid-run",
+        "instruction-limit-mid-run",
+        "floats-after-stack-underflow",
+        "instruction-limit-after-stack-underflow",
+        "run-in-second-segment",
+    ],
+)
+def test_float_runs_fault_and_flag_at_the_same_op(stream, patches, fault, events):
+    with contextlib.ExitStack() as stack:
+        for (module, name), value in patches.items():
+            stack.enter_context(mock.patch.object(module, name, value))
+        walked = assert_float_runs_change_nothing(stream)
+    events_text, last_fault, _, _ = walked[-1]
+    assert (last_fault, events_text) == (fault, repr(events))
+
+
+def test_a_float_run_is_decoded_in_passes_of_at_most_64():
+    """The run path is taken: a run of n floats is read in passes of 64,
+    and a last op left alone takes the per-op path."""
+    passes: list[int] = []
+
+    def recording(n: int):
+        unpack = absvm._FLOAT_RUNS[n]
+
+        def read(stream, pos):
+            passes.append(n)
+            return unpack(stream, pos)
+
+        return read
+
+    table = (None, None) + tuple(recording(n) for n in range(2, 65))
+    seen = {}
+    with mock.patch.object(absvm, "_FLOAT_RUNS", table):
+        for count in (1, 2, 64, 65, 130):
+            passes.clear()
+            (result,) = absvm.walk(pickle.dumps([0.25] * count, 2))
+            assert render_value(result.root, result.memo) == repr([0.25] * count)
+            seen[count] = list(passes)
+    assert seen == {1: [], 2: [2], 64: [64], 65: [64], 130: [64, 64, 2]}
+
+
+# -- the loader-differential oracle: what a loader runs, walk reports ------------
+
+
+class _LoaderGaveUp(Exception):
+    """A loader stopped by the oracle's alarm: the example is not counted."""
+
+
+def _gave_up(_signum, _frame):
+    raise _LoaderGaveUp()
+
+
+# A loader gets this long, and this much more address space than the
+# process maps when it starts: the C loader allocates a memo table of twice
+# the largest LONG_BINPUT index it meets, and pickle.py's a BYTEARRAY8 of
+# the declared size, before either finds the stream too short.  A loader
+# that runs out of either skips the example.
+_LOADER_SECONDS = 1.0
+_LOADER_ADDRESS_SPACE = 256 << 20
+
+
+@contextlib.contextmanager
+def _bounded_loader():
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    mapped = int(Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize()
+    cap = mapped + _LOADER_ADDRESS_SPACE
+    for limit in (soft, hard):
+        if limit != resource.RLIM_INFINITY:
+            cap = min(cap, limit)
+    previous = signal.signal(signal.SIGALRM, _gave_up)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    signal.setitimer(signal.ITIMER_REAL, _LOADER_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _dotted(text: str) -> bool:
+    return all(part.isidentifier() for part in text.split("."))
+
+
+def _recording(base: type) -> type:
+    """``base`` with a ``find_class`` that records each pair and returns a
+    fresh stub class, and a ``persistent_load`` that returns a stub.  Stubs
+    count their instantiation, and calls of their instances: every way a
+    loader can call what it imported."""
+
+    class Recording(base):
+        def __init__(self, stream: bytes):
+            super().__init__(io.BytesIO(stream))
+            self.imports: list[tuple[str, str]] = []
+            self.calls = 0
+
+        def stub(self) -> type:
+            loader = self
+
+            class Stub:
+                def __new__(cls, *args, **kwargs):
+                    loader.calls += 1
+                    return object.__new__(cls)
+
+                def __init__(self, *args, **kwargs):
+                    pass
+
+                def __call__(self, *args, **kwargs):
+                    loader.calls += 1
+                    return object.__new__(type(self))
+
+            return Stub
+
+        def find_class(self, module, name):
+            self.imports.append((module, name))
+            if not (_dotted(module) and _dotted(name)):
+                raise ImportError(f"no module or attribute {module}.{name}")
+            return self.stub()
+
+        def persistent_load(self, pid):
+            return object.__new__(self.stub())
+
+    return Recording
+
+
+_LOADERS = (_recording(pickle.Unpickler), _recording(pickle._Unpickler))
+
+
+def assert_loaders_run_nothing_walk_hides(stream: bytes) -> int:
+    """Every import either loader makes is a GlobalResolved of the first
+    ``walk`` result, and it calls what it imported no more often than that
+    result has CallMade events.  Returns how many loaders were counted."""
+    first = next(absvm.walk(stream))
+    reported = {(event.module, event.name) for event in first.events if isinstance(event, GlobalResolved)}
+    calls = sum(isinstance(event, CallMade) for event in first.events)
+    counted = 0
+    for loader_class in _LOADERS:
+        loader = loader_class(stream)
+        try:
+            with _bounded_loader():
+                loader.load()
+        except (_LoaderGaveUp, MemoryError):
+            continue
+        except Exception:
+            pass  # a failing load runs what it reached first
+        assert set(loader.imports) <= reported, loader_class.__bases__[0]
+        assert loader.calls <= calls, loader_class.__bases__[0]
+        counted += 1
+    return counted
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mutants(), _float_streams()))
+def test_loaders_run_nothing_walk_hides_on_mutants(stream):
+    assert_loaders_run_nothing_walk_hides(stream)
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        memo_sharing(22),
+        deep_nesting(1_000),
+        shared_list_calls(10_000, 100),
+        shared_long_bytes_calls(504, 8, 100),
+        shared_dict_calls(1_000, 100),
+    ],
+    ids=["memo_sharing", "deep_nesting", "shared_list", "shared_long_bytes", "shared_dict"],
+)
+def test_loaders_run_nothing_walk_hides_on_hostile_recipes(stream):
+    assert assert_loaders_run_nothing_walk_hides(stream) == 2

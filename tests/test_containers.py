@@ -245,6 +245,40 @@ def test_payload_errors_collected_per_entry_without_aborting():
     assert len(errors) == 1
 
 
+def _frames(exc: BaseException):
+    """Every frame a kept error reaches: its traceback's and those of the
+    errors it was raised from or during."""
+    while exc is not None:
+        tb = exc.__traceback__
+        while tb is not None:
+            yield tb.tb_frame
+            tb = tb.tb_next
+        exc = exc.__cause__ or exc.__context__
+
+
+def test_kept_payload_errors_pin_no_frame_of_the_read():
+    """A member that inflates past the cap, and one that does not inflate:
+    the kept errors must not hold ``read_entry``'s frame, and with it the
+    ``cap + 1`` bytes inflated there, while the other members are scanned."""
+    honest = make_zip({"bomb.pkl": b"\x00" * (4 << 20), "broken.pkl": b"N." * 4096}, compress=True)
+    bomb, broken = list_entries(honest)
+    # Central directory and local header both declare 100 bytes.
+    liar = ArchiveEntry(bomb.path, bomb.compressed_size, 100, bomb.method, bomb.offset)
+    data = bytearray(honest.getvalue())
+    struct.pack_into("<I", data, bomb.offset + 22, 100)
+    start = broken.offset + 30 + len(broken.path)
+    data[start:start + 8] = b"\xff" * 8  # not a deflate stream
+    errors: list = []
+    hits = find_pickle_payloads([liar, broken], io.BytesIO(data), cap=1 << 20, errors=errors)
+    assert hits == []
+    assert [(entry.path, type(exc)) for entry, exc in errors] == [
+        ("bomb.pkl", CapExceeded),
+        ("broken.pkl", InflateError),
+    ]
+    reached = {frame.f_code.co_name for _, exc in errors for frame in _frames(exc)}
+    assert not reached & {"read_entry", "_member_head"}
+
+
 # -- HDF5 heuristic --------------------------------------------------------------
 
 
