@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice, repeat, takewhile, tee
-from operator import add
 from typing import Callable
 
 from . import disasm
@@ -277,7 +275,6 @@ _BRACKETS = {
 }
 
 
-_FIRST_CHUNK = 8
 _MAX_DEPTH = 24
 
 
@@ -291,11 +288,9 @@ def render_value(
 
     The text is the first ``limit`` characters of the full render, then
     "…" unless the cut falls at the end of a piece (a bracket, a separator
-    or one value's text).  Elements are taken in chunks that start at
-    ``_FIRST_CHUNK`` and double, none longer than the budget could show, so
-    work follows the text shown, not the size of a container; the part of
-    a chunk of plain literals that the budget shows whole is rendered with
-    one join.
+    or one value's text).  Elements are taken lazily, one at a time, until
+    the budget runs out, so work follows the text shown, not the size of a
+    container.
 
     ``rendered`` shares work between renders over one memo: it maps an
     outermost memo expansion's ``(index, depth, budget)`` to its text and
@@ -316,28 +311,6 @@ def render_value(
             return
         out.append(text)
         budget -= len(text)
-
-    def put_run(chunk: list, pairs: bool, first: bool) -> int:
-        """Put the longest head of a run of plain elements that the budget
-        shows whole, with one join, and return how many elements it holds.
-        Reprs are made lazily and measured up to the first that overruns,
-        so a run costs the text shown plus one element's repr."""
-        nonlocal budget
-        if pairs:
-            flat = map(repr, chain.from_iterable(chunk))
-            texts = map(": ".join, zip(flat, flat))
-        else:
-            texts = map(repr, chunk)
-        measured, shown = tee(texts)
-        # Where each element's text ends, with the ", " before it.
-        ends = accumulate(map(add, map(len, measured), repeat(2)), initial=-2 if first else 0)
-        fits = list(takewhile(budget.__ge__, ends))
-        count = len(fits) - 1
-        if count:
-            text = ", ".join(islice(shown, count))
-            out.append(text if first else ", " + text)
-            budget -= fits[-1]
-        return count
 
     def walk(v: object, depth: int, seen: frozenset[int]) -> None:
         if budget <= 0:
@@ -402,36 +375,21 @@ def render_value(
 
     def items(elements, opener: str, closer: str, pairs: bool, depth: int, seen: frozenset[int]) -> None:
         """The elements of a container or argument tuple, between brackets.
-        An element costs at least 3 characters with its separator, and a
-        dict pair 6, so no chunk holds more than the budget left can show,
-        plus one."""
+        Every element shows at least one character and every separator two,
+        so the loop visits at most two elements past those shown."""
         put(opener)
-        remaining = iter(elements)
-        least = 6 if pairs else 3
-        size = _FIRST_CHUNK
-        first = True
-        while budget > 0:
-            chunk = list(islice(remaining, min(size, budget // least + 1)))
-            if not chunk:
+        for index, element in enumerate(elements):
+            if budget <= 0:
                 break
-            size *= 2
-            values = chain.from_iterable(chunk) if pairs else chunk
-            shown = 0
-            if depth < _MAX_DEPTH and not any(map(isinstance, values, repeat(AbstractValue))):
-                shown = put_run(chunk, pairs, first)
-            for index in range(shown, len(chunk)):
-                if budget <= 0:
-                    break
-                if index or not first:
-                    put(", ")
-                if pairs:
-                    key, val = chunk[index]
-                    walk(key, depth + 1, seen)
-                    put(": ")
-                    walk(val, depth + 1, seen)
-                else:
-                    walk(chunk[index], depth + 1, seen)
-            first = False
+            if index:
+                put(", ")
+            if pairs:
+                key, val = element
+                walk(key, depth + 1, seen)
+                put(": ")
+                walk(val, depth + 1, seen)
+            else:
+                walk(element, depth + 1, seen)
         put(closer)
 
     walk(value, 0, frozenset())

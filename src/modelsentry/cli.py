@@ -9,12 +9,8 @@ import sys
 from . import containers, disasm
 from .forge import DEFAULT_MARKER, ForgeError, emit_corpus
 from .policy import IntegrityManifest, Policy, Severity, default_policy, load_policy_file
-from .report import exit_code, render
+from .report import EXIT_OK, EXIT_OPERATIONAL, exit_code, render
 from .scanner import ScanReport, scan_paths, verify_paths
-
-EXIT_OK = 0
-EXIT_OPERATIONAL = 2
-EXIT_FINDINGS = 3
 
 POLICY_ENV_VAR = "MODELSENTRY_POLICY"
 

@@ -319,10 +319,12 @@ def _write_zip(entries: list[tuple[str, bytes]], compress: bool = False) -> byte
 
 
 def emit_torch_like_zip(inner_pickle: bytes, weight_bytes: bytes = b"\x00" * 64) -> bytes:
-    """Checkpoint-shaped archive: data.pkl plus version and a weight blob."""
+    """Checkpoint-shaped archive: data.pkl plus byteorder, version and a
+    weight blob, as torch.save writes them."""
     return _write_zip(
         [
             ("model/data.pkl", inner_pickle),
+            ("model/byteorder", b"little"),
             ("model/data/0", weight_bytes),
             ("model/version", b"3\n"),
         ]

@@ -12,6 +12,11 @@ import json
 from .policy import RULE_CATALOG, Severity
 from .scanner import ScanReport
 
+# The exit codes of the CLI contract, and the only ones it returns.
+EXIT_OK = 0
+EXIT_OPERATIONAL = 2
+EXIT_FINDINGS = 3
+
 _SARIF_LEVELS = {
     Severity.INFO: "note",
     Severity.LOW: "note",
@@ -161,10 +166,10 @@ def render(report: ScanReport, format: str = "text") -> bytes:
 
 
 def exit_code(report: ScanReport) -> int:
-    """CI contract: 3 findings at/over threshold, 2 operational errors, 0 clean."""
+    """CI contract: findings at/over threshold, else operational errors, else clean."""
     worst = report.max_severity()
     if worst is not None and worst >= report.exit_severity_threshold:
-        return 3
+        return EXIT_FINDINGS
     if report.has_errors():
-        return 2
-    return 0
+        return EXIT_OPERATIONAL
+    return EXIT_OK

@@ -8,10 +8,13 @@ the only output is the returned report structure.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
+import stat
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import BinaryIO, Iterator
 
 from . import absvm, containers, disasm
 from .kerascfg import ConfigAnomaly, walk_layers
@@ -257,6 +260,18 @@ def _scan_hdf5(
         _parse_error(findings, errors, ctx, first_error, what, message=message)
 
 
+@contextlib.contextmanager
+def _open_regular(path: str) -> Iterator[tuple[BinaryIO, int]]:
+    """A regular file opened for reading, with its size.  The open does not
+    wait for a writer on a named pipe; anything that is not a regular file
+    raises OSError."""
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as handle:
+        info = os.fstat(handle.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise OSError("not a regular file")
+        yield handle, info.st_size
+
+
 def scan_file(
     path: str,
     policy: Policy,
@@ -270,8 +285,7 @@ def scan_file(
     errors: list[ScanError] = []
     kind = "unknown"
     try:
-        size = os.path.getsize(path)
-        with open(path, "rb") as handle:
+        with _open_regular(path) as (handle, size):
             head = handle.read(disasm.SNIFF_BYTES)
             kind = sniff(head, size)
             if kind == "pickle_stream" and size > disasm.MAX_STREAM_BYTES:
@@ -301,14 +315,37 @@ def scan_file(
 def _collect_files(
     root: str, follow_symlinks: bool, errors: list[tuple[str, str]]
 ) -> list[str]:
+    """The files under ``root``.  Following symlinks, a directory that is
+    one of its own ancestors is pruned, so a link cycle is walked once."""
     collected: list[str] = []
+    # Each directory still to walk -> the (st_dev, st_ino) of it and its ancestors.
+    ancestors: dict[str, frozenset[tuple[int, int] | None]] = {}
+
+    def identity(path: str) -> tuple[int, int] | None:
+        try:
+            info = os.stat(path)
+        except OSError:
+            return None  # os.walk reports it, if it tries to list it
+        return (info.st_dev, info.st_ino)
 
     def on_error(exc: OSError) -> None:
         errors.append((getattr(exc, "filename", root) or root, str(exc)))
 
-    for dirpath, _dirnames, filenames in os.walk(
+    if follow_symlinks:
+        ancestors[root] = frozenset({identity(root)})
+    for dirpath, dirnames, filenames in os.walk(
         root, followlinks=follow_symlinks, onerror=on_error
     ):
+        if follow_symlinks:
+            above = ancestors.pop(dirpath)
+            kept = []
+            for name in dirnames:
+                child = os.path.join(dirpath, name)
+                key = identity(child)
+                if key not in above:
+                    kept.append(name)
+                    ancestors[child] = above | {key}
+            dirnames[:] = kept
         for name in filenames:
             full = os.path.join(dirpath, name)
             if not follow_symlinks and os.path.islink(full):
@@ -371,7 +408,7 @@ def verify_paths(
         findings: list[Finding] = []
         errors: list[ScanError] = []
         try:
-            with open(path, "rb") as handle:
+            with _open_regular(path) as (handle, _size):
                 outcome = verify_integrity(handle, path, manifest)
             if outcome.status == "mismatch":
                 message = (

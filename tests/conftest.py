@@ -8,10 +8,12 @@ semantics.  Everything derived is computed here, never invented.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import pickle
 import pickletools
 import random
+import signal
 import struct
 from pathlib import Path
 
@@ -31,6 +33,27 @@ INERT_ATTACK_COMMAND = (
     "tar -xzf malicious-crypto-gpu-miner.tar.gz && "
     "cd malicious-crypto-gpu-miner && nohup ./mine &"
 )
+
+
+class Stalled(BaseException):
+    """Raised by ``alarm`` when the work under it outlasts its time: not an
+    Exception, so ``scan_file``'s catch-all cannot turn it into an entry."""
+
+
+def _stalled(_signum, _frame):
+    raise Stalled()
+
+
+@contextlib.contextmanager
+def alarm(seconds: float):
+    """Fail the work under it with ``Stalled`` once ``seconds`` pass."""
+    previous = signal.signal(signal.SIGALRM, _stalled)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class StubUnpickler(pickle.Unpickler):

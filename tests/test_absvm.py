@@ -1042,6 +1042,18 @@ def test_evidence_shows_a_write_between_two_calls():
         assert [e.arg_summary for e in result.events if isinstance(e, CallMade)] == ["([1])", second]
 
 
+def test_evidence_of_one_object_under_two_memo_indices():
+    """A self-containing list under indices 0 and 1: reached through 1, it
+    expands once more before it meets index 0 again, so the same object
+    renders two texts, and sharing by object would give the second call
+    the first call's text."""
+    head = b"\x80\x02]q\x00h\x00aq\x010"
+    calls = (b"cos\nsystem\nh\x00\x85R0", b"cos\nsystem\nh\x01\x85R0", b"cos\nsystem\nh\x00\x85R.")
+    (result,) = absvm.walk(head + b"".join(calls))
+    summaries = [e.arg_summary for e in result.events if isinstance(e, CallMade)]
+    assert summaries == ["([<memo 0>])", "([[<memo 0>]])", "([<memo 0>])"]
+
+
 def _unshared_trees(calls: int, depth: int) -> bytes:
     """Calls on (text, tree): the tree nests one of 200 small memo entries
     in tuples ``depth`` deep, by DUP and TUPLE2, so it reaches the entry

@@ -17,11 +17,9 @@ scanner.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 import pickle
-import signal
 import struct
 import tracemalloc
 import zipfile
@@ -31,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    alarm,
     deep_nesting,
     memo_sharing,
     reference_render,
@@ -64,28 +63,9 @@ ALARM_SECONDS = 2.0
 GLOBAL = b"cos\nsystem\n"
 
 
-class _Stalled(Exception):
-    pass
-
-
-def _stalled(_signum, _frame):
-    raise _Stalled()
-
-
-@contextlib.contextmanager
-def _alarm(seconds: float):
-    previous = signal.signal(signal.SIGALRM, _stalled)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _assert_reports_call(path, data: bytes, policy) -> None:
     path.write_bytes(data)
-    with _alarm(ALARM_SECONDS):
+    with alarm(ALARM_SECONDS):
         report = scan_file(str(path), policy)
     assert report.errors == []
     rules = {finding.rule_id for finding in report.findings}
@@ -107,7 +87,7 @@ def test_shared_list_calls_10000_by_1000(tmp_path, policy):
 def test_shared_dict_calls_10000_by_1000(tmp_path, policy):
     path = tmp_path / "shared_dict.pkl"
     path.write_bytes(shared_dict_calls(10_000, 1000))
-    with _alarm(ALARM_SECONDS):
+    with alarm(ALARM_SECONDS):
         report = scan_file(str(path), policy)
     assert report.errors == []
     assert max(f.severity for f in report.findings) is Severity.CRITICAL
@@ -122,7 +102,7 @@ def test_shared_long_bytes_calls_504_and_512_by_1000(tmp_path, policy):
     512 copies of bytes whose repr alone overruns the budget."""
     path = tmp_path / "long_bytes.pkl"
     path.write_bytes(shared_long_bytes_calls(504, 512, 1000))
-    with _alarm(ALARM_SECONDS):
+    with alarm(ALARM_SECONDS):
         report = scan_file(str(path), policy)
     assert report.errors == []
     assert max(f.severity for f in report.findings) is Severity.CRITICAL
@@ -138,7 +118,7 @@ def test_many_hdf5_config_candidates(tmp_path, policy):
     report holds one error for all of them, not one per candidate."""
     path = tmp_path / "candidates.h5"
     path.write_bytes(HDF5_SIGNATURE + b'model_config{"a":' * 20_000)
-    with _alarm(ALARM_SECONDS):
+    with alarm(ALARM_SECONDS):
         report = scan_file(str(path), policy)
     assert [error.kind for error in report.errors] == ["UnbalancedJson"]
     assert report.errors[0].message.endswith("(19999 more candidate(s) failed)")
@@ -148,7 +128,7 @@ def test_many_hdf5_config_candidates(tmp_path, policy):
 def test_many_hdf5_configs_keep_the_report_small(tmp_path, policy):
     path = tmp_path / "configs.h5"
     path.write_bytes(HDF5_SIGNATURE + b"model_config{}" * 20_000)
-    with _alarm(ALARM_SECONDS):
+    with alarm(ALARM_SECONDS):
         report = scan_file(str(path), policy)
     assert report.errors == []
     assert [f.rule_id for f in report.findings] == ["H5_HEURISTIC_USED"]
@@ -158,7 +138,7 @@ def test_many_hdf5_configs_keep_the_report_small(tmp_path, policy):
 def test_many_hdf5_configs_before_one_nul(tmp_path, policy):
     path = tmp_path / "configs_nul.h5"
     path.write_bytes(HDF5_SIGNATURE + b"model_config{}" * 20_000 + b"\x00")
-    with _alarm(ALARM_SECONDS):
+    with alarm(ALARM_SECONDS):
         report = scan_file(str(path), policy)
     assert report.errors == []
     assert report.findings[0].message.endswith("; 19999 more after it)")
@@ -170,7 +150,7 @@ def test_hdf5_config_before_a_long_tail_without_nul(tmp_path, policy):
     config = json.dumps({"class_name": "Sequential", "pad": "x" * 1_000_000}).encode()
     path = tmp_path / "tail.h5"
     path.write_bytes(HDF5_SIGNATURE + b"model_config" + config + b"\xff" * (20 << 20))
-    with _alarm(ALARM_SECONDS):
+    with alarm(ALARM_SECONDS):
         report = scan_file(str(path), policy)
     assert report.errors == []
     assert [f.rule_id for f in report.findings] == ["H5_HEURISTIC_USED"]
@@ -184,7 +164,7 @@ def test_hdf5_candidates_cut_short_at_the_first_window(tmp_path, policy):
     candidate = b"model_config" + head + b"tru" + b" " * 100
     path = tmp_path / "cut_short.h5"
     path.write_bytes(HDF5_SIGNATURE + candidate * 5_000)
-    with _alarm(ALARM_SECONDS):
+    with alarm(ALARM_SECONDS):
         report = scan_file(str(path), policy)
     assert [error.kind for error in report.errors] == ["UnbalancedJson"]
     assert report.errors[0].message.endswith("(4999 more candidate(s) failed)")
@@ -207,9 +187,9 @@ class _CountingTuple(tuple):
 
 
 def test_render_value_stops_at_its_budget():
-    """Elements are taken in doubling chunks, so the elements visited are
-    at most twice the elements shown, plus the first chunk: in a list, in
-    a dict and in a call's arguments."""
+    """Elements are taken one at a time until the budget runs out, so the
+    elements visited are at most those shown plus two: in a list, in a
+    dict and in a call's arguments."""
     cases = [("list", "x", "'x'"), ("dict", ("k", "v"), "'k': 'v'"), ("args", "x", "'x'")]
     for kind, item, item_text in cases:
         elements = _CountingTuple([item] * 1_000_000)
@@ -218,7 +198,7 @@ def test_render_value_stops_at_its_budget():
         else:
             text = render_value(Container(kind, elements))
         assert ARG_SUMMARY_CAP <= len(text) <= ARG_SUMMARY_CAP + 1
-        assert elements.visited <= 2 * text.count(item_text) + absvm._FIRST_CHUNK, kind
+        assert elements.visited <= text.count(item_text) + 2, kind
 
 
 class _CountingBytes(bytes):
@@ -333,7 +313,7 @@ def test_deep_keras_config_member_does_not_hide_the_next_one(tmp_path, policy):
         archive.writestr("b/config.json", emit_keras_lambda_config(True))
     path = tmp_path / "deep.keras"
     path.write_bytes(buffer.getvalue())
-    with _alarm(ALARM_SECONDS):
+    with alarm(ALARM_SECONDS):
         report = scan_file(str(path), policy)
     assert [(e.kind, e.locus) for e in report.errors] == [("UnbalancedJson", "a/config.json")]
     assert [(f.rule_id, f.entry) for f in report.findings] == [
@@ -501,7 +481,7 @@ def test_csv_that_opens_with_a_global_opcode_is_not_a_pickle(tmp_path, policy):
 
 # -- every scan bound, driven through the scanner ---------------------------------
 
-_ARCHIVE = emit_torch_like_zip(benign_state_dict_pickle())  # three members
+_ARCHIVE = emit_torch_like_zip(benign_state_dict_pickle())  # four members
 _ARCHIVE_DIRECTORY = _ARCHIVE.index(b"PK\x01\x02")
 
 
@@ -539,10 +519,10 @@ _ARCHIVE_DIRECTORY = _ARCHIVE.index(b"PK\x01\x02")
             id="memo-entries",
         ),
         pytest.param(
-            containers, "MAX_ENTRIES", 2, _ARCHIVE,
+            containers, "MAX_ENTRIES", 3, _ARCHIVE,
             (
                 "CorruptHeader", "",
-                f"corrupt header at offset {_ARCHIVE_DIRECTORY}: entry count 3 too large",
+                f"corrupt header at offset {_ARCHIVE_DIRECTORY}: entry count 4 too large",
             ),
             ["FORMAT_PARSE_ERROR"],
             id="archive-entries",

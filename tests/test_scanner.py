@@ -10,6 +10,7 @@ import zipfile
 
 import pytest
 
+from conftest import alarm
 from modelsentry import containers
 from modelsentry.cli import main as cli_main
 from modelsentry.containers import HDF5_SIGNATURE
@@ -23,9 +24,9 @@ from modelsentry.forge import (
     emit_reduce_payload_pickle,
     emit_torch_like_zip,
 )
-from modelsentry.policy import Severity
+from modelsentry.policy import IntegrityManifest, Severity
 from modelsentry.report import exit_code, render, report_to_dict
-from modelsentry.scanner import scan_file, scan_paths, sniff
+from modelsentry.scanner import scan_file, scan_paths, sniff, verify_paths
 
 MARKER = "true # FIXTURE-MARKER"
 
@@ -653,6 +654,64 @@ def test_symlinks_skipped_by_default(tmp_path, policy):
     assert skipped.files == []
     followed = scan_paths([str(tree)], policy, follow_symlinks=True)
     assert len(followed.files) == 1
+
+
+def test_symlink_cycle_is_walked_once(tmp_path, policy):
+    """Two links to the parent directory make 2^depth paths, up to the
+    kernel's ELOOP: a directory that is one of its own ancestors is pruned,
+    so the tree yields its one file once."""
+    root = tmp_path / "root"
+    tree = root / "d"
+    tree.mkdir(parents=True)
+    (tree / "a.pkl").write_bytes(pickle.dumps([1, 2, 3], 2))
+    (tree / "up1").symlink_to("..")
+    (tree / "up2").symlink_to("..")
+    with alarm(10.0):
+        report = scan_paths([str(root)], policy, follow_symlinks=True)
+    assert [file_report.path for file_report in report.files] == [str(tree / "a.pkl")]
+    assert exit_code(report) == 0
+
+
+# -- files that are not regular files -----------------------------------------------
+
+
+def _pipes_beside_a_pickle(tmp_path):
+    """A directory holding a named pipe and a pickle, and a pipe outside it."""
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    os.mkfifo(tree / "inner.pipe")
+    os.mkfifo(tmp_path / "named.pipe")
+    (tree / "a.pkl").write_bytes(pickle.dumps([1, 2, 3], 2))
+    return tree, [tree / "inner.pipe", tmp_path / "named.pipe"], tree / "a.pkl"
+
+
+def test_named_pipe_is_an_io_error_not_a_hang(tmp_path, policy, capsys):
+    """Opening a named pipe would wait for a writer: a pipe in a scanned
+    directory and one named on the command line are each an IOError entry,
+    and the pickle beside them is still scanned."""
+    tree, pipes, pickled = _pipes_beside_a_pickle(tmp_path)
+    with alarm(10.0):
+        report = scan_paths([str(tree), str(pipes[1])], policy)
+        status = cli_main(["scan", "--format", "json", str(tree), str(pipes[1])])
+    by_path = {file_report.path: file_report for file_report in report.files}
+    assert sorted(by_path) == sorted(map(str, [*pipes, pickled]))
+    for pipe in pipes:
+        errors = [(error.kind, error.message) for error in by_path[str(pipe)].errors]
+        assert errors == [("IOError", "not a regular file")]
+    assert by_path[str(pickled)].kind == "pickle_stream"
+    assert by_path[str(pickled)].errors == []
+    assert status == 2
+    assert json.loads(capsys.readouterr().out) == report_to_dict(report)
+
+
+def test_verify_reports_a_named_pipe_without_waiting(tmp_path, policy):
+    _tree, pipes, pickled = _pipes_beside_a_pickle(tmp_path)
+    with alarm(10.0):
+        report = verify_paths([str(pipes[0]), str(pickled)], IntegrityManifest.from_dict({}), policy)
+    pickle_report, pipe_report = report.files  # sorted by path
+    assert [error.message for error in pipe_report.errors] == ["not a regular file"]
+    assert [finding.rule_id for finding in pickle_report.findings] == ["INTEGRITY_MISMATCH"]
+    assert exit_code(report) == 2
 
 
 # -- CLI ----------------------------------------------------------------------------
