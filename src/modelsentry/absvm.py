@@ -19,15 +19,15 @@ ops in one ``struct`` call), checks the segment bounds and FRAME bounds
 inline and dispatches through ``_HANDLERS``, a table indexed by opcode
 byte, built from ``disasm.OPCODES`` (the stdlib's ``pickletools.opcodes``)
 and the handlers keyed by opcode name; every opcode there has one.
-``walk`` runs it once per segment with no instruction list; that is the
-scanner's path.  ``evaluate`` runs it over the bytes of a disassembled
-program.
+``walk`` runs one machine over a whole stream with no instruction list,
+and each STOP-delimited segment resets it; that is the scanner's path.
+``evaluate`` runs it over the bytes of a disassembled program.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import disasm
@@ -230,14 +230,14 @@ class LimitExceeded(VmError):
         self.which = which
 
 
-@dataclass
+@dataclass(slots=True)
 class AbstractResult:
     """Outcome of evaluating one program, or one segment of a ``walk``."""
 
     root: object  # an AbstractValue or a plain literal, as any value below
     events: list[SecurityEvent]
     memo_size: int
-    memo: dict[int, object] = field(default_factory=dict)
+    memo: dict[int, object]
     # The fault that ended a walked segment: ``events`` are then those
     # recorded before it, which a loader runs before it fails.
     error: VmError | ParseError | None = None
@@ -469,6 +469,11 @@ class _Machine:
 
     def __init__(self, keep_call: KeepCall | None = None):
         self.keep_call = keep_call
+        self._reset()
+
+    def _reset(self) -> None:
+        """The state of one segment, as at its start.  New containers, not
+        cleared ones: a result handed out holds the old ones."""
         self.stack: list = []
         self.metastack: list[list] = []
         self.memo: dict[int, object] = {}
@@ -487,17 +492,20 @@ class _Machine:
 
     # -- the machine loop ---------------------------------------------------
 
-    def run(self, stream: bytes, start: int) -> int:
+    def run(self, stream: bytes, start: int):
         """Decode and evaluate the ops of ``stream`` from ``start`` through
-        STOP, and return the end of the STOP op.
+        STOP, and yield the end of the STOP op.  Sent the start of the next
+        segment, reset the per-segment state and do the same from there:
+        one machine and one loop walk every segment of a stream.
 
         Each op's argument is read through ``disasm.DECODERS``; a ParseError
         (MissingStop, UnknownOpcode, a bad argument, or more than
-        ``disasm.MAX_INSTRUCTIONS`` ops) propagates.  FRAME bounds are
-        checked inline: a FrameMismatch goes before the events of the op it
-        flags.  A VmError ends evaluation and is kept in ``self.error``, but
-        the loop goes on decoding, with no dispatch and no frame checks, to
-        STOP or a ParseError, counting ops as before.
+        ``disasm.MAX_INSTRUCTIONS`` ops in one segment) propagates and ends
+        the run.  FRAME bounds are checked inline: a FrameMismatch goes
+        before the events of the op it flags.  A VmError ends evaluation and
+        is kept in ``self.error``, but the loop goes on decoding, with no
+        dispatch and no frame checks, to STOP or a ParseError, counting ops
+        as before.
 
         A run of BINFLOAT ops is decoded with one ``_FLOAT_RUNS`` call per
         at most _MAX_FLOAT_RUN ops and pushed with one ``extend``.  The run
@@ -509,80 +517,82 @@ class _Machine:
         """
         decoders = disasm.DECODERS
         handlers = _HANDLERS
-        events = self.events
         length = len(stream)
         max_instructions = disasm.MAX_INSTRUCTIONS
         binfloat = _BINFLOAT
-        frame_end = _NO_FRAME
-        last_frame = (0, 0, False)
-        live = True
         pos = start
-        count = 0
-        try:
-            while True:
-                if pos >= length:
-                    raise disasm.MissingStop(pos)
-                if count >= max_instructions:
-                    raise disasm.LimitExceeded(pos, "max_instructions")
-                code = stream[pos]
-                if code == binfloat and live:
-                    # The BINFLOAT run from here, clipped as said above.
-                    heads = stream[pos:pos + _FLOAT_RUN_BYTES:_FLOAT_WIDTH]
-                    n = min(
-                        len(heads) - len(heads.lstrip(b"G")),
-                        (length - pos) // _FLOAT_WIDTH,
-                        max_instructions - count,
-                        MAX_STACK_DEPTH - len(self.stack),
-                        (frame_end - pos) // _FLOAT_WIDTH,
-                    )
-                    if n >= 2:
-                        self.stack.extend(_FLOAT_RUNS[n](stream, pos))
-                        pos += n * _FLOAT_WIDTH
-                        count += n
-                        self.offset = pos - _FLOAT_WIDTH
-                        continue
-                decode = decoders[code]
-                if decode is None:
-                    raise disasm.UnknownOpcode(pos, code)
-                arg, end = decode(stream, pos + 1, pos)
-                if live:
+        while True:
+            events = self.events
+            frame_end = _NO_FRAME
+            last_frame = (0, 0, False)
+            live = True
+            count = 0
+            try:
+                while True:
+                    if pos >= length:
+                        raise disasm.MissingStop(pos)
+                    if count >= max_instructions:
+                        raise disasm.LimitExceeded(pos, "max_instructions")
+                    code = stream[pos]
+                    if code == binfloat and live:
+                        # The BINFLOAT run from here, clipped as said above.
+                        heads = stream[pos:pos + _FLOAT_RUN_BYTES:_FLOAT_WIDTH]
+                        n = min(
+                            len(heads) - len(heads.lstrip(b"G")),
+                            (length - pos) // _FLOAT_WIDTH,
+                            max_instructions - count,
+                            MAX_STACK_DEPTH - len(self.stack),
+                            (frame_end - pos) // _FLOAT_WIDTH,
+                        )
+                        if n >= 2:
+                            self.stack.extend(_FLOAT_RUNS[n](stream, pos))
+                            pos += n * _FLOAT_WIDTH
+                            count += n
+                            self.offset = pos - _FLOAT_WIDTH
+                            continue
+                    decode = decoders[code]
+                    if decode is None:
+                        raise disasm.UnknownOpcode(pos, code)
+                    arg, end = decode(stream, pos + 1, pos)
+                    if live:
+                        self.offset = pos
+                        if code == _FRAME:
+                            nested = frame_end != _NO_FRAME and pos < frame_end
+                            last_frame = (pos, len(events), nested)
+                            if nested:
+                                events.append(FrameMismatch(pos))
+                            frame_end = end + arg
+                        elif end > frame_end:
+                            if pos < frame_end:  # straddles the frame boundary
+                                events.append(FrameMismatch(pos))
+                            frame_end = _NO_FRAME
+                        try:
+                            handlers[code](self, arg)
+                        except VmError as exc:
+                            # Without its traceback the kept error pins no frame of this run.
+                            self.error = exc.with_traceback(None)
+                            live = False
+                    if code == _STOP:
+                        break
+                    pos = end
+                    count += 1
+            except disasm.TruncatedArgument as exc:
+                # A GLOBAL or INST whose last line runs to the end of the stream
+                # (see ``disasm._name_pair``): outside a frame, pickle.py's
+                # loader imports that pair, and for INST calls it, before it
+                # fails.  The ParseError is still the segment's error.
+                in_frame = frame_end != _NO_FRAME and exc.names_line < frame_end
+                if live and exc.names is not None and not in_frame:
                     self.offset = pos
-                    if code == _FRAME:
-                        nested = frame_end != _NO_FRAME and pos < frame_end
-                        last_frame = (pos, len(events), nested)
-                        if nested:
-                            events.append(FrameMismatch(pos))
-                        frame_end = end + arg
-                    elif end > frame_end:
-                        if pos < frame_end:  # straddles the frame boundary
-                            events.append(FrameMismatch(pos))
-                        frame_end = _NO_FRAME
                     try:
-                        handlers[code](self, arg)
-                    except VmError as exc:
-                        # Without its traceback the kept error pins no frame of this run.
-                        self.error = exc.with_traceback(None)
-                        live = False
-                if code == _STOP:
-                    break
-                pos = end
-                count += 1
-        except disasm.TruncatedArgument as exc:
-            # A GLOBAL or INST whose last line runs to the end of the stream
-            # (see ``disasm._name_pair``): outside a frame, pickle.py's
-            # loader imports that pair, and for INST calls it, before it
-            # fails.  The ParseError is still the segment's error.
-            in_frame = frame_end != _NO_FRAME and exc.names_line < frame_end
-            if live and exc.names is not None and not in_frame:
-                self.offset = pos
-                try:
-                    handlers[code](self, exc.names)
-                except VmError:
-                    pass
-            raise
-        if frame_end != _NO_FRAME:
-            self.open_frame = (frame_end, *last_frame)
-        return end
+                        handlers[code](self, exc.names)
+                    except VmError:
+                        pass
+                raise
+            if frame_end != _NO_FRAME:
+                self.open_frame = (frame_end, *last_frame)
+            pos = yield end
+            self._reset()
 
     def result(
         self, error: VmError | ParseError | None, stream_end: int = 0, trailing_bytes: int = 0
@@ -650,7 +660,9 @@ class _Machine:
 
     def op_stop(self, arg) -> None:
         self.root = self.pop()
-        depth = len(self.stack) + sum(len(frame) for frame in self.metastack)
+        depth = len(self.stack)
+        if self.metastack:
+            depth += sum(len(frame) for frame in self.metastack)
         if depth > 0:
             self.emit(ResidualStack(self.offset, depth))
 
@@ -1016,7 +1028,7 @@ def evaluate(program: PickleProgram) -> AbstractResult:
     and no side effect of any kind is performed.  A VmError is raised.
     """
     machine = _Machine()
-    machine.run(program.stream, program.start_offset)
+    next(machine.run(program.stream, program.start_offset))
     if machine.error is not None:
         raise machine.error
     stream_end = program.start_offset + program.byte_length + program.trailing_bytes
@@ -1027,12 +1039,13 @@ def walk(stream: bytes, keep_call: KeepCall | None = None):
     """Decode and evaluate every STOP-delimited segment of ``stream`` in one pass.
 
     Yields one AbstractResult per segment and never raises; no instruction
-    list is built.  A segment's VmError or ParseError is its result's
-    ``error``, and a ParseError (with its ``segment`` set) ends the walk; a
-    stream refused before its first segment yields one result that holds
-    the refusal and no events.  Segment splitting, zero padding and
-    ParseErrors are exactly those of ``disasm.iter_programs``, and each
-    result without an error equals ``evaluate`` of the matching program.
+    list is built, and one machine runs every segment, reset at each.  A
+    segment's VmError or ParseError is its result's ``error``, and a
+    ParseError (with its ``segment`` set) ends the walk; a stream refused
+    before its first segment yields one result that holds the refusal and
+    no events.  Segment splitting, zero padding and ParseErrors are exactly
+    those of ``disasm.iter_programs``, and each result without an error
+    equals ``evaluate`` of the matching program.
 
     ``keep_call(root)`` says which calls need evidence: a CallMade whose
     root it rejects gets an empty ``arg_summary``.  Kept calls get the text
@@ -1043,11 +1056,14 @@ def walk(stream: bytes, keep_call: KeepCall | None = None):
     except ParseError as exc:
         yield _Machine().result(exc)
         return
-    pos = segment = 0
-    while pos < len(stream):
-        machine = _Machine(keep_call)
+    length = len(stream)
+    machine = _Machine(keep_call)
+    segments = machine.run(stream, 0)
+    pos = None  # the first send starts the run, at 0
+    segment = 0
+    while True:
         try:
-            end = machine.run(stream, pos)
+            end = segments.send(pos)
         except ParseError as exc:
             exc.segment = segment
             yield machine.result(exc)
@@ -1055,4 +1071,6 @@ def walk(stream: bytes, keep_call: KeepCall | None = None):
         trailing = zero_padding(stream, end)
         pos = end + trailing
         yield machine.result(machine.error, pos, trailing)
+        if pos >= length:
+            return
         segment += 1

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import codecs
 import pickletools
+import re
 import struct
 from dataclasses import dataclass, field
 from typing import Callable
@@ -238,13 +239,62 @@ def _int_line(line: bytes) -> int | bool:
     return int(line)
 
 
+# A backslash before a byte that starts no escape, or before 4-7, which may
+# start an octal escape past \377: ``codecs.escape_decode`` (the loaders'
+# decoder) warns of those.  Pairs of backslashes are not told apart here,
+# so a match may be no escape at all.
+_MAY_WARN = rb"\\[^\n\\'\"abfnrtv0-3x]"
+# Once each pair of backslashes is written ``\x5c``, every backslash opens
+# an escape, so these need no pairing.  An unknown escape becomes ``\x5c``
+# and its byte; an octal escape past \377 becomes the escape of its low
+# byte, its first digit less 4.  The replacements are literal, so
+# ``re.sub`` makes each one in C.
+_UNKNOWN_ESCAPE = (rb"\\(?=[^\n'\"abfnrtv0-7x])", rb"\\x5c")
+_HIGH_OCTAL_ESCAPES = [(rb"\\%d(?=[0-7]{2})" % lead, rb"\\%d" % (lead - 4)) for lead in range(4, 8)]
+# Bytes of escaped data rewritten per pass, which bounds the pieces
+# ``re.sub`` holds at once.
+_UNESCAPE_CHUNK = 1 << 14
+
+
+def _unescape(data: bytes) -> bytes:
+    """``codecs.escape_decode(data)[0]``, with the same value and the same
+    ValueError messages, but never a warning.  That decoder warns
+    (DeprecationWarning) of an unknown escape such as ``\\g`` and of an
+    octal one past ``\\377``, so a filter that makes warnings errors would
+    fail the op.  Data that may hold such an escape is rewritten without
+    them, a chunk at a time, and each chunk goes through that decoder; any
+    other goes through it whole.  Every step runs in C."""
+    if re.search(_MAY_WARN, data) is None:
+        return codecs.escape_decode(data)[0]
+    text = data.replace(b"\\\\", b"\\x5c")
+    decoded = []
+    pos = 0
+    while pos < len(text):
+        # A backslash opens an escape, and no escape runs over one.
+        cut = text.find(b"\\", pos + _UNESCAPE_CHUNK)
+        if cut < 0:
+            cut = len(text)
+        chunk = text[pos:cut]
+        for pattern, replacement in (*_HIGH_OCTAL_ESCAPES, _UNKNOWN_ESCAPE):
+            chunk = re.sub(pattern, replacement, chunk)
+        try:
+            decoded.append(codecs.escape_decode(chunk)[0])
+        except ValueError:
+            # The same fault in ``data``, placed there; the decoder raises
+            # before it would warn.
+            codecs.escape_decode(data)
+            raise
+        pos = cut
+    return b"".join(decoded)
+
+
 def _quoted_line(stream, pos, op_offset):
     line, pos = _read_line(stream, pos, op_offset)
     # Loader rule: outermost quotes must match and be present.
     if not (len(line) >= 2 and line[0] == line[-1] and line[0] in b"\"'"):
         raise TruncatedArgument(op_offset, "STRING argument must be quoted")
     try:
-        return codecs.escape_decode(line[1:-1])[0].decode("ascii"), pos
+        return _unescape(line[1:-1]).decode("ascii"), pos
     except ValueError as exc:
         raise TruncatedArgument(op_offset, f"undecodable string line: {exc}") from None
 

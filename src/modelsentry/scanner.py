@@ -132,7 +132,8 @@ def _scan_pickle_bytes(
     parse_error: disasm.ParseError | None = None
     vm_errors: list[absvm.VmError] = []
     for result in absvm.walk(data, keep_call):
-        findings.extend(apply_rules(result, policy, ctx, classified))
+        if result.events:  # apply_rules makes no finding without an event
+            findings.extend(apply_rules(result, policy, ctx, classified))
         if isinstance(result.error, disasm.ParseError):
             parse_error = result.error
         elif result.error is not None:
@@ -315,37 +316,30 @@ def scan_file(
 def _collect_files(
     root: str, follow_symlinks: bool, errors: list[tuple[str, str]]
 ) -> list[str]:
-    """The files under ``root``.  Following symlinks, a directory that is
-    one of its own ancestors is pruned, so a link cycle is walked once."""
+    """The files under ``root``.  Following symlinks, each directory is
+    walked once, under the first path that reaches it in sorted walk order,
+    so neither a link cycle nor a lattice of links multiplies the walk."""
     collected: list[str] = []
-    # Each directory still to walk -> the (st_dev, st_ino) of it and its ancestors.
-    ancestors: dict[str, frozenset[tuple[int, int] | None]] = {}
-
-    def identity(path: str) -> tuple[int, int] | None:
-        try:
-            info = os.stat(path)
-        except OSError:
-            return None  # os.walk reports it, if it tries to list it
-        return (info.st_dev, info.st_ino)
+    walked: set[tuple[int, int]] = set()  # (st_dev, st_ino) of each directory walked
 
     def on_error(exc: OSError) -> None:
         errors.append((getattr(exc, "filename", root) or root, str(exc)))
 
-    if follow_symlinks:
-        ancestors[root] = frozenset({identity(root)})
     for dirpath, dirnames, filenames in os.walk(
         root, followlinks=follow_symlinks, onerror=on_error
     ):
         if follow_symlinks:
-            above = ancestors.pop(dirpath)
-            kept = []
-            for name in dirnames:
-                child = os.path.join(dirpath, name)
-                key = identity(child)
-                if key not in above:
-                    kept.append(name)
-                    ancestors[child] = above | {key}
-            dirnames[:] = kept
+            try:
+                info = os.stat(dirpath)
+            except OSError:
+                info = None  # listed, yet gone: walk what was listed
+            if info is not None:
+                key = (info.st_dev, info.st_ino)
+                if key in walked:
+                    dirnames.clear()
+                    continue
+                walked.add(key)
+            dirnames.sort()
         for name in filenames:
             full = os.path.join(dirpath, name)
             if not follow_symlinks and os.path.islink(full):

@@ -348,6 +348,90 @@ def test_instruction_limit_counts_the_ops_after_a_vm_error():
     assert isinstance(outcome.error, StackUnderflow) and outcome.error.offset == 0
 
 
+# -- one machine per stream: every segment starts from a reset ---------------------
+
+
+def _print_call(text: bytes) -> bytes:
+    """``builtins.print`` of a tuple whose element is a list memoized under
+    index 0 and fetched back with BINGET: its evidence is a shared memo
+    render, kept in the machine's ``rendered``."""
+    return (
+        b"\x8c\x08builtins\x8c\x05print\x93"  # SHORT_BINUNICODE twice, STACK_GLOBAL
+        + b"]\x8c" + bytes([len(text)]) + text + b"a\x94"  # [text], MEMOIZE
+        + b"0h\x00\x85R"  # POP, BINGET 0, TUPLE1, REDUCE
+    )
+
+
+def _leaky_segment() -> bytes:
+    """A segment that ends with state a next segment must not see: a memo
+    entry, a rendered call, a value left on the stack under an open MARK,
+    and a FRAME that runs 3 bytes past its STOP."""
+    body = _print_call(b"seg1") + b"N(NN."
+    frame = len(body) + 3
+    return b"\x80\x04\x95" + frame.to_bytes(8, "little") + body
+
+
+@pytest.mark.parametrize(
+    "second, fault",
+    [
+        (b"h\x00.", "MemoMiss"),  # the memo starts empty
+        (b".", "StackUnderflow"),  # so does the stack
+        (b"0N.", "BadMark"),  # and the metastack
+        (b"N.", None),  # and no FRAME is open
+    ],
+)
+def test_a_segment_starts_from_a_reset_machine(second, fault):
+    first = _leaky_segment()
+    leaky, result = absvm.walk(first + second)
+    assert leaky.error is None and leaky.memo_size == 1
+    assert [type(event) for event in leaky.events] == [
+        FrameMismatch, GlobalResolved, CallMade, ResidualStack
+    ]
+    if fault is None:
+        assert result.error is None and result.events == [] and result.memo_size == 0
+    else:
+        assert (result.error.kind, result.error.offset) == (fault, len(first))
+
+
+def test_a_segment_renders_its_call_evidence_afresh():
+    first = _leaky_segment()
+    stream = first + _print_call(b"seg2") + b"."
+    caches = []
+    render = absvm.render_value
+
+    def spy(value, memo=None, limit=ARG_SUMMARY_CAP, rendered=None):
+        caches.append(rendered)
+        return render(value, memo, limit, rendered)
+
+    with mock.patch.object(absvm, "render_value", spy):
+        leaky, result = absvm.walk(stream)
+    assert [call.arg_summary for call in _calls([leaky])] == ["(['seg1'])"]
+    assert [call.arg_summary for call in _calls([result])] == ["(['seg2'])"]
+    assert len(caches) == 2 and caches[1] is not caches[0]
+    # Its first op straddles the end of the first segment's FRAME, unflagged.
+    assert result.error is None and not any(isinstance(e, FrameMismatch) for e in result.events)
+    program = list(iter_programs(stream))[1]
+    assert _evaluated(result) == _evaluated(evaluate(program))
+
+
+def test_instruction_limit_counts_each_segment_on_its_own():
+    segment = b"N0N."  # four ops, STOP included
+    with mock.patch.object(disasm, "MAX_INSTRUCTIONS", 4):
+        results = list(absvm.walk(segment * 2))
+        (limited,) = absvm.walk(b"N0" + segment)
+    assert [result.error for result in results] == [None, None]
+    assert (limited.error.kind, limited.error.offset) == ("LimitExceeded", 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_mutants(), min_size=2, max_size=4), st.booleans())
+def test_walk_matches_fresh_machines_on_concatenated_mutants(streams, small):
+    """Each segment of one machine's walk equals ``evaluate`` of its
+    program on a fresh machine, with and without small bounds."""
+    with small_bounds() if small else contextlib.nullcontext():
+        assert_walk_matches_programs(b"".join(streams))
+
+
 # -- short literals are plain values ---------------------------------------------
 
 

@@ -6,13 +6,16 @@ hand: they come from ``pickletools.genops`` over the same bytes.
 
 from __future__ import annotations
 
+import codecs
 import io
 import pickle
 import pickletools
 import struct
+import warnings
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -287,3 +290,52 @@ def test_decoder_table_agrees_with_opcode_table():
         if isinstance(arg, tuple):
             arg = " ".join(arg)  # genops joins the GLOBAL/INST pair with a space
         assert (arg, end) == (expected, 1 + len(raw)), op.name
+
+
+# -- STRING escapes --------------------------------------------------------------
+
+
+def _escape_decode(data: bytes) -> bytes | str:
+    """What the loaders' decoder gives under default warning filters: the
+    value, or the ValueError's message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return codecs.escape_decode(data)[0]
+        except ValueError as exc:
+            return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from([b"\\", b"\\\\", b"x", b"0", b"3", b"4", b"7", b"8", b"a", b"F",
+                                 b"g", b"n", b"'", b"\n", b"\xe9"]), max_size=12))
+@example([b"\\400"])  # octal past \377: the low byte
+@example([b"a\\777b"])
+@example([b"\\\\g"])  # an escaped backslash, then a plain g
+@example([b"\\g\\x4"])  # an unknown escape, then a bad \x at position 2
+@example([b"\\g", b"\\\\", b"\\", b"x", b"4"])  # a bad \x placed past an escaped backslash
+def test_string_escapes_decode_as_escape_decode_without_a_warning(pieces):
+    """Also in chunks of a few bytes, so that escapes meet chunk ends."""
+    data = b"".join(pieces)
+    expected = _escape_decode(data)
+    for chunk in (1, 2, 3, disasm._UNESCAPE_CHUNK):
+        with warnings.catch_warnings(), mock.patch.object(disasm, "_UNESCAPE_CHUNK", chunk):
+            warnings.simplefilter("error")
+            try:
+                decoded: bytes | str = disasm._unescape(data)
+            except ValueError as exc:
+                decoded = str(exc)
+        assert decoded == expected, chunk
+
+
+def test_string_with_an_unknown_escape_walks_under_warnings_as_errors():
+    """``'\\g'`` is kept as written, as pickle.py keeps it, and no warning
+    escapes the walk whatever the filters say."""
+    stream = b"S'\\g'\n."
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (result,) = absvm.walk(stream)
+    assert result.error is None and result.root == "\\g"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert pickle.loads(stream) == result.root

@@ -11,8 +11,9 @@ Other recipes try to hide a payload or to cost memory: an argument too big
 to render whole, a ``config.json`` nested deeper than the JSON decoder
 recurses, tensor storage whose bytes look like a pickle, a payload
 followed by bytes that are no opcode, a GLOBAL whose last line has no
-newline, and an INST whose names are not ASCII.  Last, each scan bound is made small and driven through the
-scanner.
+newline, an INST whose names are not ASCII, and a STRING of escapes the
+decoder would warn of.  Last, each scan bound is made small and driven
+through the scanner.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import io
 import json
 import pickle
 import struct
+import sys
 import tracemalloc
+import warnings
 import zipfile
 
 import pytest
@@ -301,6 +304,34 @@ def test_render_of_text_is_the_head_of_its_repr(value, limit):
     expected = text if len(text) <= limit else text[:limit] + "…"
     assert render_value(value, limit=limit) == expected
     assert render_value(LongPrimitive(value), limit=limit) == expected
+
+
+def test_string_of_unknown_escapes_is_decoded_in_c():
+    """``S'\\g\\g…'``: ``codecs.escape_decode`` would warn of each ``\\g``,
+    so ``disasm._unescape`` rewrites them first.  That makes a bounded
+    number of Python calls, not one per escape, and holds a few times the
+    argument's size, not tens of bytes per byte."""
+    escapes = 500_000
+    stream = b"S'" + b"\\g" * escapes + b"'\n."
+    calls = 0
+
+    def count_calls(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    tracemalloc.start()
+    sys.setprofile(count_calls)
+    try:
+        with alarm(10.0), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (result,) = absvm.walk(stream)
+    finally:
+        sys.setprofile(None)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert result.error is None and result.root == LongPrimitive("\\g" * escapes)
+    assert calls < escapes // 100
+    assert peak < 6 * len(stream)
 
 
 # -- a config.json deeper than the JSON decoder recurses ------------------------

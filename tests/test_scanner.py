@@ -672,6 +672,24 @@ def test_symlink_cycle_is_walked_once(tmp_path, policy):
     assert exit_code(report) == 0
 
 
+def test_symlink_lattice_walks_each_directory_once(tmp_path, policy):
+    """15 directories ``l0..l14``, each with links ``a`` and ``b`` to the
+    next, give 2^14 paths to the one file in ``l14``: each directory is
+    walked once, under the first path in sorted walk order."""
+    levels = 15
+    for level in range(levels):
+        (tmp_path / f"l{level}").mkdir()
+    for level in range(levels - 1):
+        for name in "ab":
+            (tmp_path / f"l{level}" / name).symlink_to(f"../l{level + 1}")
+    (tmp_path / f"l{levels - 1}" / "a.pkl").write_bytes(pickle.dumps([1, 2, 3], 2))
+    with alarm(10.0):
+        report = scan_paths([str(tmp_path)], policy, follow_symlinks=True)
+    first = tmp_path.joinpath("l0", *["a"] * (levels - 1), "a.pkl")
+    assert [file_report.path for file_report in report.files] == [str(first)]
+    assert exit_code(report) == 0
+
+
 # -- files that are not regular files -----------------------------------------------
 
 
