@@ -10,9 +10,9 @@ are never unmarshalled, compiled, or executed.
 from __future__ import annotations
 
 import base64
-import binascii
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_WALK_DEPTH = 256
 MAX_WALK_NODES = 1_000_000
@@ -26,8 +26,7 @@ class CodePayload:
     preview: str  # first 64 bytes, rendered printable
 
 
-@dataclass(frozen=True)
-class LayerRecord:
+class LayerRecord(NamedTuple):
     class_name: str
     layer_name: str
     json_path: str
@@ -53,10 +52,12 @@ def extract_code_payload(
 ) -> CodePayload | None:
     """Inspect a layer's ``config.function`` field without evaluating it.
 
-    Two on-disk encodings are handled: a list/tuple whose first element is
-    base64 of marshalled code, and a bare string naming a registered
-    function.  Anything else is reported as an anomaly, never silently
-    passed.
+    Four on-disk encodings are handled: a list whose first element is
+    base64 of marshalled code (Keras's ``func_dump``), a Keras 3
+    ``{"class_name": "__lambda__", "config": {"code": ...}}`` dict holding
+    the same, a bare string naming a registered function, and any other
+    string as plain source.  Anything else is reported as an anomaly,
+    never silently passed.
     """
     config = layer.get("config")
     if not isinstance(config, dict):
@@ -86,10 +87,18 @@ def extract_code_payload(
             digest=digest,
             preview=_safe_preview(data),
         )
-    if isinstance(function, list) and function and isinstance(function[0], str):
+    code = None
+    if isinstance(function, list) and function:
+        code = function[0]
+    elif isinstance(function, dict) and function.get("class_name") == "__lambda__":
+        inner = function.get("config")
+        code = inner.get("code") if isinstance(inner, dict) else None
+    if isinstance(code, str):
         try:
-            decoded = base64.b64decode(function[0], validate=True)
-        except (binascii.Error, ValueError) as exc:
+            # As Keras's func_load decodes it: the MIME codec skips the
+            # newline func_dump writes every 76 characters.
+            decoded = base64.decodebytes(code.encode("ascii"))
+        except ValueError as exc:  # binascii.Error, UnicodeEncodeError
             if anomalies is not None:
                 anomalies.append(
                     ConfigAnomaly("Base64Error", field_path, f"undecodable payload: {exc}")
@@ -151,25 +160,20 @@ def walk_layers(
             capped = True
 
     def record_layer(layer: object, path: str) -> None:
-        if not isinstance(layer, dict) or not isinstance(layer.get("class_name"), str):
+        if type(layer) is not dict or type(layer.get("class_name")) is not str:
             note("MalformedConfig", path, "layer entry is not an object with class_name")
             return
+        class_name = layer["class_name"]
         payload = None
-        if layer["class_name"] in wants_payload:
+        if class_name in wants_payload:
             payload = extract_code_payload(layer, path, anomalies)
-        records.append(
-            LayerRecord(
-                class_name=layer["class_name"],
-                layer_name=_layer_name(layer),
-                json_path=path,
-                payload=payload,
-            )
-        )
+        records.append(LayerRecord(class_name, _layer_name(layer), path, payload))
 
     def visit(node: object, path: str, depth: int) -> None:
-        # Every node costs one unit of the budget.  A scalar child is
-        # charged here in its parent's loop, with no call, and its path is
-        # built only if a cap fires on it.
+        # Every JSON value costs one unit of the budget, charged in document
+        # order.  A scalar child is charged here in its parent's loop, with
+        # no call, and its path is built only if a cap fires on it.  The
+        # config comes from the JSON decoder, so exact type tests suffice.
         nonlocal budget
         budget -= 1
         if budget < 0 or depth > MAX_WALK_DEPTH:
@@ -177,30 +181,40 @@ def walk_layers(
             return
         child_depth = depth + 1
         too_deep = child_depth > MAX_WALK_DEPTH
-        if isinstance(node, dict):
-            for key, value in node.items():
-                if key == "layers":
-                    child_path = f"{path}.{key}" if path else str(key)
-                    if isinstance(value, list):
-                        for index, layer in enumerate(value):
-                            layer_path = f"{child_path}[{index}]"
-                            record_layer(layer, layer_path)
-                            visit(layer, layer_path, child_depth)
+        if type(node) is dict:
+            if "layers" in node or "layer" in node:
+                for key, value in node.items():
+                    if key == "layers":
+                        child_path = f"{path}.{key}" if path else str(key)
+                        if type(value) is list:
+                            for index, layer in enumerate(value):
+                                layer_path = f"{child_path}[{index}]"
+                                record_layer(layer, layer_path)
+                                visit(layer, layer_path, child_depth)
+                        else:
+                            note("MalformedConfig", child_path, "layers node is not an array")
+                    elif key == "layer" and type(value) is dict and "class_name" in value:
+                        child_path = f"{path}.{key}" if path else str(key)
+                        record_layer(value, child_path)
+                        visit(value, child_path, child_depth)
+                    elif type(value) is dict or type(value) is list:
+                        visit(value, f"{path}.{key}" if path else str(key), child_depth)
                     else:
-                        note("MalformedConfig", child_path, "layers node is not an array")
-                elif key == "layer" and isinstance(value, dict) and "class_name" in value:
-                    child_path = f"{path}.{key}" if path else str(key)
-                    record_layer(value, child_path)
-                    visit(value, child_path, child_depth)
-                elif isinstance(value, (dict, list)):
-                    visit(value, f"{path}.{key}" if path else str(key), child_depth)
-                else:
-                    budget -= 1
-                    if budget < 0 or too_deep:
-                        exhausted(f"{path}.{key}" if path else str(key))
-        elif isinstance(node, list):
+                        budget -= 1
+                        if budget < 0 or too_deep:
+                            exhausted(f"{path}.{key}" if path else str(key))
+            else:
+                # Neither key: no layer can start here.
+                for key, value in node.items():
+                    if type(value) is dict or type(value) is list:
+                        visit(value, f"{path}.{key}" if path else str(key), child_depth)
+                    else:
+                        budget -= 1
+                        if budget < 0 or too_deep:
+                            exhausted(f"{path}.{key}" if path else str(key))
+        elif type(node) is list:
             for index, item in enumerate(node):
-                if isinstance(item, (dict, list)):
+                if type(item) is dict or type(item) is list:
                     visit(item, f"{path}[{index}]", child_depth)
                 else:
                     budget -= 1

@@ -514,8 +514,8 @@ def apply_keras_rules(
     ctx = file_context
     custom = set(policy.extra_custom_layer_classes)
     for record in records:
-        label = record.layer_name or "<unnamed>"
         if record.class_name == "Lambda":
+            label = record.layer_name or "<unnamed>"
             payload = record.payload
             if payload is not None and payload.encoding == "reference-by-name":
                 findings.append(
@@ -544,6 +544,7 @@ def apply_keras_rules(
                     )
                 )
         elif record.class_name in custom:
+            label = record.layer_name or "<unnamed>"
             message = f"custom-computation layer {record.class_name} ({label}) flagged by policy"
             findings.append(
                 ctx.finding(

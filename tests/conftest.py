@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from modelsentry import absvm
+from modelsentry import absvm, kerascfg
 from modelsentry.forge import emit_corpus
 from modelsentry.policy import default_policy
 
@@ -197,6 +197,97 @@ def reference_render(
 
     walk(value, 0, frozenset())
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# Reference layer walk (the oracle for ``kerascfg.walk_layers``)
+
+
+def reference_walk_layers(
+    config: object,
+    anomalies: list[kerascfg.ConfigAnomaly] | None = None,
+    payload_classes: frozenset[str] | set[str] | None = None,
+) -> list[kerascfg.LayerRecord]:
+    """The walk ``kerascfg.walk_layers`` replaced: the same recursion, with
+    ``isinstance`` tests and two key compares for every dict entry.  The caps
+    are read from ``kerascfg`` at call time, so a test can patch them."""
+    records: list[kerascfg.LayerRecord] = []
+    budget = kerascfg.MAX_WALK_NODES
+    capped = False
+    wants_payload = frozenset(payload_classes) if payload_classes is not None else frozenset({"Lambda"})
+
+    def note(kind: str, path: str, message: str) -> None:
+        if anomalies is not None:
+            anomalies.append(kerascfg.ConfigAnomaly(kind, path, message))
+
+    def exhausted(path: str) -> None:
+        nonlocal capped
+        if not capped:
+            note("MalformedConfig", path, "traversal budget exhausted")
+            capped = True
+
+    def record_layer(layer: object, path: str) -> None:
+        if not isinstance(layer, dict) or not isinstance(layer.get("class_name"), str):
+            note("MalformedConfig", path, "layer entry is not an object with class_name")
+            return
+        payload = None
+        if layer["class_name"] in wants_payload:
+            payload = kerascfg.extract_code_payload(layer, path, anomalies)
+        records.append(
+            kerascfg.LayerRecord(
+                class_name=layer["class_name"],
+                layer_name=kerascfg._layer_name(layer),
+                json_path=path,
+                payload=payload,
+            )
+        )
+
+    def visit(node: object, path: str, depth: int) -> None:
+        # Every node costs one unit of the budget.  A scalar child is
+        # charged here in its parent's loop, with no call, and its path is
+        # built only if a cap fires on it.
+        nonlocal budget
+        budget -= 1
+        if budget < 0 or depth > kerascfg.MAX_WALK_DEPTH:
+            exhausted(path)
+            return
+        child_depth = depth + 1
+        too_deep = child_depth > kerascfg.MAX_WALK_DEPTH
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if key == "layers":
+                    child_path = f"{path}.{key}" if path else str(key)
+                    if isinstance(value, list):
+                        for index, layer in enumerate(value):
+                            layer_path = f"{child_path}[{index}]"
+                            record_layer(layer, layer_path)
+                            visit(layer, layer_path, child_depth)
+                    else:
+                        note("MalformedConfig", child_path, "layers node is not an array")
+                elif key == "layer" and isinstance(value, dict) and "class_name" in value:
+                    child_path = f"{path}.{key}" if path else str(key)
+                    record_layer(value, child_path)
+                    visit(value, child_path, child_depth)
+                elif isinstance(value, (dict, list)):
+                    visit(value, f"{path}.{key}" if path else str(key), child_depth)
+                else:
+                    budget -= 1
+                    if budget < 0 or too_deep:
+                        exhausted(f"{path}.{key}" if path else str(key))
+        elif isinstance(node, list):
+            for index, item in enumerate(node):
+                if isinstance(item, (dict, list)):
+                    visit(item, f"{path}[{index}]", child_depth)
+                else:
+                    budget -= 1
+                    if budget < 0 or too_deep:
+                        exhausted(f"{path}[{index}]")
+
+    if not isinstance(config, dict):
+        note("MalformedConfig", "", "config root is not a JSON object")
+        return records
+    visit(config, "", 0)
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import base64
+import codecs
 import hashlib
 import json
+import marshal
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_walk_layers
 from modelsentry import kerascfg
 from modelsentry.forge import emit_keras_lambda_config, lambda_payload_bytes
 from modelsentry.kerascfg import (
@@ -119,6 +125,73 @@ def test_caps_fire_on_a_scalar_leaf_at_its_path(monkeypatch, config, nodes, dept
     assert anomalies == [ConfigAnomaly("MalformedConfig", path, "traversal budget exhausted")]
 
 
+# Payload shapes a Lambda's ``config.function`` can take, good and bad.
+_MARSHALLED = marshal.dumps((lambda x: x + 1).__code__)
+_FUNC_DUMP = codecs.encode(_MARSHALLED, "base64").decode("ascii")
+_FUNCTIONS = [
+    [base64.b64encode(b"one line").decode("ascii"), None, None],
+    [_FUNC_DUMP, None, None],
+    ["!!!not-base64!!!", None, None],
+    ["caf\u00e9"],
+    [],
+    [3],
+    {"class_name": "__lambda__", "config": {"code": _FUNC_DUMP, "defaults": None, "closure": None}},
+    {"class_name": "__lambda__", "config": {"code": 5}},
+    {"class_name": "__lambda__", "config": "code"},
+    {"weird": 1},
+    "registered_fn",
+    "mypkg.ops.fn",
+    "lambda x: x",
+    "",
+    7,
+    None,
+]
+_KEYS = st.sampled_from(["layers", "layer", "class_name", "config", "name", "function", "a"])
+_SCALARS = st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(["Dense", "Lambda", "n", ""])
+_LAMBDAS = st.builds(
+    lambda name, function: {"class_name": "Lambda", "config": {"name": name, "function": function}},
+    st.sampled_from(["lam", "", 4]),
+    st.sampled_from(_FUNCTIONS),
+)
+
+
+def _nested(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.dictionaries(_KEYS, children, max_size=4)
+        # a layers array whose entries may be anything, a scalar included
+        | st.builds(lambda items: {"layers": items}, st.lists(children | _LAMBDAS, max_size=4))
+        # a wrapper layer embedding one layer
+        | st.builds(
+            lambda cls, inner: {"class_name": cls, "config": {"name": "w", "layer": inner}},
+            st.sampled_from(["TimeDistributed", "Lambda"]),
+            children | _LAMBDAS,
+        )
+    )
+
+
+_CONFIGS = st.recursive(_SCALARS | _LAMBDAS, _nested, max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIGS, st.integers(1, 300), st.integers(1, 8))
+def test_walk_matches_the_reference_walk(config, nodes, depth):
+    """Records (as field tuples) and anomalies, in order, equal the reference
+    walk's under any node and depth cap: each value is charged once, in
+    document order, so every cap fires on the same value."""
+    with mock.patch.object(kerascfg, "MAX_WALK_NODES", nodes), mock.patch.object(
+        kerascfg, "MAX_WALK_DEPTH", depth
+    ):
+        anomalies: list[ConfigAnomaly] = []
+        expected_anomalies: list[ConfigAnomaly] = []
+        records = walk_layers(config, anomalies, {"Lambda", "TimeDistributed"})
+        expected = reference_walk_layers(config, expected_anomalies, {"Lambda", "TimeDistributed"})
+    assert [tuple(record) for record in records] == [
+        (r.class_name, r.layer_name, r.json_path, r.payload) for r in expected
+    ]
+    assert anomalies == expected_anomalies
+
+
 def test_detection_count_equals_planted_count():
     planted = 7
     layers = []
@@ -195,3 +268,43 @@ def test_digest_is_deterministic_for_identical_bytes():
     layer_a = {"class_name": "Lambda", "config": {"function": [blob, None, None]}}
     layer_b = {"class_name": "Lambda", "config": {"function": [blob]}}
     assert extract_code_payload(layer_a).digest == extract_code_payload(layer_b).digest
+
+
+def test_func_dump_payload_with_line_breaks_is_decoded():
+    """Keras's ``func_dump`` writes ``codecs.encode(raw, "base64")``, a line
+    break every 76 characters, and ``func_load`` decodes it with the same
+    codec: the payload is decoded, not a Base64Error."""
+    assert _FUNC_DUMP.count("\n") > 1
+    layer = {"class_name": "Lambda", "config": {"function": [_FUNC_DUMP, None, None]}}
+    anomalies: list[ConfigAnomaly] = []
+    record = extract_code_payload(layer, "config.layers[0]", anomalies)
+    assert anomalies == []
+    assert record.encoding == "base64-marshalled-code"
+    assert record.decoded_length == len(_MARSHALLED)
+    assert record.digest == hashlib.sha256(_MARSHALLED).hexdigest()
+
+
+def test_keras3_lambda_dict_carries_code():
+    """Keras 3's ``Lambda.get_config`` writes a lambda as
+    ``{"class_name": "__lambda__", "config": {"code": ..., ...}}``."""
+    function = {"class_name": "__lambda__", "config": {"code": _FUNC_DUMP, "defaults": None, "closure": None}}
+    layer = {"class_name": "Lambda", "config": {"function": function}}
+    anomalies: list[ConfigAnomaly] = []
+    record = extract_code_payload(layer, "config.layers[0]", anomalies)
+    assert anomalies == []
+    assert record.encoding == "base64-marshalled-code"
+    assert record.decoded_length == len(_MARSHALLED)
+    assert record.digest == hashlib.sha256(_MARSHALLED).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "function",
+    [{"class_name": "__lambda__", "config": {"code": 5}}, {"class_name": "__lambda__"}],
+)
+def test_keras3_lambda_dict_without_code_is_anomaly(function):
+    layer = {"class_name": "Lambda", "config": {"function": function}}
+    anomalies: list[ConfigAnomaly] = []
+    assert extract_code_payload(layer, "", anomalies) is None
+    assert anomalies == [
+        ConfigAnomaly("MalformedConfig", "config.function", "unrecognized function encoding (dict)")
+    ]

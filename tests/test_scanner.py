@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import codecs
+import hashlib
 import io
 import json
+import marshal
 import os
 import pickle
 import zipfile
@@ -157,6 +160,32 @@ def test_scan_keras_zip_reports_lambda_at_config_entry(tmp_path, policy):
     assert finding.entry == "config.json"
     assert finding.json_path == "config.layers[1]"
     assert finding.severity is Severity.HIGH
+
+
+def test_scan_keras3_lambda_reads_the_code_of_its_function_dict(tmp_path, policy):
+    """Keras 3 saves a lambda as ``{"class_name": "__lambda__", "config":
+    {"code": ...}}``, the code as ``func_dump`` encodes it: one
+    KERAS_LAMBDA_CODE finding that measures and hashes it, no anomaly."""
+    raw = marshal.dumps((lambda x: x * 2).__code__)
+    function = {
+        "class_name": "__lambda__",
+        "config": {"code": codecs.encode(raw, "base64").decode("ascii"), "defaults": None, "closure": None},
+    }
+    lambda_layer = {
+        "module": "keras.layers",
+        "class_name": "Lambda",
+        "config": {"name": "lambda", "function": function, "arguments": {}},
+        "registered_name": None,
+    }
+    config = {"class_name": "Sequential", "config": {"name": "sequential", "layers": [lambda_layer]}}
+    target = tmp_path / "model.keras"
+    target.write_bytes(emit_keras_zip(json.dumps(config)))
+    report = scan_file(str(target), policy)
+    assert [f.rule_id for f in report.findings] == ["KERAS_LAMBDA_CODE"]
+    finding = report.findings[0]
+    assert finding.json_path == "config.layers[0]"
+    assert f"({len(raw)} bytes of serialized code)" in finding.message
+    assert f"sha256={hashlib.sha256(raw).hexdigest()}" in finding.evidence
 
 
 def test_scan_keras_h5_adds_heuristic_notice(tmp_path, policy):
