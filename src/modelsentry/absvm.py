@@ -22,6 +22,8 @@ and the handlers keyed by opcode name; every opcode there has one.
 ``walk`` runs one machine over a whole stream with no instruction list,
 and each STOP-delimited segment resets it; that is the scanner's path.
 ``evaluate`` runs it over the bytes of a disassembled program.
+``is_pickle`` is the scanner's one rule for which bytes it scans as a
+pickle: those whose first segment a loader would run.
 """
 
 from __future__ import annotations
@@ -241,6 +243,9 @@ class AbstractResult:
     # The fault that ended a walked segment: ``events`` are then those
     # recorded before it, which a loader runs before it fails.
     error: VmError | ParseError | None = None
+    # The segment's first fault, where a loader stops: a VmError that
+    # ``error`` follows, or ``error``.
+    fault: VmError | ParseError | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +607,8 @@ class _Machine:
         final frame may cover end."""
         if error is not None:
             root = Opaque("evaluation stopped before STOP")
-            return AbstractResult(root, self.events, len(self.memo), self.memo, error)
+            fault = self.error or error
+            return AbstractResult(root, self.events, len(self.memo), self.memo, error, fault)
         if self.open_frame is not None:
             frame_end, frame_offset, index, flagged = self.open_frame
             if frame_end > stream_end and not flagged:
@@ -1074,3 +1080,54 @@ def walk(stream: bytes, keep_call: KeepCall | None = None):
         if pos >= length:
             return
         segment += 1
+
+
+# How much of a file or archive member ``is_pickle`` reads first.
+SNIFF_BYTES = 512
+
+
+def _is_dotted_name(text: str) -> bool:
+    return all(part.isidentifier() for part in text.split("."))
+
+
+def is_pickle(
+    name: str, stream: bytes, whole: bool = True, first: AbstractResult | None = None
+) -> bool | None:
+    """Whether a loader pointed at ``stream``, the bytes of file or archive
+    member ``name``, runs it as a pickle; the scanner scans just those.
+
+    A ``.pkl`` name or a PROTO of protocol 5 or less says a loader was
+    pointed at it: yes.  Other bytes must start with an opcode, and the
+    first segment of ``walk(stream)`` must reach STOP or import before its
+    first fault: a DynamicGlobal, or a GlobalResolved of a dotted module
+    and a dotted or empty name (pickle.py imports the module first).  A
+    LimitExceeded is the scanner's bound, not a loader's fault: yes.
+
+    With ``whole`` False, ``stream`` is a head, which decides when the
+    first fault lies inside it.  The head running out (MissingStop, or a
+    TruncatedArgument with ``available`` set), or an import made there,
+    decides nothing: None, read the whole.  ``first`` is the first result
+    of ``walk(stream)``, when the caller has it.
+    """
+    if name.endswith(".pkl") or stream[:1] == b"\x80" and len(stream) > 1 and stream[1] <= 5:
+        return True
+    if not stream:
+        return False if whole else None
+    if OPCODES[stream[0]] is None:
+        return False
+    if first is None:
+        first = next(walk(stream, lambda root: False))  # no call evidence
+    fault = first.fault
+    if fault is None or isinstance(fault, (disasm.LimitExceeded, LimitExceeded)):
+        return True
+    ran_out = not whole and (
+        isinstance(fault, disasm.MissingStop) or getattr(fault, "available", None) is not None
+    )
+    for event in first.events:
+        if ran_out and event.at_offset >= fault.offset:
+            break
+        if isinstance(event, DynamicGlobal) or isinstance(event, GlobalResolved) and (
+            _is_dotted_name(event.module) and (not event.name or _is_dotted_name(event.name))
+        ):
+            return True
+    return None if ran_out else False

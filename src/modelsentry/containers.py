@@ -20,7 +20,7 @@ import zlib
 from dataclasses import dataclass
 from typing import BinaryIO
 
-from .disasm import SNIFF_BYTES, plausible_pickle_prefix
+from .absvm import SNIFF_BYTES, is_pickle
 
 ZIP_LOCAL_MAGIC = b"PK\x03\x04"
 ZIP_EOCD_MAGIC = b"PK\x05\x06"
@@ -350,15 +350,16 @@ def find_pickle_payloads(
     cap: int = DEFAULT_ENTRY_CAP,
     errors: list[tuple[ArchiveEntry, FormatError]] | None = None,
 ) -> list[tuple[ArchiveEntry, bytes]]:
-    """Locate every entry a deserializing loader would feed to pickle.
+    """Read every entry a deserializing loader may feed to pickle.
 
-    Selection: a ``.pkl`` path suffix, or content that plausibly starts a
-    pickle stream.  In a torch-layout archive, one with a
-    ``<prefix>/data.pkl`` member, the members under ``<prefix>/data/`` are
-    tensor storage that the loader reads as raw bytes, so their content is
-    not sniffed.  Per-entry read failures are appended to ``errors`` (when
-    given) as ``(entry, error)`` pairs, without aborting the remaining
-    entries.
+    Selection: ``is_pickle`` of the member's path and of its first
+    ``SNIFF_BYTES`` bytes, unless that rules the member out.  A member
+    whose head leaves it undecided is read too; the scan of its bytes
+    decides.  In a torch-layout archive, one with a ``<prefix>/data.pkl``
+    member, the members under ``<prefix>/data/`` are tensor storage that
+    the loader reads as raw bytes, so their content is not read.  Per-entry
+    read failures are appended to ``errors`` (when given) as
+    ``(entry, error)`` pairs, without aborting the remaining entries.
     """
     storage_dirs = tuple(
         entry.path[: -len("data.pkl")] + "data/"
@@ -369,14 +370,10 @@ def find_pickle_payloads(
     for entry in entries:
         if entry.path.endswith("/"):
             continue
-        by_extension = entry.path.endswith(".pkl")
-        if not by_extension:
-            if entry.uncompressed_size == 0 or entry.path.startswith(storage_dirs):
-                continue
-            head = read_entry_head(handle, entry, SNIFF_BYTES)
-            complete = entry.uncompressed_size <= SNIFF_BYTES
-            if not plausible_pickle_prefix(head, complete=complete):
-                continue
+        head = b"" if entry.path.startswith(storage_dirs) else read_entry_head(handle, entry, SNIFF_BYTES)
+        # An empty head is all there is: an empty member, storage, or no readable bytes.
+        if is_pickle(entry.path, head, not head or entry.uncompressed_size <= len(head)) is False:
+            continue
         try:
             hits.append((entry, read_entry(handle, entry, cap)))
         except FormatError as exc:

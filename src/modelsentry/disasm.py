@@ -13,8 +13,7 @@ per ``pickletools`` argument descriptor, and one more for INST's names.
 The scanner's loop over it is ``absvm``'s, which decodes and evaluates
 each op in one step.
 ``decode_ops`` is the loop here, one ``(code, offset, arg, end)`` tuple per
-op: it serves the format sniff and the instruction lists of
-``iter_programs``/``disassemble``.
+op: it serves the instruction lists of ``iter_programs``/``disassemble``.
 
 Every input terminates in either a ``PickleProgram`` or a structured
 ``ParseError``; nothing is executed, imported, or resolved.
@@ -35,11 +34,6 @@ from typing import Callable
 MAX_INSTRUCTIONS = 1_000_000  # per STOP-delimited segment
 MAX_ARG_BYTES = 256 * 1024 * 1024  # per argument
 MAX_STREAM_BYTES = 4 * 1024 * 1024 * 1024  # per stream
-
-# How much of a file or archive member the format sniff reads.
-SNIFF_BYTES = 512
-# Ops that must decode cleanly for a sniff without STOP to call it a pickle.
-_SNIFF_OPS = 32
 
 
 class ParseError(Exception):
@@ -135,7 +129,6 @@ OPCODES: tuple[pickletools.OpcodeInfo | None, ...] = tuple(map(_BY_BYTE.get, ran
 
 _STOP = ord(".")
 _PROTO = 0x80
-_IMPORTS = frozenset(b"ci")  # GLOBAL, INST
 
 
 def _truncated(op_offset: int, what: str, needed: int, stream: bytes, pos: int) -> ParseError:
@@ -374,22 +367,21 @@ _BY_ARG: dict[str | None, Decoder] = {
 # reads the argument that starts at ``pos``, raising errors at ``op_offset``
 # and checking MAX_ARG_BYTES; None marks an unassigned byte.  pickletools
 # gives GLOBAL and INST one descriptor, but the loaders read INST's names as
-# ASCII; ``_AS_WRITTEN`` reads them as UTF-8, as the format sniff does.
-_AS_WRITTEN: tuple[Decoder | None, ...] = tuple(
-    op and _BY_ARG[op.arg and op.arg.name] for op in OPCODES
+# ASCII.
+_INST_NAMES = _name_pair("ascii")
+DECODERS: tuple[Decoder | None, ...] = tuple(
+    op and (_INST_NAMES if op.code == "i" else _BY_ARG[op.arg and op.arg.name]) for op in OPCODES
 )
-_INST = ord("i")
-DECODERS = _AS_WRITTEN[:_INST] + (_name_pair("ascii"),) + _AS_WRITTEN[_INST + 1:]
 
 
-def decode_ops(stream: bytes, start: int, decoders: tuple = DECODERS):
+def decode_ops(stream: bytes, start: int):
     """Yield ``(code, offset, arg, end)`` for each op from ``start`` through STOP.
 
-    The instruction list and the format sniff read a segment through this
-    loop; the abstract machine decodes in its own (``absvm._Machine.run``),
-    with the same checks in the same order, except that it reads a run of
-    BINFLOAT ops in one call, clipped so that each check still fires at
-    the op where it fires here.
+    The instruction list reads a segment through this loop; the abstract
+    machine decodes in its own (``absvm._Machine.run``), with the same
+    checks in the same order, except that it reads a run of BINFLOAT ops in
+    one call, clipped so that each check still fires at the op where it
+    fires here.
     """
     length = len(stream)
     max_instructions = MAX_INSTRUCTIONS
@@ -401,7 +393,7 @@ def decode_ops(stream: bytes, start: int, decoders: tuple = DECODERS):
         if count >= max_instructions:
             raise LimitExceeded(pos, "max_instructions")
         code = stream[pos]
-        decode = decoders[code]
+        decode = DECODERS[code]
         if decode is None:
             raise UnknownOpcode(pos, code)
         arg, end = decode(stream, pos + 1, pos)
@@ -487,60 +479,6 @@ def iter_programs(stream: bytes):
         pos += program.trailing_bytes
         yield program
         segment += 1
-
-
-def _is_dotted_name(text: str) -> bool:
-    return all(part.isidentifier() for part in text.split("."))
-
-
-def plausible_pickle_prefix(sample: bytes, complete: bool = False) -> bool:
-    """Heuristic: do these bytes plausibly start a pickle stream?
-
-    A PROTO byte with protocol <= 5 is taken at face value.  Otherwise the
-    sample must open with a protocol-0 opcode and decode coherently: either
-    a STOP is reached, a GLOBAL or INST names a dotted Python identifier
-    pair (the loader imports there, whatever follows, also when the pair's
-    last line runs to the end of the sample, and then, at the first op,
-    also when the name is empty: the loader imports the module before it
-    looks the name up; INST's names are read as UTF-8, as written),
-    ``_SNIFF_OPS``
-    instructions decode cleanly with more bytes after them, or (when
-    ``complete`` is False, i.e. the sample is a prefix of something larger)
-    several instructions decode cleanly before the sample runs out.
-    """
-    if not sample:
-        return False
-    if sample[0] == _PROTO:
-        return len(sample) >= 2 and sample[1] <= 5
-    first = OPCODES[sample[0]]
-    if first is None or first.proto > 0:
-        return False
-    count = 0
-    try:
-        for code, _offset, arg, end in decode_ops(sample, 0, _AS_WRITTEN):
-            if code in _IMPORTS and all(_is_dotted_name(part) for part in arg):
-                return True
-            count += 1
-            if count == _SNIFF_OPS and code != _STOP:
-                # With no byte left, the sample ends before the next op.
-                return end < len(sample) or not complete
-    except UnknownOpcode:
-        return False
-    except ParseError as exc:
-        # A GLOBAL or INST whose last line runs to the end of the sample
-        # still names the pair the loader imports.  An empty name counts
-        # only at the first op: a dotted word after other ops is common
-        # text (torch's ``byteorder`` member, ``little``, reads as LIST,
-        # on which a loader fails, then INST ``ttl``).
-        names = getattr(exc, "names", None)
-        if names is not None and _is_dotted_name(names[0]) and (
-            _is_dotted_name(names[1]) or (not names[1] and count == 0)
-        ):
-            return True
-        # Ran off the end of the sample: fine for a prefix of a longer
-        # stream, disqualifying for complete content.
-        return not complete and count >= 4
-    return True  # reached STOP
 
 
 def format_instruction(instr: Instruction) -> str:

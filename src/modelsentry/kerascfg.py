@@ -3,7 +3,8 @@
 Walks every ``layers`` array in a config (including nested inner models and
 wrapper layers that embed a single ``layer``), records each layer it finds,
 and pulls serialized code payloads out of Lambda-style layers.  Payload
-bytes are decoded from base64 so they can be measured and hashed, but they
+bytes are decoded as Keras decodes them (base64, or the text's
+``raw_unicode_escape`` bytes) so they can be measured and hashed, but they
 are never unmarshalled, compiled, or executed.
 """
 
@@ -20,7 +21,9 @@ MAX_WALK_NODES = 1_000_000
 
 @dataclass(frozen=True)
 class CodePayload:
-    encoding: str  # "base64-marshalled-code", "plain-source", or "reference-by-name"
+    # "base64-marshalled-code", "raw-unicode-escape-marshalled-code",
+    # "plain-source", or "reference-by-name"
+    encoding: str
     decoded_length: int  # 0 for reference-by-name
     digest: str  # sha256 hex of the decoded bytes (or of the reference name)
     preview: str  # first 64 bytes, rendered printable
@@ -53,9 +56,10 @@ def extract_code_payload(
     """Inspect a layer's ``config.function`` field without evaluating it.
 
     Four on-disk encodings are handled: a list whose first element is
-    base64 of marshalled code (Keras's ``func_dump``), a Keras 3
+    marshalled code, in base64 as Keras's ``func_dump`` writes it or as
+    the ``raw_unicode_escape`` text ``func_load`` falls back to; a Keras 3
     ``{"class_name": "__lambda__", "config": {"code": ...}}`` dict holding
-    the same, a bare string naming a registered function, and any other
+    the same; a bare string naming a registered function; and any other
     string as plain source.  Anything else is reported as an anomaly,
     never silently passed.
     """
@@ -94,18 +98,25 @@ def extract_code_payload(
         inner = function.get("config")
         code = inner.get("code") if isinstance(inner, dict) else None
     if isinstance(code, str):
+        encoding = "base64-marshalled-code"
         try:
             # As Keras's func_load decodes it: the MIME codec skips the
             # newline func_dump writes every 76 characters.
             decoded = base64.decodebytes(code.encode("ascii"))
         except ValueError as exc:  # binascii.Error, UnicodeEncodeError
-            if anomalies is not None:
-                anomalies.append(
-                    ConfigAnomaly("Base64Error", field_path, f"undecodable payload: {exc}")
-                )
-            return None
+            # func_load then unmarshals the text's raw_unicode_escape bytes:
+            # code if they open with marshal's code type, with or without
+            # its reference flag.
+            decoded = code.encode("raw_unicode_escape")
+            encoding = "raw-unicode-escape-marshalled-code"
+            if decoded[:1] not in (b"c", b"\xe3"):
+                if anomalies is not None:
+                    anomalies.append(
+                        ConfigAnomaly("Base64Error", field_path, f"undecodable payload: {exc}")
+                    )
+                return None
         return CodePayload(
-            encoding="base64-marshalled-code",
+            encoding=encoding,
             decoded_length=len(decoded),
             digest=hashlib.sha256(decoded).hexdigest(),
             preview=_safe_preview(decoded),

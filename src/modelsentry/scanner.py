@@ -76,16 +76,15 @@ class ScanReport:
         return worst
 
 
-def sniff(first_bytes: bytes, length: int) -> str:
-    """Classify by magic first, content heuristics second: one of
-    ``zip_archive``, ``hdf5``, ``pickle_stream`` or ``unknown``."""
-    if first_bytes.startswith(containers.ZIP_LOCAL_MAGIC) or first_bytes.startswith(
-        containers.ZIP_EOCD_MAGIC
-    ):
+def sniff(first_bytes: bytes, length: int, name: str = "") -> str:
+    """Classify the file ``name`` of ``length`` bytes by its first bytes,
+    magic first, then ``absvm.is_pickle``: one of ``zip_archive``, ``hdf5``,
+    ``pickle_stream`` (also when undecided) or ``unknown``."""
+    if first_bytes.startswith((containers.ZIP_LOCAL_MAGIC, containers.ZIP_EOCD_MAGIC)):
         return "zip_archive"
     if first_bytes.startswith(containers.HDF5_SIGNATURE):
         return "hdf5"
-    if disasm.plausible_pickle_prefix(first_bytes, complete=length <= len(first_bytes)):
+    if absvm.is_pickle(name, first_bytes, length <= len(first_bytes)) is not False:
         return "pickle_stream"
     return "unknown"
 
@@ -114,13 +113,14 @@ def _scan_pickle_bytes(
     policy: Policy,
     findings: list[Finding],
     errors: list[ScanError],
-) -> None:
+) -> bool:
     """Decode, evaluate, and apply rules to every stream segment in one pass.
 
     A segment that fails still has the events it recorded before its error
     put through the rules: a loader runs those ops before it fails.  The
     ParseError that ends the walk is listed first, then each earlier
-    segment's VmError in segment order.
+    segment's VmError in segment order.  Bytes that ``absvm.is_pickle``
+    takes for no pickle get nothing, and False.
     """
     # One classify memo for the whole stream: the walk renders evidence only
     # for the calls apply_rules reports, and both look each root up here.
@@ -131,7 +131,9 @@ def _scan_pickle_bytes(
 
     parse_error: disasm.ParseError | None = None
     vm_errors: list[absvm.VmError] = []
-    for result in absvm.walk(data, keep_call):
+    for segment, result in enumerate(absvm.walk(data, keep_call)):
+        if segment == 0 and not absvm.is_pickle(ctx.entry or ctx.path, data, True, result):
+            return False
         if result.events:  # apply_rules makes no finding without an event
             findings.extend(apply_rules(result, policy, ctx, classified))
         if isinstance(result.error, disasm.ParseError):
@@ -145,6 +147,7 @@ def _scan_pickle_bytes(
         )
     for exc in vm_errors:
         _parse_error(findings, errors, ctx, exc, "pickle stream is not loadable", exc.offset)
+    return True
 
 
 def _scan_keras_config(
@@ -287,20 +290,21 @@ def scan_file(
     kind = "unknown"
     try:
         with _open_regular(path) as (handle, size):
-            head = handle.read(disasm.SNIFF_BYTES)
-            kind = sniff(head, size)
+            head = handle.read(absvm.SNIFF_BYTES)
+            kind = sniff(head, size, path)
             if kind == "pickle_stream" and size > disasm.MAX_STREAM_BYTES:
                 # Refused before it is read: no part of it was parsed.
                 refused = disasm.LimitExceeded(0, "max_stream_bytes")
                 errors.append(ScanError(refused.kind, "offset 0", refused.message))
             elif kind == "pickle_stream":
                 handle.seek(0)
-                _scan_pickle_bytes(handle.read(), FileContext(path), policy, findings, errors)
+                if not _scan_pickle_bytes(handle.read(), FileContext(path), policy, findings, errors):
+                    kind = "unknown"
             elif kind == "zip_archive":
                 _scan_zip(path, handle, policy, entry_cap, findings, errors)
             elif kind == "hdf5":
                 _scan_hdf5(path, handle, policy, findings, errors)
-            else:
+            if kind == "unknown":
                 message = "unrecognized format; nothing scanned"
                 findings.append(FileContext(path).finding("UNRECOGNIZED_FORMAT", message))
     except OSError as exc:

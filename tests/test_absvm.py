@@ -316,6 +316,35 @@ def test_walk_never_raises_and_only_its_last_result_holds_a_parse_error(stream, 
     assert not any(isinstance(result.error, ParseError) for result in results[:-1])
 
 
+_PLAIN_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12) | st.binary(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+# Lines of text over characters that are opcodes, newlines and separators.
+_TEXT_LINES = st.lists(st.text(st.sampled_from("cilpSVIN.(0)2,5 x_\\'\"\xe9"), max_size=24), max_size=24).map(
+    lambda lines: "".join(line + "\n" for line in lines).encode()
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        _mutants(),
+        st.builds(pickle.dumps, _PLAIN_VALUES, st.integers(0, 5)),
+        _TEXT_LINES,
+    ),
+    st.data(),
+)
+def test_a_head_that_decides_decides_as_the_whole_does(stream, data):
+    cut = data.draw(st.integers(0, len(stream)))
+    decided = absvm.is_pickle("", stream[:cut], cut == len(stream))
+    if decided is not None:
+        assert decided == absvm.is_pickle("", stream)
+
+
 def test_a_stream_refused_before_its_first_segment_yields_one_result_with_no_events():
     (empty,) = absvm.walk(b"")
     with mock.patch.object(disasm, "MAX_STREAM_BYTES", 1):

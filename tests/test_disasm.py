@@ -34,7 +34,6 @@ from modelsentry.disasm import (
     UnknownOpcode,
     disassemble,
     iter_programs,
-    plausible_pickle_prefix,
 )
 from modelsentry.forge import emit_injected_pickle, emit_reduce_payload_pickle
 
@@ -204,32 +203,6 @@ def test_totality_on_arbitrary_bytes(data):
         assert program.byte_length <= len(data)
     except ParseError:
         pass  # structured failure is the contract; anything else propagates
-
-
-def test_plausible_pickle_prefix():
-    assert plausible_pickle_prefix(b"\x80\x04\x95\x00")
-    assert plausible_pickle_prefix(b"\x80\x02")
-    assert not plausible_pickle_prefix(b"\x80\x06extra")
-    assert plausible_pickle_prefix(b"N.", complete=True)
-    assert plausible_pickle_prefix(pickle.dumps([1, 2, 3], 0), complete=True)
-    assert not plausible_pickle_prefix(b"Model fixture text", complete=True)
-    assert not plausible_pickle_prefix(b"", complete=True)
-    assert not plausible_pickle_prefix(b"{\"json\": 1}", complete=True)
-    # The loader imports os.system from an unterminated last line, and the
-    # module alone when the name line is empty or past the end: pickle.py
-    # calls ``find_class("at", "")`` on ``cat\n``.  A text line whose head
-    # is no dotted name is no import.
-    assert plausible_pickle_prefix(b"cos\nsystemX", complete=True)
-    assert plausible_pickle_prefix(b"(Vls\nios\nsystemX", complete=True)
-    assert plausible_pickle_prefix(b"cat\n", complete=True)
-    assert plausible_pickle_prefix(b"cosX", complete=True)
-    assert not plausible_pickle_prefix(b"cat dog\n", complete=True)
-    # After another op a dotted word is text: LIST, then INST "ttl".
-    assert not plausible_pickle_prefix(b"little", complete=True)
-    assert not plausible_pickle_prefix(b"cos\n two words X", complete=True)
-    # INST's names are read as written for the sniff, though no loader
-    # reads a name that is not ASCII.
-    assert plausible_pickle_prefix(b"(Vls\nios\nsyst\xc3\xa9m\n.", complete=True)
 
 
 def test_frame_argument_decoded_and_recorded():

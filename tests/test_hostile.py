@@ -502,6 +502,23 @@ def test_inst_whose_names_are_not_ascii_imports_nothing(tmp_path, policy):
     ]
 
 
+def test_text_a_loader_fails_on_at_once_is_never_read_whole(tmp_path, policy):
+    """Each line reads as LIST, on which a loader fails with no MARK: the
+    file's first bytes rule it out, so its size costs nothing."""
+    path = tmp_path / "notes.txt"
+    path.write_bytes(b"little endian\n" * 5_000_000)
+    tracemalloc.start()
+    try:
+        report = scan_paths([str(path)], policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    (scanned,) = report.files
+    assert (scanned.kind, [f.rule_id for f in scanned.findings]) == ("unknown", ["UNRECOGNIZED_FORMAT"])
+    assert exit_code(report) == 0
+
+
 def test_csv_that_opens_with_a_global_opcode_is_not_a_pickle(tmp_path, policy):
     path = tmp_path / "scores.csv"
     path.write_bytes(b"class,score\ncat,0.91\ndog,0.09\nbird,0.5\n")

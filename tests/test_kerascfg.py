@@ -256,6 +256,22 @@ def test_bad_base64_is_anomaly_not_crash():
     assert anomalies and anomalies[0].kind == "Base64Error"
 
 
+@pytest.mark.parametrize("flag", [0, 0x80], ids=["plain", "with-ref-flag"])
+def test_raw_unicode_escape_payload_is_measured_and_hashed(flag):
+    """Where base64 fails, Keras's func_load unmarshals the text's
+    ``raw_unicode_escape`` bytes: marshalled code, type byte ``c`` with or
+    without marshal's reference flag."""
+    raw = marshal.dumps(compile("x + 1", "<l>", "eval"))
+    raw = bytes([raw[0] & 0x7F | flag]) + raw[1:]
+    layer = {"class_name": "Lambda", "config": {"function": [raw.decode("raw_unicode_escape"), None, None]}}
+    anomalies: list[ConfigAnomaly] = []
+    record = extract_code_payload(layer, "", anomalies)
+    assert anomalies == []
+    assert record.encoding == "raw-unicode-escape-marshalled-code"
+    assert record.decoded_length == len(raw)
+    assert record.digest == hashlib.sha256(raw).hexdigest()
+
+
 def test_unknown_function_shape_is_anomaly():
     layer = {"class_name": "Lambda", "config": {"function": {"weird": 1}}}
     anomalies: list[ConfigAnomaly] = []

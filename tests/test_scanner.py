@@ -14,7 +14,7 @@ import zipfile
 import pytest
 
 from conftest import alarm
-from modelsentry import containers
+from modelsentry import absvm, containers
 from modelsentry.cli import main as cli_main
 from modelsentry.containers import HDF5_SIGNATURE
 from modelsentry.forge import (
@@ -52,6 +52,118 @@ def test_sniff_protocol_4_header():
 def test_sniff_unknown():
     assert sniff(b"", 0) == "unknown"
     assert sniff(b"plain text, nothing else", 24) == "unknown"
+
+
+@pytest.mark.parametrize(
+    "head, length, kind",
+    [
+        # A PROTO of protocol 5 or less, whatever follows.
+        (b"\x80\x04\x95\x00", 1000, "pickle_stream"),
+        (b"\x80\x02", 1000, "pickle_stream"),
+        # A first segment that reaches STOP.
+        (b"N.", 2, "pickle_stream"),
+        (pickle.dumps([1, 2, 3], 0), None, "pickle_stream"),
+        # An import before the first fault.  pickle.py imports os.system from
+        # an unterminated last line, and the module alone when the name line
+        # is empty or past the end: ``find_class("at", "")`` for ``cat\n``.
+        (b"cos\nsystemX", None, "pickle_stream"),
+        (b"(Vls\nios\nsystemX", None, "pickle_stream"),
+        (b"cat\n", None, "pickle_stream"),
+        (b"cosX", None, "pickle_stream"),
+        # A fault before any import.
+        (b"\x80\x06extra", None, "unknown"),  # PROTO 6, then APPENDS with no MARK
+        (b"Model fixture text", None, "unknown"),
+        (b"", 0, "unknown"),
+        (b'{"json": 1}', None, "unknown"),  # "{" is no opcode
+        (b"cat dog\n", None, "unknown"),  # "at dog" is no module name
+        (b"little", None, "unknown"),  # LIST with no MARK
+        (b"cos\n two words X", None, "unknown"),
+        # INST names that are not ASCII fail both loaders before the import.
+        (b"(Vls\nios\nsyst\xc3\xa9m\n.", None, "unknown"),
+        # A head that runs out undecided: the whole is read.
+        (b"N" * 512, 600, "pickle_stream"),
+        (b"N" * 600, None, "unknown"),
+    ],
+)
+def test_sniff_takes_what_a_loader_would_run(head, length, kind):
+    assert sniff(head, len(head) if length is None else length) == kind
+
+
+def test_sniff_takes_any_pkl_file_for_a_pickle():
+    assert sniff(b"Model fixture text", 18, "model.pkl") == "pickle_stream"
+    assert sniff(b"PK\x03\x04" + b"\x00" * 20, 1000, "model.pkl") == "zip_archive"
+
+
+class _System:
+    """Pickled by the standard library as a call to os.system."""
+
+    def __reduce__(self):
+        return (os.system, (MARKER,))
+
+
+@pytest.mark.parametrize("obj", [[_System()], {"state": _System()}], ids=["list", "dict"])
+@pytest.mark.parametrize("name", ["model.bin", "model.pkl", "weights/model.bin"])
+def test_protocol_1_stream_that_opens_with_a_container_is_critical(tmp_path, policy, obj, name):
+    """Protocol 1 writes no PROTO: these open with EMPTY_LIST or EMPTY_DICT."""
+    stream = pickle.dumps(obj, 1)
+    assert stream[:1] in (b"]", b"}")
+    path = tmp_path / name
+    entry = None
+    if "/" in name:
+        path, entry = tmp_path / "model.zip", name
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr(name, stream)
+    else:
+        path.write_bytes(stream)
+    report = scan_paths([str(path)], policy)
+    assert exit_code(report) == 3
+    critical = {(f.rule_id, f.entry) for f in report.files[0].findings if f.severity is Severity.CRITICAL}
+    assert critical == {("PICKLE_DANGEROUS_GLOBAL", entry), ("PICKLE_CALL", entry)}
+
+
+def test_protocol_1_int_is_a_pickle_stream(tmp_path, policy):
+    path = tmp_path / "x.bin"
+    path.write_bytes(pickle.dumps(7, 1))
+    report = scan_file(str(path), policy)
+    assert report.kind == "pickle_stream"
+    assert (report.findings, report.errors) == ([], [])
+
+
+_CSV = b"0.5,0.25,0.125\n1.0,2.0,3.0\n"  # "0" is POP, on which a loader fails
+
+
+def test_csv_of_numbers_is_not_a_pickle(tmp_path, policy):
+    path = tmp_path / "vals.csv"
+    path.write_bytes(_CSV)
+    report = scan_paths([str(path)], policy)
+    assert [f.rule_id for f in report.files[0].findings] == ["UNRECOGNIZED_FORMAT"]
+    assert exit_code(report) == 0
+    path = tmp_path / "clean.pt"
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("archive/data.pkl", pickle.dumps({"acc": 0.9}, 2))
+        archive.writestr("archive/extra/vals.csv", _CSV)
+    report = scan_paths([str(path)], policy)
+    assert (report.files[0].findings, report.files[0].errors) == ([], [])
+    assert exit_code(report) == 0
+
+
+def test_a_head_that_runs_out_undecided_is_decided_by_the_whole(tmp_path, policy):
+    """Protocol-1 floats open with no import for longer than the head; ``N``
+    repeated runs out with no STOP, so a loader runs nothing."""
+    floats = pickle.dumps([0.5] * 100, 1)
+    nones = b"N" * 600
+    assert min(len(floats), len(nones)) > absvm.SNIFF_BYTES
+    (tmp_path / "floats.bin").write_bytes(floats)
+    (tmp_path / "nones.bin").write_bytes(nones)
+    with zipfile.ZipFile(tmp_path / "both.zip", "w") as archive:
+        archive.writestr("floats.bin", floats)
+        archive.writestr("nones.bin", nones)
+    both, floats_report, nones_report = scan_paths([str(tmp_path)], policy).files
+    assert (both.findings, both.errors) == ([], [])
+    assert (floats_report.kind, floats_report.findings, floats_report.errors) == ("pickle_stream", [], [])
+    assert nones_report.kind == "unknown"
+    assert [f.rule_id for f in nones_report.findings] == ["UNRECOGNIZED_FORMAT"]
+    assert nones_report.errors == []
 
 
 # -- scan_file ------------------------------------------------------------------
@@ -749,6 +861,14 @@ def test_named_pipe_is_an_io_error_not_a_hang(tmp_path, policy, capsys):
     assert by_path[str(pickled)].errors == []
     assert status == 2
     assert json.loads(capsys.readouterr().out) == report_to_dict(report)
+
+
+def test_disasm_refuses_a_named_pipe_without_waiting(tmp_path, capsys):
+    pipe = tmp_path / "named.pipe"
+    os.mkfifo(pipe)
+    with alarm(10.0):
+        assert cli_main(["disasm", str(pipe)]) == 2
+    assert "not a regular file" in capsys.readouterr().err
 
 
 def test_verify_reports_a_named_pipe_without_waiting(tmp_path, policy):
