@@ -659,7 +659,8 @@ class _Machine:
     # -- opcode handlers ----------------------------------------------------
 
     def op_proto(self, arg) -> None:
-        pass
+        if arg > 5:  # above pickle.HIGHEST_PROTOCOL: refused by load_proto
+            raise VmError(self.offset, f"unsupported pickle protocol: {arg}")
 
     def op_frame(self, arg) -> None:
         pass  # frame accounting happens in run()
@@ -1101,13 +1102,13 @@ def is_pickle(
     first segment of ``walk(stream)`` must reach STOP or import before its
     first fault: a DynamicGlobal, or a GlobalResolved of a dotted module
     and a dotted or empty name (pickle.py imports the module first).  A
-    LimitExceeded is the scanner's bound, not a loader's fault: yes.
+    LimitExceeded is the scanner's bound, not a loader's fault: yes,
+    unless the bytes run out there too (its ``available`` is set).
 
     With ``whole`` False, ``stream`` is a head, which decides when the
-    first fault lies inside it.  The head running out (MissingStop, or a
-    TruncatedArgument with ``available`` set), or an import made there,
-    decides nothing: None, read the whole.  ``first`` is the first result
-    of ``walk(stream)``, when the caller has it.
+    first fault lies inside it.  Bytes running out there (MissingStop, or
+    ``available`` set), or an import made there, decide nothing: None, read
+    the whole.  ``first`` is ``walk(stream)``'s first result, if known.
     """
     if name.endswith(".pkl") or stream[:1] == b"\x80" and len(stream) > 1 and stream[1] <= 5:
         return True
@@ -1118,11 +1119,10 @@ def is_pickle(
     if first is None:
         first = next(walk(stream, lambda root: False))  # no call evidence
     fault = first.fault
-    if fault is None or isinstance(fault, (disasm.LimitExceeded, LimitExceeded)):
+    cut = isinstance(fault, disasm.MissingStop) or getattr(fault, "available", None) is not None
+    if fault is None or not cut and isinstance(fault, (disasm.LimitExceeded, LimitExceeded)):
         return True
-    ran_out = not whole and (
-        isinstance(fault, disasm.MissingStop) or getattr(fault, "available", None) is not None
-    )
+    ran_out = cut and not whole
     for event in first.events:
         if ran_out and event.at_offset >= fault.offset:
             break

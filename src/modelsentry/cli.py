@@ -10,7 +10,7 @@ from . import containers, disasm
 from .forge import DEFAULT_MARKER, ForgeError, emit_corpus
 from .policy import IntegrityManifest, Policy, Severity, default_policy, load_policy_file
 from .report import EXIT_OK, EXIT_OPERATIONAL, exit_code, render
-from .scanner import ScanReport, _open_regular, scan_paths, verify_paths
+from .scanner import ScanReport, open_regular, scan_paths, verify_paths
 
 POLICY_ENV_VAR = "MODELSENTRY_POLICY"
 
@@ -102,7 +102,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_disasm(args: argparse.Namespace) -> int:
     try:
-        with _open_regular(args.file) as (handle, _size):
+        with open_regular(args.file) as (handle, _size):
             data = handle.read()
     except OSError as exc:
         print(f"modelsentry: {exc}", file=sys.stderr)

@@ -370,8 +370,9 @@ def find_pickle_payloads(
     for entry in entries:
         if entry.path.endswith("/"):
             continue
-        head = b"" if entry.path.startswith(storage_dirs) else read_entry_head(handle, entry, SNIFF_BYTES)
-        # An empty head is all there is: an empty member, storage, or no readable bytes.
+        # The name decides storage and a .pkl; else an empty head is all there is.
+        named = entry.path.startswith(storage_dirs) or entry.path.endswith(".pkl")
+        head = b"" if named else read_entry_head(handle, entry, SNIFF_BYTES)
         if is_pickle(entry.path, head, not head or entry.uncompressed_size <= len(head)) is False:
             continue
         try:

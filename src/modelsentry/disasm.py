@@ -81,9 +81,11 @@ class MissingStop(ParseError):
 
 
 class LimitExceeded(ParseError):
-    def __init__(self, offset: int, which: str):
+    # ``available``: the bytes left when an over-size argument runs past the end.
+    def __init__(self, offset: int, which: str, available: int | None = None):
         super().__init__(offset, f"limit exceeded: {which}")
         self.which = which
+        self.available = available
 
 
 @dataclass(frozen=True)
@@ -178,10 +180,10 @@ def _counted(fmt: str, convert: Callable[[bytes, int], object] | None) -> Decode
             raise _truncated(op_offset, "length prefix", width, stream, pos) from None
         if n < 0:
             raise TruncatedArgument(op_offset, f"negative byte count {n}")
-        if n > MAX_ARG_BYTES:
-            raise LimitExceeded(op_offset, "max_arg_bytes")
         pos += width
         end = pos + n
+        if n > MAX_ARG_BYTES:
+            raise LimitExceeded(op_offset, "max_arg_bytes", len(stream) - pos if end > len(stream) else None)
         if end > len(stream):
             raise _truncated(op_offset, "counted argument", n, stream, pos)
         if convert is None:

@@ -265,7 +265,7 @@ def _scan_hdf5(
 
 
 @contextlib.contextmanager
-def _open_regular(path: str) -> Iterator[tuple[BinaryIO, int]]:
+def open_regular(path: str) -> Iterator[tuple[BinaryIO, int]]:
     """A regular file opened for reading, with its size.  The open does not
     wait for a writer on a named pipe; anything that is not a regular file
     raises OSError."""
@@ -289,7 +289,7 @@ def scan_file(
     errors: list[ScanError] = []
     kind = "unknown"
     try:
-        with _open_regular(path) as (handle, size):
+        with open_regular(path) as (handle, size):
             head = handle.read(absvm.SNIFF_BYTES)
             kind = sniff(head, size, path)
             if kind == "pickle_stream" and size > disasm.MAX_STREAM_BYTES:
@@ -406,7 +406,7 @@ def verify_paths(
         findings: list[Finding] = []
         errors: list[ScanError] = []
         try:
-            with _open_regular(path) as (handle, _size):
+            with open_regular(path) as (handle, _size):
                 outcome = verify_integrity(handle, path, manifest)
             if outcome.status == "mismatch":
                 message = (

@@ -324,7 +324,7 @@ _PLAIN_VALUES = st.recursive(
     max_leaves=12,
 )
 # Lines of text over characters that are opcodes, newlines and separators.
-_TEXT_LINES = st.lists(st.text(st.sampled_from("cilpSVIN.(0)2,5 x_\\'\"\xe9"), max_size=24), max_size=24).map(
+_TEXT_LINES = st.lists(st.text(st.sampled_from("cilpSVINTBX.(0)2,5 x_\\'\"\xe9"), max_size=24), max_size=24).map(
     lambda lines: "".join(line + "\n" for line in lines).encode()
 )
 

@@ -14,7 +14,7 @@ import zipfile
 import pytest
 
 from conftest import alarm
-from modelsentry import absvm, containers
+from modelsentry import absvm, containers, disasm
 from modelsentry.cli import main as cli_main
 from modelsentry.containers import HDF5_SIGNATURE
 from modelsentry.forge import (
@@ -54,6 +54,11 @@ def test_sniff_unknown():
     assert sniff(b"plain text, nothing else", 24) == "unknown"
 
 
+# The file header of a 4 MiB bitmap: "B" is BINBYTES, and "M" plus the file
+# size read as a length of about 1 GiB.
+_BMP_HEADER = b"BM\x36\x00\x40\x00\x00\x00\x00\x00\x36\x00\x00\x00\x28\x00\x00\x00"
+
+
 @pytest.mark.parametrize(
     "head, length, kind",
     [
@@ -72,6 +77,7 @@ def test_sniff_unknown():
         (b"cosX", None, "pickle_stream"),
         # A fault before any import.
         (b"\x80\x06extra", None, "unknown"),  # PROTO 6, then APPENDS with no MARK
+        (b"\x80\x06N.", None, "unknown"),  # pickle.py refuses protocol 6
         (b"Model fixture text", None, "unknown"),
         (b"", 0, "unknown"),
         (b'{"json": 1}', None, "unknown"),  # "{" is no opcode
@@ -83,10 +89,54 @@ def test_sniff_unknown():
         # A head that runs out undecided: the whole is read.
         (b"N" * 512, 600, "pickle_stream"),
         (b"N" * 600, None, "unknown"),
+        # BINSTRING, BINBYTES or BINUNICODE declaring more bytes than follow,
+        # over MAX_ARG_BYTES or not: a loader finds the argument cut short.
+        (b"The quick brown fox\n", None, "unknown"),
+        (b"Beta\n", None, "unknown"),
+        (b"XML-like text, more than 256 MiB by its first four bytes", None, "unknown"),
+        (_BMP_HEADER, None, "unknown"),
     ],
 )
 def test_sniff_takes_what_a_loader_would_run(head, length, kind):
     assert sniff(head, len(head) if length is None else length) == kind
+
+
+def test_sniff_keeps_an_argument_over_max_arg_bytes_that_is_all_there(monkeypatch):
+    """An argument over the bound is the scanner's limit, not a loader's
+    fault; one that also runs past the end is cut short for a loader."""
+    monkeypatch.setattr(disasm, "MAX_ARG_BYTES", 4)
+    assert sniff(b"X\x05\x00\x00\x00hello.", 11) == "pickle_stream"
+    assert sniff(b"X\x05\x00\x00\x00hel", 8) == "unknown"
+
+
+def test_text_that_declares_a_huge_argument_is_not_a_pickle(tmp_path, policy):
+    text = b"The quick brown fox\njumps over the lazy dog\n"
+    (tmp_path / "notes.txt").write_bytes(text)
+    (tmp_path / "icon.bmp").write_bytes(_BMP_HEADER + b"\x00" * 52)
+    with zipfile.ZipFile(tmp_path / "bundle.zip", "w") as archive:
+        archive.writestr("docs/notes.txt", text)
+        archive.writestr("docs/icon.bmp", _BMP_HEADER + b"\x00" * 52)
+    report = scan_paths([str(tmp_path)], policy)
+    bundle, icon, notes = report.files
+    assert (bundle.findings, bundle.errors) == ([], [])
+    for scanned in (icon, notes):
+        assert scanned.kind == "unknown"
+        assert [f.rule_id for f in scanned.findings] == ["UNRECOGNIZED_FORMAT"]
+        assert scanned.errors == []
+    assert exit_code(report) == 0
+
+
+def test_protocol_above_5_is_refused_as_a_loader_refuses_it(tmp_path, policy):
+    stream = b"\x80\x06" + emit_reduce_payload_pickle(MARKER, 2)[2:]
+    with pytest.raises(ValueError, match="unsupported pickle protocol"):
+        pickle.loads(stream)
+    path = tmp_path / "model.pkl"
+    path.write_bytes(stream)
+    report = scan_paths([str(path)], policy)
+    (scanned,) = report.files
+    assert [f.rule_id for f in scanned.findings] == ["FORMAT_PARSE_ERROR"]
+    assert [error.message for error in scanned.errors] == ["unsupported pickle protocol: 6"]
+    assert exit_code(report) == 2
 
 
 def test_sniff_takes_any_pkl_file_for_a_pickle():
