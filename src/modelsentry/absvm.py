@@ -14,13 +14,16 @@ whole (None, a bool, an int, a float, or text or bytes of at most
 one is a ``LongPrimitive``.  Every other node is an ``AbstractValue``.
 
 ``_Machine.run`` is the one decode-and-evaluate loop: it reads each opcode
-byte, decodes its argument through ``disasm.DECODERS`` (a run of BINFLOAT
-ops in one ``struct`` call), checks the segment bounds and FRAME bounds
-inline and dispatches through ``_HANDLERS``, a table indexed by opcode
-byte, built from ``disasm.OPCODES`` (the stdlib's ``pickletools.opcodes``)
-and the handlers keyed by opcode name; every opcode there has one.
-``walk`` runs one machine over a whole stream with no instruction list,
-and each STOP-delimited segment resets it; that is the scanner's path.
+byte, reads an argless op's or a one-byte argument inline and any other
+through ``disasm.DECODERS`` (a run of BINFLOAT ops in one ``struct``
+call), checks the segment bounds and FRAME bounds inline and dispatches
+through ``_HANDLERS``, a table indexed by opcode byte, built from
+``disasm.OPCODES`` (the stdlib's ``pickletools.opcodes``) and the handlers
+keyed by opcode name; every opcode there has one.  ``walk`` runs one
+machine over a whole stream with no instruction list, and each
+STOP-delimited segment resets it; that is the scanner's path.  It yields a
+result for the first segment and for each that has an event or a fault: a
+clean segment goes by inside the loop, at the cost of its ops.
 ``evaluate`` runs it over the bytes of a disassembled program.
 ``is_pickle`` is the scanner's one rule for which bytes it scans as a
 pickle: those whose first segment a loader would run.
@@ -246,6 +249,8 @@ class AbstractResult:
     # The segment's first fault, where a loader stops: a VmError that
     # ``error`` follows, or ``error``.
     fault: VmError | ParseError | None = None
+    # The index of the segment in the stream, counting every segment.
+    segment: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +474,12 @@ def _text(value: object) -> str | None:
 class _Machine:
     __slots__ = (
         "keep_call", "stack", "metastack", "memo", "events", "root", "offset", "error",
-        "open_frame", "rendered",
+        "open_frame", "rendered", "segment",
     )
 
     def __init__(self, keep_call: KeepCall | None = None):
         self.keep_call = keep_call
+        self.segment = 0
         self._reset()
 
     def _reset(self) -> None:
@@ -485,7 +491,8 @@ class _Machine:
         self.events: list[SecurityEvent] = []
         self.offset = 0
         self.error: VmError | None = None
-        # (frame end, FRAME offset, event index at that FRAME, already flagged)
+        # A FRAME that runs on past STOP: (frame end, FRAME offset, event
+        # index at that FRAME, already flagged)
         self.open_frame: tuple[int, int, int, bool] | None = None
         # ``render_value``'s shared memo expansions.  Every op that writes
         # the graph clears it: PUT and MEMOIZE, and APPEND(S), ADDITEMS and
@@ -501,9 +508,18 @@ class _Machine:
         """Decode and evaluate the ops of ``stream`` from ``start`` through
         STOP, and yield the end of the STOP op.  Sent the start of the next
         segment, reset the per-segment state and do the same from there:
-        one machine and one loop walk every segment of a stream.
+        one machine and one loop walk every segment of a stream, and
+        ``self.segment`` counts them.
 
-        Each op's argument is read through ``disasm.DECODERS``; a ParseError
+        A clean segment is not yielded: one after the first that reached
+        STOP with no VmError and no event, leaves no FRAME open past its
+        STOP and is followed by no zero padding.  Its result would say
+        nothing, so the loop resets the state it used and goes straight on
+        to the next segment, or returns at the end of the stream.
+
+        An argless op takes no decoder call, nor does a one-byte argument
+        (PROTO, BININT1, BINGET, BINPUT, EXT1) whose byte is there; every
+        other argument is read through ``disasm.DECODERS``.  A ParseError
         (MissingStop, UnknownOpcode, a bad argument, or more than
         ``disasm.MAX_INSTRUCTIONS`` ops in one segment) propagates and ends
         the run.  FRAME bounds are checked inline: a FrameMismatch goes
@@ -522,6 +538,7 @@ class _Machine:
         """
         decoders = disasm.DECODERS
         handlers = _HANDLERS
+        inline_widths = _INLINE_WIDTHS
         length = len(stream)
         max_instructions = disasm.MAX_INSTRUCTIONS
         binfloat = _BINFLOAT
@@ -539,26 +556,34 @@ class _Machine:
                     if count >= max_instructions:
                         raise disasm.LimitExceeded(pos, "max_instructions")
                     code = stream[pos]
-                    if code == binfloat and live:
-                        # The BINFLOAT run from here, clipped as said above.
-                        heads = stream[pos:pos + _FLOAT_RUN_BYTES:_FLOAT_WIDTH]
-                        n = min(
-                            len(heads) - len(heads.lstrip(b"G")),
-                            (length - pos) // _FLOAT_WIDTH,
-                            max_instructions - count,
-                            MAX_STACK_DEPTH - len(self.stack),
-                            (frame_end - pos) // _FLOAT_WIDTH,
-                        )
-                        if n >= 2:
-                            self.stack.extend(_FLOAT_RUNS[n](stream, pos))
-                            pos += n * _FLOAT_WIDTH
-                            count += n
-                            self.offset = pos - _FLOAT_WIDTH
-                            continue
-                    decode = decoders[code]
-                    if decode is None:
-                        raise disasm.UnknownOpcode(pos, code)
-                    arg, end = decode(stream, pos + 1, pos)
+                    width = inline_widths[code]
+                    if width == 0:
+                        arg = None
+                        end = pos + 1
+                    elif width == 1 and pos + 1 < length:
+                        arg = stream[pos + 1]
+                        end = pos + 2
+                    else:
+                        if code == binfloat and live:
+                            # The BINFLOAT run from here, clipped as said above.
+                            heads = stream[pos:pos + _FLOAT_RUN_BYTES:_FLOAT_WIDTH]
+                            n = min(
+                                len(heads) - len(heads.lstrip(b"G")),
+                                (length - pos) // _FLOAT_WIDTH,
+                                max_instructions - count,
+                                MAX_STACK_DEPTH - len(self.stack),
+                                (frame_end - pos) // _FLOAT_WIDTH,
+                            )
+                            if n >= 2:
+                                self.stack.extend(_FLOAT_RUNS[n](stream, pos))
+                                pos += n * _FLOAT_WIDTH
+                                count += n
+                                self.offset = pos - _FLOAT_WIDTH
+                                continue
+                        decode = decoders[code]
+                        if decode is None:
+                            raise disasm.UnknownOpcode(pos, code)
+                        arg, end = decode(stream, pos + 1, pos)
                     if live:
                         self.offset = pos
                         if code == _FRAME:
@@ -583,10 +608,13 @@ class _Machine:
                     count += 1
             except disasm.TruncatedArgument as exc:
                 # A GLOBAL or INST whose last line runs to the end of the stream
-                # (see ``disasm._name_pair``): outside a frame, pickle.py's
-                # loader imports that pair, and for INST calls it, before it
-                # fails.  The ParseError is still the segment's error.
-                in_frame = frame_end != _NO_FRAME and exc.names_line < frame_end
+                # (see ``disasm._name_pair``): pickle.py's loader imports that
+                # pair, and for INST calls it, before it fails, unless the line
+                # starts inside a frame.  A frame cut short by the end of the
+                # stream ends there, as ``_Unframer`` reads it: a line past it
+                # is read from the file.  The ParseError is still the
+                # segment's error.
+                in_frame = frame_end != _NO_FRAME and exc.names_line < min(frame_end, length)
                 if live and exc.names is not None and not in_frame:
                     self.offset = pos
                     try:
@@ -594,10 +622,23 @@ class _Machine:
                     except VmError:
                         pass
                 raise
-            if frame_end != _NO_FRAME:
+            if end < frame_end < _NO_FRAME:  # the frame runs on past STOP
                 self.open_frame = (frame_end, *last_frame)
+            elif live and not events and self.segment and (
+                end == length or stream[end] or not zero_padding(stream, end)
+            ):
+                # A clean segment: the state it used holds nothing a result
+                # could show, and no result has seen its memo or metastack.
+                if end == length:
+                    return
+                self.memo.clear()
+                self.metastack.clear()
+                self.segment += 1
+                pos = end
+                continue
             pos = yield end
             self._reset()
+            self.segment += 1
 
     def result(
         self, error: VmError | ParseError | None, stream_end: int = 0, trailing_bytes: int = 0
@@ -608,14 +649,16 @@ class _Machine:
         if error is not None:
             root = Opaque("evaluation stopped before STOP")
             fault = self.error or error
-            return AbstractResult(root, self.events, len(self.memo), self.memo, error, fault)
+            return AbstractResult(
+                root, self.events, len(self.memo), self.memo, error, fault, self.segment
+            )
         if self.open_frame is not None:
             frame_end, frame_offset, index, flagged = self.open_frame
             if frame_end > stream_end and not flagged:
                 self.events.insert(index, FrameMismatch(frame_offset))
         if trailing_bytes > 0:
             self.events.append(TrailingData(self.offset, trailing_bytes))
-        return AbstractResult(self.root, self.events, len(self.memo), self.memo)
+        return AbstractResult(self.root, self.events, len(self.memo), self.memo, segment=self.segment)
 
     # -- primitives ---------------------------------------------------------
 
@@ -644,15 +687,6 @@ class _Machine:
         self.stack = self.metastack.pop()
         return items
 
-    def memo_put(self, index: int) -> None:
-        if index < 0:
-            raise MemoMiss(self.offset, index)
-        if len(self.memo) >= MAX_MEMO_ENTRIES:
-            raise LimitExceeded(self.offset, "max_memo_entries")
-        self.memo[index] = self.peek()
-        if self.rendered:
-            self.rendered.clear()
-
     def emit(self, event: SecurityEvent) -> None:
         self.events.append(event)
 
@@ -665,15 +699,22 @@ class _Machine:
     def op_frame(self, arg) -> None:
         pass  # frame accounting happens in run()
 
+    # The hot handlers (STOP, MARK, EMPTY_LIST and EMPTY_DICT, PUT, MEMOIZE,
+    # GET, APPENDS and SETITEMS, and the literals) work on the stack and
+    # memo inline, with the checks of ``push``, ``pop``, ``peek`` and
+    # ``pop_mark`` in the same order.
     def op_stop(self, arg) -> None:
-        self.root = self.pop()
-        depth = len(self.stack)
-        if self.metastack:
-            depth += sum(len(frame) for frame in self.metastack)
-        if depth > 0:
-            self.emit(ResidualStack(self.offset, depth))
+        stack = self.stack
+        try:
+            self.root = stack.pop()
+        except IndexError:
+            raise StackUnderflow(self.offset) from None
+        if stack or self.metastack:
+            depth = len(stack) + sum(len(frame) for frame in self.metastack)
+            if depth > 0:
+                self.emit(ResidualStack(self.offset, depth))
 
-    # constants: the hot ones check the stack depth inline
+    # constants
     def op_none(self, arg) -> None:
         self.push(None)
 
@@ -706,10 +747,16 @@ class _Machine:
 
     # containers
     def op_empty_list(self, arg) -> None:
-        self.push(Container("list", []))
+        stack = self.stack
+        if len(stack) >= MAX_STACK_DEPTH:
+            raise LimitExceeded(self.offset, "max_stack_depth")
+        stack.append(Container("list", []))
 
     def op_empty_dict(self, arg) -> None:
-        self.push(Container("dict", []))
+        stack = self.stack
+        if len(stack) >= MAX_STACK_DEPTH:
+            raise LimitExceeded(self.offset, "max_stack_depth")
+        stack.append(Container("dict", []))
 
     def op_empty_set(self, arg) -> None:
         self.push(Container("set", []))
@@ -755,8 +802,14 @@ class _Machine:
                 self.rendered.clear()
 
     def op_appends(self, arg) -> None:
-        items = self.pop_mark()
-        target = _deref(self.peek(), self.memo)
+        metastack = self.metastack
+        if not metastack:
+            raise BadMark(self.offset)
+        items = self.stack
+        stack = self.stack = metastack.pop()
+        if not stack:
+            raise StackUnderflow(self.offset)
+        target = _deref(stack[-1], self.memo)
         if isinstance(target, Container) and target.kind in ("list", "set"):
             target.elements.extend(items)
             if self.rendered:
@@ -780,8 +833,14 @@ class _Machine:
                 self.rendered.clear()
 
     def op_setitems(self, arg) -> None:
-        items = self.pop_mark()
-        target = _deref(self.peek(), self.memo)
+        metastack = self.metastack
+        if not metastack:
+            raise BadMark(self.offset)
+        items = self.stack
+        stack = self.stack = metastack.pop()
+        if not stack:
+            raise StackUnderflow(self.offset)
+        target = _deref(stack[-1], self.memo)
         if isinstance(target, Container) and target.kind == "dict":
             for i in range(0, len(items) - 1, 2):
                 target.elements.append((items[i], items[i + 1]))
@@ -790,9 +849,10 @@ class _Machine:
 
     # stack plumbing
     def op_mark(self, arg) -> None:
-        if len(self.metastack) >= MAX_STACK_DEPTH:
+        metastack = self.metastack
+        if len(metastack) >= MAX_STACK_DEPTH:
             raise LimitExceeded(self.offset, "max_stack_depth (metastack)")
-        self.metastack.append(self.stack)
+        metastack.append(self.stack)
         self.stack = []
 
     def op_pop(self, arg) -> None:
@@ -812,10 +872,23 @@ class _Machine:
         index = int(arg)
         if index not in self.memo:
             raise MemoMiss(self.offset, index)
-        self.push(MemoRef(index))
+        stack = self.stack
+        if len(stack) >= MAX_STACK_DEPTH:
+            raise LimitExceeded(self.offset, "max_stack_depth")
+        stack.append(MemoRef(index))
 
     def op_put(self, arg) -> None:
-        self.memo_put(int(arg))
+        index = int(arg)
+        if index < 0:
+            raise MemoMiss(self.offset, index)
+        memo = self.memo
+        if len(memo) >= MAX_MEMO_ENTRIES:
+            raise LimitExceeded(self.offset, "max_memo_entries")
+        if not self.stack:
+            raise StackUnderflow(self.offset)
+        memo[index] = self.stack[-1]
+        if self.rendered:
+            self.rendered.clear()
 
     def op_memoize(self, arg) -> None:
         memo = self.memo
@@ -1013,6 +1086,13 @@ _HANDLERS: tuple = tuple(op and _BY_MNEMONIC[op.name] for op in OPCODES)
 
 _FRAME = 0x95
 _STOP = ord(".")
+# Indexed by opcode byte: the width of an argument ``run`` reads without a
+# decoder call, 0 (no argument) or 1 (uint1); 2 for any other op, and for
+# an unassigned byte.
+_INLINE_WIDTHS = bytes(
+    2 if op is None else 0 if op.arg is None else 1 if op.arg.name == "uint1" else 2
+    for op in OPCODES
+)
 _NO_FRAME = 1 << 65  # past any frame end a u8 length can encode
 
 # A run of BINFLOAT ops (opcode byte, then an 8-byte big-endian double) is
@@ -1045,14 +1125,18 @@ def evaluate(program: PickleProgram) -> AbstractResult:
 def walk(stream: bytes, keep_call: KeepCall | None = None):
     """Decode and evaluate every STOP-delimited segment of ``stream`` in one pass.
 
-    Yields one AbstractResult per segment and never raises; no instruction
-    list is built, and one machine runs every segment, reset at each.  A
-    segment's VmError or ParseError is its result's ``error``, and a
-    ParseError (with its ``segment`` set) ends the walk; a stream refused
-    before its first segment yields one result that holds the refusal and
-    no events.  Segment splitting, zero padding and ParseErrors are exactly
-    those of ``disasm.iter_programs``, and each result without an error
-    equals ``evaluate`` of the matching program.
+    Yields an AbstractResult for the first segment, which ``is_pickle``
+    reads, and for each later one that has an event or a fault; each
+    result's ``segment`` is its index among all segments.  A later segment
+    with neither (a clean one, see ``_Machine.run``) costs only its ops and
+    yields nothing.  Never raises; no instruction list is built, and one
+    machine runs every segment, reset at each.  A segment's VmError or
+    ParseError is its result's ``error``, and a ParseError (with its
+    ``segment`` set) ends the walk; a stream refused before its first
+    segment yields one result that holds the refusal and no events.
+    Segment splitting, zero padding and ParseErrors are exactly those of
+    ``disasm.iter_programs``, and each result without an error equals
+    ``evaluate`` of the matching program.
 
     ``keep_call(root)`` says which calls need evidence: a CallMade whose
     root it rejects gets an empty ``arg_summary``.  Kept calls get the text
@@ -1067,12 +1151,13 @@ def walk(stream: bytes, keep_call: KeepCall | None = None):
     machine = _Machine(keep_call)
     segments = machine.run(stream, 0)
     pos = None  # the first send starts the run, at 0
-    segment = 0
     while True:
         try:
             end = segments.send(pos)
+        except StopIteration:  # the stream ended on a clean segment
+            return
         except ParseError as exc:
-            exc.segment = segment
+            exc.segment = machine.segment
             yield machine.result(exc)
             return
         trailing = zero_padding(stream, end)
@@ -1080,7 +1165,6 @@ def walk(stream: bytes, keep_call: KeepCall | None = None):
         yield machine.result(machine.error, pos, trailing)
         if pos >= length:
             return
-        segment += 1
 
 
 # How much of a file or archive member ``is_pickle`` reads first.

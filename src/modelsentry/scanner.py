@@ -117,10 +117,11 @@ def _scan_pickle_bytes(
     """Decode, evaluate, and apply rules to every stream segment in one pass.
 
     A segment that fails still has the events it recorded before its error
-    put through the rules: a loader runs those ops before it fails.  The
-    ParseError that ends the walk is listed first, then each earlier
-    segment's VmError in segment order.  Bytes that ``absvm.is_pickle``
-    takes for no pickle get nothing, and False.
+    put through the rules: a loader runs those ops before it fails.  Each
+    failing segment's ``fault``, the first one a loader meets there, is
+    listed: that of the segment a ParseError ended the walk on first, then
+    the others in segment order.  Bytes that ``absvm.is_pickle`` takes for
+    no pickle get nothing, and False.
     """
     # One classify memo for the whole stream: the walk renders evidence only
     # for the calls apply_rules reports, and both look each root up here.
@@ -129,24 +130,22 @@ def _scan_pickle_bytes(
     def keep_call(root: tuple[str, str] | None) -> bool:
         return call_severity(root, policy, classified)[0] is not None
 
-    parse_error: disasm.ParseError | None = None
-    vm_errors: list[absvm.VmError] = []
-    for segment, result in enumerate(absvm.walk(data, keep_call)):
-        if segment == 0 and not absvm.is_pickle(ctx.entry or ctx.path, data, True, result):
+    faults: list[absvm.VmError | disasm.ParseError] = []
+    for result in absvm.walk(data, keep_call):
+        if result.segment == 0 and not absvm.is_pickle(ctx.entry or ctx.path, data, True, result):
             return False
         if result.events:  # apply_rules makes no finding without an event
             findings.extend(apply_rules(result, policy, ctx, classified))
         if isinstance(result.error, disasm.ParseError):
-            parse_error = result.error
-        elif result.error is not None:
-            vm_errors.append(result.error)
-    if parse_error is not None:
-        _parse_error(
-            findings, errors, ctx, parse_error, "pickle segment could not be parsed",
-            parse_error.offset,
-        )
-    for exc in vm_errors:
-        _parse_error(findings, errors, ctx, exc, "pickle stream is not loadable", exc.offset)
+            faults.insert(0, result.fault)
+        elif result.fault is not None:
+            faults.append(result.fault)
+    for fault in faults:
+        if isinstance(fault, disasm.ParseError):
+            what = "pickle segment could not be parsed"
+        else:
+            what = "pickle stream is not loadable"
+        _parse_error(findings, errors, ctx, fault, what, fault.offset)
     return True
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -168,24 +168,31 @@ def _evaluated(result: absvm.AbstractResult) -> tuple:
 
 
 def _walk_outcomes(stream: bytes) -> list[tuple]:
-    """Per segment of ``walk``: its fault, or what it evaluated to."""
+    """Per result of ``walk``: its segment, and its fault or what it evaluated to."""
     return [
-        _evaluated(result) if result.error is None else _fault(result.error)
+        (result.segment, _evaluated(result) if result.error is None else _fault(result.error))
         for result in absvm.walk(stream)
     ]
 
 
 def _program_outcomes(stream: bytes) -> list[tuple]:
-    """The same from ``evaluate`` over ``iter_programs``, which raise their faults."""
+    """The same from ``evaluate`` over ``iter_programs``, which raise their
+    faults, for the segments ``walk`` yields: the first, and each that has
+    events or a fault."""
     outcomes: list[tuple] = []
+    segment = 0
     try:
         for program in iter_programs(stream):
             try:
-                outcomes.append(_evaluated(evaluate(program)))
+                result = evaluate(program)
             except absvm.VmError as exc:
-                outcomes.append(_fault(exc))
+                outcomes.append((segment, _fault(exc)))
+            else:
+                if segment == 0 or result.events:
+                    outcomes.append((segment, _evaluated(result)))
+            segment += 1
     except ParseError as exc:
-        outcomes.append(_fault(exc))
+        outcomes.append((segment, _fault(exc)))
     return outcomes
 
 
@@ -225,24 +232,34 @@ def test_walk_matches_evaluate_on_mutated_streams(data):
 # -- the fused decode-and-evaluate loop against the instruction lists -------------
 
 
-def _programs_and_parse_error(stream: bytes) -> tuple[int, tuple | None]:
-    """How many programs ``iter_programs`` yields, and the ParseError it raises."""
-    count = 0
+def _programs_and_parse_error(stream: bytes) -> tuple[list[int], tuple | None]:
+    """The segments of ``iter_programs`` that ``walk`` yields a result for
+    (the first, each whose ``evaluate`` has events or raises, and the one
+    that fails to parse), and the ParseError it raises."""
+    segments: list[int] = []
+    segment = 0
     try:
-        for _ in iter_programs(stream):
-            count += 1
+        for program in iter_programs(stream):
+            try:
+                eventful = bool(evaluate(program).events)
+            except absvm.VmError:
+                eventful = True
+            if segment == 0 or eventful:
+                segments.append(segment)
+            segment += 1
     except ParseError as exc:
-        return count, (exc.kind, exc.offset, exc.segment)
-    return count, None
+        return segments + [segment], (exc.kind, exc.offset, exc.segment)
+    return segments, None
 
 
-def _walked_and_parse_error(stream: bytes) -> tuple[int, tuple | None]:
+def _walked_and_parse_error(stream: bytes) -> tuple[list[int], tuple | None]:
     """The same from ``walk``, whose last result holds the ParseError."""
     results = list(absvm.walk(stream))
     last = results[-1].error
+    segments = [result.segment for result in results]
     if isinstance(last, ParseError):
-        return len(results) - 1, (last.kind, last.offset, last.segment)
-    return len(results), None
+        return segments, (last.kind, last.offset, last.segment)
+    return segments, None
 
 
 def assert_walk_decodes_like_iter_programs(stream: bytes) -> None:
@@ -368,7 +385,7 @@ def test_instruction_limit_counts_the_ops_after_a_vm_error():
     the limit fires at the same op as in the instruction list."""
     stream = b"R" + b"N" * 50 + b"."  # StackUnderflow at op 0
     with mock.patch.object(disasm, "MAX_INSTRUCTIONS", 40):
-        assert _programs_and_parse_error(stream) == (0, ("LimitExceeded", 40, 0))
+        assert _programs_and_parse_error(stream) == ([0], ("LimitExceeded", 40, 0))
         assert_walk_decodes_like_iter_programs(stream)
         (limited,) = absvm.walk(stream)
     assert isinstance(limited.error, disasm.LimitExceeded) and limited.events == []
@@ -411,14 +428,17 @@ def _leaky_segment() -> bytes:
 )
 def test_a_segment_starts_from_a_reset_machine(second, fault):
     first = _leaky_segment()
-    leaky, result = absvm.walk(first + second)
+    leaky, *rest = absvm.walk(first + second)
     assert leaky.error is None and leaky.memo_size == 1
     assert [type(event) for event in leaky.events] == [
         FrameMismatch, GlobalResolved, CallMade, ResidualStack
     ]
     if fault is None:
-        assert result.error is None and result.events == [] and result.memo_size == 0
+        # A clean segment, with no event and no fault: ``walk`` yields nothing for it.
+        assert rest == []
     else:
+        (result,) = rest
+        assert result.segment == 1
         assert (result.error.kind, result.error.offset) == (fault, len(first))
 
 
@@ -446,10 +466,13 @@ def test_a_segment_renders_its_call_evidence_afresh():
 def test_instruction_limit_counts_each_segment_on_its_own():
     segment = b"N0N."  # four ops, STOP included
     with mock.patch.object(disasm, "MAX_INSTRUCTIONS", 4):
+        # The second segment is clean, so only the first is yielded: a
+        # LimitExceeded there would be a result of segment 1.
         results = list(absvm.walk(segment * 2))
         (limited,) = absvm.walk(b"N0" + segment)
-    assert [result.error for result in results] == [None, None]
-    assert (limited.error.kind, limited.error.offset) == ("LimitExceeded", 4)
+        assert _walked_and_parse_error(segment * 2) == _programs_and_parse_error(segment * 2)
+    assert [(result.segment, result.error) for result in results] == [(0, None)]
+    assert (limited.segment, limited.error.kind, limited.error.offset) == (0, "LimitExceeded", 4)
 
 
 @settings(max_examples=150, deadline=None)
@@ -780,6 +803,7 @@ class _RecordingLoader(pickle._Unpickler):
 
 
 _FRAME_OF_4 = b"\x80\x04\x95\x04" + bytes(7)
+_SHORT_FRAME = b"\x80\x04\x95\xc6" + bytes(7)  # declares 198 bytes
 
 
 @pytest.mark.parametrize(
@@ -796,6 +820,12 @@ _FRAME_OF_4 = b"\x80\x04\x95\x04" + bytes(7)
         b"\x80\x02ios\nsystemX",
         _FRAME_OF_4 + b"cos\nsystemX",  # the name line starts past the frame
         b"\x80\x04\x95\x05" + bytes(7) + b"cos\nsystemX",  # it starts inside it
+        # A frame cut short by the end of the stream ends there, as pickle.py's
+        # ``_Unframer`` reads it: a line that starts past it is read from the file.
+        _SHORT_FRAME + b"c",
+        _SHORT_FRAME + b"cos\n",
+        _SHORT_FRAME + b"(Vls\ni",
+        _SHORT_FRAME + b"cos\nsystemX",  # the name line starts inside the frame
     ],
 )
 def test_unterminated_name_line_imports_what_pickle_py_imports(stream):
@@ -1488,6 +1518,13 @@ def assert_loaders_run_nothing_walk_hides(stream: bytes) -> int:
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_mutants(), _float_streams()))
+# A FRAME cut short by the end of the stream, whose last byte is INST:
+# pickle.py reads INST's lines past the short frame, from the file, and
+# imports ('', '').
+@example(
+    b"\x80\x04\x95\xc6\x00\x00\x00\x00\x00\x00\x00}(\x8c\x06weight"
+    b"\x8c\x16numpy._core.multiarray\x8c\x0c_reconstructi"
+)
 def test_loaders_run_nothing_walk_hides_on_mutants(stream):
     assert_loaders_run_nothing_walk_hides(stream)
 

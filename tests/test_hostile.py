@@ -115,6 +115,30 @@ def test_shared_long_bytes_calls_504_and_512_by_1000(tmp_path, policy):
     assert calls and {f.evidence for f in calls} == {expected}
 
 
+def test_clean_stop_segments_yield_nothing(tmp_path, policy):
+    """10,000 clean segments around one ``os.system`` call: ``walk`` yields
+    the first segment and the eventful one, and nothing for the rest."""
+    clean = b"\x80\x02K\x07."
+    evil = b"\x80\x02" + GLOBAL + b"X\x02\x00\x00\x00id\x85R."
+    shift = 5_000 * len(clean)
+    stream = clean * 5_000 + evil + clean * 5_000
+    results = list(absvm.walk(stream))
+    assert [(result.segment, result.error) for result in results] == [(0, None), (5_000, None)]
+    (alone,) = absvm.walk(evil)
+    assert [event.at_offset for event in results[1].events] == [
+        event.at_offset + shift for event in alone.events
+    ] != []
+
+    def findings(data: bytes, offset: int) -> list[tuple]:
+        path = tmp_path / "stream.pkl"
+        path.write_bytes(data)
+        report = scan_file(str(path), policy)
+        assert report.errors == []
+        return [(f.rule_id, f.severity, f.message, f.evidence, f.offset - offset) for f in report.findings]
+
+    assert findings(stream, shift) == findings(evil, 0) != []
+
+
 def test_many_hdf5_config_candidates(tmp_path, policy):
     """Every ``model_config`` candidate is tried, each from where the last
     one's parse stopped, so 20,000 failing candidates cost linear time; the

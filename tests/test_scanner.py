@@ -581,11 +581,26 @@ def test_vm_error_costs_only_its_own_segment(tmp_path, policy):
     assert "PICKLE_DANGEROUS_GLOBAL" in [f.rule_id for f in report.findings]
 
 
-def test_parse_error_replaces_vm_error_of_its_segment(tmp_path, policy):
-    # REDUCE underflows at offset 2, then byte 0xff fails to decode at offset 3.
+def test_a_segment_reports_the_fault_a_loader_meets_first(tmp_path, policy):
+    # REDUCE underflows at offset 2, before byte 0xff fails to decode at offset 3.
     report = _scan_stream(tmp_path, policy, b"N.R\xff.")
-    assert [(e.kind, e.locus) for e in report.errors] == [("UnknownOpcode", "offset 3")]
+    assert [(e.kind, e.locus) for e in report.errors] == [("StackUnderflow", "offset 2")]
     assert [f.rule_id for f in report.findings] == ["FORMAT_PARSE_ERROR"]
+
+
+def test_a_missing_mark_is_reported_where_the_loader_fails(tmp_path, policy):
+    # LIST finds no MARK at offset 0; the bytes then run out before a STOP at offset 4.
+    stream = b"lNNN"
+    with pytest.raises(pickle.UnpicklingError, match="could not find MARK"):
+        pickle.loads(stream)
+    (tmp_path / "l.pkl").write_bytes(stream)
+    report = scan_file(str(tmp_path / "l.pkl"), policy)
+    assert [(e.kind, e.locus, e.message) for e in report.errors] == [
+        ("BadMark", "offset 0", "no MARK on metastack")
+    ]
+    (finding,) = report.findings
+    assert (finding.rule_id, finding.offset) == ("FORMAT_PARSE_ERROR", 0)
+    assert finding.message == "pickle stream is not loadable: no MARK on metastack"
 
 
 def test_errors_list_parse_error_before_earlier_segments_vm_errors(tmp_path, policy):
