@@ -18,7 +18,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from .absvm import SNIFF_BYTES, is_pickle
 
@@ -50,6 +50,9 @@ _CD_SIZE_CAP = 512 * 1024 * 1024
 _CHUNK = 4 * 1024 * 1024
 _DECODER = json.JSONDecoder()
 _WHITESPACE = json.decoder.WHITESPACE
+# The 46-byte central file header, keeping the signature, flags, method,
+# sizes, name/extra/comment lengths and local header offset.
+_CENTRAL_HEADER = struct.Struct("<4s4xHH8xIIHHH8xI")
 
 
 class FormatError(Exception):
@@ -121,8 +124,7 @@ class UnbalancedJson(FormatError):
         self.end_offset = end_offset
 
 
-@dataclass(frozen=True)
-class ArchiveEntry:
+class ArchiveEntry(NamedTuple):
     """One central-directory entry, as declared (paths are data, not fs)."""
 
     path: str
@@ -149,8 +151,8 @@ def is_path_suspicious(path: str) -> bool:
         return True
     if len(path) >= 2 and path[1] == ":" and path[0].isalpha():
         return True
-    segments = path.replace("\\", "/").split("/")
-    return ".." in segments
+    # Only a name holding ".." can have a ".." segment.
+    return ".." in path and ".." in path.replace("\\", "/").split("/")
 
 
 def _file_size(handle: BinaryIO) -> int:
@@ -188,18 +190,22 @@ def _read_zip64_sizes(handle: BinaryIO, eocd_offset: int) -> tuple[int, int, int
     return total_entries, cd_size, cd_offset
 
 
-def _zip64_extra(extra: bytes, needed: list[str], values: dict[str, int]) -> dict[str, int]:
-    """Patch 0xFFFFFFFF/0xFFFF placeholders from the ZIP64 extra field."""
+def _zip64_extra(extra: bytes, values: list[int]) -> list[int]:
+    """Patch the 0xFFFFFFFF placeholders among ``values`` (uncompressed
+    size, compressed size, local header offset: the ZIP64 field order)
+    from the ZIP64 extra field."""
     pos = 0
     while pos + 4 <= len(extra):
-        header_id, data_size = struct.unpack("<HH", extra[pos : pos + 4])
+        header_id, data_size = struct.unpack_from("<HH", extra, pos)
         data = extra[pos + 4 : pos + 4 + data_size]
         if header_id == 0x0001:
             cursor = 0
-            for field_name in needed:
+            for index, value in enumerate(values):
+                if value != 0xFFFFFFFF:
+                    continue
                 if cursor + 8 > len(data):
                     break
-                values[field_name] = struct.unpack("<Q", data[cursor : cursor + 8])[0]
+                (values[index],) = struct.unpack_from("<Q", data, cursor)
                 cursor += 8
             break
         pos += 4 + data_size
@@ -228,32 +234,18 @@ def list_entries(handle: BinaryIO) -> list[ArchiveEntry]:
     for _ in range(total_entries):
         if pos + 46 > len(directory):
             raise CorruptHeader(cd_offset + pos, "central directory truncated")
-        header = directory[pos : pos + 46]
-        if header[:4] != ZIP_CENTRAL_MAGIC:
+        (
+            magic, flags, method_code, comp_size, uncomp_size, name_len, extra_len, comment_len, local_offset
+        ) = _CENTRAL_HEADER.unpack_from(directory, pos)
+        if magic != ZIP_CENTRAL_MAGIC:
             raise CorruptHeader(cd_offset + pos, "bad central file header signature")
-        flags, method_code = struct.unpack("<HH", header[8:12])
-        comp_size, uncomp_size = struct.unpack("<II", header[20:28])
-        name_len, extra_len, comment_len = struct.unpack("<HHH", header[28:34])
-        (local_offset,) = struct.unpack("<I", header[42:46])
-        name_raw = directory[pos + 46 : pos + 46 + name_len]
-        extra = directory[pos + 46 + name_len : pos + 46 + name_len + extra_len]
-        pos += 46 + name_len + extra_len + comment_len
-        encoding = "utf-8" if flags & 0x800 else "cp437"
-        path = name_raw.decode(encoding, "replace")
-        sizes = {
-            "uncompressed_size": uncomp_size,
-            "compressed_size": comp_size,
-            "local_offset": local_offset,
-        }
-        needed = []
-        if uncomp_size == 0xFFFFFFFF:
-            needed.append("uncompressed_size")
-        if comp_size == 0xFFFFFFFF:
-            needed.append("compressed_size")
-        if local_offset == 0xFFFFFFFF:
-            needed.append("local_offset")
-        if needed:
-            sizes = _zip64_extra(extra, needed, sizes)
+        name_end = pos + 46 + name_len
+        path = directory[pos + 46 : name_end].decode("utf-8" if flags & 0x800 else "cp437", "replace")
+        if 0xFFFFFFFF in (uncomp_size, comp_size, local_offset):
+            uncomp_size, comp_size, local_offset = _zip64_extra(
+                directory[name_end : name_end + extra_len], [uncomp_size, comp_size, local_offset]
+            )
+        pos = name_end + extra_len + comment_len
         if method_code == 0:
             method = "stored"
         elif method_code == 8:
@@ -262,13 +254,7 @@ def list_entries(handle: BinaryIO) -> list[ArchiveEntry]:
             method = f"unsupported({method_code})"
         entries.append(
             ArchiveEntry(
-                path=path,
-                compressed_size=sizes["compressed_size"],
-                uncompressed_size=sizes["uncompressed_size"],
-                method=method,
-                offset=sizes["local_offset"],
-                encrypted=bool(flags & 0x1),
-                suspicious_path=is_path_suspicious(path),
+                path, comp_size, uncomp_size, method, local_offset, bool(flags & 0x1), is_path_suspicious(path)
             )
         )
     return entries

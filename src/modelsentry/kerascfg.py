@@ -1,8 +1,9 @@
 """Traversal of Keras model-config JSON for custom-computation layers.
 
 Walks every ``layers`` array in a config (including nested inner models and
-wrapper layers that embed a single ``layer``), records each layer it finds,
-and pulls serialized code payloads out of Lambda-style layers.  Payload
+wrapper layers that embed a single ``layer``), records each layer of a
+flagged class (Lambda, or one a policy names), and pulls serialized code
+payloads out of those layers.  Payload
 bytes are decoded as Keras decodes them (base64, or the text's
 ``raw_unicode_escape`` bytes) so they can be measured and hashed, but they
 are never unmarshalled, compiled, or executed.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import base64
 import hashlib
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 MAX_WALK_DEPTH = 256
 MAX_WALK_NODES = 1_000_000
@@ -141,54 +142,70 @@ def _layer_name(layer: dict) -> str:
     return ""
 
 
+def _render(link: tuple | None) -> str:
+    """The JSON path a ``(parent, key)`` link chain stands for: ``.key`` for
+    an object member (no dot while the path is still empty), ``[index]`` for
+    an array element.  JSON object keys are strings, array indices ints."""
+    keys = []
+    while link is not None:
+        link, key = link
+        keys.append(key)
+    path = ""
+    for key in reversed(keys):
+        if type(key) is int:
+            path = f"{path}[{key}]"
+        else:
+            path = f"{path}.{key}" if path else key
+    return path
+
+
 def walk_layers(
     config: object,
     anomalies: list[ConfigAnomaly] | None = None,
-    payload_classes: frozenset[str] | set[str] | None = None,
+    classes: Collection[str] = frozenset({"Lambda"}),
 ) -> list[LayerRecord]:
-    """Collect a LayerRecord for every layer in document order.
+    """Collect a LayerRecord, in document order, for every layer whose class
+    is in ``classes``, with its code payload extracted.
 
-    One record per element of any ``layers`` array and per wrapper-embedded
-    ``layer`` object, however deeply nested.  Layers whose class is in
-    ``payload_classes`` (Lambda by default) get their code payload
-    extracted.  Malformed nodes are recorded as anomalies and traversal
-    continues elsewhere.  Bounded by depth and node caps against
-    adversarial configs.
+    A layer is any element of a ``layers`` array and any wrapper-embedded
+    ``layer`` object, however deeply nested; layers of other classes are
+    walked but not recorded.  Malformed layer entries of any class and other
+    malformed nodes are recorded as anomalies and traversal continues
+    elsewhere.  Bounded by depth and node caps against adversarial configs.
+    A path is carried as a ``(parent, key)`` link and rendered to its string
+    only for a record or an anomaly.
     """
     records: list[LayerRecord] = []
     budget = MAX_WALK_NODES
     capped = False
-    wants_payload = frozenset(payload_classes) if payload_classes is not None else frozenset({"Lambda"})
 
-    def note(kind: str, path: str, message: str) -> None:
+    def note(kind: str, link: tuple | None, message: str) -> None:
         if anomalies is not None:
-            anomalies.append(ConfigAnomaly(kind, path, message))
+            anomalies.append(ConfigAnomaly(kind, _render(link), message))
 
-    def exhausted(path: str) -> None:
+    def exhausted(link: tuple | None) -> None:
         nonlocal capped
         if not capped:
-            note("MalformedConfig", path, "traversal budget exhausted")
+            note("MalformedConfig", link, "traversal budget exhausted")
             capped = True
 
-    def record_layer(layer: object, path: str) -> None:
+    def check_layer(layer: object, link: tuple) -> None:
         if type(layer) is not dict or type(layer.get("class_name")) is not str:
-            note("MalformedConfig", path, "layer entry is not an object with class_name")
-            return
-        class_name = layer["class_name"]
-        payload = None
-        if class_name in wants_payload:
+            note("MalformedConfig", link, "layer entry is not an object with class_name")
+        elif layer["class_name"] in classes:
+            path = _render(link)
             payload = extract_code_payload(layer, path, anomalies)
-        records.append(LayerRecord(class_name, _layer_name(layer), path, payload))
+            records.append(LayerRecord(layer["class_name"], _layer_name(layer), path, payload))
 
-    def visit(node: object, path: str, depth: int) -> None:
+    def visit(node: object, link: tuple | None, depth: int) -> None:
         # Every JSON value costs one unit of the budget, charged in document
         # order.  A scalar child is charged here in its parent's loop, with
-        # no call, and its path is built only if a cap fires on it.  The
+        # no call, and its link is built only if a cap fires on it.  The
         # config comes from the JSON decoder, so exact type tests suffice.
         nonlocal budget
         budget -= 1
         if budget < 0 or depth > MAX_WALK_DEPTH:
-            exhausted(path)
+            exhausted(link)
             return
         child_depth = depth + 1
         too_deep = child_depth > MAX_WALK_DEPTH
@@ -196,44 +213,44 @@ def walk_layers(
             if "layers" in node or "layer" in node:
                 for key, value in node.items():
                     if key == "layers":
-                        child_path = f"{path}.{key}" if path else str(key)
+                        child = (link, key)
                         if type(value) is list:
                             for index, layer in enumerate(value):
-                                layer_path = f"{child_path}[{index}]"
-                                record_layer(layer, layer_path)
-                                visit(layer, layer_path, child_depth)
+                                layer_link = (child, index)
+                                check_layer(layer, layer_link)
+                                visit(layer, layer_link, child_depth)
                         else:
-                            note("MalformedConfig", child_path, "layers node is not an array")
+                            note("MalformedConfig", child, "layers node is not an array")
                     elif key == "layer" and type(value) is dict and "class_name" in value:
-                        child_path = f"{path}.{key}" if path else str(key)
-                        record_layer(value, child_path)
-                        visit(value, child_path, child_depth)
+                        child = (link, key)
+                        check_layer(value, child)
+                        visit(value, child, child_depth)
                     elif type(value) is dict or type(value) is list:
-                        visit(value, f"{path}.{key}" if path else str(key), child_depth)
+                        visit(value, (link, key), child_depth)
                     else:
                         budget -= 1
                         if budget < 0 or too_deep:
-                            exhausted(f"{path}.{key}" if path else str(key))
+                            exhausted((link, key))
             else:
                 # Neither key: no layer can start here.
                 for key, value in node.items():
                     if type(value) is dict or type(value) is list:
-                        visit(value, f"{path}.{key}" if path else str(key), child_depth)
+                        visit(value, (link, key), child_depth)
                     else:
                         budget -= 1
                         if budget < 0 or too_deep:
-                            exhausted(f"{path}.{key}" if path else str(key))
+                            exhausted((link, key))
         elif type(node) is list:
             for index, item in enumerate(node):
                 if type(item) is dict or type(item) is list:
-                    visit(item, f"{path}[{index}]", child_depth)
+                    visit(item, (link, index), child_depth)
                 else:
                     budget -= 1
                     if budget < 0 or too_deep:
-                        exhausted(f"{path}[{index}]")
+                        exhausted((link, index))
 
     if not isinstance(config, dict):
-        note("MalformedConfig", "", "config root is not a JSON object")
+        note("MalformedConfig", None, "config root is not a JSON object")
         return records
-    visit(config, "", 0)
+    visit(config, None, 0)
     return records

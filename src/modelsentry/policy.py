@@ -16,6 +16,7 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from typing import BinaryIO, Iterable
 
@@ -256,6 +257,12 @@ class Policy:
         canonical = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
+    @cached_property
+    def _lookup(self) -> tuple[_Index, _Index]:
+        """The deny and allow entries indexed for ``classify_global``, built
+        on first use and kept for the life of this (immutable) policy."""
+        return _index(self.deny), _index(self.allow)
+
 
 def _pattern_matches(pattern: str, text: str) -> bool:
     if pattern.endswith("*"):
@@ -269,17 +276,45 @@ def _specificity(module_pattern: str, name_pattern: str) -> tuple[int, int]:
     return (exact, length)
 
 
-def _best_match(
-    entries: Iterable[DenyEntry | AllowEntry], module: str, name: str
-) -> tuple[tuple[int, int], DenyEntry | AllowEntry] | None:
-    """The most specific entry matching (module, name), with its specificity;
-    the first listed wins a tie.  None when nothing matches."""
-    best: tuple[tuple[int, int], DenyEntry | AllowEntry] | None = None
-    for entry in entries:
-        if _pattern_matches(entry.module, module) and _pattern_matches(entry.name, name):
-            spec = _specificity(entry.module, entry.name)
-            if best is None or spec > best[0]:
-                best = (spec, entry)
+# An entry as ``(specificity, -position, entry)``: sorted in descending
+# order, the most specific come first and, among equals, the first listed.
+_Ranked = tuple[tuple[int, int], int, "DenyEntry | AllowEntry"]
+# Entries with an exact module pattern, by module; then those with a module
+# prefix pattern.  Each group is sorted most specific first.
+_Index = tuple[dict[str, tuple[_Ranked, ...]], tuple[_Ranked, ...]]
+
+
+def _index(entries: Iterable[DenyEntry | AllowEntry]) -> _Index:
+    by_module: dict[str, list[_Ranked]] = {}
+    prefixed: list[_Ranked] = []
+    for position, entry in enumerate(entries):
+        ranked = (_specificity(entry.module, entry.name), -position, entry)
+        if entry.module.endswith("*"):
+            prefixed.append(ranked)
+        else:
+            by_module.setdefault(entry.module, []).append(ranked)
+    # -position is unique, so the sort never compares two entries.
+    return (
+        {module: tuple(sorted(group, reverse=True)) for module, group in by_module.items()},
+        tuple(sorted(prefixed, reverse=True)),
+    )
+
+
+def _best_match(index: _Index, module: str, name: str) -> _Ranked | None:
+    """The most specific entry matching (module, name); the first listed wins
+    a tie.  None when nothing matches."""
+    by_module, prefixed = index
+    best = None
+    for ranked in by_module.get(module, ()):
+        if _pattern_matches(ranked[2].name, name):
+            best = ranked
+            break
+    for ranked in prefixed:
+        if best is not None and ranked < best:
+            break
+        entry = ranked[2]
+        if module.startswith(entry.module[:-1]) and _pattern_matches(entry.name, name):
+            return ranked
     return best
 
 
@@ -287,18 +322,19 @@ def classify_global(
     module: str, name: str, policy: Policy
 ) -> tuple[Disposition, str | None]:
     """Deterministic precedence: exact deny > exact allow > prefix deny >
-    prefix allow > Unknown; within a tier, longer patterns win; deny wins
-    exact ties."""
-    best_deny = _best_match(policy.deny, module, name)
-    best_allow = _best_match(policy.allow, module, name)
+    prefix allow > Unknown; within a tier, longer patterns win and the first
+    listed wins a tie; deny wins exact ties."""
+    deny_index, allow_index = policy._lookup
+    best_deny = _best_match(deny_index, module, name)
+    best_allow = _best_match(allow_index, module, name)
     if best_deny is not None and (best_allow is None or best_deny[0] >= best_allow[0]):
-        entry = best_deny[1]
+        entry = best_deny[2]
         return (
             Disposition("deny", entry.severity),
             f"{entry.module}.{entry.name}",
         )
     if best_allow is not None:
-        entry = best_allow[1]
+        entry = best_allow[2]
         return (Disposition("allow"), f"{entry.module}.{entry.name}")
     return (Disposition("unknown"), None)
 

@@ -156,8 +156,8 @@ def _scan_keras_config(
     findings: list[Finding],
 ) -> None:
     anomalies: list[ConfigAnomaly] = []
-    payload_classes = frozenset({"Lambda"}) | frozenset(policy.extra_custom_layer_classes)
-    records = walk_layers(config, anomalies, payload_classes)
+    # Only these classes earn a finding, so only they are recorded.
+    records = walk_layers(config, anomalies, {"Lambda", *policy.extra_custom_layer_classes})
     findings.extend(apply_keras_rules(records, anomalies, policy, ctx))
 
 

@@ -21,7 +21,7 @@ import pytest
 
 from modelsentry import absvm, kerascfg
 from modelsentry.forge import emit_corpus
-from modelsentry.policy import default_policy
+from modelsentry.policy import Disposition, Policy, default_policy
 
 SEVERITY_ORDER = {"INFO": 10, "LOW": 20, "MEDIUM": 30, "HIGH": 40, "CRITICAL": 50}
 
@@ -288,6 +288,44 @@ def reference_walk_layers(
         return records
     visit(config, "", 0)
     return records
+
+
+# ---------------------------------------------------------------------------
+# Reference policy lookup (the oracle for ``policy.classify_global``)
+
+
+def _reference_pattern_matches(pattern: str, text: str) -> bool:
+    if pattern.endswith("*"):
+        return text.startswith(pattern[:-1])
+    return pattern == text
+
+
+def reference_best_match(entries, module: str, name: str):
+    """The linear scan ``classify_global`` replaced: the most specific entry
+    matching (module, name), with its specificity (exact patterns, then
+    pattern length); the first listed wins a tie.  None when nothing
+    matches."""
+    best = None
+    for entry in entries:
+        if _reference_pattern_matches(entry.module, module) and _reference_pattern_matches(entry.name, name):
+            exact = (not entry.module.endswith("*")) + (not entry.name.endswith("*"))
+            spec = (exact, len(entry.module.rstrip("*")) + len(entry.name.rstrip("*")))
+            if best is None or spec > best[0]:
+                best = (spec, entry)
+    return best
+
+
+def reference_classify_global(module: str, name: str, policy: Policy):
+    """``classify_global`` over two linear scans: deny wins ties."""
+    best_deny = reference_best_match(policy.deny, module, name)
+    best_allow = reference_best_match(policy.allow, module, name)
+    if best_deny is not None and (best_allow is None or best_deny[0] >= best_allow[0]):
+        entry = best_deny[1]
+        return (Disposition("deny", entry.severity), f"{entry.module}.{entry.name}")
+    if best_allow is not None:
+        entry = best_allow[1]
+        return (Disposition("allow"), f"{entry.module}.{entry.name}")
+    return (Disposition("unknown"), None)
 
 
 # ---------------------------------------------------------------------------

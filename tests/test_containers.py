@@ -69,6 +69,32 @@ def test_entries_match_zipfile_listing():
     assert [e.offset for e in entries] == [i.header_offset for i in infos]
 
 
+@pytest.mark.parametrize("zip64_limit", [None, 64], ids=["plain", "zip64-records"])
+def test_thousand_members_list_as_zipfile_lists_them(monkeypatch, zip64_limit):
+    """1,000 stored and deflated members, some with non-ASCII names.  Under
+    a lowered ``zipfile.ZIP64_LIMIT`` the writer puts the 0xFFFFFFFF
+    placeholder in every size and offset over 64 and the true value in the
+    ZIP64 extra field, and ZIP64 end records in front of the directory."""
+    if zip64_limit is not None:
+        monkeypatch.setattr(zipfile, "ZIP64_LIMIT", zip64_limit)
+    handle = io.BytesIO()
+    with zipfile.ZipFile(handle, "w") as archive:
+        for index in range(1000):
+            name = f"dir{index % 7}/member_{index}" + ("_\u00e9" if index % 5 == 0 else "")
+            method = zipfile.ZIP_DEFLATED if index % 2 else zipfile.ZIP_STORED
+            archive.writestr(zipfile.ZipInfo(name), bytes(index % 200) * (1 + index % 3), method)
+    monkeypatch.undo()
+    entries = list_entries(handle)
+    with zipfile.ZipFile(handle) as reference:
+        infos = reference.infolist()
+    methods = {zipfile.ZIP_STORED: "stored", zipfile.ZIP_DEFLATED: "deflate"}
+    assert [(e.path, e.uncompressed_size, e.compressed_size, e.offset, e.method) for e in entries] == [
+        (i.filename, i.file_size, i.compress_size, i.header_offset, methods[i.compress_type]) for i in infos
+    ]
+    if zip64_limit is not None:
+        assert handle.getvalue().count(b"\xff\xff\xff\xff") > 1000
+
+
 @pytest.mark.parametrize("compress", [False, True])
 def test_read_entry_matches_zipfile_read(compress):
     members = {"x.bin": bytes(range(256)) * 40, "tiny": b"hello"}

@@ -25,7 +25,7 @@ from modelsentry.kerascfg import (
 
 def test_three_layer_sequential():
     config = json.loads(emit_keras_lambda_config(True))
-    records = walk_layers(config)
+    records = walk_layers(config, None, {"Dense", "Lambda"})
     assert [record.class_name for record in records] == ["Dense", "Lambda", "Dense"]
     assert records[1].json_path == "config.layers[1]"
     assert records[1].layer_name == "lambda"
@@ -44,7 +44,8 @@ def test_nested_inner_model_is_traversed():
             inner,
         ]},
     }
-    records = walk_layers(outer)
+    records = walk_layers(outer, None, {"InputLayer", "Sequential", "Dense", "Lambda"})
+    assert [record.class_name for record in records] == ["InputLayer", "Sequential", "Dense", "Lambda", "Dense"]
     lambdas = [record for record in records if record.class_name == "Lambda"]
     assert len(lambdas) == 1
     assert lambdas[0].json_path == "config.layers[1].config.layers[1]"
@@ -68,7 +69,7 @@ def test_wrapper_layer_with_embedded_layer_key():
             ]
         },
     }
-    records = walk_layers(config)
+    records = walk_layers(config, None, {"TimeDistributed", "Lambda"})
     names = [(record.class_name, record.json_path) for record in records]
     assert ("TimeDistributed", "config.layers[0]") in names
     assert ("Lambda", "config.layers[0].config.layer") in names
@@ -82,7 +83,7 @@ def test_malformed_layers_node_recorded_and_traversal_continues():
         }
     }
     anomalies: list[ConfigAnomaly] = []
-    records = walk_layers(config, anomalies)
+    records = walk_layers(config, anomalies, {"Dense"})
     assert [record.class_name for record in records] == ["Dense"]
     assert any(a.kind == "MalformedConfig" and a.json_path == "config.layers" for a in anomalies)
 
@@ -100,7 +101,7 @@ def test_depth_cap_stops_adversarial_nesting():
         node = {"class_name": "Wrapper", "config": {"layer": node}}
     config = {"config": {"layers": [node]}}
     anomalies: list[ConfigAnomaly] = []
-    records = walk_layers(config, anomalies)
+    records = walk_layers(config, anomalies, {"Wrapper", "Dense"})
     assert any("budget" in anomaly.message for anomaly in anomalies)
     assert len(records) < 400
 
@@ -146,7 +147,8 @@ _FUNCTIONS = [
     7,
     None,
 ]
-_KEYS = st.sampled_from(["layers", "layer", "class_name", "config", "name", "function", "a"])
+# "" too: an empty key adds no dot while the path is still empty.
+_KEYS = st.sampled_from(["layers", "layer", "class_name", "config", "name", "function", "a", ""])
 _SCALARS = st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(["Dense", "Lambda", "n", ""])
 _LAMBDAS = st.builds(
     lambda name, function: {"class_name": "Lambda", "config": {"name": name, "function": function}},
@@ -173,23 +175,54 @@ def _nested(children):
 _CONFIGS = st.recursive(_SCALARS | _LAMBDAS, _nested, max_leaves=30)
 
 
+_CLASSES = st.sampled_from([{"Lambda"}, {"Lambda", "TimeDistributed"}, {"TimeDistributed"}, {"Dense"}, set()])
+
+
 @settings(max_examples=300, deadline=None)
-@given(_CONFIGS, st.integers(1, 300), st.integers(1, 8))
-def test_walk_matches_the_reference_walk(config, nodes, depth):
-    """Records (as field tuples) and anomalies, in order, equal the reference
-    walk's under any node and depth cap: each value is charged once, in
-    document order, so every cap fires on the same value."""
+@given(_CONFIGS, _CLASSES, st.integers(1, 300), st.integers(1, 8))
+def test_walk_matches_the_reference_walk(config, classes, nodes, depth):
+    """Records (as field tuples) equal the reference walk's records of the
+    given classes, and anomalies equal its anomalies, in order, under any
+    node and depth cap: each value is charged once, in document order, so
+    every cap fires on the same value, and malformed layer entries of any
+    class are reported."""
     with mock.patch.object(kerascfg, "MAX_WALK_NODES", nodes), mock.patch.object(
         kerascfg, "MAX_WALK_DEPTH", depth
     ):
         anomalies: list[ConfigAnomaly] = []
         expected_anomalies: list[ConfigAnomaly] = []
-        records = walk_layers(config, anomalies, {"Lambda", "TimeDistributed"})
-        expected = reference_walk_layers(config, expected_anomalies, {"Lambda", "TimeDistributed"})
+        records = walk_layers(config, anomalies, classes)
+        expected = reference_walk_layers(config, expected_anomalies, classes)
     assert [tuple(record) for record in records] == [
-        (r.class_name, r.layer_name, r.json_path, r.payload) for r in expected
+        (r.class_name, r.layer_name, r.json_path, r.payload) for r in expected if r.class_name in classes
     ]
     assert anomalies == expected_anomalies
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(0, 19_999), min_size=2, max_size=2, unique=True))
+def test_lambdas_among_twenty_thousand_layers_are_the_only_records(indices):
+    """Two Lambdas among 20,000 Dense layers, the first drawn one wrapped in
+    a TimeDistributed ``layer``: exactly those two are recorded, in document
+    order, at their paths."""
+    wrapped, bare = indices
+    layers = [{"class_name": "Dense", "config": {"name": f"d{i}", "units": 4}} for i in range(20_000)]
+    layers[bare] = {"class_name": "Lambda", "config": {"name": "bare", "function": "f"}}
+    layers[wrapped] = {
+        "class_name": "TimeDistributed",
+        "config": {"name": "td", "layer": {"class_name": "Lambda", "config": {"name": "wrapped", "function": "g"}}},
+    }
+    config = {"class_name": "Sequential", "config": {"name": "s", "layers": layers}}
+    anomalies: list[ConfigAnomaly] = []
+    records = walk_layers(config, anomalies)
+    expected = {
+        bare: ("Lambda", "bare", f"config.layers[{bare}]"),
+        wrapped: ("Lambda", "wrapped", f"config.layers[{wrapped}].config.layer"),
+    }
+    assert [(r.class_name, r.layer_name, r.json_path) for r in records] == [
+        expected[index] for index in sorted(indices)
+    ]
+    assert anomalies == []
 
 
 def test_detection_count_equals_planted_count():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_classify_global
 from modelsentry import absvm
 from modelsentry.cli import main as cli_main
 from modelsentry.disasm import disassemble
@@ -122,6 +123,37 @@ def test_classification_is_deterministic():
         first = classify_global(module, name, policy)
         for _ in range(5):
             assert classify_global(module, name, policy) == first
+
+
+def _patterns(bases: list[str]):
+    return st.builds(lambda base, star: base + "*" * star, st.sampled_from(bases), st.booleans())
+
+
+_MODULE_BASES = ["", "a", "a.b", "ab", "a.b.c", "b"]
+_NAME_BASES = ["", "f", "fg", "g"]
+_DENY_ENTRIES = st.builds(
+    DenyEntry, _patterns(_MODULE_BASES), _patterns(_NAME_BASES), st.sampled_from(list(Severity))
+)
+_ALLOW_ENTRIES = st.builds(AllowEntry, _patterns(_MODULE_BASES), _patterns(_NAME_BASES))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(_DENY_ENTRIES, max_size=10),
+    st.lists(_ALLOW_ENTRIES, max_size=10),
+    st.lists(
+        st.tuples(st.sampled_from(_MODULE_BASES + ["abc", "a.bc", "c"]), st.sampled_from(_NAME_BASES + ["fgh", "h"])),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_indexed_lookup_matches_the_linear_scan(deny, allow, probes):
+    """Exact and ``*``-suffixed module and name patterns, with duplicates and
+    ties of specificity: the indexed lookup classifies every probe as the
+    linear scan over the entries does, pattern and severity included."""
+    policy = Policy(deny=tuple(deny), allow=tuple(allow))
+    for module, name in probes:
+        assert classify_global(module, name, policy) == reference_classify_global(module, name, policy)
 
 
 _modules = st.sampled_from(["os", "acme", "torch._utils", "collections", "x.y"])
@@ -324,7 +356,8 @@ def test_policy_listed_custom_layer_is_flagged():
             ]
         }
     }
-    findings = apply_keras_rules(walk_layers(config), [], policy, CTX)
+    records = walk_layers(config, None, {"Lambda", "DangerOp"})
+    findings = apply_keras_rules(records, [], policy, CTX)
     assert [(f.rule_id, f.severity) for f in findings] == [
         ("KERAS_CUSTOM_LAYER", Severity.HIGH)
     ]
