@@ -68,7 +68,6 @@ class CallResult(AbstractValue):
 
     callee: object
     args: tuple
-    state: object = None  # attached by a later BUILD
 
 
 @dataclass(slots=True)
@@ -110,7 +109,7 @@ class ExtensionRef(AbstractValue):
 
 @dataclass(frozen=True, slots=True)
 class Opaque(AbstractValue):
-    note: str = ""
+    """An out-of-band buffer, or the root of a segment cut short."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,25 +138,9 @@ class DynamicGlobal(SecurityEvent):
 
 @dataclass(frozen=True)
 class CallMade(SecurityEvent):
-    callee: object
     argc: int | None
     arg_summary: str  # "" when the walk's ``keep_call`` dropped the call
     root: tuple[str, str] | None  # ``call_roots`` of the callee, at the call
-
-
-@dataclass(frozen=True)
-class StateBuilt(SecurityEvent):
-    pass
-
-
-@dataclass(frozen=True)
-class PersistentId(SecurityEvent):
-    pass
-
-
-@dataclass(frozen=True)
-class ExtensionUsed(SecurityEvent):
-    code: int
 
 
 @dataclass(frozen=True)
@@ -497,9 +480,8 @@ class _Machine:
         # ``render_value``'s shared memo expansions.  Every op that writes
         # the graph clears it: PUT and MEMOIZE, and APPEND(S), ADDITEMS and
         # SETITEM(S) into any container, since DUP or GET can make a
-        # container part of any memo entry.  BUILD sets only
-        # ``CallResult.state``, which evidence never renders.  Made at the
-        # first rendered call: most segments make none.
+        # container part of any memo entry.  BUILD writes nothing.  Made at
+        # the first rendered call: most segments make none.
         self.rendered: dict[tuple[int, int, int], tuple[str, int]] | None = None
 
     # -- the machine loop ---------------------------------------------------
@@ -647,10 +629,9 @@ class _Machine:
         unless an ``error`` ended it.  ``stream_end`` is where the bytes a
         final frame may cover end."""
         if error is not None:
-            root = Opaque("evaluation stopped before STOP")
             fault = self.error or error
             return AbstractResult(
-                root, self.events, len(self.memo), self.memo, error, fault, self.segment
+                Opaque(), self.events, len(self.memo), self.memo, error, fault, self.segment
             )
         if self.open_frame is not None:
             frame_end, frame_offset, index, flagged = self.open_frame
@@ -974,38 +955,30 @@ class _Machine:
             summary = render_value(args_v, self.memo, ARG_SUMMARY_CAP, self.rendered)
         else:
             summary = ""
-        self.emit(CallMade(self.offset, callee, argc, summary, root))
+        self.emit(CallMade(self.offset, argc, summary, root))
 
     def op_build(self, arg) -> None:
-        state = self.pop()
-        target = _deref(self.peek(), self.memo)
-        self.emit(StateBuilt(self.offset))
-        if isinstance(target, CallResult):
-            target.state = state
+        self.pop()  # the state; the object it sets up stays on the stack
+        self.peek()
 
     # persistent ids, extensions, buffers
     def op_persid(self, arg) -> None:
-        self.emit(PersistentId(self.offset))
         self.push(PersistentRef(arg, line=True))
 
     def op_binpersid(self, arg) -> None:
-        pid = self.pop()
-        self.emit(PersistentId(self.offset))
-        self.push(PersistentRef(pid))
+        self.push(PersistentRef(self.pop()))
 
     def op_ext(self, arg) -> None:
-        code = int(arg)
-        self.emit(ExtensionUsed(self.offset, code))
-        self.push(ExtensionRef(code))
+        self.push(ExtensionRef(int(arg)))
 
     def op_next_buffer(self, arg) -> None:
         self.emit(OutOfBandBuffer(self.offset))
-        self.push(Opaque("out-of-band buffer"))
+        self.push(Opaque())
 
     def op_readonly_buffer(self, arg) -> None:
         self.emit(OutOfBandBuffer(self.offset))
         self.pop()
-        self.push(Opaque("read-only buffer view"))
+        self.push(Opaque())
 
 
 _BY_MNEMONIC = {

@@ -102,22 +102,22 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_disasm(args: argparse.Namespace) -> int:
     try:
-        with open_regular(args.file) as (handle, _size):
+        with open_regular(args.file) as (handle, size):
+            if size > disasm.MAX_STREAM_BYTES:  # refused before it is read, as scan_file does
+                raise disasm.LimitExceeded(0, "max_stream_bytes")
             data = handle.read()
-    except OSError as exc:
-        print(f"modelsentry: {exc}", file=sys.stderr)
-        return EXIT_OPERATIONAL
-    status = EXIT_OK
-    try:
         for program in disasm.iter_programs(data):
             for instruction in program.instructions:
                 print(disasm.format_instruction(instruction))
             if program.trailing_bytes:
                 print(f"# {program.trailing_bytes} trailing byte(s)")
+    except OSError as exc:
+        print(f"modelsentry: {exc}", file=sys.stderr)
+        return EXIT_OPERATIONAL
     except disasm.ParseError as exc:
         print(f"modelsentry: parse error: {exc}", file=sys.stderr)
-        status = EXIT_OPERATIONAL
-    return status
+        return EXIT_OPERATIONAL
+    return EXIT_OK
 
 
 def _cmd_forge(args: argparse.Namespace) -> int:

@@ -22,6 +22,15 @@ from typing import BinaryIO, NamedTuple
 
 from .absvm import SNIFF_BYTES, is_pickle
 
+try:
+    import bz2
+except ImportError:  # an interpreter built without it: its members stay unsupported
+    bz2 = None
+try:
+    import lzma
+except ImportError:
+    lzma = None
+
 ZIP_LOCAL_MAGIC = b"PK\x03\x04"
 ZIP_EOCD_MAGIC = b"PK\x05\x06"
 ZIP_CENTRAL_MAGIC = b"PK\x01\x02"
@@ -53,6 +62,16 @@ _WHITESPACE = json.decoder.WHITESPACE
 # The 46-byte central file header, keeping the signature, flags, method,
 # sizes, name/extra/comment lengths and local header offset.
 _CENTRAL_HEADER = struct.Struct("<4s4xHH8xIIHHH8xI")
+# The compression methods a member can be read in, by code: bzip2 and LZMA
+# where the interpreter has their modules.
+_METHODS = {0: "stored", 8: "deflate"}
+if bz2 is not None:
+    _METHODS[12] = "bzip2"
+if lzma is not None:
+    _METHODS[14] = "lzma"
+_READABLE = frozenset(_METHODS.values())
+# What a bad stream raises: zlib.error, bz2's OSError, lzma.LZMAError.
+_DECOMPRESS_ERRORS = (zlib.error, OSError, getattr(lzma, "LZMAError", zlib.error))
 
 
 class FormatError(Exception):
@@ -130,7 +149,7 @@ class ArchiveEntry(NamedTuple):
     path: str
     compressed_size: int
     uncompressed_size: int
-    method: str  # "stored", "deflate", or "unsupported(N)"
+    method: str  # "stored", "deflate", "bzip2", "lzma", or "unsupported(N)"
     offset: int  # byte position of the local header
     encrypted: bool = False
     suspicious_path: bool = False
@@ -138,9 +157,8 @@ class ArchiveEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class ExtractedConfig:
-    json_text: str
-    byte_range: tuple[int, int]
-    config: object  # json_text, parsed
+    byte_range: tuple[int, int]  # of the config's JSON text, in the bytes read
+    config: object  # that text, parsed
 
 
 def is_path_suspicious(path: str) -> bool:
@@ -246,12 +264,7 @@ def list_entries(handle: BinaryIO) -> list[ArchiveEntry]:
                 directory[name_end : name_end + extra_len], [uncomp_size, comp_size, local_offset]
             )
         pos = name_end + extra_len + comment_len
-        if method_code == 0:
-            method = "stored"
-        elif method_code == 8:
-            method = "deflate"
-        else:
-            method = f"unsupported({method_code})"
+        method = _METHODS.get(method_code) or f"unsupported({method_code})"
         entries.append(
             ArchiveEntry(
                 path, comp_size, uncomp_size, method, local_offset, bool(flags & 0x1), is_path_suspicious(path)
@@ -269,35 +282,75 @@ def _entry_data_start(handle: BinaryIO, entry: ArchiveEntry) -> int:
     return entry.offset + 30 + name_len + extra_len
 
 
+class _Deflate:
+    """Raw deflate with the interface of the bz2 and lzma decompressors:
+    input past a call's ``max_length`` of output is held back, and
+    ``needs_input`` says when it is used up."""
+
+    def __init__(self):
+        self._zlib = zlib.decompressobj(-15)
+
+    @property
+    def needs_input(self) -> bool:
+        return not self._zlib.unconsumed_tail
+
+    @property
+    def eof(self) -> bool:
+        return self._zlib.eof
+
+    def decompress(self, data: bytes, max_length: int) -> bytes:
+        return self._zlib.decompress(self._zlib.unconsumed_tail + data, max_length)
+
+
+def _lzma_decompressor(handle: BinaryIO, path: str, limit: int):
+    """Read an LZMA member's header as ``zipfile`` reads it (a version, the
+    size of the properties, then LZMA1 properties) and return the raw
+    decoder of the data after it.  Its dictionary is held to ``limit``
+    bytes: no match in the first ``limit`` bytes of output reaches back
+    further, and a hostile header's 4 GiB would be allocated for nothing."""
+    header = handle.read(4)
+    if len(header) < 4:
+        raise InflateError(path, "LZMA header cut short")
+    properties = handle.read(int.from_bytes(header[2:4], "little"))
+    try:
+        lzma1 = lzma._decode_filter_properties(lzma.FILTER_LZMA1, properties)
+        lzma1["dict_size"] = min(lzma1["dict_size"], limit)
+        return lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[lzma1])
+    except lzma.LZMAError as exc:
+        raise InflateError(path, str(exc)) from None
+
+
 def _member_head(handle: BinaryIO, entry: ArchiveEntry, limit: int) -> bytes:
-    """The member's first ``limit`` bytes, stored or inflated; fewer if it
-    is shorter.  This is the one inflate loop: whole reads and sniffs share it."""
-    handle.seek(_entry_data_start(handle, entry))
+    """The member's first ``limit`` bytes, stored or decompressed; fewer if
+    it is shorter.  This is the one decompression loop, for every method:
+    whole reads and sniffs share it.  Each call's output is bounded, and
+    input is read only when the decompressor has used up what it holds."""
+    start = _entry_data_start(handle, entry)
+    handle.seek(start)
     if entry.method == "stored":
         return handle.read(min(limit, entry.uncompressed_size))
-    decompressor = zlib.decompressobj(-15)
-    remaining = entry.compressed_size
+    if entry.method == "deflate":
+        decompressor = _Deflate()
+    elif entry.method == "bzip2":
+        decompressor = bz2.BZ2Decompressor()
+    else:
+        decompressor = _lzma_decompressor(handle, entry.path, limit)
+    remaining = entry.compressed_size - (handle.tell() - start)
     chunks: list[bytes] = []
     produced = 0
-    try:
-        while remaining > 0 and produced < limit:
+    while produced < limit and not decompressor.eof:
+        piece = b""
+        if decompressor.needs_input and remaining > 0:
             piece = handle.read(min(remaining, 64 * 1024))
-            if not piece:
-                break
             remaining -= len(piece)
-            # Bounded output per call; the input left over is fed back in.
-            while piece and produced < limit:
-                out = decompressor.decompress(piece, min(limit - produced, 1 << 20))
-                if not out:
-                    break
-                produced += len(out)
-                chunks.append(out)
-                piece = decompressor.unconsumed_tail
-        if produced < limit:
-            # Output zlib still holds once the input is used up: a few bytes.
-            chunks.append(decompressor.flush()[: limit - produced])
-    except zlib.error as exc:
-        raise InflateError(entry.path, str(exc)) from None
+        try:
+            out = decompressor.decompress(piece, min(limit - produced, 1 << 20))
+        except _DECOMPRESS_ERRORS as exc:
+            raise InflateError(entry.path, str(exc)) from None
+        if not out and not piece:
+            break  # the input is used up, and so is what it held
+        produced += len(out)
+        chunks.append(out)
     return b"".join(chunks)
 
 
@@ -305,7 +358,7 @@ def read_entry(handle: BinaryIO, entry: ArchiveEntry, cap: int = DEFAULT_ENTRY_C
     """Return exactly the entry's declared bytes, bounded by ``cap``."""
     if entry.encrypted:
         raise UnsupportedMethod(entry.path, "encrypted entry")
-    if entry.method not in ("stored", "deflate"):
+    if entry.method not in _READABLE:
         raise UnsupportedMethod(entry.path, f"compression {entry.method}")
     if entry.uncompressed_size > cap:
         raise CapExceeded(f"declared size {entry.uncompressed_size}", cap)
@@ -322,7 +375,7 @@ def read_entry(handle: BinaryIO, entry: ArchiveEntry, cap: int = DEFAULT_ENTRY_C
 
 def read_entry_head(handle: BinaryIO, entry: ArchiveEntry, n: int) -> bytes:
     """Best-effort first ``n`` decompressed bytes, for content sniffing."""
-    if entry.encrypted or entry.method not in ("stored", "deflate"):
+    if entry.encrypted or entry.method not in _READABLE:
         return b""
     try:
         return _member_head(handle, entry, n)
@@ -455,10 +508,10 @@ def decode_config(
         if got > cap:
             raise CapExceeded(f"config still open after {got} bytes", cap, offset + got) from None
         return None
-    json_text = text[begin:end]
+    config_text = text[begin:end]
     del text
     # Back to the bytes read, where a byte that is not UTF-8 fails the decode.
-    consumed = json_text.encode("utf-8", "surrogateescape")
+    consumed = config_text.encode("utf-8", "surrogateescape")
     stop = start + len(consumed)
     if len(consumed) > cap:
         raise CapExceeded(f"config size {len(consumed)}", cap, stop)
@@ -466,12 +519,11 @@ def decode_config(
         loaded_text = consumed.decode("utf-8", "surrogatepass")
     except UnicodeDecodeError as exc:
         raise UnbalancedJson(start, stop, f"extracted text is not valid JSON: {exc}") from None
-    if len(loaded_text) != len(json_text):
+    if len(loaded_text) != len(config_text):
         # An encoded surrogate, which the first decode held as one escape
         # per byte: decode the text json.loads(bytes) would read.
-        json_text = loaded_text
-        config = _DECODER.decode(json_text)
-    return ExtractedConfig(json_text=json_text, byte_range=(start, stop), config=config)
+        config = _DECODER.decode(loaded_text)
+    return ExtractedConfig((start, stop), config)
 
 
 def extract_h5_model_config(handle: BinaryIO, start: int = 0) -> ExtractedConfig:

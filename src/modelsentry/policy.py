@@ -147,7 +147,6 @@ RULE_CATALOG: dict[str, RuleInfo] = {
 class Finding:
     rule_id: str
     severity: Severity
-    file: str
     message: str
     evidence: str = ""
     entry: str | None = None
@@ -193,9 +192,7 @@ class FileContext:
         catalog default unless the policy or the rule sets another."""
         if severity is None:
             severity = RULE_CATALOG[rule_id].default_severity
-        return Finding(
-            rule_id, severity, self.path, message, evidence, self.entry, offset, json_path
-        )
+        return Finding(rule_id, severity, message, evidence, self.entry, offset, json_path)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +532,6 @@ def apply_rules(
         elif isinstance(event, absvm.FrameMismatch):
             message = "FRAME length does not match instruction boundaries"
             findings.append(ctx.finding("PICKLE_FRAME_MISMATCH", message, offset=offset))
-        # StateBuilt / PersistentId / ExtensionUsed are context, not findings.
     return findings
 
 

@@ -56,7 +56,6 @@ from modelsentry.absvm import (
     PersistentRef,
     ResidualStack,
     StackUnderflow,
-    StateBuilt,
     TrailingData,
     call_roots,
     evaluate,
@@ -630,7 +629,7 @@ def test_determinism():
 
 
 def test_summarize_direct_call():
-    value = CallResult(GlobalRef("os", "system"), ("x",), "REDUCE")
+    value = CallResult(GlobalRef("os", "system"), ("x",))
     assert call_roots(value.callee) == ("os", "system")
 
 
@@ -639,8 +638,8 @@ def test_summarize_primitive_is_empty():
 
 
 def test_summarize_nested_call_reports_innermost_root():
-    inner = CallResult(GlobalRef("builtins", "getattr"), (), "REDUCE")
-    outer = CallResult(inner, (1,), "REDUCE")
+    inner = CallResult(GlobalRef("builtins", "getattr"), ())
+    outer = CallResult(inner, (1,))
     assert call_roots(outer.callee) == ("builtins", "getattr")
 
 
@@ -663,11 +662,7 @@ def test_summarize_walks_containers():
     # A call nested in a container has its own CallMade event, so the scan
     # path finds its root without walking the container.
     result = run(b"](K\x01ca\nb\n)Re.")  # [1, a.b()]
-    roots = [
-        call_roots(event.callee, result.memo)
-        for event in result.events
-        if isinstance(event, CallMade)
-    ]
+    roots = [event.root for event in result.events if isinstance(event, CallMade)]
     assert roots == [("a", "b")]
 
 
@@ -759,13 +754,15 @@ def test_readonly_buffer_substitutes_opaque():
     assert isinstance(result.root, absvm.Opaque)
 
 
-def test_build_attaches_state_and_emits_event():
+def test_build_pops_the_state_and_keeps_the_object():
     stream = b"cmod\nCls\n)R}(V__hidden__\nVvalue\nub."
     result = run(stream)
-    built = [event for event in result.events if isinstance(event, StateBuilt)]
-    assert len(built) == 1
+    assert [event.kind for event in result.events] == ["GlobalResolved", "CallMade"]
     assert isinstance(result.root, CallResult)
-    assert isinstance(result.root.state, Container)
+    # As pickle.py's load_build: the state is popped, then the object read.
+    for stream, offset in ((b"\x80\x02b.", 2), (b"\x80\x02Nb.", 3)):
+        (outcome,) = absvm.walk(stream)
+        assert isinstance(outcome.error, StackUnderflow) and outcome.error.offset == offset
 
 
 def test_inst_emits_import_then_call():
@@ -773,8 +770,7 @@ def test_inst_emits_import_then_call():
     kinds = [event.kind for event in result.events]
     assert kinds == ["GlobalResolved", "CallMade"]
     assert result.events[0] == GlobalResolved(4, "os", "system")
-    call = result.events[1]
-    assert call_roots(call.callee, result.memo) == ("os", "system")
+    assert result.events[1].root == ("os", "system")
 
 
 def test_inst_without_mark_still_imports():
@@ -939,10 +935,10 @@ def test_arg_summary_is_bounded():
     assert len(call.arg_summary) <= absvm.ARG_SUMMARY_CAP + 8
 
 
-def test_persistent_id_events():
+def test_persistent_ids_push_references():
     result = run(b"Pweights.0\nQ.")
-    kinds = [event.kind for event in result.events]
-    assert kinds == ["PersistentId", "PersistentId"]
+    assert result.events == []
+    assert result.root == PersistentRef(PersistentRef("weights.0", line=True))
 
 
 def test_rare_opcodes_evaluate_with_complete_events():
@@ -968,8 +964,7 @@ def test_rare_opcodes_evaluate_with_complete_events():
 
 def test_extension_codes_recorded():
     result = run(b"\x80\x02\x82\x07.")
-    assert [event.kind for event in result.events] == ["ExtensionUsed"]
-    assert result.events[0].code == 7
+    assert result.events == []
     assert result.root == absvm.ExtensionRef(7)
 
 
@@ -986,7 +981,7 @@ def test_call_root_is_resolved_at_the_call():
     result = run(stream)
     call = next(event for event in result.events if isinstance(event, CallMade))
     assert call.root == ("os", "system")
-    assert call_roots(call.callee, result.memo) == ("collections", "OrderedDict")
+    assert call_roots(MemoRef(0), result.memo) == ("collections", "OrderedDict")
 
 
 def _s4(size: int) -> bytes:

@@ -10,6 +10,7 @@ import base64
 import io
 import json
 import struct
+import tracemalloc
 import zipfile
 
 import pytest
@@ -194,6 +195,85 @@ def test_encrypted_and_exotic_methods_are_unsupported():
         read_entry(handle, exotic)
 
 
+_PACKED = pytest.mark.parametrize(
+    "method, name", [(zipfile.ZIP_BZIP2, "bzip2"), (zipfile.ZIP_LZMA, "lzma")], ids=["bzip2", "lzma"]
+)
+
+
+def _packed(members: dict[str, bytes], method: int) -> io.BytesIO:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", method) as archive:
+        for path, data in members.items():
+            archive.writestr(path, data)
+    return buffer
+
+
+@_PACKED
+def test_bzip2_and_lzma_members_read_as_zipfile_reads_them(method, name):
+    data = bytes(range(256)) * 300 + b"\x00" * 200_000
+    handle = _packed({"m.bin": data, "tiny": b"hello", "empty": b""}, method)
+    entries = list_entries(handle)
+    assert [entry.method for entry in entries] == [name] * 3
+    with zipfile.ZipFile(handle) as reference:
+        for entry in entries:
+            assert read_entry(handle, entry) == reference.read(entry.path)
+    for n in (0, 1, 512, len(data) - 1, len(data), len(data) + 1):
+        assert read_entry_head(handle, entries[0], n) == data[:n]
+
+
+@_PACKED
+def test_bzip2_and_lzma_members_past_the_cap_stop_there(method, name):
+    """16 MiB of zeros under a declared size of 100: decompression stops one
+    byte past the 1 MiB cap, and holds about that much while it runs."""
+    handle = _packed({"boom": bytes(16 << 20)}, method)
+    (entry,) = list_entries(handle)
+    liar = entry._replace(uncompressed_size=100)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as raised:
+            read_entry(handle, liar, cap=1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert raised.value.message == (
+        f"inflated size of at least {(1 << 20) + 1} (declared 100) exceeds cap {1 << 20}"
+    )
+    assert peak < 4 << 20
+
+
+@_PACKED
+def test_corrupt_bzip2_and_lzma_streams_are_inflate_errors(method, name):
+    handle = _packed({"m.bin": b"payload " * 1000}, method)
+    (entry,) = list_entries(handle)
+    blob = bytearray(handle.getvalue())
+    name_len, extra_len = struct.unpack("<HH", blob[entry.offset + 26 : entry.offset + 30])
+    start = entry.offset + 30 + name_len + extra_len
+    # bzip2: the block magic after "BZh9".  LZMA: past the 9-byte header, the
+    # range coder's first byte, which must be 0.
+    blob[start + (4 if name == "bzip2" else 9)] ^= 0xFF
+    corrupt = io.BytesIO(bytes(blob))
+    assert read_entry_head(corrupt, entry, 512) == b""
+    with pytest.raises(InflateError):
+        read_entry(corrupt, entry)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"\x09\x04", b"\x09\x04\x05\x00\x5d\x00", b"\x09\x04\x05\x00\xff\x00\x00\x80\x00"],
+    ids=["cut-header", "cut-properties", "bad-properties"],
+)
+def test_bad_lzma_header_is_an_inflate_error(header):
+    handle = _packed({"m.bin": b"payload"}, zipfile.ZIP_LZMA)
+    (entry,) = list_entries(handle)
+    blob = handle.getvalue()
+    start = entry.offset + 30 + len(entry.path)
+    # The member's compressed bytes are replaced by the header alone.
+    short = blob[:start] + header
+    bad = entry._replace(compressed_size=len(header))
+    with pytest.raises(InflateError):
+        read_entry(io.BytesIO(short), bad)
+
+
 def test_zip64_records_supported():
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
@@ -308,25 +388,30 @@ def test_kept_payload_errors_pin_no_frame_of_the_read():
 # -- HDF5 heuristic --------------------------------------------------------------
 
 
+def _config_text(blob: bytes, extracted: ExtractedConfig) -> str:
+    """The config's JSON text, read back from the blob at its byte range."""
+    start, stop = extracted.byte_range
+    return blob[start:stop].decode("utf-8", "surrogatepass")
+
+
 def test_h5_round_trip_three_layer_config():
     config = emit_keras_lambda_config(True)
-    handle = io.BytesIO(emit_keras_h5(config))
-    extracted = extract_h5_model_config(handle)
-    assert extracted.json_text == config
-    parsed = json.loads(extracted.json_text)
-    layers = parsed["config"]["layers"]
+    blob = emit_keras_h5(config)
+    extracted = extract_h5_model_config(io.BytesIO(blob))
+    assert _config_text(blob, extracted) == config
+    layers = extracted.config["config"]["layers"]
     assert [layer["class_name"] for layer in layers] == ["Dense", "Lambda", "Dense"]
 
 
 def test_h5_round_trip_empty_object():
-    handle = io.BytesIO(emit_keras_h5("{}"))
-    assert extract_h5_model_config(handle).json_text == "{}"
+    blob = emit_keras_h5("{}")
+    assert _config_text(blob, extract_h5_model_config(io.BytesIO(blob))) == "{}"
 
 
 def test_h5_round_trip_braces_inside_strings():
     config = json.dumps({"name": "we{ir}d \"quoted\" \\ {{{", "layers": []})
-    handle = io.BytesIO(emit_keras_h5(config))
-    assert extract_h5_model_config(handle).json_text == config
+    blob = emit_keras_h5(config)
+    assert _config_text(blob, extract_h5_model_config(io.BytesIO(blob))) == config
 
 
 def test_h5_signature_plus_padding_is_config_not_found():
@@ -357,7 +442,8 @@ def test_config_cap_is_enforced(monkeypatch):
 def test_config_cap_is_exact(monkeypatch):
     config = json.dumps({"k": "v" * 200})
     monkeypatch.setattr(containers_module, "CONFIG_CAP", len(config))
-    assert extract_h5_model_config(io.BytesIO(emit_keras_h5(config))).json_text == config
+    blob = emit_keras_h5(config)
+    assert _config_text(blob, extract_h5_model_config(io.BytesIO(blob))) == config
     monkeypatch.setattr(containers_module, "CONFIG_CAP", len(config) - 1)
     with pytest.raises(CapExceeded) as raised:
         extract_h5_model_config(io.BytesIO(emit_keras_h5(config)))
@@ -377,7 +463,7 @@ def test_decode_config_skips_one_byte_order_mark():
     """``json.loads`` of bytes strips one UTF-8 BOM, and so does the decoder;
     the byte range starts after it."""
     extracted = decode_config(b"\xef\xbb\xbf \n{}", 10)
-    assert (extracted.json_text, extracted.byte_range, extracted.config) == ("{}", (15, 17), {})
+    assert (extracted.byte_range, extracted.config) == ((15, 17), {})
     with pytest.raises(UnbalancedJson):
         decode_config(b"\xef\xbb\xbf" * 2 + b"{}")
 
@@ -422,11 +508,10 @@ def _brace_count_extract(blob: bytes, cap: int) -> ExtractedConfig:
             if depth == 0:
                 break
     try:
-        json_text = blob[brace_at:end].decode("utf-8", "surrogatepass")
-        config = json.loads(json_text)
+        config = json.loads(blob[brace_at:end].decode("utf-8", "surrogatepass"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UnbalancedJson(brace_at, end, f"extracted text is not valid JSON: {exc}") from None
-    return ExtractedConfig(json_text, (brace_at, end), config)
+    return ExtractedConfig((brace_at, end), config)
 
 
 def _outcome(extract, blob: bytes):
@@ -434,7 +519,7 @@ def _outcome(extract, blob: bytes):
         extracted = extract(blob)
     except (CapExceeded, UnbalancedJson) as exc:
         return type(exc)
-    return extracted.json_text, extracted.byte_range, extracted.config
+    return extracted.byte_range, extracted.config
 
 
 # U+E000 in a generated string marks where an invalid UTF-8 byte goes, and
@@ -497,8 +582,9 @@ class _CountingReads(io.BytesIO):
 
 def test_h5_extraction_reads_the_config_not_the_file():
     config = json.dumps({"class_name": "Sequential", "pad": "x" * 2000})
-    handle = _CountingReads(emit_keras_h5(config) + b"\xff" * (8 * 1024 * 1024))
-    assert extract_h5_model_config(handle).json_text == config
+    blob = emit_keras_h5(config)
+    handle = _CountingReads(blob + b"\xff" * (8 * 1024 * 1024))
+    assert _config_text(blob, extract_h5_model_config(handle)) == config
     assert sum(handle.sizes) < 10 * len(config)
 
 
@@ -529,7 +615,7 @@ def _full_outcome(extract, blob: bytes):
         extracted = extract(blob)
     except FormatError as exc:
         return type(exc), exc.message, exc.end_offset
-    return extracted.json_text, extracted.byte_range, extracted.config
+    return extracted.byte_range, extracted.config
 
 
 # A JSON ending in ``"pad": ""}``: padding goes between the quotes.
@@ -595,7 +681,8 @@ def test_h5_nul_padded_config_is_decoded_about_once(monkeypatch):
         return decode_config(data, *args)
 
     monkeypatch.setattr(containers_module, "decode_config", spy)
-    assert extract_h5_model_config(io.BytesIO(emit_keras_h5(config))).json_text == config
+    blob = emit_keras_h5(config)
+    assert _config_text(blob, extract_h5_model_config(io.BytesIO(blob))) == config
     assert sum(decoded) <= 1.25 * len(config) + 64 * 1024
 
 
@@ -608,12 +695,12 @@ def test_h5_candidates_resume_after_each_object_and_error():
     )
     handle = io.BytesIO(body)
     extracted = extract_h5_model_config(handle)
-    assert extracted.json_text == first
+    assert _config_text(body, extracted) == first
     with pytest.raises(UnbalancedJson) as failed:
         extract_h5_model_config(handle, extracted.byte_range[1])
     assert body[failed.value.end_offset : failed.value.end_offset + 1] == b"}"
     last = extract_h5_model_config(handle, failed.value.end_offset)
-    assert (last.json_text, last.config) == ("{}", {})
+    assert (_config_text(body, last), last.config) == ("{}", {})
     with pytest.raises(ConfigNotFound):
         extract_h5_model_config(handle, last.byte_range[1])
 
@@ -625,4 +712,4 @@ def test_h5_marker_without_an_object_is_skipped(between):
         HDF5_SIGNATURE + b"model_config" + b"\x00" * (70 * 1024)
         + between + b"model_config" + b"\x00" * 10 + config.encode()
     )
-    assert extract_h5_model_config(io.BytesIO(body)).json_text == config
+    assert _config_text(body, extract_h5_model_config(io.BytesIO(body))) == config

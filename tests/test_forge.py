@@ -158,7 +158,7 @@ def test_benign_corpus_is_silent_under_default_policy(corpus_dir, corpus_manifes
             result = absvm.evaluate(disassemble(path.read_bytes()))
             for event in result.events:
                 if isinstance(event, absvm.CallMade):
-                    module, name = absvm.call_roots(event.callee, result.memo)
+                    module, name = event.root
                     disposition, _ = classify_global(module, name, policy)
                     assert disposition.verdict == "allow", (fixture["id"], module, name)
 

@@ -221,7 +221,7 @@ def test_render_value_stops_at_its_budget():
     for kind, item, item_text in cases:
         elements = _CountingTuple([item] * 1_000_000)
         if kind == "args":
-            text = render_value(CallResult(GlobalRef("os", "system"), elements, "REDUCE"))
+            text = render_value(CallResult(GlobalRef("os", "system"), elements))
         else:
             text = render_value(Container(kind, elements))
         assert ARG_SUMMARY_CAP <= len(text) <= ARG_SUMMARY_CAP + 1

@@ -284,6 +284,45 @@ POLICY_SET_RULES = {
 }
 
 
+# A stream that emits each kind of event.  A new kind needs a line here.
+_EMITTING_STREAMS = {
+    absvm.GlobalResolved: b"cos\nsystem\n.",
+    absvm.DynamicGlobal: b"\x80\x04NN\x93.",
+    absvm.CallMade: b"cos\nsystem\n(Vid\ntR.",
+    absvm.ResidualStack: b"NN.",
+    absvm.TrailingData: b"N.\x00",
+    absvm.FrameMismatch: b"\x80\x04\x95\x01\x00\x00\x00\x00\x00\x00\x00K\x07.",
+    absvm.OutOfBandBuffer: b"\x80\x05\x97.",
+}
+
+
+def _event_kinds(cls: type) -> set[type]:
+    kinds = set()
+    for sub in cls.__subclasses__():
+        kinds |= {sub} | _event_kinds(sub)
+    return kinds
+
+
+def test_every_event_kind_has_a_reader():
+    """The machine emits only events that something reads: ``apply_rules``
+    (a finding under the default policy) or ``is_pickle`` (the event, before
+    the first fault of a first segment, makes the bytes a pickle)."""
+    assert _event_kinds(absvm.SecurityEvent) == set(_EMITTING_STREAMS)
+    policy = default_policy()
+    for kind, stream in _EMITTING_STREAMS.items():
+        event = next(e for result in absvm.walk(stream) for e in result.events if type(e) is kind)
+        alone = absvm.AbstractResult(absvm.Opaque(), [event], 0, {})
+        read_by_rules = apply_rules(alone, policy, CTX) != []
+        # A first segment that faults after the event, without it and with it.
+        fault = absvm.StackUnderflow(event.at_offset + 1)
+        without, with_event = (
+            absvm.AbstractResult(absvm.Opaque(), events, 0, {}, fault, fault) for events in ([], [event])
+        )
+        assert absvm.is_pickle("f", b"N", True, without) is False
+        read_by_sniff = absvm.is_pickle("f", b"N", True, with_event) is True
+        assert read_by_rules or read_by_sniff, kind.__name__
+
+
 def test_every_emitted_rule_is_in_the_catalog(corpus_dir, tmp_path):
     stream = emit_injected_pickle([1], "true # FIXTURE-MARKER", 2)
     for finding in findings_for(stream, default_policy()):

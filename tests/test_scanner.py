@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import codecs
+import contextlib
 import hashlib
 import io
 import json
 import marshal
 import os
 import pickle
+import subprocess
+import sys
 import zipfile
 
 import pytest
 
 from conftest import alarm
-from modelsentry import absvm, containers, disasm
+import modelsentry
+from modelsentry import absvm, cli, containers, disasm
 from modelsentry.cli import main as cli_main
 from modelsentry.containers import HDF5_SIGNATURE
 from modelsentry.forge import (
@@ -322,6 +326,66 @@ def test_scan_keras_zip_reports_lambda_at_config_entry(tmp_path, policy):
     assert finding.entry == "config.json"
     assert finding.json_path == "config.layers[1]"
     assert finding.severity is Severity.HIGH
+
+
+def _repack(path, data: bytes, method: int) -> None:
+    """Write the members of the ZIP ``data`` to ``path``, compressed with ``method``."""
+    with zipfile.ZipFile(io.BytesIO(data)) as source, zipfile.ZipFile(path, "w", method) as target:
+        for info in source.infolist():
+            target.writestr(info.filename, source.read(info))
+
+
+_BZIP2_AND_LZMA = pytest.mark.parametrize(
+    "method", [zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA], ids=["bzip2", "lzma"]
+)
+
+
+@_BZIP2_AND_LZMA
+def test_bzip2_and_lzma_keras_archives_report_the_lambda(tmp_path, method, capsys):
+    target = tmp_path / "model.keras"
+    _repack(target, emit_keras_zip(emit_keras_lambda_config(True)), method)
+    assert cli_main(["scan", "--format", "json", str(target)]) == 3
+    (scanned,) = json.loads(capsys.readouterr().out)["files"]
+    assert [f["rule_id"] for f in scanned["findings"]] == ["KERAS_LAMBDA_CODE"]
+    assert scanned["findings"][0]["locus"] == "config.json:config.layers[1]"
+    assert scanned["errors"] == []
+
+
+@_BZIP2_AND_LZMA
+def test_corrupt_bzip2_and_lzma_members_are_inflate_errors_at_the_member(tmp_path, method, policy):
+    target = tmp_path / "model.zip"
+    _repack(target, emit_torch_like_zip(emit_reduce_payload_pickle(MARKER, 2)), method)
+    blob = bytearray(target.read_bytes())
+    (entry,) = [e for e in containers.list_entries(io.BytesIO(bytes(blob))) if e.path.endswith("data.pkl")]
+    start = entry.offset + 30 + len(entry.path)
+    blob[start + (4 if method == zipfile.ZIP_BZIP2 else 9)] ^= 0xFF  # see test_containers
+    target.write_bytes(bytes(blob))
+    report = scan_file(str(target), policy)
+    assert [(error.kind, error.locus) for error in report.errors] == [("InflateError", entry.path)]
+    assert [f.rule_id for f in report.findings] == ["FORMAT_PARSE_ERROR"]
+
+
+def test_bzip2_and_lzma_members_stay_unsupported_without_their_modules(tmp_path):
+    """An interpreter built without bz2 and lzma reads neither kind of member."""
+    target = tmp_path / "model.keras"
+    _repack(target, emit_keras_zip(emit_keras_lambda_config(True)), zipfile.ZIP_LZMA)
+    driver = (
+        "import sys\n"
+        "sys.modules['bz2'] = sys.modules['lzma'] = None\n"  # each import raises ImportError
+        "from modelsentry.cli import main\n"
+        "sys.exit(main(['scan', '--format', 'json', sys.argv[1]]))\n"
+    )
+    source_root = os.path.dirname(os.path.dirname(modelsentry.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])}
+    completed = subprocess.run(
+        [sys.executable, "-c", driver, str(target)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert completed.returncode == 2, completed.stderr
+    (scanned,) = json.loads(completed.stdout)["files"]
+    assert sorted(f["rule_id"] for f in scanned["findings"]) == [
+        "ARCHIVE_UNSUPPORTED_METHOD", "ARCHIVE_UNSUPPORTED_METHOD", "FORMAT_PARSE_ERROR"
+    ]
+    assert [error["kind"] for error in scanned["errors"]] == ["UnsupportedMethod"]
 
 
 def test_scan_keras3_lambda_reads_the_code_of_its_function_dict(tmp_path, policy):
@@ -936,6 +1000,31 @@ def test_disasm_refuses_a_named_pipe_without_waiting(tmp_path, capsys):
     assert "not a regular file" in capsys.readouterr().err
 
 
+def test_disasm_refuses_an_over_size_file_before_reading_it(tmp_path, capsys, monkeypatch):
+    """As ``scan_file`` does, ``disasm`` compares the size with
+    MAX_STREAM_BYTES first: no byte of a longer file is read."""
+    target = tmp_path / "big.pkl"
+    target.write_bytes(b"\x80\x02" + b"N0" * 8 + b"N.")  # 20 bytes
+
+    class Unread(io.RawIOBase):
+        def read(self, *args):
+            pytest.fail("an over-size file was read")
+
+    @contextlib.contextmanager
+    def sized(path):
+        yield Unread(), os.path.getsize(path)
+
+    monkeypatch.setattr(disasm, "MAX_STREAM_BYTES", 19)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "open_regular", sized)
+        assert cli_main(["disasm", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "modelsentry: parse error: offset 0: limit exceeded: max_stream_bytes\n"
+    monkeypatch.setattr(disasm, "MAX_STREAM_BYTES", 20)  # at the bound it is read
+    assert cli_main(["disasm", str(target)]) == 0
+
+
 def test_verify_reports_a_named_pipe_without_waiting(tmp_path, policy):
     _tree, pipes, pickled = _pipes_beside_a_pickle(tmp_path)
     with alarm(10.0):
@@ -1069,7 +1158,7 @@ def test_exit_code_contract_unit(policy):
     from modelsentry.policy import Finding
 
     def one(severity, errors=()):
-        finding = Finding("PICKLE_CALL", severity, "f", "m")
+        finding = Finding("PICKLE_CALL", severity, "m")
         return ScanReport(
             tool_version="0",
             policy_digest="d",
