@@ -8,10 +8,10 @@ records that a call *would* happen.
 The machine mirrors the reference loader's stack discipline (value stack
 plus a metastack of MARK frames, and an integer-keyed memo).  Memo fetches
 push ``MemoRef`` placeholders so the value graph itself stays acyclic; the
-memo table in the result resolves them.  A literal short enough to render
-whole (None, a bool, an int, a float, or text or bytes of at most
-``ARG_SUMMARY_CAP``) sits in the graph as the plain Python value; a longer
-one is a ``LongPrimitive``.  Every other node is an ``AbstractValue``.
+memo table in the result resolves them.  A literal (None, a bool, an int,
+a float, text, bytes or a bytearray) sits in the graph as the plain value
+the stream wrote, however long: ``render_value`` bounds the text it shows.
+Every other node is an ``AbstractValue``.
 
 ``_Machine.run`` is the one decode-and-evaluate loop: it reads each opcode
 byte, reads an argless op's or a one-byte argument inline and any other
@@ -76,15 +76,6 @@ class Container(AbstractValue):
 
     kind: str
     elements: list
-
-
-@dataclass(slots=True)
-class LongPrimitive(AbstractValue):
-    """A literal too big to ``repr`` whole when rendered: text or bytes longer
-    than ARG_SUMMARY_CAP, or an int of more than 4,300 digits.  Shorter
-    literals are held as plain values."""
-
-    value: object
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,23 +231,32 @@ class AbstractResult:
 # Rendering (bounded, for summaries and finding evidence)
 
 
-def _long_text(value: object, budget: int) -> str:
-    """The text of a LongPrimitive.  A text or bytes value no longer than
-    ``budget`` gets its ``repr``.  A longer one gets a text that is longer
-    than ``budget`` too and starts with the same ``budget`` characters as
-    its repr, at work bounded by ``budget``, not by the size of the value."""
-    if isinstance(value, int):
+def clip(text: str) -> str:
+    """A name a finding copies from the input, cut to its first
+    ARG_SUMMARY_CAP characters and "…" when it is longer."""
+    return text if len(text) <= ARG_SUMMARY_CAP else text[:ARG_SUMMARY_CAP] + "…"
+
+
+def _literal_text(value: object, budget: int) -> str:
+    """The text of a plain literal, at work bounded by ``budget``, not by
+    the size of the value.  An int of 10**4300 or more is
+    ``<int of N bits>``.  Text or bytes longer than ``budget`` get a text
+    that is longer than ``budget`` too and starts with the same ``budget``
+    characters as its repr.  Anything else gets its repr."""
+    if isinstance(value, (str, bytes, bytearray)):
+        if len(value) <= budget:
+            return repr(value)
+        # Each character or byte takes at least one character of repr, so a
+        # head of ``budget`` of them covers the part shown.  repr quotes with
+        # " only when the value holds ' but no ", so it picks its quote from
+        # the whole value: one character of the kind the head may lack makes
+        # the head's repr pick the same quote.
+        single, double = ("'", '"') if isinstance(value, str) else (b"'", b'"')
+        quote_decider = single if single in value and double not in value else double
+        return repr(value[:budget] + quote_decider)
+    if isinstance(value, int) and not -_BIG_INT < value < _BIG_INT:
         return f"<int of {value.bit_length()} bits>"
-    if len(value) <= budget:
-        return repr(value)
-    # Each character or byte takes at least one character of repr, so a head
-    # of ``budget`` of them covers the part shown.  repr quotes with " only
-    # when the value holds ' but no ", so it picks its quote from the whole
-    # value: one character of the kind the head may lack makes the head's
-    # repr pick the same quote.
-    single, double = ("'", '"') if isinstance(value, str) else (b"'", b'"')
-    quote_decider = single if single in value and double not in value else double
-    return repr(value[:budget] + quote_decider)
+    return repr(value)
 
 
 _BRACKETS = {
@@ -311,10 +311,8 @@ def render_value(
         if depth > _MAX_DEPTH:
             put("…")
             return
-        if not isinstance(v, AbstractValue):  # a plain literal: its repr is short
-            put(repr(v))
-        elif isinstance(v, LongPrimitive):
-            put(_long_text(v.value, budget))
+        if not isinstance(v, AbstractValue):  # a plain literal
+            put(_literal_text(v, budget))
         elif isinstance(v, GlobalRef):
             put(f"{v.module}.{v.name}")
         elif isinstance(v, DynamicGlobalRef):
@@ -445,13 +443,6 @@ def call_roots(
 
 # Given a call's root (see ``call_roots``), whether its evidence is needed.
 KeepCall = Callable[[tuple[str, str] | None], bool]
-
-
-def _text(value: object) -> str | None:
-    """The text of a text literal, long or short; None for anything else."""
-    if isinstance(value, LongPrimitive):
-        value = value.value
-    return value if isinstance(value, str) else None
 
 
 class _Machine:
@@ -706,25 +697,14 @@ class _Machine:
         self.push(False)
 
     def op_literal(self, arg) -> None:
-        """A literal whose opcode bounds it short enough to render whole."""
+        """A literal, held as the plain value the stream wrote."""
         stack = self.stack
         if len(stack) >= MAX_STACK_DEPTH:
             raise LimitExceeded(self.offset, "max_stack_depth")
         stack.append(arg)
 
-    def op_sized_literal(self, arg) -> None:
-        """A literal whose opcode puts no fixed bound on its argument."""
-        if isinstance(arg, (str, bytes, bytearray)):
-            long = len(arg) > ARG_SUMMARY_CAP
-        else:
-            long = not -_BIG_INT < arg < _BIG_INT
-        stack = self.stack
-        if len(stack) >= MAX_STACK_DEPTH:
-            raise LimitExceeded(self.offset, "max_stack_depth")
-        stack.append(LongPrimitive(arg) if long else arg)
-
     def op_bytearray8(self, arg) -> None:
-        self.op_sized_literal(bytearray(arg))
+        self.op_literal(bytearray(arg))
 
     # containers
     def op_empty_list(self, arg) -> None:
@@ -888,9 +868,9 @@ class _Machine:
         self.push(GlobalRef(module, name))
 
     def op_stack_global(self, arg) -> None:
-        name = _text(_deref(self.pop(), self.memo))
-        module = _text(_deref(self.pop(), self.memo))
-        if name is not None and module is not None:
+        name = _deref(self.pop(), self.memo)
+        module = _deref(self.pop(), self.memo)
+        if isinstance(name, str) and isinstance(module, str):
             self.emit(GlobalResolved(self.offset, module, name))
             self.push(GlobalRef(module, name))
         else:
@@ -988,25 +968,25 @@ _BY_MNEMONIC = {
     "NONE": _Machine.op_none,
     "NEWTRUE": _Machine.op_newtrue,
     "NEWFALSE": _Machine.op_newfalse,
-    "INT": _Machine.op_sized_literal,
+    "INT": _Machine.op_literal,
     "BININT": _Machine.op_literal,
     "BININT1": _Machine.op_literal,
     "BININT2": _Machine.op_literal,
-    "LONG": _Machine.op_sized_literal,
+    "LONG": _Machine.op_literal,
     "LONG1": _Machine.op_literal,
-    "LONG4": _Machine.op_sized_literal,
+    "LONG4": _Machine.op_literal,
     "FLOAT": _Machine.op_literal,
     "BINFLOAT": _Machine.op_literal,
-    "STRING": _Machine.op_sized_literal,
-    "BINSTRING": _Machine.op_sized_literal,
+    "STRING": _Machine.op_literal,
+    "BINSTRING": _Machine.op_literal,
     "SHORT_BINSTRING": _Machine.op_literal,
-    "UNICODE": _Machine.op_sized_literal,
-    "BINUNICODE": _Machine.op_sized_literal,
+    "UNICODE": _Machine.op_literal,
+    "BINUNICODE": _Machine.op_literal,
     "SHORT_BINUNICODE": _Machine.op_literal,
-    "BINUNICODE8": _Machine.op_sized_literal,
-    "BINBYTES": _Machine.op_sized_literal,
+    "BINUNICODE8": _Machine.op_literal,
+    "BINBYTES": _Machine.op_literal,
     "SHORT_BINBYTES": _Machine.op_literal,
-    "BINBYTES8": _Machine.op_sized_literal,
+    "BINBYTES8": _Machine.op_literal,
     "BYTEARRAY8": _Machine.op_bytearray8,
     "EMPTY_LIST": _Machine.op_empty_list,
     "EMPTY_DICT": _Machine.op_empty_dict,

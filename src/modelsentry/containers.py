@@ -396,7 +396,9 @@ def find_pickle_payloads(
     whose head leaves it undecided is read too; the scan of its bytes
     decides.  In a torch-layout archive, one with a ``<prefix>/data.pkl``
     member, the members under ``<prefix>/data/`` are tensor storage that
-    the loader reads as raw bytes, so their content is not read.  Per-entry
+    the loader reads as raw bytes, so their content is not read.  Only
+    those, directories, and encrypted or unsupported members not named
+    ``.pkl`` are passed over without a read.  Per-entry
     read failures are appended to ``errors`` (when given) as
     ``(entry, error)`` pairs, without aborting the remaining entries.
     """
@@ -407,13 +409,18 @@ def find_pickle_payloads(
     )
     hits: list[tuple[ArchiveEntry, bytes]] = []
     for entry in entries:
-        if entry.path.endswith("/"):
-            continue
-        # The name decides storage and a .pkl; else an empty head is all there is.
-        named = entry.path.startswith(storage_dirs) or entry.path.endswith(".pkl")
-        head = b"" if named else read_entry_head(handle, entry, SNIFF_BYTES)
-        if is_pickle(entry.path, head, not head or entry.uncompressed_size <= len(head)) is False:
-            continue
+        if not entry.path.endswith(".pkl"):
+            # Directories and storage are not pickles; the scanner flags an
+            # encrypted or unsupported member.
+            if entry.path.endswith("/") or entry.path.startswith(storage_dirs):
+                continue
+            if entry.encrypted or entry.method not in _READABLE:
+                continue
+            # A head that could not be read is empty: unless the member is
+            # empty too, that decides nothing, and the whole read reports it.
+            head = read_entry_head(handle, entry, SNIFF_BYTES)
+            if is_pickle(entry.path, head, entry.uncompressed_size <= len(head)) is False:
+                continue
         try:
             hits.append((entry, read_entry(handle, entry, cap)))
         except FormatError as exc:

@@ -16,6 +16,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Collection, NamedTuple
 
+from .absvm import clip
+
 MAX_WALK_DEPTH = 256
 MAX_WALK_NODES = 1_000_000
 
@@ -136,16 +138,17 @@ def extract_code_payload(
 def _layer_name(layer: dict) -> str:
     config = layer.get("config")
     if isinstance(config, dict) and isinstance(config.get("name"), str):
-        return config["name"]
+        return clip(config["name"])
     if isinstance(layer.get("name"), str):
-        return layer["name"]
+        return clip(layer["name"])
     return ""
 
 
 def _render(link: tuple | None) -> str:
     """The JSON path a ``(parent, key)`` link chain stands for: ``.key`` for
     an object member (no dot while the path is still empty), ``[index]`` for
-    an array element.  JSON object keys are strings, array indices ints."""
+    an array element.  JSON object keys are strings, each cut by ``clip``,
+    and array indices ints."""
     keys = []
     while link is not None:
         link, key = link
@@ -155,6 +158,7 @@ def _render(link: tuple | None) -> str:
         if type(key) is int:
             path = f"{path}[{key}]"
         else:
+            key = clip(key)
             path = f"{path}.{key}" if path else key
     return path
 

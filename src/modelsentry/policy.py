@@ -453,13 +453,12 @@ def _global_finding(
     severity, pattern = _classify(module, name, policy, memo)
     if severity is None:
         return None
+    shown = f"{absvm.clip(module)}.{absvm.clip(name)}"
     if pattern is None:
-        message = f"resolves global {module}.{name} not present in the allowlist"
+        message = f"resolves global {shown} not present in the allowlist"
     else:
-        message = f"resolves denied global {module}.{name} (policy entry {pattern})"
-    return ctx.finding(
-        "PICKLE_DANGEROUS_GLOBAL", message, severity, evidence=f"{module}.{name}", offset=offset
-    )
+        message = f"resolves denied global {shown} (policy entry {pattern})"
+    return ctx.finding("PICKLE_DANGEROUS_GLOBAL", message, severity, evidence=shown, offset=offset)
 
 
 def call_severity(
@@ -476,7 +475,7 @@ def call_severity(
         severity = _classify(module, name, policy, memo)[0]
         if severity is None:
             return (None, "")
-        label = f"{module}.{name}"
+        label = f"{absvm.clip(module)}.{absvm.clip(name)}"
     return (max(severity, Severity.MEDIUM), label)
 
 

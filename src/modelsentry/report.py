@@ -8,6 +8,7 @@ appear in it.
 from __future__ import annotations
 
 import json
+from urllib.parse import quote
 
 from .policy import RULE_CATALOG, Severity
 from .scanner import ScanReport
@@ -99,12 +100,10 @@ def _render_sarif(report: ScanReport) -> dict:
     results = []
     notifications = []
     for file_report in report.files:
+        # A URI reference: a space or a "#" in a path is percent-encoded.
+        uri = quote(file_report.path, safe="/", errors="surrogateescape")
         for finding in file_report.findings:
-            location: dict = {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": file_report.path},
-                }
-            }
+            location: dict = {"physicalLocation": {"artifactLocation": {"uri": uri}}}
             # A member's offset is into the member, not the file: the message names it.
             if finding.offset is not None and finding.entry is None:
                 location["physicalLocation"]["region"] = {"byteOffset": finding.offset}
@@ -120,7 +119,7 @@ def _render_sarif(report: ScanReport) -> dict:
                 }
             )
         for error in file_report.errors:
-            location = {"physicalLocation": {"artifactLocation": {"uri": file_report.path}}}
+            location = {"physicalLocation": {"artifactLocation": {"uri": uri}}}
             if error.locus:
                 location["message"] = {"text": error.locus}
             notifications.append(

@@ -138,10 +138,13 @@ def reference_render(
         if depth > 24:
             put("…")
             return
-        if not isinstance(v, absvm.AbstractValue):  # a plain literal: its repr is short
-            put(repr(v))
-        elif isinstance(v, absvm.LongPrimitive):
-            put(absvm._long_text(v.value, budget))
+        if not isinstance(v, absvm.AbstractValue):  # a plain literal
+            # Its whole repr, cut by ``put``; an int past 10**4300 has no
+            # decimal repr (``sys.int_max_str_digits``), so a placeholder.
+            if isinstance(v, int) and not -(10**4300) < v < 10**4300:
+                put(f"<int of {v.bit_length()} bits>")
+            else:
+                put(repr(v))
         elif isinstance(v, absvm.GlobalRef):
             put(f"{v.module}.{v.name}")
         elif isinstance(v, absvm.DynamicGlobalRef):
@@ -518,8 +521,6 @@ def structural_match(node, real, memo, _seen: frozenset = frozenset()) -> bool:
         _seen = _seen | {node.index}
         node = memo[node.index]
         hops += 1
-    if isinstance(node, absvm.LongPrimitive):
-        node = node.value
     if not isinstance(node, absvm.AbstractValue):  # a literal
         return type(node) is type(real) and node == real
     if isinstance(node, absvm.Container):
@@ -563,8 +564,6 @@ def _resolve_literal(node, memo):
     while isinstance(node, absvm.MemoRef) and node.index in memo and hops < 64:
         node = memo[node.index]
         hops += 1
-    if isinstance(node, absvm.LongPrimitive):
-        return node.value
     if not isinstance(node, absvm.AbstractValue):  # a literal
         return node
     return object()  # never a key in the real dict

@@ -11,6 +11,7 @@ import contextlib
 import functools
 import io
 import pickle
+import pickletools
 import resource
 import signal
 import struct
@@ -48,7 +49,6 @@ from modelsentry.absvm import (
     FrameMismatch,
     GlobalRef,
     GlobalResolved,
-    LongPrimitive,
     MemoMiss,
     MemoRef,
     Opaque,
@@ -483,7 +483,21 @@ def test_walk_matches_fresh_machines_on_concatenated_mutants(streams, small):
         assert_walk_matches_programs(b"".join(streams))
 
 
-# -- short literals are plain values ---------------------------------------------
+# -- literals are plain values ----------------------------------------------------
+
+
+def test_long_literals_are_plain_values_at_the_root():
+    """However long, a literal is the value the stream wrote; only its
+    rendered text is bounded."""
+    text = "\xe9" * 5000
+    number = 1 << 19_999  # 20,000 bits
+    for value, opcode in ((text, "BINUNICODE"), (number, "LONG4")):
+        stream = pickle.dumps(value, 2)
+        assert opcode in [op.name for op, _, _ in pickletools.genops(stream)]
+        for result in (run(stream), *absvm.walk(stream)):
+            assert type(result.root) is type(value) and result.root == value
+    assert render_value(text) == repr(text)[:ARG_SUMMARY_CAP] + "…"
+    assert render_value(number) == "<int of 20000 bits>"
 
 
 def test_stack_global_with_long_module_text_is_resolved():
@@ -528,15 +542,15 @@ _PLAIN_VALUES = st.one_of(
     _QUOTED,
     _QUOTED.map(str.encode),
     _QUOTED.map(lambda text: bytearray(text.encode())),
+    # Longer than ARG_SUMMARY_CAP: rendered from a head of the value.
+    st.sampled_from(["'" * 5000, "a\"b'" * 1500, b"'\x00" * 3000, bytearray(b'"') * 4097]),
+    # Past 10**4300: no decimal repr, a placeholder.  Built in ``map``:
+    # hypothesis takes the repr of what ``sampled_from`` holds.
+    st.integers(14_300, 17_000).map(lambda bits: -(1 << bits)),
+    st.sampled_from([(1, -1), (1, 0), (-1, 0)]).map(lambda pair: pair[0] * (10**4300 + pair[1])),
 )
-_LONG_VALUES = st.one_of(
-    _QUOTED,
-    st.sampled_from(["'" * 5000, "a\"b'" * 1500, b"'\x00" * 3000]),
-    st.integers(14_300, 17_000).map(lambda bits: -(1 << bits)),  # over 4,300 digits
-).map(LongPrimitive)
 _LEAVES = st.one_of(
     _PLAIN_VALUES,
-    _LONG_VALUES,
     st.integers(0, 4).map(MemoRef),  # entries 0-3 may be in the memo, 4 never is
     st.builds(GlobalRef, st.sampled_from(["os", "a.b"]), st.sampled_from(["system", "c"])),
     st.just(DynamicGlobalRef()),

@@ -46,7 +46,6 @@ from modelsentry.absvm import (
     CallResult,
     Container,
     GlobalRef,
-    LongPrimitive,
     MemoRef,
     render_value,
 )
@@ -312,22 +311,33 @@ def test_big_bytes_argument_is_rendered_from_its_head(tmp_path, policy):
 
 
 _QUOTED_TEXT = st.text(st.sampled_from("ab'\"\\\n\x00\x7f\xe9\u2028\U0001f600"), max_size=60)
+# Text longer than ARG_SUMMARY_CAP: a short text repeated past it.
+_LONG_TEXT = st.tuples(_QUOTED_TEXT.filter(bool), st.integers(1, 3)).map(
+    lambda pair: pair[0] * (ARG_SUMMARY_CAP // len(pair[0]) + pair[1])
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(
-        _QUOTED_TEXT,
-        _QUOTED_TEXT.map(lambda text: text.encode("utf-8")),
-        _QUOTED_TEXT.map(lambda text: bytearray(text.encode("utf-8"))),
+        st.one_of(_QUOTED_TEXT, _LONG_TEXT).flatmap(
+            lambda text: st.sampled_from(
+                [text, text.encode("utf-8"), bytearray(text.encode("utf-8"))]
+            )
+        ),
+        # Past 10**4300 an int has no decimal repr: a placeholder stands for it.
+        st.integers(14_285, 20_000).map(lambda bits: 1 << bits),
+        st.sampled_from([(1, -1), (1, 0), (-1, 0)]).map(lambda pair: pair[0] * (10**4300 + pair[1])),
     ),
-    st.integers(1, 80),
+    st.one_of(st.integers(1, 80), st.integers(ARG_SUMMARY_CAP - 8, ARG_SUMMARY_CAP + 8)),
 )
 def test_render_of_text_is_the_head_of_its_repr(value, limit):
-    text = repr(value)
+    if isinstance(value, int) and abs(value) >= 10**4300:
+        text = f"<int of {value.bit_length()} bits>"
+    else:
+        text = repr(value)
     expected = text if len(text) <= limit else text[:limit] + "…"
     assert render_value(value, limit=limit) == expected
-    assert render_value(LongPrimitive(value), limit=limit) == expected
 
 
 def test_string_of_unknown_escapes_is_decoded_in_c():
@@ -353,9 +363,57 @@ def test_string_of_unknown_escapes_is_decoded_in_c():
         sys.setprofile(None)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    assert result.error is None and result.root == LongPrimitive("\\g" * escapes)
+    assert result.error is None and result.root == "\\g" * escapes
     assert calls < escapes // 100
     assert peak < 6 * len(stream)
+
+
+# -- names a finding copies from the input ---------------------------------------
+
+
+def _json_report(path, capsys, status: int) -> tuple[bytes, dict]:
+    assert cli_main(["scan", "--format", "json", str(path)]) == status
+    out = capsys.readouterr().out.encode()
+    (scanned,) = json.loads(out)["files"]
+    return out, scanned
+
+
+def test_a_long_global_name_is_cut_in_its_findings(tmp_path, capsys):
+    """A 5,000,000-character module name: the policy matches the whole
+    name, and the findings show its head."""
+    module = "m" * 5_000_000
+    path = tmp_path / "long_module.pkl"
+    path.write_bytes(
+        b"\x80\x04X" + struct.pack("<I", len(module)) + module.encode()
+        + b"\x8c\x06system\x93)R."
+    )
+    out, scanned = _json_report(path, capsys, 0)
+    assert len(out) < 64 * 1024
+    assert [(f["rule_id"], f["severity"]) for f in scanned["findings"]] == [
+        ("PICKLE_DANGEROUS_GLOBAL", "MEDIUM"),  # unknown to the policy
+        ("PICKLE_CALL", "MEDIUM"),
+    ]
+    shown = "m" * ARG_SUMMARY_CAP + "….system"
+    assert [f["evidence"] for f in scanned["findings"]] == [shown, "()"]
+    assert all(shown in f["message"] for f in scanned["findings"])
+
+
+def test_a_long_keras_layer_name_and_key_are_cut_in_their_findings(tmp_path, capsys):
+    """A 3,000,000-character Lambda layer name, under a key as long."""
+    config = json.loads(emit_keras_lambda_config(True))
+    config["config"]["layers"][1]["config"]["name"] = "n" * 3_000_000
+    config["config"] = {"k" * 3_000_000: config["config"]}
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("config.json", json.dumps(config))
+    path = tmp_path / "long_name.keras"
+    path.write_bytes(buffer.getvalue())
+    out, scanned = _json_report(path, capsys, 3)
+    assert len(out) < 64 * 1024
+    (finding,) = scanned["findings"]
+    assert (finding["rule_id"], finding["severity"]) == ("KERAS_LAMBDA_CODE", "HIGH")
+    assert f"Lambda layer {'n' * ARG_SUMMARY_CAP}… embeds" in finding["message"]
+    assert finding["locus"] == f"config.json:config.{'k' * ARG_SUMMARY_CAP}….layers[1]"
 
 
 # -- a config.json deeper than the JSON decoder recurses ------------------------

@@ -13,6 +13,8 @@ import pickle
 import subprocess
 import sys
 import zipfile
+import zlib
+from urllib.parse import quote
 
 import pytest
 
@@ -363,6 +365,32 @@ def test_corrupt_bzip2_and_lzma_members_are_inflate_errors_at_the_member(tmp_pat
     report = scan_file(str(target), policy)
     assert [(error.kind, error.locus) for error in report.errors] == [("InflateError", entry.path)]
     assert [f.rule_id for f in report.findings] == ["FORMAT_PARSE_ERROR"]
+
+
+@pytest.mark.parametrize(
+    "from_end, kind", [(False, "InflateError"), (True, "SizeMismatch")], ids=["head", "tail"]
+)
+def test_a_member_that_cannot_be_inflated_is_reported(tmp_path, from_end, kind, capsys):
+    """Eight flipped bytes where the sniff reads a deflated member, or 40
+    bytes before its end: ``zipfile`` cannot read it either way, and the
+    scan reports the fault at the member."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive:
+        archive.writestr("archive/payload.bin", pickle.dumps({f"k{i}": i for i in range(300)}, 2))
+    blob = bytearray(buffer.getvalue())
+    (entry,) = containers.list_entries(io.BytesIO(bytes(blob)))
+    start = entry.offset + 30 + len(entry.path) + (entry.compressed_size - 40 if from_end else 0)
+    blob[start : start + 8] = bytes(byte ^ 0xFF for byte in blob[start : start + 8])
+    with zipfile.ZipFile(io.BytesIO(bytes(blob))) as archive, pytest.raises(
+        (zlib.error, zipfile.BadZipFile)
+    ):
+        archive.read("archive/payload.bin")
+    target = tmp_path / "model.zip"
+    target.write_bytes(bytes(blob))
+    assert cli_main(["scan", "--format", "json", str(target)]) == 2
+    (scanned,) = json.loads(capsys.readouterr().out)["files"]
+    assert [(e["kind"], e["locus"]) for e in scanned["errors"]] == [(kind, "archive/payload.bin")]
+    assert [f["rule_id"] for f in scanned["findings"]] == ["FORMAT_PARSE_ERROR"]
 
 
 def test_bzip2_and_lzma_members_stay_unsupported_without_their_modules(tmp_path):
@@ -846,6 +874,18 @@ def test_sarif_gives_an_archive_member_finding_no_byte_offset(tmp_path, policy):
     for result in results:
         assert "region" not in result["locations"][0]["physicalLocation"]
         assert "[model/data.pkl:offset " in result["message"]["text"]
+
+
+def test_sarif_uri_is_a_percent_encoded_path(tmp_path, policy):
+    """A space is no URI character, and "#" would start a fragment; a name
+    byte that is not UTF-8 (a lone surrogate in the path) is that byte."""
+    names = {b"run #1 model.pkl": "run%20%231%20model.pkl", b"\xff.pkl": "%FF.pkl"}
+    for name in names:
+        with open(os.fsencode(tmp_path) + b"/" + name, "wb") as handle:
+            handle.write(emit_reduce_payload_pickle(MARKER, 2))
+    run = json.loads(render(scan_paths([str(tmp_path)], policy), "sarif"))["runs"][0]
+    uris = {r["locations"][0]["physicalLocation"]["artifactLocation"]["uri"] for r in run["results"]}
+    assert uris == {f"{quote(str(tmp_path))}/{uri}" for uri in names.values()}
 
 
 def test_sarif_empty_report_is_valid_skeleton(policy):
