@@ -10,6 +10,7 @@ import json
 import marshal
 import os
 import pickle
+import struct
 import subprocess
 import sys
 import zipfile
@@ -1175,6 +1176,45 @@ def test_cli_disasm_notes_zero_padding(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[-1] for line in out[:4]] == ["NONE", "STOP", "NONE", "STOP"]
     assert out[4:] == ["# 3 trailing byte(s)"]
+
+
+def test_cli_disasm_listing_is_pinned_byte_for_byte(tmp_path, capsys):
+    """Every branch of the listing's format: an argless op, the name pair
+    of GLOBAL and INST, a repr'd str, bytes, int, bool and float, the
+    trailing-byte note of a padded two-segment stream, and a parse error
+    on stderr after the segments that decoded."""
+    target = tmp_path / "listing.pkl"
+    target.write_bytes(
+        b"\x80\x02cos\nsystem\n(X\x03\x00\x00\x00h'iC\x02a\x00J\xff\xff\xff\xffG"
+        + struct.pack(">d", 2.5)
+        + b"I01\nF-0.5\ntR.(ibuiltins\nprint\n.\x00\x00"
+    )
+    assert cli_main(["disasm", str(target)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "       0 PROTO 2\n"
+        "       2 GLOBAL os system\n"
+        "      13 MARK\n"
+        "      14 BINUNICODE \"h'i\"\n"
+        "      22 SHORT_BINBYTES b'a\\x00'\n"
+        "      26 BININT -1\n"
+        "      31 BINFLOAT 2.5\n"
+        "      40 INT True\n"
+        "      44 FLOAT -0.5\n"
+        "      50 TUPLE\n"
+        "      51 REDUCE\n"
+        "      52 STOP\n"
+        "      53 MARK\n"
+        "      54 INST builtins print\n"
+        "      70 STOP\n"
+        "# 2 trailing byte(s)\n"
+    )
+    assert captured.err == ""
+    target.write_bytes(b"N.\xff")
+    assert cli_main(["disasm", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "       0 NONE\n       1 STOP\n"
+    assert captured.err == "modelsentry: parse error: offset 2: unknown opcode byte 0xff\n"
 
 
 def test_cli_forge_and_verify_flow(tmp_path, capsys):
