@@ -1,7 +1,7 @@
 """modelsentry: static security scanner for serialized ML model files."""
 
 from .absvm import AbstractResult, SecurityEvent, evaluate
-from .disasm import Instruction, ParseError, PickleProgram, disassemble
+from .disasm import ParseError
 from .policy import Finding, Policy, Severity, classify_global, default_policy
 from .scanner import FileReport, ScanReport, scan_file, scan_paths, sniff
 
@@ -11,16 +11,13 @@ __all__ = [
     "AbstractResult",
     "FileReport",
     "Finding",
-    "Instruction",
     "ParseError",
-    "PickleProgram",
     "Policy",
     "ScanReport",
     "SecurityEvent",
     "Severity",
     "classify_global",
     "default_policy",
-    "disassemble",
     "evaluate",
     "scan_file",
     "scan_paths",

@@ -20,11 +20,12 @@ call), checks the segment bounds and FRAME bounds inline and dispatches
 through ``_HANDLERS``, a table indexed by opcode byte, built from
 ``disasm.OPCODES`` (the stdlib's ``pickletools.opcodes``) and the handlers
 keyed by opcode name; every opcode there has one.  ``walk`` runs one
-machine over a whole stream with no instruction list, and each
+machine over a whole stream with no op list, and each
 STOP-delimited segment resets it; that is the scanner's path.  It yields a
 result for the first segment and for each that has an event or a fault: a
 clean segment goes by inside the loop, at the cost of its ops.
-``evaluate`` runs it over the bytes of a disassembled program.
+``evaluate(stream, start)`` runs a fresh machine over the one segment at
+``start``: the reference the reset machine of ``walk`` is tested against.
 ``is_pickle`` is the scanner's one rule for which bytes it scans as a
 pickle: those whose first segment a loader would run.
 """
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import disasm
-from .disasm import OPCODES, ParseError, PickleProgram, zero_padding
+from .disasm import OPCODES, ParseError, zero_padding
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +212,7 @@ class LimitExceeded(VmError):
 
 @dataclass(slots=True)
 class AbstractResult:
-    """Outcome of evaluating one program, or one segment of a ``walk``."""
+    """Outcome of evaluating one segment, by ``evaluate`` or in a ``walk``."""
 
     root: object  # an AbstractValue or a plain literal, as any value below
     events: list[SecurityEvent]
@@ -1061,18 +1062,20 @@ _FLOAT_RUNS: tuple = (None, None) + tuple(
 )
 
 
-def evaluate(program: PickleProgram) -> AbstractResult:
-    """Symbolically execute ``program`` and collect its security events.
+def evaluate(stream: bytes, start: int = 0) -> AbstractResult:
+    """Symbolically execute the segment of ``stream`` that starts at
+    ``start`` on a fresh machine and collect its security events.
 
-    Pure function of its inputs: identical programs yield identical results,
-    and no side effect of any kind is performed.  A VmError is raised.
+    Pure function of its inputs: identical bytes yield identical results,
+    and no side effect of any kind is performed.  A ParseError or VmError
+    is raised.  ``walk``'s reset machine is tested against this.
     """
     machine = _Machine()
-    next(machine.run(program.stream, program.start_offset))
+    end = next(machine.run(stream, start))
     if machine.error is not None:
         raise machine.error
-    stream_end = program.start_offset + program.byte_length + program.trailing_bytes
-    return machine.result(None, stream_end, program.trailing_bytes)
+    trailing = zero_padding(stream, end)
+    return machine.result(None, end + trailing, trailing)
 
 
 def walk(stream: bytes, keep_call: KeepCall | None = None):
@@ -1082,14 +1085,14 @@ def walk(stream: bytes, keep_call: KeepCall | None = None):
     reads, and for each later one that has an event or a fault; each
     result's ``segment`` is its index among all segments.  A later segment
     with neither (a clean one, see ``_Machine.run``) costs only its ops and
-    yields nothing.  Never raises; no instruction list is built, and one
-    machine runs every segment, reset at each.  A segment's VmError or
+    yields nothing.  Never raises; no op list is built, and one machine
+    runs every segment, reset at each.  A segment's VmError or
     ParseError is its result's ``error``, and a ParseError (with its
     ``segment`` set) ends the walk; a stream refused before its first
     segment yields one result that holds the refusal and no events.
     Segment splitting, zero padding and ParseErrors are exactly those of
     ``disasm.iter_programs``, and each result without an error equals
-    ``evaluate`` of the matching program.
+    ``evaluate(stream, start)`` of its segment, which runs a fresh machine.
 
     ``keep_call(root)`` says which calls need evidence: a CallMade whose
     root it rejects gets an empty ``arg_summary``.  Kept calls get the text

@@ -100,17 +100,25 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return _emit(report, args)
 
 
+def _format_op(code: int, offset: int, arg: object) -> str:
+    """One op as ``OFFSET MNEMONIC ARG``, a GLOBAL or INST name pair as two words."""
+    line = f"{offset:>8} {disasm.OPCODES[code].name}"
+    if arg is None:
+        return line
+    return f"{line} {' '.join(arg) if isinstance(arg, tuple) else repr(arg)}"
+
+
 def _cmd_disasm(args: argparse.Namespace) -> int:
     try:
         with open_regular(args.file) as (handle, size):
             if size > disasm.MAX_STREAM_BYTES:  # refused before it is read, as scan_file does
                 raise disasm.LimitExceeded(0, "max_stream_bytes")
             data = handle.read()
-        for program in disasm.iter_programs(data):
-            for instruction in program.instructions:
-                print(disasm.format_instruction(instruction))
-            if program.trailing_bytes:
-                print(f"# {program.trailing_bytes} trailing byte(s)")
+        for ops, trailing in disasm.iter_programs(data):
+            for code, offset, arg, _end in ops:
+                print(_format_op(code, offset, arg))
+            if trailing:
+                print(f"# {trailing} trailing byte(s)")
     except OSError as exc:
         print(f"modelsentry: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL

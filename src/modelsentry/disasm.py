@@ -1,8 +1,8 @@
 """Total, non-executing disassembler for pickle streams.
 
-Turns raw bytes into an instruction sequence without constructing a single
-Python object from the stream.  Argument decoding mirrors what a conforming
-loader accepts byte for byte, so that the instruction transcript of any
+Turns raw bytes into a sequence of decoded ops without constructing a
+single Python object from the stream.  Argument decoding mirrors what a
+conforming loader accepts byte for byte, so that the op listing of any
 valid stream matches the reference tooling for the format.
 
 The opcode table is the stdlib's own: ``OPCODES`` indexes
@@ -13,10 +13,10 @@ per ``pickletools`` argument descriptor, and one more for INST's names.
 The scanner's loop over it is ``absvm``'s, which decodes and evaluates
 each op in one step.
 ``decode_ops`` is the loop here, one ``(code, offset, arg, end)`` tuple per
-op: it serves the instruction lists of ``iter_programs``/``disassemble``.
+op, the one form a decoded op takes; ``iter_programs`` splits a stream on it.
 
-Every input terminates in either a ``PickleProgram`` or a structured
-``ParseError``; nothing is executed, imported, or resolved.
+Every input terminates in either its ops or a structured ``ParseError``;
+nothing is executed, imported, or resolved.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import codecs
 import pickletools
 import re
 import struct
-from dataclasses import dataclass, field
 from typing import Callable
 
 
@@ -88,40 +87,6 @@ class LimitExceeded(ParseError):
         self.available = available
 
 
-@dataclass(frozen=True)
-class Instruction:
-    """One decoded opcode: its byte position, table entry, and argument.
-
-    ``size`` is the total encoded length (opcode byte plus argument bytes),
-    so consecutive instructions satisfy ``offset + size == next.offset``.
-    """
-
-    offset: int
-    opcode: pickletools.OpcodeInfo
-    arg: object
-    size: int
-
-    @property
-    def mnemonic(self) -> str:
-        return self.opcode.name
-
-
-@dataclass
-class PickleProgram:
-    """A parsed stream segment ending in STOP, and the stream it starts in
-    at ``start_offset``."""
-
-    instructions: list[Instruction]
-    declared_protocol: int
-    byte_length: int
-    stream: bytes = field(repr=False)
-    trailing_bytes: int = 0
-    start_offset: int = 0
-
-    def __iter__(self):
-        return iter(self.instructions)
-
-
 Decoder = Callable[[bytes, int, int], "tuple[object, int]"]
 
 _BY_BYTE = {ord(op.code): op for op in pickletools.opcodes}
@@ -130,7 +95,6 @@ _BY_BYTE = {ord(op.code): op for op in pickletools.opcodes}
 OPCODES: tuple[pickletools.OpcodeInfo | None, ...] = tuple(map(_BY_BYTE.get, range(256)))
 
 _STOP = ord(".")
-_PROTO = 0x80
 
 
 def _truncated(op_offset: int, what: str, needed: int, stream: bytes, pos: int) -> ParseError:
@@ -379,7 +343,7 @@ DECODERS: tuple[Decoder | None, ...] = tuple(
 def decode_ops(stream: bytes, start: int):
     """Yield ``(code, offset, arg, end)`` for each op from ``start`` through STOP.
 
-    The instruction list reads a segment through this loop; the abstract
+    ``iter_programs`` reads a segment through this loop; the abstract
     machine decodes in its own (``absvm._Machine.run``), with the same
     checks in the same order, except that it reads a run of BINFLOAT ops in
     one call, clipped so that each check still fires at the op where it
@@ -423,71 +387,26 @@ def check_stream(stream: bytes) -> None:
         raise LimitExceeded(0, "max_stream_bytes")
 
 
-def _read_program(stream: bytes, start: int) -> PickleProgram:
-    """Decode one program starting at ``start`` into its instruction list."""
-    instructions: list[Instruction] = []
-    declared: int | None = None
-    saw_nonzero_min_proto = False
-    end = start
-    for code, offset, arg, end in decode_ops(stream, start):
-        op = OPCODES[code]
-        instructions.append(Instruction(offset, op, arg, end - offset))
-        if op.proto > 0:
-            saw_nonzero_min_proto = True
-        if code == _PROTO and declared is None:
-            declared = arg  # recorded as written, even if out of range
-    if declared is None:
-        declared = 1 if saw_nonzero_min_proto else 0
-    return PickleProgram(
-        instructions=instructions,
-        declared_protocol=declared,
-        byte_length=end - start,
-        stream=stream,
-        start_offset=start,
-    )
-
-
-def disassemble(stream: bytes) -> PickleProgram:
-    """Disassemble a single pickle program from the start of ``stream``.
-
-    Bytes after the first STOP are reported via ``trailing_bytes``, never
-    dropped and never an error at this layer.
-    """
-    check_stream(stream)
-    program = _read_program(stream, 0)
-    program.trailing_bytes = len(stream) - program.byte_length
-    return program
-
-
 def iter_programs(stream: bytes):
-    """Yield one PickleProgram per STOP-delimited segment of ``stream``.
+    """Yield ``(ops, trailing)`` per STOP-delimited segment of ``stream``:
+    its ``decode_ops`` tuples, and the length of the zero padding after its
+    STOP when that padding ends the stream (legacy multi-pickle files), else
+    0.  ``modelsentry disasm`` lists these; the scanner reads ``absvm.walk``.
 
-    Programs already yielded stay valid if a later segment fails; the raised
+    Segments already yielded stay valid if a later one fails; the raised
     ParseError carries the index of the failing segment (None for a stream
-    ``check_stream`` refuses).  A trailing run of zero bytes after the final
-    STOP is tolerated and reported on the last program (legacy multi-pickle
-    files pad this way).
+    ``check_stream`` refuses).
     """
     check_stream(stream)
     pos = segment = 0
     while pos < len(stream):
         try:
-            program = _read_program(stream, pos)
+            ops = list(decode_ops(stream, pos))
         except ParseError as exc:
             exc.segment = segment
             raise
-        pos += program.byte_length
-        program.trailing_bytes = zero_padding(stream, pos)
-        pos += program.trailing_bytes
-        yield program
+        pos = ops[-1][3]
+        trailing = zero_padding(stream, pos)
+        pos += trailing
+        yield ops, trailing
         segment += 1
-
-
-def format_instruction(instr: Instruction) -> str:
-    """Render one instruction as ``OFFSET MNEMONIC ARG`` for the debug CLI."""
-    if instr.arg is None:
-        return f"{instr.offset:>8} {instr.mnemonic}"
-    if isinstance(instr.arg, tuple):
-        rendered = " ".join(str(part) for part in instr.arg)
-        return f"{instr.offset:>8} {instr.mnemonic} {rendered}"
-    return f"{instr.offset:>8} {instr.mnemonic} {instr.arg!r}"

@@ -176,12 +176,13 @@ def _scan_zip(
         return
     for entry in entries:
         member = FileContext(path, entry.path)
+        shown = absvm.clip(entry.path)
         if entry.suspicious_path:
-            message = f"member path {entry.path!r} escapes the extraction root"
-            findings.append(member.finding("ARCHIVE_PATH_TRAVERSAL", message, evidence=entry.path))
+            message = f"member path {shown!r} escapes the extraction root"
+            findings.append(member.finding("ARCHIVE_PATH_TRAVERSAL", message, evidence=shown))
         if entry.encrypted or entry.method.startswith("unsupported"):
             detail = "encrypted" if entry.encrypted else entry.method
-            message = f"member {entry.path!r} is not inspectable ({detail})"
+            message = f"member {shown!r} is not inspectable ({detail})"
             findings.append(member.finding("ARCHIVE_UNSUPPORTED_METHOD", message))
     unreadable = "archive member could not be read"
     payload_errors: list[tuple[containers.ArchiveEntry, containers.FormatError]] = []

@@ -94,15 +94,15 @@ def reference_transcript(stream: bytes) -> list[str]:
 
 
 def own_transcript(stream: bytes) -> list[str]:
-    """Same normal form produced from this project's disassembler."""
-    from modelsentry.disasm import disassemble
+    """Same normal form produced from this project's disassembler, over the
+    first segment."""
+    from modelsentry.disasm import OPCODES, decode_ops
 
     lines = []
-    for instr in disassemble(stream).instructions:
-        arg = instr.arg
+    for code, offset, arg, _end in decode_ops(stream, 0):
         if isinstance(arg, tuple):
             arg = " ".join(arg)  # genops joins the GLOBAL/INST pair with a space
-        lines.append(f"{instr.offset} {instr.mnemonic} {arg!r}")
+        lines.append(f"{offset} {OPCODES[code].name} {arg!r}")
     return lines
 
 

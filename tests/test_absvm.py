@@ -61,7 +61,7 @@ from modelsentry.absvm import (
     evaluate,
     render_value,
 )
-from modelsentry.disasm import ParseError, disassemble, iter_programs
+from modelsentry.disasm import OPCODES, ParseError, decode_ops, iter_programs
 from modelsentry.forge import (
     benign_state_dict_pickle,
     emit_corpus,
@@ -72,20 +72,16 @@ from modelsentry.forge import (
 MARKER = "true # FIXTURE-MARKER"
 
 
-def run(stream: bytes) -> absvm.AbstractResult:
-    return evaluate(disassemble(stream))
-
-
 def test_minimal_stream_has_no_events():
     # None is the root here, held as the plain value.
     (walked,) = absvm.walk(b"N.")
-    for result in (run(b"N."), walked):
+    for result in (evaluate(b"N."), walked):
         assert result.events == []
         assert result.root is None
 
 
 def test_reduce_payload_events():
-    result = run(emit_reduce_payload_pickle(MARKER, 2))
+    result = evaluate(emit_reduce_payload_pickle(MARKER, 2))
     kinds = [event.kind for event in result.events]
     assert kinds == ["GlobalResolved", "CallMade"]
     resolved = result.events[0]
@@ -100,7 +96,7 @@ def test_reduce_payload_events():
 @pytest.mark.parametrize("protocol,root_value", [(0, [1, 2, 3]), (2, {"a": 1}), (4, "ok")])
 def test_injected_stream_yields_residual_stack_and_loader_hides_it(protocol, root_value):
     stream = emit_injected_pickle(root_value, MARKER, protocol)
-    result = run(stream)
+    result = evaluate(stream)
     residuals = [event for event in result.events if isinstance(event, ResidualStack)]
     assert len(residuals) == 1
     assert residuals[0].depth >= 1
@@ -110,8 +106,19 @@ def test_injected_stream_yields_residual_stack_and_loader_hides_it(protocol, roo
 
 def test_reduce_streams_never_report_residual_stack():
     for protocol in (0, 1, 2, 3, 4, 5):
-        result = run(emit_reduce_payload_pickle(MARKER, protocol))
+        result = evaluate(emit_reduce_payload_pickle(MARKER, protocol))
         assert not any(isinstance(event, ResidualStack) for event in result.events)
+
+
+def assert_events_match_op_counts(stream: bytes) -> None:
+    """One import event per GLOBAL, STACK_GLOBAL or INST op of the first
+    segment, and one CallMade per op that calls."""
+    names = [OPCODES[code].name for code, _offset, _arg, _end in decode_ops(stream, 0)]
+    events = evaluate(stream).events
+    imports = sum(1 for e in events if isinstance(e, (GlobalResolved, DynamicGlobal)))
+    assert imports == sum(name in ("GLOBAL", "STACK_GLOBAL", "INST") for name in names)
+    calls = sum(1 for e in events if isinstance(e, CallMade))
+    assert calls == sum(name in ("REDUCE", "NEWOBJ", "NEWOBJ_EX", "OBJ", "INST") for name in names)
 
 
 def test_event_completeness_matches_instruction_counts():
@@ -119,27 +126,13 @@ def test_event_completeness_matches_instruction_counts():
     streams.append(emit_reduce_payload_pickle(MARKER, 4))
     streams.append(emit_injected_pickle([1], MARKER, 2))
     for stream in streams:
-        program = disassemble(stream)
-        result = evaluate(program)
-        globals_in_stream = sum(
-            1 for i in program.instructions if i.mnemonic in ("GLOBAL", "STACK_GLOBAL", "INST")
-        )
-        calls_in_stream = sum(
-            1
-            for i in program.instructions
-            if i.mnemonic in ("REDUCE", "NEWOBJ", "NEWOBJ_EX", "OBJ", "INST")
-        )
-        assert (
-            sum(1 for e in result.events if isinstance(e, (GlobalResolved, DynamicGlobal)))
-            == globals_in_stream
-        )
-        assert sum(1 for e in result.events if isinstance(e, CallMade)) == calls_in_stream
+        assert_events_match_op_counts(stream)
 
 
 def test_structure_matches_real_loader_on_benign_corpus():
     checked = 0
     for name, stream, value in benign_streams(60):
-        result = run(stream)
+        result = evaluate(stream)
         loaded = pickle.loads(stream)
         assert loaded == value or (value != value), name  # generator avoids NaN
         assert structural_match(result.root, loaded, result.memo), name
@@ -174,16 +167,16 @@ def _walk_outcomes(stream: bytes) -> list[tuple]:
     ]
 
 
-def _program_outcomes(stream: bytes) -> list[tuple]:
+def _segment_outcomes(stream: bytes) -> list[tuple]:
     """The same from ``evaluate`` over ``iter_programs``, which raise their
     faults, for the segments ``walk`` yields: the first, and each that has
     events or a fault."""
     outcomes: list[tuple] = []
     segment = 0
     try:
-        for program in iter_programs(stream):
+        for ops, _trailing in iter_programs(stream):
             try:
-                result = evaluate(program)
+                result = evaluate(stream, ops[0][1])
             except absvm.VmError as exc:
                 outcomes.append((segment, _fault(exc)))
             else:
@@ -195,8 +188,8 @@ def _program_outcomes(stream: bytes) -> list[tuple]:
     return outcomes
 
 
-def assert_walk_matches_programs(stream: bytes) -> None:
-    assert _walk_outcomes(stream) == _program_outcomes(stream)
+def assert_walk_matches_segments(stream: bytes) -> None:
+    assert _walk_outcomes(stream) == _segment_outcomes(stream)
 
 
 def _walk_corpus() -> list[bytes]:
@@ -211,9 +204,9 @@ def _walk_corpus() -> list[bytes]:
 
 def test_walk_matches_evaluate_over_programs():
     for stream in _walk_corpus():
-        assert_walk_matches_programs(stream)
+        assert_walk_matches_segments(stream)
         with small_bounds():
-            assert_walk_matches_programs(stream)
+            assert_walk_matches_segments(stream)
 
 
 @settings(max_examples=150, deadline=None)
@@ -225,22 +218,22 @@ def test_walk_matches_evaluate_on_mutated_streams(data):
         stream[data.draw(st.integers(0, len(stream) - 1))] ^= 1 << data.draw(st.integers(0, 7))
     bounds = small_bounds() if data.draw(st.booleans()) else contextlib.nullcontext()
     with bounds:
-        assert_walk_matches_programs(bytes(stream))
+        assert_walk_matches_segments(bytes(stream))
 
 
-# -- the fused decode-and-evaluate loop against the instruction lists -------------
+# -- the fused decode-and-evaluate loop against the op lists ----------------------
 
 
-def _programs_and_parse_error(stream: bytes) -> tuple[list[int], tuple | None]:
+def _segments_and_parse_error(stream: bytes) -> tuple[list[int], tuple | None]:
     """The segments of ``iter_programs`` that ``walk`` yields a result for
     (the first, each whose ``evaluate`` has events or raises, and the one
     that fails to parse), and the ParseError it raises."""
     segments: list[int] = []
     segment = 0
     try:
-        for program in iter_programs(stream):
+        for ops, _trailing in iter_programs(stream):
             try:
-                eventful = bool(evaluate(program).events)
+                eventful = bool(evaluate(stream, ops[0][1]).events)
             except absvm.VmError:
                 eventful = True
             if segment == 0 or eventful:
@@ -264,7 +257,7 @@ def _walked_and_parse_error(stream: bytes) -> tuple[list[int], tuple | None]:
 def assert_walk_decodes_like_iter_programs(stream: bytes) -> None:
     """``walk`` decodes in its own loop, and keeps decoding after a VmError:
     it must split and fail exactly where ``iter_programs`` does."""
-    assert _walked_and_parse_error(stream) == _programs_and_parse_error(stream)
+    assert _walked_and_parse_error(stream) == _segments_and_parse_error(stream)
 
 
 @functools.cache
@@ -332,7 +325,7 @@ def test_walk_never_raises_and_only_its_last_result_holds_a_parse_error(stream, 
     assert not any(isinstance(result.error, ParseError) for result in results[:-1])
 
 
-_PLAIN_VALUES = st.recursive(
+_PICKLABLE_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12) | st.binary(max_size=12),
     lambda children: st.lists(children, max_size=4)
     | st.tuples(children, children)
@@ -349,7 +342,7 @@ _TEXT_LINES = st.lists(st.text(st.sampled_from("cilpSVINTBX.(0)2,5 x_\\'\"\xe9")
 @given(
     st.one_of(
         _mutants(),
-        st.builds(pickle.dumps, _PLAIN_VALUES, st.integers(0, 5)),
+        st.builds(pickle.dumps, _PICKLABLE_VALUES, st.integers(0, 5)),
         _TEXT_LINES,
     ),
     st.data(),
@@ -381,10 +374,10 @@ def test_walk_decodes_like_iter_programs_on_the_unmutated_corpus():
 
 def test_instruction_limit_counts_the_ops_after_a_vm_error():
     """The ops decoded after a VmError still count toward MAX_INSTRUCTIONS:
-    the limit fires at the same op as in the instruction list."""
+    the limit fires at the same op as in the op list."""
     stream = b"R" + b"N" * 50 + b"."  # StackUnderflow at op 0
     with mock.patch.object(disasm, "MAX_INSTRUCTIONS", 40):
-        assert _programs_and_parse_error(stream) == ([0], ("LimitExceeded", 40, 0))
+        assert _segments_and_parse_error(stream) == ([0], ("LimitExceeded", 40, 0))
         assert_walk_decodes_like_iter_programs(stream)
         (limited,) = absvm.walk(stream)
     assert isinstance(limited.error, disasm.LimitExceeded) and limited.events == []
@@ -458,8 +451,7 @@ def test_a_segment_renders_its_call_evidence_afresh():
     assert len(caches) == 2 and caches[1] is not caches[0]
     # Its first op straddles the end of the first segment's FRAME, unflagged.
     assert result.error is None and not any(isinstance(e, FrameMismatch) for e in result.events)
-    program = list(iter_programs(stream))[1]
-    assert _evaluated(result) == _evaluated(evaluate(program))
+    assert _evaluated(result) == _evaluated(evaluate(stream, len(first)))
 
 
 def test_instruction_limit_counts_each_segment_on_its_own():
@@ -469,7 +461,7 @@ def test_instruction_limit_counts_each_segment_on_its_own():
         # LimitExceeded there would be a result of segment 1.
         results = list(absvm.walk(segment * 2))
         (limited,) = absvm.walk(b"N0" + segment)
-        assert _walked_and_parse_error(segment * 2) == _programs_and_parse_error(segment * 2)
+        assert _walked_and_parse_error(segment * 2) == _segments_and_parse_error(segment * 2)
     assert [(result.segment, result.error) for result in results] == [(0, None)]
     assert (limited.segment, limited.error.kind, limited.error.offset) == (0, "LimitExceeded", 4)
 
@@ -477,10 +469,10 @@ def test_instruction_limit_counts_each_segment_on_its_own():
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_mutants(), min_size=2, max_size=4), st.booleans())
 def test_walk_matches_fresh_machines_on_concatenated_mutants(streams, small):
-    """Each segment of one machine's walk equals ``evaluate`` of its
-    program on a fresh machine, with and without small bounds."""
+    """Each segment of one machine's walk equals ``evaluate`` of that
+    segment on a fresh machine, with and without small bounds."""
     with small_bounds() if small else contextlib.nullcontext():
-        assert_walk_matches_programs(b"".join(streams))
+        assert_walk_matches_segments(b"".join(streams))
 
 
 # -- literals are plain values ----------------------------------------------------
@@ -494,7 +486,7 @@ def test_long_literals_are_plain_values_at_the_root():
     for value, opcode in ((text, "BINUNICODE"), (number, "LONG4")):
         stream = pickle.dumps(value, 2)
         assert opcode in [op.name for op, _, _ in pickletools.genops(stream)]
-        for result in (run(stream), *absvm.walk(stream)):
+        for result in (evaluate(stream), *absvm.walk(stream)):
             assert type(result.root) is type(value) and result.root == value
     assert render_value(text) == repr(text)[:ARG_SUMMARY_CAP] + "…"
     assert render_value(number) == "<int of 20000 bits>"
@@ -506,17 +498,17 @@ def test_stack_global_with_long_module_text_is_resolved():
         b"\x80\x04\x8d" + struct.pack("<Q", len(module)) + module.encode()
         + b"\x8c\x06system\x93."
     )
-    for result in (run(stream), *absvm.walk(stream)):
+    for result in (evaluate(stream), *absvm.walk(stream)):
         assert result.events == [GlobalResolved(len(stream) - 2, module, "system")]
         assert result.root == GlobalRef(module, "system")
 
 
 def test_binpersid_of_short_text_renders_its_repr():
-    result = run(b"\x80\x02cos\nsystem\nX\x03\x00\x00\x00keyQ\x85R.")
+    result = evaluate(b"\x80\x02cos\nsystem\nX\x03\x00\x00\x00keyQ\x85R.")
     call = next(event for event in result.events if isinstance(event, CallMade))
     assert call.arg_summary == "(<persistent 'key'>)"
     # PERSID's id is its raw text line.
-    result = run(b"\x80\x02cos\nsystem\nPkey\n\x85R.")
+    result = evaluate(b"\x80\x02cos\nsystem\nPkey\n\x85R.")
     call = next(event for event in result.events if isinstance(event, CallMade))
     assert call.arg_summary == "(<persistent key>)"
 
@@ -632,8 +624,8 @@ def test_render_cut_at_the_end_of_a_piece_has_no_ellipsis():
 
 def test_determinism():
     stream = emit_injected_pickle({"a": [1, 2]}, MARKER, 4)
-    first = run(stream)
-    second = run(stream)
+    first = evaluate(stream)
+    second = evaluate(stream)
     assert first.events == second.events
     assert render_value(first.root, first.memo) == render_value(second.root, second.memo)
     assert first.memo_size == second.memo_size
@@ -675,7 +667,7 @@ def test_call_roots_stops_on_memo_cycle_through_callee_chain():
 def test_summarize_walks_containers():
     # A call nested in a container has its own CallMade event, so the scan
     # path finds its root without walking the container.
-    result = run(b"](K\x01ca\nb\n)Re.")  # [1, a.b()]
+    result = evaluate(b"](K\x01ca\nb\n)Re.")  # [1, a.b()]
     roots = [event.root for event in result.events if isinstance(event, CallMade)]
     assert roots == [("a", "b")]
 
@@ -685,7 +677,7 @@ def test_summarize_walks_containers():
 
 def test_memo_roundtrip_and_self_reference():
     # list that contains itself via the memo: legitimate cycle, no recursion blowup
-    result = run(b"]q\x00h\x00a.")
+    result = evaluate(b"]q\x00h\x00a.")
     assert isinstance(result.root, Container)
     assert result.root.elements == [MemoRef(0)]
     # rendering resolves one level, then the cycle guard stops it
@@ -693,7 +685,7 @@ def test_memo_roundtrip_and_self_reference():
 
 
 def test_memoize_and_get():
-    result = run(b"\x80\x04\x8c\x02hi\x94h\x00\x86.")
+    result = evaluate(b"\x80\x04\x8c\x02hi\x94h\x00\x86.")
     root = result.root
     assert isinstance(root, Container) and root.kind == "tuple"
     assert root.elements[0] == "hi" and type(root.elements[0]) is str
@@ -702,31 +694,31 @@ def test_memoize_and_get():
 
 def test_memo_miss_is_error():
     with pytest.raises(MemoMiss) as excinfo:
-        run(b"Ng5\n.")
+        evaluate(b"Ng5\n.")
     assert excinfo.value.index == 5
 
 
 def test_negative_put_rejected():
     with pytest.raises(MemoMiss):
-        run(b"Np-1\n.")
+        evaluate(b"Np-1\n.")
 
 
 def test_stack_underflow():
     with pytest.raises(StackUnderflow):
-        run(b"R.")
+        evaluate(b"R.")
     with pytest.raises(StackUnderflow):
-        run(b".")
+        evaluate(b".")
 
 
 def test_bad_mark():
     with pytest.raises(BadMark):
-        run(b"N1.")
+        evaluate(b"N1.")
 
 
 def test_stack_global_literal_and_dynamic():
-    literal = run(b"\x80\x04\x8c\x02os\x8c\x06system\x93.")
+    literal = evaluate(b"\x80\x04\x8c\x02os\x8c\x06system\x93.")
     assert literal.events[0] == GlobalResolved(14, "os", "system")
-    dynamic = run(b"\x80\x04)\x8c\x06system\x93.")
+    dynamic = evaluate(b"\x80\x04)\x8c\x06system\x93.")
     assert [event.kind for event in dynamic.events] == ["DynamicGlobal"]
     assert isinstance(dynamic.root, absvm.DynamicGlobalRef)
 
@@ -742,7 +734,7 @@ def test_stack_global_through_memo_is_still_literal():
         b"h\x00h\x01"  # push MemoRef(0), MemoRef(1)
         b"\x93."
     )
-    result = run(stream)
+    result = evaluate(stream)
     events = [event for event in result.events if isinstance(event, GlobalResolved)]
     assert len(events) == 1
     assert (events[0].module, events[0].name) == ("os", "system")
@@ -750,27 +742,27 @@ def test_stack_global_through_memo_is_still_literal():
 
 
 def test_trailing_data_event():
-    result = evaluate(disassemble(b"N." + b"\x00\x01"))
+    result = evaluate(b"N." + b"\x00\x00")
     trailing = [event for event in result.events if isinstance(event, TrailingData)]
     assert len(trailing) == 1
     assert trailing[0].byte_count == 2
 
 
 def test_out_of_band_buffer_is_soft():
-    result = run(b"\x80\x05\x97.")
+    result = evaluate(b"\x80\x05\x97.")
     assert [event.kind for event in result.events] == ["OutOfBandBuffer"]
     assert isinstance(result.root, absvm.Opaque)
 
 
 def test_readonly_buffer_substitutes_opaque():
-    result = run(b"\x80\x05\x97\x98.")
+    result = evaluate(b"\x80\x05\x97\x98.")
     assert [event.kind for event in result.events] == ["OutOfBandBuffer", "OutOfBandBuffer"]
     assert isinstance(result.root, absvm.Opaque)
 
 
 def test_build_pops_the_state_and_keeps_the_object():
     stream = b"cmod\nCls\n)R}(V__hidden__\nVvalue\nub."
-    result = run(stream)
+    result = evaluate(stream)
     assert [event.kind for event in result.events] == ["GlobalResolved", "CallMade"]
     assert isinstance(result.root, CallResult)
     # As pickle.py's load_build: the state is popped, then the object read.
@@ -780,7 +772,7 @@ def test_build_pops_the_state_and_keeps_the_object():
 
 
 def test_inst_emits_import_then_call():
-    result = run(b"(Vx\nios\nsystem\n.")
+    result = evaluate(b"(Vx\nios\nsystem\n.")
     kinds = [event.kind for event in result.events]
     assert kinds == ["GlobalResolved", "CallMade"]
     assert result.events[0] == GlobalResolved(4, "os", "system")
@@ -873,15 +865,15 @@ def test_unterminated_name_line_longer_than_max_arg_bytes_imports_nothing(stream
 def test_frame_mismatch_informational():
     # FRAME claims 1 byte but a 2-byte instruction sits inside it
     straddle = b"\x80\x04\x95\x01\x00\x00\x00\x00\x00\x00\x00K\x07."
-    result = run(straddle)
+    result = evaluate(straddle)
     assert "FrameMismatch" in [event.kind for event in result.events]
     # frame claiming bytes past the end of the stream
     overlong = b"\x80\x04\x95\x63\x00\x00\x00\x00\x00\x00\x00N."
-    result = run(overlong)
+    result = evaluate(overlong)
     assert "FrameMismatch" in [event.kind for event in result.events]
     # well-framed stream stays quiet
     clean = pickle.dumps([1, 2, 3], 4)
-    result = run(clean)
+    result = evaluate(clean)
     assert "FrameMismatch" not in [event.kind for event in result.events]
 
 
@@ -897,7 +889,8 @@ def frame_mismatches(stream: bytes) -> list[list[int]]:
         return [event.at_offset for event in result.events if isinstance(event, FrameMismatch)]
 
     via_walk = [offsets(result) for result in absvm.walk(stream)]
-    assert via_walk == [offsets(evaluate(program)) for program in iter_programs(stream)]
+    starts = [ops[0][1] for ops, _trailing in iter_programs(stream)]
+    assert via_walk == [offsets(evaluate(stream, start)) for start in starts]
     return via_walk
 
 
@@ -917,7 +910,7 @@ def test_frame_mismatch_at_op_straddling_frame_end():
 def test_frame_mismatch_final_frame_past_stream_end_is_at_the_frame():
     # The FRAME at 2 claims 99 bytes; its event precedes the GLOBAL's.
     stream = b"\x80\x04" + _frame(99) + b"cos\nsystem\n."
-    result = run(stream)
+    result = evaluate(stream)
     assert [(event.kind, event.at_offset) for event in result.events] == [
         ("FrameMismatch", 2),
         ("GlobalResolved", 11),
@@ -944,13 +937,13 @@ def test_frame_mismatch_in_segment_zero_of_two():
 
 def test_arg_summary_is_bounded():
     big = "A" * 10_000
-    result = run(emit_reduce_payload_pickle(big, 2))
+    result = evaluate(emit_reduce_payload_pickle(big, 2))
     call = next(event for event in result.events if isinstance(event, CallMade))
     assert len(call.arg_summary) <= absvm.ARG_SUMMARY_CAP + 8
 
 
 def test_persistent_ids_push_references():
-    result = run(b"Pweights.0\nQ.")
+    result = evaluate(b"Pweights.0\nQ.")
     assert result.events == []
     assert result.root == PersistentRef(PersistentRef("weights.0", line=True))
 
@@ -959,25 +952,11 @@ def test_rare_opcodes_evaluate_with_complete_events():
     from conftest import RARE_OPCODE_STREAMS
 
     for name, stream in RARE_OPCODE_STREAMS:
-        program = disassemble(stream)
-        result = evaluate(program)
-        globals_in_stream = sum(
-            1 for i in program.instructions if i.mnemonic in ("GLOBAL", "STACK_GLOBAL", "INST")
-        )
-        calls_in_stream = sum(
-            1
-            for i in program.instructions
-            if i.mnemonic in ("REDUCE", "NEWOBJ", "NEWOBJ_EX", "OBJ", "INST")
-        )
-        assert (
-            sum(1 for e in result.events if isinstance(e, (GlobalResolved, DynamicGlobal)))
-            == globals_in_stream
-        ), name
-        assert sum(1 for e in result.events if isinstance(e, CallMade)) == calls_in_stream, name
+        assert_events_match_op_counts(stream)
 
 
 def test_extension_codes_recorded():
-    result = run(b"\x80\x02\x82\x07.")
+    result = evaluate(b"\x80\x02\x82\x07.")
     assert result.events == []
     assert result.root == absvm.ExtensionRef(7)
 
@@ -992,7 +971,7 @@ def test_call_root_is_resolved_at_the_call():
         b"\x80\x02cos\nsystem\nq\x000h\x00X\x02\x00\x00\x00id\x85R0"
         b"ccollections\nOrderedDict\nq\x000N."
     )
-    result = run(stream)
+    result = evaluate(stream)
     call = next(event for event in result.events if isinstance(event, CallMade))
     assert call.root == ("os", "system")
     assert call_roots(MemoRef(0), result.memo) == ("collections", "OrderedDict")
@@ -1022,7 +1001,7 @@ def _s4(size: int) -> bytes:
 def test_persistent_id_evidence_text(args, evidence):
     """PERSID's id shows as raw text, BINPERSID's as a rendered value, each
     capped at 256 characters inside the call's own budget."""
-    result = run(b"\x80\x02cos\nsystem\n" + args + b"R.")
+    result = evaluate(b"\x80\x02cos\nsystem\n" + args + b"R.")
     call = next(event for event in result.events if isinstance(event, CallMade))
     assert call.arg_summary == evidence
 

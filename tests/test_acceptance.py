@@ -166,13 +166,14 @@ def test_c06_parser_totality_under_fuzz(corpus_dir, monkeypatch):
 
     def probe(data: bytes) -> None:
         try:
-            for program in disasm.iter_programs(data):
+            for ops, _trailing in disasm.iter_programs(data):
                 try:
-                    absvm.evaluate(program)
+                    absvm.evaluate(data, ops[0][1])
                 except absvm.VmError:
                     pass
         except disasm.ParseError:
             pass
+        list(absvm.walk(data))  # the scanner's path, which never raises
         try:
             handle = io.BytesIO(data)
             entries = list_entries(handle)

@@ -27,68 +27,74 @@ from conftest import (
 from modelsentry import absvm, disasm
 from modelsentry.disasm import (
     DECODERS,
+    OPCODES,
     LimitExceeded,
     MissingStop,
     ParseError,
     TruncatedArgument,
     UnknownOpcode,
-    disassemble,
+    decode_ops,
     iter_programs,
 )
 from modelsentry.forge import emit_injected_pickle, emit_reduce_payload_pickle
 
 
+def first_ops(stream: bytes) -> list[tuple]:
+    """The ``(code, offset, arg, end)`` ops of the segment at the start of ``stream``."""
+    return list(decode_ops(stream, 0))
+
+
+def names(ops: list[tuple]) -> list[str]:
+    return [OPCODES[code].name for code, _offset, _arg, _end in ops]
+
+
+def assert_ops_tile(ops: list[tuple], start: int = 0) -> None:
+    """Each op starts where the one before it ends, and covers its opcode byte."""
+    assert [offset for _code, offset, _arg, _end in ops] == [start] + [end for *_, end in ops[:-1]]
+    assert all(end > offset for _code, offset, _arg, end in ops)
+
+
 def test_minimal_stream():
-    program = disassemble(b"N.")
-    assert [i.mnemonic for i in program.instructions] == ["NONE", "STOP"]
-    assert [i.offset for i in program.instructions] == [0, 1]
-    assert program.declared_protocol == 0
-    assert program.trailing_bytes == 0
-    assert program.byte_length == 2
+    ((ops, trailing),) = iter_programs(b"N.")
+    assert names(ops) == ["NONE", "STOP"]
+    assert ops == [(ord("N"), 0, None, 1), (ord("."), 1, None, 2)]
+    assert trailing == 0
 
 
 def test_reduce_payload_first_instruction_is_global():
     stream = emit_reduce_payload_pickle("true # FIXTURE-MARKER", 0)
-    program = disassemble(stream)
-    first = program.instructions[0]
-    assert first.mnemonic == "GLOBAL"
-    assert first.offset == 0
-    assert first.arg == ("os", "system")
+    code, offset, arg, _end = first_ops(stream)[0]
+    assert OPCODES[code].name == "GLOBAL"
+    assert offset == 0
+    assert arg == ("os", "system")
     assert own_transcript(stream) == reference_transcript(stream)
 
 
 def test_truncated_global_argument():
     with pytest.raises(TruncatedArgument) as excinfo:
-        disassemble(b"c")
+        list(iter_programs(b"c"))
     assert excinfo.value.offset == 0
 
 
 def test_missing_stop():
     with pytest.raises(MissingStop):
-        disassemble(b"N")
+        list(iter_programs(b"N"))
 
 
 def test_unknown_opcode_offset():
     with pytest.raises(UnknownOpcode) as excinfo:
-        disassemble(b"N\xff.")
+        list(iter_programs(b"N\xff."))
     assert excinfo.value.offset == 1
     assert excinfo.value.byte == 0xFF
 
 
 def test_trailing_bytes_reported_not_dropped():
-    program = disassemble(b"N." + b"garbage")
-    assert program.byte_length == 2
-    assert program.trailing_bytes == 7
-
-
-def test_declared_protocol_from_proto_opcode():
-    assert disassemble(b"\x80\x04\x95\x02\x00\x00\x00\x00\x00\x00\x00N.").declared_protocol == 4
-    assert disassemble(b"\x80\x02N.").declared_protocol == 2
-
-
-def test_declared_protocol_inferred_without_proto():
-    assert disassemble(b"N.").declared_protocol == 0
-    assert disassemble(b"].").declared_protocol == 1  # EMPTY_LIST is a protocol-1 opcode
+    """A segment ends at its STOP; bytes after it that are not zero padding
+    are read as the next segment, and its fault is reported there."""
+    assert first_ops(b"N." + b"garbage")[-1][3] == 2
+    with pytest.raises(TruncatedArgument) as excinfo:
+        list(iter_programs(b"N." + b"garbage"))
+    assert (excinfo.value.offset, excinfo.value.segment) == (2, 1)
 
 
 @pytest.mark.parametrize(
@@ -104,28 +110,28 @@ def test_declared_protocol_inferred_without_proto():
     ],
 )
 def test_decimal_lines(line, expected):
-    program = disassemble(line)
-    assert program.instructions[0].arg == expected
+    arg = first_ops(line)[0][2]
+    assert (arg, type(arg)) == (expected, type(expected))
 
 
 def test_malformed_decimal_is_structured_error():
     with pytest.raises(TruncatedArgument):
-        disassemble(b"Inotanumber\n.")
+        first_ops(b"Inotanumber\n.")
     with pytest.raises(TruncatedArgument):
-        disassemble(b"L12x\n.")
+        first_ops(b"L12x\n.")
 
 
 def test_string_opcode_requires_quotes():
-    assert disassemble(b"S'abc'\n.").instructions[0].arg == "abc"
-    assert disassemble(b'S"q"\n.').instructions[0].arg == "q"
-    assert disassemble(rb"S'a\n\t'" + b"\n.").instructions[0].arg == "a\n\t"
+    assert first_ops(b"S'abc'\n.")[0][2] == "abc"
+    assert first_ops(b'S"q"\n.')[0][2] == "q"
+    assert first_ops(rb"S'a\n\t'" + b"\n.")[0][2] == "a\n\t"
     with pytest.raises(TruncatedArgument):
-        disassemble(b"Sabc\n.")
+        first_ops(b"Sabc\n.")
 
 
 def test_counted_argument_truncation_reports_needed_and_available():
     with pytest.raises(TruncatedArgument) as excinfo:
-        disassemble(b"X\x10\x00\x00\x00abc")
+        first_ops(b"X\x10\x00\x00\x00abc")
     assert excinfo.value.needed == 16
     assert excinfo.value.available == 3
 
@@ -133,22 +139,20 @@ def test_counted_argument_truncation_reports_needed_and_available():
 def test_instruction_limit(monkeypatch):
     monkeypatch.setattr(disasm, "MAX_INSTRUCTIONS", 3)
     with pytest.raises(LimitExceeded):
-        disassemble(b"NNNN.")
+        first_ops(b"NNNN.")
 
 
 def test_argument_limit(monkeypatch):
     monkeypatch.setattr(disasm, "MAX_ARG_BYTES", 8)
     with pytest.raises(LimitExceeded):
-        disassemble(b"B\xff\xff\x00\x00" + b"x" * 100)
+        first_ops(b"B\xff\xff\x00\x00" + b"x" * 100)
 
 
 def test_offset_coverage_over_generated_streams():
     for name, stream, _ in benign_streams(30):
-        program = disassemble(stream)
-        assert sum(i.size for i in program.instructions) == program.byte_length, name
-        offsets = [i.offset for i in program.instructions]
-        assert offsets == sorted(offsets)
-        assert all(b > a for a, b in zip(offsets, offsets[1:]))
+        ops = first_ops(stream)
+        assert_ops_tile(ops)
+        assert ops[-1][3] == len(stream), name
 
 
 def test_transcripts_match_reference_over_generated_streams():
@@ -159,21 +163,20 @@ def test_transcripts_match_reference_over_generated_streams():
 @pytest.mark.parametrize("name,stream", RARE_OPCODE_STREAMS)
 def test_rare_opcodes_match_reference(name, stream):
     assert own_transcript(stream) == reference_transcript(stream)
-    program = disassemble(stream)
-    assert sum(i.size for i in program.instructions) == program.byte_length
+    assert_ops_tile(first_ops(stream))
 
 
 def test_concatenated_minimal():
-    programs = list(iter_programs(b"N.N."))
-    assert len(programs) == 2
-    assert [p.start_offset for p in programs] == [0, 2]
-    assert all([i.mnemonic for i in p.instructions] == ["NONE", "STOP"] for p in programs)
+    segments = list(iter_programs(b"N.N."))
+    assert len(segments) == 2
+    assert [ops[0][1] for ops, _trailing in segments] == [0, 2]
+    assert all(names(ops) == ["NONE", "STOP"] for ops, _trailing in segments)
 
 
 def test_concatenated_single_payload_stream():
     stream = emit_injected_pickle([1, 2, 3], "true # FIXTURE-MARKER", 2)
-    programs = list(iter_programs(stream))
-    assert len(programs) == 1
+    segments = list(iter_programs(stream))
+    assert len(segments) == 1
 
 
 def test_concatenated_garbage_second_segment():
@@ -183,34 +186,36 @@ def test_concatenated_garbage_second_segment():
 
 
 def test_concatenated_zero_padding_tolerated():
-    programs = list(iter_programs(b"N.N." + b"\x00" * 5))
-    assert len(programs) == 2
-    assert programs[-1].trailing_bytes == 5
+    segments = list(iter_programs(b"N.N." + b"\x00" * 5))
+    assert [trailing for _ops, trailing in segments] == [0, 5]
 
 
 def test_real_multi_pickle_file():
-    stream = pickle.dumps({"a": 1}, 2) + pickle.dumps([1, 2], 2)
-    programs = list(iter_programs(stream))
-    assert len(programs) == 2
-    assert programs[1].start_offset == len(pickle.dumps({"a": 1}, 2))
+    first = pickle.dumps({"a": 1}, 2)
+    stream = first + pickle.dumps([1, 2], 2)
+    segments = list(iter_programs(stream))
+    assert len(segments) == 2
+    assert segments[1][0][0][1] == len(first)
+    for ops, _trailing in segments:
+        assert_ops_tile(ops, ops[0][1])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.binary(min_size=0, max_size=256))
 def test_totality_on_arbitrary_bytes(data):
     try:
-        program = disassemble(data)
-        assert program.byte_length <= len(data)
+        for ops, trailing in iter_programs(data):
+            assert ops[-1][3] + trailing <= len(data)
     except ParseError:
         pass  # structured failure is the contract; anything else propagates
 
 
 def test_frame_argument_decoded_and_recorded():
     stream = pickle.dumps("x" * 100, 4)
-    program = disassemble(stream)
-    frames = [i for i in program.instructions if i.mnemonic == "FRAME"]
+    frames = [op for op in first_ops(stream) if OPCODES[op[0]].name == "FRAME"]
     assert len(frames) == 1
-    assert frames[0].arg == len(stream) - frames[0].offset - 9
+    _code, offset, arg, _end = frames[0]
+    assert arg == len(stream) - offset - 9
 
 
 # One well-formed argument per pickletools argument descriptor.

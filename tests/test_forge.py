@@ -15,7 +15,6 @@ import pytest
 from conftest import INERT_ATTACK_COMMAND, SEVERITY_ORDER, stub_load
 import modelsentry
 from modelsentry import absvm
-from modelsentry.disasm import disassemble
 from modelsentry.forge import (
     DEFAULT_MARKER,
     UnsupportedProtocol,
@@ -38,7 +37,7 @@ def _genops_accepts(stream: bytes) -> bool:
 def test_reduce_payload_all_protocols_pass_both_disassemblers(protocol):
     stream = emit_reduce_payload_pickle(DEFAULT_MARKER, protocol)
     assert _genops_accepts(stream)
-    result = absvm.evaluate(disassemble(stream))
+    result = absvm.evaluate(stream)
     assert any(
         isinstance(event, absvm.GlobalResolved)
         and (event.module, event.name) == ("os", "system")
@@ -64,7 +63,7 @@ def test_full_attack_command_survives_as_evidence_text():
     # content-only rendering check: the command text must reach arg_summary
     stream = emit_reduce_payload_pickle(INERT_ATTACK_COMMAND, 2)
     assert _genops_accepts(stream)
-    result = absvm.evaluate(disassemble(stream))
+    result = absvm.evaluate(stream)
     call = next(event for event in result.events if isinstance(event, absvm.CallMade))
     assert INERT_ATTACK_COMMAND in call.arg_summary
 
@@ -73,7 +72,7 @@ def test_injected_loader_returns_root_scanner_sees_residual():
     for protocol, root in ((0, None), (2, [1, 2, 3]), (4, {"k": "v"})):
         stream = emit_injected_pickle(root, DEFAULT_MARKER, protocol)
         assert stub_load(stream) == root
-        result = absvm.evaluate(disassemble(stream))
+        result = absvm.evaluate(stream)
         assert any(isinstance(event, absvm.ResidualStack) for event in result.events)
 
 
@@ -85,7 +84,7 @@ def test_injected_unsupported_root_value():
 def test_dynamic_global_fixture():
     stream = emit_dynamic_global_pickle(4)
     assert _genops_accepts(stream)
-    result = absvm.evaluate(disassemble(stream))
+    result = absvm.evaluate(stream)
     assert [event.kind for event in result.events] == ["DynamicGlobal"]
 
 
@@ -155,7 +154,7 @@ def test_benign_corpus_is_silent_under_default_policy(corpus_dir, corpus_manifes
         assert loud == [], f"{fixture['id']}: {[(f.rule_id, str(f.severity)) for f in loud]}"
         # every call-chain root in a benign pickle resolves to an allowlisted global
         if fixture["path"].endswith(".pkl"):
-            result = absvm.evaluate(disassemble(path.read_bytes()))
+            result = absvm.evaluate(path.read_bytes())
             for event in result.events:
                 if isinstance(event, absvm.CallMade):
                     module, name = event.root
@@ -237,7 +236,7 @@ def test_corpus_is_emitted_with_numpy_blocked(tmp_path, monkeypatch):
 
 
 def _resolved_globals(stream: bytes) -> set[tuple[str, str]]:
-    events = absvm.evaluate(disassemble(stream)).events
+    events = absvm.evaluate(stream).events
     return {(e.module, e.name) for e in events if isinstance(e, absvm.GlobalResolved)}
 
 

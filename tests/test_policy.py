@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import reference_classify_global
 from modelsentry import absvm
 from modelsentry.cli import main as cli_main
-from modelsentry.disasm import disassemble
+from modelsentry.disasm import OPCODES, decode_ops
 from modelsentry.forge import (
     benign_state_dict_pickle,
     emit_dynamic_global_pickle,
@@ -44,7 +44,7 @@ MEMOIZED_CALLS = b"\x80\x02cos\nsystem\nq\x000" + b"h\x00X\x02\x00\x00\x00ls\x85
 
 
 def findings_for(stream: bytes, policy: Policy):
-    return apply_rules(absvm.evaluate(disassemble(stream)), policy, CTX)
+    return apply_rules(absvm.evaluate(stream), policy, CTX)
 
 
 # -- classification precedence -------------------------------------------------
@@ -198,9 +198,8 @@ def test_monotonicity_of_deny_and_allow(stream, module, name, extra_deny_module,
 
 def test_payload_events_become_critical_findings():
     stream = emit_reduce_payload_pickle("true # FIXTURE-MARKER", 0)
-    program = disassemble(stream)
-    global_offset = next(i.offset for i in program.instructions if i.mnemonic == "GLOBAL")
-    reduce_offset = next(i.offset for i in program.instructions if i.mnemonic == "REDUCE")
+    offsets = {OPCODES[code].name: offset for code, offset, _arg, _end in decode_ops(stream, 0)}
+    global_offset, reduce_offset = offsets["GLOBAL"], offsets["REDUCE"]
     findings = findings_for(stream, default_policy())
     assert [(f.rule_id, f.severity, f.offset) for f in findings] == [
         ("PICKLE_DANGEROUS_GLOBAL", Severity.CRITICAL, global_offset),

@@ -646,6 +646,35 @@ def test_scan_archive_with_traversal_member(tmp_path, policy):
     assert finding.severity is Severity.HIGH
 
 
+def test_long_member_paths_are_clipped_in_messages_and_evidence(tmp_path, policy):
+    """A finding names a member by the whole path in its locus, and by its
+    clipped head in its message and evidence, so the JSON report stays
+    smaller than an archive of long member paths."""
+    names = [f"../{n}" + "a" * 65_000 for n in range(8)]
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for name in names:
+            archive.writestr(zipfile.ZipInfo(name), b"")
+        archive.writestr(zipfile.ZipInfo("b" * 65_000), b"")
+    data = bytearray(buffer.getvalue())
+    central = data.rindex(b"PK\x01\x02")  # the last member's central header
+    data[central + 8] |= 1  # its general-purpose flags: encrypted
+    target = tmp_path / "long.zip"
+    target.write_bytes(data)
+    report = scan_paths([str(target)], policy)
+    (scanned,) = report.files
+    traversals = [f for f in scanned.findings if f.rule_id == "ARCHIVE_PATH_TRAVERSAL"]
+    assert sorted(f.entry for f in traversals) == names
+    for finding in traversals:
+        shown = absvm.clip(finding.entry)
+        assert finding.message == f"member path {shown!r} escapes the extraction root"
+        assert finding.evidence == shown
+    (locked,) = [f for f in scanned.findings if f.rule_id == "ARCHIVE_UNSUPPORTED_METHOD"]
+    assert locked.entry == "b" * 65_000
+    assert locked.message == f"member {absvm.clip(locked.entry)!r} is not inspectable (encrypted)"
+    assert len(render(report, "json")) < len(data)
+
+
 def test_scan_multi_segment_pickle_with_bad_tail(tmp_path, policy):
     target = tmp_path / "multi.pkl"
     target.write_bytes(b"N." + emit_reduce_payload_pickle(MARKER, 2) + b"\xff")
