@@ -13,19 +13,17 @@ a float, text, bytes or a bytearray) sits in the graph as the plain value
 the stream wrote, however long: ``render_value`` bounds the text it shows.
 Every other node is an ``AbstractValue``.
 
-``_Machine.run`` is the one decode-and-evaluate loop: it reads each opcode
-byte, reads an argless op's or a one-byte argument inline and any other
-through ``disasm.DECODERS`` (a run of BINFLOAT ops in one ``struct``
+``_Machine.run`` is the one decode-and-evaluate loop, a plain generator
+that yields the result of each STOP-delimited segment.  It reads each
+opcode byte, reads an argless op's or a one-byte argument inline and any
+other through ``disasm.DECODERS`` (a run of BINFLOAT ops in one ``struct``
 call), checks the segment bounds and FRAME bounds inline and dispatches
 through ``_HANDLERS``, a table indexed by opcode byte, built from
 ``disasm.OPCODES`` (the stdlib's ``pickletools.opcodes``) and the handlers
-keyed by opcode name; every opcode there has one.  ``walk`` runs one
-machine over a whole stream with no op list, and each
-STOP-delimited segment resets it; that is the scanner's path.  It yields a
-result for the first segment and for each that has an event or a fault: a
-clean segment goes by inside the loop, at the cost of its ops.
-``evaluate(stream, start)`` runs a fresh machine over the one segment at
-``start``: the reference the reset machine of ``walk`` is tested against.
+keyed by opcode name; every opcode there has one.  ``walk`` runs it over a
+whole stream, one machine reset at each segment; that is the scanner's
+path.  ``evaluate(stream, start)`` takes the first result of a fresh
+machine at ``start``: the reference ``walk`` is tested against.
 ``is_pickle`` is the scanner's one rule for which bytes it scans as a
 pickle: those whose first segment a loader would run.
 """
@@ -449,7 +447,7 @@ KeepCall = Callable[[tuple[str, str] | None], bool]
 class _Machine:
     __slots__ = (
         "keep_call", "stack", "metastack", "memo", "events", "root", "offset", "error",
-        "open_frame", "rendered", "segment",
+        "rendered", "segment",
     )
 
     def __init__(self, keep_call: KeepCall | None = None):
@@ -466,9 +464,6 @@ class _Machine:
         self.events: list[SecurityEvent] = []
         self.offset = 0
         self.error: VmError | None = None
-        # A FRAME that runs on past STOP: (frame end, FRAME offset, event
-        # index at that FRAME, already flagged)
-        self.open_frame: tuple[int, int, int, bool] | None = None
         # ``render_value``'s shared memo expansions.  Every op that writes
         # the graph clears it: PUT and MEMOIZE, and APPEND(S), ADDITEMS and
         # SETITEM(S) into any container, since DUP or GET can make a
@@ -479,28 +474,26 @@ class _Machine:
     # -- the machine loop ---------------------------------------------------
 
     def run(self, stream: bytes, start: int):
-        """Decode and evaluate the ops of ``stream`` from ``start`` through
-        STOP, and yield the end of the STOP op.  Sent the start of the next
-        segment, reset the per-segment state and do the same from there:
-        one machine and one loop walk every segment of a stream, and
-        ``self.segment`` counts them.
+        """Decode and evaluate the STOP-delimited segments of ``stream``
+        from ``start`` on, one machine reset at each, and yield each
+        segment's AbstractResult (``self.segment`` counts them); return at
+        the end of the stream or after a ParseError's result.
 
-        A clean segment is not yielded: one after the first that reached
-        STOP with no VmError and no event, leaves no FRAME open past its
-        STOP and is followed by no zero padding.  Its result would say
-        nothing, so the loop resets the state it used and goes straight on
-        to the next segment, or returns at the end of the stream.
+        Each result is settled here: zero padding that runs from STOP to
+        the end of the stream is a TrailingData, and a FRAME that runs on
+        past both gets a FrameMismatch at its place among the events.  A
+        ParseError (MissingStop, UnknownOpcode, a bad argument, or more than
+        ``disasm.MAX_INSTRUCTIONS`` ops in one segment) is the result's
+        ``error``, with its ``segment`` set.  A clean segment, one after the
+        first with no event and no fault, says nothing and is not yielded.
 
         An argless op takes no decoder call, nor does a one-byte argument
         (PROTO, BININT1, BINGET, BINPUT, EXT1) whose byte is there; every
-        other argument is read through ``disasm.DECODERS``.  A ParseError
-        (MissingStop, UnknownOpcode, a bad argument, or more than
-        ``disasm.MAX_INSTRUCTIONS`` ops in one segment) propagates and ends
-        the run.  FRAME bounds are checked inline: a FrameMismatch goes
-        before the events of the op it flags.  A VmError ends evaluation and
-        is kept in ``self.error``, but the loop goes on decoding, with no
-        dispatch and no frame checks, to STOP or a ParseError, counting ops
-        as before.
+        other argument is read through ``disasm.DECODERS``.  FRAME bounds
+        are checked inline: a FrameMismatch goes before the events of the op
+        it flags.  A VmError ends evaluation and is kept in ``self.error``,
+        but the loop goes on decoding, with no dispatch and no frame checks,
+        to STOP or a ParseError, counting ops as before.
 
         A run of BINFLOAT ops is decoded with one ``_FLOAT_RUNS`` call per
         at most _MAX_FLOAT_RUN ops and pushed with one ``extend``.  The run
@@ -580,58 +573,52 @@ class _Machine:
                         break
                     pos = end
                     count += 1
-            except disasm.TruncatedArgument as exc:
-                # A GLOBAL or INST whose last line runs to the end of the stream
-                # (see ``disasm._name_pair``): pickle.py's loader imports that
-                # pair, and for INST calls it, before it fails, unless the line
-                # starts inside a frame.  A frame cut short by the end of the
-                # stream ends there, as ``_Unframer`` reads it: a line past it
-                # is read from the file.  The ParseError is still the
-                # segment's error.
-                in_frame = frame_end != _NO_FRAME and exc.names_line < min(frame_end, length)
-                if live and exc.names is not None and not in_frame:
-                    self.offset = pos
-                    try:
-                        handlers[code](self, exc.names)
-                    except VmError:
-                        pass
-                raise
-            if end < frame_end < _NO_FRAME:  # the frame runs on past STOP
-                self.open_frame = (frame_end, *last_frame)
-            elif live and not events and self.segment and (
-                end == length or stream[end] or not zero_padding(stream, end)
-            ):
+            except ParseError as exc:
+                if isinstance(exc, disasm.TruncatedArgument):
+                    # A GLOBAL or INST whose last line runs to the end of the
+                    # stream (see ``disasm._name_pair``): pickle.py's loader
+                    # imports that pair, and for INST calls it, before it
+                    # fails, unless the line starts inside a frame.  A frame
+                    # cut short by the end of the stream ends there, as
+                    # ``_Unframer`` reads it: a line past it is read from the
+                    # file.  The ParseError is still the segment's error.
+                    in_frame = frame_end != _NO_FRAME and exc.names_line < min(frame_end, length)
+                    if live and exc.names is not None and not in_frame:
+                        self.offset = pos
+                        try:
+                            handlers[code](self, exc.names)
+                        except VmError:
+                            pass
+                exc.segment = self.segment
+                yield self.result(exc)
+                return
+            trailing = 0 if end == length or stream[end] else zero_padding(stream, end)
+            if live:
+                if frame_end < _NO_FRAME and end + trailing < frame_end:  # a FRAME runs past STOP and padding
+                    frame_offset, index, flagged = last_frame
+                    if not flagged:
+                        events.insert(index, FrameMismatch(frame_offset))
+                if trailing:
+                    events.append(TrailingData(self.offset, trailing))
+            if live and not events and self.segment:
                 # A clean segment: the state it used holds nothing a result
                 # could show, and no result has seen its memo or metastack.
-                if end == length:
-                    return
                 self.memo.clear()
                 self.metastack.clear()
-                self.segment += 1
-                pos = end
-                continue
-            pos = yield end
-            self._reset()
+            else:
+                yield self.result(self.error)
+                self._reset()
+            pos = end + trailing
+            if pos >= length:
+                return
             self.segment += 1
 
-    def result(
-        self, error: VmError | ParseError | None, stream_end: int = 0, trailing_bytes: int = 0
-    ) -> AbstractResult:
-        """The outcome of the run, which reached STOP and set ``self.root``
-        unless an ``error`` ended it.  ``stream_end`` is where the bytes a
-        final frame may cover end."""
-        if error is not None:
-            fault = self.error or error
-            return AbstractResult(
-                Opaque(), self.events, len(self.memo), self.memo, error, fault, self.segment
-            )
-        if self.open_frame is not None:
-            frame_end, frame_offset, index, flagged = self.open_frame
-            if frame_end > stream_end and not flagged:
-                self.events.insert(index, FrameMismatch(frame_offset))
-        if trailing_bytes > 0:
-            self.events.append(TrailingData(self.offset, trailing_bytes))
-        return AbstractResult(self.root, self.events, len(self.memo), self.memo, segment=self.segment)
+    def result(self, error: VmError | ParseError | None) -> AbstractResult:
+        """The outcome of the segment, which reached STOP and set
+        ``self.root`` unless an ``error`` ended it."""
+        root = self.root if error is None else Opaque()
+        fault = self.error or error
+        return AbstractResult(root, self.events, len(self.memo), self.memo, error, fault, self.segment)
 
     # -- primitives ---------------------------------------------------------
 
@@ -1068,31 +1055,29 @@ def evaluate(stream: bytes, start: int = 0) -> AbstractResult:
 
     Pure function of its inputs: identical bytes yield identical results,
     and no side effect of any kind is performed.  A ParseError or VmError
-    is raised.  ``walk``'s reset machine is tested against this.
+    is raised; a ParseError's ``segment`` is 0, the segment's index on this
+    machine.  ``walk``'s reset machine is tested against this.
     """
-    machine = _Machine()
-    end = next(machine.run(stream, start))
-    if machine.error is not None:
-        raise machine.error
-    trailing = zero_padding(stream, end)
-    return machine.result(None, end + trailing, trailing)
+    result = next(_Machine().run(stream, start))
+    if result.error is not None:
+        raise result.error
+    return result
 
 
 def walk(stream: bytes, keep_call: KeepCall | None = None):
-    """Decode and evaluate every STOP-delimited segment of ``stream`` in one pass.
+    """Decode and evaluate every STOP-delimited segment of ``stream`` in one
+    pass: ``_Machine.run`` from 0, with no op list.  Never raises.
 
     Yields an AbstractResult for the first segment, which ``is_pickle``
     reads, and for each later one that has an event or a fault; each
-    result's ``segment`` is its index among all segments.  A later segment
-    with neither (a clean one, see ``_Machine.run``) costs only its ops and
-    yields nothing.  Never raises; no op list is built, and one machine
-    runs every segment, reset at each.  A segment's VmError or
-    ParseError is its result's ``error``, and a ParseError (with its
-    ``segment`` set) ends the walk; a stream refused before its first
-    segment yields one result that holds the refusal and no events.
-    Segment splitting, zero padding and ParseErrors are exactly those of
-    ``disasm.iter_programs``, and each result without an error equals
-    ``evaluate(stream, start)`` of its segment, which runs a fresh machine.
+    result's ``segment`` is its index among all segments.  A clean later
+    segment costs only its ops.  A segment's VmError or ParseError is its
+    result's ``error``, and a ParseError ends the walk; a stream refused
+    before its first segment yields one result that holds the refusal,
+    with ``segment`` None, and no events.  Segment splitting, zero padding
+    and ParseErrors are exactly those of ``disasm.iter_programs``, and each
+    result without an error equals ``evaluate(stream, start)`` of its
+    segment, which runs a fresh machine.
 
     ``keep_call(root)`` says which calls need evidence: a CallMade whose
     root it rejects gets an empty ``arg_summary``.  Kept calls get the text
@@ -1103,24 +1088,7 @@ def walk(stream: bytes, keep_call: KeepCall | None = None):
     except ParseError as exc:
         yield _Machine().result(exc)
         return
-    length = len(stream)
-    machine = _Machine(keep_call)
-    segments = machine.run(stream, 0)
-    pos = None  # the first send starts the run, at 0
-    while True:
-        try:
-            end = segments.send(pos)
-        except StopIteration:  # the stream ended on a clean segment
-            return
-        except ParseError as exc:
-            exc.segment = machine.segment
-            yield machine.result(exc)
-            return
-        trailing = zero_padding(stream, end)
-        pos = end + trailing
-        yield machine.result(machine.error, pos, trailing)
-        if pos >= length:
-            return
+    yield from _Machine(keep_call).run(stream, 0)
 
 
 # How much of a file or archive member ``is_pickle`` reads first.

@@ -7,7 +7,6 @@ import os
 import sys
 
 from . import containers, disasm
-from .forge import DEFAULT_MARKER, ForgeError, emit_corpus
 from .policy import IntegrityManifest, Policy, Severity, default_policy, load_policy_file
 from .report import EXIT_OK, EXIT_OPERATIONAL, exit_code, render
 from .scanner import ScanReport, open_regular, scan_paths, verify_paths
@@ -39,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="decompression cap per archive entry",
     )
     scan.add_argument("--follow-symlinks", action="store_true")
-    scan.add_argument("--jobs", type=int, default=1, help="parallel file scans")
 
     dis = sub.add_parser("disasm", help="print one instruction per line")
     dis.add_argument("file", metavar="FILE")
@@ -47,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     forge = sub.add_parser("forge", help="write the ground-truth fixture corpus")
     forge.add_argument("--out", required=True, metavar="DIR")
     forge.add_argument("--seed", type=int, default=0)
-    forge.add_argument("--marker", default=DEFAULT_MARKER, help="inert payload command")
+    forge.add_argument("--marker", help="inert payload command")
 
     verify = sub.add_parser("verify", help="check files against an integrity manifest")
     verify.add_argument("--manifest", required=True, metavar="FILE")
@@ -93,7 +91,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         args.paths,
         policy,
         args.max_entry_bytes,
-        jobs=max(1, args.jobs),
         follow_symlinks=args.follow_symlinks,
         threshold=threshold,
     )
@@ -129,8 +126,12 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
 
 
 def _cmd_forge(args: argparse.Namespace) -> int:
+    # Imported here: no other command needs the fixture writers.
+    from .forge import DEFAULT_MARKER, ForgeError, emit_corpus
+
+    marker = DEFAULT_MARKER if args.marker is None else args.marker
     try:
-        manifest = emit_corpus(args.out, seed=args.seed, payload_marker=args.marker)
+        manifest = emit_corpus(args.out, seed=args.seed, payload_marker=marker)
     except (OSError, ForgeError) as exc:
         print(f"modelsentry: forge failed: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL

@@ -42,6 +42,8 @@ class ParseError(Exception):
         super().__init__(f"offset {offset}: {message}")
         self.offset = offset
         self.message = message
+        # The failing segment's index (0 from ``absvm.evaluate``), or None
+        # for a stream ``check_stream`` refuses.
         self.segment: int | None = None
 
     @property

@@ -1,9 +1,9 @@
 """Scan orchestration: sniff a file, route it to parsers, collect findings.
 
-Per-file scans are pure functions of the file bytes and the policy, so a
-directory scan can fan out over a worker pool and still assemble the same
-report regardless of scheduling.  Nothing in this module writes anywhere;
-the only output is the returned report structure.
+Per-file scans are pure functions of the file bytes and the policy; a
+directory scan runs them one after another in one thread, since parsing
+holds the GIL.  Nothing in this module writes anywhere; the only output
+is the returned report structure.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import contextlib
 import logging
 import os
 import stat
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterator
 
@@ -360,7 +359,9 @@ def scan_paths(
     follow_symlinks: bool = False,
     threshold: Severity = Severity.HIGH,
 ) -> ScanReport:
-    """Scan files and directory trees into one deterministic report."""
+    """Scan files and directory trees, one file after another, into one
+    deterministic report.  ``jobs`` is ignored: it is kept only because
+    ``bench/child.py`` passes it."""
     walk_errors: list[tuple[str, str]] = []
     files: list[str] = []
     for path in paths:
@@ -371,11 +372,7 @@ def scan_paths(
         else:
             walk_errors.append((path, "no such file or directory"))
     files = sorted(set(files))
-    if jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda f: scan_file(f, policy, entry_cap), files))
-    else:
-        reports = [scan_file(path, policy, entry_cap) for path in files]
+    reports = [scan_file(path, policy, entry_cap) for path in files]
     for bad_path, message in walk_errors:
         reports.append(
             FileReport(

@@ -741,6 +741,21 @@ def test_stack_global_through_memo_is_still_literal():
     assert not any(isinstance(event, DynamicGlobal) for event in result.events)
 
 
+def test_evaluate_raises_a_parse_error_of_segment_zero():
+    """``evaluate`` runs one segment on a fresh machine, so its ParseError
+    is of that machine's segment 0, wherever the segment starts; ``walk``
+    counts every segment of the stream."""
+    with pytest.raises(disasm.MissingStop) as raised:
+        evaluate(b"N")
+    assert (raised.value.offset, raised.value.segment) == (1, 0)
+    stream = b"N.N\xff"
+    with pytest.raises(disasm.UnknownOpcode) as raised:
+        evaluate(stream, 2)
+    assert (raised.value.offset, raised.value.segment) == (3, 0)
+    _, failed = absvm.walk(stream)
+    assert (failed.error.offset, failed.error.segment) == (3, 1)
+
+
 def test_trailing_data_event():
     result = evaluate(b"N." + b"\x00\x00")
     trailing = [event for event in result.events if isinstance(event, TrailingData)]
@@ -882,15 +897,16 @@ def _frame(length: int) -> bytes:
 
 
 def frame_mismatches(stream: bytes) -> list[list[int]]:
-    """FrameMismatch offsets per segment; the scanner's one-pass walk and
-    evaluate over iter_programs must agree on them."""
+    """FrameMismatch offsets per result of the scanner's one-pass walk;
+    evaluate at the start of each yielded segment must agree on them."""
 
     def offsets(result: absvm.AbstractResult) -> list[int]:
         return [event.at_offset for event in result.events if isinstance(event, FrameMismatch)]
 
-    via_walk = [offsets(result) for result in absvm.walk(stream)]
+    results = list(absvm.walk(stream))
     starts = [ops[0][1] for ops, _trailing in iter_programs(stream)]
-    assert via_walk == [offsets(evaluate(stream, start)) for start in starts]
+    via_walk = [offsets(result) for result in results]
+    assert via_walk == [offsets(evaluate(stream, starts[result.segment])) for result in results]
     return via_walk
 
 
@@ -933,6 +949,28 @@ def test_frame_mismatch_in_segment_zero_of_two():
     # ... one that runs on into segment 1 is flagged at segment 0's FRAME.
     spill = b"\x80\x04" + _frame(2 + len(second)) + b"N." + second
     assert frame_mismatches(spill) == [[2], [24]]
+
+
+def test_frame_mismatch_in_a_later_segment_with_no_other_event():
+    # Segment 1 is a FRAME at 2 that claims [11, 15) and "N.", which ends
+    # at 13: the frame runs on into segment 2, a clean "N." that ``walk``
+    # does not yield.
+    middle = _frame(4) + b"N."
+    stream = b"N." + middle + b"N."
+    assert frame_mismatches(stream) == [[], [2]]
+    assert [(result.segment, result.events) for result in absvm.walk(stream)] == [
+        (0, []), (1, [FrameMismatch(2)])
+    ]
+    # Zero padding that ends the stream exactly at the frame's end covers it ...
+    padded = b"N." + middle + b"\x00" * 2
+    assert frame_mismatches(padded) == [[], []]
+    _, spilled = absvm.walk(padded)
+    assert (spilled.segment, spilled.events) == (1, [TrailingData(12, 2)])
+    # ... and padding one byte short of it does not.
+    short = b"N." + _frame(5) + b"N." + b"\x00" * 2
+    assert frame_mismatches(short) == [[], [2]]
+    _, spilled = absvm.walk(short)
+    assert (spilled.segment, spilled.events) == (1, [FrameMismatch(2), TrailingData(12, 2)])
 
 
 def test_arg_summary_is_bounded():

@@ -217,12 +217,10 @@ def test_c06_parser_totality_under_fuzz(corpus_dir, monkeypatch):
 
 
 def test_c07_report_determinism(corpus_dir, policy):
-    first = render(scan_paths([str(corpus_dir)], policy, jobs=1), "json")
-    second = render(scan_paths([str(corpus_dir)], policy, jobs=1), "json")
-    parallel = render(scan_paths([str(corpus_dir)], policy, jobs=8), "json")
+    first = render(scan_paths([str(corpus_dir)], policy), "json")
+    second = render(scan_paths([str(corpus_dir)], policy), "json")
     assert first == second
-    assert first == parallel
-    _ok("C7", "repeat scan and 1-vs-8 worker scans produce byte-identical JSON reports")
+    _ok("C7", "repeat scans produce byte-identical JSON reports")
 
 
 def test_c08_no_execution_sentinel(tmp_path, policy, monkeypatch):

@@ -25,6 +25,7 @@ from modelsentry import absvm, cli, containers, disasm
 from modelsentry.cli import main as cli_main
 from modelsentry.containers import HDF5_SIGNATURE
 from modelsentry.forge import (
+    DEFAULT_MARKER,
     benign_state_dict_pickle,
     emit_corpus,
     emit_dense_only_config,
@@ -415,6 +416,21 @@ def test_bzip2_and_lzma_members_stay_unsupported_without_their_modules(tmp_path)
         "ARCHIVE_UNSUPPORTED_METHOD", "ARCHIVE_UNSUPPORTED_METHOD", "FORMAT_PARSE_ERROR"
     ]
     assert [error["kind"] for error in scanned["errors"]] == ["UnsupportedMethod"]
+
+
+def test_importing_the_cli_loads_neither_forge_nor_a_thread_pool():
+    """Only the ``forge`` command imports the fixture writers, and scans run
+    in one thread."""
+    driver = (
+        "import sys\n"
+        "import modelsentry.cli\n"
+        "print([name for name in ('modelsentry.forge', 'concurrent.futures') if name in sys.modules])\n"
+    )
+    source_root = os.path.dirname(os.path.dirname(modelsentry.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])}
+    completed = subprocess.run([sys.executable, "-c", driver], capture_output=True, text=True, env=env, timeout=60)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "[]\n"
 
 
 def test_scan_keras3_lambda_reads_the_code_of_its_function_dict(tmp_path, policy):
@@ -950,14 +966,6 @@ def test_sarif_lists_scan_errors(tmp_path, policy):
     ]
 
 
-def test_report_deterministic_across_worker_counts(tmp_path, policy):
-    corpus = tmp_path / "corpus"
-    emit_corpus(corpus, seed=0)
-    serial = render(scan_paths([str(corpus)], policy, jobs=1), "json")
-    parallel = render(scan_paths([str(corpus)], policy, jobs=8), "json")
-    assert serial == parallel
-
-
 def test_summary_counts_match_findings(tmp_path, policy):
     corpus = tmp_path / "corpus"
     emit_corpus(corpus, seed=0)
@@ -1249,6 +1257,10 @@ def test_cli_disasm_listing_is_pinned_byte_for_byte(tmp_path, capsys):
 def test_cli_forge_and_verify_flow(tmp_path, capsys):
     corpus = tmp_path / "c"
     assert cli_main(["forge", "--out", str(corpus), "--seed", "0"]) == 0
+    assert DEFAULT_MARKER.encode() in (corpus / "mal_reduce_p2.pkl").read_bytes()
+    custom = tmp_path / "custom"
+    assert cli_main(["forge", "--out", str(custom), "--marker", "true # CLI-MARKER"]) == 0
+    assert b"true # CLI-MARKER" in (custom / "mal_reduce_p2.pkl").read_bytes()
     from modelsentry.policy import file_digest
 
     target = corpus / "ben_pickle_1_p0.pkl"
