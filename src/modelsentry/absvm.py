@@ -26,12 +26,15 @@ path.  ``evaluate(stream, start)`` takes the first result of a fresh
 machine at ``start``: the reference ``walk`` is tested against.
 ``is_pickle`` is the scanner's one rule for which bytes it scans as a
 pickle: those whose first segment a loader would run.
+
+``Record`` is the base of every record type in the package (values,
+events and results here, findings, policies and reports elsewhere): it
+lives here because every module that defines one imports this one.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Callable
 
 from . import disasm
@@ -39,118 +42,204 @@ from .disasm import OPCODES, ParseError, zero_padding
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+class Record:
+    """Base of the package's plain records.  Each record class names its
+    fields in ``__slots__`` and sets them in its own ``__init__``.  Two
+    records are equal when they are of the same type with equal fields, and
+    a repr reads ``Name(field=value, ...)``.  ``__init__`` takes the fields
+    in slot order, as ``copy`` and ``pickle`` call it.
+
+    ``class Name(Base, frozen=True)`` makes a record type and its subclasses
+    hashable by their fields and refuses assignment to them: their
+    ``__init__`` sets each field through ``set_field``.  Other records are
+    mutable and unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = False) -> None:
+        super().__init_subclass__()
+        own = cls.__dict__.get("__slots__", ())
+        cls._fields = cls._fields + tuple(name for name in own if name != "__dict__")
+        if frozen:
+            cls.__hash__ = Record._field_hash
+            cls.__setattr__ = Record._refuse_set
+            cls.__delattr__ = Record._refuse_delete
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # Copied and pickled through the constructor, which a frozen
+        # record's refusal does not stop.
+        return type(self), self._values()
+
+    def _field_hash(self) -> int:
+        return hash(self._values())
+
+    def _refuse_set(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _refuse_delete(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# How a frozen record's ``__init__`` sets a field, past the refusal.
+set_field = object.__setattr__
+
+
+# ---------------------------------------------------------------------------
 # Abstract values
 
 
-class AbstractValue:
+class AbstractValue(Record):
     """Base class for symbolic nodes in the reconstructed object graph."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class GlobalRef(AbstractValue):
+class GlobalRef(AbstractValue, frozen=True):
     """A (module, name) pair as written in the stream, never resolved."""
 
-    module: str
-    name: str
+    __slots__ = ("module", "name")
+
+    def __init__(self, module: str, name: str):
+        set_field(self, "module", module)
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class DynamicGlobalRef(AbstractValue):
+class DynamicGlobalRef(AbstractValue, frozen=True):
     """STACK_GLOBAL whose operands are not two literal text values."""
 
+    __slots__ = ()
 
-@dataclass(slots=True)
+
 class CallResult(AbstractValue):
     """The value a loader would get by calling ``callee(*args)``."""
 
-    callee: object
-    args: tuple
+    __slots__ = ("callee", "args")
+
+    def __init__(self, callee: object, args: tuple):
+        self.callee = callee
+        self.args = args
 
 
-@dataclass(slots=True)
 class Container(AbstractValue):
     """list/tuple/set/frozenset hold elements; dict holds (key, value) pairs."""
 
-    kind: str
-    elements: list
+    __slots__ = ("kind", "elements")
+
+    def __init__(self, kind: str, elements: list):
+        self.kind = kind
+        self.elements = elements
 
 
-@dataclass(frozen=True, slots=True)
-class PersistentRef(AbstractValue):
+class PersistentRef(AbstractValue, frozen=True):
     """A persistent id: PERSID's text line (``line`` set), or the value
     BINPERSID popped.  Rendered only as part of evidence, like any other
     argument."""
 
-    pid: object
-    line: bool = False
+    __slots__ = ("pid", "line")
+
+    def __init__(self, pid: object, line: bool = False):
+        set_field(self, "pid", pid)
+        set_field(self, "line", line)
 
 
-@dataclass(frozen=True, slots=True)
-class MemoRef(AbstractValue):
-    index: int
+class MemoRef(AbstractValue, frozen=True):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        set_field(self, "index", index)
 
 
-@dataclass(frozen=True, slots=True)
-class ExtensionRef(AbstractValue):
-    code: int
+class ExtensionRef(AbstractValue, frozen=True):
+    __slots__ = ("code",)
+
+    def __init__(self, code: int):
+        set_field(self, "code", code)
 
 
-@dataclass(frozen=True, slots=True)
-class Opaque(AbstractValue):
+class Opaque(AbstractValue, frozen=True):
     """An out-of-band buffer, or the root of a segment cut short."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # Events
 
 
-@dataclass(frozen=True)
-class SecurityEvent:
-    at_offset: int
+class SecurityEvent(Record, frozen=True):
+    __slots__ = ("at_offset",)
+
+    def __init__(self, at_offset: int):
+        set_field(self, "at_offset", at_offset)
 
     @property
     def kind(self) -> str:
         return type(self).__name__
 
 
-@dataclass(frozen=True)
 class GlobalResolved(SecurityEvent):
-    module: str
-    name: str
+    __slots__ = ("module", "name")
+
+    def __init__(self, at_offset: int, module: str, name: str):
+        set_field(self, "at_offset", at_offset)
+        set_field(self, "module", module)
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
 class DynamicGlobal(SecurityEvent):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class CallMade(SecurityEvent):
-    argc: int | None
-    arg_summary: str  # "" when the walk's ``keep_call`` dropped the call
-    root: tuple[str, str] | None  # ``call_roots`` of the callee, at the call
+    __slots__ = ("argc", "arg_summary", "root")
+
+    def __init__(self, at_offset: int, argc: int | None, arg_summary: str, root: tuple[str, str] | None):
+        set_field(self, "at_offset", at_offset)
+        set_field(self, "argc", argc)
+        set_field(self, "arg_summary", arg_summary)  # "" when the walk's ``keep_call`` dropped the call
+        set_field(self, "root", root)  # ``call_roots`` of the callee, at the call
 
 
-@dataclass(frozen=True)
 class ResidualStack(SecurityEvent):
-    depth: int
+    __slots__ = ("depth",)
+
+    def __init__(self, at_offset: int, depth: int):
+        set_field(self, "at_offset", at_offset)
+        set_field(self, "depth", depth)
 
 
-@dataclass(frozen=True)
 class TrailingData(SecurityEvent):
-    byte_count: int
+    __slots__ = ("byte_count",)
+
+    def __init__(self, at_offset: int, byte_count: int):
+        set_field(self, "at_offset", at_offset)
+        set_field(self, "byte_count", byte_count)
 
 
-@dataclass(frozen=True)
 class FrameMismatch(SecurityEvent):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class OutOfBandBuffer(SecurityEvent):
-    pass
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -208,22 +297,33 @@ class LimitExceeded(VmError):
         self.which = which
 
 
-@dataclass(slots=True)
-class AbstractResult:
+class AbstractResult(Record):
     """Outcome of evaluating one segment, by ``evaluate`` or in a ``walk``."""
 
-    root: object  # an AbstractValue or a plain literal, as any value below
-    events: list[SecurityEvent]
-    memo_size: int
-    memo: dict[int, object]
-    # The fault that ended a walked segment: ``events`` are then those
-    # recorded before it, which a loader runs before it fails.
-    error: VmError | ParseError | None = None
-    # The segment's first fault, where a loader stops: a VmError that
-    # ``error`` follows, or ``error``.
-    fault: VmError | ParseError | None = None
-    # The index of the segment in the stream, counting every segment.
-    segment: int = 0
+    __slots__ = ("root", "events", "memo_size", "memo", "error", "fault", "segment")
+
+    def __init__(
+        self,
+        root: object,
+        events: list[SecurityEvent],
+        memo_size: int,
+        memo: dict[int, object],
+        error: VmError | ParseError | None = None,
+        fault: VmError | ParseError | None = None,
+        segment: int = 0,
+    ):
+        self.root = root  # an AbstractValue or a plain literal, as any value below
+        self.events = events
+        self.memo_size = memo_size
+        self.memo = memo
+        # The fault that ended a walked segment: ``events`` are then those
+        # recorded before it, which a loader runs before it fails.
+        self.error = error
+        # The segment's first fault, where a loader stops: a VmError that
+        # ``error`` follows, or ``error``.
+        self.fault = fault
+        # The index of the segment in the stream, counting every segment.
+        self.segment = segment
 
 
 # ---------------------------------------------------------------------------

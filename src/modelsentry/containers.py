@@ -17,10 +17,9 @@ import io
 import json
 import struct
 import zlib
-from dataclasses import dataclass
 from typing import BinaryIO, NamedTuple
 
-from .absvm import SNIFF_BYTES, is_pickle
+from .absvm import SNIFF_BYTES, Record, is_pickle, set_field
 
 try:
     import bz2
@@ -60,8 +59,8 @@ _CHUNK = 4 * 1024 * 1024
 _DECODER = json.JSONDecoder()
 _WHITESPACE = json.decoder.WHITESPACE
 # The 46-byte central file header, keeping the signature, flags, method,
-# sizes, name/extra/comment lengths and local header offset.
-_CENTRAL_HEADER = struct.Struct("<4s4xHH8xIIHHH8xI")
+# CRC-32, sizes, name/extra/comment lengths and local header offset.
+_CENTRAL_HEADER = struct.Struct("<4s4xHH4xIIIHHH8xI")
 # The compression methods a member can be read in, by code: bzip2 and LZMA
 # where the interpreter has their modules.
 _METHODS = {0: "stored", 8: "deflate"}
@@ -112,6 +111,12 @@ class SizeMismatch(FormatError):
         self.actual = actual
 
 
+class CrcMismatch(FormatError):
+    def __init__(self, path: str, declared: int, actual: int):
+        super().__init__(f"entry {path!r}: declared CRC-32 {declared:08x}, got {actual:08x}")
+        self.path = path
+
+
 class InflateError(FormatError):
     def __init__(self, path: str, detail: str):
         super().__init__(f"entry {path!r}: inflate failed: {detail}")
@@ -153,12 +158,15 @@ class ArchiveEntry(NamedTuple):
     offset: int  # byte position of the local header
     encrypted: bool = False
     suspicious_path: bool = False
+    crc: int = 0  # the CRC-32 declared for the member's uncompressed bytes
 
 
-@dataclass(frozen=True)
-class ExtractedConfig:
-    byte_range: tuple[int, int]  # of the config's JSON text, in the bytes read
-    config: object  # that text, parsed
+class ExtractedConfig(Record, frozen=True):
+    __slots__ = ("byte_range", "config")
+
+    def __init__(self, byte_range: tuple[int, int], config: object):
+        set_field(self, "byte_range", byte_range)  # of the config's JSON text, in the bytes read
+        set_field(self, "config", config)  # that text, parsed
 
 
 def is_path_suspicious(path: str) -> bool:
@@ -253,7 +261,8 @@ def list_entries(handle: BinaryIO) -> list[ArchiveEntry]:
         if pos + 46 > len(directory):
             raise CorruptHeader(cd_offset + pos, "central directory truncated")
         (
-            magic, flags, method_code, comp_size, uncomp_size, name_len, extra_len, comment_len, local_offset
+            magic, flags, method_code, crc, comp_size, uncomp_size, name_len, extra_len, comment_len,
+            local_offset,
         ) = _CENTRAL_HEADER.unpack_from(directory, pos)
         if magic != ZIP_CENTRAL_MAGIC:
             raise CorruptHeader(cd_offset + pos, "bad central file header signature")
@@ -267,7 +276,8 @@ def list_entries(handle: BinaryIO) -> list[ArchiveEntry]:
         method = _METHODS.get(method_code) or f"unsupported({method_code})"
         entries.append(
             ArchiveEntry(
-                path, comp_size, uncomp_size, method, local_offset, bool(flags & 0x1), is_path_suspicious(path)
+                path, comp_size, uncomp_size, method, local_offset, bool(flags & 0x1),
+                is_path_suspicious(path), crc,
             )
         )
     return entries
@@ -354,8 +364,18 @@ def _member_head(handle: BinaryIO, entry: ArchiveEntry, limit: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_entry(handle: BinaryIO, entry: ArchiveEntry, cap: int = DEFAULT_ENTRY_CAP) -> bytes:
-    """Return exactly the entry's declared bytes, bounded by ``cap``."""
+def read_entry(
+    handle: BinaryIO,
+    entry: ArchiveEntry,
+    cap: int = DEFAULT_ENTRY_CAP,
+    errors: list[tuple[ArchiveEntry, FormatError]] | None = None,
+) -> bytes:
+    """Return exactly the entry's declared bytes, bounded by ``cap``.
+
+    When ``errors`` is given, the bytes are checked against the declared
+    CRC-32, and a mismatch is appended to it as ``(entry, CrcMismatch)``.
+    The bytes are returned all the same: a loader that skips the check
+    reads them."""
     if entry.encrypted:
         raise UnsupportedMethod(entry.path, "encrypted entry")
     if entry.method not in _READABLE:
@@ -370,6 +390,10 @@ def read_entry(handle: BinaryIO, entry: ArchiveEntry, cap: int = DEFAULT_ENTRY_C
         )
     if len(data) != entry.uncompressed_size:
         raise SizeMismatch(entry.path, entry.uncompressed_size, len(data))
+    if errors is not None:
+        actual = zlib.crc32(data)
+        if actual != entry.crc:
+            errors.append((entry, CrcMismatch(entry.path, entry.crc, actual)))
     return data
 
 
@@ -399,8 +423,9 @@ def find_pickle_payloads(
     the loader reads as raw bytes, so their content is not read.  Only
     those, directories, and encrypted or unsupported members not named
     ``.pkl`` are passed over without a read.  Per-entry
-    read failures are appended to ``errors`` (when given) as
-    ``(entry, error)`` pairs, without aborting the remaining entries.
+    read failures and CRC-32 mismatches are appended to ``errors`` (when
+    given) as ``(entry, error)`` pairs, without aborting the remaining
+    entries; a member that fails its CRC-32 is returned too.
     """
     storage_dirs = tuple(
         entry.path[: -len("data.pkl")] + "data/"
@@ -422,7 +447,7 @@ def find_pickle_payloads(
             if is_pickle(entry.path, head, entry.uncompressed_size <= len(head)) is False:
                 continue
         try:
-            hits.append((entry, read_entry(handle, entry, cap)))
+            hits.append((entry, read_entry(handle, entry, cap, errors)))
         except FormatError as exc:
             if errors is not None:
                 # Kept without its traceback, or the zlib error's it replaced,

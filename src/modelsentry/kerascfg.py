@@ -13,23 +13,25 @@ from __future__ import annotations
 
 import base64
 import hashlib
-from dataclasses import dataclass
 from typing import Collection, NamedTuple
 
-from .absvm import clip
+from .absvm import Record, clip, set_field
 
 MAX_WALK_DEPTH = 256
 MAX_WALK_NODES = 1_000_000
 
 
-@dataclass(frozen=True)
-class CodePayload:
-    # "base64-marshalled-code", "raw-unicode-escape-marshalled-code",
-    # "plain-source", or "reference-by-name"
-    encoding: str
-    decoded_length: int  # 0 for reference-by-name
-    digest: str  # sha256 hex of the decoded bytes (or of the reference name)
-    preview: str  # first 64 bytes, rendered printable
+class CodePayload(Record, frozen=True):
+    __slots__ = ("encoding", "decoded_length", "digest", "preview")
+
+    def __init__(self, encoding: str, decoded_length: int, digest: str, preview: str):
+        # "base64-marshalled-code", "raw-unicode-escape-marshalled-code",
+        # "plain-source", or "reference-by-name"
+        set_field(self, "encoding", encoding)
+        set_field(self, "decoded_length", decoded_length)  # 0 for reference-by-name
+        # sha256 hex of the decoded bytes (or of the reference name)
+        set_field(self, "digest", digest)
+        set_field(self, "preview", preview)  # first 64 bytes, rendered printable
 
 
 class LayerRecord(NamedTuple):
@@ -39,11 +41,13 @@ class LayerRecord(NamedTuple):
     payload: CodePayload | None = None
 
 
-@dataclass(frozen=True)
-class ConfigAnomaly:
-    kind: str  # "MalformedConfig" or "Base64Error"
-    json_path: str
-    message: str
+class ConfigAnomaly(Record, frozen=True):
+    __slots__ = ("kind", "json_path", "message")
+
+    def __init__(self, kind: str, json_path: str, message: str):
+        set_field(self, "kind", kind)  # "MalformedConfig" or "Base64Error"
+        set_field(self, "json_path", json_path)
+        set_field(self, "message", message)
 
 
 def _safe_preview(data: bytes, limit: int = 64) -> str:

@@ -15,12 +15,12 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from importlib import resources
 from typing import BinaryIO, Iterable
 
 from . import absvm
+from .absvm import Record, set_field
 from .kerascfg import ConfigAnomaly, LayerRecord
 
 
@@ -44,11 +44,13 @@ class Severity(enum.IntEnum):
         return self.name
 
 
-@dataclass(frozen=True)
-class RuleInfo:
-    rule_id: str
-    default_severity: Severity
-    description: str
+class RuleInfo(Record, frozen=True):
+    __slots__ = ("rule_id", "default_severity", "description")
+
+    def __init__(self, rule_id: str, default_severity: Severity, description: str):
+        set_field(self, "rule_id", rule_id)
+        set_field(self, "default_severity", default_severity)
+        set_field(self, "description", description)
 
 
 RULE_CATALOG: dict[str, RuleInfo] = {
@@ -143,15 +145,26 @@ RULE_CATALOG: dict[str, RuleInfo] = {
 }
 
 
-@dataclass(frozen=True)
-class Finding:
-    rule_id: str
-    severity: Severity
-    message: str
-    evidence: str = ""
-    entry: str | None = None
-    offset: int | None = None
-    json_path: str | None = None
+class Finding(Record, frozen=True):
+    __slots__ = ("rule_id", "severity", "message", "evidence", "entry", "offset", "json_path")
+
+    def __init__(
+        self,
+        rule_id: str,
+        severity: Severity,
+        message: str,
+        evidence: str = "",
+        entry: str | None = None,
+        offset: int | None = None,
+        json_path: str | None = None,
+    ):
+        set_field(self, "rule_id", rule_id)
+        set_field(self, "severity", severity)
+        set_field(self, "message", message)
+        set_field(self, "evidence", evidence)
+        set_field(self, "entry", entry)
+        set_field(self, "offset", offset)
+        set_field(self, "json_path", json_path)
 
     @property
     def locus(self) -> str:
@@ -174,10 +187,12 @@ class Finding:
         )
 
 
-@dataclass(frozen=True)
-class FileContext:
-    path: str
-    entry: str | None = None
+class FileContext(Record, frozen=True):
+    __slots__ = ("path", "entry")
+
+    def __init__(self, path: str, entry: str | None = None):
+        set_field(self, "path", path)
+        set_field(self, "entry", entry)
 
     def finding(
         self,
@@ -199,23 +214,29 @@ class FileContext:
 # Policy
 
 
-@dataclass(frozen=True)
-class DenyEntry:
-    module: str
-    name: str
-    severity: Severity = Severity.CRITICAL
+class DenyEntry(Record, frozen=True):
+    __slots__ = ("module", "name", "severity")
+
+    def __init__(self, module: str, name: str, severity: Severity = Severity.CRITICAL):
+        set_field(self, "module", module)
+        set_field(self, "name", name)
+        set_field(self, "severity", severity)
 
 
-@dataclass(frozen=True)
-class AllowEntry:
-    module: str
-    name: str
+class AllowEntry(Record, frozen=True):
+    __slots__ = ("module", "name")
+
+    def __init__(self, module: str, name: str):
+        set_field(self, "module", module)
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Disposition:
-    verdict: str  # "deny" | "allow" | "unknown"
-    severity: Severity | None = None
+class Disposition(Record, frozen=True):
+    __slots__ = ("verdict", "severity")
+
+    def __init__(self, verdict: str, severity: Severity | None = None):
+        set_field(self, "verdict", verdict)  # "deny" | "allow" | "unknown"
+        set_field(self, "severity", severity)
 
 
 # Each key of a policy file's "severities" object, with the Policy field it sets.
@@ -228,16 +249,33 @@ _SEVERITY_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class Policy:
-    deny: tuple[DenyEntry, ...] = ()
-    allow: tuple[AllowEntry, ...] = ()
-    unknown_global_severity: Severity = Severity.MEDIUM  # unlike the rest, no one rule owns it
-    lambda_severity: Severity = RULE_CATALOG["KERAS_LAMBDA_CODE"].default_severity
-    lambda_ref_severity: Severity = RULE_CATALOG["KERAS_LAMBDA_REF"].default_severity
-    residual_stack_severity: Severity = RULE_CATALOG["PICKLE_RESIDUAL_STACK"].default_severity
-    dynamic_global_severity: Severity = RULE_CATALOG["PICKLE_DYNAMIC_GLOBAL"].default_severity
-    extra_custom_layer_classes: tuple[str, ...] = ()
+class Policy(Record, frozen=True):
+    # ``__dict__`` holds the ``cached_property`` below; it is not a field.
+    __slots__ = (
+        "deny", "allow", "unknown_global_severity", "lambda_severity", "lambda_ref_severity",
+        "residual_stack_severity", "dynamic_global_severity", "extra_custom_layer_classes",
+        "__dict__",
+    )
+
+    def __init__(
+        self,
+        deny: tuple[DenyEntry, ...] = (),
+        allow: tuple[AllowEntry, ...] = (),
+        unknown_global_severity: Severity = Severity.MEDIUM,  # unlike the rest, no one rule owns it
+        lambda_severity: Severity = RULE_CATALOG["KERAS_LAMBDA_CODE"].default_severity,
+        lambda_ref_severity: Severity = RULE_CATALOG["KERAS_LAMBDA_REF"].default_severity,
+        residual_stack_severity: Severity = RULE_CATALOG["PICKLE_RESIDUAL_STACK"].default_severity,
+        dynamic_global_severity: Severity = RULE_CATALOG["PICKLE_DYNAMIC_GLOBAL"].default_severity,
+        extra_custom_layer_classes: tuple[str, ...] = (),
+    ):
+        set_field(self, "deny", deny)
+        set_field(self, "allow", allow)
+        set_field(self, "unknown_global_severity", unknown_global_severity)
+        set_field(self, "lambda_severity", lambda_severity)
+        set_field(self, "lambda_ref_severity", lambda_ref_severity)
+        set_field(self, "residual_stack_severity", residual_stack_severity)
+        set_field(self, "dynamic_global_severity", dynamic_global_severity)
+        set_field(self, "extra_custom_layer_classes", extra_custom_layer_classes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -383,15 +421,13 @@ def _policy_from_dict(raw: dict, base: Policy | None = None) -> Policy:
     custom_raw = raw.get("custom_layer_classes", [])
     if not isinstance(custom_raw, list) or not all(isinstance(c, str) for c in custom_raw):
         raise ValueError("'custom_layer_classes' must be a list of strings")
-    return replace(
-        policy,
-        deny=tuple(deny),
-        allow=tuple(allow),
+    return Policy(
+        tuple(deny),
+        tuple(allow),
         extra_custom_layer_classes=tuple(policy.extra_custom_layer_classes) + tuple(custom_raw),
         **{
-            attr: Severity.parse(severities[key])
+            attr: Severity.parse(severities[key]) if key in severities else getattr(policy, attr)
             for key, attr in _SEVERITY_KEYS
-            if key in severities
         },
     )
 
@@ -597,9 +633,11 @@ def apply_keras_rules(
 _DIGEST_PREFIX = "sha256:"
 
 
-@dataclass(frozen=True)
-class IntegrityManifest:
-    entries: dict[str, str] = field(default_factory=dict)
+class IntegrityManifest(Record, frozen=True):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict[str, str] | None = None):
+        set_field(self, "entries", {} if entries is None else entries)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "IntegrityManifest":
@@ -620,11 +658,13 @@ class IntegrityManifest:
         return cls.from_dict(_load_json_object(path, "integrity manifest"))
 
 
-@dataclass(frozen=True)
-class IntegrityResult:
-    status: str  # "verified" | "mismatch" | "not-listed"
-    expected: str | None = None
-    actual: str | None = None
+class IntegrityResult(Record, frozen=True):
+    __slots__ = ("status", "expected", "actual")
+
+    def __init__(self, status: str, expected: str | None = None, actual: str | None = None):
+        set_field(self, "status", status)  # "verified" | "mismatch" | "not-listed"
+        set_field(self, "expected", expected)
+        set_field(self, "actual", actual)
 
 
 def stream_digest(handle: BinaryIO) -> str:

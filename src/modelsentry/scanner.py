@@ -9,13 +9,12 @@ is the returned report structure.
 from __future__ import annotations
 
 import contextlib
-import logging
 import os
 import stat
-from dataclasses import dataclass, field
 from typing import BinaryIO, Iterator
 
 from . import absvm, containers, disasm
+from .absvm import Record, set_field
 from .kerascfg import ConfigAnomaly, walk_layers
 from .policy import (
     FileContext,
@@ -31,30 +30,46 @@ from .policy import (
 
 TOOL_VERSION = "0.1.0"
 
-_log = logging.getLogger("modelsentry")
+
+class ScanError(Record, frozen=True):
+    __slots__ = ("kind", "locus", "message")
+
+    def __init__(self, kind: str, locus: str, message: str):
+        set_field(self, "kind", kind)
+        set_field(self, "locus", locus)
+        set_field(self, "message", message)
 
 
-@dataclass(frozen=True)
-class ScanError:
-    kind: str
-    locus: str
-    message: str
+class FileReport(Record):
+    __slots__ = ("path", "kind", "findings", "errors")
+
+    def __init__(
+        self,
+        path: str,
+        kind: str,
+        findings: list[Finding] | None = None,
+        errors: list[ScanError] | None = None,
+    ):
+        self.path = path
+        self.kind = kind
+        self.findings = [] if findings is None else findings
+        self.errors = [] if errors is None else errors
 
 
-@dataclass
-class FileReport:
-    path: str
-    kind: str
-    findings: list[Finding] = field(default_factory=list)
-    errors: list[ScanError] = field(default_factory=list)
+class ScanReport(Record):
+    __slots__ = ("tool_version", "policy_digest", "files", "exit_severity_threshold")
 
-
-@dataclass
-class ScanReport:
-    tool_version: str
-    policy_digest: str
-    files: list[FileReport]
-    exit_severity_threshold: Severity = Severity.HIGH
+    def __init__(
+        self,
+        tool_version: str,
+        policy_digest: str,
+        files: list[FileReport],
+        exit_severity_threshold: Severity = Severity.HIGH,
+    ):
+        self.tool_version = tool_version
+        self.policy_digest = policy_digest
+        self.files = files
+        self.exit_severity_threshold = exit_severity_threshold
 
     def summary(self) -> dict[str, int]:
         counts = {"critical": 0, "high": 0, "medium": 0, "low": 0, "info": 0}
@@ -183,29 +198,39 @@ def _scan_zip(
             detail = "encrypted" if entry.encrypted else entry.method
             message = f"member {shown!r} is not inspectable ({detail})"
             findings.append(member.finding("ARCHIVE_UNSUPPORTED_METHOD", message))
-    unreadable = "archive member could not be read"
+
+    def report(member_errors: list[tuple[containers.ArchiveEntry, containers.FormatError]]) -> None:
+        for entry, exc in member_errors:
+            if isinstance(exc, containers.CrcMismatch):
+                what = "archive member is damaged"
+            else:
+                what = "archive member could not be read"
+            _parse_error(findings, errors, FileContext(path, entry.path), exc, what)
+
+    # Failed reads and CRC-32 mismatches.  A member that fails its CRC-32 is
+    # scanned all the same: a loader that skips the check reads it.
     payload_errors: list[tuple[containers.ArchiveEntry, containers.FormatError]] = []
     payloads = containers.find_pickle_payloads(
         entries, handle, cap=entry_cap, errors=payload_errors
     )
-    for entry, exc in payload_errors:
-        _parse_error(findings, errors, FileContext(path, entry.path), exc, unreadable)
+    report(payload_errors)
     for entry, data in payloads:
         ctx = FileContext(path=path, entry=entry.path)
         _scan_pickle_bytes(data, ctx, policy, findings, errors)
     for entry in entries:
         if entry.path.rsplit("/", 1)[-1] != "config.json":
             continue
-        member = FileContext(path, entry.path)
+        config_errors: list[tuple[containers.ArchiveEntry, containers.FormatError]] = []
         try:
             # Passed straight in, so the decoder frees the bytes before it parses (3.11+).
             extracted = containers.decode_config(
-                containers.read_entry(handle, entry, containers.CONFIG_CAP), whole=True
+                containers.read_entry(handle, entry, containers.CONFIG_CAP, config_errors), whole=True
             )
         except containers.FormatError as exc:
-            _parse_error(findings, errors, member, exc, unreadable)
-            continue
-        _scan_keras_config(extracted.config, member, policy, findings)
+            config_errors.append((entry, exc))
+        else:
+            _scan_keras_config(extracted.config, FileContext(path, entry.path), policy, findings)
+        report(config_errors)
 
 
 def _scan_hdf5(
@@ -310,7 +335,10 @@ def scan_file(
         errors.append(ScanError("IOError", "", str(exc)))
     except Exception as exc:
         # A defect in a parser must cost only this file, not the whole scan.
-        _log.debug("internal error scanning %s", path, exc_info=True)
+        # Imported here, at its one use, so that no launch pays for it.
+        import logging
+
+        logging.getLogger("modelsentry").debug("internal error scanning %s", path, exc_info=True)
         errors.append(ScanError("InternalError", "", f"{type(exc).__name__}: {exc}"))
     findings.sort(key=lambda finding: finding.sort_key())
     return FileReport(path=path, kind=kind, findings=findings, errors=errors)

@@ -395,6 +395,60 @@ def test_a_member_that_cannot_be_inflated_is_reported(tmp_path, from_end, kind, 
     assert [f["rule_id"] for f in scanned["findings"]] == ["FORMAT_PARSE_ERROR"]
 
 
+def test_a_member_that_fails_its_crc_is_reported_and_still_walked(tmp_path, policy):
+    """Eight flipped bytes 40 bytes before the end of a deflated pickle that
+    still inflates to its declared size: ``zipfile`` refuses the bytes for
+    their CRC-32, and the scan reports that at the member before the fault
+    the walk meets in them."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive:
+        archive.writestr("archive/payload.bin", pickle.dumps(list(range(2000)), 2))
+    blob = bytearray(buffer.getvalue())
+    (entry,) = containers.list_entries(io.BytesIO(bytes(blob)))
+    start = entry.offset + 30 + len(entry.path) + entry.compressed_size - 40
+    blob[start : start + 8] = bytes(byte ^ 0xFF for byte in blob[start : start + 8])
+    with zipfile.ZipFile(io.BytesIO(bytes(blob))) as archive, pytest.raises(
+        zipfile.BadZipFile, match="Bad CRC-32"
+    ):
+        archive.read("archive/payload.bin")
+    target = tmp_path / "model.zip"
+    target.write_bytes(bytes(blob))
+    report = scan_file(str(target), policy)
+    assert [(error.kind, error.locus) for error in report.errors] == [
+        ("CrcMismatch", "archive/payload.bin"),
+        ("UnknownOpcode", "archive/payload.bin:offset 5701"),
+    ]
+    declared = f"entry 'archive/payload.bin': declared CRC-32 {entry.crc:08x}, got "
+    assert report.errors[0].message.startswith(declared)
+    assert [f.rule_id for f in report.findings] == ["FORMAT_PARSE_ERROR", "FORMAT_PARSE_ERROR"]
+
+
+@pytest.mark.parametrize(
+    "archive, member, rule",
+    [
+        (emit_torch_like_zip(emit_reduce_payload_pickle(MARKER, 2)), "model/data.pkl", "PICKLE_CALL"),
+        (emit_keras_zip(emit_keras_lambda_config(True)), "config.json", "KERAS_LAMBDA_CODE"),
+    ],
+    ids=["pickle", "config"],
+)
+def test_a_member_whose_declared_crc_lies_is_scanned_all_the_same(tmp_path, policy, archive, member, rule):
+    """Every central header declares a wrong CRC-32: each member read whole
+    is reported at the member, and its bytes still get their findings, as a
+    loader that skips the check would run them.  Sniffed heads are not
+    checked."""
+    blob = bytearray(archive)
+    at = blob.find(b"PK\x01\x02")
+    while at >= 0:
+        blob[at + 16 : at + 20] = bytes(byte ^ 0xFF for byte in blob[at + 16 : at + 20])
+        at = blob.find(b"PK\x01\x02", at + 46)
+    target = tmp_path / "model.zip"
+    target.write_bytes(bytes(blob))
+    report = scan_file(str(target), policy)
+    assert [(error.kind, error.locus) for error in report.errors] == [("CrcMismatch", member)]
+    assert rule in {f.rule_id for f in report.findings if f.entry == member}
+    assert ("FORMAT_PARSE_ERROR", member) in {(f.rule_id, f.entry) for f in report.findings}
+
+
 def test_bzip2_and_lzma_members_stay_unsupported_without_their_modules(tmp_path):
     """An interpreter built without bz2 and lzma reads neither kind of member."""
     target = tmp_path / "model.keras"
@@ -420,11 +474,16 @@ def test_bzip2_and_lzma_members_stay_unsupported_without_their_modules(tmp_path)
 
 def test_importing_the_cli_loads_neither_forge_nor_a_thread_pool():
     """Only the ``forge`` command imports the fixture writers, and scans run
-    in one thread."""
+    in one thread.  A launch loaded with the default policy has not paid for
+    ``dataclasses`` or ``logging`` either: the records are plain classes, and
+    only a scan's internal error logs."""
     driver = (
         "import sys\n"
         "import modelsentry.cli\n"
-        "print([name for name in ('modelsentry.forge', 'concurrent.futures') if name in sys.modules])\n"
+        "from modelsentry.policy import default_policy\n"
+        "default_policy()\n"
+        "names = ('modelsentry.forge', 'concurrent.futures', 'dataclasses', 'logging')\n"
+        "print([name for name in names if name in sys.modules])\n"
     )
     source_root = os.path.dirname(os.path.dirname(modelsentry.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([source_root, os.environ.get("PYTHONPATH", "")])}
