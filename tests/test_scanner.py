@@ -36,7 +36,7 @@ from modelsentry.forge import (
     emit_torch_like_zip,
 )
 from modelsentry.policy import IntegrityManifest, Severity
-from modelsentry.report import exit_code, render, report_to_dict
+from modelsentry.report import _render_sarif, exit_code, render, report_to_dict
 from modelsentry.scanner import scan_file, scan_paths, sniff, verify_paths
 
 MARKER = "true # FIXTURE-MARKER"
@@ -1038,14 +1038,44 @@ def test_summary_counts_match_findings(tmp_path, policy):
 
 
 def test_golden_corpus_report(tmp_path, policy, monkeypatch):
+    """The JSON render of the seed-0 corpus is the golden file, byte for byte,
+    so a change in formatting fails here as well as a change in content."""
     golden_path = os.path.join(os.path.dirname(__file__), "data", "golden_report.json")
-    with open(golden_path, "r", encoding="utf-8") as handle:
-        golden = json.load(handle)
+    with open(golden_path, "rb") as handle:
+        golden = handle.read()
     monkeypatch.chdir(tmp_path)
     emit_corpus("corpus", seed=0)
     report = scan_paths(["corpus"], policy)
-    produced = json.loads(render(report, "json"))
-    assert produced == golden
+    assert render(report, "json") == golden
+
+
+def _odd_path_report(tmp_path, policy):
+    # A space, a non-ASCII character and a byte that is not UTF-8, which the
+    # path holds as a lone surrogate.
+    target = os.fsencode(tmp_path) + b"/run 1 \xc3\xa9\xff.pkl"
+    with open(target, "wb") as handle:
+        handle.write(emit_reduce_payload_pickle(MARKER, 2))
+    report = scan_paths([os.fsdecode(target)], policy)
+    assert "\udcff" in report.files[0].path and report.files[0].findings
+    return report
+
+
+@pytest.mark.parametrize("which", ["corpus", "empty", "odd_path"])
+def test_json_and_sarif_renders_are_the_indented_json_dumps(which, tmp_path, policy, monkeypatch):
+    """Both JSON renders are ``json.dumps(value, indent=2)`` and a newline,
+    byte for byte, on the corpus, on an empty report, and on a path that
+    needs escaping in JSON and percent-encoding in its SARIF URI."""
+    monkeypatch.chdir(tmp_path)
+    if which == "corpus":
+        emit_corpus("corpus", seed=0)
+        report = scan_paths(["corpus"], policy)
+    elif which == "empty":
+        report = scan_paths([], policy)
+    else:
+        report = _odd_path_report(tmp_path, policy)
+    sarif = render(report, "sarif")
+    assert sarif == (json.dumps(_render_sarif(report), indent=2) + "\n").encode()
+    assert render(report, "json") == (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
 
 
 # -- symlinks ----------------------------------------------------------------------
