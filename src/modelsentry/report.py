@@ -7,7 +7,7 @@ appear in it.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 from urllib.parse import quote
 
 from .policy import RULE_CATALOG, Severity
@@ -153,14 +153,81 @@ def _render_sarif(report: ScanReport) -> dict:
     }
 
 
+def _dumps_indented(value: object) -> str:
+    """``json.dumps(value, indent=2) + "\n"``, for the types a report holds.
+
+    On Python 3.11 ``json.dumps`` takes its C encoder only without
+    ``indent``; with it, every nesting level is a Python generator that each
+    output chunk passes up through.  Here one recursive function appends to
+    one list.  Values are dicts with ``str`` keys, lists, strings, ints,
+    bools and None; any other type raises ``TypeError``, so the output never
+    differs from ``json.dumps`` without notice.  Each distinct string is
+    escaped once per call (``encode_basestring_ascii`` is ``json``'s C
+    escaper): a file's URI, a repeated call's message and its evidence recur.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+    escaped: dict[str, str] = {}
+
+    def emit(value: object, newline: str) -> None:
+        if isinstance(value, str):
+            text = escaped.get(value)
+            if text is None:
+                text = escaped[value] = encode_basestring_ascii(value)
+            append(text)
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = newline + "  "
+            separator = "{" + inner
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                text = escaped.get(key)
+                if text is None:
+                    text = escaped[key] = encode_basestring_ascii(key)
+                append(separator)
+                append(text)
+                append(": ")
+                emit(item, inner)
+                separator = "," + inner
+            append(newline + "}")
+        elif isinstance(value, list):
+            if not value:
+                append("[]")
+                return
+            inner = newline + "  "
+            separator = "[" + inner
+            for item in value:
+                append(separator)
+                emit(item, inner)
+                separator = "," + inner
+            append(newline + "]")
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    emit(value, "\n")
+    append("\n")
+    return "".join(chunks)
+
+
 def render(report: ScanReport, format: str = "text") -> bytes:
     """Serialize a report; formats: text, json, sarif."""
     if format == "text":
         return _render_text(report).encode("utf-8")
     if format == "json":
-        return (json.dumps(report_to_dict(report), indent=2) + "\n").encode("utf-8")
+        return _dumps_indented(report_to_dict(report)).encode("ascii")
     if format == "sarif":
-        return (json.dumps(_render_sarif(report), indent=2) + "\n").encode("utf-8")
+        return _dumps_indented(_render_sarif(report)).encode("ascii")
     raise ValueError(f"unknown report format {format!r}")
 
 

@@ -18,6 +18,8 @@ import zlib
 from urllib.parse import quote
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import alarm
 import modelsentry
@@ -36,7 +38,7 @@ from modelsentry.forge import (
     emit_torch_like_zip,
 )
 from modelsentry.policy import IntegrityManifest, Severity
-from modelsentry.report import _render_sarif, exit_code, render, report_to_dict
+from modelsentry.report import _dumps_indented, _render_sarif, exit_code, render, report_to_dict
 from modelsentry.scanner import scan_file, scan_paths, sniff, verify_paths
 
 MARKER = "true # FIXTURE-MARKER"
@@ -1076,6 +1078,42 @@ def test_json_and_sarif_renders_are_the_indented_json_dumps(which, tmp_path, pol
     sarif = render(report, "sarif")
     assert sarif == (json.dumps(_render_sarif(report), indent=2) + "\n").encode()
     assert render(report, "json") == (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
+
+
+_JSON_TEXT = st.text(st.characters(blacklist_categories=()))
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**300), max_value=10**300)
+    | _JSON_TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=30,
+)
+
+
+def _nested(depth: int) -> object:
+    value: object = [{}, [], "\udcff\x00\U0001f600", -(2**70), True, None]
+    for level in range(depth):
+        value = {f"k{level}": value, "": []} if level % 2 else [value, {}]
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+@example({})
+@example([])
+@example(_nested(9))
+def test_report_encoder_is_json_dumps_indented(value):
+    assert _dumps_indented(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, [0.0], (1, 2), {"a": (1,)}, {1: "a"}, {"a": {None: 1}}])
+def test_report_encoder_refuses_what_a_report_never_holds(value):
+    """json.dumps would write these (a float, a tuple as a list, a key made a
+    string), but a report holds none of them: an error, not a silent change."""
+    with pytest.raises(TypeError):
+        _dumps_indented(value)
 
 
 # -- symlinks ----------------------------------------------------------------------
