@@ -540,6 +540,12 @@ def decode_config(
         if got > cap:
             raise CapExceeded(f"config still open after {got} bytes", cap, offset + got) from None
         return None
+    if text.isascii():
+        # Each byte read is one character and valid UTF-8: nothing to re-check.
+        size = end - begin
+        if size > cap:
+            raise CapExceeded(f"config size {size}", cap, start + size)
+        return ExtractedConfig((start, start + size), config)
     config_text = text[begin:end]
     del text
     # Back to the bytes read, where a byte that is not UTF-8 fails the decode.
