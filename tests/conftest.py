@@ -15,6 +15,7 @@ import pickletools
 import random
 import signal
 import struct
+import warnings
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,19 @@ def alarm(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextlib.contextmanager
+def stdlib_escape_warnings_ignored():
+    """Run a stdlib pickle loader on drawn bytes under this.  A STRING op
+    with an unknown escape (``S'\\l'``) makes ``codecs.escape_decode`` warn
+    ``DeprecationWarning``: ``pickle._Unpickler`` attributes it to
+    pickle.py, the C ``pickle.Unpickler`` to the calling line.  The warning
+    is ignored inside the block only, so the package's own warnings stay
+    errors everywhere else."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        yield
 
 
 class StubUnpickler(pickle.Unpickler):

@@ -34,6 +34,7 @@ from conftest import (
     shared_dict_calls,
     shared_list_calls,
     shared_long_bytes_calls,
+    stdlib_escape_warnings_ignored,
     structural_match,
     stub_load,
 )
@@ -1533,7 +1534,7 @@ def assert_loaders_run_nothing_walk_hides(stream: bytes) -> int:
     for loader_class in _LOADERS:
         loader = loader_class(stream)
         try:
-            with _bounded_loader():
+            with _bounded_loader(), stdlib_escape_warnings_ignored():
                 loader.load()
         except (_LoaderGaveUp, MemoryError):
             continue
@@ -1554,6 +1555,8 @@ def assert_loaders_run_nothing_walk_hides(stream: bytes) -> int:
     b"\x80\x04\x95\xc6\x00\x00\x00\x00\x00\x00\x00}(\x8c\x06weight"
     b"\x8c\x16numpy._core.multiarray\x8c\x0c_reconstructi"
 )
+# A STRING with an unknown escape, which both stdlib loaders warn about.
+@example(b"S'\\l'\n.")
 def test_loaders_run_nothing_walk_hides_on_mutants(stream):
     assert_loaders_run_nothing_walk_hides(stream)
 

@@ -13,6 +13,7 @@ import pickle
 import struct
 import subprocess
 import sys
+import warnings
 import zipfile
 import zlib
 from urllib.parse import quote
@@ -766,6 +767,23 @@ def _scan_stream(tmp_path, policy, stream: bytes):
     target = tmp_path / "stream.pkl"
     target.write_bytes(stream)
     return scan_file(str(target), policy)
+
+
+def test_a_string_with_an_unknown_escape_scans_without_a_warning(tmp_path, policy):
+    """``S'\\l'`` makes both stdlib loaders warn; the walk and the scan of
+    it raise nothing under warnings as errors."""
+    stream = b"S'\\l'\n."
+    for loader in (pickle.Unpickler, pickle._Unpickler):
+        with pytest.warns(DeprecationWarning, match="invalid escape sequence"):
+            assert loader(io.BytesIO(stream)).load() == "\\l"
+    target = tmp_path / "escape.pkl"
+    target.write_bytes(stream)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (result,) = absvm.walk(stream)
+        report = scan_file(str(target), policy)
+    assert result.error is None and result.root == "\\l"
+    assert (report.findings, report.errors) == ([], [])
 
 
 def test_vm_error_costs_only_its_own_segment(tmp_path, policy):
