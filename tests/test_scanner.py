@@ -1069,17 +1069,6 @@ def test_golden_corpus_report(tmp_path, policy, monkeypatch):
     assert render(report, "json") == golden
 
 
-def _odd_path_report(tmp_path, policy):
-    # A space, a non-ASCII character and a byte that is not UTF-8, which the
-    # path holds as a lone surrogate.
-    target = os.fsencode(tmp_path) + b"/run 1 \xc3\xa9\xff.pkl"
-    with open(target, "wb") as handle:
-        handle.write(emit_reduce_payload_pickle(MARKER, 2))
-    report = scan_paths([os.fsdecode(target)], policy)
-    assert "\udcff" in report.files[0].path and report.files[0].findings
-    return report
-
-
 @pytest.mark.parametrize("which", ["corpus", "empty", "odd_path"])
 def test_json_and_sarif_renders_are_the_indented_json_dumps(which, tmp_path, policy, monkeypatch):
     """Both JSON renders are ``json.dumps(value, indent=2)`` and a newline,
@@ -1092,9 +1081,14 @@ def test_json_and_sarif_renders_are_the_indented_json_dumps(which, tmp_path, pol
     elif which == "empty":
         report = scan_paths([], policy)
     else:
-        report = _odd_path_report(tmp_path, policy)
-    sarif = render(report, "sarif")
-    assert sarif == (json.dumps(_render_sarif(report), indent=2) + "\n").encode()
+        # A space, a non-ASCII character and a byte that is not UTF-8, which
+        # the path holds as a lone surrogate.
+        target = os.fsencode(tmp_path) + b"/run 1 \xc3\xa9\xff.pkl"
+        with open(target, "wb") as handle:
+            handle.write(emit_reduce_payload_pickle(MARKER, 2))
+        report = scan_paths([os.fsdecode(target)], policy)
+        assert "\udcff" in report.files[0].path and report.files[0].findings
+    assert render(report, "sarif") == (json.dumps(_render_sarif(report), indent=2) + "\n").encode()
     assert render(report, "json") == (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
 
 
