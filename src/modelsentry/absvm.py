@@ -294,7 +294,6 @@ class BadMark(VmError):
 class LimitExceeded(VmError):
     def __init__(self, offset: int, which: str):
         super().__init__(offset, f"limit exceeded: {which}")
-        self.which = which
 
 
 class AbstractResult(Record):

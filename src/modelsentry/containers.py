@@ -38,7 +38,7 @@ ZIP64_LOCATOR_MAGIC = b"PK\x06\x07"
 HDF5_SIGNATURE = b"\x89HDF\r\n\x1a\n"
 
 EOCD_SEARCH_WINDOW = 66 * 1024
-# Cap on the central directory's declared entry count.
+# Cap on the entries listed from the central directory.
 MAX_ENTRIES = 1_000_000
 DEFAULT_ENTRY_CAP = 256 * 1024 * 1024
 # Cap on a model-config JSON read, from an HDF5 attribute or a config.json member.
@@ -101,33 +101,27 @@ class CorruptHeader(FormatError):
 class UnsupportedMethod(FormatError):
     def __init__(self, path: str, detail: str):
         super().__init__(f"entry {path!r}: {detail}")
-        self.path = path
 
 
 class SizeMismatch(FormatError):
     def __init__(self, path: str, declared: int, actual: int):
         super().__init__(f"entry {path!r}: declared {declared} bytes, got {actual}")
-        self.declared = declared
-        self.actual = actual
 
 
 class CrcMismatch(FormatError):
     def __init__(self, path: str, declared: int, actual: int):
         super().__init__(f"entry {path!r}: declared CRC-32 {declared:08x}, got {actual:08x}")
-        self.path = path
 
 
 class InflateError(FormatError):
     def __init__(self, path: str, detail: str):
         super().__init__(f"entry {path!r}: inflate failed: {detail}")
-        self.path = path
 
 
 class CapExceeded(FormatError):
     def __init__(self, measured: str, cap: int, end_offset: int | None = None):
         # ``measured`` names what went over the cap, with its size.
         super().__init__(f"{measured} exceeds cap {cap}")
-        self.cap = cap
         self.end_offset = end_offset
 
 
@@ -144,7 +138,6 @@ class ConfigNotFound(FormatError):
 class UnbalancedJson(FormatError):
     def __init__(self, start_offset: int, end_offset: int, detail: str):
         super().__init__(f"{detail} starting at offset {start_offset}")
-        self.start_offset = start_offset
         self.end_offset = end_offset
 
 
@@ -198,22 +191,18 @@ def _find_eocd(handle: BinaryIO, size: int) -> tuple[int, bytes]:
     raise NoCentralDirectory()
 
 
-def _read_zip64_sizes(handle: BinaryIO, eocd_offset: int) -> tuple[int, int, int] | None:
-    """Return (entry_count, cd_size, cd_offset) from the ZIP64 records, if present."""
-    locator_at = eocd_offset - 20
-    if locator_at < 0:
+def _read_zip64_sizes(handle: BinaryIO, eocd_offset: int) -> tuple[int, int] | None:
+    """Return (cd_size, cd_offset) from the ZIP64 end record, read where
+    ``zipfile`` reads it: just before the locator that just precedes the
+    end record.  None when either record is not there."""
+    records_at = eocd_offset - 56 - 20
+    if records_at < 0:
         return None
-    handle.seek(locator_at)
-    locator = handle.read(20)
-    if locator[:4] != ZIP64_LOCATOR_MAGIC:
+    handle.seek(records_at)
+    records = handle.read(56 + 20)
+    if records[:4] != ZIP64_EOCD_MAGIC or records[56:60] != ZIP64_LOCATOR_MAGIC:
         return None
-    (zip64_eocd_offset,) = struct.unpack("<Q", locator[8:16])
-    handle.seek(zip64_eocd_offset)
-    record = handle.read(56)
-    if record[:4] != ZIP64_EOCD_MAGIC:
-        raise CorruptHeader(zip64_eocd_offset, "bad ZIP64 end-of-central-directory signature")
-    total_entries, cd_size, cd_offset = struct.unpack("<QQQ", record[32:56])
-    return total_entries, cd_size, cd_offset
+    return struct.unpack("<QQ", records[40:56])
 
 
 def _zip64_extra(extra: bytes, values: list[int]) -> list[int]:
@@ -239,25 +228,25 @@ def _zip64_extra(extra: bytes, values: list[int]) -> list[int]:
 
 
 def list_entries(handle: BinaryIO) -> list[ArchiveEntry]:
-    """Read the central directory; order preserved, nothing decompressed."""
+    """Read the central directory; order preserved, nothing decompressed.
+
+    As ``zipfile`` does, the directory's size and offset come from the
+    ZIP64 records whenever their locator precedes the end record, and
+    central headers are read while that size lasts.  No entry count is
+    read, so a count that is wrong hides no member.  ``MAX_ENTRIES``
+    bounds the entries listed."""
     size = _file_size(handle)
     if size < 22:
         raise NoCentralDirectory()
     eocd_offset, eocd = _find_eocd(handle, size)
-    total_entries, cd_size, cd_offset = struct.unpack("<HII", eocd[10:20])
-    if total_entries == 0xFFFF or cd_size == 0xFFFFFFFF or cd_offset == 0xFFFFFFFF:
-        zip64 = _read_zip64_sizes(handle, eocd_offset)
-        if zip64 is not None:
-            total_entries, cd_size, cd_offset = zip64
+    cd_size, cd_offset = _read_zip64_sizes(handle, eocd_offset) or struct.unpack("<II", eocd[12:20])
     if cd_size > _CD_SIZE_CAP:
         raise CorruptHeader(cd_offset, f"central directory size {cd_size} too large")
-    if total_entries > MAX_ENTRIES:
-        raise CorruptHeader(cd_offset, f"entry count {total_entries} too large")
     handle.seek(cd_offset)
     directory = handle.read(cd_size)
     entries: list[ArchiveEntry] = []
     pos = 0
-    for _ in range(total_entries):
+    while pos < cd_size:
         if pos + 46 > len(directory):
             raise CorruptHeader(cd_offset + pos, "central directory truncated")
         (
@@ -280,6 +269,8 @@ def list_entries(handle: BinaryIO) -> list[ArchiveEntry]:
                 is_path_suspicious(path), crc,
             )
         )
+        if len(entries) > MAX_ENTRIES:
+            raise CorruptHeader(cd_offset, f"entry count {len(entries)} too large")
     return entries
 
 
@@ -368,14 +359,14 @@ def read_entry(
     handle: BinaryIO,
     entry: ArchiveEntry,
     cap: int = DEFAULT_ENTRY_CAP,
-    errors: list[tuple[ArchiveEntry, FormatError]] | None = None,
+    *,
+    errors: list[tuple[ArchiveEntry, FormatError]],
 ) -> bytes:
     """Return exactly the entry's declared bytes, bounded by ``cap``.
 
-    When ``errors`` is given, the bytes are checked against the declared
-    CRC-32, and a mismatch is appended to it as ``(entry, CrcMismatch)``.
-    The bytes are returned all the same: a loader that skips the check
-    reads them."""
+    The bytes are checked against the declared CRC-32, and a mismatch is
+    appended to ``errors`` as ``(entry, CrcMismatch)``.  The bytes are
+    returned all the same: a loader that skips the check reads them."""
     if entry.encrypted:
         raise UnsupportedMethod(entry.path, "encrypted entry")
     if entry.method not in _READABLE:
@@ -390,10 +381,9 @@ def read_entry(
         )
     if len(data) != entry.uncompressed_size:
         raise SizeMismatch(entry.path, entry.uncompressed_size, len(data))
-    if errors is not None:
-        actual = zlib.crc32(data)
-        if actual != entry.crc:
-            errors.append((entry, CrcMismatch(entry.path, entry.crc, actual)))
+    actual = zlib.crc32(data)
+    if actual != entry.crc:
+        errors.append((entry, CrcMismatch(entry.path, entry.crc, actual)))
     return data
 
 
@@ -411,7 +401,8 @@ def find_pickle_payloads(
     entries: list[ArchiveEntry],
     handle: BinaryIO,
     cap: int = DEFAULT_ENTRY_CAP,
-    errors: list[tuple[ArchiveEntry, FormatError]] | None = None,
+    *,
+    errors: list[tuple[ArchiveEntry, FormatError]],
 ) -> list[tuple[ArchiveEntry, bytes]]:
     """Read every entry a deserializing loader may feed to pickle.
 
@@ -423,9 +414,9 @@ def find_pickle_payloads(
     the loader reads as raw bytes, so their content is not read.  Only
     those, directories, and encrypted or unsupported members not named
     ``.pkl`` are passed over without a read.  Per-entry
-    read failures and CRC-32 mismatches are appended to ``errors`` (when
-    given) as ``(entry, error)`` pairs, without aborting the remaining
-    entries; a member that fails its CRC-32 is returned too.
+    read failures and CRC-32 mismatches are appended to ``errors`` as
+    ``(entry, error)`` pairs, without aborting the remaining entries; a
+    member that fails its CRC-32 is returned too.
     """
     storage_dirs = tuple(
         entry.path[: -len("data.pkl")] + "data/"
@@ -447,13 +438,12 @@ def find_pickle_payloads(
             if is_pickle(entry.path, head, entry.uncompressed_size <= len(head)) is False:
                 continue
         try:
-            hits.append((entry, read_entry(handle, entry, cap, errors)))
+            hits.append((entry, read_entry(handle, entry, cap, errors=errors)))
         except FormatError as exc:
-            if errors is not None:
-                # Kept without its traceback, or the zlib error's it replaced,
-                # the error pins no frame of the read and none of its bytes.
-                exc.__context__ = None
-                errors.append((entry, exc.with_traceback(None)))
+            # Kept without its traceback, or the zlib error's it replaced,
+            # the error pins no frame of the read and none of its bytes.
+            exc.__context__ = None
+            errors.append((entry, exc.with_traceback(None)))
     return hits
 
 

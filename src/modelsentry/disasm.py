@@ -85,7 +85,6 @@ class LimitExceeded(ParseError):
     # ``available``: the bytes left when an over-size argument runs past the end.
     def __init__(self, offset: int, which: str, available: int | None = None):
         super().__init__(offset, f"limit exceeded: {which}")
-        self.which = which
         self.available = available
 
 

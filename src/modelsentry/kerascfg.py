@@ -56,9 +56,7 @@ def _safe_preview(data: bytes, limit: int = 64) -> str:
 
 
 def extract_code_payload(
-    layer: dict,
-    json_path: str = "",
-    anomalies: list[ConfigAnomaly] | None = None,
+    layer: dict, json_path: str, anomalies: list[ConfigAnomaly]
 ) -> CodePayload | None:
     """Inspect a layer's ``config.function`` field without evaluating it.
 
@@ -67,7 +65,7 @@ def extract_code_payload(
     the ``raw_unicode_escape`` text ``func_load`` falls back to; a Keras 3
     ``{"class_name": "__lambda__", "config": {"code": ...}}`` dict holding
     the same; a bare string naming a registered function; and any other
-    string as plain source.  Anything else is reported as an anomaly,
+    string as plain source.  Anything else is appended to ``anomalies``,
     never silently passed.
     """
     config = layer.get("config")
@@ -117,10 +115,9 @@ def extract_code_payload(
             decoded = code.encode("raw_unicode_escape")
             encoding = "raw-unicode-escape-marshalled-code"
             if decoded[:1] not in (b"c", b"\xe3"):
-                if anomalies is not None:
-                    anomalies.append(
-                        ConfigAnomaly("Base64Error", field_path, f"undecodable payload: {exc}")
-                    )
+                anomalies.append(
+                    ConfigAnomaly("Base64Error", field_path, f"undecodable payload: {exc}")
+                )
                 return None
         return CodePayload(
             encoding=encoding,
@@ -128,14 +125,13 @@ def extract_code_payload(
             digest=hashlib.sha256(decoded).hexdigest(),
             preview=_safe_preview(decoded),
         )
-    if anomalies is not None:
-        anomalies.append(
-            ConfigAnomaly(
-                "MalformedConfig",
-                field_path,
-                f"unrecognized function encoding ({type(function).__name__})",
-            )
+    anomalies.append(
+        ConfigAnomaly(
+            "MalformedConfig",
+            field_path,
+            f"unrecognized function encoding ({type(function).__name__})",
         )
+    )
     return None
 
 
@@ -169,7 +165,7 @@ def _render(link: tuple | None) -> str:
 
 def walk_layers(
     config: object,
-    anomalies: list[ConfigAnomaly] | None = None,
+    anomalies: list[ConfigAnomaly],
     classes: Collection[str] = frozenset({"Lambda"}),
 ) -> list[LayerRecord]:
     """Collect a LayerRecord, in document order, for every layer whose class
@@ -178,7 +174,7 @@ def walk_layers(
     A layer is any element of a ``layers`` array and any wrapper-embedded
     ``layer`` object, however deeply nested; layers of other classes are
     walked but not recorded.  Malformed layer entries of any class and other
-    malformed nodes are recorded as anomalies and traversal continues
+    malformed nodes are appended to ``anomalies`` and traversal continues
     elsewhere.  Bounded by depth and node caps against adversarial configs.
     A path is carried as a ``(parent, key)`` link and rendered to its string
     only for a record or an anomaly.
@@ -188,8 +184,7 @@ def walk_layers(
     capped = False
 
     def note(kind: str, link: tuple | None, message: str) -> None:
-        if anomalies is not None:
-            anomalies.append(ConfigAnomaly(kind, _render(link), message))
+        anomalies.append(ConfigAnomaly(kind, _render(link), message))
 
     def exhausted(link: tuple | None) -> None:
         nonlocal capped

@@ -104,30 +104,24 @@ def sniff(first_bytes: bytes, length: int, name: str = "") -> str:
 
 
 def _parse_error(
-    findings: list[Finding],
-    errors: list[ScanError],
+    report: FileReport,
     ctx: FileContext,
     exc: Exception,
     what: str,
     offset: int | None = None,
     message: str | None = None,
 ) -> None:
-    """Record the fault ``exc`` (a ParseError, VmError or FormatError) as a
-    FORMAT_PARSE_ERROR finding plus the matching error entry, both at the
-    finding's locus.  ``message`` replaces the fault's own."""
+    """Record the fault ``exc`` (a ParseError, VmError or FormatError) in
+    ``report`` as a FORMAT_PARSE_ERROR finding plus the matching error
+    entry, both at the finding's locus.  ``message`` replaces the fault's
+    own."""
     message = exc.message if message is None else message
     finding = ctx.finding("FORMAT_PARSE_ERROR", f"{what}: {message}", offset=offset)
-    findings.append(finding)
-    errors.append(ScanError(exc.kind, "" if finding.locus == "-" else finding.locus, message))
+    report.findings.append(finding)
+    report.errors.append(ScanError(exc.kind, "" if finding.locus == "-" else finding.locus, message))
 
 
-def _scan_pickle_bytes(
-    data: bytes,
-    ctx: FileContext,
-    policy: Policy,
-    findings: list[Finding],
-    errors: list[ScanError],
-) -> bool:
+def _scan_pickle_bytes(data: bytes, ctx: FileContext, policy: Policy, report: FileReport) -> bool:
     """Decode, evaluate, and apply rules to every stream segment in one pass.
 
     A segment that fails still has the events it recorded before its error
@@ -149,7 +143,7 @@ def _scan_pickle_bytes(
         if result.segment == 0 and not absvm.is_pickle(ctx.entry or ctx.path, data, True, result):
             return False
         if result.events:  # apply_rules makes no finding without an event
-            findings.extend(apply_rules(result, policy, ctx, classified))
+            report.findings.extend(apply_rules(result, policy, ctx, classified))
         if isinstance(result.error, disasm.ParseError):
             faults.insert(0, result.fault)
         elif result.fault is not None:
@@ -159,87 +153,69 @@ def _scan_pickle_bytes(
             what = "pickle segment could not be parsed"
         else:
             what = "pickle stream is not loadable"
-        _parse_error(findings, errors, ctx, fault, what, fault.offset)
+        _parse_error(report, ctx, fault, what, fault.offset)
     return True
 
 
-def _scan_keras_config(
-    config: object,
-    ctx: FileContext,
-    policy: Policy,
-    findings: list[Finding],
-) -> None:
+def _scan_keras_config(config: object, ctx: FileContext, policy: Policy, report: FileReport) -> None:
     anomalies: list[ConfigAnomaly] = []
     # Only these classes earn a finding, so only they are recorded.
     records = walk_layers(config, anomalies, {"Lambda", *policy.extra_custom_layer_classes})
-    findings.extend(apply_keras_rules(records, anomalies, policy, ctx))
+    report.findings.extend(apply_keras_rules(records, anomalies, policy, ctx))
 
 
-def _scan_zip(
-    path: str,
-    handle,
-    policy: Policy,
-    entry_cap: int,
-    findings: list[Finding],
-    errors: list[ScanError],
+def _record_member_errors(
+    report: FileReport, errors: list[tuple[containers.ArchiveEntry, containers.FormatError]]
 ) -> None:
+    for entry, exc in errors:
+        if isinstance(exc, containers.CrcMismatch):
+            what = "archive member is damaged"
+        else:
+            what = "archive member could not be read"
+        _parse_error(report, FileContext(report.path, entry.path), exc, what)
+
+
+def _scan_zip(handle, policy: Policy, entry_cap: int, report: FileReport) -> None:
+    path = report.path
     try:
         entries = containers.list_entries(handle)
     except containers.FormatError as exc:
-        _parse_error(findings, errors, FileContext(path), exc, "archive could not be read")
+        _parse_error(report, FileContext(path), exc, "archive could not be read")
         return
     for entry in entries:
         member = FileContext(path, entry.path)
         shown = absvm.clip(entry.path)
         if entry.suspicious_path:
             message = f"member path {shown!r} escapes the extraction root"
-            findings.append(member.finding("ARCHIVE_PATH_TRAVERSAL", message, evidence=shown))
+            report.findings.append(member.finding("ARCHIVE_PATH_TRAVERSAL", message, evidence=shown))
         if entry.encrypted or entry.method.startswith("unsupported"):
             detail = "encrypted" if entry.encrypted else entry.method
             message = f"member {shown!r} is not inspectable ({detail})"
-            findings.append(member.finding("ARCHIVE_UNSUPPORTED_METHOD", message))
-
-    def report(member_errors: list[tuple[containers.ArchiveEntry, containers.FormatError]]) -> None:
-        for entry, exc in member_errors:
-            if isinstance(exc, containers.CrcMismatch):
-                what = "archive member is damaged"
-            else:
-                what = "archive member could not be read"
-            _parse_error(findings, errors, FileContext(path, entry.path), exc, what)
-
+            report.findings.append(member.finding("ARCHIVE_UNSUPPORTED_METHOD", message))
     # Failed reads and CRC-32 mismatches.  A member that fails its CRC-32 is
     # scanned all the same: a loader that skips the check reads it.
-    payload_errors: list[tuple[containers.ArchiveEntry, containers.FormatError]] = []
-    payloads = containers.find_pickle_payloads(
-        entries, handle, cap=entry_cap, errors=payload_errors
-    )
-    report(payload_errors)
+    errors: list[tuple[containers.ArchiveEntry, containers.FormatError]] = []
+    payloads = containers.find_pickle_payloads(entries, handle, cap=entry_cap, errors=errors)
+    _record_member_errors(report, errors)
     for entry, data in payloads:
-        ctx = FileContext(path=path, entry=entry.path)
-        _scan_pickle_bytes(data, ctx, policy, findings, errors)
+        _scan_pickle_bytes(data, FileContext(path, entry.path), policy, report)
     for entry in entries:
         if entry.path.rsplit("/", 1)[-1] != "config.json":
             continue
-        config_errors: list[tuple[containers.ArchiveEntry, containers.FormatError]] = []
+        errors = []
         try:
             # Passed straight in, so the decoder frees the bytes before it parses (3.11+).
             extracted = containers.decode_config(
-                containers.read_entry(handle, entry, containers.CONFIG_CAP, config_errors), whole=True
+                containers.read_entry(handle, entry, containers.CONFIG_CAP, errors=errors), whole=True
             )
         except containers.FormatError as exc:
-            config_errors.append((entry, exc))
+            errors.append((entry, exc))
         else:
-            _scan_keras_config(extracted.config, FileContext(path, entry.path), policy, findings)
-        report(config_errors)
+            _scan_keras_config(extracted.config, FileContext(path, entry.path), policy, report)
+        _record_member_errors(report, errors)
 
 
-def _scan_hdf5(
-    path: str,
-    handle,
-    policy: Policy,
-    findings: list[Finding],
-    errors: list[ScanError],
-) -> None:
+def _scan_hdf5(handle, policy: Policy, report: FileReport) -> None:
     """Check every ``model_config`` candidate: a benign decoy placed before
     the real attribute must not hide it.
 
@@ -247,7 +223,7 @@ def _scan_hdf5(
     file, for the first candidate, with a count of the others: a file of
     many candidates must not grow the report with its size.
     """
-    ctx = FileContext(path)
+    ctx = FileContext(report.path)
     first_range: tuple[int, int] | None = None
     recovered = 0
     first_error: containers.FormatError | None = None
@@ -271,7 +247,7 @@ def _scan_hdf5(
         if first_range is None:
             first_range = extracted.byte_range
         recovered += 1
-        _scan_keras_config(extracted.config, ctx, policy, findings)
+        _scan_keras_config(extracted.config, ctx, policy, report)
         start = extracted.byte_range[1]
     if first_range is not None:
         others = f"; {recovered - 1} more after it" if recovered > 1 else ""
@@ -279,13 +255,13 @@ def _scan_hdf5(
             "model config recovered via attribute-scan heuristic "
             f"(bytes {first_range[0]}..{first_range[1]}{others})"
         )
-        findings.append(ctx.finding("H5_HEURISTIC_USED", message, offset=first_range[0]))
+        report.findings.append(ctx.finding("H5_HEURISTIC_USED", message, offset=first_range[0]))
     if first_error is not None:
         message = first_error.message
         if failed > 1:
             message += f" ({failed - 1} more candidate(s) failed)"
         what = "embedded model config could not be extracted"
-        _parse_error(findings, errors, ctx, first_error, what, message=message)
+        _parse_error(report, ctx, first_error, what, message=message)
 
 
 @contextlib.contextmanager
@@ -309,39 +285,37 @@ def scan_file(
 
     ``entry_cap`` bounds each archive member's inflated size.
     """
-    findings: list[Finding] = []
-    errors: list[ScanError] = []
-    kind = "unknown"
+    report = FileReport(path, "unknown")
     try:
         with open_regular(path) as (handle, size):
             head = handle.read(absvm.SNIFF_BYTES)
-            kind = sniff(head, size, path)
-            if kind == "pickle_stream" and size > disasm.MAX_STREAM_BYTES:
+            report.kind = sniff(head, size, path)
+            if report.kind == "pickle_stream" and size > disasm.MAX_STREAM_BYTES:
                 # Refused before it is read: no part of it was parsed.
                 refused = disasm.LimitExceeded(0, "max_stream_bytes")
-                errors.append(ScanError(refused.kind, "offset 0", refused.message))
-            elif kind == "pickle_stream":
+                report.errors.append(ScanError(refused.kind, "offset 0", refused.message))
+            elif report.kind == "pickle_stream":
                 handle.seek(0)
-                if not _scan_pickle_bytes(handle.read(), FileContext(path), policy, findings, errors):
-                    kind = "unknown"
-            elif kind == "zip_archive":
-                _scan_zip(path, handle, policy, entry_cap, findings, errors)
-            elif kind == "hdf5":
-                _scan_hdf5(path, handle, policy, findings, errors)
-            if kind == "unknown":
+                if not _scan_pickle_bytes(handle.read(), FileContext(path), policy, report):
+                    report.kind = "unknown"
+            elif report.kind == "zip_archive":
+                _scan_zip(handle, policy, entry_cap, report)
+            elif report.kind == "hdf5":
+                _scan_hdf5(handle, policy, report)
+            if report.kind == "unknown":
                 message = "unrecognized format; nothing scanned"
-                findings.append(FileContext(path).finding("UNRECOGNIZED_FORMAT", message))
+                report.findings.append(FileContext(path).finding("UNRECOGNIZED_FORMAT", message))
     except OSError as exc:
-        errors.append(ScanError("IOError", "", str(exc)))
+        report.errors.append(ScanError("IOError", "", str(exc)))
     except Exception as exc:
         # A defect in a parser must cost only this file, not the whole scan.
         # Imported here, at its one use, so that no launch pays for it.
         import logging
 
         logging.getLogger("modelsentry").debug("internal error scanning %s", path, exc_info=True)
-        errors.append(ScanError("InternalError", "", f"{type(exc).__name__}: {exc}"))
-    findings.sort(key=lambda finding: finding.sort_key())
-    return FileReport(path=path, kind=kind, findings=findings, errors=errors)
+        report.errors.append(ScanError("InternalError", "", f"{type(exc).__name__}: {exc}"))
+    report.findings.sort(key=lambda finding: finding.sort_key())
+    return report
 
 
 def _collect_files(
@@ -428,8 +402,7 @@ def verify_paths(
     reports: list[FileReport] = []
     for path in sorted(set(paths)):
         ctx = FileContext(path)
-        findings: list[Finding] = []
-        errors: list[ScanError] = []
+        report = FileReport(path, "unknown")
         try:
             with open_regular(path) as (handle, _size):
                 outcome = verify_integrity(handle, path, manifest)
@@ -438,13 +411,13 @@ def verify_paths(
                     f"digest mismatch: manifest has {outcome.expected}, "
                     f"file is {outcome.actual}"
                 )
-                findings.append(ctx.finding("INTEGRITY_MISMATCH", message))
+                report.findings.append(ctx.finding("INTEGRITY_MISMATCH", message))
             elif outcome.status == "not-listed":
                 message = "file is not listed in the integrity manifest"
-                findings.append(ctx.finding("INTEGRITY_MISMATCH", message, Severity.LOW))
+                report.findings.append(ctx.finding("INTEGRITY_MISMATCH", message, Severity.LOW))
         except OSError as exc:
-            errors.append(ScanError("IOError", "", str(exc)))
-        reports.append(FileReport(path=path, kind="unknown", findings=findings, errors=errors))
+            report.errors.append(ScanError("IOError", "", str(exc)))
+        reports.append(report)
     return ScanReport(
         tool_version=TOOL_VERSION,
         policy_digest=policy.digest(),

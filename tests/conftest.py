@@ -584,6 +584,17 @@ def _resolve_literal(node, memo):
 
 
 # ---------------------------------------------------------------------------
+# ZIP end records
+
+
+def with_entry_count(archive: bytes, count: int) -> bytes:
+    """``archive`` with both entry counts of its end-of-central-directory
+    record (this disk's and the total) set to ``count``."""
+    at = archive.rindex(b"PK\x05\x06")
+    return archive[: at + 8] + struct.pack("<HH", count, count) + archive[at + 12 :]
+
+
+# ---------------------------------------------------------------------------
 # Session corpus
 
 

@@ -17,6 +17,8 @@ import sys
 import tempfile
 
 sys.path.insert(0, os.path.dirname(__file__))
+# The checkout's own package first, so that no install is needed.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from conftest import reference_transcript, transcript_stream_set  # noqa: E402
 

@@ -1060,7 +1060,9 @@ def _scanner_keep_call():
         return real_walk(stream, keep_call)
 
     with mock.patch.object(absvm, "walk", spy):
-        scanner._scan_pickle_bytes(b"N.", FileContext("x.pkl"), default_policy(), [], [])
+        scanner._scan_pickle_bytes(
+            b"N.", FileContext("x.pkl"), default_policy(), scanner.FileReport("x.pkl", "pickle_stream")
+        )
     (keep_call,) = caught
     return keep_call
 

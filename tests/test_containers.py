@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import with_entry_count
 import modelsentry.containers as containers_module
 from modelsentry.containers import (
     HDF5_SIGNATURE,
@@ -96,6 +97,26 @@ def test_thousand_members_list_as_zipfile_lists_them(monkeypatch, zip64_limit):
         assert handle.getvalue().count(b"\xff\xff\xff\xff") > 1000
 
 
+@pytest.mark.parametrize("shift", [None, 0, 5], ids=["count-0", "true-count", "count-plus-5"])
+def test_listing_follows_the_directory_size_not_the_entry_count(corpus_dir, shift):
+    """Each of the forged corpus's archives with its end record's entry
+    counts set to 0, to the true count or to 5 more: ``zipfile`` reads no
+    count, and the listing names the same members at the same offsets with
+    the same sizes."""
+    archives = sorted(path for path in corpus_dir.iterdir() if path.read_bytes()[:4] == b"PK\x03\x04")
+    assert len(archives) == 6
+    for path in archives:
+        data = path.read_bytes()
+        with zipfile.ZipFile(io.BytesIO(data)) as reference:
+            count = 0 if shift is None else len(reference.infolist()) + shift
+        forged = io.BytesIO(with_entry_count(data, count))
+        with zipfile.ZipFile(forged) as reference:
+            infos = reference.infolist()
+        assert [(e.path, e.offset, e.compressed_size, e.uncompressed_size) for e in list_entries(forged)] == [
+            (i.filename, i.header_offset, i.compress_size, i.file_size) for i in infos
+        ]
+
+
 @pytest.mark.parametrize("compress", [False, True])
 def test_read_entry_matches_zipfile_read(compress):
     members = {"x.bin": bytes(range(256)) * 40, "tiny": b"hello"}
@@ -103,7 +124,7 @@ def test_read_entry_matches_zipfile_read(compress):
     entries = list_entries(handle)
     with zipfile.ZipFile(handle) as reference:
         for entry in entries:
-            assert read_entry(handle, entry) == reference.read(entry.path)
+            assert read_entry(handle, entry, errors=[]) == reference.read(entry.path)
 
 
 @pytest.mark.parametrize("compress", [False, True])
@@ -111,7 +132,7 @@ def test_head_read_is_a_prefix_of_the_full_read(compress):
     data = bytes(range(256)) * 300 + b"\x00" * 200_000
     handle = make_zip({"m.bin": data}, compress=compress)
     (entry,) = list_entries(handle)
-    full = read_entry(handle, entry)
+    full = read_entry(handle, entry, errors=[])
     assert full == data
     for n in (0, 1, len(data) - 1, len(data), len(data) + 1):
         assert read_entry_head(handle, entry, n) == full[:n]
@@ -126,14 +147,14 @@ def test_corrupt_deflate_stream_is_empty_head_and_inflate_error():
     corrupt = io.BytesIO(bytes(blob))
     assert read_entry_head(corrupt, entry, 512) == b""
     with pytest.raises(InflateError):
-        read_entry(corrupt, entry)
+        read_entry(corrupt, entry, errors=[])
 
 
 def test_stored_five_bytes():
     handle = make_zip({"greeting": b"hello"})
     (entry,) = list_entries(handle)
     assert entry.method == "stored"
-    assert read_entry(handle, entry) == b"hello"
+    assert read_entry(handle, entry, errors=[]) == b"hello"
 
 
 def test_empty_zip_lists_nothing():
@@ -152,7 +173,7 @@ def test_declared_size_over_cap():
     handle = make_zip({"big": b"z" * 4096})
     (entry,) = list_entries(handle)
     with pytest.raises(CapExceeded) as raised:
-        read_entry(handle, entry, cap=1024)
+        read_entry(handle, entry, cap=1024, errors=[])
     assert raised.value.message == "declared size 4096 exceeds cap 1024"
 
 
@@ -169,7 +190,7 @@ def test_decompression_bomb_hits_cap_even_when_size_lies():
         offset=entry.offset,
     )
     with pytest.raises(CapExceeded) as raised:
-        read_entry(honest, liar, cap=1 << 20)
+        read_entry(honest, liar, cap=1 << 20, errors=[])
     # Inflating stops one byte past the cap: the message says so, not "declared".
     assert raised.value.message == (
         f"inflated size of at least {(1 << 20) + 1} (declared 100) exceeds cap {1 << 20}"
@@ -181,7 +202,7 @@ def test_truncated_stored_entry_is_size_mismatch():
     (entry,) = list_entries(handle)
     truncated = io.BytesIO(handle.getvalue()[: entry.offset + 40])
     with pytest.raises((SizeMismatch, CorruptHeader)):
-        read_entry(truncated, entry)
+        read_entry(truncated, entry, errors=[])
 
 
 def test_encrypted_and_exotic_methods_are_unsupported():
@@ -189,10 +210,10 @@ def test_encrypted_and_exotic_methods_are_unsupported():
     (entry,) = list_entries(handle)
     encrypted = ArchiveEntry(entry.path, 1, 1, "stored", entry.offset, encrypted=True)
     with pytest.raises(UnsupportedMethod):
-        read_entry(handle, encrypted)
+        read_entry(handle, encrypted, errors=[])
     exotic = ArchiveEntry(entry.path, 1, 1, "unsupported(14)", entry.offset)
     with pytest.raises(UnsupportedMethod):
-        read_entry(handle, exotic)
+        read_entry(handle, exotic, errors=[])
 
 
 _PACKED = pytest.mark.parametrize(
@@ -216,7 +237,7 @@ def test_bzip2_and_lzma_members_read_as_zipfile_reads_them(method, name):
     assert [entry.method for entry in entries] == [name] * 3
     with zipfile.ZipFile(handle) as reference:
         for entry in entries:
-            assert read_entry(handle, entry) == reference.read(entry.path)
+            assert read_entry(handle, entry, errors=[]) == reference.read(entry.path)
     for n in (0, 1, 512, len(data) - 1, len(data), len(data) + 1):
         assert read_entry_head(handle, entries[0], n) == data[:n]
 
@@ -231,7 +252,7 @@ def test_bzip2_and_lzma_members_past_the_cap_stop_there(method, name):
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded) as raised:
-            read_entry(handle, liar, cap=1 << 20)
+            read_entry(handle, liar, cap=1 << 20, errors=[])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -254,7 +275,7 @@ def test_corrupt_bzip2_and_lzma_streams_are_inflate_errors(method, name):
     corrupt = io.BytesIO(bytes(blob))
     assert read_entry_head(corrupt, entry, 512) == b""
     with pytest.raises(InflateError):
-        read_entry(corrupt, entry)
+        read_entry(corrupt, entry, errors=[])
 
 
 @pytest.mark.parametrize(
@@ -271,7 +292,7 @@ def test_bad_lzma_header_is_an_inflate_error(header):
     short = blob[:start] + header
     bad = entry._replace(compressed_size=len(header))
     with pytest.raises(InflateError):
-        read_entry(io.BytesIO(short), bad)
+        read_entry(io.BytesIO(short), bad, errors=[])
 
 
 def test_zip64_records_supported():
@@ -282,7 +303,25 @@ def test_zip64_records_supported():
     buffer.seek(0)
     (entry,) = list_entries(buffer)
     assert entry.uncompressed_size == len(b"payload-bytes")
-    assert read_entry(buffer, entry) == b"payload-bytes"
+    assert read_entry(buffer, entry, errors=[]) == b"payload-bytes"
+
+
+def test_a_zip64_locator_with_no_record_before_it_is_ignored():
+    """The last central header's comment ends in what reads as a ZIP64
+    locator, with no ZIP64 end record before it: ``zipfile`` falls back to
+    the 32-bit end record, and so does the listing."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        info = zipfile.ZipInfo("config.json")
+        info.comment = b"PK\x06\x07" + bytes(16)
+        archive.writestr(info, b"{}")
+    data = buffer.getvalue()
+    assert data[-42:-22] == info.comment
+    with zipfile.ZipFile(io.BytesIO(data)) as reference:
+        infos = reference.infolist()
+    assert [(e.path, e.offset, e.uncompressed_size) for e in list_entries(io.BytesIO(data))] == [
+        (i.filename, i.header_offset, i.file_size) for i in infos
+    ]
 
 
 @pytest.mark.parametrize(
@@ -318,7 +357,7 @@ def test_torch_like_archive_yields_exactly_the_data_pickle():
     inner = emit_reduce_payload_pickle("true # FIXTURE-MARKER", 2)
     handle = io.BytesIO(emit_torch_like_zip(inner))
     entries = list_entries(handle)
-    hits = find_pickle_payloads(entries, handle)
+    hits = find_pickle_payloads(entries, handle, errors=[])
     assert [(entry.path) for entry, _ in hits] == ["model/data.pkl"]
     assert hits[0][1] == inner
 
@@ -326,7 +365,7 @@ def test_torch_like_archive_yields_exactly_the_data_pickle():
 def test_archive_with_only_config_json_has_no_payloads():
     handle = make_zip({"config.json": b'{"layers": []}'})
     entries = list_entries(handle)
-    assert find_pickle_payloads(entries, handle) == []
+    assert find_pickle_payloads(entries, handle, errors=[]) == []
 
 
 def test_content_sniff_overrides_extension():
@@ -334,7 +373,7 @@ def test_content_sniff_overrides_extension():
     assert inner[:2] == b"\x80\x04"
     handle = make_zip({"weights.bin": inner})
     entries = list_entries(handle)
-    hits = find_pickle_payloads(entries, handle)
+    hits = find_pickle_payloads(entries, handle, errors=[])
     assert [entry.path for entry, _ in hits] == ["weights.bin"]
 
 

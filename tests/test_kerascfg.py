@@ -25,14 +25,14 @@ from modelsentry.kerascfg import (
 
 def test_three_layer_sequential():
     config = json.loads(emit_keras_lambda_config(True))
-    records = walk_layers(config, None, {"Dense", "Lambda"})
+    records = walk_layers(config, [], {"Dense", "Lambda"})
     assert [record.class_name for record in records] == ["Dense", "Lambda", "Dense"]
     assert records[1].json_path == "config.layers[1]"
     assert records[1].layer_name == "lambda"
 
 
 def test_empty_object_has_no_layers():
-    assert walk_layers({}) == []
+    assert walk_layers({}, []) == []
 
 
 def test_nested_inner_model_is_traversed():
@@ -44,7 +44,7 @@ def test_nested_inner_model_is_traversed():
             inner,
         ]},
     }
-    records = walk_layers(outer, None, {"InputLayer", "Sequential", "Dense", "Lambda"})
+    records = walk_layers(outer, [], {"InputLayer", "Sequential", "Dense", "Lambda"})
     assert [record.class_name for record in records] == ["InputLayer", "Sequential", "Dense", "Lambda", "Dense"]
     lambdas = [record for record in records if record.class_name == "Lambda"]
     assert len(lambdas) == 1
@@ -69,7 +69,7 @@ def test_wrapper_layer_with_embedded_layer_key():
             ]
         },
     }
-    records = walk_layers(config, None, {"TimeDistributed", "Lambda"})
+    records = walk_layers(config, [], {"TimeDistributed", "Lambda"})
     names = [(record.class_name, record.json_path) for record in records]
     assert ("TimeDistributed", "config.layers[0]") in names
     assert ("Lambda", "config.layers[0].config.layer") in names
@@ -234,7 +234,7 @@ def test_detection_count_equals_planted_count():
         )
         layers.append({"class_name": "Dense", "config": {"name": f"d{index}"}})
     config = {"config": {"layers": layers}}
-    records = walk_layers(config)
+    records = walk_layers(config, [])
     assert sum(1 for record in records if record.class_name == "Lambda") == planted
 
 
@@ -245,7 +245,7 @@ def test_base64_payload_decoded_measured_hashed_never_run():
     payload = lambda_payload_bytes()
     config = json.loads(emit_keras_lambda_config(True))
     layer = config["config"]["layers"][1]
-    record = extract_code_payload(layer)
+    record = extract_code_payload(layer, "", [])
     assert record is not None
     assert record.encoding == "base64-marshalled-code"
     assert record.decoded_length == len(payload)
@@ -255,7 +255,7 @@ def test_base64_payload_decoded_measured_hashed_never_run():
 
 def test_reference_by_name():
     layer = {"class_name": "Lambda", "config": {"function": "my_registered_fn"}}
-    record = extract_code_payload(layer)
+    record = extract_code_payload(layer, "", [])
     assert record is not None
     assert record.encoding == "reference-by-name"
     assert record.decoded_length == 0
@@ -265,7 +265,7 @@ def test_reference_by_name():
 def test_plain_source_in_function_field():
     source = "lambda x: __import__('os').system('true') or x"
     layer = {"class_name": "Lambda", "config": {"function": source}}
-    record = extract_code_payload(layer)
+    record = extract_code_payload(layer, "", [])
     assert record is not None
     assert record.encoding == "plain-source"
     assert record.decoded_length == len(source.encode("utf-8"))
@@ -273,13 +273,13 @@ def test_plain_source_in_function_field():
 
 def test_dotted_reference_is_still_a_name():
     layer = {"class_name": "Lambda", "config": {"function": "mypkg.ops.passthrough"}}
-    record = extract_code_payload(layer)
+    record = extract_code_payload(layer, "", [])
     assert record.encoding == "reference-by-name"
 
 
 def test_absent_function_field():
     layer = {"class_name": "Lambda", "config": {"name": "noop"}}
-    assert extract_code_payload(layer) is None
+    assert extract_code_payload(layer, "", []) is None
 
 
 def test_bad_base64_is_anomaly_not_crash():
@@ -316,7 +316,7 @@ def test_digest_is_deterministic_for_identical_bytes():
     blob = base64.b64encode(b"same payload bytes").decode()
     layer_a = {"class_name": "Lambda", "config": {"function": [blob, None, None]}}
     layer_b = {"class_name": "Lambda", "config": {"function": [blob]}}
-    assert extract_code_payload(layer_a).digest == extract_code_payload(layer_b).digest
+    assert extract_code_payload(layer_a, "", []).digest == extract_code_payload(layer_b, "", []).digest
 
 
 def test_func_dump_payload_with_line_breaks_is_decoded():

@@ -375,7 +375,7 @@ def test_lambda_plain_source_maps_to_code_rule():
             ]
         }
     }
-    findings = apply_keras_rules(walk_layers(config), [], default_policy(), CTX)
+    findings = apply_keras_rules(walk_layers(config, []), [], default_policy(), CTX)
     assert [(f.rule_id, f.severity) for f in findings] == [
         ("KERAS_LAMBDA_CODE", Severity.HIGH)
     ]
@@ -394,7 +394,7 @@ def test_policy_listed_custom_layer_is_flagged():
             ]
         }
     }
-    records = walk_layers(config, None, {"Lambda", "DangerOp"})
+    records = walk_layers(config, [], {"Lambda", "DangerOp"})
     findings = apply_keras_rules(records, [], policy, CTX)
     assert [(f.rule_id, f.severity) for f in findings] == [
         ("KERAS_CUSTOM_LAYER", Severity.HIGH)

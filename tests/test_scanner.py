@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import alarm
+from conftest import alarm, with_entry_count
 import modelsentry
 from modelsentry import absvm, cli, containers, disasm
 from modelsentry.cli import main as cli_main
@@ -450,6 +450,57 @@ def test_a_member_whose_declared_crc_lies_is_scanned_all_the_same(tmp_path, poli
     assert [(error.kind, error.locus) for error in report.errors] == [("CrcMismatch", member)]
     assert rule in {f.rule_id for f in report.findings if f.entry == member}
     assert ("FORMAT_PARSE_ERROR", member) in {(f.rule_id, f.entry) for f in report.findings}
+
+
+@pytest.mark.parametrize(
+    "name, archive, rule, severity",
+    [
+        ("model.pt", emit_torch_like_zip(emit_reduce_payload_pickle(MARKER, 2)), "PICKLE_CALL", Severity.CRITICAL),
+        ("model.keras", emit_keras_zip(emit_keras_lambda_config(True)), "KERAS_LAMBDA_CODE", Severity.HIGH),
+    ],
+    ids=["pickle", "config"],
+)
+def test_an_end_record_that_counts_no_entries_hides_no_member(tmp_path, policy, name, archive, rule, severity):
+    """Both entry counts of the end record are 0.  ``zipfile``, as loaders
+    read an archive, lists the members from the central directory's size
+    all the same, and so does the scan."""
+    target = tmp_path / name
+    target.write_bytes(with_entry_count(archive, 0))
+    with zipfile.ZipFile(io.BytesIO(archive)) as original, zipfile.ZipFile(target) as reference:
+        assert reference.namelist() == original.namelist()
+    report = scan_paths([str(target)], policy)
+    (scanned,) = report.files
+    assert (rule, severity) in {(f.rule_id, f.severity) for f in scanned.findings}
+    assert scanned.errors == []
+    assert exit_code(report) == 3
+
+
+def test_a_zip64_end_record_is_read_over_the_32_bit_one(tmp_path, policy, monkeypatch):
+    """An archive with ZIP64 end records whose 32-bit end record, with no
+    0xFFFFFFFF placeholder, covers only the first central header:
+    ``zipfile`` takes the directory's size from the ZIP64 record whenever
+    its locator precedes the end record, and so does the scan."""
+    monkeypatch.setattr(zipfile, "ZIP64_LIMIT", 64)
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("metadata.json", b"{}")
+        archive.writestr("config.json", emit_keras_lambda_config(True))
+    monkeypatch.undo()
+    data = bytearray(buffer.getvalue())
+    eocd = data.rindex(b"PK\x05\x06")
+    assert data[eocd - 20 : eocd - 16] == b"PK\x06\x07"
+    directory = data.index(b"PK\x01\x02")
+    first_header = data.index(b"PK\x01\x02", directory + 4) - directory
+    struct.pack_into("<HHII", data, eocd + 8, 1, 1, first_header, directory)
+    target = tmp_path / "model.keras"
+    target.write_bytes(bytes(data))
+    with zipfile.ZipFile(target) as reference:
+        assert reference.namelist() == ["metadata.json", "config.json"]
+    report = scan_paths([str(target)], policy)
+    (scanned,) = report.files
+    assert ("KERAS_LAMBDA_CODE", Severity.HIGH) in {(f.rule_id, f.severity) for f in scanned.findings}
+    assert scanned.errors == []
+    assert exit_code(report) == 3
 
 
 def test_bzip2_and_lzma_members_stay_unsupported_without_their_modules(tmp_path):
