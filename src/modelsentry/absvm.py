@@ -19,11 +19,12 @@ opcode byte, reads an argless op's or a one-byte argument inline and any
 other through ``disasm.DECODERS`` (a run of BINFLOAT ops in one ``struct``
 call), checks the segment bounds and FRAME bounds inline and dispatches
 through ``_HANDLERS``, a table indexed by opcode byte, built from
-``disasm.OPCODES`` (the stdlib's ``pickletools.opcodes``) and the handlers
-keyed by opcode name; every opcode there has one.  ``walk`` runs it over a
-whole stream, one machine reset at each segment; that is the scanner's
-path.  ``evaluate(stream, start)`` takes the first result of a fresh
-machine at ``start``: the reference ``walk`` is tested against.
+``disasm.OPCODES`` (the stdlib's ``pickletools.opcodes``): opcode NAME's
+handler is ``_Machine.op_<name>``, and a family sharing one handler names
+it through aliases.  ``walk`` runs the loop over a whole stream, one
+machine reset at each segment; that is the scanner's path.
+``evaluate(stream, start)`` takes the first result of a fresh machine at
+``start``: the reference ``walk`` is tested against.
 ``is_pickle`` is the scanner's one rule for which bytes it scans as a
 pickle: those whose first segment a loader would run.
 
@@ -299,13 +300,12 @@ class LimitExceeded(VmError):
 class AbstractResult(Record):
     """Outcome of evaluating one segment, by ``evaluate`` or in a ``walk``."""
 
-    __slots__ = ("root", "events", "memo_size", "memo", "error", "fault", "segment")
+    __slots__ = ("root", "events", "memo", "error", "fault", "segment")
 
     def __init__(
         self,
         root: object,
         events: list[SecurityEvent],
-        memo_size: int,
         memo: dict[int, object],
         error: VmError | ParseError | None = None,
         fault: VmError | ParseError | None = None,
@@ -313,7 +313,6 @@ class AbstractResult(Record):
     ):
         self.root = root  # an AbstractValue or a plain literal, as any value below
         self.events = events
-        self.memo_size = memo_size
         self.memo = memo
         # The fault that ended a walked segment: ``events`` are then those
         # recorded before it, which a loader runs before it fails.
@@ -717,7 +716,7 @@ class _Machine:
         ``self.root`` unless an ``error`` ended it."""
         root = self.root if error is None else Opaque()
         fault = self.error or error
-        return AbstractResult(root, self.events, len(self.memo), self.memo, error, fault, self.segment)
+        return AbstractResult(root, self.events, self.memo, error, fault, self.segment)
 
     # -- primitives ---------------------------------------------------------
 
@@ -774,9 +773,6 @@ class _Machine:
                 self.emit(ResidualStack(self.offset, depth))
 
     # constants
-    def op_none(self, arg) -> None:
-        self.push(None)
-
     def op_newtrue(self, arg) -> None:
         self.push(True)
 
@@ -784,11 +780,17 @@ class _Machine:
         self.push(False)
 
     def op_literal(self, arg) -> None:
-        """A literal, held as the plain value the stream wrote."""
+        """A literal, held as the plain value the stream wrote: None for NONE."""
         stack = self.stack
         if len(stack) >= MAX_STACK_DEPTH:
             raise LimitExceeded(self.offset, "max_stack_depth")
         stack.append(arg)
+
+    op_none = op_int = op_binint = op_binint1 = op_binint2 = op_literal
+    op_long = op_long1 = op_long4 = op_float = op_binfloat = op_literal
+    op_string = op_binstring = op_short_binstring = op_literal
+    op_unicode = op_binunicode = op_short_binunicode = op_binunicode8 = op_literal
+    op_binbytes = op_short_binbytes = op_binbytes8 = op_literal
 
     def op_bytearray8(self, arg) -> None:
         self.op_literal(bytearray(arg))
@@ -925,6 +927,8 @@ class _Machine:
             raise LimitExceeded(self.offset, "max_stack_depth")
         stack.append(MemoRef(index))
 
+    op_binget = op_long_binget = op_get
+
     def op_put(self, arg) -> None:
         index = int(arg)
         if index < 0:
@@ -937,6 +941,8 @@ class _Machine:
         memo[index] = self.stack[-1]
         if self.rendered:
             self.rendered.clear()
+
+    op_binput = op_long_binput = op_put
 
     def op_memoize(self, arg) -> None:
         memo = self.memo
@@ -1038,6 +1044,8 @@ class _Machine:
     def op_ext(self, arg) -> None:
         self.push(ExtensionRef(int(arg)))
 
+    op_ext1 = op_ext2 = op_ext4 = op_ext
+
     def op_next_buffer(self, arg) -> None:
         self.emit(OutOfBandBuffer(self.offset))
         self.push(Opaque())
@@ -1048,81 +1056,10 @@ class _Machine:
         self.push(Opaque())
 
 
-_BY_MNEMONIC = {
-    "PROTO": _Machine.op_proto,
-    "FRAME": _Machine.op_frame,
-    "STOP": _Machine.op_stop,
-    "NONE": _Machine.op_none,
-    "NEWTRUE": _Machine.op_newtrue,
-    "NEWFALSE": _Machine.op_newfalse,
-    "INT": _Machine.op_literal,
-    "BININT": _Machine.op_literal,
-    "BININT1": _Machine.op_literal,
-    "BININT2": _Machine.op_literal,
-    "LONG": _Machine.op_literal,
-    "LONG1": _Machine.op_literal,
-    "LONG4": _Machine.op_literal,
-    "FLOAT": _Machine.op_literal,
-    "BINFLOAT": _Machine.op_literal,
-    "STRING": _Machine.op_literal,
-    "BINSTRING": _Machine.op_literal,
-    "SHORT_BINSTRING": _Machine.op_literal,
-    "UNICODE": _Machine.op_literal,
-    "BINUNICODE": _Machine.op_literal,
-    "SHORT_BINUNICODE": _Machine.op_literal,
-    "BINUNICODE8": _Machine.op_literal,
-    "BINBYTES": _Machine.op_literal,
-    "SHORT_BINBYTES": _Machine.op_literal,
-    "BINBYTES8": _Machine.op_literal,
-    "BYTEARRAY8": _Machine.op_bytearray8,
-    "EMPTY_LIST": _Machine.op_empty_list,
-    "EMPTY_DICT": _Machine.op_empty_dict,
-    "EMPTY_SET": _Machine.op_empty_set,
-    "EMPTY_TUPLE": _Machine.op_empty_tuple,
-    "LIST": _Machine.op_list,
-    "TUPLE": _Machine.op_tuple,
-    "TUPLE1": _Machine.op_tuple1,
-    "TUPLE2": _Machine.op_tuple2,
-    "TUPLE3": _Machine.op_tuple3,
-    "DICT": _Machine.op_dict,
-    "FROZENSET": _Machine.op_frozenset,
-    "APPEND": _Machine.op_append,
-    "APPENDS": _Machine.op_appends,
-    "ADDITEMS": _Machine.op_additems,
-    "SETITEM": _Machine.op_setitem,
-    "SETITEMS": _Machine.op_setitems,
-    "MARK": _Machine.op_mark,
-    "POP": _Machine.op_pop,
-    "POP_MARK": _Machine.op_pop_mark,
-    "DUP": _Machine.op_dup,
-    "GET": _Machine.op_get,
-    "BINGET": _Machine.op_get,
-    "LONG_BINGET": _Machine.op_get,
-    "PUT": _Machine.op_put,
-    "BINPUT": _Machine.op_put,
-    "LONG_BINPUT": _Machine.op_put,
-    "MEMOIZE": _Machine.op_memoize,
-    "GLOBAL": _Machine.op_global,
-    "STACK_GLOBAL": _Machine.op_stack_global,
-    "REDUCE": _Machine.op_reduce,
-    "NEWOBJ": _Machine.op_newobj,
-    "NEWOBJ_EX": _Machine.op_newobj_ex,
-    "OBJ": _Machine.op_obj,
-    "INST": _Machine.op_inst,
-    "BUILD": _Machine.op_build,
-    "PERSID": _Machine.op_persid,
-    "BINPERSID": _Machine.op_binpersid,
-    "EXT1": _Machine.op_ext,
-    "EXT2": _Machine.op_ext,
-    "EXT4": _Machine.op_ext,
-    "NEXT_BUFFER": _Machine.op_next_buffer,
-    "READONLY_BUFFER": _Machine.op_readonly_buffer,
-}
-
-
 # Indexed by opcode byte: handler(machine, arg); None marks an unassigned byte.
-# An opcode of ``disasm.OPCODES`` with no handler fails the import (KeyError).
-_HANDLERS: tuple = tuple(op and _BY_MNEMONIC[op.name] for op in OPCODES)
+# Opcode NAME's handler is ``_Machine.op_<name>``; an opcode of
+# ``disasm.OPCODES`` with no handler fails the import (AttributeError).
+_HANDLERS: tuple = tuple(op and getattr(_Machine, "op_" + op.name.lower()) for op in OPCODES)
 
 _FRAME = 0x95
 _STOP = ord(".")

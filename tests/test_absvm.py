@@ -158,7 +158,7 @@ def _fault(exc: Exception) -> tuple:
 
 
 def _evaluated(result: absvm.AbstractResult) -> tuple:
-    return (result.events, result.memo_size, render_value(result.root, result.memo))
+    return (result.events, len(result.memo), render_value(result.root, result.memo))
 
 
 def _walk_outcomes(stream: bytes) -> list[tuple]:
@@ -363,7 +363,7 @@ def test_a_stream_refused_before_its_first_segment_yields_one_result_with_no_eve
     assert (empty.error.kind, empty.error.offset) == ("MissingStop", 0)
     assert too_long.error.message == "limit exceeded: max_stream_bytes"
     for result in (empty, too_long):
-        assert result.events == [] and result.memo_size == 0
+        assert result.events == [] and len(result.memo) == 0
         assert isinstance(result.root, Opaque) and result.error.segment is None
 
 
@@ -423,7 +423,7 @@ def _leaky_segment() -> bytes:
 def test_a_segment_starts_from_a_reset_machine(second, fault):
     first = _leaky_segment()
     leaky, *rest = absvm.walk(first + second)
-    assert leaky.error is None and leaky.memo_size == 1
+    assert leaky.error is None and len(leaky.memo) == 1
     assert [type(event) for event in leaky.events] == [
         FrameMismatch, GlobalResolved, CallMade, ResidualStack
     ]
@@ -630,7 +630,7 @@ def test_determinism():
     second = evaluate(stream)
     assert first.events == second.events
     assert render_value(first.root, first.memo) == render_value(second.root, second.memo)
-    assert first.memo_size == second.memo_size
+    assert len(first.memo) == len(second.memo)
 
 
 # -- call-chain roots ----------------------------------------------------------
@@ -1298,7 +1298,7 @@ def _walked(stream: bytes, runs: bool = True) -> list[tuple]:
             (
                 repr(result.events),
                 result.error and _fault(result.error),
-                result.memo_size,
+                len(result.memo),
                 render_value(result.root, result.memo),
             )
             for result in absvm.walk(stream)

@@ -250,13 +250,22 @@ _SAMPLE_ARGS = {
 
 def test_decoder_table_agrees_with_opcode_table():
     """Exactly the bytes of ``pickletools.opcodes`` have a decoder and a
-    handler, and each decoder reads its sample as pickletools' own reader."""
+    handler, and each decoder reads its sample as pickletools' own reader.
+    Every handler the machine defines serves some opcode, and every alias
+    of one is named after an opcode."""
     reference = {ord(op.code): op for op in pickletools.opcodes}
     assert len(DECODERS) == len(disasm.OPCODES) == len(absvm._HANDLERS) == 256
     for byte in range(256):
         assert (DECODERS[byte] is None) == (byte not in reference), byte
         assert (absvm._HANDLERS[byte] is None) == (byte not in reference), byte
         assert disasm.OPCODES[byte] is reference.get(byte), byte
+    handlers = [absvm._HANDLERS[byte] for byte in reference]
+    names = {"op_" + op.name.lower() for op in reference.values()}
+    for attr in dir(absvm._Machine):
+        if attr.startswith("op_"):
+            handler = getattr(absvm._Machine, attr)
+            assert any(handler is h for h in handlers), attr
+            assert attr in names or handler.__name__ == attr, attr
     assert set(_SAMPLE_ARGS) == {op.arg and op.arg.name for op in pickletools.opcodes}
     for code, op in reference.items():
         raw = _SAMPLE_ARGS[op.arg and op.arg.name]

@@ -642,6 +642,25 @@ _ARCHIVE_DIRECTORY = _ARCHIVE.index(b"PK\x01\x02")
             ["FORMAT_PARSE_ERROR"],
             id="stack-depth",
         ),
+        # The hot handlers' inline copies of the ``push`` bound.
+        pytest.param(
+            absvm, "MAX_STACK_DEPTH", 2, b"\x80\x02NN}.",
+            ("LimitExceeded", "offset 4", "limit exceeded: max_stack_depth"),
+            ["FORMAT_PARSE_ERROR"],
+            id="stack-depth-empty-dict",
+        ),
+        pytest.param(
+            absvm, "MAX_STACK_DEPTH", 2, b"\x80\x02Nq\x00Nh\x00.",
+            ("LimitExceeded", "offset 6", "limit exceeded: max_stack_depth"),
+            ["FORMAT_PARSE_ERROR"],
+            id="stack-depth-binget",
+        ),
+        pytest.param(
+            absvm, "MAX_STACK_DEPTH", 2, b"\x80\x02(((.",
+            ("LimitExceeded", "offset 4", "limit exceeded: max_stack_depth (metastack)"),
+            ["FORMAT_PARSE_ERROR"],
+            id="stack-depth-mark",
+        ),
         pytest.param(
             absvm, "MAX_MEMO_ENTRIES", 1, b"\x80\x02Nq\x00q\x01.",
             ("LimitExceeded", "offset 5", "limit exceeded: max_memo_entries"),
@@ -669,6 +688,23 @@ def test_each_bound_is_reported_by_the_scanner(
     (scanned,) = report.files
     assert [(e.kind, e.locus, e.message) for e in scanned.errors] == [error]
     assert [f.rule_id for f in scanned.findings] == rules
+    assert exit_code(report) == 2
+
+
+@pytest.mark.parametrize("data", [b"\x80\x02(u.", b"\x80\x02(o."], ids=["setitems", "obj"])
+def test_a_mark_op_with_no_operand_underflows_where_the_loader_fails(tmp_path, policy, data):
+    """SETITEMS (checked inline in its handler) finds no dict under its
+    MARK, and OBJ no class above it: a stack underflow at the op."""
+    with pytest.raises(IndexError):
+        pickle._Unpickler(io.BytesIO(data)).load()
+    path = tmp_path / "underflow.pkl"
+    path.write_bytes(data)
+    report = scan_paths([str(path)], policy)
+    (scanned,) = report.files
+    assert [(e.kind, e.locus, e.message) for e in scanned.errors] == [
+        ("StackUnderflow", "offset 3", "stack underflow")
+    ]
+    assert [f.rule_id for f in scanned.findings] == ["FORMAT_PARSE_ERROR"]
     assert exit_code(report) == 2
 
 

@@ -310,12 +310,12 @@ def test_every_event_kind_has_a_reader():
     policy = default_policy()
     for kind, stream in _EMITTING_STREAMS.items():
         event = next(e for result in absvm.walk(stream) for e in result.events if type(e) is kind)
-        alone = absvm.AbstractResult(absvm.Opaque(), [event], 0, {})
+        alone = absvm.AbstractResult(absvm.Opaque(), [event], {})
         read_by_rules = apply_rules(alone, policy, CTX) != []
         # A first segment that faults after the event, without it and with it.
         fault = absvm.StackUnderflow(event.at_offset + 1)
         without, with_event = (
-            absvm.AbstractResult(absvm.Opaque(), events, 0, {}, fault, fault) for events in ([], [event])
+            absvm.AbstractResult(absvm.Opaque(), events, {}, fault, fault) for events in ([], [event])
         )
         assert absvm.is_pickle("f", b"N", True, without) is False
         read_by_sniff = absvm.is_pickle("f", b"N", True, with_event) is True
@@ -444,6 +444,50 @@ def test_misspelled_policy_key_is_an_operational_error(tmp_path, capsys, raw):
     target.write_bytes(b"cmylib\nrun\n)R.")
     assert cli_main(["scan", "--policy", str(policy_file), str(target)]) == 2
     assert "unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        pytest.param(
+            {"deny": [{"module": "mylib", "name": "*", "severity": 5}]},
+            "severity must be a string, got 5",
+            id="numeric-severity",
+        ),
+        pytest.param(
+            {"severities": {"unknown_global": "SEVERE"}},
+            "unknown severity 'SEVERE'",
+            id="unknown-severity",
+        ),
+        pytest.param(
+            {"deny": [{"module": "mylib"}]},
+            "deny entries need string 'module' and 'name' fields, got {'module': 'mylib'}",
+            id="entry-without-name",
+        ),
+        pytest.param(
+            {"deny": {"module": "mylib", "name": "*"}},
+            "'deny' must be a list of entries",
+            id="deny-object",
+        ),
+        pytest.param({"severities": []}, "'severities' must be an object", id="severities-list"),
+        pytest.param(
+            {"custom_layer_classes": "MyDangerLayer"},
+            "'custom_layer_classes' must be a list of strings",
+            id="custom-classes-string",
+        ),
+        pytest.param([], "policy file must contain a JSON object", id="top-level-list"),
+    ],
+)
+def test_malformed_policy_file_is_an_operational_error(tmp_path, capsys, raw, message):
+    policy_file = tmp_path / "policy.json"
+    policy_file.write_text(json.dumps(raw))
+    with pytest.raises(ValueError) as raised:
+        load_policy_file(str(policy_file))
+    assert str(raised.value) == message
+    target = tmp_path / "probe.pkl"
+    target.write_bytes(b"cmylib\nrun\n)R.")
+    assert cli_main(["scan", "--policy", str(policy_file), str(target)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_readme_example_policy_loads(tmp_path):

@@ -691,6 +691,108 @@ def test_config_with_an_encoded_surrogate_decodes_as_json_loads_decodes_it(tmp_p
     assert _outcome(scan_file(str(keras), policy)) == ([("KERAS_LAMBDA_CODE", Severity.HIGH)], [])
 
 
+@pytest.mark.parametrize(
+    "stream, findings",
+    [
+        pytest.param(
+            b"\x80\x04)\x8c\x06system\x93\x8c\x02ls\x85R.",
+            [
+                (
+                    "PICKLE_DYNAMIC_GLOBAL", Severity.HIGH,
+                    "import target is computed at load time, not written literally",
+                ),
+                (
+                    "PICKLE_CALL", Severity.HIGH,
+                    "load-time call to dynamically computed callee with 1 argument(s)",
+                ),
+            ],
+            id="dynamic-callee",
+        ),
+        pytest.param(
+            b"\x80\x02U\x02hi)R.",
+            [("PICKLE_CALL", Severity.MEDIUM, "load-time call to unresolvable callee with 0 argument(s)")],
+            id="unresolvable-callee",
+        ),
+    ],
+)
+def test_a_call_whose_callee_is_no_global_is_reported(tmp_path, policy, stream, findings):
+    path = tmp_path / "call.pkl"
+    path.write_bytes(stream)
+    report = scan_file(str(path), policy)
+    assert [(f.rule_id, f.severity, f.message) for f in report.findings] == findings
+    assert report.errors == []
+
+
+def _lambda_archive(function: object = None, layers: object = None) -> bytes:
+    """The forged Lambda ``.keras`` with its ``function`` or its ``layers``
+    node replaced."""
+    config = json.loads(emit_keras_lambda_config(True))
+    if function is not None:
+        config["config"]["layers"][1]["config"]["function"] = function
+    if layers is not None:
+        config["config"]["layers"] = layers
+    return emit_keras_zip(json.dumps(config))
+
+
+_NO_PAYLOAD = (
+    "KERAS_LAMBDA_CODE", Severity.HIGH,
+    "Lambda layer lambda embeds executable code (no decodable code payload)",
+    "config.json:config.layers[1]",
+)
+_FUNCTION = "config.json:config.layers[1].config.function"
+
+
+@pytest.mark.parametrize(
+    "data, findings",
+    [
+        pytest.param(
+            _lambda_archive(function=[12345, None, None]),
+            [
+                _NO_PAYLOAD,
+                (
+                    "KERAS_MALFORMED_CONFIG", Severity.LOW,
+                    "MalformedConfig: unrecognized function encoding (list)", _FUNCTION,
+                ),
+            ],
+            id="function-not-a-string",
+        ),
+        pytest.param(
+            _lambda_archive(function=["not base64!!", None, None]),
+            [
+                _NO_PAYLOAD,
+                (
+                    "KERAS_MALFORMED_CONFIG", Severity.LOW,
+                    "Base64Error: undecodable payload: ", _FUNCTION,
+                ),
+            ],
+            id="function-not-base64",
+        ),
+        pytest.param(
+            _lambda_archive(layers={"0": {"class_name": "Lambda"}}),
+            [
+                (
+                    "KERAS_MALFORMED_CONFIG", Severity.LOW,
+                    "MalformedConfig: layers node is not an array", "config.json:config.layers",
+                ),
+            ],
+            id="layers-an-object",
+        ),
+    ],
+)
+def test_malformed_lambda_configs_are_reported(tmp_path, policy, data, findings):
+    """Each finding's message starts with the one given (a Base64Error
+    goes on with the codec's own words)."""
+    path = tmp_path / "model.keras"
+    path.write_bytes(data)
+    report = scan_file(str(path), policy)
+    got = [(f.rule_id, f.severity, f.message, f.locus) for f in report.findings]
+    assert len(got) == len(findings)
+    for (rule, severity, message, locus), (want_rule, want_severity, prefix, want_locus) in zip(got, findings):
+        assert (rule, severity, locus) == (want_rule, want_severity, want_locus)
+        assert message.startswith(prefix), message
+    assert report.errors == []
+
+
 def test_scan_h5_decoy_config_does_not_hide_the_lambda(tmp_path, policy):
     decoy = json.dumps({"class_name": "Sequential", "config": {"layers": []}})
     target = tmp_path / "decoy.h5"
@@ -1325,6 +1427,19 @@ def test_cli_threshold_gates_exit(tmp_path, capsys):
     assert cli_main(["scan", str(target)]) == 3
     assert cli_main(["scan", str(target), "--threshold", "CRITICAL"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["scan", "verify"])
+def test_cli_unknown_threshold_is_operational_error(tmp_path, capsys, command):
+    target = tmp_path / "p.pkl"
+    target.write_bytes(emit_reduce_payload_pickle(MARKER, 2))
+    args = [command, str(target), "--threshold", "bogus"]
+    if command == "verify":
+        manifest = tmp_path / "integrity.json"
+        manifest.write_text("{}")
+        args[1:1] = ["--manifest", str(manifest)]
+    assert cli_main(args) == 2
+    assert "unknown severity 'bogus'" in capsys.readouterr().err
 
 
 def test_cli_scan_writes_report_file(tmp_path, capsys):
