@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import base64
 import hashlib
-from typing import Collection, NamedTuple
+from typing import Collection, Iterator, NamedTuple
 
 from .absvm import Record, clip, set_field
-
-MAX_WALK_DEPTH = 256
-MAX_WALK_NODES = 1_000_000
 
 
 class CodePayload(Record, frozen=True):
@@ -175,22 +172,15 @@ def walk_layers(
     ``layer`` object, however deeply nested; layers of other classes are
     walked but not recorded.  Malformed layer entries of any class and other
     malformed nodes are appended to ``anomalies`` and traversal continues
-    elsewhere.  Bounded by depth and node caps against adversarial configs.
+    elsewhere.  Every JSON value is visited once, in one loop without
+    recursion, which holds only the open containers of the current path.
     A path is carried as a ``(parent, key)`` link and rendered to its string
     only for a record or an anomaly.
     """
     records: list[LayerRecord] = []
-    budget = MAX_WALK_NODES
-    capped = False
 
     def note(kind: str, link: tuple | None, message: str) -> None:
         anomalies.append(ConfigAnomaly(kind, _render(link), message))
-
-    def exhausted(link: tuple | None) -> None:
-        nonlocal capped
-        if not capped:
-            note("MalformedConfig", link, "traversal budget exhausted")
-            capped = True
 
     def check_layer(layer: object, link: tuple) -> None:
         if type(layer) is not dict or type(layer.get("class_name")) is not str:
@@ -200,60 +190,46 @@ def walk_layers(
             payload = extract_code_payload(layer, path, anomalies)
             records.append(LayerRecord(layer["class_name"], _layer_name(layer), path, payload))
 
-    def visit(node: object, link: tuple | None, depth: int) -> None:
-        # Every JSON value costs one unit of the budget, charged in document
-        # order.  A scalar child is charged here in its parent's loop, with
-        # no call, and its link is built only if a cap fires on it.  The
-        # config comes from the JSON decoder, so exact type tests suffice.
-        nonlocal budget
-        budget -= 1
-        if budget < 0 or depth > MAX_WALK_DEPTH:
-            exhausted(link)
-            return
-        child_depth = depth + 1
-        too_deep = child_depth > MAX_WALK_DEPTH
-        if type(node) is dict:
-            if "layers" in node or "layer" in node:
-                for key, value in node.items():
-                    if key == "layers":
-                        child = (link, key)
-                        if type(value) is list:
-                            for index, layer in enumerate(value):
-                                layer_link = (child, index)
-                                check_layer(layer, layer_link)
-                                visit(layer, layer_link, child_depth)
-                        else:
-                            note("MalformedConfig", child, "layers node is not an array")
-                    elif key == "layer" and type(value) is dict and "class_name" in value:
-                        child = (link, key)
-                        check_layer(value, child)
-                        visit(value, child, child_depth)
-                    elif type(value) is dict or type(value) is list:
-                        visit(value, (link, key), child_depth)
-                    else:
-                        budget -= 1
-                        if budget < 0 or too_deep:
-                            exhausted((link, key))
-            else:
-                # Neither key: no layer can start here.
-                for key, value in node.items():
-                    if type(value) is dict or type(value) is list:
-                        visit(value, (link, key), child_depth)
-                    else:
-                        budget -= 1
-                        if budget < 0 or too_deep:
-                            exhausted((link, key))
-        elif type(node) is list:
-            for index, item in enumerate(node):
-                if type(item) is dict or type(item) is list:
-                    visit(item, (link, index), child_depth)
-                else:
-                    budget -= 1
-                    if budget < 0 or too_deep:
-                        exhausted((link, index))
+    def members(node: dict, link: tuple | None) -> Iterator[tuple[str, object]]:
+        # The pairs of an object, checked as each is reached: a "layers"
+        # value that is not an array is reported and not walked, and a
+        # wrapper's embedded layer is checked before it is walked.
+        for key, value in node.items():
+            if key == "layers" and type(value) is not list:
+                note("MalformedConfig", (link, key), "layers node is not an array")
+                continue
+            if key == "layer" and type(value) is dict and "class_name" in value:
+                check_layer(value, (link, key))
+            yield key, value
 
     if not isinstance(config, dict):
         note("MalformedConfig", None, "config root is not a JSON object")
         return records
-    visit(config, None, 0)
-    return records
+    # The open container: an iterator over its pairs, its link, and whether
+    # it is a layers array (each element checked as a layer); enclosing ones
+    # wait on the stack.  members() lets only an array through under the key
+    # "layers".  A scalar costs one step of its parent's loop.  The config
+    # comes from the JSON decoder, so exact type tests suffice.
+    items, link, layers = members(config, None), None, False
+    stack = []
+    while True:
+        for key, value in items:
+            if layers:
+                check_layer(value, (link, key))
+            if type(value) is dict:
+                stack.append((items, link, layers))
+                link, layers = (link, key), False
+                # Only an object holding either key can start a layer.
+                if "layers" in value or "layer" in value:
+                    items = members(value, link)
+                else:
+                    items = iter(value.items())
+                break
+            if type(value) is list:
+                stack.append((items, link, layers))
+                items, link, layers = enumerate(value), (link, key), key == "layers"
+                break
+        else:
+            if not stack:
+                return records
+            items, link, layers = stack.pop()

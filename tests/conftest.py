@@ -225,23 +225,14 @@ def reference_walk_layers(
     anomalies: list[kerascfg.ConfigAnomaly] | None = None,
     payload_classes: frozenset[str] | set[str] | None = None,
 ) -> list[kerascfg.LayerRecord]:
-    """The walk ``kerascfg.walk_layers`` replaced: the same recursion, with
-    ``isinstance`` tests and two key compares for every dict entry.  The caps
-    are read from ``kerascfg`` at call time, so a test can patch them."""
+    """The walk ``kerascfg.walk_layers`` replaced: a recursion, with
+    ``isinstance`` tests and two key compares for every dict entry."""
     records: list[kerascfg.LayerRecord] = []
-    budget = kerascfg.MAX_WALK_NODES
-    capped = False
     wants_payload = frozenset(payload_classes) if payload_classes is not None else frozenset({"Lambda"})
 
     def note(kind: str, path: str, message: str) -> None:
         if anomalies is not None:
             anomalies.append(kerascfg.ConfigAnomaly(kind, path, message))
-
-    def exhausted(path: str) -> None:
-        nonlocal capped
-        if not capped:
-            note("MalformedConfig", path, "traversal budget exhausted")
-            capped = True
 
     def record_layer(layer: object, path: str) -> None:
         if not isinstance(layer, dict) or not isinstance(layer.get("class_name"), str):
@@ -259,17 +250,7 @@ def reference_walk_layers(
             )
         )
 
-    def visit(node: object, path: str, depth: int) -> None:
-        # Every node costs one unit of the budget.  A scalar child is
-        # charged here in its parent's loop, with no call, and its path is
-        # built only if a cap fires on it.
-        nonlocal budget
-        budget -= 1
-        if budget < 0 or depth > kerascfg.MAX_WALK_DEPTH:
-            exhausted(path)
-            return
-        child_depth = depth + 1
-        too_deep = child_depth > kerascfg.MAX_WALK_DEPTH
+    def visit(node: object, path: str) -> None:
         if isinstance(node, dict):
             for key, value in node.items():
                 if key == "layers":
@@ -278,32 +259,24 @@ def reference_walk_layers(
                         for index, layer in enumerate(value):
                             layer_path = f"{child_path}[{index}]"
                             record_layer(layer, layer_path)
-                            visit(layer, layer_path, child_depth)
+                            visit(layer, layer_path)
                     else:
                         note("MalformedConfig", child_path, "layers node is not an array")
                 elif key == "layer" and isinstance(value, dict) and "class_name" in value:
                     child_path = f"{path}.{key}" if path else str(key)
                     record_layer(value, child_path)
-                    visit(value, child_path, child_depth)
+                    visit(value, child_path)
                 elif isinstance(value, (dict, list)):
-                    visit(value, f"{path}.{key}" if path else str(key), child_depth)
-                else:
-                    budget -= 1
-                    if budget < 0 or too_deep:
-                        exhausted(f"{path}.{key}" if path else str(key))
+                    visit(value, f"{path}.{key}" if path else str(key))
         elif isinstance(node, list):
             for index, item in enumerate(node):
                 if isinstance(item, (dict, list)):
-                    visit(item, f"{path}[{index}]", child_depth)
-                else:
-                    budget -= 1
-                    if budget < 0 or too_deep:
-                        exhausted(f"{path}[{index}]")
+                    visit(item, f"{path}[{index}]")
 
     if not isinstance(config, dict):
         note("MalformedConfig", "", "config root is not a JSON object")
         return records
-    visit(config, "", 0)
+    visit(config, "")
     return records
 
 

@@ -54,6 +54,7 @@ from modelsentry.containers import HDF5_SIGNATURE
 from modelsentry.forge import (
     benign_state_dict_pickle,
     emit_keras_lambda_config,
+    emit_keras_zip,
     emit_reduce_payload_pickle,
     emit_torch_like_zip,
 )
@@ -435,6 +436,23 @@ def test_deep_keras_config_member_does_not_hide_the_next_one(tmp_path, policy):
     ]
 
 
+def test_a_config_of_two_million_values_is_walked_whole_in_time(tmp_path, policy):
+    """A legitimate config can hold millions of values, such as the explicit
+    mean and variance of a wide Normalization layer.  The walk has no node
+    budget that would cut it short with a finding."""
+    norm = {
+        "class_name": "Normalization",
+        "config": {"name": "norm", "mean": [0.5] * 1_000_000, "variance": [1.0] * 1_000_000},
+    }
+    config = {"class_name": "Sequential", "config": {"name": "wide", "layers": [norm]}}
+    path = tmp_path / "wide.keras"
+    path.write_bytes(emit_keras_zip(json.dumps(config)))
+    with alarm(ALARM_SECONDS):
+        report = scan_file(str(path), policy)
+    assert report.findings == []
+    assert report.errors == []
+
+
 # -- tensor storage that sniffs as a pickle -------------------------------------
 
 # Raw float32 storage can start with a PROTO byte; the loader never unpickles it.
@@ -641,6 +659,12 @@ _ARCHIVE_DIRECTORY = _ARCHIVE.index(b"PK\x01\x02")
             ("LimitExceeded", "offset 4", "limit exceeded: max_stack_depth"),
             ["FORMAT_PARSE_ERROR"],
             id="stack-depth",
+        ),
+        pytest.param(
+            absvm, "MAX_STACK_DEPTH", 2, b"\x80\x02\x88\x88\x88.",
+            ("LimitExceeded", "offset 4", "limit exceeded: max_stack_depth"),
+            ["FORMAT_PARSE_ERROR"],
+            id="stack-depth-newtrue",
         ),
         # The hot handlers' inline copies of the ``push`` bound.
         pytest.param(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,50 @@ def test_default_policy_table(module, name, verdict, severity):
     assert disposition.verdict == verdict
     if severity is not None:
         assert disposition.severity is severity
+
+
+def _call_probe(module: str, name: str, *args: str) -> bytes:
+    """A protocol 2 stream that calls ``module.name`` on text arguments:
+    GLOBAL, MARK, one BINUNICODE per argument, TUPLE, REDUCE, STOP."""
+    texts = b"".join(b"X" + struct.pack("<I", len(a.encode())) + a.encode() for a in args)
+    return b"\x80\x02c" + f"{module}\n{name}\n".encode() + b"(" + texts + b"tR."
+
+
+_RUNNER = "print('FIXTURE-MARKER')"
+
+
+@pytest.mark.parametrize(
+    "module, name, args",
+    [
+        # Each compiles or execs its first argument, or runs it as a shell command.
+        ("timeit", "timeit", (_RUNNER, "pass")),
+        ("cProfile", "run", (_RUNNER,)),
+        ("profile", "run", (_RUNNER,)),
+        ("pdb", "run", (_RUNNER,)),
+        ("pydoc", "pipepager", ("text", "echo FIXTURE-MARKER")),
+        # Together these build a function from bytes.
+        ("marshal", "loads", ("c",)),
+        ("types", "FunctionType", ("code", "globals")),
+        ("types", "CodeType", ("code",)),
+        ("_posixsubprocess", "fork_exec", ("echo FIXTURE-MARKER",)),
+        # The C twins of the denied pickle.loads and pickle.load.
+        ("_pickle", "loads", ("cos\nsystem\n.",)),
+        ("_pickle", "load", ("stream",)),
+    ],
+)
+def test_stdlib_code_runners_are_critical(tmp_path, capsys, module, name, args):
+    """Scanned, never loaded: the global and its call are CRITICAL, so the
+    scan exits 3."""
+    path = tmp_path / "runner.pkl"
+    path.write_bytes(_call_probe(module, name, *args))
+    report = scan_paths([str(path)], default_policy())
+    findings = report.files[0].findings
+    assert [(f.rule_id, f.severity) for f in findings] == [
+        ("PICKLE_DANGEROUS_GLOBAL", Severity.CRITICAL),
+        ("PICKLE_CALL", Severity.CRITICAL),
+    ]
+    assert cli_main(["scan", str(path)]) == 3
+    capsys.readouterr()
 
 
 def test_classification_is_deterministic():

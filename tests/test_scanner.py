@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import alarm, with_entry_count
+from conftest import alarm, stdlib_escape_warnings_ignored, with_entry_count
 import modelsentry
 from modelsentry import absvm, cli, containers, disasm
 from modelsentry.cli import main as cli_main
@@ -793,6 +793,47 @@ def test_malformed_lambda_configs_are_reported(tmp_path, policy, data, findings)
     assert report.errors == []
 
 
+def _nested_lambda_probe(name: str) -> tuple[bytes, str]:
+    """The bytes of the file ``name`` and the JSON path of the forged
+    Lambda it nests: after a pad of a million values, in an inner
+    Sequential or a TimeDistributed wrapper, or inside 150 nested
+    Sequentials (about 450 JSON levels)."""
+    sequential = json.loads(emit_keras_lambda_config(True))
+    if name.startswith("deep"):
+        node, path = sequential, "config.layers[1]"
+        for _ in range(150):
+            node = {"class_name": "Sequential", "config": {"layers": [node]}}
+            path = "config.layers[0]." + path
+        emit = emit_keras_h5 if name.endswith(".h5") else emit_keras_zip
+        return emit(json.dumps(node)), path
+    if name == "wrapped.keras":
+        lambda_layer = sequential["config"]["layers"][1]
+        layer = {"class_name": "TimeDistributed", "config": {"name": "td", "layer": lambda_layer}}
+        path = "config.layers[0].config.layer"
+    else:
+        layer, path = sequential, "config.layers[0].config.layers[1]"
+    outer = {"class_name": "Sequential", "config": {"name": "outer", "pad": [0] * 1_000_001, "layers": [layer]}}
+    return emit_keras_zip(json.dumps(outer)), path
+
+
+@pytest.mark.parametrize("name", ["nested.keras", "wrapped.keras", "deep.keras", "deep.h5"])
+def test_a_lambda_past_a_million_values_or_deep_in_a_config_is_found(tmp_path, policy, capsys, name):
+    """The walk has no node or depth budget: a config within CONFIG_CAP
+    that the decoder parses is walked to its end, so a nested Lambda
+    is HIGH and the scan exits 3."""
+    data, path = _nested_lambda_probe(name)
+    target = tmp_path / name
+    target.write_bytes(data)
+    report = scan_file(str(target), policy)
+    lambdas = [f for f in report.findings if f.rule_id == "KERAS_LAMBDA_CODE"]
+    entry = None if name.endswith(".h5") else "config.json"
+    assert [(f.severity, f.entry, f.json_path) for f in lambdas] == [(Severity.HIGH, entry, path)]
+    assert not any("budget" in f.message for f in report.findings)
+    assert report.errors == []
+    assert cli_main(["scan", str(target)]) == 3
+    capsys.readouterr()
+
+
 def test_scan_h5_decoy_config_does_not_hide_the_lambda(tmp_path, policy):
     decoy = json.dumps({"class_name": "Sequential", "config": {"layers": []}})
     target = tmp_path / "decoy.h5"
@@ -866,6 +907,43 @@ def test_scan_weights_only_h5_is_clean(tmp_path, policy):
     assert report.errors == []
 
 
+def _archive_with_bad_second_header() -> bytes:
+    """``a.txt`` then a pickle member, the second local header's signature
+    broken in its last byte."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        archive.writestr("a.txt", b"hello")
+        archive.writestr("model/blob", b"\x80\x02N." * 200)
+    data = bytearray(buffer.getvalue())
+    data[data.index(b"PK\x03\x04", 1) + 3] = 5
+    return bytes(data)
+
+
+@pytest.mark.parametrize(
+    "data, error, locus",
+    [
+        pytest.param(
+            b"PK\x05\x06" + b"\x00" * 8 + struct.pack("<II", 0x20000001, 0) + b"\x00" * 2,
+            ("CorruptHeader", "", "corrupt header at offset 0: central directory size 536870913 too large"),
+            "-",
+            id="central-directory-too-large",
+        ),
+        pytest.param(
+            _archive_with_bad_second_header(),
+            ("CorruptHeader", "model/blob", "corrupt header at offset 40: bad local file header signature"),
+            "model/blob",
+            id="bad-local-header-signature",
+        ),
+    ],
+)
+def test_a_corrupt_archive_header_is_a_parse_error(tmp_path, policy, data, error, locus):
+    target = tmp_path / "corrupt.zip"
+    target.write_bytes(data)
+    report = scan_file(str(target), policy)
+    assert [(e.kind, e.locus, e.message) for e in report.errors] == [error]
+    assert [(f.rule_id, f.locus) for f in report.findings] == [("FORMAT_PARSE_ERROR", locus)]
+
+
 def test_scan_archive_with_traversal_member(tmp_path, policy):
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as archive:
@@ -937,6 +1015,26 @@ def test_a_string_with_an_unknown_escape_scans_without_a_warning(tmp_path, polic
         report = scan_file(str(target), policy)
     assert result.error is None and result.root == "\\l"
     assert (report.findings, report.errors) == ([], [])
+
+
+@pytest.mark.parametrize(
+    "stream, message",
+    [
+        (b"S'\\g\\x4'\n.", "undecodable string line: invalid \\x escape at position 2"),
+        (
+            b"S'\xff'\n.",
+            "undecodable string line: 'ascii' codec can't decode byte 0xff in position 0: "
+            "ordinal not in range(128)",
+        ),
+    ],
+    ids=["bad-hex-escape", "non-ascii"],
+)
+def test_a_string_line_that_does_not_decode_is_a_parse_error(tmp_path, policy, stream, message):
+    """The loader fails on both lines; so does the scan, at the op."""
+    with pytest.raises(ValueError), stdlib_escape_warnings_ignored():
+        pickle._Unpickler(io.BytesIO(stream)).load()
+    report = _scan_stream(tmp_path, policy, stream)
+    assert [(e.kind, e.locus, e.message) for e in report.errors] == [("TruncatedArgument", "offset 0", message)]
 
 
 def test_vm_error_costs_only_its_own_segment(tmp_path, policy):
@@ -1222,6 +1320,12 @@ def test_golden_corpus_report(tmp_path, policy, monkeypatch):
     assert render(report, "json") == golden
 
 
+def test_an_unknown_report_format_is_refused(policy):
+    report = scan_paths([], policy)
+    with pytest.raises(ValueError, match="^unknown report format 'xml'$"):
+        render(report, "xml")
+
+
 @pytest.mark.parametrize("which", ["corpus", "empty", "odd_path"])
 def test_json_and_sarif_renders_are_the_indented_json_dumps(which, tmp_path, policy, monkeypatch):
     """Both JSON renders are ``json.dumps(value, indent=2)`` and a newline,
@@ -1466,6 +1570,13 @@ def test_cli_unwritable_out_is_operational_error(tmp_path, capsys, command):
     assert cli_main(args) == 2
     assert capsys.readouterr().err.startswith("modelsentry: [Errno 2] No such file")
     assert not out.exists()
+
+
+def test_cli_forge_into_a_path_under_a_file_is_operational_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli_main(["forge", "--out", str(blocker / "sub")]) == 2
+    assert capsys.readouterr().err.startswith("modelsentry: forge failed:")
 
 
 def test_cli_policy_env_fallback(tmp_path, capsys, monkeypatch):
