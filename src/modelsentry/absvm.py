@@ -6,12 +6,13 @@ ever imported, constructed, or called: a GLOBAL pushes a name pair, REDUCE
 records that a call *would* happen.
 
 The machine mirrors the reference loader's stack discipline (value stack
-plus a metastack of MARK frames, and an integer-keyed memo).  Memo fetches
-push ``MemoRef`` placeholders so the value graph itself stays acyclic; the
-memo table in the result resolves them.  A literal (None, a bool, an int,
-a float, text, bytes or a bytearray) sits in the graph as the plain value
-the stream wrote, however long: ``render_value`` bounds the text it shows.
-Every other node is an ``AbstractValue``.
+plus a metastack of MARK frames, and an integer-keyed memo).  A memo fetch
+pushes the entry's own object, as the loader's does, so a value the stream
+reaches twice is one node, and a list that holds itself is a cycle in the
+graph.  A literal (None, a bool, an int, a float, text, bytes or a
+bytearray) sits in the graph as the plain value the stream wrote, however
+long: ``render_value`` bounds the text it shows.  Every other node is an
+``AbstractValue``.
 
 ``_Machine.run`` is the one decode-and-evaluate loop, a plain generator
 that yields the result of each STOP-delimited segment.  It reads each
@@ -161,13 +162,6 @@ class PersistentRef(AbstractValue, frozen=True):
         set_field(self, "line", line)
 
 
-class MemoRef(AbstractValue, frozen=True):
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        set_field(self, "index", index)
-
-
 class ExtensionRef(AbstractValue, frozen=True):
     __slots__ = ("code",)
 
@@ -254,7 +248,7 @@ MAX_MEMO_ENTRIES = 10_000_000
 
 ARG_SUMMARY_CAP = 4096
 PID_SUMMARY_CAP = 256
-# Memo expansions a machine keeps for its calls' evidence, each at most
+# Container renders a machine keeps for its calls' evidence, each at most
 # ARG_SUMMARY_CAP characters: past this many it starts over, so a stream
 # that varies depth or budget from call to call holds no more than these.
 MAX_SHARED_RENDERS = 128
@@ -370,9 +364,8 @@ _MAX_DEPTH = 24
 
 def render_value(
     value: object,
-    memo: dict[int, object] | None = None,
     limit: int = ARG_SUMMARY_CAP,
-    rendered: dict[tuple[int, int, int], tuple[str, int]] | None = None,
+    rendered: dict[tuple[int, int, int], tuple[Container, str, int]] | None = None,
 ) -> str:
     """Render a value graph to bounded, repr-like text.
 
@@ -380,16 +373,21 @@ def render_value(
     "…" unless the cut falls at the end of a piece (a bracket, a separator
     or one value's text).  Elements are taken lazily, one at a time, until
     the budget runs out, so work follows the text shown, not the size of a
-    container.
+    container.  A value deeper than the depth cap renders as "…", so a
+    cycle renders down to the cap.
 
-    ``rendered`` shares work between renders over one memo: it maps an
-    outermost memo expansion's ``(index, depth, budget)`` to its text and
-    the budget left after it.  Its owner clears it whenever the value
-    graph or the memo changes; past ``MAX_SHARED_RENDERS`` entries it is
-    cleared here before the next one is kept.
+    ``rendered`` shares work between renders of one graph: it maps each
+    outermost container below the root, by ``(id(container), depth,
+    budget)``, to the container itself (so its id is not reused while the
+    entry lives), its text and the budget left after it.  Its owner clears
+    it whenever a container changes; past ``MAX_SHARED_RENDERS`` entries it
+    is cleared here before the next one is kept.
     """
     out: list[str] = []
     budget = limit
+    # Whether a container met now is outermost below the root: none that
+    # encloses it is being kept.
+    sharing = rendered is not None
 
     def put(text: str) -> None:
         nonlocal budget
@@ -402,7 +400,7 @@ def render_value(
         out.append(text)
         budget -= len(text)
 
-    def walk(v: object, depth: int, seen: frozenset[int]) -> None:
+    def walk(v: object, depth: int) -> None:
         if budget <= 0:
             return
         if depth > _MAX_DEPTH:
@@ -410,58 +408,56 @@ def render_value(
             return
         if not isinstance(v, AbstractValue):  # a plain literal
             put(_literal_text(v, budget))
+        elif isinstance(v, Container):
+            if sharing and depth:
+                shared(v, depth)
+            else:
+                opener, closer = _BRACKETS[v.kind]
+                items(v.elements, opener, closer, v.kind == "dict", depth)
         elif isinstance(v, GlobalRef):
             put(f"{v.module}.{v.name}")
         elif isinstance(v, DynamicGlobalRef):
             put("<dynamic global>")
-        elif isinstance(v, MemoRef):
-            if memo is None or v.index not in memo or v.index in seen:
-                put(f"<memo {v.index}>")
-            elif seen or rendered is None:
-                walk(memo[v.index], depth + 1, seen | {v.index})
-            else:
-                shared(v.index, depth)
         elif isinstance(v, CallResult):
-            walk(v.callee, depth + 1, seen)
+            walk(v.callee, depth + 1)
             args = v.args if isinstance(v.args, tuple) else ()
-            items(args, "(", ")", False, depth, seen)
-        elif isinstance(v, Container):
-            opener, closer = _BRACKETS[v.kind]
-            items(v.elements, opener, closer, v.kind == "dict", depth, seen)
+            items(args, "(", ")", False, depth)
         elif isinstance(v, PersistentRef):
             # The id is a summary of its own, capped at PID_SUMMARY_CAP: PERSID's
-            # text raw, BINPERSID's value rendered with this memo.  Only the
-            # part the remaining budget can show is rendered, which keeps a
-            # chain of ids nested in ids short.
+            # text raw, BINPERSID's value rendered.  Only the part the
+            # remaining budget can show is rendered, which keeps a chain of
+            # ids nested in ids short.
             room = max(0, min(PID_SUMMARY_CAP, budget - len("<persistent ")))
             if v.line:
                 pid_text = v.pid[:room]
             else:
-                pid_text = render_value(v.pid, memo, room)
+                pid_text = render_value(v.pid, room)
             put(f"<persistent {pid_text}>")
         elif isinstance(v, ExtensionRef):
             put(f"<extension {v.code}>")
         else:
             put("<opaque>")
 
-    def shared(index: int, depth: int) -> None:
-        """An outermost memo expansion: rendered once per depth and budget
-        and kept in ``rendered``.  Only outermost ones are kept, so the
-        texts one render keeps are disjoint pieces of its own text."""
-        nonlocal budget
-        key = (index, depth, budget)
+    def shared(container: Container, depth: int) -> None:
+        """An outermost container: rendered once per depth and budget and
+        kept in ``rendered``.  Only outermost ones are kept, so the texts
+        one render keeps are disjoint pieces of its own text."""
+        nonlocal budget, sharing
+        key = (id(container), depth, budget)
         hit = rendered.get(key)
         if hit is None:
             start = len(out)
-            walk(memo[index], depth + 1, frozenset((index,)))
+            sharing = False
+            walk(container, depth)
+            sharing = True
             if len(rendered) >= MAX_SHARED_RENDERS:
                 rendered.clear()
-            rendered[key] = ("".join(out[start:]), budget)
+            rendered[key] = (container, "".join(out[start:]), budget)
         else:
-            text, budget = hit
+            _, text, budget = hit
             out.append(text)
 
-    def items(elements, opener: str, closer: str, pairs: bool, depth: int, seen: frozenset[int]) -> None:
+    def items(elements, opener: str, closer: str, pairs: bool, depth: int) -> None:
         """The elements of a container or argument tuple, between brackets.
         Every element shows at least one character and every separator two,
         so the loop visits at most two elements past those shown."""
@@ -473,63 +469,39 @@ def render_value(
                 put(", ")
             if pairs:
                 key, val = element
-                walk(key, depth + 1, seen)
+                walk(key, depth + 1)
                 put(": ")
-                walk(val, depth + 1, seen)
+                walk(val, depth + 1)
             else:
-                walk(element, depth + 1, seen)
+                walk(element, depth + 1)
         put(closer)
 
-    walk(value, 0, frozenset())
+    walk(value, 0)
     # The nested functions refer to each other through ``walk``: clearing it
-    # frees them, and the memo they hold, now rather than at a collection.
+    # frees them, and the cache they hold, now rather than at a collection.
     walk = None
     return "".join(out)
 
 
 # ---------------------------------------------------------------------------
-# Memo references and call chains
+# Call chains
 
 
-def _deref(
-    value: object, memo: dict[int, object], seen: set[int] | None = None
-) -> object:
-    """Follow MemoRef links through ``memo`` until a non-reference or a cycle.
-
-    Indices followed are added to ``seen`` when one is given, so a caller
-    can carry cycle detection across several hops.  A value that is not a
-    MemoRef is returned as is, without allocating.
-    """
-    if not isinstance(value, MemoRef):
-        return value
-    if seen is None:
-        seen = set()
-    while isinstance(value, MemoRef) and value.index in memo and value.index not in seen:
-        seen.add(value.index)
-        value = memo[value.index]
-    return value
-
-
-def call_roots(
-    callee: object, memo: dict[int, object] | None = None
-) -> tuple[str, str] | None:
+def call_roots(callee: object) -> tuple[str, str] | None:
     """Root (module, name) of the callee chain behind one CallMade event.
 
-    The root is found by following callee edges through nested CallResults;
-    a DynamicGlobalRef root yields the sentinel pair ("<dynamic>", "<dynamic>")
-    and any other root (a literal, an unresolved memo entry) yields None.
+    The root is found by following callee edges through at most 64 nested
+    CallResults; a DynamicGlobalRef root yields the sentinel pair
+    ("<dynamic>", "<dynamic>") and any other root (a literal, a container)
+    yields None.
     """
-    if memo is None:
-        memo = {}
-    seen: set[int] = set()
-    value = _deref(callee, memo, seen)
     hops = 0
-    while isinstance(value, CallResult) and hops < 64:
-        value = _deref(value.callee, memo, seen)
+    while isinstance(callee, CallResult) and hops < 64:
+        callee = callee.callee
         hops += 1
-    if isinstance(value, GlobalRef):
-        return (value.module, value.name)
-    if isinstance(value, DynamicGlobalRef):
+    if isinstance(callee, GlobalRef):
+        return (callee.module, callee.name)
+    if isinstance(callee, DynamicGlobalRef):
         return ("<dynamic>", "<dynamic>")
     return None
 
@@ -562,12 +534,12 @@ class _Machine:
         self.events: list[SecurityEvent] = []
         self.offset = 0
         self.error: VmError | None = None
-        # ``render_value``'s shared memo expansions.  Every op that writes
-        # the graph clears it: PUT and MEMOIZE, and APPEND(S), ADDITEMS and
-        # SETITEM(S) into any container, since DUP or GET can make a
-        # container part of any memo entry.  BUILD writes nothing.  Made at
-        # the first rendered call: most segments make none.
-        self.rendered: dict[tuple[int, int, int], tuple[str, int]] | None = None
+        # ``render_value``'s shared container renders.  Every op that writes
+        # a container clears it: APPEND(S), ADDITEMS and SETITEM(S), since
+        # DUP or GET can make any container part of another.  A memo write
+        # changes no node, and BUILD writes nothing.  Made at the first
+        # rendered call: most segments make none.
+        self.rendered: dict[tuple[int, int, int], tuple[Container, str, int]] | None = None
 
     # -- the machine loop ---------------------------------------------------
 
@@ -845,7 +817,7 @@ class _Machine:
 
     def op_append(self, arg) -> None:
         value = self.pop()
-        target = _deref(self.peek(), self.memo)
+        target = self.peek()
         if isinstance(target, Container) and target.kind in ("list", "set"):
             target.elements.append(value)
             if self.rendered:
@@ -859,7 +831,7 @@ class _Machine:
         stack = self.stack = metastack.pop()
         if not stack:
             raise StackUnderflow(self.offset)
-        target = _deref(stack[-1], self.memo)
+        target = stack[-1]
         if isinstance(target, Container) and target.kind in ("list", "set"):
             target.elements.extend(items)
             if self.rendered:
@@ -867,7 +839,7 @@ class _Machine:
 
     def op_additems(self, arg) -> None:
         items = self.pop_mark()
-        target = _deref(self.peek(), self.memo)
+        target = self.peek()
         if isinstance(target, Container) and target.kind == "set":
             target.elements.extend(items)
             if self.rendered:
@@ -876,7 +848,7 @@ class _Machine:
     def op_setitem(self, arg) -> None:
         value = self.pop()
         key = self.pop()
-        target = _deref(self.peek(), self.memo)
+        target = self.peek()
         if isinstance(target, Container) and target.kind == "dict":
             target.elements.append((key, value))
             if self.rendered:
@@ -890,7 +862,7 @@ class _Machine:
         stack = self.stack = metastack.pop()
         if not stack:
             raise StackUnderflow(self.offset)
-        target = _deref(stack[-1], self.memo)
+        target = stack[-1]
         if isinstance(target, Container) and target.kind == "dict":
             for i in range(0, len(items) - 1, 2):
                 target.elements.append((items[i], items[i + 1]))
@@ -920,12 +892,13 @@ class _Machine:
     # memo
     def op_get(self, arg) -> None:
         index = int(arg)
-        if index not in self.memo:
+        memo = self.memo
+        if index not in memo:
             raise MemoMiss(self.offset, index)
         stack = self.stack
         if len(stack) >= MAX_STACK_DEPTH:
             raise LimitExceeded(self.offset, "max_stack_depth")
-        stack.append(MemoRef(index))
+        stack.append(memo[index])
 
     op_binget = op_long_binget = op_get
 
@@ -939,8 +912,6 @@ class _Machine:
         if not self.stack:
             raise StackUnderflow(self.offset)
         memo[index] = self.stack[-1]
-        if self.rendered:
-            self.rendered.clear()
 
     op_binput = op_long_binput = op_put
 
@@ -951,8 +922,6 @@ class _Machine:
         if not self.stack:
             raise StackUnderflow(self.offset)
         memo[len(memo)] = self.stack[-1]
-        if self.rendered:
-            self.rendered.clear()
 
     # globals and calls
     def op_global(self, arg) -> None:
@@ -961,8 +930,8 @@ class _Machine:
         self.push(GlobalRef(module, name))
 
     def op_stack_global(self, arg) -> None:
-        name = _deref(self.pop(), self.memo)
-        module = _deref(self.pop(), self.memo)
+        name = self.pop()
+        module = self.pop()
         if isinstance(name, str) and isinstance(module, str):
             self.emit(GlobalResolved(self.offset, module, name))
             self.push(GlobalRef(module, name))
@@ -973,21 +942,18 @@ class _Machine:
     def op_reduce(self, arg) -> None:
         args_v = self.pop()
         callee = self.pop()
-        resolved = _deref(args_v, self.memo)
-        if isinstance(resolved, Container) and resolved.kind == "tuple":
-            args = tuple(resolved.elements)
+        if isinstance(args_v, Container) and args_v.kind == "tuple":
+            args, argc = tuple(args_v.elements), len(args_v.elements)
         else:
-            args = (args_v,)
-        argc = len(args) if isinstance(resolved, Container) and resolved.kind == "tuple" else None
+            args, argc = (args_v,), None
         self.record_call(callee, argc, args_v)
         self.push(CallResult(callee=callee, args=args))
 
     def op_newobj(self, arg) -> None:
         args_v = self.pop()
         cls = self.pop()
-        resolved = _deref(args_v, self.memo)
-        if isinstance(resolved, Container) and resolved.kind == "tuple":
-            args = tuple(resolved.elements)
+        if isinstance(args_v, Container) and args_v.kind == "tuple":
+            args = tuple(args_v.elements)
         else:
             args = (args_v,)
         self.record_call_with(cls, args)
@@ -1019,13 +985,13 @@ class _Machine:
 
     def record_call(self, callee: object, argc: int | None, args_v: object) -> None:
         """Emit the CallMade event of one call, with its root resolved and its
-        arguments rendered now, against the memo as the loader sees it."""
-        root = call_roots(callee, self.memo)
+        arguments rendered now, as the graph stands at the call."""
+        root = call_roots(callee)
         keep_call = self.keep_call
         if keep_call is None or keep_call(root):
             if self.rendered is None:
                 self.rendered = {}
-            summary = render_value(args_v, self.memo, ARG_SUMMARY_CAP, self.rendered)
+            summary = render_value(args_v, ARG_SUMMARY_CAP, self.rendered)
         else:
             summary = ""
         self.emit(CallMade(self.offset, argc, summary, root))

@@ -150,14 +150,16 @@ def _render(link: tuple | None) -> str:
     while link is not None:
         link, key = link
         keys.append(key)
-    path = ""
+    pieces = []
+    started = False  # whether the pieces so far hold a character
     for key in reversed(keys):
         if type(key) is int:
-            path = f"{path}[{key}]"
+            piece = f"[{key}]"
         else:
-            key = clip(key)
-            path = f"{path}.{key}" if path else key
-    return path
+            piece = f".{clip(key)}" if started else clip(key)
+        pieces.append(piece)
+        started = started or bool(piece)
+    return "".join(pieces)
 
 
 def walk_layers(

@@ -124,11 +124,7 @@ def own_transcript(stream: bytes) -> list[str]:
 # Reference renderer (the oracle for ``absvm.render_value``)
 
 
-def reference_render(
-    value: object,
-    memo: dict[int, object] | None = None,
-    limit: int = absvm.ARG_SUMMARY_CAP,
-) -> str:
+def reference_render(value: object, limit: int = absvm.ARG_SUMMARY_CAP) -> str:
     """The put-per-piece renderer ``absvm.render_value`` replaced: every
     piece (a bracket, a separator, one value's text) goes through ``put``,
     which cuts at the budget and adds "…" unless the cut ends the piece."""
@@ -146,7 +142,7 @@ def reference_render(
         out.append(text)
         budget -= len(text)
 
-    def walk(v: object, depth: int, seen: frozenset[int]) -> None:
+    def walk(v: object, depth: int) -> None:
         if budget <= 0:
             return
         if depth > 24:
@@ -163,13 +159,8 @@ def reference_render(
             put(f"{v.module}.{v.name}")
         elif isinstance(v, absvm.DynamicGlobalRef):
             put("<dynamic global>")
-        elif isinstance(v, absvm.MemoRef):
-            if memo is not None and v.index in memo and v.index not in seen:
-                walk(memo[v.index], depth + 1, seen | {v.index})
-            else:
-                put(f"<memo {v.index}>")
         elif isinstance(v, absvm.CallResult):
-            walk(v.callee, depth + 1, seen)
+            walk(v.callee, depth + 1)
             put("(")
             if isinstance(v.args, tuple):
                 for i, a in enumerate(v.args):
@@ -177,7 +168,7 @@ def reference_render(
                         break
                     if i:
                         put(", ")
-                    walk(a, depth + 1, seen)
+                    walk(a, depth + 1)
             put(")")
         elif isinstance(v, absvm.Container):
             opener, closer = absvm._BRACKETS[v.kind]
@@ -190,30 +181,53 @@ def reference_render(
                     put(", ")
                 if pairs:
                     key, val = item
-                    walk(key, depth + 1, seen)
+                    walk(key, depth + 1)
                     put(": ")
-                    walk(val, depth + 1, seen)
+                    walk(val, depth + 1)
                 else:
-                    walk(item, depth + 1, seen)
+                    walk(item, depth + 1)
             put(closer)
         elif isinstance(v, absvm.PersistentRef):
             # The id is a summary of its own, capped at PID_SUMMARY_CAP: PERSID's
-            # text raw, BINPERSID's value rendered with this memo.  Only the
-            # part the remaining budget can show is rendered, which keeps a
-            # chain of ids nested in ids short.
+            # text raw, BINPERSID's value rendered.  Only the part the
+            # remaining budget can show is rendered, which keeps a chain of
+            # ids nested in ids short.
             room = max(0, min(absvm.PID_SUMMARY_CAP, budget - len("<persistent ")))
             if v.line:
                 pid_text = v.pid[:room]
             else:
-                pid_text = reference_render(v.pid, memo, room)
+                pid_text = reference_render(v.pid, room)
             put(f"<persistent {pid_text}>")
         elif isinstance(v, absvm.ExtensionRef):
             put(f"<extension {v.code}>")
         else:
             put("<opaque>")
 
-    walk(value, 0, frozenset())
+    walk(value, 0)
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# Reference path renderer (the oracle for ``kerascfg._render``)
+
+
+def reference_json_path(link: tuple | None) -> str:
+    """The renderer ``kerascfg._render`` replaced, which built the path by
+    repeated concatenation: ``.key`` for an object member (no dot while the
+    path is still empty), ``[index]`` for an array element, each key cut
+    by ``absvm.clip``."""
+    keys = []
+    while link is not None:
+        link, key = link
+        keys.append(key)
+    path = ""
+    for key in reversed(keys):
+        if type(key) is int:
+            path = f"{path}[{key}]"
+        else:
+            key = absvm.clip(key)
+            path = f"{path}.{key}" if path else key
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +490,18 @@ def shared_list_calls(size: int, calls: int) -> bytes:
     return b"".join(out)
 
 
+def aliased_list_calls(size: int, calls: int) -> bytes:
+    """One ``size``-element list BINPUT under each of indices 1 to 255,
+    passed ``calls`` times to the global memoized under index 0, each time
+    through the next of the list's indices in turn."""
+    words = b"".join(b"\x8c\x04" + b"w%03d" % (index % 1000) for index in range(size))
+    out = [b"\x80\x02", _OS_SYSTEM, b"q\x000](", words, b"e"]
+    out += [b"q" + bytes([index]) for index in range(1, 256)]
+    out += [b"h\x00h" + bytes([1 + call % 255]) + b"\x85R0" for call in range(calls)]
+    out.append(b".")
+    return b"".join(out)
+
+
 def shared_long_bytes_calls(small: int, copies: int, calls: int) -> bytes:
     """One memoized list of ``small`` zero ints, then ``copies`` DUPs of one
     4,096-byte BINBYTES of NULs, whose repr is 16,387 characters long,
@@ -499,15 +525,9 @@ def shared_dict_calls(size: int, calls: int) -> bytes:
 # Structural comparison against the real loader
 
 
-def structural_match(node, real, memo, _seen: frozenset = frozenset()) -> bool:
-    """Does the abstract graph mirror the loaded value, shape for shape?"""
-    hops = 0
-    while isinstance(node, absvm.MemoRef):
-        if node.index in _seen or node.index not in memo or hops > 64:
-            return False
-        _seen = _seen | {node.index}
-        node = memo[node.index]
-        hops += 1
+def structural_match(node, real) -> bool:
+    """Does the abstract graph mirror the loaded value, shape for shape?
+    Both are trees or DAGs here: a cycle would recurse without end."""
     if not isinstance(node, absvm.AbstractValue):  # a literal
         return type(node) is type(real) and node == real
     if isinstance(node, absvm.Container):
@@ -516,7 +536,7 @@ def structural_match(node, real, memo, _seen: frozenset = frozenset()) -> bool:
                 isinstance(real, list)
                 and len(real) == len(node.elements)
                 and all(
-                    structural_match(item, actual, memo, _seen)
+                    structural_match(item, actual)
                     for item, actual in zip(node.elements, real)
                 )
             )
@@ -525,7 +545,7 @@ def structural_match(node, real, memo, _seen: frozenset = frozenset()) -> bool:
                 isinstance(real, tuple)
                 and len(real) == len(node.elements)
                 and all(
-                    structural_match(item, actual, memo, _seen)
+                    structural_match(item, actual)
                     for item, actual in zip(node.elements, real)
                 )
             )
@@ -533,24 +553,20 @@ def structural_match(node, real, memo, _seen: frozenset = frozenset()) -> bool:
             if not isinstance(real, dict) or len(real) != len(node.elements):
                 return False
             for key, value in node.elements:
-                literal = _resolve_literal(key, memo)
+                literal = _resolve_literal(key)
                 if literal not in real:
                     return False
-                if not structural_match(value, real[literal], memo, _seen):
+                if not structural_match(value, real[literal]):
                     return False
             return True
         if node.kind in ("set", "frozenset"):
             expected_type = set if node.kind == "set" else frozenset
-            literals = {_resolve_literal(item, memo) for item in node.elements}
+            literals = {_resolve_literal(item) for item in node.elements}
             return type(real) is expected_type and literals == set(real)
     return False
 
 
-def _resolve_literal(node, memo):
-    hops = 0
-    while isinstance(node, absvm.MemoRef) and node.index in memo and hops < 64:
-        node = memo[node.index]
-        hops += 1
+def _resolve_literal(node):
     if not isinstance(node, absvm.AbstractValue):  # a literal
         return node
     return object()  # never a key in the real dict

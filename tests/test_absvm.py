@@ -27,6 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    aliased_list_calls,
     benign_streams,
     deep_nesting,
     memo_sharing,
@@ -52,7 +53,6 @@ from modelsentry.absvm import (
     GlobalRef,
     GlobalResolved,
     MemoMiss,
-    MemoRef,
     Opaque,
     OutOfBandBuffer,
     PersistentRef,
@@ -137,7 +137,7 @@ def test_structure_matches_real_loader_on_benign_corpus():
         result = evaluate(stream)
         loaded = pickle.loads(stream)
         assert loaded == value or (value != value), name  # generator avoids NaN
-        assert structural_match(result.root, loaded, result.memo), name
+        assert structural_match(result.root, loaded), name
         checked += 1
     assert checked >= 50
 
@@ -158,7 +158,7 @@ def _fault(exc: Exception) -> tuple:
 
 
 def _evaluated(result: absvm.AbstractResult) -> tuple:
-    return (result.events, len(result.memo), render_value(result.root, result.memo))
+    return (result.events, len(result.memo), render_value(result.root))
 
 
 def _walk_outcomes(stream: bytes) -> list[tuple]:
@@ -393,8 +393,8 @@ def test_instruction_limit_counts_the_ops_after_a_vm_error():
 
 def _print_call(text: bytes) -> bytes:
     """``builtins.print`` of a tuple whose element is a list memoized under
-    index 0 and fetched back with BINGET: its evidence is a shared memo
-    render, kept in the machine's ``rendered``."""
+    index 0 and fetched back with BINGET: its evidence holds a shared
+    container render, kept in the machine's ``rendered``."""
     return (
         b"\x8c\x08builtins\x8c\x05print\x93"  # SHORT_BINUNICODE twice, STACK_GLOBAL
         + b"]\x8c" + bytes([len(text)]) + text + b"a\x94"  # [text], MEMOIZE
@@ -442,9 +442,9 @@ def test_a_segment_renders_its_call_evidence_afresh():
     caches = []
     render = absvm.render_value
 
-    def spy(value, memo=None, limit=ARG_SUMMARY_CAP, rendered=None):
+    def spy(value, limit=ARG_SUMMARY_CAP, rendered=None):
         caches.append(rendered)
-        return render(value, memo, limit, rendered)
+        return render(value, limit, rendered)
 
     with mock.patch.object(absvm, "render_value", spy):
         leaky, result = absvm.walk(stream)
@@ -545,7 +545,6 @@ _PLAIN_VALUES = st.one_of(
 )
 _LEAVES = st.one_of(
     _PLAIN_VALUES,
-    st.integers(0, 4).map(MemoRef),  # entries 0-3 may be in the memo, 4 never is
     st.builds(GlobalRef, st.sampled_from(["os", "a.b"]), st.sampled_from(["system", "c"])),
     st.just(DynamicGlobalRef()),
     st.integers(1, 300).map(ExtensionRef),
@@ -588,20 +587,42 @@ def _composites(children):
 _GRAPHS = st.recursive(_LEAVES, _composites, max_leaves=40)
 
 
+def _containers(value) -> list[Container]:
+    """Every container of a drawn tree."""
+    found, todo = [], [value]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Container):
+            found.append(node)
+            todo += [v for pair in node.elements for v in pair] if node.kind == "dict" else node.elements
+        elif isinstance(node, CallResult):
+            todo += [node.callee, *node.args] if isinstance(node.args, tuple) else [node.callee, node.args]
+        elif isinstance(node, PersistentRef) and not node.line:
+            todo.append(node.pid)
+    return found
+
+
 @settings(max_examples=150, deadline=None)
-@given(_GRAPHS, st.one_of(st.none(), st.dictionaries(st.integers(0, 3), _GRAPHS, max_size=4)))
-def test_render_value_equals_the_reference_renderer(value, memo):
-    """Every limit from 1 to 64 and the evidence cap; a memo entry may hold
-    a reference to itself or to another entry, so cycles are common.  The
-    value, the value one list deeper and each memo entry also go through
-    one cache of shared memo expansions, as a machine's calls do between
-    graph writes, so its keys meet at every depth and budget."""
+@given(_GRAPHS, st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), max_size=4))
+def test_render_value_equals_the_reference_renderer(value, links):
+    """Every limit from 1 to 64 and the evidence cap.  Each drawn link puts
+    one container of the tree into another, as GET and DUP do, so shared
+    nodes and cycles are common.  The value, the value one list deeper and
+    each linked container also go through one cache of shared container
+    renders, as a machine's calls do between container writes, so its keys
+    meet at every depth and budget."""
+    found = _containers(value)
+    linked = []
+    for i, j in links if found else ():
+        into, taken = found[i % len(found)], found[j % len(found)]
+        into.elements.insert(j % (len(into.elements) + 1), ("k", taken) if into.kind == "dict" else taken)
+        linked += [into, taken]
     rendered: dict = {}
-    shown = [value, Container("list", [value]), *map(MemoRef, memo or ())]
+    shown = [value, Container("list", [value]), *linked]
     for limit in (*range(1, 65), ARG_SUMMARY_CAP):
-        assert render_value(value, memo, limit) == reference_render(value, memo, limit), limit
+        assert render_value(value, limit) == reference_render(value, limit), limit
         for item in shown:
-            assert render_value(item, memo, limit, rendered) == reference_render(item, memo, limit)
+            assert render_value(item, limit, rendered) == reference_render(item, limit)
 
 
 @pytest.mark.parametrize("depth", [22, 23, 24, 25])
@@ -629,7 +650,7 @@ def test_determinism():
     first = evaluate(stream)
     second = evaluate(stream)
     assert first.events == second.events
-    assert render_value(first.root, first.memo) == render_value(second.root, second.memo)
+    assert render_value(first.root) == render_value(second.root)
     assert len(first.memo) == len(second.memo)
 
 
@@ -656,14 +677,20 @@ def test_summarize_dynamic_contributes_sentinel():
 
 
 def test_call_roots_resolves_through_memo():
-    memo = {3: GlobalRef("os", "system")}
-    assert call_roots(MemoRef(3), memo) == ("os", "system")
-    assert call_roots(MemoRef(9), memo) is None
+    # GET pushes the memo's own object: the global, and a call on it.
+    stream = b"\x80\x02cos\nsystem\nq\x030h\x03)Rq\x040h\x04)R."
+    result = evaluate(stream)
+    assert call_roots(result.memo[3]) == call_roots(result.memo[4]) == ("os", "system")
+    assert [e.root for e in result.events if isinstance(e, CallMade)] == [("os", "system")] * 2
+    assert call_roots(result.memo[3].name) is None
 
 
 def test_call_roots_stops_on_memo_cycle_through_callee_chain():
-    memo = {1: CallResult(callee=MemoRef(1), args=())}
-    assert call_roots(MemoRef(1), memo) is None
+    # A machine makes no such chain, since a call's callee is older than
+    # its result: the walk stops after 64 hops all the same.
+    looped = CallResult(callee=None, args=())
+    looped.callee = looped
+    assert call_roots(looped) is None
 
 
 def test_summarize_walks_containers():
@@ -681,9 +708,9 @@ def test_memo_roundtrip_and_self_reference():
     # list that contains itself via the memo: legitimate cycle, no recursion blowup
     result = evaluate(b"]q\x00h\x00a.")
     assert isinstance(result.root, Container)
-    assert result.root.elements == [MemoRef(0)]
-    # rendering resolves one level, then the cycle guard stops it
-    assert render_value(result.root, result.memo) == "[[<memo 0>]]"
+    assert len(result.root.elements) == 1 and result.root.elements[0] is result.root
+    # rendering follows the cycle down to the depth cap
+    assert render_value(result.root) == "[" * 25 + "…" + "]" * 25
 
 
 def test_memoize_and_get():
@@ -691,7 +718,7 @@ def test_memoize_and_get():
     root = result.root
     assert isinstance(root, Container) and root.kind == "tuple"
     assert root.elements[0] == "hi" and type(root.elements[0]) is str
-    assert root.elements[1] == MemoRef(0)
+    assert root.elements[1] is root.elements[0]
 
 
 def test_memo_miss_is_error():
@@ -733,7 +760,7 @@ def test_stack_global_through_memo_is_still_literal():
         b"\x8c\x02os\x94"  # push "os", memo[0]
         b"\x8c\x06system\x94"  # push "system", memo[1]
         b"00"  # POP POP
-        b"h\x00h\x01"  # push MemoRef(0), MemoRef(1)
+        b"h\x00h\x01"  # push memo[0], memo[1]
         b"\x93."
     )
     result = evaluate(stream)
@@ -1014,7 +1041,100 @@ def test_call_root_is_resolved_at_the_call():
     result = evaluate(stream)
     call = next(event for event in result.events if isinstance(event, CallMade))
     assert call.root == ("os", "system")
-    assert call_roots(MemoRef(0), result.memo) == ("collections", "OrderedDict")
+    assert call_roots(result.memo[0]) == ("collections", "OrderedDict")
+
+
+# PUT rebinds index 0 between the GET of os.system and its call, and between
+# the GET of a list and the APPEND into it: the loader calls os.system('ls'),
+# and os.system(['payload']).  The scanner's findings on both are tested in
+# test_scanner.py.
+_REBOUND_CALLEE = b"\x80\x02cos\nsystem\nq\x000h\x00ccollections\nOrderedDict\nq\x000X\x02\x00\x00\x00ls\x85R."
+_REBOUND_LIST = b"\x80\x02cos\nsystem\n]q\x000h\x00]q\x000X\x07\x00\x00\x00payloada]q\x000\x85R."
+
+
+class _Stub:
+    """What the recording loader's ``find_class`` returns: a call on it
+    records its root and returns another stub of that root."""
+
+    def __init__(self, root: tuple[str, str], calls: list):
+        self.root, self.calls = root, calls
+
+    def __call__(self, *args):
+        self.calls.append(self.root)
+        return _Stub(self.root, self.calls)
+
+
+class _RecordingUnpickler(pickle._Unpickler):
+    """pickle.py's loader, with every global a recording stub: never a real one."""
+
+    def __init__(self, stream: bytes):
+        super().__init__(io.BytesIO(stream))
+        self.calls: list[tuple[str, str]] = []
+
+    def find_class(self, module, name):
+        return _Stub((module, name), self.calls)
+
+
+_STUB_GLOBALS = [b"os\nsystem\n", b"collections\nOrderedDict\n", b"builtins\nprint\n"]
+
+
+def _loader_program(steps: list[tuple[str, int]]) -> bytes:
+    """A protocol 2 stream of GLOBAL, EMPTY_LIST, BINPUT, BINGET, POP,
+    APPEND, TUPLE1 and REDUCE ops that a loader runs to its STOP: a step
+    whose operands are not on the stack or in the memo is left out.  The
+    stack and memo are modelled by kind: a callable, a list or a tuple."""
+    stack: list[str] = []
+    memo: dict[int, str] = {}
+    out = [b"\x80\x02"]
+    for op, n in steps:
+        if op == "global":
+            out.append(b"c" + _STUB_GLOBALS[n])
+            stack.append("callable")
+        elif op == "list":
+            out.append(b"]")
+            stack.append("list")
+        elif op == "put" and stack:
+            out.append(b"q" + bytes([n]))
+            memo[n] = stack[-1]
+        elif op == "get" and n in memo:
+            out.append(b"h" + bytes([n]))
+            stack.append(memo[n])
+        elif op == "pop" and stack:
+            out.append(b"0")
+            stack.pop()
+        elif op == "append" and len(stack) >= 2 and stack[-2] == "list":
+            out.append(b"a")
+            stack.pop()
+        elif op == "tuple1" and stack:
+            out.append(b"\x85")
+            stack[-1] = "tuple"
+        elif op == "reduce" and len(stack) >= 2 and stack[-2] == "callable" and stack[-1] != "callable":
+            out.append(b"R")
+            stack.pop()
+            stack[-1] = "callable"
+    return b"".join(out) + b"N."
+
+
+_LOADER_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["global", "list", "put", "get", "pop", "append", "tuple1", "reduce"]),
+        st.integers(0, len(_STUB_GLOBALS) - 1),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LOADER_STEPS.map(_loader_program))
+@example(_REBOUND_CALLEE)
+@example(_REBOUND_LIST)
+def test_call_roots_are_the_calls_the_loader_makes(stream):
+    """Each CallMade's root, in order, is the global whose stub pickle.py's
+    loader calls, through any GET, PUT and POP in between."""
+    loader = _RecordingUnpickler(stream)
+    loader.load()
+    (result,) = absvm.walk(stream)
+    assert [e.root for e in result.events if isinstance(e, CallMade)] == loader.calls
 
 
 def _s4(size: int) -> bytes:
@@ -1108,7 +1228,7 @@ def test_kept_calls_keep_their_evidence_on_mutated_streams(data):
     assert_kept_calls_keep_their_evidence(bytes(stream))
 
 
-# -- calls over one memo entry share its render -------------------------------------
+# -- calls over one container share its render -------------------------------------
 
 # Protocol 4, leaving one unmemoized list X on the stack, which every action
 # below keeps there.  Memo: 0 os.system; 1 a list; 2 a dict; 5 a set; 6 a
@@ -1169,15 +1289,15 @@ _SHARED_ACTIONS = st.tuples(st.just(b"") | _SHARED_WRITES, _SHARED_CALLS).map(b"
     st.sampled_from([1, 2, absvm.MAX_SHARED_RENDERS]),
 )
 def test_shared_renders_equal_fresh_renders(actions, bound):
-    """Every call's evidence, rendered with the machine's shared memo
-    expansions, equals a render of the same arguments and memo without
-    them, and the reference renderer's, whatever the graph writes between
-    the calls and however few expansions are kept."""
+    """Every call's evidence, rendered with the machine's shared container
+    renders, equals a render of the same arguments without them, and the
+    reference renderer's, whatever the graph writes between the calls and
+    however few renders are kept."""
     renders: list[str] = []
 
-    def checked(value, memo=None, limit=ARG_SUMMARY_CAP, rendered=None):
-        text = render_value(value, memo, limit, rendered)
-        assert text == render_value(value, memo, limit) == reference_render(value, memo, limit)
+    def checked(value, limit=ARG_SUMMARY_CAP, rendered=None):
+        text = render_value(value, limit, rendered)
+        assert text == render_value(value, limit) == reference_render(value, limit)
         renders.append(text)
         return text
 
@@ -1191,17 +1311,19 @@ def test_shared_renders_equal_fresh_renders(actions, bound):
 
 
 def test_shared_memo_expansions_are_keyed_by_depth_and_budget():
-    """An entry that reaches the depth cap renders shorter one level deeper,
-    and a smaller budget cuts it sooner: neither reuses the other's text."""
-    memo = {0: _nested("x", 24)}
+    """A container that reaches the depth cap renders shorter one level
+    deeper, and a smaller budget cuts it sooner: neither reuses the other's
+    text."""
+    entry = _nested("x", 24)
     rendered: dict = {}
     cases = [
-        (MemoRef(0), ARG_SUMMARY_CAP),
-        (Container("list", [MemoRef(0)]), ARG_SUMMARY_CAP + 1),  # the same budget at the entry
-        (MemoRef(0), 50),
+        (Container("tuple", [entry]), ARG_SUMMARY_CAP),
+        # "[", "." and "(": the same budget at the entry, one level deeper
+        (Container("list", [CallResult(GlobalRef("", ""), (entry,))]), ARG_SUMMARY_CAP + 2),
+        (Container("tuple", [entry]), 50),
     ]
     for value, limit in cases:
-        assert render_value(value, memo, limit, rendered) == reference_render(value, memo, limit)
+        assert render_value(value, limit, rendered) == reference_render(value, limit)
     assert len(rendered) == 3
 
 
@@ -1218,22 +1340,20 @@ def test_evidence_shows_a_write_between_two_calls():
 
 
 def test_evidence_of_one_object_under_two_memo_indices():
-    """A self-containing list under indices 0 and 1: reached through 1, it
-    expands once more before it meets index 0 again, so the same object
-    renders two texts, and sharing by object would give the second call
-    the first call's text."""
+    """A self-containing list under indices 0 and 1 is one object: reached
+    through either index, it renders one text, down to the depth cap."""
     head = b"\x80\x02]q\x00h\x00aq\x010"
     calls = (b"cos\nsystem\nh\x00\x85R0", b"cos\nsystem\nh\x01\x85R0", b"cos\nsystem\nh\x00\x85R.")
     (result,) = absvm.walk(head + b"".join(calls))
     summaries = [e.arg_summary for e in result.events if isinstance(e, CallMade)]
-    assert summaries == ["([<memo 0>])", "([[<memo 0>]])", "([<memo 0>])"]
+    assert summaries == ["(" + "[" * 24 + "…" + "]" * 24 + ")"] * 3
 
 
 def _unshared_trees(calls: int, depth: int) -> bytes:
     """Calls on (text, tree): the tree nests one of 200 small memo entries
     in tuples ``depth`` deep, by DUP and TUPLE2, so it reaches the entry
-    2**depth times, each at a new budget; the text's length and the entry
-    change from call to call, so no call meets another's keys."""
+    2**depth times; each call builds a new tree, so no call meets another's
+    keys."""
     head = b"\x80\x02cos\nsystem\nq\x00" + b"".join(
         b"K" + bytes([i]) + b"q" + bytes([i]) + b"0" for i in range(1, 201)
     )
@@ -1245,25 +1365,27 @@ def _unshared_trees(calls: int, depth: int) -> bytes:
 
 
 def test_shared_memo_expansions_hold_no_more_than_the_evidence():
-    """A stream that makes thousands of memo expansions, none shared, holds
-    a small multiple of its calls' evidence at peak; without the bound on
-    kept expansions it would hold tens of times as much."""
+    """A stream of 600 calls that share no render holds less than its
+    calls' evidence again at peak: the texts a render keeps are disjoint
+    pieces of its own text, and past MAX_SHARED_RENDERS of them the machine
+    starts over.  Without that bound it would keep a second copy of all
+    the evidence."""
 
     def peak_and_evidence(bound: int) -> tuple[int, int]:
         with mock.patch.object(absvm, "MAX_SHARED_RENDERS", bound):
             tracemalloc.start()
             try:
-                (result,) = absvm.walk(_unshared_trees(100, 8))
+                (result,) = absvm.walk(_unshared_trees(600, 8))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         return peak, sum(len(e.arg_summary) for e in result.events if isinstance(e, CallMade))
 
     peak, evidence = peak_and_evidence(absvm.MAX_SHARED_RENDERS)
-    assert evidence > 50_000
-    assert peak < 3 * evidence
+    assert evidence > 500_000
+    assert peak < 1.6 * evidence
     unbounded, _ = peak_and_evidence(10**9)
-    assert unbounded > 10 * evidence
+    assert unbounded > 2 * evidence
 
 
 def test_calls_over_one_memo_entry_share_one_render():
@@ -1287,6 +1409,30 @@ def test_calls_over_one_memo_entry_share_one_render():
     assert reprs(300) <= one + 2 * 300
 
 
+def test_calls_through_many_memo_indices_share_one_render():
+    """A 10,000-element list under 255 memo indices, reached through a new
+    index at each of 300 calls, is one object: the calls make one render's
+    worth of element texts."""
+
+    def texts(calls: int) -> int:
+        count = 0
+        literal_text = absvm._literal_text
+
+        def counting(value, budget):
+            nonlocal count
+            count += 1
+            return literal_text(value, budget)
+
+        with mock.patch.object(absvm, "_literal_text", counting):
+            (result,) = absvm.walk(aliased_list_calls(10_000, calls))
+        assert len({e.arg_summary for e in result.events if isinstance(e, CallMade)}) == 1
+        return count
+
+    one = texts(1)
+    assert one > ARG_SUMMARY_CAP // 10  # an element shows as 8 characters
+    assert texts(300) <= 2 * one
+
+
 # -- runs of BINFLOAT ops, decoded in one call -----------------------------------
 
 
@@ -1299,7 +1445,7 @@ def _walked(stream: bytes, runs: bool = True) -> list[tuple]:
                 repr(result.events),
                 result.error and _fault(result.error),
                 len(result.memo),
-                render_value(result.root, result.memo),
+                render_value(result.root),
             )
             for result in absvm.walk(stream)
         ]
@@ -1433,7 +1579,7 @@ def test_a_float_run_is_decoded_in_passes_of_at_most_64():
         for count in (1, 2, 64, 65, 130):
             passes.clear()
             (result,) = absvm.walk(pickle.dumps([0.25] * count, 2))
-            assert render_value(result.root, result.memo) == repr([0.25] * count)
+            assert render_value(result.root) == repr([0.25] * count)
             seen[count] = list(passes)
     assert seen == {1: [], 2: [2], 64: [64], 65: [64], 130: [64, 64, 2]}
 

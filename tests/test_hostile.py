@@ -46,7 +46,6 @@ from modelsentry.absvm import (
     CallResult,
     Container,
     GlobalRef,
-    MemoRef,
     render_value,
 )
 from modelsentry.cli import main as cli_main
@@ -95,7 +94,7 @@ def test_shared_dict_calls_10000_by_1000(tmp_path, policy):
     assert report.errors == []
     assert max(f.severity for f in report.findings) is Severity.CRITICAL
     pairs = Container("dict", [("k%05d" % index, index) for index in range(10_000)])
-    expected = reference_render(Container("tuple", [MemoRef(0)]), {0: pairs})
+    expected = reference_render(Container("tuple", [pairs]))
     calls = [f for f in report.findings if f.rule_id == "PICKLE_CALL"]
     assert calls and {f.evidence for f in calls} == {expected}
 
@@ -110,7 +109,7 @@ def test_shared_long_bytes_calls_504_and_512_by_1000(tmp_path, policy):
     assert report.errors == []
     assert max(f.severity for f in report.findings) is Severity.CRITICAL
     elements = Container("list", [0] * 504 + [bytes(4096)] * 512)
-    expected = reference_render(Container("tuple", [MemoRef(0)]), {0: elements})
+    expected = reference_render(Container("tuple", [elements]))
     calls = [f for f in report.findings if f.rule_id == "PICKLE_CALL"]
     assert calls and {f.evidence for f in calls} == {expected}
 

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_walk_layers
+from conftest import reference_json_path, reference_walk_layers
+from modelsentry.absvm import ARG_SUMMARY_CAP
 from modelsentry.forge import emit_keras_lambda_config, lambda_payload_bytes
 from modelsentry.kerascfg import (
     ConfigAnomaly,
+    _render,
     extract_code_payload,
     walk_layers,
 )
@@ -107,6 +109,26 @@ def test_five_thousand_nested_wrappers_are_walked_to_the_end():
         ("Dense", "config.layers[0]" + ".config.layer" * 5_000)
     ]
     assert anomalies == []
+
+
+_PATH_KEYS = st.one_of(
+    st.integers(0, 10**6),
+    st.sampled_from(["", "", "layers", "config", "a.b", "[0]"]),
+    st.text(max_size=4),
+    # At the cap and past it: cut by ``clip``.
+    st.integers(ARG_SUMMARY_CAP - 1, ARG_SUMMARY_CAP + 2).map(lambda n: "k" * n),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PATH_KEYS, max_size=12))
+def test_json_path_equals_the_reference_renderer(keys):
+    """Empty keys, leading ones among them, and clipped keys render as the
+    concatenating renderer rendered them."""
+    link = None
+    for key in keys:
+        link = (link, key)
+    assert _render(link) == reference_json_path(link)
 
 
 # Payload shapes a Lambda's ``config.function`` can take, good and bad.

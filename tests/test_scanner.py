@@ -294,9 +294,9 @@ def test_benign_checkpoint_renders_no_call_evidence(tmp_path, policy, monkeypatc
     limits: list[int] = []
     real_render = absvm.render_value
 
-    def render_value(value, memo=None, limit=absvm.ARG_SUMMARY_CAP, *args, **kwargs):
+    def render_value(value, limit=absvm.ARG_SUMMARY_CAP, *args, **kwargs):
         limits.append(limit)
-        return real_render(value, memo, limit, *args, **kwargs)
+        return real_render(value, limit, *args, **kwargs)
 
     monkeypatch.setattr(absvm, "render_value", render_value)
     target = tmp_path / "clean.pt"
@@ -723,6 +723,34 @@ def test_a_call_whose_callee_is_no_global_is_reported(tmp_path, policy, stream, 
     assert report.errors == []
 
 
+@pytest.mark.parametrize(
+    "stream, evidence",
+    [
+        pytest.param(
+            b"\x80\x02cos\nsystem\nq\x000h\x00ccollections\nOrderedDict\nq\x000X\x02\x00\x00\x00ls\x85R.",
+            "('ls')",
+            id="callee",
+        ),
+        pytest.param(
+            b"\x80\x02cos\nsystem\n]q\x000h\x00]q\x000X\x07\x00\x00\x00payloada]q\x000\x85R.",
+            "(['payload'])",
+            id="appended-list",
+        ),
+    ],
+)
+def test_a_memo_index_put_again_after_its_get_is_judged_as_the_loader_reads_it(
+    tmp_path, policy, stream, evidence
+):
+    """A decoy PUT under the index a GET read, before the call or the
+    APPEND that uses it: pickle.py's loader calls os.system all the same,
+    with the list it read."""
+    path = tmp_path / "rebound.pkl"
+    path.write_bytes(stream)
+    report = scan_file(str(path), policy)
+    calls = [(f.severity, f.message, f.evidence) for f in report.findings if f.rule_id == "PICKLE_CALL"]
+    assert calls == [(Severity.CRITICAL, "load-time call to os.system with 1 argument(s)", evidence)]
+
+
 def _lambda_archive(function: object = None, layers: object = None) -> bytes:
     """The forged Lambda ``.keras`` with its ``function`` or its ``layers``
     node replaced."""
@@ -1119,7 +1147,7 @@ def test_internal_error_costs_only_its_own_file(tmp_path, policy, monkeypatch):
     real_reduce = absvm._HANDLERS[ord("R")]
 
     def reduce(machine, arg):
-        if "defect" in absvm.render_value(machine.stack[-1], machine.memo):
+        if "defect" in absvm.render_value(machine.stack[-1]):
             raise ValueError("injected defect")
         real_reduce(machine, arg)
 
