@@ -18,7 +18,7 @@ long: ``render_value`` bounds the text it shows.  Every other node is an
 that yields the result of each STOP-delimited segment.  It reads each
 opcode byte, reads an argless op's or a one-byte argument inline and any
 other through ``disasm.DECODERS`` (a run of BINFLOAT ops in one ``struct``
-call), checks the segment bounds and FRAME bounds inline and dispatches
+call), checks the instruction limit and FRAME bounds inline and dispatches
 through ``_HANDLERS``, a table indexed by opcode byte, built from
 ``disasm.OPCODES`` (the stdlib's ``pickletools.opcodes``): opcode NAME's
 handler is ``_Machine.op_<name>``, and a family sharing one handler names
@@ -241,11 +241,6 @@ class OutOfBandBuffer(SecurityEvent):
 # Errors and bounds
 
 
-# Bounds on one segment's evaluation, read at each check, so a patched value
-# takes effect.
-MAX_STACK_DEPTH = 1_000_000  # stack and metastack, each
-MAX_MEMO_ENTRIES = 10_000_000
-
 ARG_SUMMARY_CAP = 4096
 PID_SUMMARY_CAP = 256
 # Container renders a machine keeps for its calls' evidence, each at most
@@ -284,11 +279,6 @@ class MemoMiss(VmError):
 class BadMark(VmError):
     def __init__(self, offset: int):
         super().__init__(offset, "no MARK on metastack")
-
-
-class LimitExceeded(VmError):
-    def __init__(self, offset: int, which: str):
-        super().__init__(offset, f"limit exceeded: {which}")
 
 
 class AbstractResult(Record):
@@ -557,6 +547,11 @@ class _Machine:
         ``error``, with its ``segment`` set.  A clean segment, one after the
         first with no event and no fault, says nothing and is not yielded.
 
+        ``disasm.MAX_INSTRUCTIONS`` is the machine's one bound: an op adds
+        at most one value to the stack or metastack and one memo entry, and
+        each segment starts from empty ones (a clean segment ends with an
+        empty stack, and its memo and metastack are cleared here).
+
         An argless op takes no decoder call, nor does a one-byte argument
         (PROTO, BININT1, BINGET, BINPUT, EXT1) whose byte is there; every
         other argument is read through ``disasm.DECODERS``.  FRAME bounds
@@ -568,10 +563,10 @@ class _Machine:
         A run of BINFLOAT ops is decoded with one ``_FLOAT_RUNS`` call per
         at most _MAX_FLOAT_RUN ops and pushed with one ``extend``.  The run
         is clipped to the whole ops before the end of the stream, to the
-        room left under MAX_INSTRUCTIONS and MAX_STACK_DEPTH and to the
-        open frame; the ops it cuts off, and every float after a VmError,
-        take the per-op path, so every error and FrameMismatch fires at the
-        same op, with the same kind, offset and message.
+        room left under MAX_INSTRUCTIONS and to the open frame; the ops it
+        cuts off, and every float after a VmError, take the per-op path, so
+        every error and FrameMismatch fires at the same op, with the same
+        kind, offset and message.
         """
         decoders = disasm.DECODERS
         handlers = _HANDLERS
@@ -608,7 +603,6 @@ class _Machine:
                                 len(heads) - len(heads.lstrip(b"G")),
                                 (length - pos) // _FLOAT_WIDTH,
                                 max_instructions - count,
-                                MAX_STACK_DEPTH - len(self.stack),
                                 (frame_end - pos) // _FLOAT_WIDTH,
                             )
                             if n >= 2:
@@ -692,12 +686,6 @@ class _Machine:
 
     # -- primitives ---------------------------------------------------------
 
-    def push(self, value: object) -> None:
-        stack = self.stack
-        if len(stack) >= MAX_STACK_DEPTH:
-            raise LimitExceeded(self.offset, "max_stack_depth")
-        stack.append(value)
-
     def pop(self) -> object:
         try:
             return self.stack.pop()
@@ -729,10 +717,10 @@ class _Machine:
     def op_frame(self, arg) -> None:
         pass  # frame accounting happens in run()
 
-    # The hot handlers (STOP, MARK, EMPTY_LIST and EMPTY_DICT, PUT, MEMOIZE,
-    # GET, APPENDS and SETITEMS, and the literals) work on the stack and
-    # memo inline, with the checks of ``push``, ``pop``, ``peek`` and
-    # ``pop_mark`` in the same order.
+    # The hot handlers (STOP, PUT, MEMOIZE, APPENDS and SETITEMS) work on
+    # the stack inline, with the checks of ``pop``, ``peek`` and
+    # ``pop_mark`` in the same order.  Every handler pushes with a bare
+    # ``self.stack.append``: the instruction limit bounds the stack.
     def op_stop(self, arg) -> None:
         stack = self.stack
         try:
@@ -746,17 +734,14 @@ class _Machine:
 
     # constants
     def op_newtrue(self, arg) -> None:
-        self.push(True)
+        self.stack.append(True)
 
     def op_newfalse(self, arg) -> None:
-        self.push(False)
+        self.stack.append(False)
 
     def op_literal(self, arg) -> None:
         """A literal, held as the plain value the stream wrote: None for NONE."""
-        stack = self.stack
-        if len(stack) >= MAX_STACK_DEPTH:
-            raise LimitExceeded(self.offset, "max_stack_depth")
-        stack.append(arg)
+        self.stack.append(arg)
 
     op_none = op_int = op_binint = op_binint1 = op_binint2 = op_literal
     op_long = op_long1 = op_long4 = op_float = op_binfloat = op_literal
@@ -769,51 +754,45 @@ class _Machine:
 
     # containers
     def op_empty_list(self, arg) -> None:
-        stack = self.stack
-        if len(stack) >= MAX_STACK_DEPTH:
-            raise LimitExceeded(self.offset, "max_stack_depth")
-        stack.append(Container("list", []))
+        self.stack.append(Container("list", []))
 
     def op_empty_dict(self, arg) -> None:
-        stack = self.stack
-        if len(stack) >= MAX_STACK_DEPTH:
-            raise LimitExceeded(self.offset, "max_stack_depth")
-        stack.append(Container("dict", []))
+        self.stack.append(Container("dict", []))
 
     def op_empty_set(self, arg) -> None:
-        self.push(Container("set", []))
+        self.stack.append(Container("set", []))
 
     def op_empty_tuple(self, arg) -> None:
-        self.push(Container("tuple", []))
+        self.stack.append(Container("tuple", []))
 
     def op_list(self, arg) -> None:
         items = self.pop_mark()
-        self.push(Container("list", items))
+        self.stack.append(Container("list", items))
 
     def op_tuple(self, arg) -> None:
         items = self.pop_mark()
-        self.push(Container("tuple", items))
+        self.stack.append(Container("tuple", items))
 
     def op_tuple1(self, arg) -> None:
         a = self.pop()
-        self.push(Container("tuple", [a]))
+        self.stack.append(Container("tuple", [a]))
 
     def op_tuple2(self, arg) -> None:
         b, a = self.pop(), self.pop()
-        self.push(Container("tuple", [a, b]))
+        self.stack.append(Container("tuple", [a, b]))
 
     def op_tuple3(self, arg) -> None:
         c, b, a = self.pop(), self.pop(), self.pop()
-        self.push(Container("tuple", [a, b, c]))
+        self.stack.append(Container("tuple", [a, b, c]))
 
     def op_dict(self, arg) -> None:
         items = self.pop_mark()
         pairs = [(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
-        self.push(Container("dict", pairs))
+        self.stack.append(Container("dict", pairs))
 
     def op_frozenset(self, arg) -> None:
         items = self.pop_mark()
-        self.push(Container("frozenset", items))
+        self.stack.append(Container("frozenset", items))
 
     def op_append(self, arg) -> None:
         value = self.pop()
@@ -871,10 +850,7 @@ class _Machine:
 
     # stack plumbing
     def op_mark(self, arg) -> None:
-        metastack = self.metastack
-        if len(metastack) >= MAX_STACK_DEPTH:
-            raise LimitExceeded(self.offset, "max_stack_depth (metastack)")
-        metastack.append(self.stack)
+        self.metastack.append(self.stack)
         self.stack = []
 
     def op_pop(self, arg) -> None:
@@ -887,7 +863,7 @@ class _Machine:
         self.pop_mark()
 
     def op_dup(self, arg) -> None:
-        self.push(self.peek())
+        self.stack.append(self.peek())
 
     # memo
     def op_get(self, arg) -> None:
@@ -895,10 +871,7 @@ class _Machine:
         memo = self.memo
         if index not in memo:
             raise MemoMiss(self.offset, index)
-        stack = self.stack
-        if len(stack) >= MAX_STACK_DEPTH:
-            raise LimitExceeded(self.offset, "max_stack_depth")
-        stack.append(memo[index])
+        self.stack.append(memo[index])
 
     op_binget = op_long_binget = op_get
 
@@ -906,19 +879,14 @@ class _Machine:
         index = int(arg)
         if index < 0:
             raise MemoMiss(self.offset, index)
-        memo = self.memo
-        if len(memo) >= MAX_MEMO_ENTRIES:
-            raise LimitExceeded(self.offset, "max_memo_entries")
         if not self.stack:
             raise StackUnderflow(self.offset)
-        memo[index] = self.stack[-1]
+        self.memo[index] = self.stack[-1]
 
     op_binput = op_long_binput = op_put
 
     def op_memoize(self, arg) -> None:
         memo = self.memo
-        if len(memo) >= MAX_MEMO_ENTRIES:
-            raise LimitExceeded(self.offset, "max_memo_entries")
         if not self.stack:
             raise StackUnderflow(self.offset)
         memo[len(memo)] = self.stack[-1]
@@ -927,17 +895,17 @@ class _Machine:
     def op_global(self, arg) -> None:
         module, name = arg
         self.emit(GlobalResolved(self.offset, module, name))
-        self.push(GlobalRef(module, name))
+        self.stack.append(GlobalRef(module, name))
 
     def op_stack_global(self, arg) -> None:
         name = self.pop()
         module = self.pop()
         if isinstance(name, str) and isinstance(module, str):
             self.emit(GlobalResolved(self.offset, module, name))
-            self.push(GlobalRef(module, name))
+            self.stack.append(GlobalRef(module, name))
         else:
             self.emit(DynamicGlobal(self.offset))
-            self.push(DynamicGlobalRef())
+            self.stack.append(DynamicGlobalRef())
 
     def op_reduce(self, arg) -> None:
         args_v = self.pop()
@@ -947,7 +915,7 @@ class _Machine:
         else:
             args, argc = (args_v,), None
         self.record_call(callee, argc, args_v)
-        self.push(CallResult(callee=callee, args=args))
+        self.stack.append(CallResult(callee=callee, args=args))
 
     def op_newobj(self, arg) -> None:
         args_v = self.pop()
@@ -981,7 +949,7 @@ class _Machine:
 
     def record_call_with(self, callee: object, args: tuple) -> None:
         self.record_call(callee, len(args), Container("tuple", list(args)))
-        self.push(CallResult(callee=callee, args=args))
+        self.stack.append(CallResult(callee=callee, args=args))
 
     def record_call(self, callee: object, argc: int | None, args_v: object) -> None:
         """Emit the CallMade event of one call, with its root resolved and its
@@ -1002,24 +970,24 @@ class _Machine:
 
     # persistent ids, extensions, buffers
     def op_persid(self, arg) -> None:
-        self.push(PersistentRef(arg, line=True))
+        self.stack.append(PersistentRef(arg, line=True))
 
     def op_binpersid(self, arg) -> None:
-        self.push(PersistentRef(self.pop()))
+        self.stack.append(PersistentRef(self.pop()))
 
     def op_ext(self, arg) -> None:
-        self.push(ExtensionRef(int(arg)))
+        self.stack.append(ExtensionRef(int(arg)))
 
     op_ext1 = op_ext2 = op_ext4 = op_ext
 
     def op_next_buffer(self, arg) -> None:
         self.emit(OutOfBandBuffer(self.offset))
-        self.push(Opaque())
+        self.stack.append(Opaque())
 
     def op_readonly_buffer(self, arg) -> None:
         self.emit(OutOfBandBuffer(self.offset))
         self.pop()
-        self.push(Opaque())
+        self.stack.append(Opaque())
 
 
 # Indexed by opcode byte: handler(machine, arg); None marks an unassigned byte.
@@ -1112,8 +1080,8 @@ def is_pickle(
     first segment of ``walk(stream)`` must reach STOP or import before its
     first fault: a DynamicGlobal, or a GlobalResolved of a dotted module
     and a dotted or empty name (pickle.py imports the module first).  A
-    LimitExceeded is the scanner's bound, not a loader's fault: yes,
-    unless the bytes run out there too (its ``available`` is set).
+    ``disasm.LimitExceeded`` is the scanner's bound, not a loader's fault:
+    yes, unless the bytes run out there too (its ``available`` is set).
 
     With ``whole`` False, ``stream`` is a head, which decides when the
     first fault lies inside it.  Bytes running out there (MissingStop, or
@@ -1130,7 +1098,7 @@ def is_pickle(
         first = next(walk(stream, lambda root: False))  # no call evidence
     fault = first.fault
     cut = isinstance(fault, disasm.MissingStop) or getattr(fault, "available", None) is not None
-    if fault is None or not cut and isinstance(fault, (disasm.LimitExceeded, LimitExceeded)):
+    if fault is None or not cut and isinstance(fault, disasm.LimitExceeded):
         return True
     ran_out = cut and not whole
     for event in first.events:

@@ -235,10 +235,7 @@ def list_entries(handle: BinaryIO) -> list[ArchiveEntry]:
     central headers are read while that size lasts.  No entry count is
     read, so a count that is wrong hides no member.  ``MAX_ENTRIES``
     bounds the entries listed."""
-    size = _file_size(handle)
-    if size < 22:
-        raise NoCentralDirectory()
-    eocd_offset, eocd = _find_eocd(handle, size)
+    eocd_offset, eocd = _find_eocd(handle, _file_size(handle))
     cd_size, cd_offset = _read_zip64_sizes(handle, eocd_offset) or struct.unpack("<II", eocd[12:20])
     if cd_size > _CD_SIZE_CAP:
         raise CorruptHeader(cd_offset, f"central directory size {cd_size} too large")

@@ -146,8 +146,7 @@ def test_structure_matches_real_loader_on_benign_corpus():
 def small_bounds():
     """Small bounds, so that walk and evaluate are also compared where a bound fires."""
     with mock.patch.multiple(disasm, MAX_INSTRUCTIONS=40, MAX_ARG_BYTES=16):
-        with mock.patch.multiple(absvm, MAX_STACK_DEPTH=6, MAX_MEMO_ENTRIES=4):
-            yield
+        yield
 
 
 def _fault(exc: Exception) -> tuple:
@@ -1459,24 +1458,21 @@ def assert_float_runs_change_nothing(stream: bytes) -> list[tuple]:
 
 @contextlib.contextmanager
 def _bounded(bounds):
-    """No patched bounds, ``small_bounds()``, or a drawn instruction limit
-    and stack depth, which small_bounds' depth of 6 would hide."""
+    """No patched bounds, ``small_bounds()``, or a drawn instruction limit."""
     if bounds is None:
         yield
     elif bounds == "small":
         with small_bounds():
             yield
     else:
-        instructions, depth = bounds
-        with mock.patch.object(disasm, "MAX_INSTRUCTIONS", instructions):
-            with mock.patch.object(absvm, "MAX_STACK_DEPTH", depth):
-                yield
+        with mock.patch.object(disasm, "MAX_INSTRUCTIONS", bounds):
+            yield
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(_float_streams(), _mutants()),
-    st.one_of(st.sampled_from([None, "small"]), st.tuples(st.integers(1, 250), st.integers(1, 250))),
+    st.one_of(st.sampled_from([None, "small"]), st.integers(1, 250)),
 )
 def test_float_runs_walk_like_single_ops(stream, bounds):
     with _bounded(bounds):
@@ -1510,13 +1506,6 @@ def _framed_floats(frame_length: int, count: int) -> bytes:
         (pickle.dumps([0.5] * 64, 2), {}, None, []),
         (pickle.dumps([0.5] * 65, 2), {}, None, []),
         (pickle.dumps([0.5] * 129, 4), {}, None, []),
-        # The 11th float after the MARK overflows a stack of 10.
-        (
-            b"\x80\x02(" + _floats(20) + b"l.",
-            {(absvm, "MAX_STACK_DEPTH"): 10},
-            ("LimitExceeded", 93, "limit exceeded: max_stack_depth"),
-            [],
-        ),
         # PROTO and MARK are ops 0 and 1: the 11th float is op 12.
         (
             b"\x80\x02(" + _floats(20) + b"l.",
@@ -1543,7 +1532,6 @@ def _framed_floats(frame_length: int, count: int) -> bytes:
         "run-of-64",
         "run-of-65",
         "run-of-129",
-        "stack-depth-mid-run",
         "instruction-limit-mid-run",
         "floats-after-stack-underflow",
         "instruction-limit-after-stack-underflow",
@@ -1582,6 +1570,54 @@ def test_a_float_run_is_decoded_in_passes_of_at_most_64():
             assert render_value(result.root) == repr([0.25] * count)
             seen[count] = list(passes)
     assert seen == {1: [], 2: [2], 64: [64], 65: [64], 130: [64, 64, 2]}
+
+
+# -- the instruction limit is the machine's one bound --------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_float_streams(), _mutants()), st.booleans())
+def test_stack_and_memo_never_outgrow_the_ops_of_a_segment(stream, small):
+    """An op adds at most one value to the stack and one memo entry, and a
+    segment starts from an empty machine: for each segment ``evaluate``
+    completes, the memo and the stack at STOP (the root and the residual
+    values) hold at most as many entries as the segment has ops."""
+    with small_bounds() if small else contextlib.nullcontext():
+        try:
+            for ops, _trailing in iter_programs(stream):  # decode_ops' tuples
+                try:
+                    result = evaluate(stream, ops[0][1])
+                except absvm.VmError:
+                    continue
+                assert len(result.memo) <= len(ops)
+                for event in result.events:
+                    if isinstance(event, ResidualStack):
+                        assert 1 + event.depth <= len(ops)
+        except ParseError:
+            pass
+
+
+# Runs of ops that each push onto the stack or metastack, or add a memo
+# entry: each run stops at op 10 (PROTO is op 0), before it is dispatched.
+@pytest.mark.parametrize(
+    "stream, offset",
+    [
+        (b"\x80\x02" + b"N" * 20 + b".", 11),
+        (b"\x80\x02" + b"\x88" * 20 + b".", 11),
+        (b"\x80\x02" + b"}" * 20 + b".", 11),
+        (b"\x80\x02Nq\x00" + b"h\x00" * 20 + b".", 19),
+        (b"\x80\x02" + b"(" * 20 + b".", 11),
+        (b"\x80\x04N" + b"\x94" * 20 + b".", 11),
+        (b"\x80\x02" + _floats(20) + b".", 83),
+    ],
+    ids=["none", "newtrue", "empty-dict", "binget", "mark", "memoize", "binfloat"],
+)
+def test_runs_that_grow_the_machine_stop_at_the_instruction_limit(stream, offset):
+    with mock.patch.object(disasm, "MAX_INSTRUCTIONS", 10):
+        (result,) = absvm.walk(stream)
+        assert_walk_decodes_like_iter_programs(stream)
+    assert _fault(result.error) == ("LimitExceeded", offset, 0, "limit exceeded: max_instructions")
+    assert result.events == []
 
 
 # -- the loader-differential oracle: what a loader runs, walk reports ------------

@@ -158,8 +158,6 @@ def test_c06_parser_totality_under_fuzz(corpus_dir, monkeypatch):
     monkeypatch.setattr(disasm, "MAX_INSTRUCTIONS", 20_000)
     monkeypatch.setattr(disasm, "MAX_ARG_BYTES", 1 << 20)
     monkeypatch.setattr(disasm, "MAX_STREAM_BYTES", 1 << 24)
-    monkeypatch.setattr(absvm, "MAX_STACK_DEPTH", 50_000)
-    monkeypatch.setattr(absvm, "MAX_MEMO_ENTRIES", 100_000)
     bases = [path.read_bytes() for path in sorted(corpus_dir.iterdir()) if path.is_file()]
     bases = [b[: 1 << 16] for b in bases]
     rng = random.Random(1234)

@@ -169,6 +169,16 @@ def test_random_bytes_is_no_central_directory():
         list_entries(io.BytesIO(b"\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a"))
 
 
+def test_a_file_too_short_for_an_end_record_has_no_central_directory():
+    """No 22-byte end record fits: zeros, or an end record cut short at
+    offset 0 or 5."""
+    record = make_zip({}).getvalue()
+    for size in range(22):
+        for data in (b"\x00" * size, record[:size], (b"\x00" * 5 + record)[:size]):
+            with pytest.raises(NoCentralDirectory):
+                list_entries(io.BytesIO(data))
+
+
 def test_declared_size_over_cap():
     handle = make_zip({"big": b"z" * 4096})
     (entry,) = list_entries(handle)

@@ -13,7 +13,8 @@ recurses, tensor storage whose bytes look like a pickle, a payload
 followed by bytes that are no opcode, a GLOBAL whose last line has no
 newline, an INST whose names are not ASCII, and a STRING of escapes the
 decoder would warn of.  Last, each scan bound is made small and driven
-through the scanner.
+through the scanner, and the instruction limit is also driven at its
+shipped value.
 """
 
 from __future__ import annotations
@@ -654,43 +655,6 @@ _ARCHIVE_DIRECTORY = _ARCHIVE.index(b"PK\x01\x02")
             id="arg-bytes",
         ),
         pytest.param(
-            absvm, "MAX_STACK_DEPTH", 2, b"\x80\x02NNN.",
-            ("LimitExceeded", "offset 4", "limit exceeded: max_stack_depth"),
-            ["FORMAT_PARSE_ERROR"],
-            id="stack-depth",
-        ),
-        pytest.param(
-            absvm, "MAX_STACK_DEPTH", 2, b"\x80\x02\x88\x88\x88.",
-            ("LimitExceeded", "offset 4", "limit exceeded: max_stack_depth"),
-            ["FORMAT_PARSE_ERROR"],
-            id="stack-depth-newtrue",
-        ),
-        # The hot handlers' inline copies of the ``push`` bound.
-        pytest.param(
-            absvm, "MAX_STACK_DEPTH", 2, b"\x80\x02NN}.",
-            ("LimitExceeded", "offset 4", "limit exceeded: max_stack_depth"),
-            ["FORMAT_PARSE_ERROR"],
-            id="stack-depth-empty-dict",
-        ),
-        pytest.param(
-            absvm, "MAX_STACK_DEPTH", 2, b"\x80\x02Nq\x00Nh\x00.",
-            ("LimitExceeded", "offset 6", "limit exceeded: max_stack_depth"),
-            ["FORMAT_PARSE_ERROR"],
-            id="stack-depth-binget",
-        ),
-        pytest.param(
-            absvm, "MAX_STACK_DEPTH", 2, b"\x80\x02(((.",
-            ("LimitExceeded", "offset 4", "limit exceeded: max_stack_depth (metastack)"),
-            ["FORMAT_PARSE_ERROR"],
-            id="stack-depth-mark",
-        ),
-        pytest.param(
-            absvm, "MAX_MEMO_ENTRIES", 1, b"\x80\x02Nq\x00q\x01.",
-            ("LimitExceeded", "offset 5", "limit exceeded: max_memo_entries"),
-            ["FORMAT_PARSE_ERROR"],
-            id="memo-entries",
-        ),
-        pytest.param(
             containers, "MAX_ENTRIES", 3, _ARCHIVE,
             (
                 "CorruptHeader", "",
@@ -712,6 +676,25 @@ def test_each_bound_is_reported_by_the_scanner(
     assert [(e.kind, e.locus, e.message) for e in scanned.errors] == [error]
     assert [f.rule_id for f in scanned.findings] == rules
     assert exit_code(report) == 2
+
+
+def test_the_instruction_limit_fires_at_its_shipped_value(tmp_path, policy):
+    """Unpatched: PROTO, GLOBAL and 999,998 NONEs make 1,000,000 ops, and
+    the next NONE is refused.  The limit also bounds the stack the NONEs
+    fill, and the import before it still reaches the rules."""
+    path = tmp_path / "limit.pkl"
+    path.write_bytes(b"\x80\x02" + GLOBAL + b"N" * 1_000_000 + b".")
+    with alarm(ALARM_SECONDS):
+        report = scan_paths([str(path)], policy)
+    (scanned,) = report.files
+    assert [(f.rule_id, f.severity, f.offset) for f in scanned.findings] == [
+        ("PICKLE_DANGEROUS_GLOBAL", Severity.CRITICAL, 2),
+        ("FORMAT_PARSE_ERROR", Severity.LOW, 1_000_011),
+    ]
+    assert [(e.kind, e.locus, e.message) for e in scanned.errors] == [
+        ("LimitExceeded", "offset 1000011", "limit exceeded: max_instructions")
+    ]
+    assert exit_code(report) == 3
 
 
 @pytest.mark.parametrize("data", [b"\x80\x02(u.", b"\x80\x02(o."], ids=["setitems", "obj"])
