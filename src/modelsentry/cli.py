@@ -135,7 +135,7 @@ def _cmd_forge(args: argparse.Namespace) -> int:
     except (OSError, ForgeError) as exc:
         print(f"modelsentry: forge failed: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL
-    print(f"wrote {len(manifest.fixtures)} fixtures to {args.out}")
+    print(f"wrote {len(manifest['fixtures'])} fixtures to {args.out}")
     return EXIT_OK
 
 

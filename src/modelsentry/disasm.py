@@ -240,10 +240,9 @@ def _unescape(data: bytes) -> bytes:
         try:
             decoded.append(codecs.escape_decode(chunk)[0])
         except ValueError:
-            # The same fault in ``data``, placed there; the decoder raises
-            # before it would warn.
-            codecs.escape_decode(data)
-            raise
+            # Decoded whole, ``data`` raises the same fault, placed in
+            # ``data``, before the decoder would warn.
+            return codecs.escape_decode(data)[0]
         pos = cut
     return b"".join(decoded)
 

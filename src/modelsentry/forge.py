@@ -13,6 +13,12 @@ fixtures use the real pickler, which is exactly the producer their
 real-world counterparts come from.  The benign array fixture is assembled
 by hand in the shape the array library's own reducer writes, so generating
 fixtures needs no third-party package.
+
+The hand writer writes only what the fixtures hold: None, bools, ints within
+32 bits (any int at protocol 0), str, lists, tuples and dicts, plus the bytes
+of the array fixture.  Any other value raises ``UnsupportedValue``.
+``emit_corpus`` returns the manifest dict it writes to
+``corpus_manifest.json``.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ import pickle
 import random
 import struct
 import zipfile
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .containers import HDF5_SIGNATURE
@@ -49,29 +54,8 @@ class UnsupportedValue(ForgeError):
     pass
 
 
-@dataclass(frozen=True)
-class ExpectedFinding:
-    rule_id: str
-    min_severity: str
-
-
-@dataclass
-class CorpusManifest:
-    fixtures: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps({"fixtures": self.fixtures}, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Hand-assembled pickle streams
-
-
-def _encode_long(value: int) -> bytes:
-    if value == 0:
-        return b""
-    length = (value.bit_length() + 8) // 8
-    return value.to_bytes(length, "little", signed=True)
 
 
 class _PickleWriter:
@@ -86,9 +70,6 @@ class _PickleWriter:
     def raw(self, data: bytes) -> None:
         self.body += data
 
-    def put_none(self) -> None:
-        self.raw(b"N")
-
     def put_bool(self, value: bool) -> None:
         if self.protocol >= 2:
             self.raw(b"\x88" if value else b"\x89")
@@ -98,23 +79,12 @@ class _PickleWriter:
     def put_int(self, value: int) -> None:
         if self.protocol == 0:
             self.raw(b"I%d\n" % value)
-        elif self.protocol == 1 and not -(2**31) <= value < 2**31:
-            self.raw(b"L%dL\n" % value)
         elif 0 <= value < 256:
             self.raw(b"K" + bytes([value]))
-        elif 0 <= value < 65536:
-            self.raw(b"M" + struct.pack("<H", value))
         elif -(2**31) <= value < 2**31:
             self.raw(b"J" + struct.pack("<i", value))
         else:
-            payload = _encode_long(value)
-            self.raw(b"\x8a" + bytes([len(payload)]) + payload)
-
-    def put_float(self, value: float) -> None:
-        if self.protocol == 0:
-            self.raw(b"F" + repr(value).encode("ascii") + b"\n")
-        else:
-            self.raw(b"G" + struct.pack(">d", value))
+            raise UnsupportedValue(f"int {value} is outside 32 bits")
 
     def put_str(self, value: str) -> None:
         if self.protocol == 0:
@@ -139,10 +109,8 @@ class _PickleWriter:
             self.put_global("_codecs", "encode")
             self.put_value((value.decode("latin-1"), "latin1"))
             self.raw(b"R")
-        elif len(value) < 256:
-            self.raw(b"C" + bytes([len(value)]) + value)
         else:
-            self.raw(b"B" + struct.pack("<I", len(value)) + value)
+            self.raw(b"C" + bytes([len(value)]) + value)  # SHORT_BINBYTES: under 256 bytes
 
     def put_global(self, module: str, name: str) -> None:
         if self.protocol >= 4:
@@ -150,24 +118,17 @@ class _PickleWriter:
             self.put_str(name)
             self.raw(b"\x93\x94")  # STACK_GLOBAL MEMOIZE
             return
-        for part in (module, name):
-            if "\n" in part or not part.isascii():
-                raise UnsupportedValue(f"global name {part!r} is not a plain line")
         self.raw(b"c" + module.encode("ascii") + b"\n" + name.encode("ascii") + b"\n")
 
     def put_value(self, value: object) -> None:
         if value is None:
-            self.put_none()
+            self.raw(b"N")
         elif isinstance(value, bool):
             self.put_bool(value)
         elif isinstance(value, int):
             self.put_int(value)
-        elif isinstance(value, float):
-            self.put_float(value)
         elif isinstance(value, str):
             self.put_str(value)
-        elif isinstance(value, bytes):
-            self.put_bytes(value)
         elif isinstance(value, list):
             if self.protocol == 0:
                 self.raw(b"(l")
@@ -421,11 +382,8 @@ def emit_keras_zip(config_json: str) -> bytes:
 # Corpus
 
 
-_REDUCE_EXPECTED = [
-    ExpectedFinding("PICKLE_DANGEROUS_GLOBAL", "CRITICAL"),
-    ExpectedFinding("PICKLE_CALL", "CRITICAL"),
-]
-_INJECTED_EXPECTED = _REDUCE_EXPECTED + [ExpectedFinding("PICKLE_RESIDUAL_STACK", "HIGH")]
+_REDUCE_EXPECTED = [("PICKLE_DANGEROUS_GLOBAL", "CRITICAL"), ("PICKLE_CALL", "CRITICAL")]
+_INJECTED_EXPECTED = _REDUCE_EXPECTED + [("PICKLE_RESIDUAL_STACK", "HIGH")]
 
 _BENIGN_VALUES: list[object] = [
     {"weights": [1.5, -2.25, 3.0], "bias": 7},
@@ -463,10 +421,6 @@ def benign_array_pickle(protocol: int) -> bytes:
     return writer.finish()
 
 
-def _expected_to_json(expected: list[ExpectedFinding]) -> list[dict]:
-    return [{"rule_id": e.rule_id, "min_severity": e.min_severity} for e in expected]
-
-
 def _write_file(directory: Path, name: str, data: bytes) -> None:
     final = directory / name
     tmp = directory / (name + ".tmp")
@@ -479,12 +433,13 @@ def emit_corpus(
     output_dir: str | Path,
     seed: int = 0,
     payload_marker: str = DEFAULT_MARKER,
-) -> CorpusManifest:
-    """Write the full fixture corpus plus its manifest; deterministic per seed."""
+) -> dict:
+    """Write the full fixture corpus and return its manifest, the dict written
+    to ``corpus_manifest.json``: ``{"fixtures": [...]}``. Deterministic per seed."""
     directory = Path(output_dir)
     directory.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed)
-    manifest = CorpusManifest()
+    manifest: dict = {"fixtures": []}
 
     def add(
         fixture_id: str,
@@ -492,7 +447,7 @@ def emit_corpus(
         data: bytes,
         kind: str,
         protocol: int | None,
-        expected: list[ExpectedFinding],
+        expected: list[tuple[str, str]],
         marker: str | None = None,
         benign_root: object = None,
     ) -> None:
@@ -502,13 +457,13 @@ def emit_corpus(
             "path": name,
             "kind": kind,
             "protocol": protocol,
-            "expected": _expected_to_json(expected),
+            "expected": [{"rule_id": rule, "min_severity": floor} for rule, floor in expected],
         }
         if marker is not None:
             record["payload_marker"] = marker
         if benign_root is not None:
             record["benign_root"] = benign_root
-        manifest.fixtures.append(record)
+        manifest["fixtures"].append(record)
 
     # Attack fixtures.
     for proto in (0, 2, 4):
@@ -552,7 +507,7 @@ def emit_corpus(
         emit_keras_h5(emit_keras_lambda_config(True, payload_marker)),
         "keras_h5_lambda",
         None,
-        [ExpectedFinding("KERAS_LAMBDA_CODE", "HIGH")],
+        [("KERAS_LAMBDA_CODE", "HIGH")],
         marker=payload_marker,
     )
     add(
@@ -561,7 +516,7 @@ def emit_corpus(
         emit_keras_h5(emit_keras_lambda_config(False)),
         "keras_h5_lambda",
         None,
-        [ExpectedFinding("KERAS_LAMBDA_REF", "MEDIUM")],
+        [("KERAS_LAMBDA_REF", "MEDIUM")],
     )
     add(
         "mal_keras_zip",
@@ -569,7 +524,7 @@ def emit_corpus(
         emit_keras_zip(emit_keras_lambda_config(True, payload_marker)),
         "keras_zip_lambda",
         None,
-        [ExpectedFinding("KERAS_LAMBDA_CODE", "HIGH")],
+        [("KERAS_LAMBDA_CODE", "HIGH")],
         marker=payload_marker,
     )
     add(
@@ -578,7 +533,7 @@ def emit_corpus(
         emit_dynamic_global_pickle(4),
         "stack_global_dynamic",
         4,
-        [ExpectedFinding("PICKLE_DYNAMIC_GLOBAL", "HIGH")],
+        [("PICKLE_DYNAMIC_GLOBAL", "HIGH")],
     )
 
     # Benign fixtures: plain pickles from the real producer.
@@ -655,5 +610,5 @@ def emit_corpus(
         [],
     )
 
-    _write_file(directory, "corpus_manifest.json", manifest.to_json().encode("utf-8"))
+    _write_file(directory, "corpus_manifest.json", (json.dumps(manifest, indent=2) + "\n").encode())
     return manifest

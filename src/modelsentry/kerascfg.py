@@ -74,23 +74,13 @@ def extract_code_payload(
     field_path = f"{json_path}.config.function" if json_path else "config.function"
     if isinstance(function, str):
         data = function.encode("utf-8")
-        digest = hashlib.sha256(data).hexdigest()
         # A dotted identifier names a registered function; anything else is
         # code written straight into the config.
-        is_name = bool(function) and all(
-            part.isidentifier() for part in function.split(".")
-        )
-        if is_name:
-            return CodePayload(
-                encoding="reference-by-name",
-                decoded_length=0,
-                digest=digest,
-                preview=_safe_preview(data),
-            )
+        is_name = bool(function) and all(part.isidentifier() for part in function.split("."))
         return CodePayload(
-            encoding="plain-source",
-            decoded_length=len(data),
-            digest=digest,
+            encoding="reference-by-name" if is_name else "plain-source",
+            decoded_length=0 if is_name else len(data),
+            digest=hashlib.sha256(data).hexdigest(),
             preview=_safe_preview(data),
         )
     code = None

@@ -226,6 +226,16 @@ def test_encrypted_and_exotic_methods_are_unsupported():
         read_entry(handle, exotic, errors=[])
 
 
+def test_an_encrypted_or_exotic_member_has_an_empty_head():
+    """The sniff reads nothing of a member it cannot decode: the stored
+    bytes of an encrypted member are not its content."""
+    handle = make_zip({"e": b"x"})
+    (entry,) = list_entries(handle)
+    assert read_entry_head(handle, entry, 16) == b"x"
+    for unreadable in (entry._replace(encrypted=True), entry._replace(method="unsupported(14)")):
+        assert read_entry_head(handle, unreadable, 16) == b""
+
+
 _PACKED = pytest.mark.parametrize(
     "method, name", [(zipfile.ZIP_BZIP2, "bzip2"), (zipfile.ZIP_LZMA, "lzma")], ids=["bzip2", "lzma"]
 )
@@ -497,6 +507,18 @@ def test_config_cap_is_exact(monkeypatch):
     with pytest.raises(CapExceeded) as raised:
         extract_h5_model_config(io.BytesIO(emit_keras_h5(config)))
     assert raised.value.message == f"config size {len(config)} exceeds cap {len(config) - 1}"
+
+
+def test_config_cap_counts_the_bytes_of_a_non_ascii_config(monkeypatch):
+    """One UTF-8 byte over the cap: the size is counted in bytes, not in
+    characters."""
+    config = json.dumps({"k": "\u00e9" + "v" * 200}, ensure_ascii=False)
+    size = len(config.encode("utf-8"))
+    assert size == len(config) + 1
+    monkeypatch.setattr(containers_module, "CONFIG_CAP", size - 1)
+    with pytest.raises(CapExceeded) as raised:
+        extract_h5_model_config(io.BytesIO(emit_keras_h5(config)))
+    assert raised.value.message == f"config size {size} exceeds cap {size - 1}"
 
 
 def test_byte_range_points_at_the_json():

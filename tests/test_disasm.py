@@ -315,6 +315,20 @@ def test_string_escapes_decode_as_escape_decode_without_a_warning(pieces):
         assert decoded == expected, chunk
 
 
+def test_a_bad_escape_past_an_unknown_one_is_the_decoders_own_error():
+    """``\\g`` sends the line through the rewrite; the bad ``\\x`` after
+    it fails as the whole text fails in ``codecs.escape_decode``, with no
+    warning raised on the way."""
+    stream = b"S'\\g\\x'\n."
+    with pytest.raises(ValueError) as reference:
+        codecs.escape_decode(b"\\g\\x")
+    with warnings.catch_warnings(), pytest.raises(TruncatedArgument) as excinfo:
+        warnings.simplefilter("error")
+        list(iter_programs(stream))
+    assert excinfo.value.message == f"undecodable string line: {reference.value}"
+    assert excinfo.value.message == "undecodable string line: invalid \\x escape at position 2"
+
+
 def test_string_with_an_unknown_escape_walks_under_warnings_as_errors():
     """``'\\g'`` is kept as written, as pickle.py keeps it, and no warning
     escapes the walk whatever the filters say."""

@@ -49,6 +49,8 @@ def test_reduce_payload_all_protocols_pass_both_disassemblers(protocol):
 def test_empty_command_is_an_error():
     with pytest.raises(UnsupportedValue):
         emit_reduce_payload_pickle("", 4)
+    with pytest.raises(UnsupportedValue):
+        emit_injected_pickle(None, "", 2)
 
 
 @pytest.mark.parametrize("protocol", [-1, 6, 99])
@@ -81,11 +83,46 @@ def test_injected_unsupported_root_value():
         emit_injected_pickle(object(), DEFAULT_MARKER, 2)
 
 
+@pytest.mark.parametrize(
+    "root, protocol",
+    [(1.5, 0), (1.5, 2), (2**31, 2), (-(2**31) - 1, 4)],
+    ids=["float-p0", "float-p2", "2**31-p2", "-2**31-1-p4"],
+)
+def test_injected_roots_the_fixtures_never_hold_are_refused(root, protocol):
+    """The hand writer writes floats nowhere, and ints only within 32 bits
+    past protocol 0."""
+    with pytest.raises(UnsupportedValue):
+        emit_injected_pickle(root, DEFAULT_MARKER, protocol)
+
+
+@pytest.mark.parametrize(
+    "root, protocol, written",
+    [
+        (True, 0, b"I01\n"),
+        (False, 1, b"I00\n"),
+        ((), 2, b")"),
+        (2**31, 0, b"I2147483648\n"),
+        (-1, 2, b"J\xff\xff\xff\xff"),
+    ],
+    ids=["true-p0", "false-p1", "empty-tuple-p2", "2**31-p0", "minus-one-p2"],
+)
+def test_injected_roots_in_their_kept_forms_load_back(root, protocol, written):
+    """Each form is read back by the stub loader, never the real one."""
+    stream = emit_injected_pickle(root, DEFAULT_MARKER, protocol)
+    assert stream.endswith(written + b".")
+    assert stub_load(stream) == root
+
+
 def test_dynamic_global_fixture():
     stream = emit_dynamic_global_pickle(4)
     assert _genops_accepts(stream)
     result = absvm.evaluate(stream)
     assert [event.kind for event in result.events] == ["DynamicGlobal"]
+
+
+def test_dynamic_global_needs_stack_global():
+    with pytest.raises(UnsupportedProtocol):
+        emit_dynamic_global_pickle(2)
 
 
 def test_torch_zip_emitted_even_for_truncated_inner(tmp_path):
@@ -215,24 +252,34 @@ def test_custom_marker_is_threaded_through(tmp_path):
 # -- no third-party packages at runtime -------------------------------------------
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def _in_modules_after_import(modules: str, name: str) -> str:
+    """What ``name in sys.modules`` prints after ``import <modules>`` in a
+    fresh interpreter."""
     src = str(Path(modelsentry.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     completed = subprocess.run(
-        [sys.executable, "-c", "import sys, modelsentry.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, {modules}; print({name!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.strip() == "False"
+    return completed.stdout.strip()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert _in_modules_after_import("modelsentry.cli", "numpy") == "False"
+
+
+def test_cli_and_forge_import_leaves_dataclasses_unloaded():
+    assert _in_modules_after_import("modelsentry.cli, modelsentry.forge", "dataclasses") == "False"
 
 
 def test_corpus_is_emitted_with_numpy_blocked(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy now fails
     manifest = emit_corpus(tmp_path, seed=0)
-    assert {"ben_numpy_p2", "ben_numpy_p4"} <= {fixture["id"] for fixture in manifest.fixtures}
+    assert {"ben_numpy_p2", "ben_numpy_p4"} <= {fixture["id"] for fixture in manifest["fixtures"]}
 
 
 def _resolved_globals(stream: bytes) -> set[tuple[str, str]]:

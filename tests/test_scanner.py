@@ -503,6 +503,62 @@ def test_a_zip64_end_record_is_read_over_the_32_bit_one(tmp_path, policy, monkey
     assert exit_code(report) == 3
 
 
+def _zip64_archive(name: str, data: bytes, extra: bytes) -> bytes:
+    """One stored member whose central header gives both 32-bit sizes as
+    0xFFFFFFFF, the placeholder for a size in the ZIP64 extra field, and
+    carries ``extra`` as its extra fields."""
+    path = name.encode()
+    crc = zlib.crc32(data)
+    size = len(data)
+    local = struct.pack("<4s5H3I2H", b"PK\x03\x04", 45, 0, 0, 0, 0x21, crc, size, size, len(path), 0)
+    central = struct.pack(
+        "<4s6H3I5H2I", b"PK\x01\x02", 45, 45, 0, 0, 0, 0x21, crc, 0xFFFFFFFF, 0xFFFFFFFF,
+        len(path), len(extra), 0, 0, 0, 0, 0,
+    ) + path + extra
+    body = local + path + data
+    end = struct.pack("<4s4H2IH", b"PK\x05\x06", 0, 0, 1, 1, len(central), len(body), 0)
+    return body + central + end
+
+
+def _scans_critical(tmp_path, policy, data: bytes) -> None:
+    target = tmp_path / "model.zip"
+    target.write_bytes(data)
+    report = scan_paths([str(target)], policy)
+    (scanned,) = report.files
+    rules = {(f.rule_id, f.severity, f.locus) for f in scanned.findings}
+    assert ("PICKLE_CALL", Severity.CRITICAL, "data.pkl:offset 40") in rules
+    assert scanned.errors == []
+    assert exit_code(report) == 3
+
+
+def test_a_zip64_field_after_another_extra_field_gives_the_sizes(tmp_path, policy):
+    """An extended-timestamp field (0x5455) before the ZIP64 one is
+    skipped, and the sizes read are the ones ``zipfile`` reads."""
+    stream = emit_reduce_payload_pickle(MARKER, 2)
+    timestamp = struct.pack("<HHBI", 0x5455, 5, 1, 0)
+    sizes = struct.pack("<HHQQ", 0x0001, 16, len(stream), len(stream))
+    data = _zip64_archive("data.pkl", stream, timestamp + sizes)
+    with zipfile.ZipFile(io.BytesIO(data)) as reference:
+        (info,) = reference.infolist()
+    (entry,) = containers.list_entries(io.BytesIO(data))
+    assert (entry.uncompressed_size, entry.compressed_size) == (info.file_size, info.compress_size)
+    assert entry.uncompressed_size == len(stream)
+    _scans_critical(tmp_path, policy, data)
+
+
+def test_a_zip64_field_without_the_compressed_size_is_read_for_the_other(tmp_path, policy):
+    """Both 32-bit sizes are placeholders but the ZIP64 field holds only the
+    uncompressed size.  ``zipfile`` refuses the archive; the scan is the more
+    lenient reader, and reads the stored member from its uncompressed size."""
+    stream = emit_reduce_payload_pickle(MARKER, 2)
+    data = _zip64_archive("data.pkl", stream, struct.pack("<HHQ", 0x0001, 8, len(stream)))
+    with pytest.raises(zipfile.BadZipFile, match="Corrupt zip64 extra field. Compress size not found."):
+        zipfile.ZipFile(io.BytesIO(data))
+    (entry,) = containers.list_entries(io.BytesIO(data))
+    assert (entry.uncompressed_size, entry.compressed_size) == (len(stream), 0xFFFFFFFF)
+    _scans_critical(tmp_path, policy, data)
+
+
 def test_bzip2_and_lzma_members_stay_unsupported_without_their_modules(tmp_path):
     """An interpreter built without bz2 and lzma reads neither kind of member."""
     target = tmp_path / "model.keras"
@@ -774,6 +830,17 @@ _FUNCTION = "config.json:config.layers[1].config.function"
     "data, findings",
     [
         pytest.param(
+            _lambda_archive(layers=[{"class_name": "Lambda", "name": "top_name", "config": "x"}]),
+            [
+                (
+                    "KERAS_LAMBDA_CODE", Severity.HIGH,
+                    "Lambda layer top_name embeds executable code (no decodable code payload)",
+                    "config.json:config.layers[0]",
+                ),
+            ],
+            id="config-not-an-object",
+        ),
+        pytest.param(
             _lambda_archive(function=[12345, None, None]),
             [
                 _NO_PAYLOAD,
@@ -935,13 +1002,13 @@ def test_scan_weights_only_h5_is_clean(tmp_path, policy):
     assert report.errors == []
 
 
-def _archive_with_bad_second_header() -> bytes:
-    """``a.txt`` then a pickle member, the second local header's signature
-    broken in its last byte."""
+def _archive_with_bad_second_header(first: str, second: str, pickle_stream: bytes) -> bytes:
+    """A text member then a pickle member, the second local header's
+    signature broken in its last byte."""
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w") as archive:
-        archive.writestr("a.txt", b"hello")
-        archive.writestr("model/blob", b"\x80\x02N." * 200)
+        archive.writestr(first, b"hello")
+        archive.writestr(second, pickle_stream)
     data = bytearray(buffer.getvalue())
     data[data.index(b"PK\x03\x04", 1) + 3] = 5
     return bytes(data)
@@ -957,19 +1024,29 @@ def _archive_with_bad_second_header() -> bytes:
             id="central-directory-too-large",
         ),
         pytest.param(
-            _archive_with_bad_second_header(),
+            _archive_with_bad_second_header("a.txt", "model/blob", b"\x80\x02N." * 200),
             ("CorruptHeader", "model/blob", "corrupt header at offset 40: bad local file header signature"),
             "model/blob",
             id="bad-local-header-signature",
+        ),
+        # The head of the REDUCE pickle reads as empty, which decides
+        # nothing, so the member is read whole, and that read reports it.
+        pytest.param(
+            _archive_with_bad_second_header("readme.txt", "model/blob.bin", emit_reduce_payload_pickle(MARKER, 2)),
+            ("CorruptHeader", "model/blob.bin", "corrupt header at offset 45: bad local file header signature"),
+            "model/blob.bin",
+            id="bad-local-header-signature-over-a-payload",
         ),
     ],
 )
 def test_a_corrupt_archive_header_is_a_parse_error(tmp_path, policy, data, error, locus):
     target = tmp_path / "corrupt.zip"
     target.write_bytes(data)
-    report = scan_file(str(target), policy)
-    assert [(e.kind, e.locus, e.message) for e in report.errors] == [error]
-    assert [(f.rule_id, f.locus) for f in report.findings] == [("FORMAT_PARSE_ERROR", locus)]
+    report = scan_paths([str(target)], policy)
+    (scanned,) = report.files
+    assert [(e.kind, e.locus, e.message) for e in scanned.errors] == [error]
+    assert [(f.rule_id, f.locus) for f in scanned.findings] == [("FORMAT_PARSE_ERROR", locus)]
+    assert exit_code(report) == 2
 
 
 def test_scan_archive_with_traversal_member(tmp_path, policy):
