@@ -4,7 +4,9 @@ Two formats are recognized: ZIP archives (PyTorch-style checkpoints and
 Keras archive files) read via their central directory, and HDF5 files whose
 embedded model-config JSON is recovered by a bounded byte-level heuristic
 rather than a full B-tree walk.  A model config from either goes through
-the one decoder, ``decode_config``.
+the one decoder, ``decode_config``, which also hands over the objects in it
+that hold a ``layers`` or a ``layer`` key, so that the scanner walks only a
+config that can report.
 
 Nothing here writes, extracts to disk, or resolves member paths against the
 filesystem.  Decompression is capped so that a hostile archive cannot
@@ -20,6 +22,7 @@ import zlib
 from typing import BinaryIO, NamedTuple
 
 from .absvm import SNIFF_BYTES, Record, is_pickle, set_field
+from .kerascfg import note_holders
 
 try:
     import bz2
@@ -56,7 +59,6 @@ _NUL_LOOKAHEAD = 16
 _UTF8_BOM = b"\xef\xbb\xbf"
 _CD_SIZE_CAP = 512 * 1024 * 1024
 _CHUNK = 4 * 1024 * 1024
-_DECODER = json.JSONDecoder()
 _WHITESPACE = json.decoder.WHITESPACE
 # The 46-byte central file header, keeping the signature, flags, method,
 # CRC-32, sizes, name/extra/comment lengths and local header offset.
@@ -155,11 +157,14 @@ class ArchiveEntry(NamedTuple):
 
 
 class ExtractedConfig(Record, frozen=True):
-    __slots__ = ("byte_range", "config")
+    __slots__ = ("byte_range", "config", "holders")
 
-    def __init__(self, byte_range: tuple[int, int], config: object):
+    def __init__(self, byte_range: tuple[int, int], config: object, holders: list[dict]):
         set_field(self, "byte_range", byte_range)  # of the config's JSON text, in the bytes read
         set_field(self, "config", config)  # that text, parsed
+        # Every object of it holding a "layers" or a "layer" key, innermost
+        # first: the only ones ``kerascfg.walk_layers`` reports from.
+        set_field(self, "holders", holders)
 
 
 def is_path_suspicious(path: str) -> bool:
@@ -486,6 +491,9 @@ def decode_config(
     (``surrogatepass``) and decodes to that code point.  Nesting
     deeper than the decoder recurses is ``UnbalancedJson`` ending just past
     the first byte, so that a search for the next candidate resumes there.
+    While it builds the config, the decoder lists its ``holders``
+    (``kerascfg.note_holders``), which ``kerascfg.may_report`` reads to
+    tell whether a walk is needed.
 
     ``whole`` says that ``data`` is a whole ``config.json`` member, which
     Keras reads with ``json.loads(bytes)``: a member that codec detection
@@ -513,8 +521,9 @@ def decode_config(
     del data  # one copy of the window in memory while it is parsed
     begin = _WHITESPACE.match(text).end()  # ASCII: as many bytes as characters
     start = offset + begin
+    holders: list[dict] = []
     try:
-        config, end = _DECODER.raw_decode(text, begin)
+        config, end = json.JSONDecoder(object_hook=note_holders(holders)).raw_decode(text, begin)
     except RecursionError:
         raise UnbalancedJson(start, start + 1, "JSON object nested too deeply") from None
     except json.JSONDecodeError as exc:
@@ -532,7 +541,7 @@ def decode_config(
         size = end - begin
         if size > cap:
             raise CapExceeded(f"config size {size}", cap, start + size)
-        return ExtractedConfig((start, start + size), config)
+        return ExtractedConfig((start, start + size), config, holders)
     config_text = text[begin:end]
     del text
     # Back to the bytes read, where a byte that is not UTF-8 fails the decode.
@@ -547,8 +556,9 @@ def decode_config(
     if len(loaded_text) != len(config_text):
         # An encoded surrogate, which the first decode held as one escape
         # per byte: decode the text json.loads(bytes) would read.
-        config = _DECODER.decode(loaded_text)
-    return ExtractedConfig((start, stop), config)
+        holders = []
+        config = json.JSONDecoder(object_hook=note_holders(holders)).decode(loaded_text)
+    return ExtractedConfig((start, stop), config, holders)
 
 
 def extract_h5_model_config(handle: BinaryIO, start: int = 0) -> ExtractedConfig:

@@ -7,13 +7,17 @@ payloads out of those layers.  Payload
 bytes are decoded as Keras decodes them (base64, or the text's
 ``raw_unicode_escape`` bytes) so they can be measured and hashed, but they
 are never unmarshalled, compiled, or executed.
+
+Most configs hold no such layer and nothing malformed.  ``may_report``
+tells so from the layer-holding objects the JSON decoder listed while it
+built the config, so that the scanner walks only a config that can report.
 """
 
 from __future__ import annotations
 
 import base64
 import hashlib
-from typing import Collection, Iterator, NamedTuple
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .absvm import Record, clip, set_field
 
@@ -150,6 +154,50 @@ def _render(link: tuple | None) -> str:
         pieces.append(piece)
         started = started or bool(piece)
     return "".join(pieces)
+
+
+def note_holders(holders: list[dict]) -> Callable[[dict], dict]:
+    """A ``json`` object hook that appends each object holding a ``layers``
+    or a ``layer`` key to ``holders``, and returns the object unchanged."""
+    append = holders.append
+
+    def note(obj: dict) -> dict:
+        if "layers" in obj or "layer" in obj:
+            append(obj)
+        return obj
+
+    return note
+
+
+def may_report(config: object, holders: Iterable[dict], classes: Collection[str]) -> bool:
+    """Whether ``walk_layers(config, anomalies, classes)`` may append a
+    record or an anomaly, judged from ``holders``: the objects
+    ``note_holders`` listed while the JSON decoder built ``config``, the
+    only ones the walk reports from.  True when the root is not an object,
+    a ``layers`` value is not an array, or a holder's layer entry is
+    malformed or of a class in ``classes``; so False means the walk would
+    find nothing.  A holder that a duplicate key dropped from ``config``
+    counts too, although the walk never reaches it.
+    """
+    if type(config) is not dict:
+        return True
+    for holder in holders:
+        if "layers" in holder:
+            layers = holder["layers"]
+            if type(layers) is not list:
+                return True
+            for layer in layers:
+                if type(layer) is not dict:
+                    return True
+                name = layer.get("class_name")
+                if type(name) is not str or name in classes:
+                    return True
+        layer = holder.get("layer")
+        if type(layer) is dict and "class_name" in layer:
+            name = layer["class_name"]
+            if type(name) is not str or name in classes:
+                return True
+    return False
 
 
 def walk_layers(

@@ -15,7 +15,7 @@ from typing import BinaryIO, Iterator
 
 from . import absvm, containers, disasm
 from .absvm import Record, set_field
-from .kerascfg import ConfigAnomaly, walk_layers
+from .kerascfg import ConfigAnomaly, may_report, walk_layers
 from .policy import (
     FileContext,
     Finding,
@@ -157,10 +157,15 @@ def _scan_pickle_bytes(data: bytes, ctx: FileContext, policy: Policy, report: Fi
     return True
 
 
-def _scan_keras_config(config: object, ctx: FileContext, policy: Policy, report: FileReport) -> None:
-    anomalies: list[ConfigAnomaly] = []
+def _scan_keras_config(
+    extracted: containers.ExtractedConfig, ctx: FileContext, policy: Policy, report: FileReport
+) -> None:
     # Only these classes earn a finding, so only they are recorded.
-    records = walk_layers(config, anomalies, {"Lambda", *policy.extra_custom_layer_classes})
+    classes = {"Lambda", *policy.extra_custom_layer_classes}
+    if not may_report(extracted.config, extracted.holders, classes):
+        return  # the walk would record nothing and note no anomaly
+    anomalies: list[ConfigAnomaly] = []
+    records = walk_layers(extracted.config, anomalies, classes)
     report.findings.extend(apply_keras_rules(records, anomalies, policy, ctx))
 
 
@@ -211,7 +216,7 @@ def _scan_zip(handle, policy: Policy, entry_cap: int, report: FileReport) -> Non
         except containers.FormatError as exc:
             errors.append((entry, exc))
         else:
-            _scan_keras_config(extracted.config, FileContext(path, entry.path), policy, report)
+            _scan_keras_config(extracted, FileContext(path, entry.path), policy, report)
         _record_member_errors(report, errors)
 
 
@@ -247,7 +252,7 @@ def _scan_hdf5(handle, policy: Policy, report: FileReport) -> None:
         if first_range is None:
             first_range = extracted.byte_range
         recovered += 1
-        _scan_keras_config(extracted.config, ctx, policy, report)
+        _scan_keras_config(extracted, ctx, policy, report)
         start = extracted.byte_range[1]
     if first_range is not None:
         others = f"; {recovered - 1} more after it" if recovered > 1 else ""

@@ -294,6 +294,23 @@ def reference_walk_layers(
     return records
 
 
+def reference_holders(value: object) -> list[dict]:
+    """The objects of a decoded config that hold a ``layers`` or a ``layer``
+    key, each after the objects inside it: the order in which a JSON decoder
+    finishes them."""
+    holders: list[dict] = []
+
+    def visit(node: object) -> None:
+        children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+        for child in children:
+            visit(child)
+        if isinstance(node, dict) and ("layers" in node or "layer" in node):
+            holders.append(node)
+
+    visit(value)
+    return holders
+
+
 # ---------------------------------------------------------------------------
 # Reference policy lookup (the oracle for ``policy.classify_global``)
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import with_entry_count
+from conftest import reference_holders, with_entry_count
 import modelsentry.containers as containers_module
 from modelsentry.containers import (
     HDF5_SIGNATURE,
@@ -582,7 +582,7 @@ def _brace_count_extract(blob: bytes, cap: int) -> ExtractedConfig:
         config = json.loads(blob[brace_at:end].decode("utf-8", "surrogatepass"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UnbalancedJson(brace_at, end, f"extracted text is not valid JSON: {exc}") from None
-    return ExtractedConfig((brace_at, end), config)
+    return ExtractedConfig((brace_at, end), config, reference_holders(config))
 
 
 def _outcome(extract, blob: bytes):

@@ -9,18 +9,22 @@ import json
 import marshal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_json_path, reference_walk_layers
+from conftest import reference_holders, reference_json_path, reference_walk_layers
 from modelsentry.absvm import ARG_SUMMARY_CAP
+from modelsentry.containers import decode_config
 from modelsentry.forge import emit_keras_lambda_config, lambda_payload_bytes
 from modelsentry.kerascfg import (
     ConfigAnomaly,
     _render,
     extract_code_payload,
+    may_report,
     walk_layers,
 )
+from modelsentry.policy import FileContext, Policy, apply_keras_rules
+from modelsentry.scanner import FileReport, _scan_keras_config
 
 
 def test_three_layer_sequential():
@@ -236,6 +240,121 @@ def test_detection_count_equals_planted_count():
     config = {"config": {"layers": layers}}
     records = walk_layers(config, [])
     assert sum(1 for record in records if record.class_name == "Lambda") == planted
+
+
+# -- skipping the walk --------------------------------------------------------
+
+# Configs are drawn as JSON text, so that keys can repeat and be spelled with
+# escapes; each text decodes to what ``json.loads`` makes of it.
+_KEY_TEXTS = st.sampled_from(
+    ['"layers"', '"\\u006cayers"', '"layer"', '"l\\u0061yer"', '"class_name"', '"config"', '"name"', '"a"', '""']
+)
+_CLASS_TEXTS = st.sampled_from(
+    ['"Dense"', '"Lambda"', '"L\\u0061mbda"', '"TimeDistributed"', '"DangerOp"', "5", "null"]
+)
+_SCALAR_TEXTS = st.sampled_from(["null", "true", "0", "-1", '"Dense"', '"Lambda"', '""'])
+_FUNCTION_TEXTS = st.sampled_from([json.dumps(function) for function in _FUNCTIONS])
+
+
+def _object(pairs) -> str:
+    return "{" + ",".join(f"{key}:{value}" for key, value in pairs) + "}"
+
+
+def _array(items) -> str:
+    return "[" + ",".join(items) + "]"
+
+
+def _layer_text(cls: str, config: str) -> str:
+    return _object([('"class_name"', cls), ('"config"', config)])
+
+
+_LAYER_TEXTS = st.builds(
+    lambda cls, function: _layer_text(cls, _object([('"name"', '"n"'), ('"function"', function)])),
+    _CLASS_TEXTS,
+    _FUNCTION_TEXTS,
+)
+
+
+def _nested_texts(children):
+    return (
+        st.lists(children, max_size=4).map(_array)
+        # any keys, a key repeated among them
+        | st.lists(st.tuples(_KEY_TEXTS, children), max_size=4).map(_object)
+        # an inner model: a layers array whose entries may be anything
+        | st.builds(
+            lambda cls, items: _layer_text(cls, _object([('"layers"', _array(items))])),
+            st.sampled_from(['"Sequential"', '"Functional"']),
+            st.lists(children | _LAYER_TEXTS, max_size=4),
+        )
+        # a wrapper layer embedding one layer
+        | st.builds(
+            lambda cls, inner: _layer_text(cls, _object([('"layer"', inner)])),
+            _CLASS_TEXTS,
+            children | _LAYER_TEXTS,
+        )
+        # a key whose first value a second one replaces
+        | st.builds(
+            lambda key, first, second: _object([(key, first), (key, second)]), _KEY_TEXTS, children, children
+        )
+    )
+
+
+_CONFIG_TEXTS = st.recursive(_SCALAR_TEXTS | _LAYER_TEXTS, _nested_texts, max_leaves=30)
+_POLICIES = st.sampled_from(
+    [Policy(), *(Policy(extra_custom_layer_classes=(cls,)) for cls in ("DangerOp", "TimeDistributed"))]
+)
+_BENIGN = '{"class_name": "Sequential", "config": {"layers": [{"class_name": "Dense", "config": {}}]}}'
+_HIDDEN = '{"config": {"\\u006cayers": [{"class_name": "Dense"}, {"class_name": "L\\u0061mbda"}]}}'
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CONFIG_TEXTS, _POLICIES)
+@example(_BENIGN, Policy())
+@example(_HIDDEN, Policy())
+@example('{"a": {"layers": 1}, "a": 2}', Policy())
+def test_a_skipped_walk_hides_nothing(text, policy):
+    """The scanner's findings for a decoded config are those of an
+    unconditional walk, every object holding a layer key reachable from the
+    config is a holder, and a config the check skips is one the reference
+    walk finds nothing in."""
+    extracted = decode_config(text.encode(), whole=True)
+    config = extracted.config
+    assert config == json.loads(text)
+    classes = {"Lambda", *policy.extra_custom_layer_classes}
+    ctx = FileContext("model.keras", "config.json")
+    report = FileReport("model.keras", "zip")
+    _scan_keras_config(extracted, ctx, policy, report)
+    anomalies: list[ConfigAnomaly] = []
+    records = walk_layers(config, anomalies, classes)
+    assert report.findings == apply_keras_rules(records, anomalies, policy, ctx)
+    held = {id(holder) for holder in extracted.holders}
+    assert all(id(holder) in held for holder in reference_holders(config))
+    if not may_report(config, extracted.holders, classes):
+        expected_anomalies: list[ConfigAnomaly] = []
+        expected = reference_walk_layers(config, expected_anomalies, classes)
+        assert [r for r in expected if r.class_name in classes] == []
+        assert expected_anomalies == []
+
+
+def test_the_check_is_true_for_each_thing_a_walk_reports():
+    """One case per way the walk reports, and the benign configs it skips."""
+    lam = {"class_name": "Lambda"}
+    cases = [
+        ([], True),  # the root is not an object
+        ({"layers": {}}, True),  # a layers value that is not an array
+        ({"layers": [3]}, True),  # an entry that is not an object
+        ({"layers": [{"class_name": 3}]}, True),  # a class name that is not a string
+        ({"layers": [{"name": "x"}]}, True),  # no class name at all
+        ({"layers": [{"class_name": "Dense"}, lam]}, True),  # a flagged class
+        ({"layer": {"class_name": None}}, True),  # a wrapped layer's class name
+        ({"layer": lam}, True),  # a wrapped flagged class
+        ({"layers": [{"class_name": "Dense"}], "layer": {"name": "x"}}, False),
+        ({"config": {"a": [1, {"b": "Lambda"}]}}, False),
+    ]
+    for config, expected in cases:
+        assert may_report(config, reference_holders(config), {"Lambda"}) is expected, config
+        anomalies: list[ConfigAnomaly] = []
+        assert bool(walk_layers(config, anomalies) or anomalies) is expected, config
 
 
 # -- payload extraction ------------------------------------------------------

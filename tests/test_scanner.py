@@ -22,9 +22,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import alarm, stdlib_escape_warnings_ignored, with_entry_count
+from conftest import alarm, reference_holders, stdlib_escape_warnings_ignored, with_entry_count
 import modelsentry
-from modelsentry import absvm, cli, containers, disasm
+from modelsentry import absvm, cli, containers, disasm, scanner
 from modelsentry.cli import main as cli_main
 from modelsentry.containers import HDF5_SIGNATURE
 from modelsentry.forge import (
@@ -745,6 +745,105 @@ def test_config_with_an_encoded_surrogate_decodes_as_json_loads_decodes_it(tmp_p
     with zipfile.ZipFile(keras, "w") as archive:
         archive.writestr("config.json", utf16)
     assert _outcome(scan_file(str(keras), policy)) == ([("KERAS_LAMBDA_CODE", Severity.HIGH)], [])
+
+
+def _holders_are_the_configs_own(extracted: containers.ExtractedConfig) -> bool:
+    """The holders handed over are the very objects of the returned config
+    that hold a ``layers`` or a ``layer`` key, none missing, in decode order."""
+    return [id(h) for h in extracted.holders] == [id(h) for h in reference_holders(extracted.config)]
+
+
+_LAMBDA_FOUND = ([("KERAS_LAMBDA_CODE", Severity.HIGH)], [])
+_SURROGATE_LAMBDA = _LAMBDA_CONFIG.replace(b'"name": "lambda"', b'"name": "x\xed\xa0\x80y"')
+
+
+@pytest.mark.parametrize(
+    "member",
+    [
+        pytest.param(_SURROGATE_LAMBDA, id="encoded-surrogate"),
+        pytest.param(_LAMBDA_CONFIG.decode().encode("utf-16"), id="utf-16"),
+        pytest.param(b"\xef\xbb\xbf" + _LAMBDA_CONFIG, id="bom"),
+    ],
+)
+def test_each_config_json_route_hands_over_the_holders_of_the_config_it_returns(
+    tmp_path, policy, member
+):
+    """An encoded surrogate makes the decoder decode twice: the holders are
+    the second decode's, as the config is."""
+    extracted = containers.decode_config(member, whole=True)
+    assert extracted.config == json.loads(member)
+    assert extracted.holders and _holders_are_the_configs_own(extracted)
+    keras = tmp_path / "model.keras"
+    with zipfile.ZipFile(keras, "w") as archive:
+        archive.writestr("config.json", member)
+    assert _outcome(scan_file(str(keras), policy)) == _LAMBDA_FOUND
+
+
+def test_an_h5_config_reached_after_cut_short_windows_hands_over_its_holders(
+    tmp_path, policy, monkeypatch
+):
+    config = json.loads(_LAMBDA_CONFIG)
+    config["pad"] = "x" * (4 * containers._FIRST_WINDOW)
+    body = emit_keras_h5(json.dumps(config))
+    decoded = []
+    decode = containers.decode_config
+
+    def recording(*args, **kwargs):
+        decoded.append(decode(*args, **kwargs))
+        return decoded[-1]
+
+    monkeypatch.setattr(containers, "decode_config", recording)
+    extracted = containers.extract_h5_model_config(io.BytesIO(body))
+    assert decoded[0] is None and decoded[-1] is extracted  # a window was cut short
+    assert extracted.config == config
+    assert _holders_are_the_configs_own(extracted)
+    target = tmp_path / "model.h5"
+    target.write_bytes(body)
+    assert _outcome(scan_file(str(target), policy)) == _LAMBDA_FOUND
+
+
+def test_an_h5_candidate_after_a_benign_decoy_hands_over_its_own_holders(tmp_path, policy):
+    decoy = json.dumps({"class_name": "Sequential", "config": {"layers": []}})
+    body = emit_keras_h5(decoy) + emit_keras_h5(_LAMBDA_CONFIG.decode())
+    first = containers.extract_h5_model_config(io.BytesIO(body))
+    second = containers.extract_h5_model_config(io.BytesIO(body), first.byte_range[1])
+    assert (first.config, second.config) == (json.loads(decoy), json.loads(_LAMBDA_CONFIG))
+    assert _holders_are_the_configs_own(first) and _holders_are_the_configs_own(second)
+    target = tmp_path / "decoy.h5"
+    target.write_bytes(body)
+    assert _outcome(scan_file(str(target), policy)) == _LAMBDA_FOUND
+
+
+def test_the_walk_runs_only_on_a_config_that_can_report(tmp_path, policy, monkeypatch):
+    """A benign config is decoded but never walked; a Lambda config is walked
+    once, and a benign decoy before it not at all."""
+    walks = []
+    walk = scanner.walk_layers
+
+    def counting(*args, **kwargs):
+        walks.append(args[0])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(scanner, "walk_layers", counting)
+    dense = emit_dense_only_config()
+    files = {
+        "dense.keras": (emit_keras_zip(dense), 0),
+        "dense.h5": (emit_keras_h5(dense), 0),
+        "lambda.keras": (emit_keras_zip(_LAMBDA_CONFIG.decode()), 1),
+        "lambda.h5": (emit_keras_h5(_LAMBDA_CONFIG.decode()), 1),
+        "lambda_by_name.h5": (emit_keras_h5(emit_keras_lambda_config(False)), 1),
+        "decoy.h5": (emit_keras_h5(dense) + emit_keras_h5(_LAMBDA_CONFIG.decode()), 1),
+    }
+    counts = {}
+    for name, (data, _) in files.items():
+        target = tmp_path / name
+        target.write_bytes(data)
+        walks.clear()
+        report = scan_file(str(target), policy)
+        counts[name] = len(walks)
+        assert report.errors == []
+        assert all("Lambda" in json.dumps(config) for config in walks)
+    assert counts == {name: expected for name, (_, expected) in files.items()}
 
 
 @pytest.mark.parametrize(
