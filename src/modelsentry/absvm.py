@@ -40,7 +40,7 @@ import struct
 from typing import Callable
 
 from . import disasm
-from .disasm import OPCODES, ParseError, zero_padding
+from .disasm import OPCODES, Fault, ParseError, zero_padding
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +254,8 @@ MAX_SHARED_RENDERS = 128
 _BIG_INT = 10**4300
 
 
-class VmError(Exception):
-    def __init__(self, offset: int, message: str):
-        super().__init__(f"offset {offset}: {message}")
-        self.offset = offset
-        self.message = message
-
-    @property
-    def kind(self) -> str:
-        return type(self).__name__
+class VmError(Fault):
+    """Base class for faults of abstract evaluation."""
 
 
 class StackUnderflow(VmError):
@@ -291,8 +284,8 @@ class AbstractResult(Record):
         root: object,
         events: list[SecurityEvent],
         memo: dict[int, object],
-        error: VmError | ParseError | None = None,
-        fault: VmError | ParseError | None = None,
+        error: Fault | None = None,
+        fault: Fault | None = None,
         segment: int = 0,
     ):
         self.root = root  # an AbstractValue or a plain literal, as any value below
@@ -500,7 +493,7 @@ def call_roots(callee: object) -> tuple[str, str] | None:
 # The machine
 
 
-# Given a call's root (see ``call_roots``), whether its evidence is needed.
+# Given a call's root (see ``call_roots``), whether to keep its evidence.
 KeepCall = Callable[[tuple[str, str] | None], bool]
 
 
@@ -630,8 +623,8 @@ class _Machine:
                         try:
                             handlers[code](self, arg)
                         except VmError as exc:
-                            # Without its traceback the kept error pins no frame of this run.
-                            self.error = exc.with_traceback(None)
+                            # Detached, the kept error pins no frame of this run.
+                            self.error = exc.detach()
                             live = False
                     if code == _STOP:
                         break
@@ -677,7 +670,7 @@ class _Machine:
                 return
             self.segment += 1
 
-    def result(self, error: VmError | ParseError | None) -> AbstractResult:
+    def result(self, error: Fault | None) -> AbstractResult:
         """The outcome of the segment, which reached STOP and set
         ``self.root`` unless an ``error`` ended it."""
         root = self.root if error is None else Opaque()
@@ -1065,7 +1058,8 @@ def walk(stream: bytes, keep_call: KeepCall | None = None):
 SNIFF_BYTES = 512
 
 
-def _is_dotted_name(text: str) -> bool:
+def is_dotted_name(text: str) -> bool:
+    """Whether ``text`` is one or more identifiers joined by dots."""
     return all(part.isidentifier() for part in text.split("."))
 
 
@@ -1081,12 +1075,12 @@ def is_pickle(
     first fault: a DynamicGlobal, or a GlobalResolved of a dotted module
     and a dotted or empty name (pickle.py imports the module first).  A
     ``disasm.LimitExceeded`` is the scanner's bound, not a loader's fault:
-    yes, unless the bytes run out there too (its ``available`` is set).
+    yes, unless the bytes run out there too (its ``ran_out`` is set).
 
     With ``whole`` False, ``stream`` is a head, which decides when the
-    first fault lies inside it.  Bytes running out there (MissingStop, or
-    ``available`` set), or an import made there, decide nothing: None, read
-    the whole.  ``first`` is ``walk(stream)``'s first result, if known.
+    first fault lies inside it.  Bytes running out there (the fault's
+    ``ran_out``), or an import made there, decide nothing: None, read the
+    whole.  ``first`` is ``walk(stream)``'s first result, if known.
     """
     if name.endswith(".pkl") or stream[:1] == b"\x80" and len(stream) > 1 and stream[1] <= 5:
         return True
@@ -1097,15 +1091,14 @@ def is_pickle(
     if first is None:
         first = next(walk(stream, lambda root: False))  # no call evidence
     fault = first.fault
-    cut = isinstance(fault, disasm.MissingStop) or getattr(fault, "available", None) is not None
-    if fault is None or not cut and isinstance(fault, disasm.LimitExceeded):
+    if fault is None or not fault.ran_out and isinstance(fault, disasm.LimitExceeded):
         return True
-    ran_out = cut and not whole
+    cut = fault.ran_out and not whole
     for event in first.events:
-        if ran_out and event.at_offset >= fault.offset:
+        if cut and event.at_offset >= fault.offset:
             break
         if isinstance(event, DynamicGlobal) or isinstance(event, GlobalResolved) and (
-            _is_dotted_name(event.module) and (not event.name or _is_dotted_name(event.name))
+            is_dotted_name(event.module) and (not event.name or is_dotted_name(event.name))
         ):
             return True
-    return None if ran_out else False
+    return None if cut else False

@@ -22,6 +22,7 @@ import zlib
 from typing import BinaryIO, NamedTuple
 
 from .absvm import SNIFF_BYTES, Record, is_pickle, set_field
+from .disasm import Fault
 from .kerascfg import note_holders
 
 try:
@@ -75,71 +76,62 @@ _READABLE = frozenset(_METHODS.values())
 _DECOMPRESS_ERRORS = (zlib.error, OSError, getattr(lzma, "LZMAError", zlib.error))
 
 
-class FormatError(Exception):
+class FormatError(Fault):
     # Where reading stopped, for an error inside an HDF5 config candidate:
     # the next candidate is searched for from there.
     end_offset: int | None = None
 
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
-
-    @property
-    def kind(self) -> str:
-        return type(self).__name__
-
 
 class NoCentralDirectory(FormatError):
     def __init__(self):
-        super().__init__("no ZIP end-of-central-directory record found")
+        super().__init__(None, "no ZIP end-of-central-directory record found")
 
 
 class CorruptHeader(FormatError):
     def __init__(self, offset: int, detail: str):
-        super().__init__(f"corrupt header at offset {offset}: {detail}")
-        self.offset = offset
+        super().__init__(None, f"corrupt header at offset {offset}: {detail}")
 
 
 class UnsupportedMethod(FormatError):
     def __init__(self, path: str, detail: str):
-        super().__init__(f"entry {path!r}: {detail}")
+        super().__init__(None, f"entry {path!r}: {detail}")
 
 
 class SizeMismatch(FormatError):
     def __init__(self, path: str, declared: int, actual: int):
-        super().__init__(f"entry {path!r}: declared {declared} bytes, got {actual}")
+        super().__init__(None, f"entry {path!r}: declared {declared} bytes, got {actual}")
 
 
 class CrcMismatch(FormatError):
     def __init__(self, path: str, declared: int, actual: int):
-        super().__init__(f"entry {path!r}: declared CRC-32 {declared:08x}, got {actual:08x}")
+        super().__init__(None, f"entry {path!r}: declared CRC-32 {declared:08x}, got {actual:08x}")
 
 
 class InflateError(FormatError):
     def __init__(self, path: str, detail: str):
-        super().__init__(f"entry {path!r}: inflate failed: {detail}")
+        super().__init__(None, f"entry {path!r}: inflate failed: {detail}")
 
 
 class CapExceeded(FormatError):
     def __init__(self, measured: str, cap: int, end_offset: int | None = None):
         # ``measured`` names what went over the cap, with its size.
-        super().__init__(f"{measured} exceeds cap {cap}")
+        super().__init__(None, f"{measured} exceeds cap {cap}")
         self.end_offset = end_offset
 
 
 class NotHdf5(FormatError):
     def __init__(self):
-        super().__init__("file does not start with the HDF5 signature")
+        super().__init__(None, "file does not start with the HDF5 signature")
 
 
 class ConfigNotFound(FormatError):
     def __init__(self):
-        super().__init__("no model_config attribute found")
+        super().__init__(None, "no model_config attribute found")
 
 
 class UnbalancedJson(FormatError):
     def __init__(self, start_offset: int, end_offset: int, detail: str):
-        super().__init__(f"{detail} starting at offset {start_offset}")
+        super().__init__(None, f"{detail} starting at offset {start_offset}")
         self.end_offset = end_offset
 
 
@@ -154,6 +146,11 @@ class ArchiveEntry(NamedTuple):
     encrypted: bool = False
     suspicious_path: bool = False
     crc: int = 0  # the CRC-32 declared for the member's uncompressed bytes
+
+    @property
+    def readable(self) -> bool:
+        """Not encrypted, and stored or compressed in a method read here."""
+        return not self.encrypted and self.method in _READABLE
 
 
 class ExtractedConfig(Record, frozen=True):
@@ -326,8 +323,12 @@ def _lzma_decompressor(handle: BinaryIO, path: str, limit: int):
 def _member_head(handle: BinaryIO, entry: ArchiveEntry, limit: int) -> bytes:
     """The member's first ``limit`` bytes, stored or decompressed; fewer if
     it is shorter.  This is the one decompression loop, for every method:
-    whole reads and sniffs share it.  Each call's output is bounded, and
-    input is read only when the decompressor has used up what it holds."""
+    whole reads and sniffs share it, and it refuses any member not
+    ``readable``.  Each call's output is bounded, and input is read only
+    when the decompressor has used up what it holds."""
+    if not entry.readable:
+        detail = "encrypted entry" if entry.encrypted else f"compression {entry.method}"
+        raise UnsupportedMethod(entry.path, detail)
     start = _entry_data_start(handle, entry)
     handle.seek(start)
     if entry.method == "stored":
@@ -369,11 +370,8 @@ def read_entry(
     The bytes are checked against the declared CRC-32, and a mismatch is
     appended to ``errors`` as ``(entry, CrcMismatch)``.  The bytes are
     returned all the same: a loader that skips the check reads them."""
-    if entry.encrypted:
-        raise UnsupportedMethod(entry.path, "encrypted entry")
-    if entry.method not in _READABLE:
-        raise UnsupportedMethod(entry.path, f"compression {entry.method}")
-    if entry.uncompressed_size > cap:
+    # A member that is not readable is refused by ``_member_head`` first.
+    if entry.readable and entry.uncompressed_size > cap:
         raise CapExceeded(f"declared size {entry.uncompressed_size}", cap)
     data = _member_head(handle, entry, cap + 1)
     if len(data) > cap:
@@ -391,8 +389,6 @@ def read_entry(
 
 def read_entry_head(handle: BinaryIO, entry: ArchiveEntry, n: int) -> bytes:
     """Best-effort first ``n`` decompressed bytes, for content sniffing."""
-    if entry.encrypted or entry.method not in _READABLE:
-        return b""
     try:
         return _member_head(handle, entry, n)
     except FormatError:
@@ -428,11 +424,11 @@ def find_pickle_payloads(
     hits: list[tuple[ArchiveEntry, bytes]] = []
     for entry in entries:
         if not entry.path.endswith(".pkl"):
-            # Directories and storage are not pickles; the scanner flags an
-            # encrypted or unsupported member.
+            # Directories and storage are not pickles; the scanner flags a
+            # member that is not readable.
             if entry.path.endswith("/") or entry.path.startswith(storage_dirs):
                 continue
-            if entry.encrypted or entry.method not in _READABLE:
+            if not entry.readable:
                 continue
             # A head that could not be read is empty: unless the member is
             # empty too, that decides nothing, and the whole read reports it.
@@ -442,10 +438,8 @@ def find_pickle_payloads(
         try:
             hits.append((entry, read_entry(handle, entry, cap, errors=errors)))
         except FormatError as exc:
-            # Kept without its traceback, or the zlib error's it replaced,
-            # the error pins no frame of the read and none of its bytes.
-            exc.__context__ = None
-            errors.append((entry, exc.with_traceback(None)))
+            # Detached, the error pins no frame of the read and none of its bytes.
+            errors.append((entry, exc.detach()))
     return hits
 
 
@@ -493,7 +487,7 @@ def decode_config(
     the first byte, so that a search for the next candidate resumes there.
     While it builds the config, the decoder lists its ``holders``
     (``kerascfg.note_holders``), which ``kerascfg.may_report`` reads to
-    tell whether a walk is needed.
+    tell whether the config needs a walk.
 
     ``whole`` says that ``data`` is a whole ``config.json`` member, which
     Keras reads with ``json.loads(bytes)``: a member that codec detection

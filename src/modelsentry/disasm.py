@@ -35,20 +35,38 @@ MAX_ARG_BYTES = 256 * 1024 * 1024  # per argument
 MAX_STREAM_BYTES = 4 * 1024 * 1024 * 1024  # per stream
 
 
-class ParseError(Exception):
-    """Base class for structured disassembly failures."""
+class Fault(Exception):
+    """Base class of every parser fault: ParseError, ``absvm.VmError`` and
+    ``containers.FormatError``.  ``offset`` is the byte at fault, or None
+    where no single byte is (``str()`` is then the ``message`` alone), and
+    ``kind``, the class name, is the error kind a report lists.  With
+    ``ran_out`` set, the bytes ended at the fault: more could change the
+    outcome."""
 
-    def __init__(self, offset: int, message: str):
-        super().__init__(f"offset {offset}: {message}")
+    ran_out = False
+
+    def __init__(self, offset: int | None, message: str):
+        super().__init__(message if offset is None else f"offset {offset}: {message}")
         self.offset = offset
         self.message = message
-        # The failing segment's index (0 from ``absvm.evaluate``), or None
-        # for a stream ``check_stream`` refuses.
-        self.segment: int | None = None
 
     @property
     def kind(self) -> str:
         return type(self).__name__
+
+    def detach(self) -> Fault:
+        """This fault without its traceback or the exception it was raised
+        during: kept, it pins no frame of the parse and none of its bytes."""
+        self.__context__ = None
+        return self.with_traceback(None)
+
+
+class ParseError(Fault):
+    """Base class for structured disassembly failures."""
+
+    # The failing segment's index (0 from ``absvm.evaluate``), or None for a
+    # stream ``check_stream`` refuses.
+    segment: int | None = None
 
 
 class UnknownOpcode(ParseError):
@@ -64,28 +82,17 @@ class TruncatedArgument(ParseError):
     names: tuple[str, str] | None = None
     names_line = 0
 
-    def __init__(
-        self,
-        offset: int,
-        message: str,
-        needed: int | None = None,
-        available: int | None = None,
-    ):
-        super().__init__(offset, message)
-        self.needed = needed
-        self.available = available
-
 
 class MissingStop(ParseError):
+    ran_out = True
+
     def __init__(self, offset: int):
         super().__init__(offset, "end of input before STOP")
 
 
 class LimitExceeded(ParseError):
-    # ``available``: the bytes left when an over-size argument runs past the end.
-    def __init__(self, offset: int, which: str, available: int | None = None):
+    def __init__(self, offset: int, which: str):
         super().__init__(offset, f"limit exceeded: {which}")
-        self.available = available
 
 
 Decoder = Callable[[bytes, int, int], "tuple[object, int]"]
@@ -98,21 +105,18 @@ OPCODES: tuple[pickletools.OpcodeInfo | None, ...] = tuple(map(_BY_BYTE.get, ran
 _STOP = ord(".")
 
 
-def _truncated(op_offset: int, what: str, needed: int, stream: bytes, pos: int) -> ParseError:
-    return TruncatedArgument(
-        op_offset, f"{what} needs {needed} bytes", needed=needed, available=len(stream) - pos
-    )
+def _truncated(op_offset: int, message: str) -> TruncatedArgument:
+    """A TruncatedArgument met where the bytes ran out."""
+    fault = TruncatedArgument(op_offset, message)
+    fault.ran_out = True
+    return fault
 
 
 def _read_line(stream: bytes, pos: int, op_offset: int) -> tuple[bytes, int]:
     """Read up to and excluding the next newline; return (payload, next_pos)."""
     end = stream.find(b"\n", pos)
     if end < 0:
-        raise TruncatedArgument(
-            op_offset,
-            "newline-terminated argument runs past end of input",
-            available=len(stream) - pos,
-        )
+        raise _truncated(op_offset, "newline-terminated argument runs past end of input")
     if end - pos > MAX_ARG_BYTES:
         raise LimitExceeded(op_offset, "max_arg_bytes (newline argument)")
     return stream[pos:end], end + 1
@@ -127,7 +131,7 @@ def _fixed(fmt: str, what: str) -> Decoder:
         try:
             return unpack(stream, pos)[0], pos + width
         except struct.error:
-            raise _truncated(op_offset, what, width, stream, pos) from None
+            raise _truncated(op_offset, f"{what} needs {width} bytes") from None
 
     return decode
 
@@ -142,15 +146,17 @@ def _counted(fmt: str, convert: Callable[[bytes, int], object] | None) -> Decode
         try:
             n = unpack(stream, pos)[0]
         except struct.error:
-            raise _truncated(op_offset, "length prefix", width, stream, pos) from None
+            raise _truncated(op_offset, f"length prefix needs {width} bytes") from None
         if n < 0:
             raise TruncatedArgument(op_offset, f"negative byte count {n}")
         pos += width
         end = pos + n
         if n > MAX_ARG_BYTES:
-            raise LimitExceeded(op_offset, "max_arg_bytes", len(stream) - pos if end > len(stream) else None)
+            fault = LimitExceeded(op_offset, "max_arg_bytes")
+            fault.ran_out = end > len(stream)
+            raise fault
         if end > len(stream):
-            raise _truncated(op_offset, "counted argument", n, stream, pos)
+            raise _truncated(op_offset, f"counted argument needs {n} bytes")
         if convert is None:
             return stream[pos:end], end
         return convert(stream[pos:end], op_offset), end

@@ -19,7 +19,7 @@ import base64
 import hashlib
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
-from .absvm import Record, clip, set_field
+from .absvm import Record, clip, is_dotted_name, set_field
 
 
 class CodePayload(Record, frozen=True):
@@ -80,7 +80,7 @@ def extract_code_payload(
         data = function.encode("utf-8")
         # A dotted identifier names a registered function; anything else is
         # code written straight into the config.
-        is_name = bool(function) and all(part.isidentifier() for part in function.split("."))
+        is_name = is_dotted_name(function)
         return CodePayload(
             encoding="reference-by-name" if is_name else "plain-source",
             decoded_length=0 if is_name else len(data),

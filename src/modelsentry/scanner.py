@@ -106,17 +106,16 @@ def sniff(first_bytes: bytes, length: int, name: str = "") -> str:
 def _parse_error(
     report: FileReport,
     ctx: FileContext,
-    exc: Exception,
+    exc: disasm.Fault,
     what: str,
-    offset: int | None = None,
     message: str | None = None,
 ) -> None:
     """Record the fault ``exc`` (a ParseError, VmError or FormatError) in
-    ``report`` as a FORMAT_PARSE_ERROR finding plus the matching error
-    entry, both at the finding's locus.  ``message`` replaces the fault's
-    own."""
+    ``report`` as a FORMAT_PARSE_ERROR finding at its offset plus the
+    matching error entry, both at the finding's locus.  ``message``
+    replaces the fault's own."""
     message = exc.message if message is None else message
-    finding = ctx.finding("FORMAT_PARSE_ERROR", f"{what}: {message}", offset=offset)
+    finding = ctx.finding("FORMAT_PARSE_ERROR", f"{what}: {message}", offset=exc.offset)
     report.findings.append(finding)
     report.errors.append(ScanError(exc.kind, "" if finding.locus == "-" else finding.locus, message))
 
@@ -138,7 +137,7 @@ def _scan_pickle_bytes(data: bytes, ctx: FileContext, policy: Policy, report: Fi
     def keep_call(root: tuple[str, str] | None) -> bool:
         return call_severity(root, policy, classified)[0] is not None
 
-    faults: list[absvm.VmError | disasm.ParseError] = []
+    faults: list[disasm.Fault] = []
     for result in absvm.walk(data, keep_call):
         if result.segment == 0 and not absvm.is_pickle(ctx.entry or ctx.path, data, True, result):
             return False
@@ -153,7 +152,7 @@ def _scan_pickle_bytes(data: bytes, ctx: FileContext, policy: Policy, report: Fi
             what = "pickle segment could not be parsed"
         else:
             what = "pickle stream is not loadable"
-        _parse_error(report, ctx, fault, what, fault.offset)
+        _parse_error(report, ctx, fault, what)
     return True
 
 
@@ -193,7 +192,7 @@ def _scan_zip(handle, policy: Policy, entry_cap: int, report: FileReport) -> Non
         if entry.suspicious_path:
             message = f"member path {shown!r} escapes the extraction root"
             report.findings.append(member.finding("ARCHIVE_PATH_TRAVERSAL", message, evidence=shown))
-        if entry.encrypted or entry.method.startswith("unsupported"):
+        if not entry.readable:
             detail = "encrypted" if entry.encrypted else entry.method
             message = f"member {shown!r} is not inspectable ({detail})"
             report.findings.append(member.finding("ARCHIVE_UNSUPPORTED_METHOD", message))
@@ -241,9 +240,8 @@ def _scan_hdf5(handle, policy: Policy, report: FileReport) -> None:
             break  # no candidate left; none at all means a weights-only file
         except containers.FormatError as exc:
             if first_error is None:
-                # Without its traceback and context the kept error pins none of the window read.
-                first_error = exc.with_traceback(None)
-                first_error.__context__ = None
+                # Detached, the kept error pins none of the window read.
+                first_error = exc.detach()
             failed += 1
             if exc.end_offset is None:
                 break

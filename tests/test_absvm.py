@@ -387,6 +387,15 @@ def test_instruction_limit_counts_the_ops_after_a_vm_error():
     assert isinstance(outcome.error, StackUnderflow) and outcome.error.offset == 0
 
 
+def test_a_kept_vm_error_is_detached():
+    """``pop`` raises StackUnderflow ``from None``, which still records the
+    IndexError it replaced as ``__context__``: the kept error holds neither
+    that nor its traceback, so it pins no frame of the run."""
+    (outcome,) = absvm.walk(b"RN.")
+    assert isinstance(outcome.error, StackUnderflow)
+    assert outcome.error.__traceback__ is None and outcome.error.__context__ is None
+
+
 # -- one machine per stream: every segment starts from a reset ---------------------
 
 

@@ -224,6 +224,10 @@ def test_encrypted_and_exotic_methods_are_unsupported():
     exotic = ArchiveEntry(entry.path, 1, 1, "unsupported(14)", entry.offset)
     with pytest.raises(UnsupportedMethod):
         read_entry(handle, exotic, errors=[])
+    # The refusal comes before the declared size is checked against the cap.
+    for unreadable in (encrypted, exotic):
+        with pytest.raises(UnsupportedMethod):
+            read_entry(handle, unreadable._replace(uncompressed_size=1 << 40), cap=16, errors=[])
 
 
 def test_an_encrypted_or_exotic_member_has_an_empty_head():

@@ -24,10 +24,11 @@ from conftest import (
     own_transcript,
     reference_transcript,
 )
-from modelsentry import absvm, disasm
+from modelsentry import absvm, containers, disasm
 from modelsentry.disasm import (
     DECODERS,
     OPCODES,
+    Fault,
     LimitExceeded,
     MissingStop,
     ParseError,
@@ -129,11 +130,50 @@ def test_string_opcode_requires_quotes():
         first_ops(b"Sabc\n.")
 
 
-def test_counted_argument_truncation_reports_needed_and_available():
+def test_counted_argument_truncation_reports_need_and_ran_out():
     with pytest.raises(TruncatedArgument) as excinfo:
         first_ops(b"X\x10\x00\x00\x00abc")
-    assert excinfo.value.needed == 16
-    assert excinfo.value.available == 3
+    assert excinfo.value.ran_out
+    assert excinfo.value.message == "counted argument needs 16 bytes"
+
+
+def test_every_parser_fault_has_one_base():
+    """Disassembly, evaluation and container faults share ``Fault``: its
+    ``kind`` is the class name, and ``str()`` puts the offset, where there
+    is one, before the message."""
+    for base in (ParseError, absvm.VmError, containers.FormatError):
+        assert issubclass(base, Fault) and "kind" not in vars(base)
+    fault = MissingStop(7)
+    assert (fault.kind, fault.offset, fault.message, str(fault), fault.ran_out) == (
+        "MissingStop", 7, "end of input before STOP", "offset 7: end of input before STOP", True
+    )
+    refused = containers.NotHdf5()
+    assert (refused.kind, refused.offset, str(refused), refused.ran_out) == (
+        "NotHdf5", None, "file does not start with the HDF5 signature", False
+    )
+
+
+@pytest.mark.parametrize(
+    "stream, kind, ran_out",
+    [
+        (b"X\x03\x00\x00\x00ab", "TruncatedArgument", True),  # counted argument
+        (b"X\x03\x00", "TruncatedArgument", True),  # length prefix
+        (b"J\x01", "TruncatedArgument", True),  # fixed width
+        (b"I12", "TruncatedArgument", True),  # newline argument
+        (b"c", "TruncatedArgument", True),  # GLOBAL's names
+        (b"X\x08\x00\x00\x00abcdefgh.", "LimitExceeded", False),
+        (b"X\x08\x00\x00\x00abc", "LimitExceeded", True),
+        (b"Sabc\n.", "TruncatedArgument", False),
+        (b"X\x01\x00\x00\x00\xff.", "TruncatedArgument", False),
+        (b"N", "MissingStop", True),
+        (b"\xff.", "UnknownOpcode", False),
+    ],
+)
+def test_ran_out_says_whether_the_bytes_ended_at_the_fault(monkeypatch, stream, kind, ran_out):
+    monkeypatch.setattr(disasm, "MAX_ARG_BYTES", 4)
+    with pytest.raises(ParseError) as excinfo:
+        first_ops(stream)
+    assert (excinfo.value.kind, excinfo.value.ran_out) == (kind, ran_out)
 
 
 def test_instruction_limit(monkeypatch):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -1093,6 +1094,32 @@ def test_scan_h5_decoy_deeper_than_the_decoder_does_not_hide_a_lambda_in_its_win
     assert "nested too deeply" in report.errors[0].message
 
 
+def test_an_h5_file_that_stops_being_hdf5_mid_scan_ends_the_candidate_loop(
+    tmp_path, policy, monkeypatch
+):
+    """A file rewritten after the sniff no longer starts with the signature:
+    the NotHdf5 that the next candidate search raises has no place to resume
+    from, so it ends the loop as a reported error, not an InternalError."""
+    target = tmp_path / "swapped.h5"
+    target.write_bytes(emit_keras_h5(emit_dense_only_config()) * 2)
+    extract = containers.extract_h5_model_config
+    calls = []
+
+    def swapped_after_one(handle, start=0):
+        calls.append(start)
+        if len(calls) == 2:
+            raise containers.NotHdf5()
+        return extract(handle, start)
+
+    monkeypatch.setattr(containers, "extract_h5_model_config", swapped_after_one)
+    report = scan_file(str(target), policy)
+    assert len(calls) == 2
+    assert sorted(f.rule_id for f in report.findings) == ["FORMAT_PARSE_ERROR", "H5_HEURISTIC_USED"]
+    assert [(e.kind, e.message) for e in report.errors] == [
+        ("NotHdf5", "file does not start with the HDF5 signature")
+    ]
+
+
 def test_scan_weights_only_h5_is_clean(tmp_path, policy):
     target = tmp_path / "weights.h5"
     target.write_bytes(b"\x89HDF\r\n\x1a\n" + b"\x00" * 256)
@@ -1636,6 +1663,51 @@ def test_symlink_lattice_walks_each_directory_once(tmp_path, policy):
     first = tmp_path.joinpath("l0", *["a"] * (levels - 1), "a.pkl")
     assert [file_report.path for file_report in report.files] == [str(first)]
     assert exit_code(report) == 0
+
+
+def test_a_directory_that_cannot_be_listed_is_an_io_error(tmp_path, policy, monkeypatch):
+    """A directory the walk cannot list (say, one without read permission)
+    is an IOError entry under its own path, and the file beside it is still
+    scanned.  The refusal is injected: a root process lists any directory."""
+    (tmp_path / "a.pkl").write_bytes(pickle.dumps([1, 2, 3], 2))
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    (locked / "b.pkl").write_bytes(pickle.dumps([1, 2, 3], 2))
+    scandir = os.scandir
+
+    def refusing(path="."):
+        if os.fspath(path) == str(locked):
+            raise PermissionError(errno.EACCES, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refusing)
+    report = scan_paths([str(tmp_path)], policy)
+    assert [(f.path, [(e.kind, e.message) for e in f.errors]) for f in report.files] == [
+        (str(tmp_path / "a.pkl"), []),
+        (str(locked), [("IOError", f"[Errno 13] Permission denied: '{locked}'")]),
+    ]
+
+
+def test_a_directory_gone_after_it_is_listed_is_still_walked(tmp_path, policy, monkeypatch):
+    """Following symlinks, a directory whose ``stat`` fails after the walk
+    listed it (removed in between) has what was listed walked, with no
+    error."""
+    tree = tmp_path / "d"
+    tree.mkdir()
+    (tree / "a.pkl").write_bytes(pickle.dumps([1, 2, 3], 2))
+    stat = os.stat
+    refused = []
+
+    def gone(path, *args, **kwargs):
+        if os.fspath(path) == str(tree):
+            refused.append(path)
+            raise FileNotFoundError(errno.ENOENT, "No such file or directory", os.fspath(path))
+        return stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", gone)
+    report = scan_paths([str(tmp_path)], policy, follow_symlinks=True)
+    assert refused
+    assert [(f.path, f.errors) for f in report.files] == [(str(tree / "a.pkl"), [])]
 
 
 # -- files that are not regular files -----------------------------------------------
