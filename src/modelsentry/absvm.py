@@ -266,7 +266,6 @@ class StackUnderflow(VmError):
 class MemoMiss(VmError):
     def __init__(self, offset: int, index: int):
         super().__init__(offset, f"memo has no entry {index}")
-        self.index = index
 
 
 class BadMark(VmError):

@@ -97,11 +97,6 @@ class UnsupportedMethod(FormatError):
         super().__init__(None, f"entry {path!r}: {detail}")
 
 
-class SizeMismatch(FormatError):
-    def __init__(self, path: str, declared: int, actual: int):
-        super().__init__(None, f"entry {path!r}: declared {declared} bytes, got {actual}")
-
-
 class CrcMismatch(FormatError):
     def __init__(self, path: str, declared: int, actual: int):
         super().__init__(None, f"entry {path!r}: declared CRC-32 {declared:08x}, got {actual:08x}")
@@ -321,18 +316,21 @@ def _lzma_decompressor(handle: BinaryIO, path: str, limit: int):
 
 
 def _member_head(handle: BinaryIO, entry: ArchiveEntry, limit: int) -> bytes:
-    """The member's first ``limit`` bytes, stored or decompressed; fewer if
-    it is shorter.  This is the one decompression loop, for every method:
-    whole reads and sniffs share it, and it refuses any member not
-    ``readable``.  Each call's output is bounded, and input is read only
-    when the decompressor has used up what it holds."""
+    """The member's first ``limit`` bytes, as ``zipfile`` yields them: output
+    stops at the declared uncompressed size, and a stored member's read also
+    at its compressed size; fewer if the data ends first.  This is the one
+    decompression loop, for every method: whole reads and sniffs share it,
+    and it refuses any member not ``readable``.  Each call's output is
+    bounded, and input is read only when the decompressor has used up what
+    it holds."""
     if not entry.readable:
         detail = "encrypted entry" if entry.encrypted else f"compression {entry.method}"
         raise UnsupportedMethod(entry.path, detail)
+    limit = min(limit, entry.uncompressed_size)
     start = _entry_data_start(handle, entry)
     handle.seek(start)
     if entry.method == "stored":
-        return handle.read(min(limit, entry.uncompressed_size))
+        return handle.read(min(limit, entry.compressed_size))
     if entry.method == "deflate":
         decompressor = _Deflate()
     elif entry.method == "bzip2":
@@ -365,22 +363,18 @@ def read_entry(
     *,
     errors: list[tuple[ArchiveEntry, FormatError]],
 ) -> bytes:
-    """Return exactly the entry's declared bytes, bounded by ``cap``.
+    """Return the bytes ``zipfile.ZipFile.read`` returns for the entry,
+    bounded by ``cap``: ``CapExceeded`` once more than ``cap`` come out.
 
     The bytes are checked against the declared CRC-32, and a mismatch is
     appended to ``errors`` as ``(entry, CrcMismatch)``.  The bytes are
     returned all the same: a loader that skips the check reads them."""
-    # A member that is not readable is refused by ``_member_head`` first.
-    if entry.readable and entry.uncompressed_size > cap:
-        raise CapExceeded(f"declared size {entry.uncompressed_size}", cap)
     data = _member_head(handle, entry, cap + 1)
     if len(data) > cap:
         # Inflating stopped one byte past the cap.
         raise CapExceeded(
             f"inflated size of at least {len(data)} (declared {entry.uncompressed_size})", cap
         )
-    if len(data) != entry.uncompressed_size:
-        raise SizeMismatch(entry.path, entry.uncompressed_size, len(data))
     actual = zlib.crc32(data)
     if actual != entry.crc:
         errors.append((entry, CrcMismatch(entry.path, entry.crc, actual)))

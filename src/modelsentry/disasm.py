@@ -72,7 +72,6 @@ class ParseError(Fault):
 class UnknownOpcode(ParseError):
     def __init__(self, offset: int, byte: int):
         super().__init__(offset, f"unknown opcode byte 0x{byte:02x}")
-        self.byte = byte
 
 
 class TruncatedArgument(ParseError):

@@ -600,6 +600,24 @@ def with_entry_count(archive: bytes, count: int) -> bytes:
     return archive[: at + 8] + struct.pack("<HH", count, count) + archive[at + 12 :]
 
 
+# Where each 32-bit field sits in a 46-byte central file header.
+CENTRAL_FIELDS = {"crc": 16, "compressed_size": 20, "uncompressed_size": 24}
+
+
+def with_central_field(archive: bytes, path: str, field: str, value: int) -> bytes:
+    """``archive`` with one field of the central file header of the member
+    named ``path`` (``crc``, ``compressed_size`` or ``uncompressed_size``)
+    set to ``value``.  The local header and the data are left as they are."""
+    blob = bytearray(archive)
+    (pos,) = struct.unpack_from("<I", blob, blob.rindex(b"PK\x05\x06") + 16)
+    while True:
+        name_len, extra_len, comment_len = struct.unpack_from("<HHH", blob, pos + 28)
+        if blob[pos + 46 : pos + 46 + name_len] == path.encode():
+            struct.pack_into("<I", blob, pos + CENTRAL_FIELDS[field], value)
+            return bytes(blob)
+        pos += 46 + name_len + extra_len + comment_len
+
+
 # ---------------------------------------------------------------------------
 # Session corpus
 

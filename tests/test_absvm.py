@@ -732,7 +732,7 @@ def test_memoize_and_get():
 def test_memo_miss_is_error():
     with pytest.raises(MemoMiss) as excinfo:
         evaluate(b"Ng5\n.")
-    assert excinfo.value.index == 5
+    assert excinfo.value.message == "memo has no entry 5"
 
 
 def test_negative_put_rejected():

@@ -12,22 +12,23 @@ import json
 import struct
 import tracemalloc
 import zipfile
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_holders, with_entry_count
+from conftest import CENTRAL_FIELDS, reference_holders, with_central_field, with_entry_count
 import modelsentry.containers as containers_module
 from modelsentry.containers import (
     HDF5_SIGNATURE,
     CapExceeded,
     ConfigNotFound,
     CorruptHeader,
+    CrcMismatch,
     InflateError,
     NoCentralDirectory,
     NotHdf5,
-    SizeMismatch,
     UnbalancedJson,
     UnsupportedMethod,
     ArchiveEntry,
@@ -184,35 +185,41 @@ def test_declared_size_over_cap():
     (entry,) = list_entries(handle)
     with pytest.raises(CapExceeded) as raised:
         read_entry(handle, entry, cap=1024, errors=[])
-    assert raised.value.message == "declared size 4096 exceeds cap 1024"
+    assert raised.value.message == "inflated size of at least 1025 (declared 4096) exceeds cap 1024"
 
 
 def test_decompression_bomb_hits_cap_even_when_size_lies():
-    # declared sizes come from the central directory; forge a lying one
-    honest = make_zip({"boom": b"\x00" * (4 << 20)}, compress=True)
-    entries = list_entries(honest)
-    (entry,) = entries
-    liar = ArchiveEntry(
-        path=entry.path,
-        compressed_size=entry.compressed_size,
-        uncompressed_size=100,  # claims small, inflates to 4 MiB
-        method=entry.method,
-        offset=entry.offset,
-    )
+    """4 MiB of zeros that declares 100 bytes yields its first 100, as
+    ``zipfile`` does; declared as it is, over the cap, it stops one byte
+    past the cap."""
+    honest = make_zip({"boom": b"\x00" * (4 << 20)}, compress=True).getvalue()
+    liar = with_central_field(honest, "boom", "uncompressed_size", 100)
+    liar = with_central_field(liar, "boom", "crc", zlib.crc32(bytes(100)))
+    (entry,) = list_entries(io.BytesIO(liar))
+    errors: list = []
+    with zipfile.ZipFile(io.BytesIO(liar)) as reference:
+        assert read_entry(io.BytesIO(liar), entry, cap=1 << 20, errors=errors) == reference.read("boom")
+    assert errors == []
+    (entry,) = list_entries(io.BytesIO(honest))
     with pytest.raises(CapExceeded) as raised:
-        read_entry(honest, liar, cap=1 << 20, errors=[])
-    # Inflating stops one byte past the cap: the message says so, not "declared".
+        read_entry(io.BytesIO(honest), entry, cap=1 << 20, errors=[])
     assert raised.value.message == (
-        f"inflated size of at least {(1 << 20) + 1} (declared 100) exceeds cap {1 << 20}"
+        f"inflated size of at least {(1 << 20) + 1} (declared {4 << 20}) exceeds cap {1 << 20}"
     )
 
 
-def test_truncated_stored_entry_is_size_mismatch():
+def test_a_truncated_stored_entry_is_what_is_there_with_a_crc_mismatch():
+    """The file ends 40 bytes into the member's data: ``zipfile`` runs out
+    of bytes, and the read returns those 40 with a ``CrcMismatch``."""
     handle = make_zip({"cut.bin": b"A" * 1000})
     (entry,) = list_entries(handle)
-    truncated = io.BytesIO(handle.getvalue()[: entry.offset + 40])
-    with pytest.raises((SizeMismatch, CorruptHeader)):
-        read_entry(truncated, entry, errors=[])
+    with zipfile.ZipFile(handle) as reference, reference.open("cut.bin") as member:
+        handle.truncate(entry.offset + 30 + len(entry.path) + 40)
+        with pytest.raises(EOFError):
+            member.read()
+    errors: list = []
+    assert read_entry(handle, entry, errors=errors) == b"A" * 40
+    assert [type(exc) for _, exc in errors] == [CrcMismatch]
 
 
 def test_encrypted_and_exotic_methods_are_unsupported():
@@ -224,7 +231,7 @@ def test_encrypted_and_exotic_methods_are_unsupported():
     exotic = ArchiveEntry(entry.path, 1, 1, "unsupported(14)", entry.offset)
     with pytest.raises(UnsupportedMethod):
         read_entry(handle, exotic, errors=[])
-    # The refusal comes before the declared size is checked against the cap.
+    # The refusal comes first, whatever the declared size.
     for unreadable in (encrypted, exotic):
         with pytest.raises(UnsupportedMethod):
             read_entry(handle, unreadable._replace(uncompressed_size=1 << 40), cap=16, errors=[])
@@ -268,20 +275,19 @@ def test_bzip2_and_lzma_members_read_as_zipfile_reads_them(method, name):
 
 @_PACKED
 def test_bzip2_and_lzma_members_past_the_cap_stop_there(method, name):
-    """16 MiB of zeros under a declared size of 100: decompression stops one
-    byte past the 1 MiB cap, and holds about that much while it runs."""
+    """16 MiB of zeros, declared as such: decompression stops one byte past
+    the 1 MiB cap, and holds about that much while it runs."""
     handle = _packed({"boom": bytes(16 << 20)}, method)
     (entry,) = list_entries(handle)
-    liar = entry._replace(uncompressed_size=100)
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded) as raised:
-            read_entry(handle, liar, cap=1 << 20, errors=[])
+            read_entry(handle, entry, cap=1 << 20, errors=[])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert raised.value.message == (
-        f"inflated size of at least {(1 << 20) + 1} (declared 100) exceeds cap {1 << 20}"
+        f"inflated size of at least {(1 << 20) + 1} (declared {16 << 20}) exceeds cap {1 << 20}"
     )
     assert peak < 4 << 20
 
@@ -317,6 +323,58 @@ def test_bad_lzma_header_is_an_inflate_error(header):
     bad = entry._replace(compressed_size=len(header))
     with pytest.raises(InflateError):
         read_entry(io.BytesIO(short), bad, errors=[])
+
+
+_MEMBER_DATA = st.one_of(
+    st.binary(max_size=300),
+    st.builds(lambda unit, times: unit * times, st.binary(min_size=1, max_size=16), st.integers(1, 400)),
+)
+_ZIP_METHODS = [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED, zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_member_whose_central_header_misstates_a_field_reads_as_zipfile_reads_it(data):
+    """``zipfile`` writes up to three members, then one central-header field
+    of one of them (CRC-32, compressed or uncompressed size) is replaced: one
+    bit flipped, moved by up to 50, or redrawn.  Each member ``zipfile``
+    reads is read here to the same bytes with no error; each member it
+    refuses is refused, or read with a ``CrcMismatch``."""
+    members = data.draw(
+        st.lists(st.tuples(_MEMBER_DATA, st.sampled_from(_ZIP_METHODS)), min_size=1, max_size=3)
+    )
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w") as archive:
+        for index, (content, method) in enumerate(members):
+            archive.writestr(f"m{index}", content, compress_type=method)
+    index = data.draw(st.integers(0, len(members) - 1))
+    field = data.draw(st.sampled_from(sorted(CENTRAL_FIELDS)))
+    old = getattr(list_entries(buffer)[index], field)
+    new = data.draw(
+        st.one_of(
+            st.integers(0, 31).map(lambda bit: old ^ (1 << bit)),
+            st.integers(-50, 50).filter(bool).map(lambda delta: (old + delta) & 0xFFFFFFFF),
+            st.integers(0, 0xFFFFFFFE),
+        ).filter(lambda value: value != 0xFFFFFFFF)
+    )
+    blob = with_central_field(buffer.getvalue(), f"m{index}", field, new)
+    handle = io.BytesIO(blob)
+    with zipfile.ZipFile(io.BytesIO(blob)) as reference:
+        for entry, info in zip(list_entries(handle), reference.infolist(), strict=True):
+            try:
+                expected = reference.read(info)
+            except Exception:
+                expected = None
+            errors: list = []
+            try:
+                got = read_entry(handle, entry, errors=errors)
+            except FormatError:
+                assert expected is None
+                continue
+            if expected is None:
+                assert [type(exc) for _, exc in errors] == [CrcMismatch]
+            else:
+                assert (got, errors) == (expected, [])
 
 
 def test_zip64_records_supported():
@@ -405,13 +463,13 @@ def test_payload_errors_collected_per_entry_without_aborting():
     good = b"N."
     handle = make_zip({"a.pkl": good, "b.pkl": b"M" * 3})
     entries = list_entries(handle)
-    truncated = io.BytesIO(handle.getvalue())
     errors: list = []
-    # simulate a read failure on one entry by lying about its size
-    bad = ArchiveEntry("b.pkl", 3, 3000, "stored", entries[1].offset)
-    hits = find_pickle_payloads([entries[0], bad], truncated, errors=errors)
+    # A read failure on one entry: its local header has a bad signature.
+    blob = bytearray(handle.getvalue())
+    blob[entries[1].offset] ^= 0xFF
+    hits = find_pickle_payloads(entries, io.BytesIO(bytes(blob)), errors=errors)
     assert [entry.path for entry, _ in hits] == ["a.pkl"]
-    assert len(errors) == 1
+    assert [(entry.path, type(exc)) for entry, exc in errors] == [("b.pkl", CorruptHeader)]
 
 
 def _frames(exc: BaseException):
@@ -431,14 +489,11 @@ def test_kept_payload_errors_pin_no_frame_of_the_read():
     ``cap + 1`` bytes inflated there, while the other members are scanned."""
     honest = make_zip({"bomb.pkl": b"\x00" * (4 << 20), "broken.pkl": b"N." * 4096}, compress=True)
     bomb, broken = list_entries(honest)
-    # Central directory and local header both declare 100 bytes.
-    liar = ArchiveEntry(bomb.path, bomb.compressed_size, 100, bomb.method, bomb.offset)
     data = bytearray(honest.getvalue())
-    struct.pack_into("<I", data, bomb.offset + 22, 100)
     start = broken.offset + 30 + len(broken.path)
     data[start:start + 8] = b"\xff" * 8  # not a deflate stream
     errors: list = []
-    hits = find_pickle_payloads([liar, broken], io.BytesIO(data), cap=1 << 20, errors=errors)
+    hits = find_pickle_payloads([bomb, broken], io.BytesIO(data), cap=1 << 20, errors=errors)
     assert hits == []
     assert [(entry.path, type(exc)) for entry, exc in errors] == [
         ("bomb.pkl", CapExceeded),

@@ -86,7 +86,7 @@ def test_unknown_opcode_offset():
     with pytest.raises(UnknownOpcode) as excinfo:
         list(iter_programs(b"N\xff."))
     assert excinfo.value.offset == 1
-    assert excinfo.value.byte == 0xFF
+    assert excinfo.value.message == "unknown opcode byte 0xff"
 
 
 def test_trailing_bytes_reported_not_dropped():

@@ -721,7 +721,11 @@ def test_cli_max_entry_bytes_caps_each_archive_member(tmp_path, capsys):
     assert cli_main(["scan", "--format", "json", "--max-entry-bytes", str(size - 1), str(path)]) == 2
     (scanned,) = json.loads(capsys.readouterr().out)["files"]
     assert [(e["kind"], e["locus"], e["message"]) for e in scanned["errors"]] == [
-        ("CapExceeded", "model/data.pkl", f"declared size {size} exceeds cap {size - 1}")
+        (
+            "CapExceeded",
+            "model/data.pkl",
+            f"inflated size of at least {size} (declared {size}) exceeds cap {size - 1}",
+        )
     ]
     assert cli_main(["scan", "--max-entry-bytes", str(size), str(path)]) == 0
     capsys.readouterr()

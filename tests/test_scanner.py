@@ -23,7 +23,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import alarm, reference_holders, stdlib_escape_warnings_ignored, with_entry_count
+from conftest import (
+    alarm,
+    reference_holders,
+    stdlib_escape_warnings_ignored,
+    with_central_field,
+    with_entry_count,
+)
 import modelsentry
 from modelsentry import absvm, cli, containers, disasm, scanner
 from modelsentry.cli import main as cli_main
@@ -374,12 +380,19 @@ def test_corrupt_bzip2_and_lzma_members_are_inflate_errors_at_the_member(tmp_pat
 
 
 @pytest.mark.parametrize(
-    "from_end, kind", [(False, "InflateError"), (True, "SizeMismatch")], ids=["head", "tail"]
+    "from_end, errors",
+    [
+        (False, [("InflateError", "archive/payload.bin")]),
+        (True, [("CrcMismatch", "archive/payload.bin"), ("UnknownOpcode", "archive/payload.bin:offset 3887")]),
+    ],
+    ids=["head", "tail"],
 )
-def test_a_member_that_cannot_be_inflated_is_reported(tmp_path, from_end, kind, capsys):
+def test_a_member_that_cannot_be_inflated_is_reported(tmp_path, from_end, errors, capsys):
     """Eight flipped bytes where the sniff reads a deflated member, or 40
-    bytes before its end: ``zipfile`` cannot read it either way, and the
-    scan reports the fault at the member."""
+    bytes before its end: ``zipfile`` cannot read it either way.  At the
+    head the scan reports the inflate fault at the member.  At the tail
+    the stream still inflates, to bytes that fail the CRC-32: the scan
+    reports that at the member, then the fault the walk meets in them."""
     buffer = io.BytesIO()
     with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as archive:
         archive.writestr("archive/payload.bin", pickle.dumps({f"k{i}": i for i in range(300)}, 2))
@@ -395,8 +408,8 @@ def test_a_member_that_cannot_be_inflated_is_reported(tmp_path, from_end, kind, 
     target.write_bytes(bytes(blob))
     assert cli_main(["scan", "--format", "json", str(target)]) == 2
     (scanned,) = json.loads(capsys.readouterr().out)["files"]
-    assert [(e["kind"], e["locus"]) for e in scanned["errors"]] == [(kind, "archive/payload.bin")]
-    assert [f["rule_id"] for f in scanned["findings"]] == ["FORMAT_PARSE_ERROR"]
+    assert [(e["kind"], e["locus"]) for e in scanned["errors"]] == errors
+    assert [f["rule_id"] for f in scanned["findings"]] == ["FORMAT_PARSE_ERROR"] * len(errors)
 
 
 def test_a_member_that_fails_its_crc_is_reported_and_still_walked(tmp_path, policy):
@@ -451,6 +464,66 @@ def test_a_member_whose_declared_crc_lies_is_scanned_all_the_same(tmp_path, poli
     assert [(error.kind, error.locus) for error in report.errors] == [("CrcMismatch", member)]
     assert rule in {f.rule_id for f in report.findings if f.entry == member}
     assert ("FORMAT_PARSE_ERROR", member) in {(f.rule_id, f.entry) for f in report.findings}
+
+
+def _archive(members: dict[str, bytes], method: int) -> bytes:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", method) as archive:
+        for path, data in members.items():
+            archive.writestr(path, data)
+    return buffer.getvalue()
+
+
+_PAYLOAD = emit_reduce_payload_pickle(MARKER, 2)
+# After the payload's STOP: SHORT_BINUNICODE, whose length (0x8c) runs past the end.
+_TRAILED = {"archive/data.pkl": _PAYLOAD + b"\x8c" * 80}
+_LAMBDA_CONFIG = emit_keras_lambda_config(True).encode()
+_KERAS = {"metadata.json": b'{"keras_version": "3.4.0"}', "config.json": _LAMBDA_CONFIG}
+
+
+@pytest.mark.parametrize(
+    "members, method, payload, fields",
+    [
+        (_KERAS, zipfile.ZIP_DEFLATED, _LAMBDA_CONFIG, {"uncompressed_size": len(_LAMBDA_CONFIG) + 1000}),
+        (_KERAS, zipfile.ZIP_DEFLATED, _LAMBDA_CONFIG, {"uncompressed_size": 0xFFFFFFFE}),
+        (_TRAILED, zipfile.ZIP_DEFLATED, _PAYLOAD, {"uncompressed_size": len(_PAYLOAD), "crc": zlib.crc32(_PAYLOAD)}),
+        (_KERAS, zipfile.ZIP_STORED, _LAMBDA_CONFIG, {"uncompressed_size": len(_LAMBDA_CONFIG) + 40}),
+        (_TRAILED, zipfile.ZIP_STORED, _PAYLOAD, {"compressed_size": len(_PAYLOAD), "crc": zlib.crc32(_PAYLOAD)}),
+    ],
+    ids=[
+        "deflated-config-over",
+        "deflated-config-huge",
+        "deflated-pickle-under",
+        "stored-config-over",
+        "stored-pickle-cut",
+    ],
+)
+def test_a_member_whose_central_header_misstates_its_size_is_scanned_as_zipfile_reads_it(
+    tmp_path, policy, members, method, payload, fields
+):
+    """The central header of the last member declares a size it does not
+    have, and a CRC-32 that holds for the bytes ``zipfile`` returns: those
+    stop at the declared uncompressed size, and for a stored member also at
+    the compressed size.  The scan reads those bytes and reports the
+    payload's findings, with no error, as for an archive that holds the
+    payload alone."""
+    path = list(members)[-1]
+    patched = _archive(members, method)
+    for field, value in fields.items():
+        patched = with_central_field(patched, path, field, value)
+    with zipfile.ZipFile(io.BytesIO(patched)) as reference:
+        assert reference.read(path) == payload
+    (tmp_path / "patched").mkdir()
+    (tmp_path / "honest").mkdir()
+    target = tmp_path / "patched" / "model.zip"
+    target.write_bytes(patched)
+    honest = tmp_path / "honest" / "model.zip"
+    honest.write_bytes(_archive({**members, path: payload}, method))
+    report = scan_paths([str(target)], policy)
+    (scanned,) = report.files
+    assert scanned.errors == []
+    assert scanned.findings == scan_file(str(honest), policy).findings
+    assert exit_code(report) == 3
 
 
 @pytest.mark.parametrize(
